@@ -1,24 +1,19 @@
-"""Ablation: scale-out structures — sharding and incremental appends.
+"""Ablation: scale-out structures — sharding.
 
-Quantifies the operational extensions:
-
-  * a sharded index answers identically to the monolithic one while
-    bounding per-shard memory (the multi-machine growth path the
-    paper's parallel-build section gestures at);
-  * incremental appends make new texts searchable without a rebuild,
-    at a bounded query-side overhead until consolidation.
+A sharded index answers identically to the monolithic one while
+bounding per-shard memory (the multi-machine growth path the paper's
+parallel-build section gestures at).  Appends without a rebuild are the
+live index's job; ``benchmarks/harness`` measures them
+(``live_ingest_query``).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.hashing import HashFamily
 from repro.core.search import NearDuplicateSearcher
-from repro.corpus.corpus import InMemoryCorpus
 from repro.index.builder import build_memory_index
-from repro.index.incremental import IncrementalIndex
 from repro.index.sharded import ShardedIndex, ShardedSearcher
 
 from bench_fig3_query import run_queries
@@ -72,41 +67,3 @@ def test_sharded_answers_match_monolithic(benchmark, base_corpus, generated_quer
             assert sa == sb
 
     benchmark.pedantic(compare, rounds=1, iterations=1)
-
-
-def test_incremental_append_vs_rebuild(benchmark, base_corpus):
-    """Appending 10% new texts must beat rebuilding the whole index."""
-    import time
-
-    family = HashFamily(k=16, seed=5)
-    texts = [np.asarray(base_corpus.corpus[i]) for i in range(len(base_corpus.corpus))]
-    split = int(0.9 * len(texts))
-    initial = InMemoryCorpus(texts[:split])
-    arrivals = texts[split:]
-
-    main = build_memory_index(initial, family, 25, vocab_size=VOCAB_LARGE)
-
-    def append_path():
-        incremental = IncrementalIndex(main, VOCAB_LARGE, merge_threshold=10**9)
-        incremental.append_texts(arrivals)
-        return incremental
-
-    start = time.perf_counter()
-    rebuilt = build_memory_index(
-        InMemoryCorpus(texts), family, 25, vocab_size=VOCAB_LARGE
-    )
-    rebuild_seconds = time.perf_counter() - start
-
-    incremental = benchmark.pedantic(append_path, rounds=1, iterations=1)
-    append_seconds = benchmark.stats.stats.mean
-    print_series(
-        "Incremental vs rebuild (10% new texts)",
-        ["path", "seconds", "postings"],
-        [
-            ("rebuild", rebuild_seconds, rebuilt.num_postings),
-            ("append", append_seconds, incremental.num_postings),
-        ],
-    )
-    benchmark.extra_info["rebuild_s"] = round(rebuild_seconds, 3)
-    assert incremental.num_postings == rebuilt.num_postings
-    assert append_seconds < rebuild_seconds

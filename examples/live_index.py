@@ -1,8 +1,9 @@
 """Operating the index as a living system: shards, appends, caching.
 
 Production deployments of the paper's engine need more than a one-shot
-build: corpora grow (incremental appends), outgrow one machine
-(sharding), and serve repeated queries (list caching).  This example
+build: corpora grow (the live index: WAL-backed appends over sealed
+runs), outgrow one machine (sharding), and serve repeated queries
+(list caching).  This example
 exercises all three extensions on one workload and shows that every
 configuration returns identical answers.
 
@@ -11,13 +12,16 @@ Run:  python examples/live_index.py
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from repro import HashFamily, NearDuplicateSearcher, build_memory_index
 from repro.corpus import InMemoryCorpus, synthweb
 from repro.index import (
     CachedIndexReader,
-    IncrementalIndex,
+    LiveIndex,
     ShardedIndex,
     ShardedSearcher,
 )
@@ -46,21 +50,28 @@ def main() -> None:
     print(f"baseline index: {baseline.num_postings:,} postings, "
           f"{reference.num_texts} matching texts for the probe query")
 
-    # 1. Incremental appends: stream in 100 new texts, query the union.
-    incremental = IncrementalIndex(baseline, vocab, merge_threshold=50_000)
-    new_ids = incremental.append_texts(arrivals)
-    grown = NearDuplicateSearcher(incremental).search(query, 0.8)
-    print(f"\nincremental: appended {len(new_ids)} texts "
-          f"(ids {new_ids[0]}..{new_ids[-1]}), "
-          f"{incremental.delta_postings:,} delta postings, "
-          f"{incremental.merges} consolidations")
-    assert spans_of(grown) >= spans_of(reference)
+    # 1. Live index: seal the initial texts into an on-disk run, stream
+    #    in 100 new texts, and query the union of run + memtable.
+    with tempfile.TemporaryDirectory() as scratch:
+        live = LiveIndex(
+            Path(scratch) / "live", family=family, t=t, vocab_size=vocab
+        )
+        live.append_texts([np.asarray(text) for text in initial])
+        live.seal()
+        assert spans_of(live.searcher().search(query, 0.8)) == spans_of(reference)
+        new_ids = live.append_texts(arrivals)
+        searcher = live.searcher()
+        grown = searcher.search(query, 0.8)
+        print(f"\nlive: appended {len(new_ids)} texts "
+              f"(ids {new_ids[0]}..{new_ids[-1]}) beside {len(live.runs)} "
+              f"sealed run, {live.memtable_postings:,} memtable postings")
+        assert spans_of(grown) >= spans_of(reference)
 
-    # A query drawn from a newly-appended text finds it immediately.
-    fresh_query = arrivals[0][:64]
-    fresh = NearDuplicateSearcher(incremental).search(fresh_query, 1.0)
-    assert any(m.text_id == new_ids[0] for m in fresh.matches)
-    print("a query from the newest text matches it at theta=1.0")
+        # A query drawn from a newly-appended text finds it immediately.
+        fresh = searcher.search(arrivals[0][:64], 1.0)
+        assert any(m.text_id == new_ids[0] for m in fresh.matches)
+        print("a query from the newest text matches it at theta=1.0")
+        live.close()
 
     # 2. Sharding: the same corpus split 4 ways answers identically.
     sharded = ShardedIndex.build(initial, family, t, num_shards=4, vocab_size=vocab)

@@ -148,11 +148,7 @@ def _cmd_batch_query(args: argparse.Namespace) -> int:
     from repro.index.cache import CachedIndexReader
     from repro.query.executor import BatchQueryExecutor
 
-    reader = (
-        CachedIndexReader(index, policy=args.cache_policy)
-        if args.cache
-        else index
-    )
+    reader = CachedIndexReader(index) if args.cache else index
     searcher = NearDuplicateSearcher(reader)
     with open(args.queries) as handle:
         lines = [line.strip() for line in handle if line.strip()]
@@ -177,10 +173,7 @@ def _cmd_batch_query(args: argparse.Namespace) -> int:
             record["error"] = f"line {number + 1} is not a token-id sequence"
         records.append(record)
     executor = BatchQueryExecutor(
-        searcher,
-        workers=args.workers,
-        batch_size=args.batch_size,
-        cache_policy=args.cache_policy,
+        searcher, workers=args.workers, batch_size=args.batch_size
     )
     batch = None
     if valid:
@@ -397,8 +390,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         timeout_ms=args.timeout_ms,
         cache_bytes=args.cache_mb << 20,
-        cache_policy=args.cache_policy,
-        block_cache_bytes=args.block_cache_bytes,
         result_cache={"auto": None, "on": True, "off": False}[args.result_cache],
         warmup_lists=args.warmup_lists,
         theta=args.theta,
@@ -593,12 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--theta", type=float, default=0.8)
     p_batch.add_argument("--cache", action="store_true", help="list cache")
     p_batch.add_argument(
-        "--cache-policy",
-        choices=("lru", "tinylfu"),
-        default="lru",
-        help="list-cache admission: plain LRU or scan-resistant W-TinyLFU",
-    )
-    p_batch.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -762,18 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache-mb", type=int, default=64, help="inverted-list cache budget"
-    )
-    p_serve.add_argument(
-        "--cache-policy",
-        choices=("lru", "tinylfu"),
-        default="lru",
-        help="list/block cache admission: plain LRU or scan-resistant W-TinyLFU",
-    )
-    p_serve.add_argument(
-        "--block-cache-bytes",
-        type=int,
-        default=0,
-        help="decoded-block cache budget for packed indexes (0 disables)",
     )
     p_serve.add_argument(
         "--result-cache",

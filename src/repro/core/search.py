@@ -39,7 +39,7 @@ from repro.core.intervals import (
 from repro.core.theory import collision_threshold
 from repro.core.verify import Span, merge_overlapping_spans
 from repro.exceptions import InvalidParameterError, QueryError
-from repro.index.inverted import InvertedIndexReader, POSTING_DTYPE
+from repro.index.inverted import InvertedIndexReader
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +47,13 @@ logger = logging.getLogger(__name__)
 #: per-group sweep kept as the equivalence oracle and benchmark
 #: baseline; ``fused`` is the vectorized default).
 SEARCH_KERNELS = ("fused", "reference")
+
+#: Every attribute and method of the reader protocol; a searcher names
+#: the ones a refused reader lacks.
+_READER_MEMBERS = (
+    *InvertedIndexReader.__annotations__,
+    *(name for name in vars(InvertedIndexReader) if not name.startswith("_")),
+)
 
 
 @dataclass
@@ -189,45 +196,6 @@ def derive_theta_result(base: SearchResult, theta: float) -> SearchResult:
     )
 
 
-def sketch_lengths(index, sketch: np.ndarray, k: int) -> np.ndarray:
-    """The k query-list lengths, via the reader's batched lookup.
-
-    Falls back to the per-function :meth:`list_length` loop for readers
-    that do not implement ``sketch_list_lengths`` (third-party readers
-    only need the minimal protocol).
-    """
-    batched = getattr(index, "sketch_list_lengths", None)
-    if batched is not None:
-        return np.asarray(batched(sketch), dtype=np.int64)
-    return np.array(
-        [index.list_length(func, int(sketch[func])) for func in range(k)],
-        dtype=np.int64,
-    )
-
-
-def _load_texts_windows(
-    index, func: int, minhash: int, text_ids: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Batched long-list point read with a scalar fallback.
-
-    Returns ``(postings sorted by text, point-read operations issued)``
-    — one operation for a reader with the grouped path, one per text
-    for the fallback loop.
-    """
-    batched = getattr(index, "load_texts_windows", None)
-    if batched is not None:
-        return batched(func, minhash, text_ids), 1
-    parts = [
-        index.load_text_windows(func, minhash, int(text_id))
-        for text_id in text_ids
-    ]
-    parts = [part for part in parts if part.size]
-    if not parts:
-        return np.empty(0, dtype=POSTING_DTYPE), int(len(text_ids))
-    merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return merged, int(len(text_ids))
-
-
 class NearDuplicateSearcher:
     """Query processor over an inverted index of compact windows.
 
@@ -264,6 +232,14 @@ class NearDuplicateSearcher:
         corpus=None,
         kernel: str = "fused",
     ) -> None:
+        # Delegating proxies resolve members through ``__getattr__``,
+        # so probe with ``hasattr`` rather than ``isinstance``.
+        missing = [name for name in _READER_MEMBERS if not hasattr(index, name)]
+        if missing:
+            raise InvalidParameterError(
+                f"{type(index).__name__} is not an InvertedIndexReader: "
+                f"missing {', '.join(missing)}"
+            )
         self.index = index
         self.family: HashFamily = index.family
         self.t = index.t
@@ -329,7 +305,7 @@ class NearDuplicateSearcher:
         beta = collision_threshold(k, theta)
         sketch = self.family.sketch(query)
 
-        lengths = sketch_lengths(self.index, sketch, k)
+        lengths = self.index.sketch_list_lengths(sketch)
         long_funcs = self._select_long_lists(lengths, beta)
         stats.long_lists = len(long_funcs)
         alpha_short = beta - len(long_funcs)
@@ -532,10 +508,10 @@ class NearDuplicateSearcher:
             is_candidate[cand_groups] = True
             parts = [kept[np.repeat(is_candidate, kept_sizes)]]
             for func in sorted(long_funcs):
-                fetched, operations = _load_texts_windows(
-                    self.index, func, int(sketch[func]), cand_texts
+                fetched = self.index.load_texts_windows(
+                    func, int(sketch[func]), cand_texts
                 )
-                stats.point_reads += operations
+                stats.point_reads += 1
                 if fetched.size:
                     parts.append(fetched)
             combined = np.concatenate(parts)
@@ -609,10 +585,10 @@ class NearDuplicateSearcher:
                 extra = [kept[group_bounds[group] : group_bounds[group + 1]]]
                 wanted = np.array([text_id], dtype=np.int64)
                 for func in sorted(long_funcs):
-                    fetched, operations = _load_texts_windows(
-                        self.index, func, int(sketch[func]), wanted
+                    fetched = self.index.load_texts_windows(
+                        func, int(sketch[func]), wanted
                     )
-                    stats.point_reads += operations
+                    stats.point_reads += 1
                     if fetched.size:
                         extra.append(fetched)
                 combined = np.concatenate(extra)

@@ -334,12 +334,10 @@ class NearDupEngine:
         self,
         *,
         cache_bytes: int = 32 * 1024 * 1024,
-        cache_policy: str = "lru",
-        block_cache_bytes: int = 0,
         result_cache: bool | None = None,
         result_entries: int = 1024,
     ) -> NearDuplicateSearcher:
-        """A searcher backed by the multi-tier read cache.
+        """A searcher backed by the two-tier read cache.
 
         The online service (and any other long-lived caller answering
         many queries) searches through one of these instead of
@@ -351,12 +349,7 @@ class NearDupEngine:
           generation gate gives it a correctness story) and off for
           static indexes.
         - *list cache*: the :class:`~repro.index.cache.CachedIndexReader`
-          whole-list tier, with ``cache_policy`` choosing ``lru`` or
-          scan-resistant ``tinylfu`` admission.
-        - *decoded-block cache* (``block_cache_bytes > 0``): decoded
-          posting blocks below the list tier, serving zone-map point
-          reads without re-running the packed codec (packed payloads
-          only; a no-op for raw/in-memory indexes).
+          whole-list LRU tier of ``cache_bytes``.
 
         Each call builds fresh caches.
         """
@@ -366,11 +359,7 @@ class NearDupEngine:
             # The live searcher rebuilds its cache per generation, so
             # mutations never serve stale lists.
             searcher = LiveSearcher(
-                self.index,
-                cache_bytes=cache_bytes,
-                cache_policy=cache_policy,
-                block_cache_bytes=block_cache_bytes,
-                corpus=self.corpus,
+                self.index, cache_bytes=cache_bytes, corpus=self.corpus
             )
             if result_cache or result_cache is None:
                 from repro.query.resultcache import CachingSearcher
@@ -382,15 +371,7 @@ class NearDupEngine:
                     generation_fn=lambda: live_index.generation,
                 )
             return searcher
-        if block_cache_bytes > 0 and hasattr(self.index, "enable_block_cache"):
-            from repro.index.blockcache import DecodedBlockCache
-
-            self.index.enable_block_cache(
-                DecodedBlockCache(int(block_cache_bytes), policy=cache_policy)
-            )
-        reader = CachedIndexReader(
-            self.index, capacity_bytes=cache_bytes, policy=cache_policy
-        )
+        reader = CachedIndexReader(self.index, capacity_bytes=cache_bytes)
         searcher = NearDuplicateSearcher(reader, corpus=self.corpus)
         if result_cache:
             from repro.query.resultcache import CachingSearcher

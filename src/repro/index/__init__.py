@@ -7,16 +7,7 @@ from repro.index.builder import (
     build_memory_index,
     merge_per_func_chunks,
 )
-from repro.index.blockcache import BlockCacheStats, DecodedBlockCache
 from repro.index.cache import CachedIndexReader, CacheStats
-from repro.index.cachepolicy import (
-    CACHE_POLICIES,
-    FrequencySketch,
-    LruPolicy,
-    TinyLfuPolicy,
-    check_cache_policy,
-    make_policy,
-)
 from repro.index.codec import (
     BLOCK_POSTINGS,
     CODECS,
@@ -38,7 +29,6 @@ from repro.index.external import (
     ExternalBuildConfig,
     build_external_index,
 )
-from repro.index.incremental import IncrementalIndex
 from repro.index.lsm import (
     BloomPrefilter,
     LiveIndex,
@@ -79,18 +69,10 @@ from repro.index.zonemap import ZoneMap, build_zone_map
 
 __all__ = [
     "BLOCK_POSTINGS",
-    "BlockCacheStats",
     "BuildStats",
-    "CACHE_POLICIES",
     "CODECS",
     "CacheStats",
     "CachedIndexReader",
-    "DecodedBlockCache",
-    "FrequencySketch",
-    "LruPolicy",
-    "TinyLfuPolicy",
-    "check_cache_policy",
-    "make_policy",
     "EncodedList",
     "check_codec",
     "decode_blocks",
@@ -107,7 +89,6 @@ __all__ = [
     "CostModelSearcher",
     "DiskInvertedIndex",
     "ExternalBuildConfig",
-    "IncrementalIndex",
     "BloomPrefilter",
     "LiveIndex",
     "LiveIndexConfig",

@@ -1,4 +1,4 @@
-"""Policy-switchable caching of inverted lists across queries.
+"""LRU caching of inverted lists across queries.
 
 The paper's evaluation measures cold-cache query latency, but a
 deployed memorization evaluation (Section 5) issues *many* queries
@@ -8,13 +8,8 @@ of any :class:`~repro.index.inverted.InvertedIndexReader`, eliminating
 repeat I/O for the hot lists while preserving the reader interface
 (including I/O accounting: cache hits cost zero bytes).
 
-Two residency policies (see :mod:`repro.index.cachepolicy`):
-
-* ``policy="lru"`` — the classic bounded LRU;
-* ``policy="tinylfu"`` — W-TinyLFU admission: a 4-bit count-min
-  frequency sketch gates graduation from a small LRU window into a
-  segmented-LRU main region, so one-shot giant lists from long-tail
-  queries cannot flush the Zipf-head working set.
+Residency is plain least-recently-used over a byte budget: every
+admission evicts from the cold end until the new list fits.
 
 Cold misses are **single-flight**: the lock is *not* held across the
 inner read, and concurrent misses for the same key coalesce onto one
@@ -26,20 +21,19 @@ Batch executors (:mod:`repro.query`) additionally *pin* the lists a
 whole query batch is known to touch: a pinned list is loaded once and
 exempt from eviction until :meth:`CachedIndexReader.unpin_all`, so a
 list loaded for the batch's third query is guaranteed still warm for
-its eighty-seventh.  Pins bypass the TinyLFU frequency gate — pinning
-is a planner contract, not a popularity bet.
+its eighty-seventh.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.index.cachepolicy import make_policy
-from repro.index.inverted import IOStats, POSTING_BYTES, POSTING_DTYPE, extract_texts
+from repro.index.inverted import IOStats, POSTING_BYTES, extract_texts
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,6 @@ class CacheStats:
     pinned_lists: int = 0
     admission_rejections: int = 0
     singleflight_waits: int = 0
-    policy: str = "lru"
 
     @property
     def hit_rate(self) -> float:
@@ -77,7 +70,6 @@ class CacheStats:
             "pinned_lists": self.pinned_lists,
             "admission_rejections": self.admission_rejections,
             "singleflight_waits": self.singleflight_waits,
-            "policy": self.policy,
         }
 
 
@@ -93,7 +85,7 @@ class _Flight:
 
 
 class CachedIndexReader:
-    """Policy-switchable list cache over an inverted-index reader.
+    """Byte-budgeted LRU list cache over an inverted-index reader.
 
     Parameters
     ----------
@@ -102,16 +94,10 @@ class CachedIndexReader:
     capacity_bytes:
         Cache budget.  A cached list is charged 16 bytes per posting;
         single lists larger than the whole budget bypass the cache.
-    policy:
-        ``"lru"`` (default) or ``"tinylfu"`` (frequency-gated
-        admission; see :mod:`repro.index.cachepolicy`).
 
     Only full-list reads are cached here; zone-map point reads
     (:meth:`load_text_windows`) are served from a cached full list when
-    one is resident and otherwise fall through to the inner reader —
-    the decoded-block tier (:mod:`repro.index.blockcache`), attached to
-    the inner :class:`~repro.index.storage.DiskInvertedIndex`, is what
-    makes the *fallthrough* cheap for the packed codec.
+    one is resident and otherwise fall through to the inner reader.
 
     The reader is thread-safe: one instance may be shared by the batch
     executor's thread mode and the online service's worker pool.  A
@@ -120,13 +106,7 @@ class CachedIndexReader:
     inner read (single-flight per key, parallel across keys).
     """
 
-    def __init__(
-        self,
-        inner,
-        capacity_bytes: int = 32 * 1024 * 1024,
-        *,
-        policy: str = "lru",
-    ) -> None:
+    def __init__(self, inner, capacity_bytes: int = 32 * 1024 * 1024) -> None:
         if capacity_bytes <= 0:
             raise InvalidParameterError("capacity_bytes must be positive")
         self.inner = inner
@@ -134,22 +114,17 @@ class CachedIndexReader:
         self.t = inner.t
         self.io_stats: IOStats = inner.io_stats
         self._capacity = int(capacity_bytes)
-        self._lists: dict[tuple[int, int], np.ndarray] = {}
+        # Resident lists, coldest first.
+        self._lists: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self._used_bytes = 0
         self._pinned: set[tuple[int, int]] = set()
-        self._policy = make_policy(
-            policy, self._capacity, lambda key: key in self._pinned
-        )
         self._inflight: dict[tuple[int, int], _Flight] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.admission_rejections = 0
         self.singleflight_waits = 0
-
-    @property
-    def policy(self) -> str:
-        """Residency policy name (``lru`` or ``tinylfu``)."""
-        return self._policy.name
 
     # -- reader protocol ------------------------------------------------
     def list_length(self, func: int, minhash: int) -> int:
@@ -165,7 +140,7 @@ class CachedIndexReader:
             with self._lock:
                 cached = self._lists.get(key)
                 if cached is not None:
-                    self._policy.on_hit(key)
+                    self._lists.move_to_end(key)
                     self.hits += 1
                     return cached
                 flight = self._inflight.get(key)
@@ -199,7 +174,7 @@ class CachedIndexReader:
             raise
         flight.postings = postings
         with self._lock:
-            self._admit(key, postings, force=pin)
+            self._admit(key, postings)
             if pin and key in self._lists:
                 self._pinned.add(key)
             self._inflight.pop(key, None)
@@ -212,7 +187,7 @@ class CachedIndexReader:
             cached = self._lists.get(key)
             if cached is not None:
                 # Serve the point read from the cached full list.
-                self._policy.on_hit(key)
+                self._lists.move_to_end(key)
                 self.hits += 1
                 lo = int(np.searchsorted(cached["text"], text_id, side="left"))
                 hi = int(np.searchsorted(cached["text"], text_id, side="right"))
@@ -223,11 +198,8 @@ class CachedIndexReader:
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
         """Batched list lengths for one sketch, cached lists first.
 
-        Resident lists answer from their in-memory size; only the
-        missing functions consult the inner reader — in one batched
-        call when it has :meth:`sketch_list_lengths`, else through a
-        vectorized ``searchsorted`` over its directory arrays, with the
-        per-function ``list_length`` loop as the last resort.
+        Resident lists answer from their in-memory size; the missing
+        functions consult the inner reader in one batched call.
         """
         sketch = np.asarray(sketch)
         k = self.family.k
@@ -240,25 +212,7 @@ class CachedIndexReader:
         missing = np.flatnonzero(lengths < 0)
         if missing.size == 0:
             return lengths
-        inner = getattr(self.inner, "sketch_list_lengths", None)
-        if inner is not None:
-            inner_lengths = np.asarray(inner(sketch), dtype=np.int64)
-            lengths[missing] = inner_lengths[missing]
-            return lengths
-        keys_of = getattr(self.inner, "list_keys", None)
-        lengths_of = getattr(self.inner, "list_lengths", None)
-        if keys_of is not None and lengths_of is not None:
-            for func in missing.tolist():
-                keys = np.asarray(keys_of(func))
-                minhash = int(sketch[func])
-                pos = int(np.searchsorted(keys, minhash))
-                if pos < keys.size and int(keys[pos]) == minhash:
-                    lengths[func] = int(np.asarray(lengths_of(func))[pos])
-                else:
-                    lengths[func] = 0
-            return lengths
-        for func in missing.tolist():
-            lengths[func] = int(self.inner.list_length(func, int(sketch[func])))
+        lengths[missing] = self.inner.sketch_list_lengths(sketch)[missing]
         return lengths
 
     def load_texts_windows(
@@ -269,21 +223,11 @@ class CachedIndexReader:
         with self._lock:
             cached = self._lists.get(key)
             if cached is not None:
-                self._policy.on_hit(key)
+                self._lists.move_to_end(key)
                 self.hits += 1
                 return extract_texts(cached, np.unique(np.asarray(text_ids)))
             self.misses += 1
-        inner = getattr(self.inner, "load_texts_windows", None)
-        if inner is not None:
-            return inner(func, minhash, text_ids)
-        parts = [
-            self.inner.load_text_windows(func, minhash, int(text_id))
-            for text_id in np.unique(np.asarray(text_ids))
-        ]
-        parts = [part for part in parts if part.size]
-        if not parts:
-            return np.empty(0, dtype=POSTING_DTYPE)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return self.inner.load_texts_windows(func, minhash, text_ids)
 
     # -- batch pinning ------------------------------------------------
     def pin(self, func: int, minhash: int) -> bool:
@@ -291,8 +235,7 @@ class CachedIndexReader:
 
         Returns ``True`` iff the list now resides pinned in the cache;
         a list that would not fit in the budget is left unpinned (the
-        query path still works, it just pays the re-read).  Pinning
-        bypasses the TinyLFU admission gate.
+        query path still works, it just pays the re-read).
         """
         key = (func, minhash)
         while True:
@@ -301,7 +244,7 @@ class CachedIndexReader:
                     return True
                 cached = self._lists.get(key)
                 if cached is not None:
-                    self._policy.on_hit(key)
+                    self._lists.move_to_end(key)
                     self._pinned.add(key)
                     return True
                 flight = self._inflight.get(key)
@@ -316,9 +259,8 @@ class CachedIndexReader:
                     self.singleflight_waits += 1
                     self.hits += 1
                     if key not in self._lists:
-                        # The loader's policy admission rejected it;
-                        # pins override the gate.
-                        self._admit(key, flight.postings, force=True)
+                        # Rejected by the loader, or already evicted.
+                        self._admit(key, flight.postings)
                     if key in self._lists:
                         self._pinned.add(key)
                         return True
@@ -343,25 +285,35 @@ class CachedIndexReader:
             )
 
     # -- cache management ------------------------------------------------
-    def _admit(
-        self, key: tuple[int, int], postings: np.ndarray, *, force: bool = False
-    ) -> None:
-        # Callers hold self._lock.
+    def _admit(self, key: tuple[int, int], postings: np.ndarray) -> None:
+        """Make ``key`` resident, evicting cold unpinned lists to fit.
+
+        A list larger than the whole budget, or one that cannot fit
+        because everything else is pinned, is rejected (counted in
+        ``admission_rejections``).  Callers hold ``self._lock``.
+        """
+        if key in self._lists:
+            self._lists.move_to_end(key)
+            return
         nbytes = int(postings.size) * POSTING_BYTES
-        admitted, evicted = (
-            self._policy.force(key, nbytes)
-            if force
-            else self._policy.admit(key, nbytes)
-        )
-        for victim in evicted:
-            self._lists.pop(victim, None)
+        if nbytes > self._capacity:
+            self.admission_rejections += 1
+            return
+        while self._used_bytes + nbytes > self._capacity:
+            victim = next(
+                (held for held in self._lists if held not in self._pinned), None
+            )
+            if victim is None:
+                self.admission_rejections += 1
+                return
+            self._used_bytes -= int(self._lists.pop(victim).size) * POSTING_BYTES
             self.evictions += 1
-        if admitted:
-            self._lists[key] = postings
+        self._lists[key] = postings
+        self._used_bytes += nbytes
 
     @property
     def cached_bytes(self) -> int:
-        return self._policy.used_bytes
+        return self._used_bytes
 
     @property
     def hit_rate(self) -> float:
@@ -375,14 +327,13 @@ class CachedIndexReader:
                 hits=self.hits,
                 misses=self.misses,
                 evictions=self.evictions,
-                cached_bytes=self._policy.used_bytes,
+                cached_bytes=self._used_bytes,
                 capacity_bytes=self._capacity,
                 pinned_bytes=self.pinned_bytes,
                 cached_lists=len(self._lists),
                 pinned_lists=len(self._pinned),
-                admission_rejections=self._policy.admission_rejections,
+                admission_rejections=self.admission_rejections,
                 singleflight_waits=self.singleflight_waits,
-                policy=self._policy.name,
             )
 
     def clear(self) -> None:
@@ -390,7 +341,7 @@ class CachedIndexReader:
         with self._lock:
             self._lists.clear()
             self._pinned.clear()
-            self._policy.clear()
+            self._used_bytes = 0
 
     # -- passthrough introspection ----------------------------------------
     @property
@@ -409,6 +360,6 @@ class CachedIndexReader:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"CachedIndexReader({self.inner!r}, policy={self._policy.name}, "
+            f"CachedIndexReader({self.inner!r}, "
             f"used={self.cached_bytes}, hit_rate={self.hit_rate:.2f})"
         )

@@ -371,20 +371,6 @@ def decode_blocks(
     return out
 
 
-def split_blocks(decoded: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    """Split a :func:`decode_blocks` result back into per-block views.
-
-    ``counts`` is the same per-block posting-count array the decode was
-    given; the returned views partition ``decoded`` in block order.
-    The decoded-block cache (:mod:`repro.index.blockcache`) uses this
-    to store each block under its own key after one grouped decode.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.size <= 1:
-        return [decoded]
-    return np.split(decoded, np.cumsum(counts)[:-1].tolist())
-
-
 # ----------------------------------------------------------------------
 # Scalar reference codec (property-test oracle)
 # ----------------------------------------------------------------------

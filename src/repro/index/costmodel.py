@@ -145,11 +145,9 @@ class CostModelSearcher:
         )
 
     def search(self, query: np.ndarray, theta: float, **kwargs):
-        from repro.core.search import sketch_lengths
-
         family = self.index.family
         sketch = family.sketch(np.asarray(query))
-        lengths = sketch_lengths(self.index, sketch, family.k)
+        lengths = self.index.sketch_list_lengths(sketch)
         plan = plan_prefix(
             lengths,
             family.k,

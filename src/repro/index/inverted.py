@@ -95,7 +95,12 @@ class IOStats:
 
 @runtime_checkable
 class InvertedIndexReader(Protocol):
-    """Read interface shared by memory and disk indexes."""
+    """Read interface every index reader implements, scalar and batched.
+
+    The searcher, planner, cost model and list cache call the batched
+    methods unconditionally; the scalar ones remain for point lookups
+    and as the reference the batched ones are tested against.
+    """
 
     family: HashFamily
     t: int
@@ -113,15 +118,17 @@ class InvertedIndexReader(Protocol):
         """Only the postings of ``text_id`` within one list (zone-map path)."""
         ...
 
-    # Readers additionally expose two *batched* variants (not part of
-    # the structural protocol so third-party readers keep working; the
-    # searcher falls back to the scalar methods when they are absent):
-    #
-    # ``sketch_list_lengths(sketch)`` — the k list lengths of one query
-    # sketch in a single directory pass;
-    # ``load_texts_windows(func, minhash, text_ids)`` — the postings of
-    # many texts within one list, as one grouped ranged read instead of
-    # one point read per text.
+    def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
+        """The k list lengths of one query sketch (an ``int64`` array),
+        in one directory pass."""
+        ...
+
+    def load_texts_windows(
+        self, func: int, minhash: int, text_ids: np.ndarray
+    ) -> np.ndarray:
+        """The postings of many texts within one list, sorted by text —
+        one grouped ranged read instead of one point read per text."""
+        ...
 
 
 class _Directory:

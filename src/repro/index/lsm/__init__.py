@@ -6,8 +6,7 @@ Public surface:
   crash-safe, snapshot-isolated index (``repro-cli live-ingest``).
 * :class:`LiveSearcher` — per-query snapshot pinning over a live index.
 * :class:`UnionIndexReader` — immutable union over text-disjoint readers.
-* :class:`Memtable` — the in-memory write buffer (shared with
-  :class:`~repro.index.incremental.IncrementalIndex`).
+* :class:`Memtable` — the in-memory write buffer.
 * :class:`WriteAheadLog` / :class:`Manifest` — durability primitives.
 * :class:`BloomPrefilter` — optional exact-duplicate ingest gate.
 """

@@ -652,32 +652,18 @@ class LiveSearcher:
         live: LiveIndex,
         *,
         cache_bytes: int = 0,
-        cache_policy: str = "lru",
-        block_cache_bytes: int = 0,
         long_list_cutoff: int | None = None,
         kernel: str = "fused",
         corpus=None,
     ) -> None:
         self.live = live
         self.cache_bytes = int(cache_bytes)
-        self.cache_policy = cache_policy
         self._long_list_cutoff = long_list_cutoff
         self._kernel = kernel
         self._corpus = corpus
         self._refresh_lock = threading.Lock()
         self._generation: int | None = None
         self._inner: NearDuplicateSearcher | None = None
-        #: Decoded-block tier shared across generations: run readers
-        #: namespace their keys by payload path, so blocks of
-        #: compacted-away runs go stale-by-name and age out instead of
-        #: being served for their successors.
-        self.block_cache = None
-        if int(block_cache_bytes) > 0:
-            from repro.index.blockcache import DecodedBlockCache
-
-            self.block_cache = DecodedBlockCache(
-                int(block_cache_bytes), policy=cache_policy
-            )
 
     def _current(self) -> "NearDuplicateSearcher":
         # Imported here, not at module top: repro.core.search reads the
@@ -689,17 +675,11 @@ class LiveSearcher:
         with self._refresh_lock:
             if self._inner is None or generation != self._generation:
                 reader = self.live.snapshot()
-                if self.block_cache is not None:
-                    for source in reader.sources:
-                        if hasattr(source, "enable_block_cache"):
-                            source.enable_block_cache(self.block_cache)
                 if self.cache_bytes > 0:
                     from repro.index.cache import CachedIndexReader
 
                     reader = CachedIndexReader(
-                        reader,
-                        capacity_bytes=self.cache_bytes,
-                        policy=self.cache_policy,
+                        reader, capacity_bytes=self.cache_bytes
                     )
                 self._inner = NearDuplicateSearcher(
                     reader,

@@ -1,12 +1,10 @@
 """In-memory write buffer of freshly appended texts.
 
-This is :class:`~repro.index.incremental.IncrementalIndex`'s delta
-machinery factored into a reusable part: per-batch posting chunks
-accumulated cheaply on every append, lazily consolidated into one
-:class:`~repro.index.inverted.MemoryInvertedIndex` the first time a
-reader asks.  The incremental index uses it as its delta; the live
-index (:mod:`repro.index.lsm.live`) uses it as its memtable, sealing
-it to an immutable on-disk run once it grows past a threshold.
+Per-batch posting chunks accumulated cheaply on every append, lazily
+consolidated into one :class:`~repro.index.inverted.MemoryInvertedIndex`
+the first time a reader asks.  The live index
+(:mod:`repro.index.lsm.live`) uses it as its memtable, sealing it to an
+immutable on-disk run once it grows past a threshold.
 
 Batch validation happens *before* any mutation, so a rejected batch
 (token outside the vocabulary) leaves the memtable untouched — the
@@ -27,8 +25,8 @@ class Memtable:
     """Posting buffer over texts with externally-assigned ids.
 
     ``add_texts`` takes ``(text_id, tokens)`` pairs — id assignment
-    stays with the caller (the incremental index's counter, the live
-    index's WAL-fenced counter) so the buffer itself has no ordering
+    stays with the caller (the live index's WAL-fenced counter) so the
+    buffer itself has no ordering
     policy to get wrong.  Ids must be added in ascending order; the
     built index's lists are then sorted by text id, which every reader
     relies on.

@@ -6,9 +6,8 @@ id order, the memtable holds the newest ids), so the union of their
 inverted lists is exactly the list an offline build over the union
 corpus would produce, and per-source results concatenate in source
 order without a merge sort — the same invariant
-:class:`~repro.index.incremental.IncrementalIndex` (main + delta) and
-:class:`~repro.index.sharded.ShardedIndex` already exploit, generalised
-to N sources.
+:class:`~repro.index.sharded.ShardedIndex` exploits, generalised to N
+sources (main + delta is the two-source case).
 
 A :class:`UnionIndexReader` is an immutable snapshot: it holds direct
 references to the readers of one manifest generation, so concurrent
@@ -29,11 +28,11 @@ from repro.index.inverted import IOStats, POSTING_BYTES, POSTING_DTYPE
 class UnionIndexReader:
     """One immutable snapshot over ordered, text-disjoint sub-readers.
 
-    Implements the full reader protocol (including the batched
-    ``sketch_list_lengths`` / ``load_texts_windows`` fast paths), with
-    its own :class:`~repro.index.inverted.IOStats` — a concrete object,
-    not a computed property, because :class:`~repro.index.cache.CachedIndexReader`
-    captures the reference once at construction.
+    Implements the reader protocol, with its own
+    :class:`~repro.index.inverted.IOStats` — a concrete object, not a
+    computed property, because
+    :class:`~repro.index.cache.CachedIndexReader` captures the
+    reference once at construction.
     """
 
     def __init__(

@@ -58,7 +58,6 @@ from repro.index.codec import (
     check_codec,
     decode_blocks,
     encode_list,
-    split_blocks,
 )
 from repro.index.inverted import (
     IOStats,
@@ -492,10 +491,6 @@ class DiskInvertedIndex:
                     )
                 self._blk_ptr.append(ptr)
         self.io_stats = IOStats()
-        # Optional decoded-block tier (attach via enable_block_cache);
-        # the namespace keeps shared caches correct across readers.
-        self._block_cache = None
-        self._block_ns = str(payload_path)
 
     def _load_directory(self) -> dict[str, np.ndarray]:
         """All directory arrays, from whichever container committed.
@@ -538,22 +533,6 @@ class DiskInvertedIndex:
             return 0
         return int(self._counts[func][slot])
 
-    # -- decoded-block tier ---------------------------------------------
-    def enable_block_cache(self, cache) -> None:
-        """Attach (or detach with ``None``) a decoded-block cache.
-
-        Packed codec only — the raw codec never decodes, so there is
-        nothing to cache and the call is a no-op.  The cache may be
-        shared with other readers; this reader's payload path is its
-        namespace within it.
-        """
-        self._block_cache = cache if self._codec == "packed" else None
-
-    @property
-    def block_cache(self):
-        """The attached decoded-block cache, or ``None``."""
-        return self._block_cache
-
     def _decode_span(self, func: int, slot: int, blk_lo: int, blk_hi: int) -> np.ndarray:
         """Decode blocks ``[blk_lo, blk_hi)`` (list-relative) of one list.
 
@@ -569,38 +548,7 @@ class DiskInvertedIndex:
         counts = np.full(blk_hi - blk_lo, BLOCK_POSTINGS, dtype=np.int64)
         if blk_hi == num_blocks:
             counts[-1] = count - (num_blocks - 1) * BLOCK_POSTINGS
-        return self._decode_indexed_blocks(func, slot, blocks, counts)
-
-    def _decode_indexed_blocks(
-        self, func: int, slot: int, blocks: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """Decode the named list-relative blocks of one list.
-
-        With a block cache attached, resident blocks are served as-is
-        (no compressed bytes read, no decoded bytes produced — that is
-        the saved work ``IOStats.decoded_bytes`` makes visible) and only
-        the cold blocks go through one grouped decode, which then
-        populates the cache.
-        """
-        cache = self._block_cache
-        if cache is None:
-            return self._decode_raw_blocks(func, slot, blocks, counts)
-        minhash = int(self._keys[func][slot])
-        found, missing_mask = cache.get_blocks(
-            self._block_ns, func, minhash, blocks
-        )
-        if missing_mask.any():
-            missing = blocks[missing_mask]
-            missing_counts = counts[missing_mask]
-            decoded = self._decode_raw_blocks(func, slot, missing, missing_counts)
-            parts = split_blocks(decoded, missing_counts)
-            cache.put_blocks(self._block_ns, func, minhash, missing.tolist(), parts)
-            for block, part in zip(missing.tolist(), parts):
-                found[int(block)] = part
-        ordered = [found[int(block)] for block in blocks]
-        if len(ordered) == 1:
-            return ordered[0]
-        return np.concatenate(ordered)
+        return self._decode_raw_blocks(func, slot, blocks, counts)
 
     def _decode_raw_blocks(
         self, func: int, slot: int, blocks: np.ndarray, counts: np.ndarray
@@ -786,7 +734,7 @@ class DiskInvertedIndex:
         counts = np.full(blocks.size, BLOCK_POSTINGS, dtype=np.int64)
         last = count - (num_blocks - 1) * BLOCK_POSTINGS
         counts[blocks == num_blocks - 1] = last
-        return self._decode_indexed_blocks(func, slot, blocks, counts)
+        return self._decode_raw_blocks(func, slot, blocks, counts)
 
     # -- introspection ------------------------------------------------
     @property
@@ -812,8 +760,7 @@ class DiskInvertedIndex:
     def num_texts(self) -> int | None:
         """Size of the text-id space, or ``None`` for legacy metadata.
 
-        Indexes written before the key existed fall back to scanning
-        (see :meth:`repro.index.incremental.IncrementalIndex`).
+        Indexes written before the key existed do not record it.
         """
         return self._num_texts
 

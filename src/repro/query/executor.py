@@ -10,7 +10,9 @@ Execution strategies (``BatchStats.mode``):
     ``workers=1`` (or an unsupported index/verify combination): one
     thread, but the batch is sketch-deduplicated and the shared lists
     are batch-pinned in a :class:`~repro.index.cache.CachedIndexReader`,
-    so each distinct list is read once per batch.
+    so each distinct list is read once per batch.  An uncached searcher
+    gets one such reader per executor, kept warm across
+    :meth:`BatchQueryExecutor.execute` calls and chunks.
 ``thread``
     ``workers>=2`` over a :class:`~repro.index.inverted.MemoryInvertedIndex`:
     unique queries are sharded by their dominant (longest) list and run
@@ -48,7 +50,6 @@ from repro.core.search import (
 )
 from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader
-from repro.index.cachepolicy import check_cache_policy
 from repro.index.inverted import MemoryInvertedIndex
 from repro.index.storage import DiskInvertedIndex
 from repro.query.planner import BatchPlan, PlannedQuery, plan_batch
@@ -72,14 +73,11 @@ def _init_query_worker(
     long_list_cutoff: int | None,
     cache_bytes: int,
     kernel: str,
-    cache_policy: str = "lru",
 ) -> None:
     """Open the on-disk index once per worker process."""
     global _WORKER_SEARCHER
     index = DiskInvertedIndex(directory)
-    reader = CachedIndexReader(
-        index, capacity_bytes=cache_bytes, policy=cache_policy
-    )
+    reader = CachedIndexReader(index, capacity_bytes=cache_bytes)
     _WORKER_SEARCHER = NearDuplicateSearcher(
         reader, long_list_cutoff=long_list_cutoff, kernel=kernel
     )
@@ -101,21 +99,17 @@ def _run_shard(
     """
     reader = searcher.index
     begin = time.perf_counter()
-    io = getattr(reader, "io_stats", None)
-    io_before = (io.bytes_read, io.read_calls, io.seconds) if io else (0, 0, 0.0)
+    io = reader.io_stats
+    io_before = (io.bytes_read, io.read_calls, io.seconds)
     cache_before = reader.stats() if isinstance(reader, CachedIndexReader) else None
     pinned = 0
     if isinstance(reader, CachedIndexReader):
         for func, minhash in pin_keys:
             pinned += bool(reader.pin(func, minhash))
     pin_io = (
-        (
-            io.bytes_read - io_before[0],
-            io.read_calls - io_before[1],
-            io.seconds - io_before[2],
-        )
-        if io
-        else (0, 0, 0.0)
+        io.bytes_read - io_before[0],
+        io.read_calls - io_before[1],
+        io.seconds - io_before[2],
     )
     results: list[tuple[int, SearchResult]] = []
     try:
@@ -199,7 +193,6 @@ class BatchQueryExecutor:
         batch_size: int | None = None,
         mode: str = "auto",
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        cache_policy: str = "lru",
         pin_fraction: float = DEFAULT_PIN_FRACTION,
     ) -> None:
         if workers < 0:
@@ -221,14 +214,15 @@ class BatchQueryExecutor:
         self.batch_size = batch_size
         self.mode = mode
         self.cache_bytes = int(cache_bytes)
-        self.cache_policy = check_cache_policy(cache_policy)
         self.pin_fraction = float(pin_fraction)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_key: tuple | None = None
+        self._planned: NearDuplicateSearcher | None = None
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the persistent process pool (no-op if none exists)."""
+        """Release the persistent process pool and the planned-mode cache."""
+        self._planned = None
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -458,20 +452,24 @@ class BatchQueryExecutor:
 
     def _planned_searcher(self) -> NearDuplicateSearcher:
         """A searcher whose reader supports pinning, reusing an existing
-        cache when the caller already searches through one."""
-        if isinstance(self.searcher.index, CachedIndexReader):
+        cache when the caller already searches through one.
+
+        Otherwise the executor owns one cache for its lifetime, so
+        later chunks and ``execute`` calls find the lists earlier ones
+        loaded; it is rebuilt only when the searcher's reader changed
+        (a live searcher moving to a new generation's snapshot).
+        """
+        index = self.searcher.index
+        if isinstance(index, CachedIndexReader):
             return self.searcher
-        reader = CachedIndexReader(
-            self.searcher.index,
-            capacity_bytes=self.cache_bytes,
-            policy=self.cache_policy,
-        )
-        return NearDuplicateSearcher(
-            reader,
-            long_list_cutoff=self.searcher.long_list_cutoff,
-            corpus=self.searcher.corpus,
-            kernel=self.searcher.kernel,
-        )
+        if self._planned is None or self._planned.index.inner is not index:
+            self._planned = NearDuplicateSearcher(
+                CachedIndexReader(index, capacity_bytes=self.cache_bytes),
+                long_list_cutoff=self.searcher.long_list_cutoff,
+                corpus=self.searcher.corpus,
+                kernel=self.searcher.kernel,
+            )
+        return self._planned
 
     def _run_threads(
         self,
@@ -485,9 +483,7 @@ class BatchQueryExecutor:
         def run(job):
             shard, pin_keys = job
             reader = CachedIndexReader(
-                base.view(),
-                capacity_bytes=self.cache_bytes,
-                policy=self.cache_policy,
+                base.view(), capacity_bytes=self.cache_bytes
             )
             local = NearDuplicateSearcher(
                 reader,
@@ -529,7 +525,6 @@ class BatchQueryExecutor:
             self.searcher.long_list_cutoff,
             self.cache_bytes,
             self.searcher.kernel,
-            self.cache_policy,
         )
         key = (*initargs, self.workers)
         if self._pool is None or self._pool_key != key:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.search import NearDuplicateSearcher, sketch_lengths
+from repro.core.search import NearDuplicateSearcher
 from repro.core.theory import collision_threshold
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.index.inverted import POSTING_BYTES
@@ -171,7 +171,7 @@ def plan_batch(
                 plan.entries[unique_position].referenced_keys
             )
             continue
-        lengths = sketch_lengths(searcher.index, sketch, family.k)
+        lengths = searcher.index.sketch_list_lengths(sketch)
         long_funcs = frozenset(searcher._select_long_lists(lengths, beta))
         entry = PlannedQuery(
             position=len(plan.entries),

@@ -50,8 +50,8 @@ class BatchStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    #: Inserts the admission policy turned away (TinyLFU frequency
-    #: gate, or an entry larger than the whole cache under LRU).
+    #: Lists the cache turned away: larger than the whole budget, or
+    #: everything else was pinned.
     cache_admission_rejections: int = 0
     #: Cold misses that piggybacked on another thread's in-flight load
     #: instead of reading the list themselves.

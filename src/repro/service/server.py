@@ -74,8 +74,6 @@ class ServiceConfig:
     max_queue: int = 128
     timeout_ms: float = 30000.0
     cache_bytes: int = 64 * 1024 * 1024
-    cache_policy: str = "lru"  #: list/block-tier admission: ``lru`` or ``tinylfu``
-    block_cache_bytes: int = 0  #: decoded-block tier budget; 0 disables
     result_cache: bool | None = None  #: None = on for live backends, off for static
     warmup_lists: int = 64  #: hot lists preloaded at startup; 0 disables
     theta: float = 0.8  #: default threshold when a request omits it
@@ -259,8 +257,6 @@ class SearchService(HttpServiceBase):
         self.cluster: Callable[[], dict[str, Any]] | None = None
         self.searcher = engine.cached_searcher(
             cache_bytes=self.config.cache_bytes,
-            cache_policy=self.config.cache_policy,
-            block_cache_bytes=self.config.block_cache_bytes,
             result_cache=self.config.result_cache,
         )
         self.batcher = MicroBatcher(
@@ -467,15 +463,6 @@ class SearchService(HttpServiceBase):
             "backend": getattr(self.engine, "backend", "static"),
         }
 
-    def _block_cache(self):
-        """The decoded-block tier, wherever the searcher shape put it."""
-        block_cache = getattr(self.searcher, "block_cache", None)
-        if block_cache is not None:
-            return block_cache
-        reader = getattr(self.searcher, "index", None)
-        inner = getattr(reader, "inner", reader)
-        return getattr(inner, "block_cache", None)
-
     def _stats_payload(self) -> dict[str, Any]:
         payload = {
             "ok": True,
@@ -492,14 +479,9 @@ class SearchService(HttpServiceBase):
                 "max_queue": self.config.max_queue,
                 "timeout_ms": self.config.timeout_ms,
                 "cache_bytes": self.config.cache_bytes,
-                "cache_policy": self.config.cache_policy,
-                "block_cache_bytes": self.config.block_cache_bytes,
                 "result_cache": self.config.result_cache,
             },
         }
-        block_cache = self._block_cache()
-        if block_cache is not None:
-            payload["block_cache"] = block_cache.stats().to_dict()
         result_cache = getattr(self.searcher, "result_cache", None)
         if result_cache is not None:
             payload["result_cache"] = result_cache.stats().to_dict()

@@ -237,6 +237,79 @@ class TestBatchStats:
         assert batch.num_matched == expected
 
 
+class _CountingReader:
+    """Delegating proxy that counts full-list loads reaching the index."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.load_calls = 0
+
+    def load_list(self, func, minhash):
+        self.load_calls += 1
+        return self._inner.load_list(func, minhash)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+#: QueryStats counters that do not depend on how warm the cache is.
+_WARMTH_FREE = (
+    "lists_loaded", "long_lists", "groups_scanned",
+    "candidates", "texts_matched", "point_reads",
+)
+
+
+class TestPlannedCacheReuse:
+    """Planned mode over an uncached searcher keeps one list cache for
+    the executor's lifetime instead of starting cold on every plan."""
+
+    def test_second_execute_reads_nothing(self, setup, batch_queries):
+        _, index, searcher = setup
+        reader = _CountingReader(index)
+        direct = [searcher.search(query, 0.8) for query in batch_queries]
+        with BatchQueryExecutor(
+            NearDuplicateSearcher(reader), workers=1
+        ) as executor:
+            first = executor.execute(batch_queries, 0.8)
+            cold_loads = reader.load_calls
+            assert cold_loads > 0
+            second = executor.execute(batch_queries, 0.8)
+            assert reader.load_calls == cold_loads
+        for batch in (first, second):
+            assert batch.stats.mode == "planned"
+            assert_same_results(direct, batch.results)
+            for expected, got in zip(direct, batch.results):
+                for name in _WARMTH_FREE:
+                    assert getattr(got.stats, name) == getattr(
+                        expected.stats, name
+                    ), name
+
+    def test_later_chunks_reuse_earlier_loads(self, setup, batch_queries):
+        _, index, _ = setup
+        reader = _CountingReader(index)
+        once = BatchQueryExecutor(NearDuplicateSearcher(reader), workers=1)
+        once.execute(batch_queries, 0.8)
+        single_pass = reader.load_calls
+        reader.load_calls = 0
+        chunked = BatchQueryExecutor(
+            NearDuplicateSearcher(reader),
+            workers=1,
+            batch_size=len(batch_queries),
+        )
+        chunked.execute(batch_queries + batch_queries, 0.8)
+        assert reader.load_calls == single_pass
+
+    def test_close_drops_the_cache(self, setup, batch_queries):
+        _, index, _ = setup
+        reader = _CountingReader(index)
+        executor = BatchQueryExecutor(NearDuplicateSearcher(reader), workers=1)
+        executor.execute(batch_queries, 0.8)
+        cold_loads = reader.load_calls
+        executor.close()
+        executor.execute(batch_queries, 0.8)
+        assert reader.load_calls == 2 * cold_loads
+
+
 class TestExecuteThetas:
     def test_matches_search_thetas(self, setup, batch_queries):
         _, _, searcher = setup

@@ -118,6 +118,7 @@ class TestCaching:
         tiny = CachedIndexReader(planted_index, capacity_bytes=1)
         tiny.load_list(func, minhash)
         assert tiny.cached_bytes == 0
+        assert tiny.stats().admission_rejections == 1
 
     def test_clear(self, cached):
         func, minhash, _ = first_list(cached.inner)
@@ -146,6 +147,8 @@ class TestCountersAndStats:
         cache.load_list(0, 4)  # touch A -> B is now least recently used
         cache.load_list(2, 4)  # C evicts B, not A
         assert cache.evictions == 1
+        assert list(cache._lists) == [(0, 4), (2, 4)]  # coldest first
+        assert cache.stats().admission_rejections == 0
         before = cache.io_stats.bytes_read
         cache.load_list(0, 4)  # A still cached
         assert cache.io_stats.bytes_read == before
@@ -247,6 +250,8 @@ class TestPinning:
         postings = cache.load_list(2, 4)  # nothing evictable: uncached read
         assert postings.size == 4
         assert cache.cached_bytes == 8 * POSTING_BYTES
+        snap = cache.stats()
+        assert snap.evictions == 0 and snap.admission_rejections == 1
 
     def test_clear_drops_pins(self):
         cache = CachedIndexReader(FakeReader(), capacity_bytes=1 << 20)

@@ -6,7 +6,7 @@ Three layers of assurance:
   byte-for-byte against the scalar ``reference_*`` oracle (hypothesis
   property tests plus adversarial fixed cases);
 * every reader backend — memory, disk v1, disk v2, cached disk v2,
-  incremental over disk v2 — must return identical search results;
+  union over disk v2 — must return identical search results;
 * corrupt-block, truncated-payload and partial-build directories must
   fail loudly, never decode garbage.
 """
@@ -41,8 +41,8 @@ from repro.index.codec import (
     reference_unpack_bits,
     unpack_bits_at,
 )
-from repro.index.incremental import IncrementalIndex
 from repro.index.inverted import POSTING_BYTES, POSTING_DTYPE
+from repro.index.lsm import UnionIndexReader
 from repro.index.storage import DiskInvertedIndex, convert_directory, write_index
 from repro.index.validate import validate_index
 from repro.query.results import BatchStats
@@ -264,7 +264,7 @@ def reader_backends(memory, v1_dir, v2_dir):
         "disk-v1": DiskInvertedIndex(v1_dir),
         "disk-v2": disk_v2,
         "cached-v2": CachedIndexReader(DiskInvertedIndex(v2_dir)),
-        "incremental-v2": IncrementalIndex(disk_v2, vocab_size=512),
+        "union-v2": UnionIndexReader(disk_v2.family, disk_v2.t, [disk_v2]),
     }
 
 

@@ -1,11 +1,13 @@
-"""The multi-tier read cache: policies, block tier, single-flight,
+"""The two-tier read cache: LRU list tier, single-flight misses,
 result memoization — and above all byte-identity: every cached
 configuration must return exactly what the uncached reader returns."""
 
 from __future__ import annotations
 
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,17 +18,9 @@ from repro.core.hashing import HashFamily
 from repro.core.search import NearDuplicateSearcher
 from repro.engine import NearDupEngine
 from repro.exceptions import InvalidParameterError
-from repro.index.blockcache import DecodedBlockCache
 from repro.index.cache import CachedIndexReader
-from repro.index.cachepolicy import (
-    CACHE_POLICIES,
-    FrequencySketch,
-    LruPolicy,
-    TinyLfuPolicy,
-    check_cache_policy,
-    make_policy,
-)
 from repro.index.inverted import IOStats, POSTING_DTYPE
+from repro.index.lsm import LiveIndexConfig
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.query.resultcache import CachingSearcher, ResultCache
 
@@ -43,117 +37,7 @@ def canon(result):
 
 
 # ----------------------------------------------------------------------
-# Policy unit behaviour
-# ----------------------------------------------------------------------
-class TestFrequencySketch:
-    def test_counts_and_caps(self):
-        sketch = FrequencySketch(64)
-        assert sketch.estimate("x") == 0
-        for _ in range(5):
-            sketch.increment("x")
-        assert 1 <= sketch.estimate("x") <= 5
-        for _ in range(100):
-            sketch.increment("x")
-        assert sketch.estimate("x") <= FrequencySketch.MAX_COUNT
-
-    def test_aging_halves(self):
-        sketch = FrequencySketch(16)
-        for _ in range(sketch.sample_period):
-            sketch.increment("hot")
-        assert sketch.ages >= 1
-        assert sketch.estimate("hot") <= FrequencySketch.MAX_COUNT // 2 + 1
-
-    def test_width_is_power_of_two(self):
-        assert FrequencySketch(1000).width == 1024
-        with pytest.raises(InvalidParameterError):
-            FrequencySketch(4)
-
-
-class TestPolicies:
-    def test_check_cache_policy(self):
-        for name in CACHE_POLICIES:
-            assert check_cache_policy(name) == name
-        with pytest.raises(InvalidParameterError):
-            check_cache_policy("clock")
-        with pytest.raises(InvalidParameterError):
-            make_policy("clock", 1024)
-
-    def test_lru_evicts_cold_end(self):
-        policy = LruPolicy(300)
-        for key in ("a", "b", "c"):
-            assert policy.admit(key, 100) == (True, [])
-        policy.on_hit("a")  # now b is coldest
-        admitted, evicted = policy.admit("d", 100)
-        assert admitted and evicted == ["b"]
-        assert policy.used_bytes == 300
-
-    def test_lru_rejects_oversized(self):
-        policy = LruPolicy(100)
-        admitted, evicted = policy.admit("huge", 101)
-        assert not admitted and not evicted
-        assert policy.admission_rejections == 1
-
-    def test_lru_respects_pins(self):
-        pinned = {"a", "b"}
-        policy = LruPolicy(200, lambda key: key in pinned)
-        policy.admit("a", 100)
-        policy.admit("b", 100)
-        admitted, evicted = policy.admit("c", 100)
-        assert not admitted and not evicted
-        assert policy.admission_rejections == 1
-
-    def test_tinylfu_scan_resistance(self):
-        policy = TinyLfuPolicy(10_000)
-        hot = [f"hot{i}" for i in range(5)]
-        for key in hot:
-            policy.admit(key, 1800)
-        for _ in range(4):
-            for key in hot:
-                policy.on_hit(key)
-        # A long one-shot scan: frequency-1 keys must not displace the
-        # hot set (ties lose the contest, and 1 < hot frequency anyway).
-        for i in range(100):
-            policy.admit(f"scan{i}", 1800)
-        for key in hot:
-            assert key in policy
-        assert policy.admission_rejections > 0
-
-    def test_tinylfu_repeated_key_graduates(self):
-        policy = TinyLfuPolicy(10_000)
-        for key in ("a", "b", "c", "d", "e"):
-            policy.admit(key, 1800)
-        # Build up frequency for a newcomer, then admit: it should win
-        # the contest against the never-touched residents.
-        for _ in range(6):
-            policy.sketch.increment("comeback")
-        admitted, evicted = policy.admit("comeback", 1800)
-        assert admitted and evicted
-
-    def test_tinylfu_force_bypasses_gate(self):
-        policy = TinyLfuPolicy(4_000)
-        for key in ("a", "b"):
-            policy.admit(key, 1800)
-            for _ in range(5):
-                policy.on_hit(key)
-        # Ordinary admission of a cold key loses the contest...
-        admitted, _ = policy.admit("cold", 1800)
-        assert not admitted
-        # ...but force (batch pinning) must land it regardless.
-        admitted, evicted = policy.force("pinme", 1800)
-        assert admitted
-        assert "pinme" in policy
-        assert all(victim != "pinme" for victim in evicted)
-
-    def test_tinylfu_probation_promotes_to_protected(self):
-        policy = TinyLfuPolicy(10_000)
-        policy.admit("a", 1800)
-        assert "a" in policy._probation
-        policy.on_hit("a")
-        assert "a" in policy._protected
-
-
-# ----------------------------------------------------------------------
-# Byte-identity across every tier/policy combination
+# Byte-identity of both supported configurations
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def packed_dir(planted_index, tmp_path_factory):
@@ -180,16 +64,17 @@ def baseline(packed_dir, query_set):
     return [canon(searcher.search(query, 0.8)) for query in query_set]
 
 
-@pytest.mark.parametrize("policy", CACHE_POLICIES)
-@pytest.mark.parametrize("block_bytes", [0, 1 << 20])
+#: A cache that holds everything, and one too small to hold anything
+#: (which must degrade to correctness, not to wrong answers).
+CAPACITIES = [1 << 20, 1024]
+
+
+@pytest.mark.parametrize("capacity", CAPACITIES)
 @pytest.mark.parametrize("result_cache", [False, True])
 def test_tiers_byte_identical(
-    packed_dir, query_set, baseline, policy, block_bytes, result_cache
+    packed_dir, query_set, baseline, capacity, result_cache
 ):
-    index = DiskInvertedIndex(packed_dir)
-    if block_bytes:
-        index.enable_block_cache(DecodedBlockCache(block_bytes, policy=policy))
-    reader = CachedIndexReader(index, capacity_bytes=1 << 20, policy=policy)
+    reader = CachedIndexReader(DiskInvertedIndex(packed_dir), capacity)
     searcher = NearDuplicateSearcher(reader)
     if result_cache:
         searcher = CachingSearcher(searcher)
@@ -198,45 +83,74 @@ def test_tiers_byte_identical(
         assert got == baseline
 
 
-@pytest.mark.parametrize("policy", CACHE_POLICIES)
-def test_tiny_capacity_still_correct(packed_dir, query_set, baseline, policy):
-    """A cache too small to hold anything must degrade to correctness."""
-    index = DiskInvertedIndex(packed_dir)
-    index.enable_block_cache(DecodedBlockCache(256, policy=policy))
-    reader = CachedIndexReader(index, capacity_bytes=1024, policy=policy)
-    searcher = NearDuplicateSearcher(reader)
-    got = [canon(searcher.search(query, 0.8)) for query in query_set]
-    assert got == baseline
-
-
 class TestHypothesisIdentity:
-    """Random queries: every policy answers exactly like the raw index."""
+    """Random queries: both configurations answer like the raw index."""
 
     @given(
         tokens=st.lists(
             st.integers(min_value=0, max_value=1023), min_size=30, max_size=90
         ),
         theta=st.sampled_from([0.6, 0.8, 1.0]),
+        capacity=st.sampled_from(CAPACITIES),
     )
     @settings(
         max_examples=25,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_cached_policies_match_uncached(
-        self, planted_index, tokens, theta
-    ):
+    def test_cached_matches_uncached(self, planted_index, tokens, theta, capacity):
         query = np.asarray(tokens, dtype=np.uint32)
         expected = canon(
             NearDuplicateSearcher(planted_index).search(query, theta)
         )
-        for policy in CACHE_POLICIES:
-            reader = CachedIndexReader(
-                planted_index, capacity_bytes=1 << 18, policy=policy
+        plain = NearDuplicateSearcher(CachedIndexReader(planted_index, capacity))
+        for searcher in (plain, CachingSearcher(plain)):
+            assert canon(searcher.search(query, theta)) == expected
+            assert canon(searcher.search(query, theta)) == expected
+
+    @given(
+        texts=st.lists(
+            st.lists(
+                st.integers(min_value=0, max_value=255), min_size=40, max_size=90
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+        theta=st.sampled_from([0.6, 0.8, 1.0]),
+        capacity=st.sampled_from(CAPACITIES),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_live_generation_bumps(self, texts, theta, capacity):
+        """Cached searchers that outlive appends and seals keep
+        answering like an uncached search of the current generation."""
+        with tempfile.TemporaryDirectory() as scratch:
+            engine = NearDupEngine.live(
+                Path(scratch) / "live",
+                k=8,
+                t=25,
+                vocab_size=256,
+                seed=5,
+                config=LiveIndexConfig(background_compaction=False),
             )
-            searcher = CachingSearcher(NearDuplicateSearcher(reader))
-            assert canon(searcher.search(query, theta)) == expected
-            assert canon(searcher.search(query, theta)) == expected
+            try:
+                cached = [
+                    engine.cached_searcher(
+                        cache_bytes=capacity, result_cache=result_cache
+                    )
+                    for result_cache in (False, True)
+                ]
+                seen: list[np.ndarray] = []
+                for step, text in enumerate(texts):
+                    seen.append(np.asarray(text, dtype=np.uint32))
+                    engine.append_texts([seen[-1]])
+                    if step == 1:
+                        engine.live_index.seal()  # a run beside the memtable
+                    for query in (seen[-1][:48], seen[0][5:60]):
+                        expected = canon(engine.searcher.search(query, theta))
+                        for searcher in cached:
+                            assert canon(searcher.search(query, theta)) == expected
+            finally:
+                engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -440,86 +354,3 @@ class TestAccounting:
         # the resident copy.
         reader.load_list(0, int(keys0[0]))
         np.testing.assert_array_equal(reader.sketch_list_lengths(sketch), expected)
-
-    def test_sketch_list_lengths_vectorized_fallback(self, planted_index):
-        class Bare:
-            """Reader without sketch_list_lengths: forces the
-            searchsorted directory fallback."""
-
-            def __init__(self, inner):
-                self.family = inner.family
-                self.t = inner.t
-                self.io_stats = inner.io_stats
-                self._inner = inner
-
-            def load_list(self, func, minhash):
-                return self._inner.load_list(func, minhash)
-
-            def list_length(self, func, minhash):
-                return self._inner.list_length(func, minhash)
-
-            def list_keys(self, func):
-                return self._inner.list_keys(func)
-
-            def list_lengths(self, func):
-                return self._inner.list_lengths(func)
-
-        bare = Bare(planted_index)
-        reader = CachedIndexReader(bare)
-        sketch = np.zeros(planted_index.family.k, dtype=np.uint64)
-        sketch[0] = np.asarray(planted_index.list_keys(0))[0]
-        sketch[1] = 10**9  # absent key: length 0
-        expected = np.array(
-            [
-                planted_index.list_length(func, int(sketch[func]))
-                for func in range(planted_index.family.k)
-            ],
-            dtype=np.int64,
-        )
-        np.testing.assert_array_equal(reader.sketch_list_lengths(sketch), expected)
-
-
-# ----------------------------------------------------------------------
-# Decoded-block tier
-# ----------------------------------------------------------------------
-class TestBlockCache:
-    def test_warm_point_reads_decode_nothing(self, packed_dir, planted_data):
-        index = DiskInvertedIndex(packed_dir)
-        cache = DecodedBlockCache(4 << 20)
-        index.enable_block_cache(cache)
-        searcher = NearDuplicateSearcher(index)
-        query = np.asarray(planted_data.corpus[0], dtype=np.uint32)[:48]
-        searcher.search(query, 0.8)
-        cold = index.io_stats.decoded_bytes
-        assert cold > 0
-        searcher.search(query, 0.8)
-        warm = index.io_stats.decoded_bytes - cold
-        assert warm == 0
-        assert cache.stats().hits > 0
-
-    def test_namespace_isolates_readers(self, packed_dir, tmp_path, planted_index):
-        other_dir = tmp_path / "other"
-        write_index(planted_index, other_dir, codec="packed")
-        cache = DecodedBlockCache(4 << 20)
-        first = DiskInvertedIndex(packed_dir)
-        second = DiskInvertedIndex(other_dir)
-        first.enable_block_cache(cache)
-        second.enable_block_cache(cache)
-        keys = np.asarray(first.list_keys(0))
-        minhash = int(keys[0])
-        a = first.load_list(0, minhash)
-        b = second.load_list(0, minhash)
-        np.testing.assert_array_equal(a, b)
-        # Same (func, minhash), two namespaces: both cold-missed.
-        assert cache.stats().misses >= 2
-
-    def test_raw_codec_ignores_block_cache(self, planted_index, tmp_path):
-        raw_dir = tmp_path / "raw"
-        write_index(planted_index, raw_dir, codec="raw")
-        index = DiskInvertedIndex(raw_dir)
-        index.enable_block_cache(DecodedBlockCache(1 << 20))
-        assert index.block_cache is None
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(InvalidParameterError):
-            DecodedBlockCache(0)

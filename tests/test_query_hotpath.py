@@ -29,13 +29,13 @@ from repro.core.intervals import (
     fused_collision_count,
     interval_scan,
 )
-from repro.core.search import NearDuplicateSearcher, SEARCH_KERNELS, sketch_lengths
+from repro.core.search import NearDuplicateSearcher, SEARCH_KERNELS
 from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError
 from repro.index.builder import build_memory_index
 from repro.index.cache import CachedIndexReader
-from repro.index.incremental import IncrementalIndex
 from repro.index.inverted import POSTING_DTYPE
+from repro.index.lsm import UnionIndexReader
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.index.zonemap import build_zone_map
 
@@ -194,13 +194,12 @@ def corpus_setup(tmp_path_factory):
 
 
 def reader_variants(memory, disk, family):
-    incremental = IncrementalIndex(memory, vocab_size=512)
     return {
         "memory": memory,
         "disk": disk,
         "cached-memory": CachedIndexReader(memory.view()),
         "cached-disk": CachedIndexReader(disk),
-        "incremental": incremental,
+        "union": UnionIndexReader(family, memory.t, [disk]),
     }
 
 
@@ -218,21 +217,22 @@ class TestBatchedReaders:
                 for func in range(family.k)
             ]
             assert lengths.tolist() == expected, name
-            # The searcher-side helper goes through the same method.
-            assert sketch_lengths(reader, sketch, family.k).tolist() == expected
 
-    def test_sketch_lengths_falls_back_without_batched_method(self, corpus_setup):
-        data, family, memory, _ = corpus_setup
+    def test_reader_without_batched_methods_is_refused(self, corpus_setup):
+        _, _, memory, _ = corpus_setup
 
         class MinimalReader:
-            def list_length(self, func, minhash):
-                return memory.list_length(func, minhash)
+            family = memory.family
+            t = memory.t
+            io_stats = memory.io_stats
+            list_length = memory.list_length
+            load_list = memory.load_list
+            load_text_windows = memory.load_text_windows
 
-        sketch = family.sketch(np.asarray(data.corpus[1])[:60])
-        assert (
-            sketch_lengths(MinimalReader(), sketch, family.k).tolist()
-            == memory.sketch_list_lengths(sketch).tolist()
-        )
+        with pytest.raises(InvalidParameterError) as refusal:
+            NearDuplicateSearcher(MinimalReader())
+        assert "sketch_list_lengths" in str(refusal.value)
+        assert "load_texts_windows" in str(refusal.value)
 
     def test_load_texts_windows_matches_point_reads(self, corpus_setup):
         data, family, memory, disk = corpus_setup

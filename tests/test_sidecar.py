@@ -21,8 +21,8 @@ from repro.corpus.synthetic import synthweb
 from repro.exceptions import IndexFormatError
 from repro.index import (
     CachedIndexReader,
-    IncrementalIndex,
     SIDECAR_FILE,
+    UnionIndexReader,
     read_sidecar,
     write_sidecar,
 )
@@ -119,8 +119,8 @@ class TestContainerEquivalence:
             "disk-sidecar": DiskInvertedIndex(sidecar_dir),
             "disk-npz": DiskInvertedIndex(npz_dir),
             "cached-sidecar": CachedIndexReader(DiskInvertedIndex(sidecar_dir)),
-            "incremental-sidecar": IncrementalIndex(
-                DiskInvertedIndex(sidecar_dir), vocab_size=512
+            "union-sidecar": UnionIndexReader(
+                family, memory.t, [DiskInvertedIndex(sidecar_dir)]
             ),
         }
         for func in range(family.k):

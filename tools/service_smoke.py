@@ -11,11 +11,10 @@ N forked processes sharing one mmap index and one listening socket —
 and the smoke additionally asserts the aggregated ``cluster`` block
 of ``/stats`` sees the whole fleet.
 
-The server runs with every cache tier engaged (packed index,
-``--cache-policy tinylfu --block-cache-bytes ... --result-cache on``)
-and the smoke asserts ``/stats`` surfaces each tier's block (``cache``,
-``block_cache``, ``result_cache``) — so served results are checked
-byte-equal to direct search *through* the full cache hierarchy.
+The server runs with both cache tiers engaged (packed index,
+``--result-cache on``) and the smoke asserts ``/stats`` surfaces each
+tier's block (``cache``, ``result_cache``) — so served results are
+checked byte-equal to direct search *through* the cache hierarchy.
 
 Run: ``PYTHONPATH=src python tools/service_smoke.py [--workers 2]``
 """
@@ -76,8 +75,6 @@ def main() -> int:
             sys.executable, "-m", "repro.cli", "serve", str(directory),
             "--port", str(port), "--workers", str(args.workers),
             "--linger-ms", "2",
-            "--cache-policy", "tinylfu",
-            "--block-cache-bytes", str(4 << 20),
             "--result-cache", "on",
         ],
         stdout=subprocess.PIPE,
@@ -116,11 +113,7 @@ def main() -> int:
         stats = client.stats()
         assert stats["service"]["completed"] >= 1
         list_tier = stats["cache"]
-        assert list_tier["policy"] == "tinylfu", list_tier
         assert list_tier["hits"] + list_tier["misses"] >= 1, list_tier
-        block_tier = stats.get("block_cache")
-        assert block_tier is not None, "/stats is missing the block_cache tier"
-        assert block_tier["capacity_bytes"] == 4 << 20, block_tier
         result_tier = stats.get("result_cache")
         assert result_tier is not None, "/stats is missing the result_cache tier"
         repeat = client.search(query, 0.8)
@@ -131,10 +124,7 @@ def main() -> int:
         assert result_tier["hits"] >= 1, result_tier
         print(
             "cache tiers: "
-            f"list[{list_tier['policy']}] "
-            f"{list_tier['hits']}h/{list_tier['misses']}m, "
-            f"block {block_tier['hits']}h/{block_tier['misses']}m "
-            f"({block_tier['cached_bytes']}B), "
+            f"list {list_tier['hits']}h/{list_tier['misses']}m, "
             f"result {result_tier['hits']}h/{result_tier['misses']}m "
             f"gen={result_tier['generation']}"
         )
