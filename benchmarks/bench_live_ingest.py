@@ -183,9 +183,10 @@ def bench_read_amplification(base: Path, texts, queries, theta: float,
     live.seal()
 
     def source_io(snapshot):
-        # The union's own io_stats counts one logical call per merged
-        # list; true read amplification lives in the per-run readers
-        # (R runs -> ~R point reads per key), so sum those.
+        # The union's own io_stats counts one call per union read,
+        # however many runs it spans; read amplification lives in the
+        # per-run readers (R runs -> R read calls per union read), so
+        # sum those.
         calls = nbytes = 0
         for source in snapshot.sources:
             stats = getattr(source, "io_stats", None)

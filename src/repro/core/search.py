@@ -69,10 +69,10 @@ class QueryStats:
     groups_scanned: int = 0
     candidates: int = 0
     texts_matched: int = 0
-    #: Long-list point-read *operations* issued to the reader (batched
-    #: grouped reads count once per list; the reference path counts one
-    #: per surviving candidate per long list).  Complements
-    #: ``lists_loaded``, which only sees full short-list loads.
+    #: Long-list point-read *operations* (the fused path counts one per
+    #: long list, however many lists one reader call covers; the
+    #: reference path one per surviving candidate per long list).
+    #: Complements ``lists_loaded``, which only sees full short-list loads.
     point_reads: int = 0
 
     @property
@@ -174,21 +174,9 @@ def derive_theta_result(base: SearchResult, theta: float) -> SearchResult:
         kept = tuple(rect for rect in match.rectangles if rect.count >= beta)
         if kept:
             matches.append(TextMatch(match.text_id, kept))
-    stats = QueryStats(
-        total_seconds=base.stats.total_seconds,
-        io_seconds=base.stats.io_seconds,
-        io_bytes=base.stats.io_bytes,
-        io_calls=base.stats.io_calls,
-        lists_loaded=base.stats.lists_loaded,
-        long_lists=base.stats.long_lists,
-        groups_scanned=base.stats.groups_scanned,
-        candidates=base.stats.candidates,
-        texts_matched=len(matches),
-        point_reads=base.stats.point_reads,
-    )
     return SearchResult(
         matches=matches,
-        stats=stats,
+        stats=dataclasses.replace(base.stats, texts_matched=len(matches)),
         k=base.k,
         theta=theta,
         beta=beta,
@@ -310,16 +298,19 @@ class NearDuplicateSearcher:
         stats.long_lists = len(long_funcs)
         alpha_short = beta - len(long_funcs)
 
-        # Load the short lists and tag each posting with a group key so
-        # windows of one text from all short lists can be scanned together.
+        # Load the short lists (one read for all of them) so windows of
+        # one text from all short lists can be scanned together.
+        is_short = lengths > 0
+        is_short[list(long_funcs)] = False
+        short_funcs = np.flatnonzero(is_short)
+        stats.lists_loaded += int(short_funcs.size)
         short_chunks: list[np.ndarray] = []
-        for func in range(k):
-            if func in long_funcs or lengths[func] == 0:
-                continue
-            postings = self.index.load_list(func, int(sketch[func]))
-            stats.lists_loaded += 1
-            if postings.size:
-                short_chunks.append(postings)
+        if short_funcs.size:
+            short_chunks = [
+                postings
+                for postings in self.index.load_list(short_funcs, sketch[short_funcs])
+                if postings.size
+            ]
 
         matches: list[TextMatch] = []
         if short_chunks:
@@ -448,8 +439,8 @@ class NearDuplicateSearcher:
         with a single mask, and the Algorithm 4/5 double sweep runs as
         flat event arrays over every surviving group at once.  Long-list
         refinement then gathers *all* surviving candidates and issues
-        one grouped zone-map read per long list instead of one point
-        read per candidate per list.
+        one grouped zone-map read over all long lists instead of one
+        point read per candidate per list.
         """
         merged = np.concatenate(short_chunks)
         order = np.lexsort((merged["left"], merged["text"]))
@@ -500,20 +491,14 @@ class NearDuplicateSearcher:
             return []
 
         if long_funcs:
-            # Batched long-list refinement: one grouped point read per
-            # long list covering every surviving candidate, then one
-            # fused pass at the full threshold beta.
+            # Batched long-list refinement: one grouped point read of
+            # every long list covering every surviving candidate, then
+            # one fused pass at the full threshold beta.
             cand_texts = group_texts[cand_groups]
             is_candidate = np.zeros(kept_sizes.size, dtype=bool)
             is_candidate[cand_groups] = True
             parts = [kept[np.repeat(is_candidate, kept_sizes)]]
-            for func in sorted(long_funcs):
-                fetched = self.index.load_texts_windows(
-                    func, int(sketch[func]), cand_texts
-                )
-                stats.point_reads += 1
-                if fetched.size:
-                    parts.append(fetched)
+            parts += self._read_long_lists(long_funcs, sketch, cand_texts, stats)
             combined = np.concatenate(parts)
             corder = np.lexsort((combined["left"], combined["text"]))
             combined = combined[corder]
@@ -547,6 +532,24 @@ class NearDuplicateSearcher:
             if rectangles:
                 matches.append(TextMatch(text_id, tuple(rectangles)))
         return matches
+
+    # ------------------------------------------------------------------
+    def _read_long_lists(
+        self,
+        long_funcs: set[int],
+        sketch: np.ndarray,
+        text_ids: np.ndarray,
+        stats: QueryStats,
+    ) -> list[np.ndarray]:
+        """The postings of ``text_ids`` in every long list, one read for all.
+
+        ``point_reads`` still counts one per long list, so the counter
+        means the same whatever the reader batches.
+        """
+        funcs = np.array(sorted(long_funcs), dtype=np.int64)
+        stats.point_reads += int(funcs.size)
+        fetched = self.index.load_texts_windows(funcs, sketch[funcs], text_ids)
+        return [postings for postings in fetched if postings.size]
 
     # ------------------------------------------------------------------
     def _emit_first_match(
@@ -583,14 +586,9 @@ class NearDuplicateSearcher:
             rectangles = rect.rectangles(lo, hi)
             if long_funcs:
                 extra = [kept[group_bounds[group] : group_bounds[group + 1]]]
-                wanted = np.array([text_id], dtype=np.int64)
-                for func in sorted(long_funcs):
-                    fetched = self.index.load_texts_windows(
-                        func, int(sketch[func]), wanted
-                    )
-                    stats.point_reads += 1
-                    if fetched.size:
-                        extra.append(fetched)
+                extra += self._read_long_lists(
+                    long_funcs, sketch, np.array([text_id], dtype=np.int64), stats
+                )
                 combined = np.concatenate(extra)
                 combined = combined[np.argsort(combined["left"], kind="stable")]
                 refined = fused_collision_count(

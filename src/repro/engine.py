@@ -423,18 +423,20 @@ class NearDupEngine:
                 (int(lengths[slot]), func, int(keys[slot])) for slot in head
             )
         ranked.sort(key=lambda item: (-item[0], item[1], item[2]))
-        loaded = 0
+        chosen: list[tuple[int, int]] = []
         used = 0
         for length, func, minhash in ranked:
-            if loaded >= max_lists:
+            if len(chosen) >= max_lists:
                 break
             nbytes = length * POSTING_BYTES
             if used + nbytes > budget:
                 continue
-            reader.load_list(func, minhash)
+            chosen.append((func, minhash))
             used += nbytes
-            loaded += 1
-        return loaded
+        if chosen:
+            funcs, minhashes = zip(*chosen)
+            reader.load_list(np.array(funcs), np.array(minhashes))
+        return len(chosen)
 
     def contains_near_duplicate(
         self, query: str | Sequence[int] | np.ndarray, theta: float = 0.8

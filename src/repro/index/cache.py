@@ -15,7 +15,9 @@ Cold misses are **single-flight**: the lock is *not* held across the
 inner read, and concurrent misses for the same key coalesce onto one
 loader through a per-key in-flight future — N threads asking for the
 same cold list cost one inner read, and misses for *different* keys
-overlap their I/O instead of serializing behind one lock.
+overlap their I/O instead of serializing behind one lock.  A vector
+``load_list`` / ``pin`` call (arrays of keys) keeps that bookkeeping
+per key but reads all of its own misses with one inner vector call.
 
 Batch executors (:mod:`repro.query`) additionally *pin* the lists a
 whole query batch is known to touch: a pinned list is loaded once and
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.index.inverted import IOStats, POSTING_BYTES, extract_texts
+from repro.index.inverted import IOStats, POSTING_BYTES, as_pairs, extract_texts
 
 
 @dataclass(frozen=True)
@@ -134,52 +136,106 @@ class CachedIndexReader:
                 return int(cached.size)
         return self.inner.list_length(func, minhash)
 
-    def load_list(self, func: int, minhash: int) -> np.ndarray:
-        key = (func, minhash)
-        while True:
-            with self._lock:
+    def load_list(
+        self, func: int | np.ndarray, minhash: int | np.ndarray
+    ) -> np.ndarray | list[np.ndarray]:
+        """Whole lists through the cache; a call's misses share one inner read."""
+        loaded = self._fetch(_keys(func, minhash), pin=False)
+        return loaded if np.ndim(func) else loaded[0]
+
+    def _fetch(self, keys: list[tuple[int, int]], *, pin: bool) -> list[np.ndarray]:
+        """Every key's postings: residents first, misses in one inner read.
+
+        Keys are walked in argument order and bookkept one by one: a
+        resident key is a hit (``pin`` only pins it), a key another
+        thread is loading waits on that flight, and every other key
+        becomes this call's flight (a miss).  All of this call's misses
+        are read with one inner vector call *outside* the lock, then
+        admitted in argument order; only then does the call wait on
+        other threads' flights, so two callers waiting on each other's
+        keys cannot deadlock.  A repeated key is read once and served
+        to its later positions as a hit.  If the inner read raises,
+        every flight it owned is released and its waiters retry.
+        """
+        out: list[np.ndarray | None] = [None] * len(keys)
+        owned: dict[tuple[int, int], _Flight] = {}
+        waits: list[tuple[int, _Flight]] = []
+        repeats: list[int] = []
+        with self._lock:
+            for position, key in enumerate(keys):
                 cached = self._lists.get(key)
                 if cached is not None:
-                    self._lists.move_to_end(key)
-                    self.hits += 1
-                    return cached
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._inflight[key] = flight
+                    if not pin:
+                        self._lists.move_to_end(key)
+                        self.hits += 1
+                    elif key not in self._pinned:
+                        self._lists.move_to_end(key)
+                        self._pinned.add(key)
+                    out[position] = cached
+                elif key in owned:
+                    repeats.append(position)
+                elif (flight := self._inflight.get(key)) is not None:
+                    waits.append((position, flight))
+                else:
+                    owned[key] = self._inflight[key] = _Flight()
                     self.misses += 1
-                    break
+        if owned:
+            self._load_owned(owned, pin=pin)
+            for position, key in enumerate(keys):
+                if key in owned:
+                    out[position] = owned[key].postings
+            if repeats and not pin:
+                with self._lock:
+                    self.hits += len(repeats)
+        retry: list[int] = []
+        for position, flight in waits:
             # Another thread is loading this key: wait on its flight
             # instead of issuing a duplicate inner read.
             flight.event.wait()
-            if flight.error is None and flight.postings is not None:
-                with self._lock:
-                    self.singleflight_waits += 1
-                    self.hits += 1
-                return flight.postings
-            # The loader failed; loop and become the loader ourselves.
-        return self._load_inner(key, flight, pin=False)
-
-    def _load_inner(
-        self, key: tuple[int, int], flight: _Flight, *, pin: bool
-    ) -> np.ndarray:
-        """Loader half of single-flight: inner read *outside* the lock."""
-        try:
-            postings = self.inner.load_list(key[0], key[1])
-        except BaseException as exc:
-            flight.error = exc
+            if flight.error is not None or flight.postings is None:
+                retry.append(position)  # the loader failed
+                continue
             with self._lock:
-                self._inflight.pop(key, None)
-            flight.event.set()
+                self.singleflight_waits += 1
+                self.hits += 1
+                key = keys[position]
+                if pin and key not in self._lists:
+                    # Rejected by the loader, or already evicted.
+                    self._admit(key, flight.postings)
+                if pin and key in self._lists:
+                    self._pinned.add(key)
+            out[position] = flight.postings
+        if retry:
+            # Become the loader ourselves.
+            for position, postings in zip(
+                retry, self._fetch([keys[p] for p in retry], pin=pin)
+            ):
+                out[position] = postings
+        return out
+
+    def _load_owned(self, owned: dict[tuple[int, int], _Flight], *, pin: bool) -> None:
+        """Loader half of single-flight: one inner read *outside* the lock."""
+        funcs = np.array([key[0] for key in owned], dtype=np.int64)
+        minhashes = np.array([key[1] for key in owned], dtype=np.int64)
+        try:
+            loaded = self.inner.load_list(funcs, minhashes)
+        except BaseException as exc:
+            with self._lock:
+                for key, flight in owned.items():
+                    flight.error = exc
+                    self._inflight.pop(key, None)
+            for flight in owned.values():
+                flight.event.set()
             raise
-        flight.postings = postings
         with self._lock:
-            self._admit(key, postings)
-            if pin and key in self._lists:
-                self._pinned.add(key)
-            self._inflight.pop(key, None)
-        flight.event.set()
-        return postings
+            for (key, flight), postings in zip(owned.items(), loaded):
+                flight.postings = postings
+                self._admit(key, postings)
+                if pin and key in self._lists:
+                    self._pinned.add(key)
+                self._inflight.pop(key, None)
+        for flight in owned.values():
+            flight.event.set()
 
     def load_text_windows(self, func: int, minhash: int, text_id: int) -> np.ndarray:
         key = (func, minhash)
@@ -216,59 +272,58 @@ class CachedIndexReader:
         return lengths
 
     def load_texts_windows(
-        self, func: int, minhash: int, text_ids: np.ndarray
-    ) -> np.ndarray:
-        """Batched point read, served from a cached full list when hot."""
-        key = (func, minhash)
+        self, func: int | np.ndarray, minhash: int | np.ndarray, text_ids: np.ndarray
+    ) -> np.ndarray | list[np.ndarray]:
+        """Batched point read, served from cached full lists when hot.
+
+        The vector form forwards every pair whose list is not resident
+        to the inner reader in one call.
+        """
+        if not np.ndim(func):
+            return self.load_texts_windows([func], [minhash], text_ids)[0]
+        keys = _keys(func, minhash)
+        text_ids = np.unique(np.asarray(text_ids))
+        out: list[np.ndarray | None] = [None] * len(keys)
+        missing: list[int] = []
         with self._lock:
-            cached = self._lists.get(key)
-            if cached is not None:
+            for position, key in enumerate(keys):
+                cached = self._lists.get(key)
+                if cached is None:
+                    self.misses += 1
+                    missing.append(position)
+                    continue
                 self._lists.move_to_end(key)
                 self.hits += 1
-                return extract_texts(cached, np.unique(np.asarray(text_ids)))
-            self.misses += 1
-        return self.inner.load_texts_windows(func, minhash, text_ids)
+                out[position] = cached
+        for position, cached in enumerate(out):
+            if cached is not None:
+                out[position] = extract_texts(cached, text_ids)
+        if missing:
+            fetched = self.inner.load_texts_windows(
+                np.array([keys[p][0] for p in missing], dtype=np.int64),
+                np.array([keys[p][1] for p in missing], dtype=np.int64),
+                text_ids,
+            )
+            for position, postings in zip(missing, fetched):
+                out[position] = postings
+        return out
 
     # -- batch pinning ------------------------------------------------
-    def pin(self, func: int, minhash: int) -> bool:
-        """Load a list (if needed) and exempt it from eviction.
+    def pin(
+        self, func: int | np.ndarray, minhash: int | np.ndarray
+    ) -> bool | list[bool]:
+        """Load lists (if needed) and exempt them from eviction.
 
-        Returns ``True`` iff the list now resides pinned in the cache;
-        a list that would not fit in the budget is left unpinned (the
-        query path still works, it just pays the re-read).
+        Returns ``True`` iff the list now resides pinned in the cache
+        (with arrays, one such flag per pair); a list that would not
+        fit in the budget is left unpinned (the query path still works,
+        it just pays the re-read).
         """
-        key = (func, minhash)
-        while True:
-            with self._lock:
-                if key in self._pinned:
-                    return True
-                cached = self._lists.get(key)
-                if cached is not None:
-                    self._lists.move_to_end(key)
-                    self._pinned.add(key)
-                    return True
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._inflight[key] = flight
-                    self.misses += 1
-                    break
-            flight.event.wait()
-            if flight.error is None and flight.postings is not None:
-                with self._lock:
-                    self.singleflight_waits += 1
-                    self.hits += 1
-                    if key not in self._lists:
-                        # Rejected by the loader, or already evicted.
-                        self._admit(key, flight.postings)
-                    if key in self._lists:
-                        self._pinned.add(key)
-                        return True
-                    return False
-            # The loader failed; loop and become the loader ourselves.
-        self._load_inner(key, flight, pin=True)
+        keys = _keys(func, minhash)
+        self._fetch(keys, pin=True)
         with self._lock:
-            return key in self._pinned
+            pinned = [key in self._pinned for key in keys]
+        return pinned if np.ndim(func) else pinned[0]
 
     def unpin_all(self) -> None:
         """Release every pin; pinned entries become ordinary entries."""
@@ -363,3 +418,9 @@ class CachedIndexReader:
             f"CachedIndexReader({self.inner!r}, "
             f"used={self.cached_bytes}, hit_rate={self.hit_rate:.2f})"
         )
+
+
+def _keys(funcs, minhashes) -> list[tuple[int, int]]:
+    """The vector form's pairs as the cache's ``(func, minhash)`` keys."""
+    funcs, minhashes = as_pairs(funcs, minhashes)
+    return list(zip(funcs.tolist(), minhashes.tolist()))

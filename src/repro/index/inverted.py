@@ -37,24 +37,45 @@ POSTING_DTYPE = np.dtype(
 POSTING_BYTES = POSTING_DTYPE.itemsize
 
 
+def range_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i] .. starts[i] + counts[i] - 1``, concatenated.
+
+    The flat-index form of a per-range loop: one ``arange`` over the
+    total size, shifted per range.
+    """
+    counts = np.asarray(counts).astype(np.int64, copy=False)
+    offsets = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        np.asarray(starts).astype(np.int64, copy=False) - offsets, counts
+    )
+
+
 def gather_ranges(array: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``array[starts[i] : starts[i] + counts[i]]`` slices.
 
-    The flat-index form of a per-slice gather loop: one ``arange`` over
-    the total output size, shifted per slice.  Used by the batched
-    point-read paths to pull many texts' postings out of one list
-    without a Python-level loop.
+    Used by the batched point-read paths to pull many texts' postings
+    out of one list without a Python-level loop.
     """
-    counts = counts.astype(np.int64, copy=False)
-    total = int(counts.sum())
-    if total == 0:
-        return array[:0]
-    offsets = np.cumsum(counts) - counts
-    flat = (
-        np.arange(total, dtype=np.int64)
-        + np.repeat(starts.astype(np.int64, copy=False) - offsets, counts)
-    )
-    return array[flat]
+    flat = range_indices(starts, counts)
+    return array[flat] if flat.size else array[:0]
+
+
+def concat_postings(parts: list[np.ndarray]) -> np.ndarray:
+    """``parts`` joined into one posting array (a lone part is returned as is)."""
+    if not parts:
+        return np.empty(0, dtype=POSTING_DTYPE)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def as_pairs(funcs, minhashes) -> tuple[np.ndarray, np.ndarray]:
+    """The vector form's ``(func, minhash)`` pairs as two int64 arrays."""
+    funcs = np.asarray(funcs, dtype=np.int64).reshape(-1)
+    minhashes = np.asarray(minhashes, dtype=np.int64).reshape(-1)
+    if funcs.size != minhashes.size:
+        raise InvalidParameterError(
+            f"{funcs.size} funcs but {minhashes.size} minhashes: pairs must align"
+        )
+    return funcs, minhashes
 
 
 def extract_texts(chunk: np.ndarray, text_ids: np.ndarray) -> np.ndarray:
@@ -98,8 +119,16 @@ class InvertedIndexReader(Protocol):
     """Read interface every index reader implements, scalar and batched.
 
     The searcher, planner, cost model and list cache call the batched
-    methods unconditionally; the scalar ones remain for point lookups
+    forms unconditionally; the scalar ones remain for point lookups
     and as the reference the batched ones are tested against.
+
+    ``load_list`` and ``load_texts_windows`` each have two forms.  With
+    an ``int`` ``func`` and ``minhash`` they read one list.  With two
+    equal-length int arrays they read every ``(funcs[i], minhashes[i])``
+    pair in one call and return a list with one array per pair, in
+    argument order; entry ``i`` equals the scalar call on pair ``i``
+    (an absent or repeated pair included).  The vector form is what
+    lets a reader batch a whole sketch's lists into one decode.
     """
 
     family: HashFamily
@@ -110,8 +139,11 @@ class InvertedIndexReader(Protocol):
         """Number of postings in list ``I_func[minhash]`` (0 if absent)."""
         ...
 
-    def load_list(self, func: int, minhash: int) -> np.ndarray:
-        """The full inverted list, a :data:`POSTING_DTYPE` array sorted by text."""
+    def load_list(
+        self, func: int | np.ndarray, minhash: int | np.ndarray
+    ) -> np.ndarray | list[np.ndarray]:
+        """The full inverted list, a :data:`POSTING_DTYPE` array sorted by
+        text; with arrays, one such list per pair."""
         ...
 
     def load_text_windows(self, func: int, minhash: int, text_id: int) -> np.ndarray:
@@ -124,10 +156,12 @@ class InvertedIndexReader(Protocol):
         ...
 
     def load_texts_windows(
-        self, func: int, minhash: int, text_ids: np.ndarray
-    ) -> np.ndarray:
+        self, func: int | np.ndarray, minhash: int | np.ndarray, text_ids: np.ndarray
+    ) -> np.ndarray | list[np.ndarray]:
         """The postings of many texts within one list, sorted by text —
-        one grouped ranged read instead of one point read per text."""
+        one grouped ranged read instead of one point read per text.
+        With arrays, the same ``text_ids`` are read from every pair's
+        list."""
         ...
 
 
@@ -219,7 +253,11 @@ class MemoryInvertedIndex:
             return 0
         return int(self._directories[func].counts[slot])
 
-    def load_list(self, func: int, minhash: int) -> np.ndarray:
+    def load_list(
+        self, func: int | np.ndarray, minhash: int | np.ndarray
+    ) -> np.ndarray | list[np.ndarray]:
+        if np.ndim(func):
+            return [self.load_list(f, m) for f, m in zip(*as_pairs(func, minhash))]
         directory = self._directories[func]
         slot = directory.find(minhash)
         if slot < 0:
@@ -253,14 +291,19 @@ class MemoryInvertedIndex:
         return lengths
 
     def load_texts_windows(
-        self, func: int, minhash: int, text_ids: np.ndarray
-    ) -> np.ndarray:
+        self, func: int | np.ndarray, minhash: int | np.ndarray, text_ids: np.ndarray
+    ) -> np.ndarray | list[np.ndarray]:
         """Postings of every text in ``text_ids`` within one list.
 
         The batched form of :meth:`load_text_windows`: one logical read
         covering all requested texts (sorted, deduplicated), returned
-        sorted by text id.  I/O is accounted as a single call.
+        sorted by text id.  I/O is accounted as a single call per list.
         """
+        if np.ndim(func):
+            return [
+                self.load_texts_windows(f, m, text_ids)
+                for f, m in zip(*as_pairs(func, minhash))
+            ]
         directory = self._directories[func]
         slot = directory.find(minhash)
         if slot < 0:

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from repro.core.hashing import HashFamily
-from repro.index.inverted import IOStats, POSTING_BYTES, POSTING_DTYPE
+from repro.index.inverted import IOStats, POSTING_BYTES, concat_postings
 
 
 class UnionIndexReader:
@@ -32,7 +32,9 @@ class UnionIndexReader:
     :class:`~repro.index.inverted.IOStats` — a concrete object, not a
     computed property, because
     :class:`~repro.index.cache.CachedIndexReader` captures the
-    reference once at construction.
+    reference once at construction.  Its ``bytes_read`` is what the
+    sources read (compressed bytes, for packed runs) and its
+    ``decoded_bytes`` the merged postings it returned.
     """
 
     def __init__(
@@ -51,35 +53,19 @@ class UnionIndexReader:
             int(source.list_length(func, minhash)) for source in self.sources
         )
 
-    def load_list(self, func: int, minhash: int) -> np.ndarray:
-        begin = time.perf_counter()
-        parts = [
-            part
-            for source in self.sources
-            if (part := source.load_list(func, minhash)).size
-        ]
-        # Sources ascend in text id, so concatenation preserves the
-        # text-id sort the query processor relies on.
-        merged = _concat(parts)
-        self.io_stats.add(
-            merged.size * POSTING_BYTES, time.perf_counter() - begin
+    def load_list(
+        self, func: int | np.ndarray, minhash: int | np.ndarray
+    ) -> np.ndarray | list[np.ndarray]:
+        return self._union(
+            lambda source: source.load_list(func, minhash), _pairs(func)
         )
-        return merged
 
     def load_text_windows(
         self, func: int, minhash: int, text_id: int
     ) -> np.ndarray:
-        begin = time.perf_counter()
-        parts = [
-            part
-            for source in self.sources
-            if (part := source.load_text_windows(func, minhash, text_id)).size
-        ]
-        merged = _concat(parts)
-        self.io_stats.add(
-            merged.size * POSTING_BYTES, time.perf_counter() - begin
+        return self._union(
+            lambda source: source.load_text_windows(func, minhash, text_id), None
         )
-        return merged
 
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
         lengths = np.zeros(self.family.k, dtype=np.int64)
@@ -90,19 +76,40 @@ class UnionIndexReader:
         return lengths
 
     def load_texts_windows(
-        self, func: int, minhash: int, text_ids: np.ndarray
-    ) -> np.ndarray:
-        begin = time.perf_counter()
-        parts = [
-            part
-            for source in self.sources
-            if (part := source.load_texts_windows(func, minhash, text_ids)).size
-        ]
-        merged = _concat(parts)
-        self.io_stats.add(
-            merged.size * POSTING_BYTES, time.perf_counter() - begin
+        self, func: int | np.ndarray, minhash: int | np.ndarray, text_ids: np.ndarray
+    ) -> np.ndarray | list[np.ndarray]:
+        return self._union(
+            lambda source: source.load_texts_windows(func, minhash, text_ids),
+            _pairs(func),
         )
-        return merged
+
+    def _union(self, read, pairs: int | None):
+        """``read`` on every source (one call each), concatenated per pair.
+
+        ``pairs`` is the vector form's pair count, ``None`` for a scalar
+        read.  Sources ascend in text id, so concatenation preserves the
+        text-id sort the query processor relies on.  The call accounts
+        the bytes its sources read, and the merged postings as decoded.
+        """
+        begin = time.perf_counter()
+        read0 = self._source_bytes()
+        per_source = [read(source) for source in self.sources]
+        if pairs is None:
+            merged = [concat_postings([part for part in per_source if part.size])]
+        else:
+            merged = [
+                concat_postings([parts[i] for parts in per_source if parts[i].size])
+                for i in range(pairs)
+            ]
+        self.io_stats.add(
+            self._source_bytes() - read0,
+            time.perf_counter() - begin,
+            decoded=sum(part.size for part in merged) * POSTING_BYTES,
+        )
+        return merged[0] if pairs is None else merged
+
+    def _source_bytes(self) -> int:
+        return sum(int(source.io_stats.bytes_read) for source in self.sources)
 
     # -- introspection --------------------------------------------------
     @property
@@ -142,7 +149,6 @@ class UnionIndexReader:
         )
 
 
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=POSTING_DTYPE)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _pairs(func) -> int | None:
+    """Pair count of a vector-form call, ``None`` for a scalar one."""
+    return int(np.size(func)) if np.ndim(func) else None

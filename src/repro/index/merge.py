@@ -19,8 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import IndexFormatError, InvalidParameterError
-from repro.index.inverted import POSTING_DTYPE
+from repro.index.inverted import concat_postings
 from repro.index.storage import DiskInvertedIndex, _IndexWriter
+
+#: Keys a partition reads per vector ``load_list`` call while merging.
+_KEYS_PER_READ = 1024
 
 
 def merge_disk_indexes(
@@ -90,21 +93,25 @@ def merge_disk_indexes(
             if readers
             else np.empty(0, dtype=np.uint32)
         )
-        for minhash in all_keys:
-            chunks = []
-            for reader, offset in zip(readers, text_offsets):
-                postings = reader.load_list(func, int(minhash))
-                if postings.size:
-                    shifted = np.array(postings)
-                    shifted["text"] = shifted["text"] + np.uint32(offset)
-                    chunks.append(shifted)
-            merged = (
-                np.concatenate(chunks) if chunks else np.empty(0, dtype=POSTING_DTYPE)
-            )
-            if merged.size:
-                # Partitions are in ascending text order and internally
-                # sorted, so concatenation preserves the sort invariant.
-                writer.write_list(func, int(minhash), merged)
+        # Each partition reads a batch of keys with one vector read (one
+        # decode for a packed partition); the batch bounds memory.
+        for lo in range(0, all_keys.size, _KEYS_PER_READ):
+            keys = all_keys[lo : lo + _KEYS_PER_READ]
+            funcs = np.full(keys.size, func, dtype=np.int64)
+            per_reader = [reader.load_list(funcs, keys) for reader in readers]
+            for position, minhash in enumerate(keys.tolist()):
+                chunks = []
+                for lists, offset in zip(per_reader, text_offsets):
+                    postings = lists[position]
+                    if postings.size:
+                        shifted = np.array(postings)
+                        shifted["text"] = shifted["text"] + np.uint32(offset)
+                        chunks.append(shifted)
+                merged = concat_postings(chunks)
+                if merged.size:
+                    # Partitions are in ascending text order and internally
+                    # sorted, so concatenation preserves the sort invariant.
+                    writer.write_list(func, minhash, merged)
     writer.close()
     return Path(destination)
 

@@ -54,7 +54,6 @@ from repro.exceptions import IndexFormatError, InvalidParameterError
 from repro.index.codec import (
     BLOCK_POSTINGS,
     block_byte_sizes,
-    block_counts,
     check_codec,
     decode_blocks,
     encode_list,
@@ -64,8 +63,11 @@ from repro.index.inverted import (
     MemoryInvertedIndex,
     POSTING_BYTES,
     POSTING_DTYPE,
+    as_pairs,
+    concat_postings,
     extract_texts,
     gather_ranges,
+    range_indices,
 )
 from repro.index.sidecar import (
     SIDECAR_FILE as _DIR_SIDECAR_FILE,
@@ -86,6 +88,11 @@ DIR_FORMATS = ("sidecar", "npz")
 
 #: Lists at least this long get a zone map by default.
 DEFAULT_ZONEMAP_MIN_LIST = 256
+
+#: Blocks one codec call decodes at most.  The kernel's temporaries
+#: grow with the blocks it is given, so this caps a large vector read's
+#: working set; a query's reads stay far below it (one call each).
+_DECODE_BLOCKS = 512
 
 
 class _IndexWriter:
@@ -353,7 +360,10 @@ class DiskInvertedIndex:
     are mapped as posting records and sliced directly; ``packed``
     (format v2) payloads are mapped as bytes and every read decodes
     only the blocks covering the requested posting range, so the
-    zone-map point-read paths keep their sub-list I/O.
+    zone-map point-read paths keep their sub-list I/O.  Both codecs
+    share one read path, :meth:`_read_ranges`: a vector read resolves
+    all its pairs at once and packed blocks of every pair decode in
+    one grouped codec call; a scalar read is the one-pair case.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -490,7 +500,37 @@ class DiskInvertedIndex:
                         f"{int(ptr[-1])}"
                     )
                 self._blk_ptr.append(ptr)
+        self._flatten_directory()
         self.io_stats = IOStats()
+
+    def _flatten_directory(self) -> None:
+        """The read path's view of the directory: all ``k`` functions in one.
+
+        Lists are keyed ``func << 32 | minhash`` (ascending, since each
+        function's keys are), so every pair of a vector read resolves in
+        one ``searchsorted``.  ``_flat_starts`` is a list's first posting
+        (raw) or first block in the flat block arrays (packed), and
+        ``_flat_counts`` ends in a sentinel 0 that absent pairs (slot
+        ``-1``) read as their length.
+        """
+        k = self.family.k
+        sizes = [keys.size for keys in self._keys]
+        self._flat_keys = (
+            np.repeat(np.arange(k, dtype=np.uint64), sizes) << np.uint64(32)
+        ) | np.concatenate(self._keys).astype(np.uint64)
+        self._flat_counts = np.append(
+            np.concatenate(self._counts).astype(np.int64), 0
+        )
+        if self._codec == "packed":
+            block_base = np.cumsum([0] + [first.size for first in self._blk_first])
+            self._flat_starts = np.concatenate(
+                [ptr[:-1] + base for ptr, base in zip(self._blk_ptr, block_base)]
+            )
+            self._flat_blk_offsets = np.concatenate(self._blk_offsets).astype(np.int64)
+            self._flat_blk_widths = np.concatenate(self._blk_widths)
+            self._flat_blk_first = np.concatenate(self._blk_first)
+        else:
+            self._flat_starts = np.concatenate(self._offsets).astype(np.int64)
 
     def _load_directory(self) -> dict[str, np.ndarray]:
         """All directory arrays, from whichever container committed.
@@ -520,72 +560,43 @@ class DiskInvertedIndex:
             ) from exc
 
     # -- reader protocol ------------------------------------------------
-    def _slot(self, func: int, minhash: int) -> int:
-        keys = self._keys[func]
-        pos = int(np.searchsorted(keys, minhash))
-        if pos < keys.size and int(keys[pos]) == int(minhash):
-            return pos
-        return -1
+    def _resolve(self, funcs: np.ndarray, minhashes: np.ndarray) -> np.ndarray:
+        """Flat directory slot of every ``(func, minhash)`` pair, ``-1`` if absent."""
+        if self._flat_keys.size == 0:
+            return np.full(funcs.size, -1, dtype=np.int64)
+        wanted = (funcs.astype(np.uint64) << np.uint64(32)) | minhashes.astype(
+            np.uint64
+        )
+        slots = np.minimum(
+            np.searchsorted(self._flat_keys, wanted), self._flat_keys.size - 1
+        )
+        found = (
+            (funcs >= 0)
+            & (funcs < self.family.k)
+            & (minhashes >= 0)
+            & (minhashes >> 32 == 0)
+            & (self._flat_keys[slots] == wanted)
+        )
+        return np.where(found, slots, -1)
 
     def list_length(self, func: int, minhash: int) -> int:
-        slot = self._slot(func, minhash)
-        if slot < 0:
-            return 0
-        return int(self._counts[func][slot])
+        return int(self._flat_counts[self._resolve(*as_pairs(func, minhash))[0]])
 
-    def _decode_span(self, func: int, slot: int, blk_lo: int, blk_hi: int) -> np.ndarray:
-        """Decode blocks ``[blk_lo, blk_hi)`` (list-relative) of one list.
+    def load_list(
+        self, func: int | np.ndarray, minhash: int | np.ndarray
+    ) -> np.ndarray | list[np.ndarray]:
+        """Whole lists; the vector form reads every pair in one call.
 
-        Returns the covered postings in text order and accounts the
-        compressed bytes touched vs. posting bytes produced.
+        Raw lists are zero-copy views of the payload mapping, shared
+        with the page cache (and with sibling prefork workers); packed
+        lists are decoded together, one grouped codec call per call.
         """
-        count = int(self._counts[func][slot])
-        num_blocks = (count + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
-        blk_hi = min(blk_hi, num_blocks)
-        if blk_lo >= blk_hi:
-            return np.empty(0, dtype=POSTING_DTYPE)
-        blocks = np.arange(blk_lo, blk_hi, dtype=np.int64)
-        counts = np.full(blk_hi - blk_lo, BLOCK_POSTINGS, dtype=np.int64)
-        if blk_hi == num_blocks:
-            counts[-1] = count - (num_blocks - 1) * BLOCK_POSTINGS
-        return self._decode_raw_blocks(func, slot, blocks, counts)
-
-    def _decode_raw_blocks(
-        self, func: int, slot: int, blocks: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """One grouped codec decode of the named blocks, with accounting."""
-        base = int(self._blk_ptr[func][slot])
-        widths = self._blk_widths[func][base + blocks]
-        begin = time.perf_counter()
-        decoded = decode_blocks(
-            self._payload,
-            self._blk_offsets[func][base + blocks],
-            counts,
-            widths,
-            self._blk_first[func][base + blocks],
-        )
-        self.io_stats.add(
-            int(block_byte_sizes(counts, widths).sum()),
-            time.perf_counter() - begin,
-            decoded=decoded.size * POSTING_BYTES,
-        )
-        return decoded
-
-    def load_list(self, func: int, minhash: int) -> np.ndarray:
-        slot = self._slot(func, minhash)
-        if slot < 0:
-            return np.empty(0, dtype=POSTING_DTYPE)
-        count = int(self._counts[func][slot])
-        if self._codec == "packed":
-            num_blocks = (count + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
-            return self._decode_span(func, slot, 0, num_blocks)
-        start = int(self._offsets[func][slot])
-        begin = time.perf_counter()
-        # Zero-copy: a read-only view into the payload mapping, shared
-        # with the page cache (and with sibling prefork workers).
-        chunk = self._payload[start : start + count]
-        self.io_stats.add(count * POSTING_BYTES, time.perf_counter() - begin)
-        return chunk
+        if not np.ndim(func):
+            return self.load_list([func], [minhash])[0]
+        slots = self._resolve(*as_pairs(func, minhash))
+        owners = np.flatnonzero(slots >= 0)
+        counts = self._flat_counts[slots[owners]]
+        return self._read_ranges(slots, owners, np.zeros_like(counts), counts)
 
     def zone_map(self, func: int, minhash: int) -> ZoneMap | None:
         """The zone map of one list, or ``None`` if the list is short/absent."""
@@ -603,138 +614,131 @@ class DiskInvertedIndex:
         )
 
     def load_text_windows(self, func: int, minhash: int, text_id: int) -> np.ndarray:
-        slot = self._slot(func, minhash)
-        if slot < 0:
-            return np.empty(0, dtype=POSTING_DTYPE)
-        count = int(self._counts[func][slot])
-        zone = self.zone_map(func, minhash)
-        if zone is not None:
-            lo, hi = zone.locate(text_id)
-        else:
-            lo, hi = 0, count
-        if self._codec == "packed":
-            chunk = self._decode_span(
-                func,
-                slot,
-                lo // BLOCK_POSTINGS,
-                (hi + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS,
-            )
-        else:
-            start = int(self._offsets[func][slot])
-            begin = time.perf_counter()
-            chunk = self._payload[start + lo : start + hi]
-            elapsed = time.perf_counter() - begin
-            self.io_stats.add(max(hi - lo, 0) * POSTING_BYTES, elapsed)
-        left = int(np.searchsorted(chunk["text"], text_id, side="left"))
-        right = int(np.searchsorted(chunk["text"], text_id, side="right"))
-        return chunk[left:right]
+        return self.load_texts_windows([func], [minhash], [text_id])[0]
 
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
         """Lengths of the k lists named by one query sketch.
 
-        One pass over the in-memory directory arrays — no payload I/O,
-        and a single call replaces the per-function lookup loop on the
-        query hot path.
+        One ``searchsorted`` over the in-memory flat directory — no
+        payload I/O, no per-function loop.
         """
-        lengths = np.zeros(self.family.k, dtype=np.int64)
-        for func in range(self.family.k):
-            keys = self._keys[func]
-            minhash = int(sketch[func])
-            pos = int(np.searchsorted(keys, minhash))
-            if pos < keys.size and int(keys[pos]) == minhash:
-                lengths[func] = int(self._counts[func][pos])
-        return lengths
+        funcs = np.arange(self.family.k, dtype=np.int64)
+        return self._flat_counts[self._resolve(*as_pairs(funcs, sketch))]
 
     def load_texts_windows(
-        self, func: int, minhash: int, text_ids: np.ndarray
-    ) -> np.ndarray:
+        self, func: int | np.ndarray, minhash: int | np.ndarray, text_ids: np.ndarray
+    ) -> np.ndarray | list[np.ndarray]:
         """Postings of every text in ``text_ids`` within one list.
 
-        The batched form of :meth:`load_text_windows`: the zone map is
-        resolved once, the per-text posting ranges are merged into
-        maximal contiguous runs, and each run is read from the payload
-        with one ranged read — ``O(runs)`` I/O calls for the whole
-        candidate set instead of one point read per text.  For the
-        packed codec the runs are rounded to block boundaries and every
-        touched block is decoded in a single grouped kernel call.
-        Postings come back sorted by text id (runs are ascending slices
-        of a text-sorted list).
+        The batched form of :meth:`load_text_windows`: each list's zone
+        map narrows every requested text to a posting range, and the
+        ranges of all pairs are read in one call (for the packed codec,
+        rounded to blocks and decoded in one grouped kernel call).
+        Postings come back sorted by text id.
         """
-        slot = self._slot(func, minhash)
-        if slot < 0:
-            return np.empty(0, dtype=POSTING_DTYPE)
-        start = int(self._offsets[func][slot])
-        count = int(self._counts[func][slot])
+        if not np.ndim(func):
+            return self.load_texts_windows([func], [minhash], text_ids)[0]
+        funcs, minhashes = as_pairs(func, minhash)
         text_ids = np.unique(np.asarray(text_ids))
-        zone = self.zone_map(func, minhash)
-        begin = time.perf_counter()
-        if zone is None:
-            lo = np.zeros(1, dtype=np.int64)
-            hi = np.full(1, count, dtype=np.int64)
-        else:
-            lo, hi = zone.locate_many(text_ids)
-            nonempty = hi > lo
-            lo, hi = lo[nonempty], hi[nonempty]
-        if lo.size == 0:
-            self.io_stats.add(0, time.perf_counter() - begin)
-            return np.empty(0, dtype=POSTING_DTYPE)
-        # Merge overlapping/adjacent zone ranges into contiguous runs.
-        run_start = np.zeros(lo.size, dtype=bool)
-        run_start[0] = True
-        if lo.size > 1:
-            run_start[1:] = lo[1:] > np.maximum.accumulate(hi)[:-1]
-        run_lo = lo[run_start]
-        run_hi = np.maximum.reduceat(hi, np.flatnonzero(run_start))
-        if self._codec == "packed":
-            buffer = self._decode_block_runs(func, slot, count, run_lo, run_hi)
-            return extract_texts(buffer, text_ids)
-        parts = []
-        for run_begin, run_end in zip(run_lo.tolist(), run_hi.tolist()):
-            tick = time.perf_counter()
-            part = self._payload[start + run_begin : start + run_end]
-            self.io_stats.add(part.size * POSTING_BYTES, time.perf_counter() - tick)
-            parts.append(part)
-        buffer = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return extract_texts(buffer, text_ids)
+        slots = self._resolve(funcs, minhashes)
+        none = np.empty(0, dtype=np.int64)
+        owners, los, his = [none], [none], [none]
+        for pair in np.flatnonzero(slots >= 0).tolist():
+            zone = self.zone_map(int(funcs[pair]), int(minhashes[pair]))
+            if zone is None:
+                lo = np.zeros(1, dtype=np.int64)
+                hi = self._flat_counts[slots[pair : pair + 1]]
+            else:
+                lo, hi = zone.locate_many(text_ids)
+                nonempty = hi > lo
+                lo, hi = lo[nonempty], hi[nonempty]
+            owners.append(np.full(lo.size, pair, dtype=np.int64))
+            los.append(lo)
+            his.append(hi)
+        ranges = _merge_ranges(
+            np.concatenate(owners), np.concatenate(los), np.concatenate(his)
+        )
+        return [
+            extract_texts(chunk, text_ids)
+            for chunk in self._read_ranges(slots, *ranges)
+        ]
 
-    def _decode_block_runs(
-        self,
-        func: int,
-        slot: int,
-        count: int,
-        run_lo: np.ndarray,
-        run_hi: np.ndarray,
-    ) -> np.ndarray:
-        """Decode the blocks covering posting runs of one packed list.
+    def _read_ranges(
+        self, slots: np.ndarray, owners: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> list[np.ndarray]:
+        """Posting ranges of many lists, read as one accounted call.
 
-        Posting-index runs become block-index runs (re-merged, since
-        rounding to :data:`BLOCK_POSTINGS` can make neighbours touch),
-        and every touched block goes through one grouped
-        :func:`~repro.index.codec.decode_blocks` call.
+        ``slots`` holds every pair's flat directory slot; range ``i`` is
+        postings ``[lo[i], hi[i])`` of pair ``owners[i]``'s list, grouped
+        by pair, disjoint and ascending.  Returns one array per pair: its
+        ranges' postings in text order.  Raw ranges are sliced from the
+        mapping; packed ranges are rounded to blocks (a block two ranges
+        share is read once), and every block of every pair goes through
+        one :func:`~repro.index.codec.decode_blocks` call.
         """
-        num_blocks = (count + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
-        blk_lo = run_lo // BLOCK_POSTINGS
-        blk_hi = np.minimum(
-            (run_hi + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS, num_blocks
-        )
-        keep = blk_hi > blk_lo
-        blk_lo, blk_hi = blk_lo[keep], blk_hi[keep]
-        if blk_lo.size == 0:
-            return np.empty(0, dtype=POSTING_DTYPE)
-        merge_start = np.zeros(blk_lo.size, dtype=bool)
-        merge_start[0] = True
-        if blk_lo.size > 1:
-            merge_start[1:] = blk_lo[1:] > np.maximum.accumulate(blk_hi)[:-1]
-        merged_lo = blk_lo[merge_start]
-        merged_hi = np.maximum.reduceat(blk_hi, np.flatnonzero(merge_start))
-        spans = (merged_hi - merged_lo).astype(np.int64)
-        blocks = np.repeat(merged_lo - np.cumsum(spans) + spans, spans) + np.arange(
-            int(spans.sum()), dtype=np.int64
-        )
-        counts = np.full(blocks.size, BLOCK_POSTINGS, dtype=np.int64)
-        last = count - (num_blocks - 1) * BLOCK_POSTINGS
-        counts[blocks == num_blocks - 1] = last
-        return self._decode_raw_blocks(func, slot, blocks, counts)
+        if slots.size == 0:
+            return []
+        if self._codec == "raw":
+            begin = time.perf_counter()
+            starts = self._flat_starts[slots[owners]] + lo
+            parts: list[list[np.ndarray]] = [[] for _ in range(slots.size)]
+            for pair, start, stop in zip(
+                owners.tolist(), starts.tolist(), (starts + hi - lo).tolist()
+            ):
+                parts[pair].append(self._payload[start:stop])
+            out = [concat_postings(part) for part in parts]
+            nbytes = int((hi - lo).sum()) * POSTING_BYTES
+            elapsed, decoded = time.perf_counter() - begin, nbytes
+        else:
+            owners, blk_lo, blk_hi = _merge_ranges(
+                owners,
+                lo // BLOCK_POSTINGS,
+                (hi + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS,
+            )
+            spans = blk_hi - blk_lo
+            block_owners = np.repeat(owners, spans)
+            block_slots = slots[block_owners]
+            local = range_indices(blk_lo, spans)
+            blocks = self._flat_starts[block_slots] + local
+            counts = np.minimum(
+                self._flat_counts[block_slots] - local * BLOCK_POSTINGS,
+                BLOCK_POSTINGS,
+            )
+            widths = self._flat_blk_widths[blocks]
+            begin = time.perf_counter()
+            decoded_parts = []
+            for start in range(0, blocks.size, _DECODE_BLOCKS):
+                part = slice(start, start + _DECODE_BLOCKS)
+                decoded_parts.append(
+                    decode_blocks(
+                        self._payload,
+                        self._flat_blk_offsets[blocks[part]],
+                        counts[part],
+                        widths[part],
+                        self._flat_blk_first[blocks[part]],
+                    )
+                )
+            postings = concat_postings(decoded_parts)
+            elapsed = time.perf_counter() - begin
+            nbytes = int(block_byte_sizes(counts, widths).sum())
+            decoded = postings.size * POSTING_BYTES
+            if slots.size == 1:
+                out = [postings]
+            else:
+                per_pair = np.bincount(block_owners, counts, minlength=slots.size)
+                edges = [0] + np.cumsum(per_pair.astype(np.int64)).tolist()
+                # Own copy per list, so a list a cache keeps does not keep
+                # the call's whole decode buffer alive.  Copied through a
+                # view of four uint32 words per posting, which copies
+                # faster than the record dtype.
+                words = postings.view(np.uint32)
+                out = [
+                    words[4 * start : 4 * stop].copy().view(POSTING_DTYPE)
+                    for start, stop in zip(edges[:-1], edges[1:])
+                ]
+        if (slots >= 0).any():
+            self.io_stats.add(nbytes, elapsed, decoded=decoded)
+        return out
 
     # -- introspection ------------------------------------------------
     @property
@@ -827,3 +831,21 @@ class DiskInvertedIndex:
             f"DiskInvertedIndex({str(self._directory)!r}, k={self.family.k}, "
             f"t={self.t}, postings={self.num_postings}, codec={self._codec})"
         )
+
+
+def _merge_ranges(
+    owners: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge each owner's overlapping or touching ``[lo, hi)`` ranges.
+
+    Ranges arrive grouped by owner with ``lo`` and ``hi`` both ascending
+    within an owner (the zone ranges of ascending text ids are), so a
+    merged range ends where its last member does.
+    """
+    if lo.size < 2:
+        return owners, lo, hi
+    head = np.ones(lo.size, dtype=bool)
+    head[1:] = (owners[1:] != owners[:-1]) | (lo[1:] > hi[:-1])
+    heads = np.flatnonzero(head)
+    tails = np.append(heads[1:], lo.size) - 1
+    return owners[heads], lo[heads], hi[tails]

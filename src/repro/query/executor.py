@@ -103,9 +103,9 @@ def _run_shard(
     io_before = (io.bytes_read, io.read_calls, io.seconds)
     cache_before = reader.stats() if isinstance(reader, CachedIndexReader) else None
     pinned = 0
-    if isinstance(reader, CachedIndexReader):
-        for func, minhash in pin_keys:
-            pinned += bool(reader.pin(func, minhash))
+    if isinstance(reader, CachedIndexReader) and pin_keys:
+        funcs, minhashes = zip(*pin_keys)
+        pinned = sum(reader.pin(np.array(funcs), np.array(minhashes)))
     pin_io = (
         io.bytes_read - io_before[0],
         io.read_calls - io_before[1],

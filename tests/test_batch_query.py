@@ -238,14 +238,15 @@ class TestBatchStats:
 
 
 class _CountingReader:
-    """Delegating proxy that counts full-list loads reaching the index."""
+    """Delegating proxy that counts full lists loaded from the index
+    (keys, not calls: a vector call loads one list per pair)."""
 
     def __init__(self, inner):
         self._inner = inner
         self.load_calls = 0
 
     def load_list(self, func, minhash):
-        self.load_calls += 1
+        self.load_calls += int(np.size(func))
         return self._inner.load_list(func, minhash)
 
     def __getattr__(self, name):

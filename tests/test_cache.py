@@ -25,7 +25,9 @@ class FakeReader:
     def list_length(self, func: int, minhash: int) -> int:
         return int(minhash)
 
-    def load_list(self, func: int, minhash: int) -> np.ndarray:
+    def load_list(self, func, minhash):
+        if np.ndim(func):
+            return [self.load_list(f, m) for f, m in zip(func, minhash)]
         postings = np.zeros(int(minhash), dtype=POSTING_DTYPE)
         postings["text"] = np.arange(int(minhash))
         self.io_stats.add(int(minhash) * POSTING_BYTES)

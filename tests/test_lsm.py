@@ -42,6 +42,7 @@ from repro.index.lsm import (
     scan_wal,
     wal_name,
 )
+from repro.index.storage import DiskInvertedIndex
 from repro.index.validate import validate_live_index
 from repro.service import (
     RemoteError,
@@ -437,6 +438,28 @@ class TestUnionReader:
                     got = reader.load_list(func, key)
                     assert got.tolist() == expected.tolist()
                     assert reader.list_length(func, key) == expected.size
+
+    def test_io_bytes_are_the_bytes_the_runs_read(self, tmp_path):
+        """A snapshot of one sealed packed run reports what the run read,
+        not the decoded postings it returned."""
+        rng = np.random.default_rng(32)
+        texts = make_texts(rng, 40, lo=T, hi=60)
+        with make_live(tmp_path / "live", seal_threshold_postings=10**9) as live:
+            live.append_texts(texts)
+            live.seal()
+            snapshot = live.snapshot()
+            assert snapshot.num_sources == 1
+            direct = DiskInvertedIndex(live.root / live.runs[0])
+            assert direct.codec == "packed"
+            via_union = NearDuplicateSearcher(snapshot)
+            via_run = NearDuplicateSearcher(direct)
+            for text in texts[:20]:
+                query = text[:T + 5]
+                got = via_union.search(query, 0.6).stats
+                expected = via_run.search(query, 0.6).stats
+                assert got.io_bytes == expected.io_bytes
+            io = snapshot.io_stats
+            assert 0 < io.bytes_read < io.decoded_bytes
 
 
 # ----------------------------------------------------------------------

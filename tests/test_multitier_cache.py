@@ -4,6 +4,7 @@ configuration must return exactly what the uncached reader returns."""
 
 from __future__ import annotations
 
+import sys
 import tempfile
 import threading
 import time
@@ -241,18 +242,26 @@ class _SlowCountingReader:
         self.delay = delay
         self.fail_first = fail_first
         self.loads: dict[tuple[int, int], int] = {}
+        self.calls = 0
         self._lock = threading.Lock()
 
-    def load_list(self, func: int, minhash: int) -> np.ndarray:
+    def load_list(self, func, minhash):
+        """Vector form only (the cache always reads its misses that way);
+        ``loads`` counts keys, one sleep per call."""
+        keys = list(zip(np.asarray(func).tolist(), np.asarray(minhash).tolist()))
         with self._lock:
-            count = self.loads.get((func, minhash), 0) + 1
-            self.loads[(func, minhash)] = count
-        if self.fail_first and count == 1:
+            self.calls += 1
+            counts = [self.loads.get(key, 0) + 1 for key in keys]
+            self.loads.update(zip(keys, counts))
+        if self.fail_first and 1 in counts:
             raise OSError("transient read failure")
         time.sleep(self.delay)
-        postings = np.zeros(4, dtype=POSTING_DTYPE)
-        postings["text"] = minhash
-        return postings
+        out = []
+        for _, minhash in keys:
+            postings = np.zeros(4, dtype=POSTING_DTYPE)
+            postings["text"] = minhash
+            out.append(postings)
+        return out
 
     def list_length(self, func: int, minhash: int) -> int:
         return 4
@@ -311,6 +320,80 @@ class TestSingleFlight:
         postings = reader.load_list(0, 7)
         assert postings.size == 4
         assert inner.loads[(0, 7)] == 2
+
+    def test_overlapping_vector_loads_read_each_key_once(self):
+        inner = _SlowCountingReader(delay=0.02)
+        reader = CachedIndexReader(inner, capacity_bytes=1 << 20)
+        threads = 8
+        barrier = threading.Barrier(threads)
+        errors: list[BaseException] = []
+
+        def worker(slot: int) -> None:
+            # Each thread asks for a window of 6 keys out of 12, shifted
+            # by its slot: every key is wanted by several threads at once.
+            minhashes = (np.arange(6) + slot) % 12 + 100
+            funcs = minhashes % 4
+            try:
+                barrier.wait()
+                loaded = reader.load_list(funcs, minhashes)
+                assert [int(p["text"][0]) for p in loaded] == minhashes.tolist()
+                pinned = reader.pin(funcs[::-1], minhashes[::-1])
+                assert pinned == [True] * 6
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        pool = [
+            threading.Thread(target=worker, args=(slot,)) for slot in range(threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the bookkeeping finely
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert not errors
+        assert sorted(inner.loads.values()) == [1] * 12
+        stats = reader.stats()
+        assert stats.misses == 12
+        assert stats.hits == threads * 6 - 12
+        assert stats.pinned_lists == 12
+
+    def test_failing_vector_load_poisons_no_key(self):
+        inner = _SlowCountingReader(delay=0.02, fail_first=True)
+        reader = CachedIndexReader(inner, capacity_bytes=1 << 20)
+        threads = 8
+        barrier = threading.Barrier(threads)
+        outcomes: list[str] = []
+        lock = threading.Lock()
+
+        def worker() -> None:
+            barrier.wait()
+            try:
+                loaded = reader.load_list(np.array([0, 1, 2]), np.array([5, 6, 7]))
+                assert [int(p["text"][0]) for p in loaded] == [5, 6, 7]
+                outcome = "ok"
+            except OSError:
+                outcome = "failed"
+            with lock:
+                outcomes.append(outcome)
+
+        pool = [threading.Thread(target=worker) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in pool)
+        # Only the first loader sees its own failure; waiters retry, one
+        # of them reloads, and no key is left in flight or failed.
+        assert outcomes.count("failed") == 1 and outcomes.count("ok") == threads - 1
+        assert inner.loads == {(0, 5): 2, (1, 6): 2, (2, 7): 2}
+        assert not reader._inflight
+        for postings in reader.load_list(np.array([0, 1, 2]), np.array([5, 6, 7])):
+            assert postings.size == 4
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every reader satisfies the full :class:`InvertedIndexReader` protocol —
 scalar and batched methods — and the batched methods return exactly
-what a loop over the scalar ones returns.  A reader that lacks part of
+what a loop over the scalar ones returns; so does the vector form of
+``load_list`` / ``load_texts_windows`` over arrays of ``(func, minhash)``
+pairs, pair by pair.  A reader that lacks part of
 the protocol is refused when a searcher is built on it, not halfway
 through a query.
 """
@@ -168,6 +170,99 @@ def test_absent_list_is_empty_everywhere(reader):
     assert reader.list_length(0, 0xDEADBEEF) == 0
     assert reader.load_list(0, 0xDEADBEEF).size == 0
     assert reader.load_texts_windows(0, 0xDEADBEEF, wanted).size == 0
+
+
+def _sketch_pairs(family, text):
+    """Every function's list for one sketch, plus an absent pair and a
+    repeated one, in a scrambled order."""
+    sketch = family.sketch(text[:70])
+    funcs = np.arange(family.k, dtype=np.int64)
+    minhashes = sketch.astype(np.int64)
+    funcs = np.concatenate((funcs[::-1], [0, 3], funcs[:2]))
+    minhashes = np.concatenate(
+        (minhashes[::-1], [0xDEADBEEF, minhashes[3]], minhashes[:2])
+    )
+    return funcs, minhashes
+
+
+def test_vector_load_list_equals_scalar_calls(reader, world):
+    texts, family, _ = world
+    for text in texts[:4]:
+        funcs, minhashes = _sketch_pairs(family, text)
+        vector = reader.load_list(funcs, minhashes)
+        assert isinstance(vector, list) and len(vector) == funcs.size
+        for func, minhash, got in zip(funcs.tolist(), minhashes.tolist(), vector):
+            assert np.array_equal(got, reader.load_list(func, minhash))
+            assert got.dtype == POSTING_DTYPE
+
+
+def test_vector_point_reads_equal_scalar_calls(reader, world):
+    texts, family, _ = world
+    wanted = np.array([0, 0, 3, 17, 41, 42, 69, 70, 89, 500], dtype=np.int64)
+    for text in texts[:4]:
+        funcs, minhashes = _sketch_pairs(family, text)
+        vector = reader.load_texts_windows(funcs, minhashes, wanted)
+        assert isinstance(vector, list) and len(vector) == funcs.size
+        for func, minhash, got in zip(funcs.tolist(), minhashes.tolist(), vector):
+            assert np.array_equal(got, reader.load_texts_windows(func, minhash, wanted))
+
+
+def test_vector_forms_take_empty_arrays(reader):
+    none = np.empty(0, dtype=np.int64)
+    assert reader.load_list(none, none) == []
+    assert reader.load_texts_windows(none, none, np.array([1, 2])) == []
+
+
+def test_delegating_proxy_has_the_harness_proxy_shape():
+    """The test proxy must stay exactly what the benchmark's tracing proxy
+    is — the same explicit members with the same parameters — so the
+    contract above is the one the harness exercises."""
+    import importlib.util
+    import inspect
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks/harness/trace.py"
+    spec = importlib.util.spec_from_file_location("harness_trace", path)
+    harness_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness_trace)
+
+    def shape(cls):
+        return {
+            name: list(inspect.signature(member).parameters)
+            for name, member in vars(cls).items()
+            if callable(member) and not name.startswith("_")
+        }
+
+    assert shape(DelegatingProxy) == shape(harness_trace.TimedReader)
+
+
+def test_capped_decode_calls_return_the_same_lists(world, monkeypatch):
+    from repro.index import storage
+
+    texts, family, bases = world
+    packed = bases["disk-packed"]
+    funcs, minhashes = _sketch_pairs(family, texts[1])
+    wanted = np.array([0, 41, 70], dtype=np.int64)
+    lists = packed.load_list(funcs, minhashes)
+    windows = packed.load_texts_windows(funcs, minhashes, wanted)
+    monkeypatch.setattr(storage, "_DECODE_BLOCKS", 1)
+    for got, expected in zip(packed.load_list(funcs, minhashes), lists):
+        assert np.array_equal(got, expected)
+    capped = packed.load_texts_windows(funcs, minhashes, wanted)
+    for got, expected in zip(capped, windows):
+        assert np.array_equal(got, expected)
+
+
+def test_one_vector_load_is_one_packed_read_call(world):
+    texts, family, bases = world
+    packed = bases["disk-packed"]
+    funcs, minhashes = _sketch_pairs(family, texts[0])
+    before = packed.io_stats.read_calls
+    packed.load_list(funcs, minhashes)
+    assert packed.io_stats.read_calls == before + 1
+    before = packed.io_stats.read_calls
+    packed.load_texts_windows(funcs, minhashes, np.array([0, 41, 70]))
+    assert packed.io_stats.read_calls == before + 1
 
 
 @pytest.mark.parametrize("missing", ["sketch_list_lengths", "load_texts_windows"])
