@@ -1,9 +1,7 @@
 """Scatter-gather router benchmark: fan-out vs. a serial shard loop.
 
-ISSUE 7 acceptance benchmark.  Two sections:
-
-**Remote fan-out** — a 4-shard fleet of real :class:`SearchService`
-instances on loopback, queried two ways with the same stream:
+A 4-shard fleet of real :class:`SearchService` instances on loopback,
+queried two ways with the same stream:
 
 * ``serial_loop`` — the pre-router deployment shape: one client asks
   each shard server *in turn* and merges client-side, so per-request
@@ -17,12 +15,6 @@ On smaller hosts the gate cannot bind physically (four shard servers
 plus the router share the cores, and the fan-out's concurrency has
 nowhere to run), so it is recorded as skipped with the measured
 ``cpu_count`` — the measured ratio is still written.
-
-**In-process fan-out** — :class:`ShardedSearcher` over the same
-4-shard partition, serial loop vs. ``workers=4`` thread fan-out
-(byte-identical results, asserted in ``tests/test_sharded.py``).
-Acceptance (full scale, >= 4 cores): ``workers=4`` qps >= 2x serial;
-skipped with ``cpu_count`` recorded otherwise.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_router.py [--quick]``
 Writes ``BENCH_router.json`` next to the repository root.
@@ -44,7 +36,7 @@ from repro.corpus.corpus import InMemoryCorpus
 from repro.corpus.synthetic import synthweb
 from repro.engine import NearDupEngine
 from repro.index.builder import build_memory_index
-from repro.index.sharded import ShardedIndex, ShardedSearcher, shard_ranges
+from repro.index.sharded import shard_ranges
 from repro.service import (
     RouterConfig,
     RouterService,
@@ -169,32 +161,6 @@ def drive_router(router_runner, queries, theta: float) -> dict:
     }
 
 
-def bench_sharded_searcher(corpus, family, t, queries, theta: float) -> dict:
-    """In-process shard fan-out: serial loop vs. workers=4 threads."""
-    sharded = ShardedIndex.build(
-        corpus, family, t, num_shards=NUM_SHARDS, vocab_size=2048
-    )
-    tokenized = [np.asarray(query, dtype=np.uint32) for query in queries]
-
-    def timed(searcher) -> float:
-        begin = time.perf_counter()
-        for query in tokenized:
-            searcher.search(query, theta)
-        return time.perf_counter() - begin
-
-    serial = ShardedSearcher(sharded)
-    serial_seconds = timed(serial)
-    with ShardedSearcher(sharded, workers=NUM_SHARDS) as threaded:
-        threaded_seconds = timed(threaded)
-    total = len(tokenized)
-    return {
-        "requests": total,
-        "serial_qps": total / serial_seconds if serial_seconds else 0.0,
-        "workers4_qps": total / threaded_seconds if threaded_seconds else 0.0,
-        "speedup": serial_seconds / threaded_seconds if threaded_seconds else 0.0,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -233,15 +199,6 @@ def main(argv=None) -> int:
         )
     print(f"router fan-out speedup: {fanout_speedup:.2f}x over the serial loop")
 
-    searcher_rows = bench_sharded_searcher(
-        corpus, family, t, queries, args.theta
-    )
-    print(
-        f"ShardedSearcher: serial {searcher_rows['serial_qps']:.1f} qps, "
-        f"workers=4 {searcher_rows['workers4_qps']:.1f} qps "
-        f"({searcher_rows['speedup']:.2f}x)"
-    )
-
     payload = {
         "benchmark": "bench_router",
         "quick": args.quick,
@@ -251,21 +208,17 @@ def main(argv=None) -> int:
         "theta": args.theta,
         "rows": [serial_row, router_row],
         "router_fanout_speedup_qps": fanout_speedup,
-        "sharded_searcher": searcher_rows,
     }
 
-    # Acceptance gates.  Both compare a 4-way fan-out against a serial
-    # loop over the same 4 shards, so both need >= 4 cores to be
-    # physically attainable; on smaller hosts each gate is recorded as
-    # skipped with the measured cpu_count (PR 6 convention) and the
-    # measured speedups are still written above.
+    # Acceptance gate.  It compares a 4-way fan-out against a serial
+    # loop over the same 4 shards, so it needs >= 4 cores to be
+    # physically attainable; on smaller hosts the gate is recorded as
+    # skipped with the measured cpu_count and the measured speedup is
+    # still written above.
     failures = []
     if args.quick:
         payload["gates"] = {"skipped": "quick scale"}
-        print(
-            f"quick: router {fanout_speedup:.2f}x, "
-            f"workers {searcher_rows['speedup']:.2f}x (gates skipped)"
-        )
+        print(f"quick: router {fanout_speedup:.2f}x (gates skipped)")
     else:
         gates: dict = {}
         if cpu_count >= 4:
@@ -279,17 +232,6 @@ def main(argv=None) -> int:
                 failures.append(
                     f"router fan-out speedup {fanout_speedup:.2f}x < 2.0x"
                 )
-            ok_workers = searcher_rows["speedup"] >= 2.0
-            gates["sharded_workers"] = {
-                "speedup": searcher_rows["speedup"],
-                "required": 2.0,
-                "pass": ok_workers,
-            }
-            if not ok_workers:
-                failures.append(
-                    f"ShardedSearcher workers=4 speedup "
-                    f"{searcher_rows['speedup']:.2f}x < 2.0x"
-                )
         else:
             reason = (
                 f"host has {cpu_count} cpu(s); a {NUM_SHARDS}-way fan-out "
@@ -300,15 +242,9 @@ def main(argv=None) -> int:
                 "required": 2.0,
                 "skipped": reason,
             }
-            gates["sharded_workers"] = {
-                "speedup": searcher_rows["speedup"],
-                "required": 2.0,
-                "skipped": reason,
-            }
             print(
                 f"gates skipped: cpu_count={cpu_count} < 4 (measured "
-                f"router {fanout_speedup:.2f}x, "
-                f"workers {searcher_rows['speedup']:.2f}x recorded)"
+                f"router {fanout_speedup:.2f}x recorded)"
             )
         payload["gates"] = gates
 

@@ -515,6 +515,13 @@ def _cmd_memorize(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``--workers`` help shared by every command that runs the batch executor.
+_WORKERS_HELP = (
+    "batch executor workers: 0 = sequential loop; >= 2 = process pool "
+    "over an on-disk index, otherwise planned"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-cli",
@@ -583,12 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("queries", help="file with one token-id sequence per line")
     p_batch.add_argument("--theta", type=float, default=0.8)
     p_batch.add_argument("--cache", action="store_true", help="list cache")
-    p_batch.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="0 = sequential loop; 1 = planned batch; >= 2 = parallel shards",
-    )
+    p_batch.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p_batch.add_argument(
         "--batch-size",
         type=int,
@@ -686,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dedup.add_argument("--window", type=int, default=64)
     p_dedup.add_argument("--max-probes", type=int, default=None)
     p_dedup.add_argument("--limit", type=int, default=10, help="clusters to print")
-    p_dedup.add_argument("--workers", type=int, default=0, help="batch executor workers")
+    p_dedup.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p_dedup.set_defaults(func=_cmd_dedup)
 
     p_serve = sub.add_parser(
@@ -896,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mem.add_argument("--length", type=int, default=512)
     p_mem.add_argument("--window", type=int, default=32)
     p_mem.add_argument("--seed", type=int, default=0)
-    p_mem.add_argument("--workers", type=int, default=0, help="batch executor workers")
+    p_mem.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p_mem.add_argument(
         "--batch-size", type=int, default=None, help="queries per executor chunk"
     )

@@ -41,7 +41,6 @@ from repro.core.rmq import (
 from repro.core.search import (
     NearDuplicateSearcher,
     QueryStats,
-    SEARCH_KERNELS,
     SearchResult,
     TextMatch,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "NearDuplicateSearcher",
     "QueryStats",
     "RMQ_BACKENDS",
-    "SEARCH_KERNELS",
     "ScanResult",
     "SearchResult",
     "SegmentTreeRMQ",

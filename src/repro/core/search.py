@@ -33,7 +33,6 @@ from repro.core.hashing import HashFamily
 from repro.core.intervals import (
     CollisionRectangle,
     FusedRectangles,
-    collision_count,
     fused_collision_count,
 )
 from repro.core.theory import collision_threshold
@@ -42,11 +41,6 @@ from repro.exceptions import InvalidParameterError, QueryError
 from repro.index.inverted import InvertedIndexReader
 
 logger = logging.getLogger(__name__)
-
-#: Group-scan kernels a searcher can run (``reference`` is the scalar
-#: per-group sweep kept as the equivalence oracle and benchmark
-#: baseline; ``fused`` is the vectorized default).
-SEARCH_KERNELS = ("fused", "reference")
 
 #: Every attribute and method of the reader protocol; a searcher names
 #: the ones a refused reader lacks.
@@ -69,10 +63,10 @@ class QueryStats:
     groups_scanned: int = 0
     candidates: int = 0
     texts_matched: int = 0
-    #: Long-list point-read *operations* (the fused path counts one per
-    #: long list, however many lists one reader call covers; the
-    #: reference path one per surviving candidate per long list).
-    #: Complements ``lists_loaded``, which only sees full short-list loads.
+    #: Long-list point-read *operations*: one per long list per
+    #: refinement pass, however many candidates or lists one reader
+    #: call covers.  Complements ``lists_loaded``, which only sees full
+    #: short-list loads.
     point_reads: int = 0
 
     @property
@@ -204,12 +198,6 @@ class NearDuplicateSearcher:
         candidates by *exact* Jaccard — turning the approximate engine
         into an exact Definition 1 answer (on the candidates the
         sketching surfaced; recall remains probabilistic).
-    kernel:
-        Group-scan implementation: ``"fused"`` (default) runs the
-        vectorized multi-group collision-count kernel with batched
-        long-list point reads; ``"reference"`` runs the scalar
-        per-group Algorithm 4/5 sweep (the equivalence oracle and the
-        benchmark baseline).  Matches are identical either way.
     """
 
     def __init__(
@@ -218,7 +206,6 @@ class NearDuplicateSearcher:
         *,
         long_list_cutoff: int | None = None,
         corpus=None,
-        kernel: str = "fused",
     ) -> None:
         # Delegating proxies resolve members through ``__getattr__``,
         # so probe with ``hasattr`` rather than ``isinstance``.
@@ -233,12 +220,7 @@ class NearDuplicateSearcher:
         self.t = index.t
         if long_list_cutoff is not None and long_list_cutoff < 0:
             raise InvalidParameterError("long_list_cutoff must be >= 0 or None")
-        if kernel not in SEARCH_KERNELS:
-            raise InvalidParameterError(
-                f"kernel must be one of {SEARCH_KERNELS}, got {kernel!r}"
-            )
         self.long_list_cutoff = long_list_cutoff
-        self.kernel = kernel
         # A configured cutoff does not depend on the query; hoist it so
         # batch workloads don't re-derive it per query (the ``None``
         # heuristic stays per-query: it uses the query's own lengths).
@@ -314,12 +296,7 @@ class NearDuplicateSearcher:
 
         matches: list[TextMatch] = []
         if short_chunks:
-            scan = (
-                self._scan_fused
-                if self.kernel == "fused"
-                else self._scan_reference
-            )
-            matches = scan(
+            matches = self._scan(
                 short_chunks,
                 alpha_short,
                 beta,
@@ -358,67 +335,7 @@ class NearDuplicateSearcher:
         )
 
     # ------------------------------------------------------------------
-    def _scan_reference(
-        self,
-        short_chunks: list[np.ndarray],
-        alpha_short: int,
-        beta: int,
-        sketch: np.ndarray,
-        long_funcs: set[int],
-        stats: QueryStats,
-        query: np.ndarray,
-        theta: float,
-        first_match_only: bool,
-        verify: bool,
-    ) -> list[TextMatch]:
-        """The scalar per-group sweep (oracle / benchmark baseline)."""
-        merged = np.concatenate(short_chunks)
-        order = np.argsort(merged["text"], kind="stable")
-        merged = merged[order]
-        text_ids = merged["text"]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], text_ids[1:] != text_ids[:-1]))
-        )
-        boundaries = np.append(boundaries, merged.size)
-        matches: list[TextMatch] = []
-        for start, end in zip(boundaries[:-1], boundaries[1:]):
-            group = merged[start:end]
-            stats.groups_scanned += 1
-            if group.size < alpha_short:
-                continue
-            rectangles = collision_count(group, max(alpha_short, 1))
-            if not rectangles:
-                continue
-            stats.candidates += 1
-            text_id = int(group["text"][0])
-            if long_funcs:
-                extra = [group]
-                for func in sorted(long_funcs):
-                    fetched = self.index.load_text_windows(
-                        func, int(sketch[func]), text_id
-                    )
-                    stats.point_reads += 1
-                    if fetched.size:
-                        extra.append(fetched)
-                combined = np.concatenate(extra)
-                rectangles = collision_count(combined, beta)
-            rectangles = [
-                rect
-                for rect in rectangles
-                if rect.clip_min_length(self.t) is not None
-            ]
-            if rectangles and verify:
-                rectangles = self._verify_rectangles(
-                    query, theta, text_id, rectangles
-                )
-            if rectangles:
-                matches.append(TextMatch(text_id, tuple(rectangles)))
-                if first_match_only:
-                    break
-        return matches
-
-    # ------------------------------------------------------------------
-    def _scan_fused(
+    def _scan(
         self,
         short_chunks: list[np.ndarray],
         alpha_short: int,
@@ -433,11 +350,11 @@ class NearDuplicateSearcher:
     ) -> list[TextMatch]:
         """Vectorized group scan: one fused kernel pass over all groups.
 
-        Produces exactly the matches (and ordering) of
-        :meth:`_scan_reference`: the short postings are sorted once by
-        ``(text, left)``, groups below the reduced threshold are pruned
-        with a single mask, and the Algorithm 4/5 double sweep runs as
-        flat event arrays over every surviving group at once.  Long-list
+        Produces exactly the matches (and ordering) of the scalar
+        per-group Algorithm 4/5 loop: the short postings are sorted once
+        by ``(text, left)``, groups below the reduced threshold are
+        pruned with a single mask, and the double sweep runs as flat
+        event arrays over every surviving group at once.  Long-list
         refinement then gathers *all* surviving candidates and issues
         one grouped zone-map read over all long lists instead of one
         point read per candidate per list.
@@ -573,9 +490,9 @@ class NearDuplicateSearcher:
 
         Candidates are visited in ascending text order with *lazy*
         per-candidate long-list reads, so the early exit reads exactly
-        as much as the reference loop would; the stats counters mirror
-        the reference loop's stop point (groups and candidates beyond
-        the first match stay uncounted, as if never visited).
+        as much as a per-group loop would; the stats counters mirror
+        that loop's stop point (groups and candidates beyond the first
+        match stay uncounted, as if never visited).
         """
         group_bounds = np.concatenate(
             ([0], np.cumsum(kept_sizes))
@@ -692,9 +609,9 @@ class NearDuplicateSearcher:
         per query — batching is a pure execution strategy.  With
         ``workers=0`` this *is* the sequential per-query loop; with
         ``workers >= 1`` the batch is planned (duplicate sketches
-        deduplicated, distinct inverted lists pinned once) and, for
-        ``workers >= 2``, sharded across threads (in-memory index) or
-        processes (on-disk index).  Callers that want the aggregated
+        deduplicated, distinct inverted lists pinned once), and
+        ``workers >= 2`` over an on-disk index shards it across a
+        process pool.  Callers that want the aggregated
         :class:`~repro.query.results.BatchStats` should use
         :class:`~repro.query.executor.BatchQueryExecutor` directly.
         """

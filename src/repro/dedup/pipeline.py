@@ -93,9 +93,10 @@ def find_duplicate_clusters(
         Optional cap for sampled deduplication of large corpora.
     workers:
         Forwarded to the batch executor: ``0`` is the sequential loop,
-        ``>= 1`` plans/parallelizes each probe batch.  The self-join is
-        a natural batch workload — neighbouring probes of one text share
-        most of their Zipf-head lists.
+        ``>= 1`` plans each probe batch (``>= 2`` over an on-disk index
+        runs it on a process pool).  The self-join is a natural batch
+        workload — neighbouring probes of one text share most of their
+        Zipf-head lists.
     batch_size:
         Probes searched per executor batch (bounds planning memory).
     """

@@ -291,10 +291,10 @@ class NearDupEngine:
 
         Returns one hit list per query, in input order — identical to
         calling :meth:`search` per query.  ``workers=0`` runs the
-        sequential reference loop; ``workers=1`` plans the batch
-        (sketch dedup + list pinning) on one thread; ``workers>=2``
-        shards it across threads (in-memory index) or processes
-        (on-disk index).
+        sequential reference loop; ``workers>=1`` plans the batch
+        (sketch dedup + list pinning) on one thread, except that
+        ``workers>=2`` over an on-disk index shards it across a process
+        pool.
         """
         batch = self.search_batch_raw(
             queries,

@@ -101,11 +101,11 @@ class CachedIndexReader:
     (:meth:`load_text_windows`) are served from a cached full list when
     one is resident and otherwise fall through to the inner reader.
 
-    The reader is thread-safe: one instance may be shared by the batch
-    executor's thread mode and the online service's worker pool.  A
-    single lock guards the residency metadata; cache hits only pay a
-    dict lookup under the lock, and cold misses release it around the
-    inner read (single-flight per key, parallel across keys).
+    The reader is thread-safe: one instance may be shared by the online
+    service's worker pool.  A single lock guards the residency metadata;
+    cache hits only pay a dict lookup under the lock, and cold misses
+    release it around the inner read (single-flight per key, parallel
+    across keys).
     """
 
     def __init__(self, inner, capacity_bytes: int = 32 * 1024 * 1024) -> None:

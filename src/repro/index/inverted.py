@@ -315,17 +315,6 @@ class MemoryInvertedIndex:
         self.io_stats.add(fetched.size * POSTING_BYTES)
         return fetched
 
-    def view(self) -> "MemoryInvertedIndex":
-        """A reader sharing this index's arrays but with private ``io_stats``.
-
-        Batch query workers running in threads each search through their
-        own view, so per-query I/O deltas are not corrupted by
-        concurrent readers; no postings are copied.
-        """
-        return MemoryInvertedIndex(
-            self.family, self.t, self._directories, self._payload
-        )
-
     # -- introspection ------------------------------------------------
     @property
     def num_postings(self) -> int:

@@ -653,13 +653,11 @@ class LiveSearcher:
         *,
         cache_bytes: int = 0,
         long_list_cutoff: int | None = None,
-        kernel: str = "fused",
         corpus=None,
     ) -> None:
         self.live = live
         self.cache_bytes = int(cache_bytes)
         self._long_list_cutoff = long_list_cutoff
-        self._kernel = kernel
         self._corpus = corpus
         self._refresh_lock = threading.Lock()
         self._generation: int | None = None
@@ -685,7 +683,6 @@ class LiveSearcher:
                     reader,
                     long_list_cutoff=self._long_list_cutoff,
                     corpus=self._corpus,
-                    kernel=self._kernel,
                 )
                 self._generation = generation
             return self._inner

@@ -16,7 +16,6 @@ local (each shard has its own Zipf head), which is what
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,11 +168,8 @@ class ShardedIndex:
 class ShardedSearcher:
     """Fan a query out to every shard and merge the (re-numbered) results.
 
-    ``workers > 1`` searches the shards concurrently on a thread pool;
-    results are still merged in shard order, so the output is identical
-    to the serial loop (the shard hot path releases the GIL inside the
-    NumPy kernels, which is where the wall-clock win comes from).  Use
-    as a context manager (or call :meth:`close`) to reclaim the pool.
+    Shards are searched one after another in shard order; this is the
+    in-process reference a routed fleet must answer byte-identically.
     """
 
     def __init__(
@@ -181,49 +177,15 @@ class ShardedSearcher:
         sharded: ShardedIndex,
         *,
         long_list_cutoff: int | None = None,
-        workers: int = 1,
     ) -> None:
         from repro.core.search import NearDuplicateSearcher
 
         self.sharded = sharded
         self.t = sharded.t
-        self.workers = max(1, int(workers))
         self._searchers = [
             NearDuplicateSearcher(shard.index, long_list_cutoff=long_list_cutoff)
             for shard in sharded.shards
         ]
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
-        if self.workers > 1 and len(self._searchers) > 1:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=min(self.workers, len(self._searchers)),
-                thread_name_prefix="shard-search",
-            )
-
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ShardedSearcher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- search ---------------------------------------------------------
-    def _search_shards(self, query: np.ndarray, theta: float, **kwargs) -> list:
-        """Every shard's local result, always in shard order."""
-        if self._pool is None:
-            return [
-                searcher.search(query, theta, **kwargs)
-                for searcher in self._searchers
-            ]
-        futures = [
-            self._pool.submit(searcher.search, query, theta, **kwargs)
-            for searcher in self._searchers
-        ]
-        return [future.result() for future in futures]
 
     def _merge(self, results: list, theta: float):
         """Re-number per-shard results to global ids and concatenate.
@@ -259,27 +221,7 @@ class ShardedSearcher:
         )
 
     def search(self, query: np.ndarray, theta: float, **kwargs):
-        return self._merge(self._search_shards(query, theta, **kwargs), theta)
-
-    def search_batch(self, queries, theta: float, **kwargs) -> list:
-        """One merged result per query, fanning (shard, query) pairs out.
-
-        With a pool this schedules all ``num_shards * len(queries)``
-        searches at once, so shards and queries overlap freely; the
-        output equals ``[self.search(q, theta) for q in queries]``.
-        """
-        if self._pool is None:
-            per_query = [
-                [searcher.search(query, theta, **kwargs) for searcher in self._searchers]
-                for query in queries
-            ]
-        else:
-            futures = [
-                [
-                    self._pool.submit(searcher.search, query, theta, **kwargs)
-                    for searcher in self._searchers
-                ]
-                for query in queries
-            ]
-            per_query = [[future.result() for future in row] for row in futures]
-        return [self._merge(results, theta) for results in per_query]
+        return self._merge(
+            [searcher.search(query, theta, **kwargs) for searcher in self._searchers],
+            theta,
+        )

@@ -97,8 +97,9 @@ def evaluate_generated_texts(
     All windows of all texts form one query batch fed through
     :meth:`~repro.core.search.NearDuplicateSearcher.search_many`, so the
     Zipf-head inverted lists are read once per batch instead of once per
-    query; ``workers >= 2`` additionally parallelizes the batch.
-    ``workers=0`` keeps the exact sequential semantics.
+    query; ``workers >= 2`` over an on-disk index additionally runs the
+    batch on a process pool.  ``workers=0`` keeps the exact sequential
+    semantics.
     """
     report = MemorizationReport(
         model_name=model_name, theta=theta, window_width=window_width

@@ -7,9 +7,8 @@ turns that from "N independent cold searches" into one planned pass:
 * :mod:`repro.query.planner` — sketch every query up front, deduplicate
   byte-identical sketches, and enumerate the distinct inverted lists the
   batch will touch;
-* :mod:`repro.query.executor` — run the plan sequentially, across
-  threads (in-memory index), or across processes (on-disk index), with
-  the batch's shared lists pinned in a
+* :mod:`repro.query.executor` — run the plan in-process or across
+  processes (on-disk index), with the batch's shared lists pinned in a
   :class:`~repro.index.cache.CachedIndexReader`;
 * :mod:`repro.query.results` — per-batch aggregation of
   :class:`~repro.core.search.QueryStats` into a printable

@@ -1,36 +1,31 @@
 """Parallel, I/O-shared execution of planned query batches.
 
-Execution strategies (``BatchStats.mode``):
+Execution strategies (``BatchStats.mode``), chosen from the worker
+count and the index type:
 
 ``sequential``
     ``workers=0``: exactly today's per-query loop — no planning, no
     dedup, no pinning.  The reference semantics every other mode must
     reproduce byte-for-byte.
 ``planned``
-    ``workers=1`` (or an unsupported index/verify combination): one
-    thread, but the batch is sketch-deduplicated and the shared lists
-    are batch-pinned in a :class:`~repro.index.cache.CachedIndexReader`,
+    ``workers>=1`` whenever ``process`` does not apply: one thread, but
+    the batch is sketch-deduplicated and the shared lists are
+    batch-pinned in a :class:`~repro.index.cache.CachedIndexReader`,
     so each distinct list is read once per batch.  An uncached searcher
     gets one such reader per executor, kept warm across
     :meth:`BatchQueryExecutor.execute` calls and chunks.
-``thread``
-    ``workers>=2`` over a :class:`~repro.index.inverted.MemoryInvertedIndex`:
-    unique queries are sharded by their dominant (longest) list and run
-    on a thread pool; each thread searches through a private
-    :meth:`~repro.index.inverted.MemoryInvertedIndex.view` (shared
-    arrays, private I/O accounting) behind its own pinned cache.  The
-    numpy kernels release the GIL for the heavy scans.
 ``process``
-    ``workers>=2`` over a :class:`~repro.index.storage.DiskInvertedIndex`:
-    mirrors :mod:`repro.index.parallel` — workers open the index from
-    its directory once, in the pool initializer (mmap-friendly;
-    postings are never pickled), own a private cache, and the parent
-    ships each worker the shard of queries whose dominant lists it
-    should keep hot.  The pool itself is created lazily and **reused
-    across** :meth:`BatchQueryExecutor.execute` **calls**: repeated
-    batches pay the fork + index open once, and the per-worker caches
-    stay warm between batches.  Call :meth:`BatchQueryExecutor.close`
-    (or use the executor as a context manager) to release the pool.
+    ``workers>=2`` over a :class:`~repro.index.storage.DiskInvertedIndex`
+    without ``verify``: mirrors :mod:`repro.index.parallel` — workers
+    open the index from its directory once, in the pool initializer
+    (mmap-friendly; postings are never pickled), own a private cache,
+    and the parent ships each worker the shard of queries whose
+    dominant lists it should keep hot.  The pool itself is created
+    lazily and **reused across** :meth:`BatchQueryExecutor.execute`
+    **calls**: repeated batches pay the fork + index open once, and the
+    per-worker caches stay warm between batches.  Call
+    :meth:`BatchQueryExecutor.close` (or use the executor as a context
+    manager) to release the pool.
 
 All modes return matches identical to the sequential loop; batching is
 a pure execution strategy.
@@ -39,7 +34,7 @@ a pure execution strategy.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -50,37 +45,27 @@ from repro.core.search import (
 )
 from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader
-from repro.index.inverted import MemoryInvertedIndex
 from repro.index.storage import DiskInvertedIndex
 from repro.query.planner import BatchPlan, PlannedQuery, plan_batch
 from repro.query.results import BatchResult, BatchStats
 
-#: Default per-worker list-cache budget.
-DEFAULT_CACHE_BYTES = 32 * 1024 * 1024
+#: Per-worker list-cache budget.
+CACHE_BYTES = 32 * 1024 * 1024
 
 #: Fraction of the cache budget the batch pinner may occupy; the rest
 #: stays available to the ordinary LRU so long-tail lists still cache.
-DEFAULT_PIN_FRACTION = 0.5
-
-_MODES = ("auto", "sequential", "planned", "thread", "process")
+PIN_FRACTION = 0.5
 
 # Per-process state of the process-pool path (mirrors index/parallel.py).
 _WORKER_SEARCHER: NearDuplicateSearcher | None = None
 
 
-def _init_query_worker(
-    directory: str,
-    long_list_cutoff: int | None,
-    cache_bytes: int,
-    kernel: str,
-) -> None:
+def _init_query_worker(directory: str, long_list_cutoff: int | None) -> None:
     """Open the on-disk index once per worker process."""
     global _WORKER_SEARCHER
     index = DiskInvertedIndex(directory)
-    reader = CachedIndexReader(index, capacity_bytes=cache_bytes)
-    _WORKER_SEARCHER = NearDuplicateSearcher(
-        reader, long_list_cutoff=long_list_cutoff, kernel=kernel
-    )
+    reader = CachedIndexReader(index, capacity_bytes=CACHE_BYTES)
+    _WORKER_SEARCHER = NearDuplicateSearcher(reader, long_list_cutoff=long_list_cutoff)
 
 
 def _run_shard(
@@ -169,20 +154,13 @@ class BatchQueryExecutor:
         The configured :class:`~repro.core.search.NearDuplicateSearcher`
         (its ``long_list_cutoff`` and ``corpus`` carry over to workers).
     workers:
-        ``0`` = the sequential reference loop; ``1`` = planned
-        single-threaded execution; ``>= 2`` = sharded thread or process
-        pool (chosen from the index type unless ``mode`` forces one).
+        ``0`` = the sequential reference loop; ``>= 2`` = a process
+        pool over an on-disk index, otherwise planned single-threaded
+        execution.
     batch_size:
         Optional chunking: queries are planned and executed
         ``batch_size`` at a time (bounds sketch/pin memory for very
         large sweeps; dedup then only applies within a chunk).
-    mode:
-        ``auto`` (default) or an explicit strategy; incompatible
-        requests (e.g. ``process`` over an in-memory index) degrade to
-        ``planned``.
-    cache_bytes / pin_fraction:
-        Per-worker list-cache budget and the fraction of it the batch
-        pinner may fill.
     """
 
     def __init__(
@@ -191,9 +169,6 @@ class BatchQueryExecutor:
         *,
         workers: int = 0,
         batch_size: int | None = None,
-        mode: str = "auto",
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
-        pin_fraction: float = DEFAULT_PIN_FRACTION,
     ) -> None:
         if workers < 0:
             raise InvalidParameterError(f"workers must be >= 0, got {workers}")
@@ -201,20 +176,9 @@ class BatchQueryExecutor:
             raise InvalidParameterError(
                 f"batch_size must be >= 1 or None, got {batch_size}"
             )
-        if mode not in _MODES:
-            raise InvalidParameterError(
-                f"mode must be one of {_MODES}, got {mode!r}"
-            )
-        if cache_bytes <= 0:
-            raise InvalidParameterError("cache_bytes must be positive")
-        if not 0.0 <= pin_fraction <= 1.0:
-            raise InvalidParameterError("pin_fraction must be in [0, 1]")
         self.searcher = searcher
         self.workers = int(workers)
         self.batch_size = batch_size
-        self.mode = mode
-        self.cache_bytes = int(cache_bytes)
-        self.pin_fraction = float(pin_fraction)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_key: tuple | None = None
         self._planned: NearDuplicateSearcher | None = None
@@ -305,15 +269,10 @@ class BatchQueryExecutor:
         batched strategy), so ``workers=0`` executes as ``planned``.
         """
         begin = time.perf_counter()
-        mode = self._resolve_mode(verify)
-        if mode == "sequential":
-            mode = "planned"
-        shard_count = (
-            min(self.workers, len(plan.entries))
-            if mode in ("thread", "process")
-            else 1
-        )
-        shards = plan.shards(max(shard_count, 1))
+        shard_count = 1
+        if self._resolve_mode(verify) == "process":
+            shard_count = max(min(self.workers, len(plan.entries)), 1)
+        shards = plan.shards(shard_count)
         shard_jobs = [
             (
                 [(entry.position, entry.query) for entry in shard],
@@ -321,11 +280,8 @@ class BatchQueryExecutor:
             )
             for shard in shards
         ]
-        if mode == "thread" and len(shards) >= 2:
-            outcomes = self._run_threads(
-                shard_jobs, theta, first_match_only, verify
-            )
-        elif mode == "process" and len(shards) >= 2:
+        if len(shards) >= 2:
+            mode = "process"
             outcomes = self._run_processes(shard_jobs, theta, first_match_only)
         else:
             mode = "planned"
@@ -333,7 +289,9 @@ class BatchQueryExecutor:
                 shard_jobs, theta, first_match_only, verify
             )
         batch = self._collect(plan, outcomes, mode)
-        batch.stats.workers = self.workers
+        # The shards that ran, not the workers asked for: a batch that
+        # falls back to ``planned`` ran on one thread.
+        batch.stats.workers = max(len(shards), 1)
         batch.stats.total_seconds = time.perf_counter() - begin
         return batch
 
@@ -362,27 +320,17 @@ class BatchQueryExecutor:
         return batch
 
     def _resolve_mode(self, verify: bool) -> str:
-        if self.workers == 0 or self.mode == "sequential":
+        if self.workers == 0:
             return "sequential"
-        requested = self.mode
-        base = self._base_index()
-        if requested == "auto":
-            if self.workers < 2:
-                return "planned"
-            if isinstance(base, MemoryInvertedIndex):
-                return "thread"
-            if isinstance(base, DiskInvertedIndex) and not verify:
-                return "process"
-            return "planned"
-        if requested == "thread" and not isinstance(base, MemoryInvertedIndex):
-            return "planned"
-        if requested == "process" and (
-            not isinstance(base, DiskInvertedIndex) or verify
+        if (
+            self.workers >= 2
+            and isinstance(self._base_index(), DiskInvertedIndex)
+            and not verify
         ):
             # Process workers re-open the index by path and have no
             # corpus for exact verification.
-            return "planned"
-        return requested
+            return "process"
+        return "planned"
 
     def _base_index(self):
         index = self.searcher.index
@@ -394,7 +342,7 @@ class BatchQueryExecutor:
         self, shard: list[PlannedQuery], plan: BatchPlan
     ) -> list[tuple[int, int]]:
         """Shared lists this shard should pin, within the pin budget."""
-        budget = int(self.cache_bytes * self.pin_fraction)
+        budget = int(CACHE_BYTES * PIN_FRACTION)
         wanted = {key for entry in shard for key in entry.short_keys}
         keys: list[tuple[int, int]] = []
         used = 0
@@ -464,39 +412,11 @@ class BatchQueryExecutor:
             return self.searcher
         if self._planned is None or self._planned.index.inner is not index:
             self._planned = NearDuplicateSearcher(
-                CachedIndexReader(index, capacity_bytes=self.cache_bytes),
+                CachedIndexReader(index, capacity_bytes=CACHE_BYTES),
                 long_list_cutoff=self.searcher.long_list_cutoff,
                 corpus=self.searcher.corpus,
-                kernel=self.searcher.kernel,
             )
         return self._planned
-
-    def _run_threads(
-        self,
-        shard_jobs: list[tuple[list[tuple[int, np.ndarray]], list[tuple[int, int]]]],
-        theta: float,
-        first_match_only: bool,
-        verify: bool,
-    ) -> list[dict]:
-        base = self._base_index()
-
-        def run(job):
-            shard, pin_keys = job
-            reader = CachedIndexReader(
-                base.view(), capacity_bytes=self.cache_bytes
-            )
-            local = NearDuplicateSearcher(
-                reader,
-                long_list_cutoff=self.searcher.long_list_cutoff,
-                corpus=self.searcher.corpus,
-                kernel=self.searcher.kernel,
-            )
-            return _run_shard(
-                local, shard, theta, first_match_only, verify, pin_keys
-            )
-
-        with ThreadPoolExecutor(max_workers=len(shard_jobs)) as pool:
-            return list(pool.map(run, shard_jobs))
 
     def _run_processes(
         self,
@@ -520,12 +440,7 @@ class BatchQueryExecutor:
     def _process_pool(self, base: DiskInvertedIndex) -> ProcessPoolExecutor:
         """The persistent worker pool, (re)created only when the index
         directory or searcher configuration changes."""
-        initargs = (
-            str(base.directory),
-            self.searcher.long_list_cutoff,
-            self.cache_bytes,
-            self.searcher.kernel,
-        )
+        initargs = (str(base.directory), self.searcher.long_list_cutoff)
         key = (*initargs, self.workers)
         if self._pool is None or self._pool_key != key:
             self.close()

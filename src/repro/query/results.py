@@ -104,29 +104,17 @@ class BatchStats:
         self.cpu_seconds += stats.cpu_seconds
 
     def merge(self, other: "BatchStats") -> None:
-        """Fold another chunk's stats in (chunked ``batch_size`` runs)."""
-        self.queries += other.queries
-        self.unique_queries += other.unique_queries
-        self.lists_referenced += other.lists_referenced
-        self.distinct_lists += other.distinct_lists
-        self.lists_pinned += other.lists_pinned
-        self.plan_seconds += other.plan_seconds
-        self.execute_seconds += other.execute_seconds
-        self.total_seconds += other.total_seconds
-        self.worker_busy_seconds += other.worker_busy_seconds
-        self.io_bytes += other.io_bytes
-        self.io_calls += other.io_calls
-        self.io_seconds += other.io_seconds
-        self.cpu_seconds += other.cpu_seconds
-        self.lists_loaded += other.lists_loaded
-        self.point_reads += other.point_reads
-        self.candidates += other.candidates
-        self.texts_matched += other.texts_matched
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_evictions += other.cache_evictions
-        self.cache_admission_rejections += other.cache_admission_rejections
-        self.cache_singleflight_waits += other.cache_singleflight_waits
+        """Fold another chunk's stats in (chunked ``batch_size`` runs).
+
+        Every counter and time is summed by walking the dataclass
+        fields, so a counter added later cannot be silently dropped;
+        only ``workers`` (the widest chunk) and ``mode`` are not sums.
+        """
+        for spec in dataclasses.fields(self):
+            if spec.name not in ("mode", "workers"):
+                setattr(
+                    self, spec.name, getattr(self, spec.name) + getattr(other, spec.name)
+                )
         self.workers = max(self.workers, other.workers)
         if self.mode != other.mode:
             self.mode = other.mode if self.mode == "sequential" else self.mode

@@ -1,11 +1,13 @@
 """Tests for the batch query executor (`repro.query`).
 
 The contract under test: batching is a *pure execution strategy* — for
-every worker count and mode, matches are identical to the sequential
-per-query loop.
+every worker count and index type, matches are identical to the
+sequential per-query loop.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -56,6 +58,18 @@ def setup():
 
 
 @pytest.fixture(scope="module")
+def backends(setup, tmp_path_factory):
+    """The same index in memory, on disk raw and on disk packed."""
+    _, index, _ = setup
+    readers = {"memory": index}
+    for codec in ("raw", "packed"):
+        directory = tmp_path_factory.mktemp(f"batch-{codec}")
+        write_index(index, directory, codec=codec)
+        readers[f"disk-{codec}"] = DiskInvertedIndex(directory)
+    return readers
+
+
+@pytest.fixture(scope="module")
 def batch_queries(setup):
     corpus, _, _ = setup
     rng = np.random.default_rng(0)
@@ -67,6 +81,30 @@ def batch_queries(setup):
         rng.integers(0, 1024, size=40).astype(np.uint32) for _ in range(4)
     ]
     return queries
+
+
+def resolved_mode(workers: int, backend: str, verify: bool) -> str:
+    """The strategy the executor must pick for one configuration."""
+    if workers == 0:
+        return "sequential"
+    if workers >= 2 and backend.startswith("disk") and not verify:
+        return "process"
+    return "planned"
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("backend", ["memory", "disk-raw", "disk-packed"])
+@pytest.mark.parametrize("workers", [0, 1, 2, 4])
+def test_every_setting_equals_sequential_loop(
+    setup, backends, batch_queries, workers, backend, verify
+):
+    corpus, _, _ = setup
+    searcher = NearDuplicateSearcher(backends[backend], corpus=corpus)
+    expected = [searcher.search(query, 0.8, verify=verify) for query in batch_queries]
+    with BatchQueryExecutor(searcher, workers=workers) as executor:
+        batch = executor.execute(batch_queries, 0.8, verify=verify)
+    assert_same_results(expected, batch.results)
+    assert batch.stats.mode == resolved_mode(workers, backend, verify)
 
 
 class TestEquivalence:
@@ -150,6 +188,7 @@ class TestProcessMode:
             batch_queries, 0.8
         )
         assert batch.stats.mode == "process"
+        assert batch.stats.workers == 2
         assert_same_results(sequential.results, batch.results)
 
     def test_verify_falls_back_to_planned(self, setup, batch_queries, tmp_path):
@@ -161,6 +200,9 @@ class TestProcessMode:
             batch_queries, 0.8, verify=True
         )
         assert batch.stats.mode == "planned"
+        # The fallback ran on one thread, whatever ``workers`` asked for.
+        assert batch.stats.workers == 1
+        assert batch.stats.worker_utilization == pytest.approx(1.0)
 
 
 class TestPlanner:
@@ -217,7 +259,7 @@ class TestBatchStats:
             batch_queries, 0.8
         )
         text = batch.stats.format()
-        assert "queries" in text and "mode=thread" in text
+        assert "queries" in text and "mode=planned" in text
         assert str(batch.stats) == text
 
     def test_merge(self):
@@ -225,6 +267,27 @@ class TestBatchStats:
         b = BatchStats(queries=2, unique_queries=2, io_bytes=50, mode="planned")
         a.merge(b)
         assert a.queries == 6 and a.unique_queries == 5 and a.io_bytes == 150
+        # Every counter and time is summed, none dropped.
+        summed = [
+            spec.name
+            for spec in dataclasses.fields(BatchStats)
+            if spec.name not in ("mode", "workers")
+        ]
+        a = BatchStats(
+            mode="sequential",
+            workers=2,
+            **{name: slot + 1 for slot, name in enumerate(summed)},
+        )
+        b = BatchStats(
+            mode="process",
+            workers=1,
+            **{name: 100 * (slot + 1) for slot, name in enumerate(summed)},
+        )
+        a.merge(b)
+        for slot, name in enumerate(summed):
+            assert getattr(a, name) == 101 * (slot + 1), name
+        assert a.workers == 2
+        assert a.mode == "process"
 
     def test_num_matched(self, setup, batch_queries):
         _, _, searcher = setup
@@ -331,27 +394,25 @@ class TestExecuteThetas:
 
 
 class TestModeResolution:
-    def test_cached_reader_is_unwrapped(self, setup, batch_queries):
-        _, index, _ = setup
-        searcher = NearDuplicateSearcher(CachedIndexReader(index))
-        batch = BatchQueryExecutor(searcher, workers=2).execute(
-            batch_queries, 0.8
-        )
-        assert batch.stats.mode == "thread"
+    def test_cached_reader_is_unwrapped(self, backends, batch_queries):
+        searcher = NearDuplicateSearcher(CachedIndexReader(backends["disk-raw"]))
+        with BatchQueryExecutor(searcher, workers=2) as executor:
+            batch = executor.execute(batch_queries, 0.8)
+        assert batch.stats.mode == "process"
 
-    def test_explicit_sequential(self, setup, batch_queries):
-        _, _, searcher = setup
-        batch = BatchQueryExecutor(
-            searcher, workers=4, mode="sequential"
-        ).execute(batch_queries, 0.8)
+    def test_explicit_sequential(self, backends, batch_queries):
+        # workers=0 is the sequential loop even where a pool would apply.
+        searcher = NearDuplicateSearcher(backends["disk-raw"])
+        batch = BatchQueryExecutor(searcher, workers=0).execute(batch_queries, 0.8)
         assert batch.stats.mode == "sequential"
 
     def test_incompatible_process_degrades(self, setup, batch_queries):
         _, _, searcher = setup  # memory index: no directory to re-open
-        batch = BatchQueryExecutor(searcher, workers=2, mode="process").execute(
+        batch = BatchQueryExecutor(searcher, workers=2).execute(
             batch_queries, 0.8
         )
         assert batch.stats.mode == "planned"
+        assert batch.stats.workers == 1
 
     def test_parameter_validation(self, setup):
         _, _, searcher = setup
@@ -359,12 +420,6 @@ class TestModeResolution:
             BatchQueryExecutor(searcher, workers=-1)
         with pytest.raises(InvalidParameterError):
             BatchQueryExecutor(searcher, batch_size=0)
-        with pytest.raises(InvalidParameterError):
-            BatchQueryExecutor(searcher, mode="gpu")
-        with pytest.raises(InvalidParameterError):
-            BatchQueryExecutor(searcher, cache_bytes=0)
-        with pytest.raises(InvalidParameterError):
-            BatchQueryExecutor(searcher, pin_fraction=1.5)
 
 
 class TestEngineFacade:

@@ -10,10 +10,10 @@ Three contracts:
 2. The batched reader methods (``sketch_list_lengths``,
    ``load_texts_windows``, ``ZoneMap.locate_many``) return exactly what
    the scalar methods return, across every reader backend.
-3. ``NearDuplicateSearcher(kernel="fused")`` produces matches identical
-   to ``kernel="reference"`` (the pre-vectorization loop), and the
-   batched long-list refinement issues no more point-read operations
-   than the per-candidate loop.
+3. ``NearDuplicateSearcher`` produces matches identical to
+   :class:`ReferenceSearcher` (the pre-vectorization per-group loop),
+   and the batched long-list refinement issues no more point-read
+   operations than the per-candidate loop.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.core.intervals import (
     fused_collision_count,
     interval_scan,
 )
-from repro.core.search import NearDuplicateSearcher, SEARCH_KERNELS
+from repro.core.search import NearDuplicateSearcher, QueryStats, TextMatch
 from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError
 from repro.index.builder import build_memory_index
@@ -197,7 +197,7 @@ def reader_variants(memory, disk, family):
     return {
         "memory": memory,
         "disk": disk,
-        "cached-memory": CachedIndexReader(memory.view()),
+        "cached-memory": CachedIndexReader(memory),
         "cached-disk": CachedIndexReader(disk),
         "union": UnionIndexReader(family, memory.t, [disk]),
     }
@@ -269,7 +269,7 @@ class TestBatchedReaders:
 
     def test_cached_reader_serves_from_hot_list(self, corpus_setup):
         data, family, memory, _ = corpus_setup
-        reader = CachedIndexReader(memory.view())
+        reader = CachedIndexReader(memory)
         sketch = family.sketch(np.asarray(data.corpus[4])[:80])
         func = int(np.argmax(reader.sketch_list_lengths(sketch)))
         minhash = int(sketch[func])
@@ -311,13 +311,69 @@ class TestZoneMapLocateMany:
 # ---------------------------------------------------------------------------
 # Searcher: fused == reference
 # ---------------------------------------------------------------------------
-class TestSearcherEquivalence:
-    def test_kernel_validated(self, corpus_setup):
-        _, _, memory, _ = corpus_setup
-        with pytest.raises(InvalidParameterError):
-            NearDuplicateSearcher(memory, kernel="turbo")
-        assert set(SEARCH_KERNELS) == {"fused", "reference"}
+class ReferenceSearcher(NearDuplicateSearcher):
+    """The searcher with its group scan replaced by the scalar loop.
 
+    One text at a time: Algorithm 4/5 over the text's short-list
+    windows, then one zone-map point read per long list for every
+    surviving candidate.  The oracle the vectorized scan must match on
+    matches, ordering and every deterministic counter.
+    """
+
+    def _scan(
+        self,
+        short_chunks: list[np.ndarray],
+        alpha_short: int,
+        beta: int,
+        sketch: np.ndarray,
+        long_funcs: set[int],
+        stats: QueryStats,
+        query: np.ndarray,
+        theta: float,
+        first_match_only: bool,
+        verify: bool,
+    ) -> list[TextMatch]:
+        merged = np.concatenate(short_chunks)
+        merged = merged[np.argsort(merged["text"], kind="stable")]
+        text_ids = merged["text"]
+        boundaries = np.flatnonzero(
+            np.concatenate(([True], text_ids[1:] != text_ids[:-1]))
+        )
+        boundaries = np.append(boundaries, merged.size)
+        matches: list[TextMatch] = []
+        for start, end in zip(boundaries[:-1], boundaries[1:]):
+            group = merged[start:end]
+            stats.groups_scanned += 1
+            if group.size < alpha_short:
+                continue
+            rectangles = collision_count(group, max(alpha_short, 1))
+            if not rectangles:
+                continue
+            stats.candidates += 1
+            text_id = int(group["text"][0])
+            if long_funcs:
+                extra = [group]
+                for func in sorted(long_funcs):
+                    fetched = self.index.load_text_windows(
+                        func, int(sketch[func]), text_id
+                    )
+                    stats.point_reads += 1
+                    if fetched.size:
+                        extra.append(fetched)
+                rectangles = collision_count(np.concatenate(extra), beta)
+            rectangles = [
+                rect for rect in rectangles if rect.clip_min_length(self.t) is not None
+            ]
+            if rectangles and verify:
+                rectangles = self._verify_rectangles(query, theta, text_id, rectangles)
+            if rectangles:
+                matches.append(TextMatch(text_id, tuple(rectangles)))
+                if first_match_only:
+                    break
+        return matches
+
+
+class TestSearcherEquivalence:
     @pytest.mark.parametrize("backend", ["memory", "disk"])
     @pytest.mark.parametrize("theta", [0.6, 0.8, 1.0])
     @pytest.mark.parametrize("first_match_only", [False, True])
@@ -326,8 +382,8 @@ class TestSearcherEquivalence:
     ):
         data, family, memory, disk = corpus_setup
         index = memory if backend == "memory" else disk
-        fused = NearDuplicateSearcher(index, kernel="fused")
-        reference = NearDuplicateSearcher(index, kernel="reference")
+        fused = NearDuplicateSearcher(index)
+        reference = ReferenceSearcher(index)
         for position in (0, 3, 17, 41):
             query = np.asarray(data.corpus[position])[:64]
             a = fused.search(query, theta, first_match_only=first_match_only)
@@ -342,12 +398,8 @@ class TestSearcherEquivalence:
 
     def test_verify_path_equivalent(self, corpus_setup):
         data, _, memory, _ = corpus_setup
-        fused = NearDuplicateSearcher(
-            memory, corpus=data.corpus, kernel="fused"
-        )
-        reference = NearDuplicateSearcher(
-            memory, corpus=data.corpus, kernel="reference"
-        )
+        fused = NearDuplicateSearcher(memory, corpus=data.corpus)
+        reference = ReferenceSearcher(memory, corpus=data.corpus)
         for position in (0, 9, 23):
             query = np.asarray(data.corpus[position])[:64]
             a = fused.search(query, 0.7, verify=True)
@@ -360,10 +412,8 @@ class TestSearcherEquivalence:
     ):
         data, _, memory, disk = corpus_setup
         index = memory if backend == "memory" else disk
-        fused = NearDuplicateSearcher(index, long_list_cutoff=1, kernel="fused")
-        reference = NearDuplicateSearcher(
-            index, long_list_cutoff=1, kernel="reference"
-        )
+        fused = NearDuplicateSearcher(index, long_list_cutoff=1)
+        reference = ReferenceSearcher(index, long_list_cutoff=1)
         saw_long = False
         for position in (0, 3, 17, 41, 60):
             query = np.asarray(data.corpus[position])[:64]

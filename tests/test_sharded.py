@@ -111,58 +111,3 @@ class TestSearch:
         result = fanout.search(np.asarray(corpus[2])[5:35], 0.6)
         ids = [m.text_id for m in result.matches]
         assert ids == sorted(ids)
-
-
-def wire(result) -> str:
-    """Canonical serialized form, for byte-identity assertions."""
-    import json
-
-    from repro.service.protocol import result_to_wire
-
-    return json.dumps(result_to_wire(result), sort_keys=True)
-
-
-class TestParallelSearch:
-    def test_workers_byte_identical_to_serial(self, sharded_setup):
-        corpus, _, _, sharded = sharded_setup
-        serial = ShardedSearcher(sharded)
-        with ShardedSearcher(sharded, workers=4) as threaded:
-            for text_id in (0, 2, 13):
-                query = np.asarray(corpus[text_id])[:30]
-                for theta in (0.6, 0.9):
-                    a = serial.search(query, theta)
-                    b = threaded.search(query, theta)
-                    assert wire(a) == wire(b)
-                    # deterministic counters merge identically too
-                    assert a.stats.lists_loaded == b.stats.lists_loaded
-                    assert a.stats.candidates == b.stats.candidates
-                    assert a.stats.texts_matched == b.stats.texts_matched
-
-    def test_search_batch_equals_sequential_searches(self, sharded_setup):
-        corpus, _, _, sharded = sharded_setup
-        queries = [np.asarray(corpus[text_id])[:30] for text_id in (0, 2, 13)]
-        with ShardedSearcher(sharded, workers=4) as threaded:
-            batched = threaded.search_batch(queries, 0.6)
-            singles = [threaded.search(query, 0.6) for query in queries]
-        assert [wire(result) for result in batched] == [
-            wire(result) for result in singles
-        ]
-
-    def test_serial_search_batch_no_pool(self, sharded_setup):
-        corpus, _, _, sharded = sharded_setup
-        queries = [np.asarray(corpus[text_id])[:30] for text_id in (2, 13)]
-        serial = ShardedSearcher(sharded)
-        assert serial._pool is None
-        batched = serial.search_batch(queries, 0.9)
-        assert [wire(r) for r in batched] == [
-            wire(serial.search(q, 0.9)) for q in queries
-        ]
-
-    def test_close_is_idempotent_and_workers_clamped(self, sharded_setup):
-        _, _, _, sharded = sharded_setup
-        searcher = ShardedSearcher(sharded, workers=100)
-        assert searcher._pool is not None
-        searcher.close()
-        searcher.close()
-        assert searcher._pool is None
-        assert ShardedSearcher(sharded, workers=0).workers == 1
