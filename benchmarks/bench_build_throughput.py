@@ -1,16 +1,15 @@
-"""Throughput benchmark: vectorized, pipelined index construction.
+"""Throughput benchmark: vectorized, streamed index construction.
 
-ISSUE 2 acceptance benchmark.  Measures the three layers of the build
-pipeline on a synthetic corpus (paper Figure 2(i)-(l) workload shape):
+Measures the build on a synthetic corpus (paper Figure 2(i)-(l)
+workload shape):
 
 * **Window generation** — tokens/sec of the k-wide vectorized generator
   (one ``(k, n)`` hash matrix, all ``k`` rows simultaneously) vs. the
   per-function monotone-stack loop, at ``k = 64``;
-* **Build drivers** — end-to-end texts/sec of the streaming in-memory
-  build and the bounded-in-flight process-pool build across a worker
-  sweep;
-* **External build** — wall seconds of the out-of-core build with and
-  without the pipelined spill writer and pass-2 worker pool.
+* **In-memory build** — end-to-end texts/sec of the streaming
+  :func:`~repro.index.builder.build_memory_index`;
+* **External build** — wall seconds and per-phase split of the
+  out-of-core :func:`~repro.index.external.build_external_index`.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_build_throughput.py [--tiny]``
 Writes ``BENCH_build_throughput.json`` next to the repository root.
@@ -35,14 +34,11 @@ from repro.core.hashing import HashFamily
 from repro.corpus.synthetic import synthweb
 from repro.index.builder import BuildStats, build_memory_index
 from repro.index.external import ExternalBuildConfig, build_external_index
-from repro.index.parallel import build_memory_index_parallel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_build_throughput.json"
 
 GENERATION_K = 64
-FULL_WORKER_SWEEP = (1, 2, 4)
-TINY_WORKER_SWEEP = (1, 2)
 
 
 def make_corpus(tiny: bool):
@@ -100,72 +96,39 @@ def bench_generation(corpus, t: int, tiny: bool) -> dict:
     }
 
 
-def bench_workers(corpus, t: int, tiny: bool) -> list[dict]:
-    """End-to-end build throughput across the worker sweep."""
+def bench_memory(corpus, t: int, tiny: bool) -> dict:
+    """End-to-end throughput of the streaming in-memory build."""
     family = HashFamily(k=16 if tiny else 32, seed=9)
-    rows = []
-    baseline_seconds = None
-    for workers in TINY_WORKER_SWEEP if tiny else FULL_WORKER_SWEEP:
-        stats = BuildStats()
-        begin = time.perf_counter()
-        if workers == 1:
-            index = build_memory_index(
-                corpus, family, t, vocab_size=4096, stats=stats
-            )
-        else:
-            index = build_memory_index_parallel(
-                corpus, family, t, vocab_size=4096, workers=workers, stats=stats
-            )
-        wall = time.perf_counter() - begin
-        if baseline_seconds is None:
-            baseline_seconds = wall
-        rows.append(
-            {
-                "workers": workers,
-                "seconds": wall,
-                "texts_per_sec": len(corpus) / wall,
-                "generation_seconds": stats.generation_seconds,
-                "merge_seconds": stats.merge_seconds,
-                "postings": int(index.num_postings),
-                "scaling_vs_1_worker": baseline_seconds / wall,
-            }
-        )
-    return rows
+    stats = BuildStats()
+    begin = time.perf_counter()
+    index = build_memory_index(corpus, family, t, vocab_size=4096, stats=stats)
+    wall = time.perf_counter() - begin
+    return {
+        "seconds": wall,
+        "texts_per_sec": len(corpus) / wall,
+        "generation_seconds": stats.generation_seconds,
+        "merge_seconds": stats.merge_seconds,
+        "postings": int(index.num_postings),
+    }
 
 
-def bench_external(corpus, t: int, tiny: bool) -> list[dict]:
-    """Out-of-core build: plain vs. pipelined spill vs. pass-2 workers."""
+def bench_external(corpus, t: int, tiny: bool) -> dict:
+    """Out-of-core build with the default configuration."""
     family = HashFamily(k=8 if tiny else 16, seed=13)
-    variants = [
-        ("sequential", ExternalBuildConfig(pipeline_spill=False)),
-        ("pipelined_spill", ExternalBuildConfig(pipeline_spill=True)),
-        (
-            "pipelined+2_workers",
-            ExternalBuildConfig(pipeline_spill=True, workers=2),
-        ),
-    ]
-    rows = []
-    for name, config in variants:
-        with tempfile.TemporaryDirectory(prefix="bench_build_ext_") as tmp:
-            begin = time.perf_counter()
-            stats = build_external_index(
-                corpus, family, t, Path(tmp) / "idx", vocab_size=4096, config=config
-            )
-            wall = time.perf_counter() - begin
-        rows.append(
-            {
-                "variant": name,
-                "workers": config.workers,
-                "pipeline_spill": config.pipeline_spill,
-                "seconds": wall,
-                "generation_seconds": stats.generation_seconds,
-                "aggregation_seconds": stats.aggregation_seconds,
-                "io_seconds": stats.io_seconds,
-                "bytes_written": stats.bytes_written,
-                "windows": stats.windows_generated,
-            }
+    with tempfile.TemporaryDirectory(prefix="bench_build_ext_") as tmp:
+        begin = time.perf_counter()
+        stats = build_external_index(
+            corpus, family, t, Path(tmp) / "idx", vocab_size=4096
         )
-    return rows
+        wall = time.perf_counter() - begin
+    return {
+        "seconds": wall,
+        "generation_seconds": stats.generation_seconds,
+        "aggregation_seconds": stats.aggregation_seconds,
+        "io_seconds": stats.io_seconds,
+        "bytes_written": stats.bytes_written,
+        "windows": stats.windows_generated,
+    }
 
 
 def main(argv=None) -> int:
@@ -187,22 +150,19 @@ def main(argv=None) -> int:
         f"speedup {generation['speedup']:.2f}x"
     )
 
-    workers = bench_workers(corpus, args.t, args.tiny)
-    print(f"{'workers':>8} {'seconds':>8} {'texts/s':>9} {'scaling':>8}")
-    for row in workers:
-        print(
-            f"{row['workers']:>8} {row['seconds']:>8.2f} "
-            f"{row['texts_per_sec']:>9.1f} {row['scaling_vs_1_worker']:>8.2f}"
-        )
+    memory = bench_memory(corpus, args.t, args.tiny)
+    print(
+        f"memory build: {memory['seconds']:.2f}s "
+        f"({memory['texts_per_sec']:.1f} texts/s)"
+    )
 
     external = bench_external(corpus, args.t, args.tiny)
-    print(f"{'variant':>20} {'seconds':>8} {'gen_s':>7} {'agg_s':>7} {'io_s':>7}")
-    for row in external:
-        print(
-            f"{row['variant']:>20} {row['seconds']:>8.2f} "
-            f"{row['generation_seconds']:>7.2f} {row['aggregation_seconds']:>7.2f} "
-            f"{row['io_seconds']:>7.2f}"
-        )
+    print(
+        f"external build: {external['seconds']:.2f}s "
+        f"(generation {external['generation_seconds']:.2f}s, "
+        f"aggregation {external['aggregation_seconds']:.2f}s, "
+        f"io {external['io_seconds']:.2f}s)"
+    )
 
     payload = {
         "benchmark": "bench_build_throughput",
@@ -210,7 +170,7 @@ def main(argv=None) -> int:
         "t": args.t,
         "corpus": {"texts": len(corpus), "tokens": int(corpus.total_tokens)},
         "generation": generation,
-        "workers": workers,
+        "memory": memory,
         "external": external,
     }
     Path(args.output).write_text(json.dumps(payload, indent=2))

@@ -65,7 +65,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         config = ExternalBuildConfig(
             batch_texts=args.batch_texts,
             memory_budget_bytes=args.memory_budget << 20,
-            workers=max(1, args.build_workers),
             codec=args.codec,
             dir_format=args.dir_format,
         )
@@ -76,7 +75,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
             family,
             args.t,
             args.out,
-            workers=max(1, args.build_workers),
             batch_texts=args.batch_texts,
             codec=args.codec,
             dir_format=args.dir_format,
@@ -547,13 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--external", action="store_true", help="out-of-core build")
     p_build.add_argument("--batch-texts", type=int, default=256)
     p_build.add_argument("--memory-budget", type=int, default=64, help="MiB per partition")
-    p_build.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        help="worker processes for window generation / partition aggregation "
-        "(1 = single process)",
-    )
     p_build.add_argument(
         "--codec",
         choices=["raw", "packed"],

@@ -34,30 +34,6 @@ from repro.index.storage import DiskInvertedIndex, write_index
 from repro.tokenizer.bpe import BPETokenizer
 
 
-def _build_index(
-    corpus: Corpus,
-    family: HashFamily,
-    t: int,
-    *,
-    vocab_size: int | None,
-    build_workers: int,
-    batch_texts: int,
-):
-    if build_workers > 1:
-        from repro.index.parallel import build_memory_index_parallel
-
-        return build_memory_index_parallel(
-            corpus,
-            family,
-            t,
-            vocab_size=vocab_size,
-            workers=build_workers,
-            batch_texts=batch_texts,
-        )
-    return build_memory_index(
-        corpus, family, t, vocab_size=vocab_size, batch_texts=batch_texts
-    )
-
 _META_FILE = "engine.meta.json"
 _FORMAT_VERSION = 1
 
@@ -124,14 +100,11 @@ class NearDupEngine:
         t: int = 25,
         vocab_size: int = 4096,
         seed: int = 0,
-        build_workers: int = 1,
         batch_texts: int = DEFAULT_BATCH_TEXTS,
         codec: str = "raw",
     ) -> "NearDupEngine":
         """Train a BPE tokenizer on ``texts``, tokenize, and index.
 
-        ``build_workers > 1`` generates the index on a process pool;
-        the result is identical to the single-process build.
         ``codec="packed"`` makes :meth:`save` write the compressed
         format v2 index payload.
         """
@@ -141,12 +114,11 @@ class NearDupEngine:
         tokenizer = BPETokenizer.train(materialized, vocab_size=vocab_size)
         corpus = InMemoryCorpus([tokenizer.encode(text) for text in materialized])
         family = HashFamily(k=k, seed=seed)
-        index = _build_index(
+        index = build_memory_index(
             corpus,
             family,
             t,
             vocab_size=tokenizer.vocab_size,
-            build_workers=build_workers,
             batch_texts=batch_texts,
         )
         return cls(corpus, index, tokenizer=tokenizer, codec=codec)
@@ -161,23 +133,15 @@ class NearDupEngine:
         vocab_size: int | None = None,
         seed: int = 0,
         tokenizer: BPETokenizer | None = None,
-        build_workers: int = 1,
         batch_texts: int = DEFAULT_BATCH_TEXTS,
         codec: str = "raw",
     ) -> "NearDupEngine":
         """Index a pre-tokenized corpus (token-id queries only, unless a
-        tokenizer is supplied).  ``build_workers > 1`` generates the
-        index on a process pool; the result is identical.
-        ``codec="packed"`` makes :meth:`save` write the compressed
-        format v2 index payload."""
+        tokenizer is supplied).  ``codec="packed"`` makes :meth:`save`
+        write the compressed format v2 index payload."""
         family = HashFamily(k=k, seed=seed)
-        index = _build_index(
-            corpus,
-            family,
-            t,
-            vocab_size=vocab_size,
-            build_workers=build_workers,
-            batch_texts=batch_texts,
+        index = build_memory_index(
+            corpus, family, t, vocab_size=vocab_size, batch_texts=batch_texts
         )
         return cls(corpus, index, tokenizer=tokenizer, codec=codec)
 

@@ -49,7 +49,6 @@ from repro.index.inverted import (
     POSTING_BYTES,
     POSTING_DTYPE,
 )
-from repro.index.parallel import build_memory_index_parallel
 from repro.index.sharded import Shard, ShardedIndex, ShardedSearcher
 from repro.index.stats import (
     IndexSummary,
@@ -116,7 +115,6 @@ __all__ = [
     "build_and_write_index",
     "build_external_index",
     "build_memory_index",
-    "build_memory_index_parallel",
     "build_zone_map",
     "cutoff_for_top_fraction",
     "estimate_cost",

@@ -29,7 +29,7 @@ from repro.core.hashing import HashFamily
 from repro.corpus.corpus import Corpus, infer_vocab_size, iter_corpus_batches
 from repro.exceptions import InvalidParameterError
 from repro.index.inverted import MemoryInvertedIndex, POSTING_BYTES, POSTING_DTYPE
-from repro.index.storage import write_index
+from repro.index.storage import _PAYLOAD_FILE, write_index
 
 logger = logging.getLogger(__name__)
 
@@ -45,12 +45,13 @@ class BuildStats:
     generation and disk I/O; builders populate both parts, plus the
     in-memory phases around them:
 
-    * ``generation_seconds`` — hashing + compact-window generation
-      (includes pool round-trips in parallel builds);
+    * ``generation_seconds`` — hashing + compact-window generation;
     * ``merge_seconds`` — sorting/grouping postings into inverted lists;
     * ``aggregation_seconds`` — the out-of-core build's pass-2 partition
       aggregation (sort + group + rewrite);
-    * ``io_seconds`` — spill and index file reads/writes.
+    * ``io_seconds`` — spill and index file reads/writes;
+    * ``bytes_written`` — bytes the build put on disk: the index
+      payload, plus the spill files of the out-of-core build.
     """
 
     windows_generated: int = 0
@@ -226,44 +227,28 @@ def build_and_write_index(
     directory: str | Path,
     *,
     vocab_size: int | None = None,
-    workers: int = 1,
     batch_texts: int = DEFAULT_BATCH_TEXTS,
     codec: str = "raw",
     dir_format: str = "sidecar",
 ) -> BuildStats:
     """Build in memory, then persist to ``directory`` (the Algorithm 1 flow).
 
-    ``workers > 1`` generates windows on a process pool
-    (:func:`~repro.index.parallel.build_memory_index_parallel`); the
-    resulting index is identical.  ``codec="packed"`` writes the
-    compressed format v2 payload.  Returns the build statistics with
-    both the generation and the write-back phases timed — the
-    quantities of Figure 2(i)–(l).
+    ``codec="packed"`` writes the compressed format v2 payload.
+    Returns the build statistics with both the generation and the
+    write-back phases timed — the quantities of Figure 2(i)–(l) — and
+    ``bytes_written`` set to the size of the payload file written.
     """
     stats = BuildStats()
-    if workers > 1:
-        from repro.index.parallel import build_memory_index_parallel
-
-        index = build_memory_index_parallel(
-            corpus,
-            family,
-            t,
-            vocab_size=vocab_size,
-            workers=workers,
-            batch_texts=batch_texts,
-            stats=stats,
-        )
-    else:
-        index = build_memory_index(
-            corpus,
-            family,
-            t,
-            vocab_size=vocab_size,
-            stats=stats,
-            batch_texts=batch_texts,
-        )
+    index = build_memory_index(
+        corpus,
+        family,
+        t,
+        vocab_size=vocab_size,
+        stats=stats,
+        batch_texts=batch_texts,
+    )
     begin = time.perf_counter()
-    write_index(index, directory, codec=codec, dir_format=dir_format)
+    directory = write_index(index, directory, codec=codec, dir_format=dir_format)
     stats.io_seconds += time.perf_counter() - begin
-    stats.bytes_written = index.nbytes
+    stats.bytes_written = (directory / _PAYLOAD_FILE).stat().st_size
     return stats

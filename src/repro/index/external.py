@@ -14,26 +14,22 @@ build proceeds in two passes over index-sized data:
    with a different hash, exactly as the paper's references [52]
    prescribe.
 
-The build is pipelined: spill I/O of pass 1 runs on a background writer
-thread so window generation of batch ``i + 1`` overlaps the disk writes
-of batch ``i`` (``pipeline_spill``), and pass-2 partitions can be
-sorted/grouped on a process pool (``workers``).  Both knobs leave the
-output byte-identical to the plain sequential build: partitions are
-appended to the index file in partition order regardless of which
-worker finished first.
+Both passes run sequentially in one process: pass 1 spills each batch
+right after generating it, and pass 2 appends the partitions to the
+index file in partition order.
 
 The result is byte-compatible with :func:`repro.index.storage.write_index`
-output (list order within the payload differs; the directory carries
-explicit offsets, so readers cannot tell the difference).
+output list by list: every inverted list is encoded to the same bytes,
+only the order of lists within the payload differs (it follows the
+partitions, so ``num_partitions`` and a re-partitioning memory budget
+change it; ``batch_texts`` does not).  The directory carries explicit
+offsets, so readers cannot tell the difference.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
-import queue
 import shutil
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,9 +64,11 @@ SPILL_DTYPE = np.dtype(
 class ExternalBuildConfig:
     """Tuning knobs of the out-of-core build.
 
-    ``workers > 1`` aggregates pass-2 partitions on a process pool;
-    ``pipeline_spill`` moves pass-1 spill writes to a background thread
-    so generation and I/O overlap.  Neither changes the output bytes.
+    ``batch_texts`` bounds the texts generated per pass-1 batch;
+    ``num_partitions`` spill files split the postings by key, and a
+    partition larger than ``memory_budget_bytes`` is re-partitioned up
+    to ``max_recursion`` times.  None of the four changes any list's
+    bytes, only where the list sits in the payload.
     ``codec="packed"`` stream-compresses every aggregated list into the
     format v2 payload during pass 2 — the raw 16-byte postings only
     ever exist in the bounded spill files.
@@ -80,8 +78,6 @@ class ExternalBuildConfig:
     num_partitions: int = 16
     memory_budget_bytes: int = 64 * 1024 * 1024
     max_recursion: int = 4
-    workers: int = 1
-    pipeline_spill: bool = True
     codec: str = "raw"
     dir_format: str = "sidecar"
 
@@ -92,8 +88,6 @@ class ExternalBuildConfig:
             raise InvalidParameterError("num_partitions must be > 1")
         if self.memory_budget_bytes < SPILL_DTYPE.itemsize:
             raise InvalidParameterError("memory budget smaller than one record")
-        if self.workers <= 0:
-            raise InvalidParameterError("workers must be positive")
         check_codec(self.codec)
         if self.dir_format not in DIR_FORMATS:
             raise InvalidParameterError(
@@ -135,60 +129,6 @@ def _spill_batch(
     return written
 
 
-class _SpillWriter:
-    """Background thread appending spill batches to the partition files.
-
-    Decouples pass-1 window generation from spill I/O: the producer
-    enqueues record batches (bounded queue, so memory stays at a few
-    batches) while this thread partitions and appends them.  The first
-    write error is re-raised on the producer thread at the next
-    ``submit`` or at ``close``; batches queued after a failure are
-    drained without writing.
-    """
-
-    _SENTINEL = None
-
-    def __init__(self, handles: list, num_partitions: int, *, queue_depth: int = 4) -> None:
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
-        self._handles = handles
-        self._num_partitions = num_partitions
-        self.bytes_written = 0
-        self.io_seconds = 0.0
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._run, name="spill-writer", daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            records = self._queue.get()
-            try:
-                if records is self._SENTINEL:
-                    return
-                if self._error is not None:
-                    continue  # drain without writing after a failure
-                begin = time.perf_counter()
-                self.bytes_written += _spill_batch(
-                    records, self._handles, self._num_partitions, salt=0
-                )
-                self.io_seconds += time.perf_counter() - begin
-            except BaseException as exc:  # propagate to the producer
-                self._error = exc
-            finally:
-                self._queue.task_done()
-
-    def submit(self, records: np.ndarray) -> None:
-        if self._error is not None:
-            raise self._error
-        self._queue.put(records)
-
-    def close(self) -> None:
-        """Flush the queue, stop the thread, re-raise any write error."""
-        self._queue.put(self._SENTINEL)
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-
-
 def _flush_partition(
     records: np.ndarray,
     emit: Callable[[int, int, np.ndarray], None],
@@ -199,8 +139,7 @@ def _flush_partition(
     """Sort a partition, group it into lists, and emit them in key order.
 
     ``emit(func, minhash, postings)`` receives each grouped inverted
-    list; the sequential build passes the index writer's ``write_list``
-    directly, the parallel build collects into a buffer.  Recursively
+    list; the build passes the index writer's ``write_list``.  Recursively
     re-partitions when the data exceeds the memory budget and the
     recursion limit allows; sub-partition spill files are only created
     for non-empty sub-partitions, and the scratch directory is removed
@@ -249,51 +188,6 @@ def _flush_partition(
         emit(int(group["func"][0]), int(group["minhash"][0]), postings)
 
 
-def _aggregate_partition(
-    path_str: str,
-    config_payload: dict,
-    workdir_str: str,
-) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    """Pass-2 worker: sort/group one partition into a sorted postings file.
-
-    Returns ``(sorted_path, funcs, minhashes, counts)``; the parent
-    slices the sorted file by ``counts`` and appends the lists to the
-    index in partition order, so the output stays byte-identical to the
-    sequential aggregation.
-    """
-    config = ExternalBuildConfig(**config_payload)
-    path = Path(path_str)
-    records = np.fromfile(path, dtype=SPILL_DTYPE)
-    path.unlink()
-    funcs: list[int] = []
-    minhashes: list[int] = []
-    chunks: list[np.ndarray] = []
-
-    def emit(func: int, minhash: int, postings: np.ndarray) -> None:
-        funcs.append(func)
-        minhashes.append(minhash)
-        chunks.append(postings)
-
-    if records.size:
-        workdir = Path(workdir_str)
-        workdir.mkdir(exist_ok=True)
-        try:
-            _flush_partition(records, emit, config, workdir, depth=0)
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
-    sorted_path = path.with_suffix(".sorted")
-    merged = (
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=POSTING_DTYPE)
-    )
-    merged.tofile(sorted_path)
-    return (
-        str(sorted_path),
-        np.asarray(funcs, dtype=np.uint32),
-        np.asarray(minhashes, dtype=np.uint32),
-        np.asarray([chunk.size for chunk in chunks], dtype=np.int64),
-    )
-
-
 def build_external_index(
     corpus,
     family: HashFamily,
@@ -336,9 +230,6 @@ def build_external_index(
             spill_dir / f"part{pid}.spill" for pid in range(config.num_partitions)
         ]
         handles = [open(path, "wb") for path in spill_paths]
-        spill_writer = (
-            _SpillWriter(handles, config.num_partitions) if config.pipeline_spill else None
-        )
         try:
             for batch in iter_corpus_batches(corpus, config.batch_texts):
                 begin = time.perf_counter()
@@ -360,24 +251,14 @@ def build_external_index(
                     continue
                 batch_records = np.concatenate(chunks)
                 stats.windows_generated += int(batch_records.size)
-                if spill_writer is not None:
-                    spill_writer.submit(batch_records)
-                else:
-                    begin = time.perf_counter()
-                    stats.bytes_written += _spill_batch(
-                        batch_records, handles, config.num_partitions, salt=0
-                    )
-                    stats.io_seconds += time.perf_counter() - begin
+                begin = time.perf_counter()
+                stats.bytes_written += _spill_batch(
+                    batch_records, handles, config.num_partitions, salt=0
+                )
+                stats.io_seconds += time.perf_counter() - begin
         finally:
-            try:
-                if spill_writer is not None:
-                    spill_writer.close()
-            finally:
-                if spill_writer is not None:
-                    stats.bytes_written += spill_writer.bytes_written
-                    stats.io_seconds += spill_writer.io_seconds
-                for handle in handles:
-                    handle.close()
+            for handle in handles:
+                handle.close()
 
         begin = time.perf_counter()
         nonempty = []
@@ -392,44 +273,14 @@ def build_external_index(
         writer = _IndexWriter(
             directory, family, t, codec=config.codec, dir_format=config.dir_format
         )
-        if config.workers > 1 and nonempty:
-            from concurrent.futures import ProcessPoolExecutor
-
-            payload = dataclasses.asdict(config)
+        for path in nonempty:
             begin = time.perf_counter()
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                futures = [
-                    pool.submit(
-                        _aggregate_partition,
-                        str(path),
-                        payload,
-                        str(spill_dir / f"agg{pid}"),
-                    )
-                    for pid, path in enumerate(nonempty)
-                ]
-                # Collect in partition order so the index file layout is
-                # identical to the sequential aggregation.
-                for future in futures:
-                    sorted_path, funcs, minhashes, counts = future.result()
-                    merged = np.fromfile(sorted_path, dtype=POSTING_DTYPE)
-                    Path(sorted_path).unlink()
-                    offsets = np.concatenate(([0], np.cumsum(counts)))
-                    for i in range(len(counts)):
-                        writer.write_list(
-                            int(funcs[i]),
-                            int(minhashes[i]),
-                            merged[offsets[i] : offsets[i + 1]],
-                        )
+            records = np.fromfile(path, dtype=SPILL_DTYPE)
+            path.unlink()
+            stats.io_seconds += time.perf_counter() - begin
+            begin = time.perf_counter()
+            _flush_partition(records, writer.write_list, config, spill_dir, depth=0)
             stats.aggregation_seconds += time.perf_counter() - begin
-        else:
-            for path in nonempty:
-                begin = time.perf_counter()
-                records = np.fromfile(path, dtype=SPILL_DTYPE)
-                path.unlink()
-                stats.io_seconds += time.perf_counter() - begin
-                begin = time.perf_counter()
-                _flush_partition(records, writer.write_list, config, spill_dir, depth=0)
-                stats.aggregation_seconds += time.perf_counter() - begin
         writer.close()
         stats.io_seconds += writer.io_seconds
         stats.bytes_written += writer.bytes_written

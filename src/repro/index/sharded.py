@@ -96,16 +96,14 @@ class ShardedIndex:
         *,
         num_shards: int = 4,
         vocab_size: int | None = None,
-        workers: int = 1,
         batch_texts: int = DEFAULT_BATCH_TEXTS,
         directory: str | None = None,
         codec: str = "raw",
     ) -> "ShardedIndex":
         """Partition ``corpus`` into ``num_shards`` ranges and index each.
 
-        ``workers > 1`` builds each shard on a process pool
-        (:func:`~repro.index.parallel.build_memory_index_parallel`); the
-        per-shard indexes are identical either way.  With ``directory``
+        Shards are built one after another with
+        :func:`~repro.index.builder.build_memory_index`.  With ``directory``
         set, every shard is persisted to ``directory/shard<i>`` using
         ``codec`` (``raw`` or ``packed``) and re-opened memory-mapped,
         so the sharded index serves from disk instead of RAM.
@@ -116,22 +114,6 @@ class ShardedIndex:
         total = len(corpus)
         if vocab_size is None:
             vocab_size = infer_vocab_size(corpus)
-
-        def build_shard(local: Corpus):
-            if workers > 1:
-                from repro.index.parallel import build_memory_index_parallel
-
-                return build_memory_index_parallel(
-                    local,
-                    family,
-                    t,
-                    vocab_size=vocab_size,
-                    workers=workers,
-                    batch_texts=batch_texts,
-                )
-            return build_memory_index(
-                local, family, t, vocab_size=vocab_size, batch_texts=batch_texts
-            )
 
         def materialize(index, shard_id: int):
             if directory is None:
@@ -147,11 +129,14 @@ class ShardedIndex:
             local = InMemoryCorpus(
                 [np.asarray(corpus[start + offset]) for offset in range(count)]
             )
+            index = build_memory_index(
+                local, family, t, vocab_size=vocab_size, batch_texts=batch_texts
+            )
             shards.append(
                 Shard(
                     first_text=start,
                     count=count,
-                    index=materialize(build_shard(local), len(shards)),
+                    index=materialize(index, len(shards)),
                 )
             )
         return cls(shards, family, t)

@@ -16,11 +16,10 @@ count and the index type:
     :meth:`BatchQueryExecutor.execute` calls and chunks.
 ``process``
     ``workers>=2`` over a :class:`~repro.index.storage.DiskInvertedIndex`
-    without ``verify``: mirrors :mod:`repro.index.parallel` — workers
-    open the index from its directory once, in the pool initializer
-    (mmap-friendly; postings are never pickled), own a private cache,
-    and the parent ships each worker the shard of queries whose
-    dominant lists it should keep hot.  The pool itself is created
+    without ``verify``: workers open the index from its directory once,
+    in the pool initializer (mmap-friendly; postings are never
+    pickled), own a private cache, and the parent ships each worker the
+    shard of queries whose dominant lists it should keep hot.  The pool itself is created
     lazily and **reused across** :meth:`BatchQueryExecutor.execute`
     **calls**: repeated batches pay the fork + index open once, and the
     per-worker caches stay warm between batches.  Call
@@ -56,7 +55,7 @@ CACHE_BYTES = 32 * 1024 * 1024
 #: stays available to the ordinary LRU so long-tail lists still cache.
 PIN_FRACTION = 0.5
 
-# Per-process state of the process-pool path (mirrors index/parallel.py).
+# Per-process state of the process-pool path.
 _WORKER_SEARCHER: NearDuplicateSearcher | None = None
 
 

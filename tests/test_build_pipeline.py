@@ -1,4 +1,4 @@
-"""Tests for the vectorized, pipelined build pipeline (ISSUE 2).
+"""Tests for the vectorized, streamed build pipeline.
 
 Covers the k-wide window generator against the per-function oracles,
 equivalence of every build driver with the sequential reference, the
@@ -36,9 +36,8 @@ from repro.index.external import (
     _flush_partition,
     build_external_index,
 )
-from repro.index.parallel import build_memory_index_parallel
-from repro.index.sharded import ShardedIndex
-from repro.index.storage import _PAYLOAD_FILE, DiskInvertedIndex
+from repro.index.inverted import POSTING_BYTES
+from repro.index.storage import _PAYLOAD_FILE, DiskInvertedIndex, write_index
 
 hash_matrices = st.integers(1, 6).flatmap(
     lambda k: st.lists(
@@ -61,6 +60,29 @@ def indexes_equal(a, b) -> bool:
             if not np.array_equal(lists_a[key], lists_b[key]):
                 return False
     return True
+
+
+def payload_lists(directory) -> dict[tuple[int, int], bytes]:
+    """Payload bytes of every inverted list, keyed by ``(func, minhash)``.
+
+    Lists are contiguous in the payload, so each one spans from its
+    offset to the next list's offset in file order.
+    """
+    index = DiskInvertedIndex(directory)
+    scale = 1 if index.codec == "packed" else POSTING_BYTES
+    payload = (directory / _PAYLOAD_FILE).read_bytes()
+    keys = [
+        (func, int(key))
+        for func in range(index.family.k)
+        for key in index.list_keys(func)
+    ]
+    starts = np.concatenate(index._offsets).astype(np.int64) * scale
+    ends = np.empty_like(starts)
+    order = np.argsort(starts)
+    ends[order] = np.append(starts[order][1:], len(payload))
+    return {
+        key: payload[start:end] for key, start, end in zip(keys, starts, ends)
+    }
 
 
 class TestKWideGenerator:
@@ -125,56 +147,38 @@ class TestBuildEquivalence:
             index = build_memory_index(corpus, family, 10, batch_texts=batch_texts)
             assert indexes_equal(reference, index)
 
-    def test_parallel_any_geometry(self, corpus, reference):
-        family = HashFamily(k=4, seed=11)
-        for workers, batch_texts, max_inflight in ((2, 5, 2), (3, 17, None)):
-            index = build_memory_index_parallel(
-                corpus,
-                family,
-                10,
-                workers=workers,
-                batch_texts=batch_texts,
-                max_inflight=max_inflight,
-            )
-            assert indexes_equal(reference, index)
-
-    def test_sharded_with_workers(self, corpus, reference):
-        family = HashFamily(k=4, seed=11)
-        plain = ShardedIndex.build(corpus, family, 10, num_shards=3)
-        pooled = ShardedIndex.build(
-            corpus, family, 10, num_shards=3, workers=2, batch_texts=9
-        )
-        assert plain.num_postings == pooled.num_postings == reference.num_postings
-        for a, b in zip(plain.shards, pooled.shards):
-            assert indexes_equal(a.index, b.index)
-
     def test_external_variants_byte_identical(self, corpus, reference, tmp_path):
-        """Pipelined spill and pass-2 workers must not change a single
-        payload byte relative to the plain sequential aggregation."""
+        """Every list the external build writes is byte-identical to the
+        one ``write_index`` writes for the memory build, for both codecs,
+        at any ``batch_texts`` and under a re-partitioning memory budget;
+        the payload file is identical across ``batch_texts``."""
         family = HashFamily(k=4, seed=11)
-        payloads = []
-        for name, config in (
-            ("plain", ExternalBuildConfig(batch_texts=9, pipeline_spill=False)),
-            ("piped", ExternalBuildConfig(batch_texts=9, pipeline_spill=True)),
-            (
-                "pooled",
-                ExternalBuildConfig(batch_texts=9, pipeline_spill=True, workers=2),
-            ),
-        ):
-            directory = tmp_path / name
-            build_external_index(corpus, family, 10, directory, config=config)
-            assert indexes_equal(
-                reference, DiskInvertedIndex(directory).to_memory()
+        for codec in ("raw", "packed"):
+            expected = payload_lists(
+                write_index(reference, tmp_path / f"memory_{codec}", codec=codec)
             )
-            payloads.append((directory / _PAYLOAD_FILE).read_bytes())
-        assert payloads[0] == payloads[1] == payloads[2]
+            payloads = []
+            for name, config in (
+                ("b1", ExternalBuildConfig(batch_texts=1, codec=codec)),
+                ("b9", ExternalBuildConfig(batch_texts=9, codec=codec)),
+                ("b1000", ExternalBuildConfig(batch_texts=1000, codec=codec)),
+                (
+                    "recursive",
+                    ExternalBuildConfig(
+                        batch_texts=9, memory_budget_bytes=256, codec=codec
+                    ),
+                ),
+            ):
+                directory = tmp_path / f"{name}_{codec}"
+                build_external_index(corpus, family, 10, directory, config=config)
+                assert payload_lists(directory) == expected, (codec, name)
+                payloads.append((directory / _PAYLOAD_FILE).read_bytes())
+            assert payloads[0] == payloads[1] == payloads[2], codec
 
     def test_stats_phases_populated(self, corpus, tmp_path):
         family = HashFamily(k=4, seed=11)
         mem_stats = BuildStats()
-        build_memory_index_parallel(
-            corpus, family, 10, workers=2, batch_texts=16, stats=mem_stats
-        )
+        build_memory_index(corpus, family, 10, batch_texts=16, stats=mem_stats)
         assert mem_stats.texts_indexed == len(corpus)
         assert mem_stats.batches == 4
         assert mem_stats.generation_seconds > 0

@@ -115,3 +115,11 @@ class TestBuildAndWrite:
         assert stats.io_seconds > 0
         assert stats.bytes_written == disk.nbytes
         assert stats.total_seconds >= stats.generation_seconds
+
+    def test_packed_reports_bytes_on_disk(self, family, tiny_corpus, tmp_path):
+        """A packed build reports the compressed payload it wrote, not
+        the raw 16-byte-per-posting size of the in-memory index."""
+        out = tmp_path / "packed"
+        stats = build_and_write_index(tiny_corpus, family, 5, out, codec="packed")
+        assert stats.bytes_written == (out / "index.postings.bin").stat().st_size
+        assert stats.bytes_written < stats.index_bytes
