@@ -12,6 +12,10 @@ corpus:
   opened on-disk reader per codec (matches are asserted identical
   while measuring); the bet is that fewer bytes through the memmap
   more than pay for the unpack kernel.
+* **Encode throughput** — every list of the index encoded one
+  :func:`~repro.index.codec.encode_list` call at a time vs. one
+  grouped :func:`~repro.index.codec.encode_lists` call over all of
+  them; the two outputs are asserted byte-identical.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_posting_codec.py [--quick]``
 Writes ``BENCH_posting_codec.json`` next to the repository root.
@@ -32,6 +36,7 @@ from repro.core.hashing import HashFamily
 from repro.core.search import NearDuplicateSearcher
 from repro.corpus.synthetic import synthweb
 from repro.index.builder import build_memory_index
+from repro.index.codec import encode_list, encode_lists
 from repro.index.storage import DiskInvertedIndex, write_index
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +111,31 @@ def bench_decode(base: Path, num_postings: int, repeats: int) -> dict:
     return out
 
 
+def bench_encode(index, repeats: int) -> dict:
+    """Per-list ``encode_list`` vs. one grouped ``encode_lists`` call."""
+    _, _, postings, bounds = index.all_lists()
+    lists = [postings[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    per_list = [encode_list(part) for part in lists]
+    grouped = encode_lists(postings, bounds)
+    for name in ("data", "widths", "first_texts"):
+        joined = np.concatenate([getattr(encoded, name) for encoded in per_list])
+        assert np.array_equal(getattr(grouped, name), joined), (
+            f"encode_lists {name} differs from per-list encode_list"
+        )
+    out = {"lists": len(lists)}
+    for name, run in (
+        ("encode_list", lambda: [encode_list(part) for part in lists]),
+        ("encode_lists", lambda: encode_lists(postings, bounds)),
+    ):
+        seconds = min(_timed(run) for _ in range(repeats))
+        out[name] = {
+            "seconds": seconds,
+            "mpostings_per_s": postings.size / seconds / 1e6,
+        }
+    out["speedup"] = out["encode_list"]["seconds"] / out["encode_lists"]["seconds"]
+    return out
+
+
 def _timed(fn) -> float:
     begin = time.perf_counter()
     fn()
@@ -167,6 +197,7 @@ def main(argv=None) -> int:
         cold = bench_cold_queries(
             data, base, args.theta, 20 if args.quick else 100
         )
+    encode = bench_encode(index, repeats=2 if args.quick else 5)
 
     print(
         f"size: raw {size['raw']['payload_bytes']} B "
@@ -181,6 +212,12 @@ def main(argv=None) -> int:
         f"({decode['decode_slowdown']:.2f}x slower)"
     )
     print(
+        f"encode ({encode['lists']} lists): per-list "
+        f"{encode['encode_list']['mpostings_per_s']:.2f} Mp/s, grouped "
+        f"{encode['encode_lists']['mpostings_per_s']:.2f} Mp/s "
+        f"({encode['speedup']:.1f}x, byte-identical)"
+    )
+    print(
         f"cold query p50: raw {cold['raw']['p50_ms']:.2f} ms, "
         f"packed {cold['packed']['p50_ms']:.2f} ms "
         f"(packed/raw {cold['p50_ratio_packed_vs_raw']:.2f})"
@@ -193,6 +230,7 @@ def main(argv=None) -> int:
         "num_postings": index.num_postings,
         "size": size,
         "decode": decode,
+        "encode": encode,
         "cold_query": cold,
     }
     Path(args.output).write_text(json.dumps(payload, indent=2))

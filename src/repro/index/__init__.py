@@ -12,9 +12,11 @@ from repro.index.codec import (
     BLOCK_POSTINGS,
     CODECS,
     EncodedList,
+    EncodedLists,
     check_codec,
     decode_blocks,
     encode_list,
+    encode_lists,
     pack_bits,
     unpack_bits_at,
 )
@@ -73,9 +75,11 @@ __all__ = [
     "CacheStats",
     "CachedIndexReader",
     "EncodedList",
+    "EncodedLists",
     "check_codec",
     "decode_blocks",
     "encode_list",
+    "encode_lists",
     "pack_bits",
     "unpack_bits_at",
     "DEFAULT_BATCH_TEXTS",

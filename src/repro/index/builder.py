@@ -48,8 +48,12 @@ class BuildStats:
     * ``generation_seconds`` — hashing + compact-window generation;
     * ``merge_seconds`` — sorting/grouping postings into inverted lists;
     * ``aggregation_seconds`` — the out-of-core build's pass-2 partition
-      aggregation (sort + group + rewrite);
-    * ``io_seconds`` — spill and index file reads/writes;
+      aggregation (sort + group + encode), without the index payload
+      writes that run inside it;
+    * ``io_seconds`` — spill and index file reads/writes.
+
+    The phases are disjoint, so ``total_seconds`` never exceeds the
+    build's wall time.
     * ``bytes_written`` — bytes the build put on disk: the index
       payload, plus the spill files of the out-of-core build.
     """

@@ -21,12 +21,14 @@ directory, so random access stays block-aligned: zone maps resolve a
 point lookup to a posting range, the reader rounds it to blocks and
 decodes only those.
 
-Both kernels are pure numpy and vectorized across postings *and*
-blocks (grouped by bit width): packing expands values to a bit matrix
-(``unpackbits``/``packbits``), unpacking gathers 8-byte windows and
-reduces them with shifts/ors — no Python per-posting loops anywhere.
-The scalar ``reference_*`` codec reimplements the byte format with
-explicit loops and is kept solely as the property-test oracle.
+Both kernels are pure numpy and vectorized across postings, blocks
+*and* lists.  Packing shifts every field into the big-endian 64-bit
+word holding its first bit (and the next word, when it spills) and
+ORs the words together — one pass over every field of every block of
+every list, whatever their widths; :func:`encode_lists` encodes a
+whole run of lists in one call.  Unpacking gathers 8-byte windows and
+reduces them with shifts/ors.  No Python per-posting or per-list
+loops anywhere; the scalar oracle codec lives with the tests.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ from repro.index.inverted import POSTING_DTYPE
 #: slab a whole number of bytes for any bit width, so grouped pack and
 #: unpack never straddle byte boundaries between blocks.
 BLOCK_POSTINGS = 128
+
+#: Postings one encode pass takes at most.  The pass's temporaries
+#: (int64 columns and field words, a few hundred bytes per posting)
+#: grow with its input, so this caps a large write's working set, as
+#: the reader's ``_DECODE_BLOCKS`` caps a large read's; a longer input
+#: is encoded in block-aligned chunks.
+_ENCODE_POSTINGS = 1 << 16
 
 #: Columns stored per posting (text delta, left residual, center, right
 #: residual).
@@ -79,6 +88,28 @@ class EncodedList:
         return block_byte_sizes(block_counts(self.count), self.widths)
 
 
+@dataclass(frozen=True)
+class EncodedLists:
+    """A run of inverted lists in v2 form, list after list.
+
+    Blocks restart at every list, so list ``i`` owns blocks
+    ``list_blocks[i] : list_blocks[i + 1]`` and the bytes from its
+    first block's offset on — exactly what :func:`encode_list` gives
+    for that list alone.
+    """
+
+    data: np.ndarray  #: uint8 — every list's block slabs, concatenated
+    first_texts: np.ndarray  #: uint32 (nb,) — first text id per block
+    widths: np.ndarray  #: uint8 (nb, 4) — per-block per-column bit widths
+    block_offsets: np.ndarray  #: int64 (nb + 1,) — byte edges of the blocks
+    list_blocks: np.ndarray  #: int64 (lists + 1,) — block edges of the lists
+
+    @property
+    def list_offsets(self) -> np.ndarray:
+        """Byte offset of each list within :attr:`data`."""
+        return self.block_offsets[self.list_blocks[:-1]]
+
+
 def block_counts(count: int) -> np.ndarray:
     """Postings per block for a list of ``count`` postings."""
     if count <= 0:
@@ -107,12 +138,17 @@ def list_columns(postings: np.ndarray) -> list[np.ndarray]:
     Exposed for index validation, which re-derives the columns of a
     decoded block to check the stored widths actually cover them.
     """
+    return _columns(postings, np.arange(0, postings.size, BLOCK_POSTINGS))
+
+
+def _columns(postings: np.ndarray, block_starts: np.ndarray) -> list[np.ndarray]:
+    """The four int64 columns of postings split into blocks at ``block_starts``."""
     texts = postings["text"].astype(np.int64)
     centers = postings["center"].astype(np.int64)
     delta = np.zeros(texts.size, dtype=np.int64)
     if texts.size > 1:
         delta[1:] = texts[1:] - texts[:-1]
-    delta[::BLOCK_POSTINGS] = 0  # block-leading texts live in the directory
+    delta[block_starts] = 0  # block-leading texts live in the directory
     return [
         delta,
         centers - postings["left"].astype(np.int64),
@@ -150,19 +186,58 @@ def _as_byte_view(buffer) -> np.ndarray:
 def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Pack ``values`` (< 2**width) MSB-first into a byte-aligned slab.
 
-    Vectorized as a bit-matrix transpose: each value expands to its 32
-    big-endian bits (``unpackbits``), the low ``width`` bits of every
-    value are concatenated, and ``packbits`` folds the stream back to
-    bytes (zero-padded to the byte boundary).
+    The one-width case of the encoder's field kernel: value ``i`` is
+    the field at bit ``i * width``, and the slab is zero-padded to the
+    byte boundary.
     """
     if width < 0 or width > 32:
         raise InvalidParameterError(f"width must be in [0, 32], got {width}")
     values = np.ascontiguousarray(values, dtype=np.uint32)
     if width == 0 or values.size == 0:
         return np.empty(0, dtype=np.uint8)
-    big_endian = values.astype(">u4").view(np.uint8).reshape(-1, 4)
-    bits = np.unpackbits(big_endian, axis=1)
-    return np.packbits(bits[:, 32 - width :])
+    nbytes = (values.size * width + 7) >> 3
+    words = np.zeros((nbytes + 7) >> 3, dtype=np.uint64)
+    _or_fields(
+        words,
+        values & np.uint32((1 << width) - 1),
+        width,
+        np.arange(values.size, dtype=np.int64) * width,
+    )
+    return _stream_bytes(words, nbytes)
+
+
+def _or_fields(
+    words: np.ndarray, values: np.ndarray, widths, bit_starts: np.ndarray
+) -> None:
+    """OR fields into a stream of big-endian 64-bit words.
+
+    Field ``i`` holds ``values[i]`` in ``widths[i]`` bits (an int is
+    every field's width), MSB first, from stream bit ``bit_starts[i]``
+    on; fields are disjoint, in any order.  Each field is shifted into
+    the word holding its first bit; the low bits of a field that
+    crosses a word boundary go, shifted up, into the next word.  Zero
+    fields change nothing and are skipped.
+    """
+    keep = np.flatnonzero(values)
+    values = values[keep].astype(np.uint64)
+    bit_starts = bit_starts[keep]
+    if np.ndim(widths):
+        widths = widths[keep]
+    word = bit_starts >> 6
+    shift = 64 - (bit_starts & 63) - widths  # < 0: spills into word + 1
+    head = (values << np.maximum(shift, 0).astype(np.uint64)) >> np.maximum(
+        -shift, 0
+    ).astype(np.uint64)
+    np.bitwise_or.at(words, word, head)
+    spill = shift < 0
+    np.bitwise_or.at(
+        words, word[spill] + 1, values[spill] << (64 + shift[spill]).astype(np.uint64)
+    )
+
+
+def _stream_bytes(words: np.ndarray, nbytes: int) -> np.ndarray:
+    """The first ``nbytes`` bytes of a big-endian word stream."""
+    return words.astype(">u8").view(np.uint8)[:nbytes]
 
 
 def unpack_bits_at(
@@ -208,83 +283,97 @@ def unpack_bits_at(
 def encode_list(postings: np.ndarray) -> EncodedList:
     """Encode one text-sorted inverted list into v2 blocks.
 
-    Full blocks are packed grouped by ``(column, width)`` — one
-    :func:`pack_bits` call per distinct width — and scattered into the
-    output with a flat fancy-index write; only a possible final partial
-    block is packed on its own.
+    The one-list case of :func:`encode_lists`.
+    """
+    encoded = encode_lists(postings, [0, postings.size])
+    return EncodedList(
+        data=encoded.data,
+        first_texts=encoded.first_texts,
+        widths=encoded.widths,
+        count=int(postings.size),
+    )
+
+
+def encode_lists(postings: np.ndarray, bounds) -> EncodedLists:
+    """Encode a run of text-sorted inverted lists in one grouped pass.
+
+    List ``i`` is ``postings[bounds[i] : bounds[i + 1]]``; ``bounds``
+    rises from 0 to ``postings.size``.  Text ids may fall between two
+    lists but not inside one.  The run is cut into blocks that restart
+    at every list; column deltas reset at every block, the per-block
+    widths of all four columns come from one ``maximum.reduceat``, and
+    one kernel pass packs every field, whatever its block's width.
+    Inputs longer than :data:`_ENCODE_POSTINGS` are encoded in
+    block-aligned chunks, which does not change the output.
     """
     if postings.dtype != POSTING_DTYPE:
         raise InvalidParameterError("postings must use POSTING_DTYPE")
-    count = int(postings.size)
-    if count == 0:
-        return EncodedList(
-            data=np.empty(0, dtype=np.uint8),
-            first_texts=np.empty(0, dtype=np.uint32),
-            widths=np.empty((0, NUM_COLUMNS), dtype=np.uint8),
-            count=0,
+    bounds = np.asarray(bounds, dtype=np.int64)
+    counts = np.diff(bounds)
+    if bounds.size == 0 or bounds[0] != 0 or bounds[-1] != postings.size or (
+        np.any(counts < 0)
+    ):
+        raise InvalidParameterError(
+            "bounds must rise from 0 to the number of postings"
         )
-    texts = postings["text"].astype(np.int64)
-    if texts.size > 1 and np.any(texts[1:] < texts[:-1]):
-        raise InvalidParameterError("postings must be sorted by text id")
-    counts = block_counts(count)
-    nb = int(counts.size)
-    first_texts = postings["text"][::BLOCK_POSTINGS].astype(np.uint32)
-    columns = list_columns(postings)
-
-    padded = np.zeros((NUM_COLUMNS, nb * BLOCK_POSTINGS), dtype=np.int64)
-    widths = np.empty((nb, NUM_COLUMNS), dtype=np.uint8)
-    for col, values in enumerate(columns):
-        padded[col, :count] = values
-        widths[:, col] = _bit_widths(
-            padded[col].reshape(nb, BLOCK_POSTINGS).max(axis=1)
-        )
-
-    slab_sizes = column_slab_sizes(counts, widths)
-    block_offsets = np.zeros(nb, dtype=np.int64)
-    if nb > 1:
-        block_offsets[1:] = np.cumsum(slab_sizes.sum(axis=1))[:-1]
-    column_offsets = block_offsets[:, None] + np.concatenate(
-        [np.zeros((nb, 1), dtype=np.int64), np.cumsum(slab_sizes, axis=1)[:, :-1]],
-        axis=1,
+    texts = postings["text"]
+    list_start = np.zeros(postings.size + 1, dtype=bool)
+    list_start[bounds] = True
+    if np.any((texts[1:] < texts[:-1]) & ~list_start[1:-1]):
+        raise InvalidParameterError("postings must be sorted by text id within a list")
+    per_list = (counts + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
+    list_blocks = np.concatenate(([0], np.cumsum(per_list)))
+    local = np.arange(list_blocks[-1]) - np.repeat(list_blocks[:-1], per_list)
+    starts = np.repeat(bounds[:-1], per_list) + local * BLOCK_POSTINGS
+    counts = np.minimum(np.repeat(bounds[1:], per_list) - starts, BLOCK_POSTINGS)
+    cuts = np.searchsorted(starts, np.arange(0, postings.size, _ENCODE_POSTINGS))
+    cuts = cuts.tolist() + [starts.size]
+    data = [np.empty(0, dtype=np.uint8)]
+    widths = [np.empty((0, NUM_COLUMNS), dtype=np.uint8)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi == lo:  # the last cut fell inside the last block
+            continue
+        chunk_data, chunk_widths = _encode_blocks(postings, starts[lo:hi], counts[lo:hi])
+        data.append(chunk_data)
+        widths.append(chunk_widths)
+    widths = np.concatenate(widths)
+    return EncodedLists(
+        data=np.concatenate(data),
+        first_texts=texts[starts],
+        widths=widths,
+        block_offsets=np.concatenate(
+            ([0], np.cumsum(block_byte_sizes(counts, widths)))
+        ),
+        list_blocks=list_blocks,
     )
-    data = np.zeros(int(slab_sizes.sum()), dtype=np.uint8)
 
-    full = counts == BLOCK_POSTINGS
-    for col in range(NUM_COLUMNS):
-        col_widths = widths[:, col].astype(np.int64)
-        for width in np.unique(col_widths[full]) if full.any() else []:
-            width = int(width)
-            if width == 0:
-                continue
-            selected = full & (col_widths == width)
-            if not selected.any():
-                continue
-            values = (
-                padded[col]
-                .reshape(nb, BLOCK_POSTINGS)[selected]
-                .astype(np.uint32)
-                .ravel()
-            )
-            packed = pack_bits(values, width)
-            slab_len = BLOCK_POSTINGS * width // 8
-            dest = (
-                column_offsets[selected, col][:, None]
-                + np.arange(slab_len, dtype=np.int64)[None, :]
-            ).ravel()
-            data[dest] = packed
-        if not full[-1]:  # final partial block packed on its own
-            width = int(col_widths[-1])
-            if width:
-                start = (nb - 1) * BLOCK_POSTINGS
-                values = padded[col, start : start + int(counts[-1])].astype(
-                    np.uint32
-                )
-                packed = pack_bits(values, width)
-                offset = int(column_offsets[-1, col])
-                data[offset : offset + packed.size] = packed
-    return EncodedList(
-        data=data, first_texts=first_texts, widths=widths, count=count
-    )
+
+def _encode_blocks(
+    postings: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slab bytes and widths of the blocks ``postings[s : s + c]``.
+
+    The blocks tile one stretch of ``postings``, in order.
+    """
+    base = int(starts[0])
+    postings = postings[base : base + int(counts.sum())]
+    starts = starts - base
+    block_of = np.repeat(np.arange(counts.size), counts)
+    within = np.arange(postings.size) - starts[block_of]
+    columns = np.stack(_columns(postings, starts), axis=1)  # (n, 4)
+    widths = _bit_widths(np.maximum.reduceat(columns, starts))  # (nb, 4)
+    if widths.max() > 32:
+        raise InvalidParameterError("every posting needs left <= center <= right")
+    slabs = column_slab_sizes(counts, widths)
+    # First bit of every (block, column) slab: blocks in order, each its
+    # four column slabs in order.
+    slab_bits = 8 * (np.cumsum(slabs) - slabs.ravel()).reshape(slabs.shape)
+    nbytes = int(slabs.sum())
+    words = np.zeros((nbytes + 7) >> 3, dtype=np.uint64)
+    field_widths = widths.astype(np.int64)[block_of]
+    bit_starts = slab_bits[block_of] + within[:, None] * field_widths
+    _or_fields(words, columns.ravel(), field_widths.ravel(), bit_starts.ravel())
+    return _stream_bytes(words, nbytes), widths
 
 
 def decode_blocks(
@@ -368,109 +457,4 @@ def decode_blocks(
     out["left"] = (centers - columns[1]).astype(np.uint32)
     out["center"] = centers.astype(np.uint32)
     out["right"] = (centers + columns[3]).astype(np.uint32)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Scalar reference codec (property-test oracle)
-# ----------------------------------------------------------------------
-def reference_pack_bits(values, width: int) -> np.ndarray:
-    """Bit-by-bit scalar :func:`pack_bits` — byte-identical output."""
-    values = [int(v) for v in values]
-    if width == 0 or not values:
-        return np.empty(0, dtype=np.uint8)
-    out = bytearray((len(values) * width + 7) // 8)
-    position = 0
-    for value in values:
-        for bit in range(width - 1, -1, -1):
-            if (value >> bit) & 1:
-                out[position >> 3] |= 0x80 >> (position & 7)
-            position += 1
-    return np.frombuffer(bytes(out), dtype=np.uint8)
-
-
-def reference_unpack_bits(slab, count: int, width: int) -> np.ndarray:
-    """Bit-by-bit scalar unpack of ``count`` ``width``-bit values."""
-    raw = bytes(bytearray(np.asarray(slab, dtype=np.uint8)))
-    values = []
-    position = 0
-    for _ in range(count):
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | (
-                (raw[position >> 3] >> (7 - (position & 7))) & 1
-            )
-            position += 1
-        values.append(value)
-    return np.asarray(values, dtype=np.uint32) if values else np.zeros(
-        0, dtype=np.uint32
-    )
-
-
-def reference_encode_list(postings: np.ndarray) -> EncodedList:
-    """Scalar :func:`encode_list` — must produce identical bytes."""
-    count = int(postings.size)
-    if count == 0:
-        return encode_list(postings)
-    first_texts: list[int] = []
-    width_rows: list[list[int]] = []
-    chunks: list[np.ndarray] = []
-    for start in range(0, count, BLOCK_POSTINGS):
-        block = postings[start : start + BLOCK_POSTINGS]
-        texts = [int(rec["text"]) for rec in block]
-        first_texts.append(texts[0])
-        columns: list[list[int]] = [[], [], [], []]
-        for i, rec in enumerate(block):
-            center = int(rec["center"])
-            columns[0].append(0 if i == 0 else texts[i] - texts[i - 1])
-            columns[1].append(center - int(rec["left"]))
-            columns[2].append(center)
-            columns[3].append(int(rec["right"]) - center)
-        row = [max(col).bit_length() for col in columns]
-        width_rows.append(row)
-        for col, width in zip(columns, row):
-            chunks.append(reference_pack_bits(col, width))
-    data = (
-        np.concatenate([c for c in chunks if c.size])
-        if any(c.size for c in chunks)
-        else np.empty(0, dtype=np.uint8)
-    )
-    return EncodedList(
-        data=data,
-        first_texts=np.asarray(first_texts, dtype=np.uint32),
-        widths=np.asarray(width_rows, dtype=np.uint8),
-        count=count,
-    )
-
-
-def reference_decode_list(encoded: EncodedList) -> np.ndarray:
-    """Scalar block decoder — the oracle for :func:`decode_blocks`."""
-    out = np.empty(encoded.count, dtype=POSTING_DTYPE)
-    counts = block_counts(encoded.count)
-    cursor = 0
-    emitted = 0
-    raw = encoded.data
-    for b in range(encoded.num_blocks):
-        n = int(counts[b])
-        columns = []
-        for col in range(NUM_COLUMNS):
-            width = int(encoded.widths[b, col])
-            nbytes = (n * width + 7) // 8
-            columns.append(
-                reference_unpack_bits(raw[cursor : cursor + nbytes], n, width)
-                if width
-                else np.zeros(n, dtype=np.uint32)
-            )
-            cursor += nbytes
-        text = int(encoded.first_texts[b])
-        for i in range(n):
-            text += int(columns[0][i])
-            center = int(columns[2][i])
-            out[emitted] = (
-                text,
-                center - int(columns[1][i]),
-                center,
-                center + int(columns[3][i]),
-            )
-            emitted += 1
     return out

@@ -343,6 +343,25 @@ class MemoryInvertedIndex:
             count = int(directory.counts[slot])
             yield int(directory.keys[slot]), self._payload[start : start + count]
 
+    def all_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every list as ``(funcs, keys, postings, bounds)``.
+
+        List ``i`` belongs to function ``funcs[i]``, has key ``keys[i]``
+        and postings ``postings[bounds[i] : bounds[i + 1]]``, in
+        ``(func, key)`` order.  :meth:`from_postings` lays the payload
+        out in exactly that order, so ``postings`` is the payload itself.
+        """
+        keys = [directory.keys for directory in self._directories]
+        counts = np.concatenate(
+            [directory.counts for directory in self._directories]
+        ).astype(np.int64)
+        return (
+            np.repeat(np.arange(self.family.k), [part.size for part in keys]),
+            np.concatenate(keys),
+            self._payload,
+            np.concatenate(([0], np.cumsum(counts))),
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MemoryInvertedIndex(k={self.family.k}, t={self.t}, "

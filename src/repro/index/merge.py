@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import IndexFormatError, InvalidParameterError
-from repro.index.inverted import concat_postings
+from repro.index.inverted import POSTING_DTYPE, concat_postings, range_indices
 from repro.index.storage import DiskInvertedIndex, _IndexWriter
 
 #: Keys a partition reads per vector ``load_list`` call while merging.
@@ -94,24 +94,37 @@ def merge_disk_indexes(
             else np.empty(0, dtype=np.uint32)
         )
         # Each partition reads a batch of keys with one vector read (one
-        # decode for a packed partition); the batch bounds memory.
+        # decode for a packed partition), and the batch's merged lists
+        # go to the writer as one run; the batch bounds memory.
         for lo in range(0, all_keys.size, _KEYS_PER_READ):
             keys = all_keys[lo : lo + _KEYS_PER_READ]
             funcs = np.full(keys.size, func, dtype=np.int64)
             per_reader = [reader.load_list(funcs, keys) for reader in readers]
-            for position, minhash in enumerate(keys.tolist()):
-                chunks = []
-                for lists, offset in zip(per_reader, text_offsets):
-                    postings = lists[position]
-                    if postings.size:
-                        shifted = np.array(postings)
-                        shifted["text"] = shifted["text"] + np.uint32(offset)
-                        chunks.append(shifted)
-                merged = concat_postings(chunks)
-                if merged.size:
-                    # Partitions are in ascending text order and internally
-                    # sorted, so concatenation preserves the sort invariant.
-                    writer.write_list(func, minhash, merged)
+            sizes = np.array(
+                [[postings.size for postings in lists] for lists in per_reader],
+                dtype=np.int64,
+            ).reshape(len(readers), keys.size)
+            totals = sizes.sum(axis=0)
+            # Partitions are in ascending text order and internally
+            # sorted, so a merged list is its partitions' lists in
+            # partition order: partition r's part of list i starts after
+            # the parts of partitions < r.
+            firsts = np.cumsum(totals) - totals + np.cumsum(sizes, axis=0) - sizes
+            merged = np.empty(int(totals.sum()), dtype=POSTING_DTYPE)
+            for lists, offset, first, size in zip(
+                per_reader, text_offsets, firsts, sizes
+            ):
+                slots = range_indices(first, size)
+                merged[slots] = concat_postings(lists)
+                if offset:
+                    merged["text"][slots] += np.uint32(offset)
+            nonempty = totals > 0
+            writer.write_lists(
+                func,
+                keys[nonempty],
+                merged,
+                np.concatenate(([0], np.cumsum(totals[nonempty]))),
+            )
     writer.close()
     return Path(destination)
 

@@ -56,7 +56,7 @@ from repro.index.codec import (
     block_byte_sizes,
     check_codec,
     decode_blocks,
-    encode_list,
+    encode_lists,
 )
 from repro.index.inverted import (
     IOStats,
@@ -74,7 +74,7 @@ from repro.index.sidecar import (
     read_sidecar,
     write_sidecar,
 )
-from repro.index.zonemap import DEFAULT_STEP, ZoneMap, build_zone_map
+from repro.index.zonemap import DEFAULT_STEP, ZoneMap
 
 _FORMAT_VERSION = 1
 _FORMAT_VERSION_PACKED = 2
@@ -96,14 +96,20 @@ _DECODE_BLOCKS = 512
 
 
 class _IndexWriter:
-    """Streams inverted lists into the on-disk format.
+    """Writes inverted lists into the on-disk format, a run at a time.
 
-    Both the in-memory dump (:func:`write_index`) and the out-of-core
-    builder (:mod:`repro.index.external`) feed lists through this
-    writer one at a time, in any key order.  With ``codec="packed"``
-    every list is compressed as it is written, so the external
-    builder's spill/merge pass streams straight into format v2 without
-    ever materialising the raw payload.
+    Every write path hands over runs of lists through
+    :meth:`write_lists`: the in-memory dump (:func:`write_index`) the
+    whole index in one call, the out-of-core builder
+    (:mod:`repro.index.external`) one partition per call, the merge
+    (:mod:`repro.index.merge`) one batch of keys.  A run is encoded in
+    one codec call and written with one payload write, and the
+    directory is kept as flat arrays, one fragment per run.  Runs may
+    come in any order; :meth:`close` sorts the directory by
+    ``(func, minhash)`` and gathers every list's blocks into that order
+    in one pass.  With ``codec="packed"`` every run is compressed as it
+    is written, so the external builder's spill/merge pass streams
+    straight into format v2 without ever materialising the raw payload.
     """
 
     def __init__(
@@ -117,6 +123,10 @@ class _IndexWriter:
         dir_format: str = "sidecar",
         num_texts: int | None = None,
     ) -> None:
+        if zonemap_step <= 0:
+            raise InvalidParameterError(
+                f"zonemap_step must be positive, got {zonemap_step}"
+            )
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
         self._family = family
@@ -133,54 +143,75 @@ class _IndexWriter:
         self._payload = open(self._directory / _PAYLOAD_FILE, "wb")
         self._written = 0
         self._payload_bytes = 0
-        self._keys: list[list[int]] = [[] for _ in range(family.k)]
-        self._offsets: list[list[int]] = [[] for _ in range(family.k)]
-        self._counts: list[list[int]] = [[] for _ in range(family.k)]
-        self._zm_keys: list[list[int]] = [[] for _ in range(family.k)]
-        self._zm_ptr: list[list[int]] = [[] for _ in range(family.k)]
-        self._zm_samples: list[list[np.ndarray]] = [[] for _ in range(family.k)]
-        # v2 per-list block-directory fragments, reordered at close.
-        self._blk_first: list[list[np.ndarray]] = [[] for _ in range(family.k)]
-        self._blk_widths: list[list[np.ndarray]] = [[] for _ in range(family.k)]
-        self._blk_offsets: list[list[np.ndarray]] = [[] for _ in range(family.k)]
+        # Each directory array's fragments, one per run, in write order.
+        self._parts: dict[str, list[np.ndarray]] = {
+            name: [] for name in _DIRECTORY_PARTS
+        }
         self.bytes_written = 0
         self.io_seconds = 0.0
 
-    def write_list(self, func: int, minhash: int, postings: np.ndarray) -> None:
-        """Append one inverted list (postings sorted by text id)."""
+    def write_lists(
+        self,
+        funcs: int | np.ndarray,
+        minhashes: np.ndarray,
+        postings: np.ndarray,
+        bounds: np.ndarray,
+    ) -> None:
+        """Append a run of lists, each sorted by text id.
+
+        List ``i`` belongs to hash function ``funcs[i]`` (an int: the
+        whole run's function), has key ``minhashes[i]`` and postings
+        ``postings[bounds[i] : bounds[i + 1]]``.
+        """
         if postings.dtype != POSTING_DTYPE:
             raise InvalidParameterError("postings must use POSTING_DTYPE")
+        bounds = np.asarray(bounds, dtype=np.int64)
+        counts = np.diff(bounds)
+        keys = np.asarray(minhashes, dtype=np.uint32).reshape(-1)
+        funcs = np.broadcast_to(np.asarray(funcs, dtype=np.int64), keys.shape)
+        if keys.size != counts.size:
+            raise InvalidParameterError(
+                f"{keys.size} keys but {counts.size} lists: keys must align"
+            )
+        if np.any((funcs < 0) | (funcs >= self._family.k)):
+            raise InvalidParameterError(
+                f"hash function ids must lie in [0, {self._family.k})"
+            )
+        parts = self._parts
         if self._codec == "packed":
-            encoded = encode_list(postings)
-            start = time.perf_counter()
-            encoded.data.tofile(self._payload)
-            self.io_seconds += time.perf_counter() - start
-            sizes = encoded.block_sizes
-            self._blk_first[func].append(encoded.first_texts)
-            self._blk_widths[func].append(encoded.widths)
-            self._blk_offsets[func].append(
-                self._payload_bytes
-                + np.concatenate(([0], np.cumsum(sizes)))[:-1].astype(np.int64)
+            encoded = encode_lists(postings, bounds)
+            data = encoded.data
+            parts["offsets"].append(self._payload_bytes + encoded.list_offsets)
+            parts["blk_first"].append(encoded.first_texts)
+            parts["blk_widths"].append(encoded.widths)
+            parts["blk_offsets"].append(
+                self._payload_bytes + encoded.block_offsets[:-1]
             )
-            self._offsets[func].append(self._payload_bytes)
-            self._payload_bytes += int(encoded.data.size)
-            self.bytes_written += int(encoded.data.size)
         else:
-            start = time.perf_counter()
-            postings.tofile(self._payload)
-            self.io_seconds += time.perf_counter() - start
-            self._offsets[func].append(self._written)
-            self._payload_bytes += int(postings.size) * POSTING_BYTES
-            self.bytes_written += int(postings.size) * POSTING_BYTES
-        self._keys[func].append(int(minhash))
-        self._counts[func].append(int(postings.size))
-        if postings.size >= self._zonemap_min_list:
-            zone = build_zone_map(postings["text"], self._zonemap_step)
-            self._zm_keys[func].append(int(minhash))
-            self._zm_ptr[func].append(
-                sum(s.size for s in self._zm_samples[func])
+            data = postings
+            parts["offsets"].append(self._written + bounds[:-1])
+        start = time.perf_counter()
+        data.tofile(self._payload)
+        self.io_seconds += time.perf_counter() - start
+        self._payload_bytes += int(data.nbytes)
+        self.bytes_written += int(data.nbytes)
+        parts["funcs"].append(funcs)
+        parts["keys"].append(keys)
+        parts["counts"].append(counts)
+        long = np.flatnonzero(counts >= self._zonemap_min_list)
+        if long.size:
+            # Every step-th text of every long list, as one strided gather.
+            step = self._zonemap_step
+            samples = (counts[long] + step - 1) // step
+            local = np.arange(int(samples.sum())) - np.repeat(
+                np.cumsum(samples) - samples, samples
             )
-            self._zm_samples[func].append(zone.sample_texts)
+            parts["zm_funcs"].append(funcs[long])
+            parts["zm_keys"].append(keys[long])
+            parts["zm_lengths"].append(samples)
+            parts["zm_samples"].append(
+                postings["text"][np.repeat(bounds[long], samples) + local * step]
+            )
         self._written += int(postings.size)
 
     def close(self) -> None:
@@ -193,52 +224,57 @@ class _IndexWriter:
         """
         start = time.perf_counter()
         self._payload.close()
-        arrays: dict[str, np.ndarray] = {}
-        for func in range(self._family.k):
-            keys = np.asarray(self._keys[func], dtype=np.uint32)
-            offsets = np.asarray(self._offsets[func], dtype=np.uint64)
-            counts = np.asarray(self._counts[func], dtype=np.uint32)
-            order = np.argsort(keys, kind="stable")
-            arrays[f"keys_{func}"] = keys[order]
-            arrays[f"offsets_{func}"] = offsets[order]
-            arrays[f"counts_{func}"] = counts[order]
-            if self._codec == "packed":
-                first = self._blk_first[func]
-                widths = self._blk_widths[func]
-                blk_offsets = self._blk_offsets[func]
-                arrays[f"blk_first_{func}"] = (
-                    np.concatenate([first[i] for i in order])
-                    if first
-                    else np.empty(0, dtype=np.uint32)
-                )
-                arrays[f"blk_widths_{func}"] = (
-                    np.concatenate([widths[i] for i in order])
-                    if widths
-                    else np.empty((0, 4), dtype=np.uint8)
-                )
-                arrays[f"blk_offsets_{func}"] = (
-                    np.concatenate([blk_offsets[i] for i in order]).astype(
-                        np.uint64
-                    )
-                    if blk_offsets
-                    else np.empty(0, dtype=np.uint64)
-                )
-            zm_keys = np.asarray(self._zm_keys[func], dtype=np.uint32)
-            zm_ptr = np.asarray(self._zm_ptr[func] + [0], dtype=np.uint64)
-            samples = (
-                np.concatenate(self._zm_samples[func])
-                if self._zm_samples[func]
-                else np.empty(0, dtype=np.uint32)
+        k = self._family.k
+        parts = {
+            name: _joined(fragments, _DIRECTORY_PARTS[name])
+            for name, fragments in self._parts.items()
+        }
+        # Lists in (func, minhash) order; ties keep write order.
+        order = np.lexsort((parts["keys"], parts["funcs"]))
+        func_edges = np.searchsorted(parts["funcs"][order], np.arange(k + 1))
+        lists = {name: parts[name][order] for name in ("keys", "offsets", "counts")}
+        if self._codec == "packed":
+            per_list = (
+                parts["counts"].astype(np.int64) + BLOCK_POSTINGS - 1
+            ) // BLOCK_POSTINGS
+            blocks = range_indices(
+                (np.cumsum(per_list) - per_list)[order], per_list[order]
             )
-            zm_ptr[-1] = samples.size
-            zm_order = np.argsort(zm_keys, kind="stable")
-            arrays[f"zm_keys_{func}"] = zm_keys[zm_order]
-            # Pointer pairs (start, end) per zone-mapped list, re-ordered.
-            starts = zm_ptr[:-1][zm_order]
-            lengths = (np.diff(zm_ptr.astype(np.int64)))[zm_order] if zm_keys.size else np.empty(0, dtype=np.int64)
-            arrays[f"zm_starts_{func}"] = starts.astype(np.uint64)
-            arrays[f"zm_lengths_{func}"] = lengths.astype(np.uint32) if zm_keys.size else np.empty(0, dtype=np.uint32)
-            arrays[f"zm_samples_{func}"] = samples
+            for name in ("blk_first", "blk_widths", "blk_offsets"):
+                lists[name] = parts[name][blocks]
+            block_edges = np.concatenate(([0], np.cumsum(per_list[order])))[
+                func_edges
+            ]
+        # Zone maps: a function's samples stay in write order, each
+        # long list pointing at its own; the pointers go in key order.
+        zm_funcs = parts["zm_funcs"]
+        lengths = parts["zm_lengths"].astype(np.int64)
+        grouped = np.argsort(zm_funcs, kind="stable")
+        samples = parts["zm_samples"][
+            range_indices((np.cumsum(lengths) - lengths)[grouped], lengths[grouped])
+        ]
+        sample_edges = np.concatenate(([0], np.cumsum(lengths[grouped])))
+        zm_edges = np.searchsorted(zm_funcs[grouped], np.arange(k + 1))
+        zm_starts = np.empty(lengths.size, dtype=np.uint64)
+        zm_starts[grouped] = (
+            sample_edges[:-1] - sample_edges[zm_edges[zm_funcs[grouped]]]
+        )
+        zm_order = np.lexsort((parts["zm_keys"], zm_funcs))
+        arrays: dict[str, np.ndarray] = {}
+        for func in range(k):
+            lo, hi = func_edges[func], func_edges[func + 1]
+            for name in ("keys", "offsets", "counts"):
+                arrays[f"{name}_{func}"] = lists[name][lo:hi]
+            if self._codec == "packed":
+                lo, hi = block_edges[func], block_edges[func + 1]
+                for name in ("blk_first", "blk_widths", "blk_offsets"):
+                    arrays[f"{name}_{func}"] = lists[name][lo:hi]
+            lo, hi = zm_edges[func], zm_edges[func + 1]
+            chosen = zm_order[lo:hi]
+            arrays[f"zm_keys_{func}"] = parts["zm_keys"][chosen]
+            arrays[f"zm_starts_{func}"] = zm_starts[chosen]
+            arrays[f"zm_lengths_{func}"] = parts["zm_lengths"][chosen]
+            arrays[f"zm_samples_{func}"] = samples[sample_edges[lo] : sample_edges[hi]]
         if self._dir_format == "sidecar":
             write_sidecar(self._directory / _DIR_SIDECAR_FILE, arrays)
         else:
@@ -266,6 +302,30 @@ class _IndexWriter:
         temp_path.write_text(json.dumps(meta))
         os.replace(temp_path, meta_path)
         self.io_seconds += time.perf_counter() - start
+
+
+#: Directory arrays the writer collects, with the dtype and shape of an
+#: empty one (an index with no lists).
+_DIRECTORY_PARTS = {
+    "funcs": np.empty(0, dtype=np.int64),
+    "keys": np.empty(0, dtype=np.uint32),
+    "offsets": np.empty(0, dtype=np.uint64),
+    "counts": np.empty(0, dtype=np.uint32),
+    "blk_first": np.empty(0, dtype=np.uint32),
+    "blk_widths": np.empty((0, 4), dtype=np.uint8),
+    "blk_offsets": np.empty(0, dtype=np.uint64),
+    "zm_funcs": np.empty(0, dtype=np.int64),
+    "zm_keys": np.empty(0, dtype=np.uint32),
+    "zm_lengths": np.empty(0, dtype=np.uint32),
+    "zm_samples": np.empty(0, dtype=np.uint32),
+}
+
+
+def _joined(fragments: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
+    """Fragments concatenated, in ``empty``'s dtype."""
+    if not fragments:
+        return empty
+    return np.concatenate(fragments).astype(empty.dtype, copy=False)
 
 
 def write_index(
@@ -296,9 +356,7 @@ def write_index(
         dir_format,
         num_texts=num_texts,
     )
-    for func in range(index.family.k):
-        for minhash, postings in index.iter_lists(func):
-            writer.write_list(func, minhash, postings)
+    writer.write_lists(*index.all_lists())
     writer.close()
     return Path(directory)
 

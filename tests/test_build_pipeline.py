@@ -307,12 +307,15 @@ class TestFlushPartitionFixes:
         emitted = []
         _flush_partition(
             records,
-            lambda func, minhash, postings: emitted.append((minhash, postings.size)),
+            lambda funcs, minhashes, postings, bounds: emitted.extend(
+                zip(minhashes.tolist(), np.diff(bounds).tolist())
+            ),
             config,
             tmp_path,
             depth=0,
         )
         assert sum(size for _, size in emitted) == 400
+        assert sorted(minhash for minhash, _ in emitted) == [0, 1]
         assert not list(tmp_path.glob("depth*"))
 
     def test_scratch_cleaned_on_emit_failure(self, tmp_path):
@@ -321,7 +324,7 @@ class TestFlushPartitionFixes:
             num_partitions=4, memory_budget_bytes=256, max_recursion=3
         )
 
-        def failing_emit(func, minhash, postings):
+        def failing_emit(funcs, minhashes, postings, bounds):
             raise RuntimeError("disk full")
 
         with pytest.raises(RuntimeError, match="disk full"):

@@ -2,8 +2,9 @@
 
 Three layers of assurance:
 
-* the vectorized pack/unpack kernels and the list encoder are checked
-  byte-for-byte against the scalar ``reference_*`` oracle (hypothesis
+* the vectorized pack/unpack kernels and the list encoders (one list
+  and a run of lists) are checked byte-for-byte against the scalar
+  ``reference_*`` oracle of ``tests/write_oracle.py`` (hypothesis
   property tests plus adversarial fixed cases);
 * every reader backend — memory, disk v1, disk v2, cached disk v2,
   union over disk v2 — must return identical search results;
@@ -25,20 +26,17 @@ from repro.corpus.synthetic import synthweb
 from repro.exceptions import IndexFormatError, InvalidParameterError
 from repro.index.builder import build_memory_index
 from repro.index.cache import CachedIndexReader
+from repro.index import codec
 from repro.index.codec import (
     BLOCK_POSTINGS,
-    EncodedList,
     block_byte_sizes,
     block_counts,
     check_codec,
     decode_blocks,
     encode_list,
+    encode_lists,
     list_columns,
     pack_bits,
-    reference_decode_list,
-    reference_encode_list,
-    reference_pack_bits,
-    reference_unpack_bits,
     unpack_bits_at,
 )
 from repro.index.inverted import POSTING_BYTES, POSTING_DTYPE
@@ -46,6 +44,12 @@ from repro.index.lsm import UnionIndexReader
 from repro.index.storage import DiskInvertedIndex, convert_directory, write_index
 from repro.index.validate import validate_index
 from repro.query.results import BatchStats
+from write_oracle import (
+    reference_decode_list,
+    reference_encode_list,
+    reference_pack_bits,
+    reference_unpack_bits,
+)
 
 
 def make_postings(
@@ -232,6 +236,126 @@ class TestEncodeList:
         postings = make_postings(400, seed=6)
         delta = list_columns(postings)[0]
         assert np.all(delta[::BLOCK_POSTINGS] == 0)
+
+
+def concat_lists(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Lists back to back, with their bounds."""
+    sizes = [int(postings.size) for postings in lists]
+    joined = (
+        np.concatenate(lists) if lists else np.empty(0, dtype=POSTING_DTYPE)
+    )
+    return joined, np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def assert_encodes_like_reference(lists: list[np.ndarray]) -> None:
+    """``encode_lists`` of the run == every list's scalar encode, joined."""
+    encoded = encode_lists(*concat_lists(lists))
+    oracles = [reference_encode_list(postings) for postings in lists]
+    assert np.array_equal(
+        encoded.data, np.concatenate([np.empty(0, np.uint8)] + [o.data for o in oracles])
+    )
+    assert np.array_equal(
+        encoded.widths,
+        np.concatenate([np.empty((0, 4), np.uint8)] + [o.widths for o in oracles]),
+    )
+    assert np.array_equal(
+        encoded.first_texts,
+        np.concatenate([np.empty(0, np.uint32)] + [o.first_texts for o in oracles]),
+    )
+    sizes = [int(o.data.size) for o in oracles]
+    assert encoded.list_offsets.tolist() == (np.cumsum(sizes) - sizes).tolist()
+    assert np.diff(encoded.list_blocks).tolist() == [o.num_blocks for o in oracles]
+
+
+class TestEncodeLists:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(
+            st.one_of(
+                st.integers(0, 300),
+                st.sampled_from([1, 127, 128, 129, 256]),
+            ),
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**16),
+        text_range=st.sampled_from([1, 40, 5000]),
+        position_scale=st.sampled_from([1, 1000, 2**32 - 1]),
+        equal_texts=st.booleans(),
+    )
+    def test_matches_reference_per_list(
+        self, sizes, seed, text_range, position_scale, equal_texts
+    ):
+        assert_encodes_like_reference(
+            [
+                make_postings(
+                    n,
+                    seed=seed + i,
+                    text_range=text_range,
+                    position_scale=position_scale,
+                    equal_texts=equal_texts,
+                )
+                for i, n in enumerate(sizes)
+            ]
+        )
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 256])
+    def test_block_boundary_lengths(self, n):
+        assert_encodes_like_reference(
+            [make_postings(n, seed=n), make_postings(3, seed=1), make_postings(n, seed=2)]
+        )
+
+    def test_width_zero_columns_and_max_uint32(self):
+        top = 2**32 - 1
+        extreme = np.zeros(200, dtype=POSTING_DTYPE)
+        extreme["text"] = top
+        extreme["center"] = top
+        extreme["right"] = top
+        zeros = np.zeros(150, dtype=POSTING_DTYPE)
+        encoded = encode_lists(*concat_lists([zeros, extreme, zeros]))
+        assert np.all(encoded.widths[:2] == 0)  # the all-zero list's blocks
+        assert np.all(encoded.widths[2:4, 1] == 32)  # center - left residual
+        assert_encodes_like_reference([zeros, extreme, zeros])
+
+    def test_texts_may_fall_between_lists(self):
+        high = make_postings(50, seed=3, text_range=5000)
+        high["text"] += 10_000
+        low = make_postings(50, seed=4, text_range=40)
+        assert_encodes_like_reference([high, low, high])
+
+    def test_texts_may_not_fall_inside_a_list(self):
+        high = make_postings(50, seed=3)
+        high["text"] += 10_000
+        low = make_postings(50, seed=4)
+        postings = np.concatenate([high, low])
+        with pytest.raises(InvalidParameterError, match="sorted"):
+            encode_lists(postings, [0, postings.size])
+        encode_lists(postings, [0, 50, postings.size])  # split there: accepted
+
+    def test_rejects_bad_bounds(self):
+        postings = make_postings(10)
+        for bounds in ([], [1, 10], [0, 9], [0, 6, 4, 10]):
+            with pytest.raises(InvalidParameterError, match="bounds"):
+                encode_lists(postings, bounds)
+
+    def test_input_past_the_working_set_cap(self, monkeypatch):
+        """Chunked encoding (lists, and blocks of one list, split across
+        encode passes) gives the bytes of one pass."""
+        # The second run's last cut (posting 256) falls inside its last block.
+        for sizes in ((5, 700, 1, 300, 129), (10, 250)):
+            lists = [make_postings(n, seed=n) for n in sizes]
+            whole = encode_lists(*concat_lists(lists))
+            with monkeypatch.context() as patch:
+                patch.setattr(codec, "_ENCODE_POSTINGS", 256)
+                chunked = encode_lists(*concat_lists(lists))
+            for name in ("data", "widths", "first_texts", "block_offsets", "list_blocks"):
+                assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
+            assert_encodes_like_reference(lists)
+
+    def test_empty_run(self):
+        encoded = encode_lists(np.empty(0, dtype=POSTING_DTYPE), [0, 0, 0])
+        assert encoded.data.size == 0 and encoded.widths.shape == (0, 4)
+        assert encoded.list_blocks.tolist() == [0, 0, 0]
+        assert encoded.list_offsets.tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------

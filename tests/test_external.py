@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from repro.index.external import (
     _partition_of,
     build_external_index,
 )
+from repro.index import storage
 from repro.index.storage import DiskInvertedIndex
 
 
@@ -131,6 +135,47 @@ class TestExternalBuild:
         assert stats.bytes_written >= 2 * disk.nbytes
         assert stats.io_seconds > 0
         assert stats.generation_seconds > 0
+
+    def test_phases_do_not_count_payload_writes_twice(
+        self, corpora, tmp_path, monkeypatch
+    ):
+        """Generation, aggregation and I/O are disjoint spans of the
+        build, so they sum to at most its wall time — even when the
+        index payload writes, which run inside the aggregation pass, are
+        slow."""
+
+        class SlowPayload(io.BufferedWriter):
+            def write(self, data):
+                time.sleep(0.002)
+                return super().write(data)
+
+            def flush(self):  # ndarray.tofile flushes, then writes the fd
+                time.sleep(0.002)
+                super().flush()
+
+        monkeypatch.setattr(
+            storage,
+            "open",
+            lambda path, mode: SlowPayload(io.FileIO(path, mode)),
+            raising=False,
+        )
+        _, disk_corpus = corpora
+        begin = time.perf_counter()
+        stats = build_external_index(
+            disk_corpus,
+            HashFamily(k=4, seed=17),
+            20,
+            tmp_path / "slow",
+            vocab_size=512,
+            config=ExternalBuildConfig(codec="packed"),
+        )
+        wall = time.perf_counter() - begin
+        assert stats.io_seconds > 0.02  # the slow writes were timed as I/O
+        assert (
+            stats.generation_seconds + stats.aggregation_seconds + stats.io_seconds
+            <= wall
+        )
+        assert stats.total_seconds <= wall
 
     def test_t_validated(self, corpora, tmp_path):
         _, disk_corpus = corpora
