@@ -138,7 +138,7 @@ def start_replicated_fleet(engine):
         for replica_id in range(2):
             service = DelayedSearchService(
                 NearDupEngine(local, index),
-                ServiceConfig(port=0, workers=1, warmup_lists=0, linger_ms=0.0),
+                ServiceConfig(port=0, warmup_lists=0),
                 delay_s=BASE_DELAY_S,
             )
             runner = ServiceRunner(service=service).start()

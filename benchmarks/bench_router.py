@@ -92,7 +92,7 @@ def start_fleet(corpus, family: HashFamily, t: int):
         engine = NearDupEngine(local, index)
         runner = ServiceRunner(
             engine,
-            ServiceConfig(port=0, workers=1, warmup_lists=32, linger_ms=0.0),
+            ServiceConfig(port=0, warmup_lists=32),
         ).start()
         runners.append(runner)
         entries.append(

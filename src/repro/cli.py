@@ -380,11 +380,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        workers=args.batch_workers,
         procs=args.workers,
         reuse_port=args.reuse_port,
         max_batch=args.max_batch,
-        linger_ms=args.linger_ms,
         max_queue=args.max_queue,
         timeout_ms=args.timeout_ms,
         cache_bytes=args.cache_mb << 20,
@@ -423,7 +421,6 @@ def _cmd_serve_shards(args: argparse.Namespace) -> int:
         args.fleet_dir,
         host=args.host,
         base_port=args.base_port,
-        workers=args.batch_workers,
         procs=args.workers,
         replicas=args.replicas,
     )
@@ -706,12 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         "listening socket (1 = single in-process server)",
     )
     p_serve.add_argument(
-        "--batch-workers",
-        type=int,
-        default=2,
-        help="threads executing batches inside each server process",
-    )
-    p_serve.add_argument(
         "--reuse-port",
         action="store_true",
         help="per-worker SO_REUSEPORT sockets instead of one shared "
@@ -719,12 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-batch", type=int, default=16, help="requests coalesced per batch"
-    )
-    p_serve.add_argument(
-        "--linger-ms",
-        type=float,
-        default=8.0,
-        help="max wait for more requests after the first of a batch",
     )
     p_serve.add_argument(
         "--max-queue",
@@ -804,12 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="prefork processes per shard server (1 = single process)",
-    )
-    p_shards.add_argument(
-        "--batch-workers",
-        type=int,
-        default=2,
-        help="batcher threads inside each shard process",
     )
     p_shards.set_defaults(func=_cmd_serve_shards)
 

@@ -142,7 +142,7 @@ def plan_batch(
 
     ``sketches`` optionally supplies one precomputed k-mins sketch per
     query (aligned with ``queries``).  The online service sketches each
-    request on arrival — while the micro-batch is still lingering — so
+    request on arrival — while it waits behind the running batch — so
     the coalesced plan skips the sketch pass entirely.
     """
     begin = time.perf_counter()

@@ -9,11 +9,12 @@ This package is that layer:
   serialized :class:`~repro.core.search.SearchResult`, errors);
 * :mod:`repro.service.stats` — request counters, fixed-bucket latency
   histograms (p50/p95/p99), batch-size distribution;
-* :mod:`repro.service.batcher` — the micro-batcher: concurrent
-  in-flight single-query requests are coalesced (bounded batch size,
-  bounded linger) into one
-  :class:`~repro.query.executor.BatchQueryExecutor` call, so the batch
-  planner's sketch dedup and list pinning apply *across clients*;
+* :mod:`repro.service.batcher` — the micro-batcher: a request is
+  dispatched on arrival when the server is idle, and requests that
+  arrive while a batch runs coalesce (up to ``max_batch``) into the
+  next :class:`~repro.query.executor.BatchQueryExecutor` call, so the
+  batch planner's sketch dedup and list pinning apply *across
+  clients*;
 * :mod:`repro.service.server` — a stdlib-only asyncio HTTP/1.1 server
   (``/search``, ``/batch``, ``/health``, ``/stats``) with admission
   control (bounded queue, 429 shed), per-request deadlines, and

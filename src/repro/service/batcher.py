@@ -1,16 +1,22 @@
 """Micro-batching: coalesce concurrent requests into planned batches.
 
-PR 1's measurement was that a *batch* of queries planned together costs
-a fraction of the same queries run independently — sketch dedup answers
-repeated queries once, and shared Zipf-head lists are pinned and read
-once.  An online service receives exactly that workload, just spread
-across concurrent clients instead of one caller.  The micro-batcher
-recreates the batch boundary at the server: an arriving request is
-sketched immediately and parked in a bounded queue; the dispatch loop
-gathers up to ``max_batch`` requests, waiting at most ``linger_ms``
-beyond the first, and hands each same-``(theta, verify)`` group to one
-:meth:`~repro.query.executor.BatchQueryExecutor.execute_plan` call on a
-worker thread pool.
+A *batch* of queries planned together costs a fraction of the same
+queries run independently — sketch dedup answers repeated queries once,
+and shared Zipf-head lists are pinned and read once.  An online service
+receives exactly that workload, just spread across concurrent clients
+instead of one caller.  The micro-batcher recreates the batch boundary
+at the server: an arriving request is sketched immediately and parked
+in a bounded queue.
+
+The dispatch loop never waits for company.  It takes the first queued
+request, adds whatever else is already queued (up to ``max_batch``),
+and runs each same-``(theta, verify)`` group as one
+:meth:`~repro.query.executor.BatchQueryExecutor.execute_plan` call
+*inline on the event loop*.  Requests that arrive while a batch runs
+queue up and form the next batch, so batches coalesce under load and
+stay at size one when the server is idle.  A search holds the
+interpreter lock throughout, so a worker thread would buy no
+parallelism.
 
 Admission control and deadlines live here too: a full queue sheds the
 request immediately (the caller maps that to HTTP 429), and a request
@@ -21,7 +27,7 @@ its planning and execution never happen.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +50,7 @@ class _Pending:
     verify: bool
     future: asyncio.Future
     enqueued: float
+    deadline: float
 
 
 class MicroBatcher:
@@ -56,17 +63,11 @@ class MicroBatcher:
         :meth:`~repro.engine.NearDupEngine.cached_searcher` so every
         batch pins into one thread-safe LRU cache.
     max_batch:
-        Upper bound on requests coalesced into one executor call.
-    linger_ms:
-        How long the dispatcher waits for more requests after the
-        first one of a batch arrives.  The knob trades tail latency
-        (each request can wait up to one linger) for coalescing.
+        Upper bound on requests coalesced into one dispatch, and so on
+        the searches one dispatch holds the event loop for.
     max_queue:
         Admission bound: requests beyond this many queued are shed
         with :class:`~repro.service.protocol.RequestShedError`.
-    workers:
-        Threads executing batches.  Batches run concurrently when more
-        than one group (or a long-running batch) is in flight.
     """
 
     def __init__(
@@ -74,33 +75,23 @@ class MicroBatcher:
         searcher,
         *,
         max_batch: int = 16,
-        linger_ms: float = 8.0,
         max_queue: int = 128,
-        workers: int = 2,
         stats: ServiceStats | None = None,
     ) -> None:
         if max_batch < 1:
             raise InvalidParameterError(f"max_batch must be >= 1, got {max_batch}")
-        if linger_ms < 0:
-            raise InvalidParameterError(f"linger_ms must be >= 0, got {linger_ms}")
         if max_queue < 1:
             raise InvalidParameterError(f"max_queue must be >= 1, got {max_queue}")
-        if workers < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         self.searcher = searcher
         self.max_batch = int(max_batch)
-        self.linger = float(linger_ms) / 1e3
         self.max_queue = int(max_queue)
         self.stats = stats or ServiceStats()
         self.executor = BatchQueryExecutor(searcher, workers=1)
-        self._pool = ThreadPoolExecutor(
-            max_workers=int(workers), thread_name_prefix="repro-service"
-        )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._queue: asyncio.Queue[_Pending] | None = None
         self._gate: asyncio.Event | None = None
         self._runner: asyncio.Task | None = None
-        self._inflight: set[asyncio.Task] = set()
+        self._batch_calls: set[asyncio.Future] = set()
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
@@ -117,7 +108,9 @@ class MicroBatcher:
 
         With ``drain=True`` (graceful shutdown) every already-admitted
         request is still executed and answered; with ``drain=False``
-        queued requests fail with :class:`ServiceClosedError`.
+        queued requests fail with :class:`ServiceClosedError`.  Either
+        way, client batches still running finish before the executor
+        closes.
         """
         self._closed = True
         assert self._queue is not None and self._runner is not None
@@ -134,9 +127,8 @@ class MicroBatcher:
             item = self._queue.get_nowait()
             if not item.future.done():
                 item.future.set_exception(ServiceClosedError("service is shutting down"))
-        if self._inflight:
-            await asyncio.gather(*self._inflight, return_exceptions=True)
-        self._pool.shutdown(wait=True)
+        if self._batch_calls:
+            await asyncio.gather(*self._batch_calls, return_exceptions=True)
         self.executor.close()
 
     def pause(self) -> None:
@@ -164,25 +156,27 @@ class MicroBatcher:
     ) -> tuple[object, int, float]:
         """Admit one query; returns ``(SearchResult, batch_size, queue_wait_s)``.
 
-        Raises :class:`RequestShedError` when the queue is full,
-        :class:`ServiceClosedError` when draining, and
-        :class:`asyncio.TimeoutError` when ``timeout`` elapses first
-        (the request is cancelled; if still queued it is skipped before
-        any planning work happens).
+        ``queue_wait_s`` runs from admission to the start of the batch
+        that answered the query.  Raises :class:`RequestShedError` when
+        the queue is full, :class:`ServiceClosedError` when draining,
+        and :class:`asyncio.TimeoutError` when ``timeout`` elapses first
+        (if still queued, the request is skipped before any planning
+        work happens).
         """
         if self._closed:
             raise ServiceClosedError("service is shutting down")
         assert self._loop is not None and self._queue is not None
-        # Sketch on arrival: by dispatch time the whole lingering batch
-        # is pre-sketched and the planner's sketch pass is free.
-        sketch = self.searcher.family.sketch(np.asarray(tokens, dtype=np.uint32))
+        tokens = np.asarray(tokens, dtype=np.uint32)
+        now = self._loop.time()
+        # Sketch on arrival, so the planner's sketch pass is free.
         item = _Pending(
-            tokens=np.asarray(tokens, dtype=np.uint32),
-            sketch=sketch,
+            tokens=tokens,
+            sketch=self.searcher.family.sketch(tokens),
             theta=float(theta),
             verify=bool(verify),
             future=self._loop.create_future(),
-            enqueued=self._loop.time(),
+            enqueued=now,
+            deadline=math.inf if timeout is None else now + timeout,
         )
         try:
             self._queue.put_nowait(item)
@@ -192,8 +186,6 @@ class MicroBatcher:
                 f"request queue is full ({self.max_queue} waiting)"
             ) from None
         self.stats.record_admitted()
-        if timeout is None:
-            return await item.future
         return await asyncio.wait_for(item.future, timeout)
 
     async def submit_batch(
@@ -204,11 +196,12 @@ class MicroBatcher:
         verify: bool = False,
         timeout: float | None = None,
     ) -> BatchResult:
-        """Run a client-supplied batch directly (no linger needed).
+        """Run a client-supplied batch on the loop's default executor.
 
         The batch bypasses the coalescing queue — it already *is* a
-        batch — but shares the worker pool, the pinned cache, and the
-        stats block with micro-batched traffic.
+        batch — but shares the pinned cache and the stats block with
+        micro-batched traffic.  It runs off the loop, as ``/ingest``
+        does, so one long client batch does not stall ``/search``.
         """
         if self._closed:
             raise ServiceClosedError("service is shutting down")
@@ -218,11 +211,13 @@ class MicroBatcher:
         self.stats.record_batch(len(queries))
         queries = [np.asarray(query, dtype=np.uint32) for query in queries]
         call = self._loop.run_in_executor(
-            self._pool, lambda: self.executor.execute(queries, theta, verify=verify)
+            None, lambda: self.executor.execute(queries, theta, verify=verify)
         )
-        if timeout is not None:
-            call = asyncio.wait_for(call, timeout)
-        batch = await call
+        self._batch_calls.add(call)
+        call.add_done_callback(self._batch_calls.discard)
+        # A deadline abandons the wait, not the call, so close() still
+        # waits for the thread before it closes the executor.
+        batch = await asyncio.wait_for(asyncio.shield(call), timeout)
         self.stats.record_search_io(
             batch.stats.lists_loaded, batch.stats.point_reads
         )
@@ -231,73 +226,57 @@ class MicroBatcher:
     # -- dispatch loop --------------------------------------------------
     async def _run(self) -> None:
         assert self._queue is not None and self._gate is not None
-        loop = asyncio.get_running_loop()
         while True:
-            first = await self._queue.get()
-            batch = [first]
+            batch = [await self._queue.get()]
             try:
                 # The gate sits between dequeue and dispatch so pause()
                 # (tests, benchmarks) holds a fully observable state:
                 # one request held here, the rest queued behind
                 # admission control.
                 await self._gate.wait()
-                deadline = loop.time() + self.linger
-                while len(batch) < self.max_batch:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(self._queue.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        break
+                while len(batch) < self.max_batch and not self._queue.empty():
+                    batch.append(self._queue.get_nowait())
             finally:
-                # Dispatch even when the loop is cancelled mid-linger
+                # Dispatch even when the loop is cancelled at the gate
                 # (graceful drain): admitted requests are never dropped.
-                self._spawn_dispatch(batch, loop)
+                self._dispatch(batch)
+            # Yield between batches, so answered requests can write
+            # their responses before the next batch holds the loop.
+            await asyncio.sleep(0)
 
-    def _spawn_dispatch(
-        self, batch: list[_Pending], loop: asyncio.AbstractEventLoop
-    ) -> None:
-        # Same-parameter requests coalesce; a mixed drain dispatches
-        # one executor call per (theta, verify) group, concurrently.
+    def _dispatch(self, batch: list[_Pending]) -> None:
+        assert self._loop is not None
+        now = self._loop.time()
+        # Same-parameter requests coalesce; a mixed batch runs one
+        # executor call per (theta, verify) group, in turn.
         groups: dict[tuple[float, bool], list[_Pending]] = {}
         for item in batch:
-            groups.setdefault((item.theta, item.verify), []).append(item)
+            # A request whose deadline passed is skipped: its planning
+            # and execution never happen.  The deadline is checked here,
+            # not only by submit()'s timer, because a running batch
+            # holds the loop and with it that timer.
+            if now >= item.deadline and not item.future.done():
+                item.future.set_exception(asyncio.TimeoutError())
+            if not item.future.done():
+                groups.setdefault((item.theta, item.verify), []).append(item)
         for group in groups.values():
-            task = loop.create_task(self._dispatch(group))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-
-    async def _dispatch(self, group: list[_Pending]) -> None:
-        assert self._loop is not None
-        # A request whose deadline already fired was cancelled by its
-        # submit(); skipping it here cancels its planning-stage work.
-        live = [item for item in group if not item.future.done()]
-        if not live:
-            return
-        self.stats.record_batch(len(live))
-        try:
-            batch = await self._loop.run_in_executor(
-                self._pool, self._execute, live
-            )
-        except Exception as exc:  # noqa: BLE001 - forwarded to every caller
-            for item in live:
-                if not item.future.done():
+            started = self._loop.time()
+            self.stats.record_batch(len(group))
+            try:
+                result = self._execute(group)
+            except Exception as exc:  # noqa: BLE001 - forwarded to every caller
+                for item in group:
                     self.stats.record_error()
                     item.future.set_exception(exc)
-            return
-        self.stats.record_search_io(
-            batch.stats.lists_loaded, batch.stats.point_reads
-        )
-        now = self._loop.time()
-        for item, result in zip(live, batch.results):
-            if not item.future.done():
-                item.future.set_result((result, len(live), now - item.enqueued))
+                continue
+            self.stats.record_search_io(
+                result.stats.lists_loaded, result.stats.point_reads
+            )
+            for item, answer in zip(group, result.results):
+                item.future.set_result((answer, len(group), started - item.enqueued))
 
     def _execute(self, items: list[_Pending]) -> BatchResult:
-        """Worker-thread body: plan from the pre-computed sketches, run."""
+        """Plan one group from its pre-computed sketches, then run it."""
         theta = items[0].theta
         verify = items[0].verify
         plan = plan_batch(

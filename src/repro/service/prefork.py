@@ -243,7 +243,7 @@ class SharedServiceStats(ServiceStats):
         self.publish()
 
     def record_completed(
-        self, latency_seconds: float, queue_seconds: float
+        self, latency_seconds: float, queue_seconds: float | None = None
     ) -> None:
         super().record_completed(latency_seconds, queue_seconds)
         self.publish()

@@ -842,7 +842,6 @@ def serve_shards(
     *,
     host: str = "127.0.0.1",
     base_port: int = 8101,
-    workers: int = 2,
     procs: int = 1,
     replicas: int = 1,
     banner: bool = True,
@@ -872,7 +871,6 @@ def serve_shards(
             config = ServiceConfig(
                 host=replica.host,
                 port=replica.port,
-                workers=workers,
                 procs=procs,
             )
             child = context.Process(

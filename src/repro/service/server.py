@@ -66,11 +66,9 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080  #: 0 = ephemeral (the bound port lands in ``service.port``)
-    workers: int = 2  #: batcher threads per server process
     procs: int = 1  #: prefork worker processes (1 = single in-process server)
     reuse_port: bool = False  #: per-worker SO_REUSEPORT sockets instead of one shared accept socket
-    max_batch: int = 16
-    linger_ms: float = 8.0
+    max_batch: int = 16  #: most requests one dispatch runs on the event loop
     max_queue: int = 128
     timeout_ms: float = 30000.0
     cache_bytes: int = 64 * 1024 * 1024
@@ -262,9 +260,7 @@ class SearchService(HttpServiceBase):
         self.batcher = MicroBatcher(
             self.searcher,
             max_batch=self.config.max_batch,
-            linger_ms=self.config.linger_ms,
             max_queue=self.config.max_queue,
-            workers=self.config.workers,
             stats=self.stats,
         )
         self.warmed_lists = 0
@@ -395,7 +391,7 @@ class SearchService(HttpServiceBase):
         )
         total = loop.time() - begin
         for result in batch.results:
-            self.stats.record_completed(total, 0.0)
+            self.stats.record_completed(total)
         return {
             "ok": True,
             "results": [result_to_wire(result) for result in batch.results],
@@ -472,10 +468,8 @@ class SearchService(HttpServiceBase):
             "warmed_lists": self.warmed_lists,
             "engine": self._health_payload(),
             "config": {
-                "workers": self.config.workers,
                 "procs": self.config.procs,
                 "max_batch": self.config.max_batch,
-                "linger_ms": self.config.linger_ms,
                 "max_queue": self.config.max_queue,
                 "timeout_ms": self.config.timeout_ms,
                 "cache_bytes": self.config.cache_bytes,

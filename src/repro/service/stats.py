@@ -77,8 +77,8 @@ class LatencyHistogram:
 class ServiceStats:
     """Thread-safe counter block behind the ``/stats`` endpoint.
 
-    Mutated from the event loop (admission, shed, timeouts) and from
-    executor threads (batch completion), hence the lock; every method
+    Mutated only from the service's event loop, but a lock keeps
+    ``snapshot`` safe from other threads (tests, runners); every method
     is O(1) so contention stays negligible next to a search.
     """
 
@@ -129,11 +129,16 @@ class ServiceStats:
             self.lists_loaded += int(lists_loaded)
             self.point_reads += int(point_reads)
 
-    def record_completed(self, latency_seconds: float, queue_seconds: float) -> None:
+    def record_completed(
+        self, latency_seconds: float, queue_seconds: float | None = None
+    ) -> None:
+        """``queue_seconds`` is None for requests that never queued
+        (client-supplied batches), so they leave ``queue_wait`` alone."""
         with self._lock:
             self.completed += 1
             self.latency.observe(latency_seconds)
-            self.queue_wait.observe(queue_seconds)
+            if queue_seconds is not None:
+                self.queue_wait.observe(queue_seconds)
 
     # -- reporting ------------------------------------------------------
     @property

@@ -581,7 +581,7 @@ class TestIngestService:
             tmp_path / "live", k=5, t=T, vocab_size=VOCAB, seed=99,
             config=small_config(),
         )
-        config = ServiceConfig(port=0, workers=1, max_queue=16)
+        config = ServiceConfig(port=0, max_queue=16)
         with ServiceRunner(engine, config) as active:
             yield active
 
@@ -619,7 +619,7 @@ class TestIngestService:
 
     def test_static_engine_rejects_ingest(self, planted_data, planted_index):
         engine = NearDupEngine(planted_data.corpus, planted_index)
-        with ServiceRunner(engine, ServiceConfig(port=0, workers=1)) as runner:
+        with ServiceRunner(engine, ServiceConfig(port=0)) as runner:
             with ServiceClient(runner.host, runner.port) as client:
                 with pytest.raises(RemoteError, match="live"):
                     client.ingest([[1, 2, 3]])

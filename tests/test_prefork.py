@@ -60,7 +60,7 @@ def queries(planted_data) -> list[np.ndarray]:
 @pytest.fixture(scope="module")
 def fleet(saved_engine):
     config = ServiceConfig(
-        port=0, procs=2, workers=2, linger_ms=2.0,
+        port=0, procs=2,
         warmup_lists=8, cache_bytes=8 * 1024 * 1024,
     )
     server = PreforkServer(saved_engine, config)
@@ -118,7 +118,7 @@ class TestClusterStats:
 
 class TestCrashRespawn:
     def test_killed_worker_is_respawned(self, saved_engine, queries):
-        config = ServiceConfig(port=0, procs=2, linger_ms=2.0, warmup_lists=0)
+        config = ServiceConfig(port=0, procs=2, warmup_lists=0)
         server = PreforkServer(saved_engine, config)
         server.start()
         try:

@@ -384,7 +384,7 @@ def replicated_fleet(engine, tmp_path_factory):
             shard_runners.append(
                 ServiceRunner(
                     shard_engine,
-                    ServiceConfig(port=0, warmup_lists=0, workers=1),
+                    ServiceConfig(port=0, warmup_lists=0),
                 ).start()
             )
         runners[entry.name] = shard_runners
@@ -497,7 +497,7 @@ def small_replicated(tmp_path):
         shard_runners = [
             ServiceRunner(
                 load_served_engine(str(tmp_path / entry.name)),
-                ServiceConfig(port=0, warmup_lists=0, workers=1),
+                ServiceConfig(port=0, warmup_lists=0),
             ).start()
             for _ in range(2)
         ]
@@ -672,7 +672,7 @@ def restartable_server(tmp_path):
 
     def start() -> ServiceRunner:
         return ServiceRunner(
-            engine, ServiceConfig(port=port, warmup_lists=0, workers=1)
+            engine, ServiceConfig(port=port, warmup_lists=0)
         ).start()
 
     runner = start()

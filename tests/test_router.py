@@ -249,7 +249,7 @@ def fleet(fleet_dir):
     for entry in saved_map:
         shard_engine = load_served_engine(str(fleet_dir / entry.name))
         runner = ServiceRunner(
-            shard_engine, ServiceConfig(port=0, warmup_lists=0, workers=1)
+            shard_engine, ServiceConfig(port=0, warmup_lists=0)
         ).start()
         runners.append(runner)
         live_entries.append(
@@ -411,7 +411,7 @@ def small_fleet(tmp_path):
     for entry in saved_map:
         shard_engine = load_served_engine(str(tmp_path / entry.name))
         runner = ServiceRunner(
-            shard_engine, ServiceConfig(port=0, warmup_lists=0, workers=1)
+            shard_engine, ServiceConfig(port=0, warmup_lists=0)
         ).start()
         runners.append(runner)
         entries.append(

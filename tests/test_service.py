@@ -13,6 +13,7 @@ request held at the gate, the rest queued), so shed (429) and deadline
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import threading
@@ -25,6 +26,7 @@ from repro.engine import NearDupEngine
 from repro.exceptions import InvalidParameterError
 from repro.service import (
     LatencyHistogram,
+    MicroBatcher,
     ProtocolError,
     RemoteError,
     RequestShedError,
@@ -73,7 +75,7 @@ def queries(planted_data) -> list[np.ndarray]:
 @pytest.fixture(scope="module")
 def runner(engine) -> ServiceRunner:
     config = ServiceConfig(
-        port=0, workers=2, max_batch=8, linger_ms=4.0, max_queue=64,
+        port=0, max_batch=8, max_queue=64,
         warmup_lists=16, cache_bytes=8 * 1024 * 1024,
     )
     with ServiceRunner(engine, config) as active:
@@ -193,6 +195,13 @@ class TestServiceStats:
         assert snap["batch_size_distribution"] == {"2": 1}
         assert snap["latency"]["count"] == 1
         json.dumps(snap)  # JSON-ready
+
+    def test_completion_without_queue_wait(self):
+        stats = ServiceStats()
+        stats.record_completed(0.004)
+        snap = stats.snapshot()
+        assert snap["completed"] == 1 and snap["latency"]["count"] == 1
+        assert snap["queue_wait"]["count"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +329,7 @@ class TestServedEqualsDirect:
 def gated(engine) -> ServiceRunner:
     """max_queue=1 service whose dispatch is held at the pause gate."""
     config = ServiceConfig(
-        port=0, workers=1, max_batch=8, linger_ms=2.0, max_queue=1,
+        port=0, max_batch=8, max_queue=1,
         warmup_lists=0,
     )
     with ServiceRunner(engine, config) as active:
@@ -398,7 +407,7 @@ class TestAdmissionControl:
 class TestMicroBatching:
     def test_paused_queue_coalesces_into_one_batch(self, engine, queries):
         config = ServiceConfig(
-            port=0, workers=1, max_batch=8, linger_ms=5.0, max_queue=64,
+            port=0, max_batch=8, max_queue=64,
             warmup_lists=0,
         )
         with ServiceRunner(engine, config) as active:
@@ -422,7 +431,7 @@ class TestMicroBatching:
 
     def test_mixed_thetas_split_into_groups(self, engine, queries):
         config = ServiceConfig(
-            port=0, workers=2, max_batch=8, linger_ms=5.0, max_queue=64,
+            port=0, max_batch=8, max_queue=64,
             warmup_lists=0,
         )
         with ServiceRunner(engine, config) as active:
@@ -452,9 +461,153 @@ class TestMicroBatching:
             assert high_box["response"]["result"]["theta"] == pytest.approx(0.95)
 
 
+class RecordingBatcher(MicroBatcher):
+    """Records each executed group's size; ``on_execute`` runs first."""
+
+    def __init__(self, searcher, on_execute=None, **kwargs):
+        super().__init__(searcher, **kwargs)
+        self.group_sizes: list[int] = []
+        self.on_execute = on_execute
+
+    def _execute(self, items):
+        self.group_sizes.append(len(items))
+        if self.on_execute is not None:
+            self.on_execute(self)
+        return super()._execute(items)
+
+
+def run_batcher(engine, body, **kwargs):
+    """Run ``await body(batcher)`` against a started batcher, then close."""
+
+    async def scenario():
+        batcher = RecordingBatcher(
+            engine.cached_searcher(cache_bytes=4 * 1024 * 1024), **kwargs
+        )
+        await batcher.start()
+        try:
+            return await body(batcher)
+        finally:
+            await batcher.close()
+
+    return asyncio.run(scenario())
+
+
+class TestDispatchOnArrival:
+    """The dispatch rule, at MicroBatcher level: no HTTP, loose timing."""
+
+    def test_queued_requests_coalesce_without_the_gate(self, engine, queries):
+        async def body(batcher):
+            answers = await asyncio.gather(
+                *(batcher.submit(query, 0.8) for query in queries[:5])
+            )
+            return batcher, answers
+
+        batcher, answers = run_batcher(engine, body)
+        assert batcher.group_sizes == [5]
+        assert [size for _, size, _ in answers] == [5] * 5
+        for (result, _, _), query in zip(answers, queries):
+            direct = result_to_wire(engine.search_raw(query, 0.8))
+            assert canonical(result_to_wire(result)) == canonical(direct)
+
+    def test_lone_request_dispatches_at_once(self, engine, queries):
+        async def body(batcher):
+            await batcher.submit(queries[0], 0.8)  # warm the caches
+            return await batcher.submit(queries[1], 0.8)
+
+        _, size, queue_wait = run_batcher(engine, body)
+        assert size == 1
+        assert 1e3 * queue_wait < 4.0
+
+    def test_arrivals_during_a_batch_ride_the_next(self, engine, queries):
+        riders: list[asyncio.Task] = []
+
+        def arrive_once(batcher):
+            # Runs inside the first batch, while it holds the loop.
+            if not riders:
+                riders.extend(
+                    asyncio.get_running_loop().create_task(
+                        batcher.submit(query, 0.8)
+                    )
+                    for query in queries[1:3]
+                )
+
+        async def body(batcher):
+            first = await batcher.submit(queries[0], 0.8)
+            return first, await asyncio.gather(*riders)
+
+        first, later = run_batcher(engine, body, on_execute=arrive_once)
+        assert first[1] == 1
+        assert [size for _, size, _ in later] == [2, 2]
+
+    def test_deadline_passed_behind_a_running_batch_is_skipped(
+        self, engine, queries
+    ):
+        def slow_first(batcher):
+            if len(batcher.group_sizes) == 1:
+                time.sleep(0.1)
+
+        async def body(batcher):
+            answers = await asyncio.gather(
+                batcher.submit(queries[0], 0.8),
+                batcher.submit(queries[1], 0.8, timeout=0.03),
+                return_exceptions=True,
+            )
+            return answers, batcher.group_sizes
+
+        (first, late), group_sizes = run_batcher(
+            engine, body, on_execute=slow_first, max_batch=1
+        )
+        assert first[1] == 1
+        assert isinstance(late, asyncio.TimeoutError)
+        assert group_sizes == [1]  # the late request never ran
+
+    def test_queue_wait_excludes_execution(self, engine, queries):
+        def slow(_batcher):
+            time.sleep(0.05)
+
+        async def body(batcher):
+            loop = asyncio.get_running_loop()
+            begin = loop.time()
+            _, _, queue_wait = await batcher.submit(queries[0], 0.8)
+            return queue_wait, loop.time() - begin
+
+        queue_wait, total = run_batcher(engine, body, on_execute=slow)
+        assert 1e3 * queue_wait < 1e3 * total - 40.0
+
+    def test_close_waits_for_a_running_client_batch(self, engine, queries):
+        finished = threading.Event()
+
+        async def body(batcher):
+            execute = batcher.executor.execute
+
+            def slow_execute(*args, **kwargs):
+                time.sleep(0.1)
+                batch = execute(*args, **kwargs)
+                finished.set()
+                return batch
+
+            batcher.executor.execute = slow_execute
+            with pytest.raises(asyncio.TimeoutError):
+                await batcher.submit_batch(queries[:2], 0.8, timeout=0.01)
+            await batcher.close()
+            return finished.is_set()
+
+        assert run_batcher(engine, body)
+
+    def test_client_batches_record_no_queue_wait(self, client, runner, queries):
+        def queue_count() -> int:
+            return runner.call(lambda: runner.service.stats.queue_wait.total)
+
+        before = queue_count()
+        client.batch(queries[:3], 0.8)
+        assert queue_count() == before
+        client.search(queries[0], 0.8)
+        assert queue_count() == before + 1
+
+
 class TestShutdown:
     def test_clean_shutdown_refuses_connections(self, engine, queries):
-        config = ServiceConfig(port=0, workers=1, warmup_lists=0)
+        config = ServiceConfig(port=0, warmup_lists=0)
         active = ServiceRunner(engine, config).start()
         port = active.port
         with ServiceClient(active.host, port) as probe:
@@ -466,7 +619,7 @@ class TestShutdown:
 
     def test_shutdown_drains_admitted_requests(self, engine, queries):
         config = ServiceConfig(
-            port=0, workers=1, max_batch=8, linger_ms=2.0, max_queue=8,
+            port=0, max_batch=8, max_queue=8,
             warmup_lists=0,
         )
         active = ServiceRunner(engine, config).start()

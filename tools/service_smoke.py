@@ -74,7 +74,6 @@ def main() -> int:
         [
             sys.executable, "-m", "repro.cli", "serve", str(directory),
             "--port", str(port), "--workers", str(args.workers),
-            "--linger-ms", "2",
             "--result-cache", "on",
         ],
         stdout=subprocess.PIPE,
