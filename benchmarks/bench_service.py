@@ -1,6 +1,6 @@
-"""Service throughput benchmark: micro-batching, prefork, open time.
+"""Service throughput benchmark: micro-batching and prefork.
 
-ISSUE 3 + ISSUE 6 acceptance benchmark.  Three sections:
+Acceptance benchmark of the service tier, in two sections:
 
 **Micro-batching** (ISSUE 3) — a real :class:`SearchService` (an
 in-process :class:`ServiceRunner`, real HTTP over loopback) driven by
@@ -31,12 +31,6 @@ cores, not memory.  Acceptance (full scale, >= 4 cores): 4-worker qps
 >= 3x 1-worker qps with p95 no worse; on smaller hosts the gate is
 recorded as skipped with the measured ``cpu_count``.
 
-**Open time** (ISSUE 6) — ``DiskInvertedIndex`` open latency on a
-packed index stored as the mmap sidecar vs. the legacy zipped ``.npz``
-directory.  The sidecar open is O(TOC): parse a JSON header and map
-the file; the ``.npz`` open decompresses every directory array.
-Acceptance (full scale): sidecar open >= 10x faster.
-
 Run: ``PYTHONPATH=src python benchmarks/bench_service.py [--smoke|--quick]``
 Writes ``BENCH_service.json`` next to the repository root.  ``--quick``
 fails unless ``concurrent_on`` coalesces (mean batch > 1) and serves at
@@ -48,7 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 import tempfile
 import threading
@@ -61,7 +54,7 @@ from repro.core.hashing import HashFamily
 from repro.corpus.synthetic import synthweb
 from repro.engine import NearDupEngine
 from repro.index.builder import build_memory_index
-from repro.index.storage import DiskInvertedIndex, convert_directory, write_index
+from repro.index.storage import DiskInvertedIndex, write_index
 from repro.service import (
     PreforkServer,
     ServiceClient,
@@ -259,54 +252,6 @@ def run_prefork_scenario(
     }
 
 
-def bench_open_time(smoke: bool) -> dict:
-    """Min open latency of a packed index: mmap sidecar vs. zipped npz."""
-    num_texts = 300 if smoke else 3000
-    data = synthweb(
-        num_texts=num_texts,
-        mean_length=200,
-        vocab_size=4096,
-        duplicate_rate=0.1,
-        span_length=WINDOW,
-        mutation_rate=0.05,
-        seed=23,
-    )
-    family = HashFamily(k=16 if smoke else 32, seed=7)
-    index = build_memory_index(data.corpus, family, t=25, vocab_size=4096)
-    sidecar_dir = Path(tempfile.mkdtemp(prefix="bench_open_sidecar_"))
-    write_index(index, sidecar_dir, codec="packed", dir_format="sidecar")
-    npz_dir = Path(tempfile.mkdtemp(prefix="bench_open_npz_"))
-    for path in sidecar_dir.iterdir():
-        shutil.copy2(path, npz_dir / path.name)
-    convert_directory(npz_dir, "npz")
-
-    def min_open_seconds(directory: Path, reps: int = 7) -> float:
-        best = float("inf")
-        for _ in range(reps):
-            begin = time.perf_counter()
-            opened = DiskInvertedIndex(directory)
-            best = min(best, time.perf_counter() - begin)
-            del opened
-        return best
-
-    sidecar_open = min_open_seconds(sidecar_dir)
-    npz_open = min_open_seconds(npz_dir)
-    directory_bytes = sum(
-        path.stat().st_size
-        for path in sidecar_dir.iterdir()
-        if path.name == "index.dir.bin"
-    )
-    shutil.rmtree(sidecar_dir)
-    shutil.rmtree(npz_dir)
-    return {
-        "num_texts": num_texts,
-        "sidecar_bytes": directory_bytes,
-        "sidecar_open_s": sidecar_open,
-        "npz_open_s": npz_open,
-        "open_speedup": npz_open / sidecar_open if sidecar_open > 0 else 0.0,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -375,14 +320,6 @@ def main(argv=None) -> int:
         else 0.0
     )
 
-    # -- open time: mmap sidecar vs. zipped npz ------------------------
-    open_times = bench_open_time(args.smoke)
-    print(
-        f"open time (packed index): sidecar {open_times['sidecar_open_s'] * 1e3:.2f} ms, "
-        f"npz {open_times['npz_open_s'] * 1e3:.2f} ms "
-        f"({open_times['open_speedup']:.1f}x)"
-    )
-
     on = next(row for row in rows if row["scenario"] == "concurrent_on")
     off = next(row for row in rows if row["scenario"] == "concurrent_off")
     speedup = on["qps"] / off["qps"] if off["qps"] else 0.0
@@ -400,7 +337,6 @@ def main(argv=None) -> int:
             "single": prefork_single["latency_ms"]["p95"],
             "scaled": prefork_scaled["latency_ms"]["p95"],
         },
-        "open_time": open_times,
     }
 
     # Acceptance gates.  At smoke scale only the coalescing guard binds:
@@ -430,7 +366,7 @@ def main(argv=None) -> int:
         print(
             f"smoke: batching {speedup:.2f}x at mean batch "
             f"{on['mean_batch_size']:.2f}, prefork x{fleet} "
-            f"{prefork_speedup:.2f}x, open {open_times['open_speedup']:.1f}x"
+            f"{prefork_speedup:.2f}x"
         )
     else:
         gates: dict = {}
@@ -465,16 +401,6 @@ def main(argv=None) -> int:
             print(
                 f"prefork gate skipped: cpu_count={cpu_count} < 4 "
                 f"(measured {prefork_speedup:.2f}x recorded)"
-            )
-        ok_open = open_times["open_speedup"] >= 10.0
-        gates["open_time"] = {
-            "speedup": open_times["open_speedup"],
-            "required": 10.0,
-            "pass": ok_open,
-        }
-        if not ok_open:
-            failures.append(
-                f"sidecar open speedup {open_times['open_speedup']:.1f}x < 10x"
             )
         payload["gates"] = gates
 

@@ -66,7 +66,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
             batch_texts=args.batch_texts,
             memory_budget_bytes=args.memory_budget << 20,
             codec=args.codec,
-            dir_format=args.dir_format,
         )
         stats = build_external_index(corpus, family, args.t, args.out, config=config)
     else:
@@ -77,7 +76,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
             args.out,
             batch_texts=args.batch_texts,
             codec=args.codec,
-            dir_format=args.dir_format,
         )
     print(
         f"built index: {stats.windows_generated} compact windows, "
@@ -548,13 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="raw",
         help="payload codec: raw 16-byte postings (format v1) or "
         "delta + bit-packed blocks (format v2, ~3-5x smaller)",
-    )
-    p_build.add_argument(
-        "--dir-format",
-        choices=["sidecar", "npz"],
-        default="sidecar",
-        help="directory container: page-aligned mmap sidecar "
-        "(zero-copy open) or the legacy zipped npz archive",
     )
     p_build.set_defaults(func=_cmd_build)
 

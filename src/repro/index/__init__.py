@@ -59,12 +59,7 @@ from repro.index.stats import (
     zipf_tail_report,
 )
 from repro.index.sidecar import SIDECAR_FILE, read_sidecar, write_sidecar
-from repro.index.storage import (
-    DIR_FORMATS,
-    DiskInvertedIndex,
-    convert_directory,
-    write_index,
-)
+from repro.index.storage import DiskInvertedIndex, write_index
 from repro.index.validate import ValidationReport, validate_index
 from repro.index.zonemap import ZoneMap, build_zone_map
 
@@ -83,9 +78,7 @@ __all__ = [
     "pack_bits",
     "unpack_bits_at",
     "DEFAULT_BATCH_TEXTS",
-    "DIR_FORMATS",
     "SIDECAR_FILE",
-    "convert_directory",
     "read_sidecar",
     "write_sidecar",
     "CostEstimate",

@@ -233,7 +233,6 @@ def build_and_write_index(
     vocab_size: int | None = None,
     batch_texts: int = DEFAULT_BATCH_TEXTS,
     codec: str = "raw",
-    dir_format: str = "sidecar",
 ) -> BuildStats:
     """Build in memory, then persist to ``directory`` (the Algorithm 1 flow).
 
@@ -252,7 +251,7 @@ def build_and_write_index(
         batch_texts=batch_texts,
     )
     begin = time.perf_counter()
-    directory = write_index(index, directory, codec=codec, dir_format=dir_format)
+    directory = write_index(index, directory, codec=codec)
     stats.io_seconds += time.perf_counter() - begin
     stats.bytes_written = (directory / _PAYLOAD_FILE).stat().st_size
     return stats

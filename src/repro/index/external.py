@@ -45,7 +45,7 @@ from repro.exceptions import InvalidParameterError
 from repro.index.builder import BuildStats, generate_corpus_postings
 from repro.index.codec import check_codec
 from repro.index.inverted import POSTING_DTYPE
-from repro.index.storage import DIR_FORMATS, _IndexWriter
+from repro.index.storage import _IndexWriter
 
 logger = logging.getLogger(__name__)
 
@@ -81,7 +81,6 @@ class ExternalBuildConfig:
     memory_budget_bytes: int = 64 * 1024 * 1024
     max_recursion: int = 4
     codec: str = "raw"
-    dir_format: str = "sidecar"
 
     def __post_init__(self) -> None:
         if self.batch_texts <= 0:
@@ -91,10 +90,6 @@ class ExternalBuildConfig:
         if self.memory_budget_bytes < SPILL_DTYPE.itemsize:
             raise InvalidParameterError("memory budget smaller than one record")
         check_codec(self.codec)
-        if self.dir_format not in DIR_FORMATS:
-            raise InvalidParameterError(
-                f"dir_format must be one of {DIR_FORMATS}, got {self.dir_format!r}"
-            )
 
 
 def _partition_of(records: np.ndarray, num_partitions: int, salt: int) -> np.ndarray:
@@ -273,9 +268,7 @@ def build_external_index(
         stats.io_seconds += time.perf_counter() - begin
 
         # Pass 2: aggregate each partition into final inverted lists.
-        writer = _IndexWriter(
-            directory, family, t, codec=config.codec, dir_format=config.dir_format
-        )
+        writer = _IndexWriter(directory, family, t, codec=config.codec)
         for path in nonempty:
             begin = time.perf_counter()
             records = np.fromfile(path, dtype=SPILL_DTYPE)

@@ -341,8 +341,8 @@ class LiveIndex:
     def seal(self) -> str | None:
         """Persist the memtable as an immutable run; returns its name.
 
-        Crash-ordering: (1) the run directory is fully written (its own
-        meta commit making it locally complete); (2) the manifest
+        Crash-ordering: (1) the run directory is fully written and
+        fsynced (its own meta commit making it locally complete); (2) the manifest
         commits, atomically adopting the run, advancing the WAL fence
         (``next_text_id``) and rotating ``wal_seq``; (3) the new WAL
         segment is created and the old one deleted; (4) the memtable

@@ -89,9 +89,7 @@ def merge_disk_indexes(
     for func in range(family.k):
         # Union of this function's keys across all partitions.
         all_keys = np.unique(
-            np.concatenate([reader._keys[func] for reader in readers])
-            if readers
-            else np.empty(0, dtype=np.uint32)
+            np.concatenate([reader.list_keys(func) for reader in readers])
         )
         # Each partition reads a batch of keys with one vector read (one
         # decode for a packed partition), and the batch's merged lists
@@ -140,7 +138,7 @@ def _num_texts(reader: DiskInvertedIndex) -> int:
     if recorded is not None:
         return recorded
     top = -1
-    for minhash in reader._keys[0]:
+    for minhash in reader.list_keys(0):
         postings = reader.load_list(0, int(minhash))
         if postings.size:
             top = max(top, int(postings["text"].max()))

@@ -2,10 +2,11 @@
 
 The per-function directory arrays (keys, offsets, counts, zone maps,
 and the v2 block mini-directory) used to live in a zipped ``.npz``
-archive: every :class:`~repro.index.storage.DiskInvertedIndex` open
-paid a full decompress-and-copy, and every server process held a
-private heap copy of the whole directory.  The sidecar stores the same
-arrays in a flat container designed for ``mmap``:
+archive, which every :class:`~repro.index.storage.DiskInvertedIndex`
+open had to decompress; old indexes still hold one, and only the
+reader's legacy branch opens it.  The sidecar, the one container
+written today, stores the same arrays in a flat container designed for
+``mmap``:
 
 * a fixed 16-byte header — the magic ``RPDIRSC1`` and the byte length
   of the JSON table of contents;
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import os
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +57,7 @@ def _align_up(value: int, align: int) -> int:
 
 
 def write_sidecar(path: str | Path, arrays: dict[str, np.ndarray]) -> Path:
-    """Write ``arrays`` as one flat sidecar file; returns the path.
+    """Write ``arrays`` as one flat, fsynced sidecar file; returns the path.
 
     Array bytes are stored little-endian exactly as numpy lays them
     out (``tobytes`` of the C-contiguous form), so the reader's
@@ -94,6 +96,8 @@ def write_sidecar(path: str | Path, arrays: dict[str, np.ndarray]) -> Path:
                 position = offset
             handle.write(raw)
             position += len(raw)
+        handle.flush()
+        os.fsync(handle.fileno())
     return path
 
 

@@ -12,11 +12,11 @@ Layout of an index directory:
   list — a *posting index* into the payload for the ``raw`` codec, a
   *byte offset* for ``packed``) and ``counts_i`` (``uint32`` list
   lengths); plus, for every long list, its zone-map samples
-  (``zm_keys_i``, ``zm_ptr_i``, ``zm_samples_i``).  Format v2 adds the
-  per-block mini-directory: ``blk_first_i`` (``uint32`` first text id
-  per block), ``blk_widths_i`` (``uint8 (nb, 4)`` per-column bit
-  widths) and ``blk_offsets_i`` (``uint64`` absolute payload byte
-  offset per block), concatenated in key order;
+  (``zm_keys_i``, ``zm_starts_i``, ``zm_lengths_i``, ``zm_samples_i``).
+  Format v2 adds the per-block mini-directory: ``blk_first_i``
+  (``uint32`` first text id per block), ``blk_widths_i`` (``uint8
+  (nb, 4)`` per-column bit widths) and ``blk_offsets_i`` (``uint64``
+  absolute payload byte offset per block), concatenated in key order;
 * ``index.postings.bin`` — the payload.  ``raw`` (format v1) stores
   concatenated 16-byte postings; ``packed`` (format v2) stores the
   bit-packed blocks of :mod:`repro.index.codec`.  Lists are contiguous
@@ -24,16 +24,21 @@ Layout of an index directory:
   file is arbitrary (the out-of-core builder appends them in partition
   order; the directory carries explicit offsets).
 
-The directory ships in one of two containers: ``index.dir.bin``, a
-flat page-aligned sidecar (:mod:`repro.index.sidecar`) opened with one
-``mmap`` plus one ``np.frombuffer`` view per array — the default,
-chosen so opens cost microseconds and N forked server processes share
-a single page-cache copy — or the legacy zipped ``index.dir.npz``
-archive (``dir_format="npz"``), which stays readable.  The meta file
-records the committed container under its ``"directory"`` key;
-pre-sidecar indexes without the key are read as ``npz``.
+The directory is written as ``index.dir.bin``, a flat page-aligned
+sidecar (:mod:`repro.index.sidecar`) opened with one ``mmap`` plus one
+``np.frombuffer`` view per array, so opens cost microseconds and N
+forked server processes share a single page-cache copy; the meta file
+records it as ``"directory": "sidecar"``.  Indexes committed before the
+sidecar existed hold the zipped ``index.dir.npz`` archive instead (meta
+``"directory": "npz"``, or no ``"directory"`` key at all); they are
+read, never written, by one legacy branch of :func:`_load_directory`.
+Before the meta rename, :meth:`_IndexWriter.close` fsyncs the payload,
+the sidecar and the meta temp file, and after it the directory, so a
+committed index survives power loss.
 
-The reader memory-maps the payload and reads only the slices — for v2,
+The reader concatenates the per-function arrays once at open into one
+flat directory over all ``k`` functions (zone maps stay per function),
+and memory-maps the payload and reads only the slices — for v2,
 only the *blocks* — the searcher asks for, accounting every payload
 byte in ``io_stats`` (with ``decoded_bytes`` tracking the posting
 bytes produced after decompression) so the benchmarks can reproduce
@@ -79,12 +84,9 @@ from repro.index.zonemap import DEFAULT_STEP, ZoneMap
 _FORMAT_VERSION = 1
 _FORMAT_VERSION_PACKED = 2
 _META_FILE = "index.meta.json"
-_DIR_FILE = "index.dir.npz"
+#: Legacy zipped directory, read but no longer written.
+_NPZ_DIR_FILE = "index.dir.npz"
 _PAYLOAD_FILE = "index.postings.bin"
-
-#: Supported directory containers: the mmap sidecar (default) and the
-#: legacy zipped archive.
-DIR_FORMATS = ("sidecar", "npz")
 
 #: Lists at least this long get a zone map by default.
 DEFAULT_ZONEMAP_MIN_LIST = 256
@@ -120,7 +122,6 @@ class _IndexWriter:
         zonemap_step: int = DEFAULT_STEP,
         zonemap_min_list: int = DEFAULT_ZONEMAP_MIN_LIST,
         codec: str = "raw",
-        dir_format: str = "sidecar",
         num_texts: int | None = None,
     ) -> None:
         if zonemap_step <= 0:
@@ -135,11 +136,6 @@ class _IndexWriter:
         self._zonemap_step = int(zonemap_step)
         self._zonemap_min_list = int(zonemap_min_list)
         self._codec = check_codec(codec)
-        if dir_format not in DIR_FORMATS:
-            raise InvalidParameterError(
-                f"dir_format must be one of {DIR_FORMATS}, got {dir_format!r}"
-            )
-        self._dir_format = dir_format
         self._payload = open(self._directory / _PAYLOAD_FILE, "wb")
         self._written = 0
         self._payload_bytes = 0
@@ -221,8 +217,16 @@ class _IndexWriter:
         file and atomically renamed into place with ``os.replace``, so
         a crash anywhere before that leaves a directory the reader
         rejects as a partial build instead of silently misreading.
+        Payload, sidecar and meta are fsynced before the rename and the
+        directory after it, so a caller that commits this index
+        elsewhere (an LSM manifest) never adopts unsynced bytes.
         """
+        # The lsm package imports this module.
+        from repro.index.lsm.manifest import _fsync_directory
+
         start = time.perf_counter()
+        self._payload.flush()
+        os.fsync(self._payload.fileno())
         self._payload.close()
         k = self._family.k
         parts = {
@@ -275,10 +279,7 @@ class _IndexWriter:
             arrays[f"zm_starts_{func}"] = zm_starts[chosen]
             arrays[f"zm_lengths_{func}"] = parts["zm_lengths"][chosen]
             arrays[f"zm_samples_{func}"] = samples[sample_edges[lo] : sample_edges[hi]]
-        if self._dir_format == "sidecar":
-            write_sidecar(self._directory / _DIR_SIDECAR_FILE, arrays)
-        else:
-            np.savez(self._directory / _DIR_FILE, **arrays)
+        write_sidecar(self._directory / _DIR_SIDECAR_FILE, arrays)
         meta = {
             "format_version": (
                 _FORMAT_VERSION_PACKED
@@ -290,7 +291,7 @@ class _IndexWriter:
             "zonemap_step": self._zonemap_step,
             "zonemap_min_list": self._zonemap_min_list,
             "family": self._family.to_dict(),
-            "directory": self._dir_format,
+            "directory": "sidecar",
         }
         if self._num_texts is not None:
             meta["num_texts"] = self._num_texts
@@ -299,8 +300,12 @@ class _IndexWriter:
             meta["payload_bytes"] = self._payload_bytes
         meta_path = self._directory / _META_FILE
         temp_path = self._directory / (_META_FILE + ".tmp")
-        temp_path.write_text(json.dumps(meta))
+        with open(temp_path, "wb") as handle:
+            handle.write(json.dumps(meta).encode())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp_path, meta_path)
+        _fsync_directory(self._directory)
         self.io_seconds += time.perf_counter() - start
 
 
@@ -334,7 +339,6 @@ def write_index(
     zonemap_step: int = DEFAULT_STEP,
     zonemap_min_list: int = DEFAULT_ZONEMAP_MIN_LIST,
     codec: str = "raw",
-    dir_format: str = "sidecar",
     num_texts: int | None = None,
 ) -> Path:
     """Persist an in-memory index to ``directory``; returns the path.
@@ -353,62 +357,11 @@ def write_index(
         zonemap_step,
         zonemap_min_list,
         codec,
-        dir_format,
         num_texts=num_texts,
     )
     writer.write_lists(*index.all_lists())
     writer.close()
     return Path(directory)
-
-
-def convert_directory(directory: str | Path, dir_format: str = "sidecar") -> Path:
-    """Rewrite an index directory's container in place (npz ↔ sidecar).
-
-    Loads whichever container is present, writes the requested one,
-    removes the old file, and re-commits the metadata (temp file +
-    ``os.replace``) with the new ``"directory"`` key.  The payload is
-    untouched, so conversion costs one directory read + write — this
-    upgrades pre-sidecar indexes without a rebuild and lets benchmarks
-    compare open paths over byte-identical payloads.
-    """
-    directory = Path(directory)
-    if dir_format not in DIR_FORMATS:
-        raise InvalidParameterError(
-            f"dir_format must be one of {DIR_FORMATS}, got {dir_format!r}"
-        )
-    meta_path = directory / _META_FILE
-    if not meta_path.exists():
-        raise IndexFormatError(f"missing {_META_FILE} in {directory}")
-    meta = json.loads(meta_path.read_text())
-    sidecar_path = directory / _DIR_SIDECAR_FILE
-    npz_path = directory / _DIR_FILE
-    current = meta.get("directory")
-    if current is None:
-        current = "sidecar" if sidecar_path.exists() else "npz"
-    if current == dir_format:
-        return directory
-    if current == "sidecar":
-        views, _mapping = read_sidecar(sidecar_path)
-        # Copy out of the mapping before dropping it; np.savez would
-        # otherwise hold mmap-backed views past the unlink below.
-        arrays = {name: np.array(view) for name, view in views.items()}
-        np.savez(npz_path, **arrays)
-        sidecar_path.unlink()
-    else:
-        try:
-            with np.load(npz_path) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-        except (OSError, ValueError) as exc:
-            raise IndexFormatError(
-                f"directory file {_DIR_FILE} is missing or corrupt: {exc}"
-            ) from exc
-        write_sidecar(sidecar_path, arrays)
-        npz_path.unlink()
-    meta["directory"] = dir_format
-    temp_path = directory / (_META_FILE + ".tmp")
-    temp_path.write_text(json.dumps(meta))
-    os.replace(temp_path, meta_path)
-    return directory
 
 
 class DiskInvertedIndex:
@@ -431,7 +384,7 @@ class DiskInvertedIndex:
         if not meta_path.exists():
             leftovers = [
                 name
-                for name in (_PAYLOAD_FILE, _DIR_SIDECAR_FILE, _DIR_FILE)
+                for name in (_PAYLOAD_FILE, _DIR_SIDECAR_FILE)
                 if (self._directory / name).exists()
             ]
             if leftovers:
@@ -492,130 +445,79 @@ class DiskInvertedIndex:
                 self._payload = np.memmap(payload_path, dtype=POSTING_DTYPE, mode="r")
             else:
                 self._payload = np.empty(0, dtype=POSTING_DTYPE)
-        declared = meta.get("directory")
-        if declared is None:
-            # Pre-sidecar metadata: infer the container from the files.
-            declared = (
-                "sidecar"
-                if (self._directory / _DIR_SIDECAR_FILE).exists()
-                else "npz"
-            )
-        if declared not in DIR_FORMATS:
-            raise IndexFormatError(
-                f"unsupported directory container {declared!r}"
-            )
-        self._dir_format = declared
-        self._dir_map = None
-        arrays = self._load_directory()
-        try:
-            self._keys = [arrays[f"keys_{f}"] for f in range(self.family.k)]
-            self._offsets = [arrays[f"offsets_{f}"] for f in range(self.family.k)]
-            self._counts = [arrays[f"counts_{f}"] for f in range(self.family.k)]
-            if self._codec == "packed":
-                self._blk_first = [
-                    arrays[f"blk_first_{f}"] for f in range(self.family.k)
-                ]
-                self._blk_widths = [
-                    arrays[f"blk_widths_{f}"].reshape(-1, 4)
-                    for f in range(self.family.k)
-                ]
-                self._blk_offsets = [
-                    arrays[f"blk_offsets_{f}"] for f in range(self.family.k)
-                ]
-            self._zm_keys = [arrays[f"zm_keys_{f}"] for f in range(self.family.k)]
-            self._zm_starts = [
-                arrays[f"zm_starts_{f}"] for f in range(self.family.k)
-            ]
-            self._zm_lengths = [
-                arrays[f"zm_lengths_{f}"] for f in range(self.family.k)
-            ]
-            self._zm_samples = [
-                arrays[f"zm_samples_{f}"] for f in range(self.family.k)
-            ]
-        except KeyError as exc:
-            raise IndexFormatError(
-                f"index directory is missing array {exc} "
-                f"(container: {self._dir_format})"
-            ) from exc
-        directory_total = sum(int(c.sum()) for c in self._counts)
-        if directory_total != self._num_postings:
-            raise IndexFormatError(
-                f"directory accounts for {directory_total} postings, "
-                f"metadata says {self._num_postings}"
-            )
-        if self._codec == "packed":
-            # Block pointer per list: cumulative block counts in key order.
-            self._blk_ptr = []
-            for func in range(self.family.k):
-                per_list = (
-                    self._counts[func].astype(np.int64) + BLOCK_POSTINGS - 1
-                ) // BLOCK_POSTINGS
-                ptr = np.concatenate(([0], np.cumsum(per_list)))
-                if int(ptr[-1]) != int(self._blk_first[func].size):
-                    raise IndexFormatError(
-                        f"block directory of function {func} holds "
-                        f"{self._blk_first[func].size} blocks, counts imply "
-                        f"{int(ptr[-1])}"
-                    )
-                self._blk_ptr.append(ptr)
-        self._flatten_directory()
+        self._flatten_directory(_load_directory(self._directory, meta))
         self.io_stats = IOStats()
 
-    def _flatten_directory(self) -> None:
-        """The read path's view of the directory: all ``k`` functions in one.
+    def _flatten_directory(self, arrays: dict[str, np.ndarray]) -> None:
+        """The reader's one copy of the directory: all ``k`` functions in one.
 
-        Lists are keyed ``func << 32 | minhash`` (ascending, since each
-        function's keys are), so every pair of a vector read resolves in
-        one ``searchsorted``.  ``_flat_starts`` is a list's first posting
-        (raw) or first block in the flat block arrays (packed), and
+        The container holds every array once per hash function
+        (``keys_0``, ``keys_1``, ...); they are concatenated here, and
+        ``_list_edges`` (``_block_edges``) mark where each function's
+        lists (blocks) begin.  Lists are keyed ``func << 32 | minhash``
+        (ascending, since each function's keys are), so every pair of a
+        vector read resolves in one ``searchsorted``.  ``_flat_starts``
+        is a list's first posting (raw) or first block (packed), and
         ``_flat_counts`` ends in a sentinel 0 that absent pairs (slot
-        ``-1``) read as their length.
+        ``-1``) read as their length.  Zone maps stay per function.
         """
         k = self.family.k
-        sizes = [keys.size for keys in self._keys]
+        groups = _DIRECTORY_GROUPS[self._codec]
+        try:
+            per_func = {
+                name: [arrays[f"{name}_{func}"] for func in range(k)]
+                for names in groups.values()
+                for name in names
+            }
+        except KeyError as exc:
+            raise IndexFormatError(f"index directory is missing array {exc}") from exc
+        if self._codec == "packed":
+            per_func["blk_widths"] = [w.reshape(-1, 4) for w in per_func["blk_widths"]]
+        for label, names in groups.items():
+            lengths = [[len(array) for array in per_func[name]] for name in names]
+            if lengths.count(lengths[0]) != len(lengths):
+                raise IndexFormatError(f"{label} arrays {names} differ in length")
+        sizes = [keys.size for keys in per_func["keys"]]
+        self._list_edges = np.cumsum([0] + sizes)
+        counts = np.concatenate(per_func["counts"]).astype(np.int64)
+        if int(counts.sum()) != self._num_postings:
+            raise IndexFormatError(
+                f"directory accounts for {int(counts.sum())} postings, "
+                f"metadata says {self._num_postings}"
+            )
         self._flat_keys = (
             np.repeat(np.arange(k, dtype=np.uint64), sizes) << np.uint64(32)
-        ) | np.concatenate(self._keys).astype(np.uint64)
-        self._flat_counts = np.append(
-            np.concatenate(self._counts).astype(np.int64), 0
-        )
-        if self._codec == "packed":
-            block_base = np.cumsum([0] + [first.size for first in self._blk_first])
-            self._flat_starts = np.concatenate(
-                [ptr[:-1] + base for ptr, base in zip(self._blk_ptr, block_base)]
-            )
-            self._flat_blk_offsets = np.concatenate(self._blk_offsets).astype(np.int64)
-            self._flat_blk_widths = np.concatenate(self._blk_widths)
-            self._flat_blk_first = np.concatenate(self._blk_first)
-        else:
-            self._flat_starts = np.concatenate(self._offsets).astype(np.int64)
-
-    def _load_directory(self) -> dict[str, np.ndarray]:
-        """All directory arrays, from whichever container committed.
-
-        The sidecar path is zero-copy: one ``mmap`` shared by every
-        returned view (kept alive via ``self._dir_map``), no
-        decompression.  The legacy ``.npz`` path decompresses each
-        array into a private heap copy, exactly as before.
-        """
-        if self._dir_format == "sidecar":
-            try:
-                arrays, self._dir_map = read_sidecar(
-                    self._directory / _DIR_SIDECAR_FILE
-                )
-            except IndexFormatError as exc:
-                raise IndexFormatError(
-                    f"directory sidecar {_DIR_SIDECAR_FILE} is missing or "
-                    f"corrupt: {exc}"
-                ) from exc
-            return arrays
-        try:
-            with np.load(self._directory / _DIR_FILE) as archive:
-                return {name: archive[name] for name in archive.files}
-        except (OSError, ValueError) as exc:
+        ) | np.concatenate(per_func["keys"]).astype(np.uint64)
+        self._flat_counts = np.append(counts, 0)
+        self._zm_keys = per_func["zm_keys"]
+        self._zm_starts = per_func["zm_starts"]
+        self._zm_lengths = per_func["zm_lengths"]
+        self._zm_samples = per_func["zm_samples"]
+        if self._codec == "raw":
+            self._flat_starts = np.concatenate(per_func["offsets"]).astype(np.int64)
+            return
+        per_list = (counts + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
+        implied = np.cumsum(np.append(0, per_list))
+        self._block_edges = np.cumsum([0] + [f.size for f in per_func["blk_first"]])
+        stored = np.diff(self._block_edges)
+        wanted = np.diff(implied[self._list_edges])
+        mismatched = np.flatnonzero(stored != wanted)
+        if mismatched.size:
+            func = int(mismatched[0])
             raise IndexFormatError(
-                f"directory file {_DIR_FILE} is missing or corrupt: {exc}"
-            ) from exc
+                f"block directory of function {func} holds {stored[func]} "
+                f"blocks, counts imply {wanted[func]}"
+            )
+        self._flat_starts = implied[:-1]
+        self._flat_blk_first = np.concatenate(per_func["blk_first"])
+        self._flat_blk_widths = np.concatenate(per_func["blk_widths"])
+        self._flat_blk_offsets = np.concatenate(per_func["blk_offsets"]).astype(
+            np.int64
+        )
+
+    def _func_lists(self, func: int) -> slice:
+        """Flat directory slots of one hash function's lists."""
+        return slice(int(self._list_edges[func]), int(self._list_edges[func + 1]))
 
     # -- reader protocol ------------------------------------------------
     def _resolve(self, funcs: np.ndarray, minhashes: np.ndarray) -> np.ndarray:
@@ -810,11 +712,6 @@ class DiskInvertedIndex:
         return self._codec
 
     @property
-    def directory_format(self) -> str:
-        """Directory container backing this reader: ``sidecar`` or ``npz``."""
-        return self._dir_format
-
-    @property
     def num_postings(self) -> int:
         return self._num_postings
 
@@ -832,12 +729,32 @@ class DiskInvertedIndex:
         return self._payload_bytes
 
     def list_lengths(self, func: int) -> np.ndarray:
-        return np.asarray(self._counts[func])
+        return self._flat_counts[self._func_lists(func)]
 
     def list_keys(self, func: int) -> np.ndarray:
         """Min-hash keys of one function's lists, aligned with
         :meth:`list_lengths` (cache warmup enumerates hot lists here)."""
-        return np.asarray(self._keys[func])
+        keys = self._flat_keys[self._func_lists(func)]
+        return (keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+
+    def list_blocks(
+        self, func: int, minhash: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Block-directory rows of one packed list, empty if it is absent.
+
+        Returns each block's first text id, ``(nb, 4)`` column bit
+        widths and payload byte offset; validation checks them against
+        the decoded list.
+        """
+        slot = self._resolve(*as_pairs(func, minhash))[0]
+        first = int(self._flat_starts[slot]) if slot >= 0 else 0
+        count = int(self._flat_counts[slot])
+        blocks = slice(first, first + (count + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS)
+        return (
+            self._flat_blk_first[blocks],
+            self._flat_blk_widths[blocks],
+            self._flat_blk_offsets[blocks],
+        )
 
     def to_memory(self) -> MemoryInvertedIndex:
         """Load the entire index into a :class:`MemoryInvertedIndex`.
@@ -847,41 +764,35 @@ class DiskInvertedIndex:
         """
         per_func = []
         for func in range(self.family.k):
-            counts = self._counts[func].astype(np.int64)
-            minhashes = np.repeat(self._keys[func], counts)
+            counts = self.list_lengths(func)
+            minhashes = np.repeat(self.list_keys(func), counts)
             if self._codec == "packed":
                 postings = self._decode_all(func)
             else:
                 postings = gather_ranges(
-                    self._payload, self._offsets[func].astype(np.int64), counts
+                    self._payload, self._flat_starts[self._func_lists(func)], counts
                 )
                 postings = np.array(postings) if postings.size else np.empty(
                     0, dtype=POSTING_DTYPE
                 )
-            per_func.append((minhashes.astype(np.uint32), postings))
+            per_func.append((minhashes, postings))
         return MemoryInvertedIndex.from_postings(self.family, self.t, per_func)
 
     def _decode_all(self, func: int) -> np.ndarray:
         """Decode every block of one hash function in a single call."""
-        list_counts = self._counts[func].astype(np.int64)
-        ptr = self._blk_ptr[func]
-        total_blocks = int(ptr[-1])
-        if total_blocks == 0:
+        counts = self.list_lengths(func)
+        per_list = (counts + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
+        if not per_list.sum():
             return np.empty(0, dtype=POSTING_DTYPE)
-        counts = np.full(total_blocks, BLOCK_POSTINGS, dtype=np.int64)
-        per_list = ptr[1:] - ptr[:-1]
-        has_blocks = per_list > 0
-        last_block = (ptr[1:] - 1)[has_blocks]
-        counts[last_block] = (
-            list_counts[has_blocks]
-            - (per_list[has_blocks] - 1) * BLOCK_POSTINGS
-        )
+        local = range_indices(np.zeros_like(per_list), per_list)
+        block_counts = np.repeat(counts, per_list) - local * BLOCK_POSTINGS
+        blocks = slice(int(self._block_edges[func]), int(self._block_edges[func + 1]))
         return decode_blocks(
             self._payload,
-            self._blk_offsets[func],
-            counts,
-            self._blk_widths[func],
-            self._blk_first[func],
+            self._flat_blk_offsets[blocks],
+            np.minimum(block_counts, BLOCK_POSTINGS),
+            self._flat_blk_widths[blocks],
+            self._flat_blk_first[blocks],
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -889,6 +800,49 @@ class DiskInvertedIndex:
             f"DiskInvertedIndex({str(self._directory)!r}, k={self.family.k}, "
             f"t={self.t}, postings={self.num_postings}, codec={self._codec})"
         )
+
+
+#: Arrays the directory stores once per hash function, in groups whose
+#: arrays agree in length: one entry per list, per zone map, per
+#: zone-map sample and (packed only) per block.
+_RAW_DIRECTORY = {
+    "list": ("keys", "offsets", "counts"),
+    "zone-map": ("zm_keys", "zm_starts", "zm_lengths"),
+    "sample": ("zm_samples",),
+}
+_DIRECTORY_GROUPS = {
+    "raw": _RAW_DIRECTORY,
+    "packed": {**_RAW_DIRECTORY, "block": ("blk_first", "blk_widths", "blk_offsets")},
+}
+
+
+def _load_directory(directory: Path, meta: dict) -> dict[str, np.ndarray]:
+    """Every directory array of a committed index, by name.
+
+    The sidecar path is zero-copy: one ``mmap`` shared by every returned
+    view, no decompression.
+    """
+    container = meta.get("directory")
+    sidecar = directory / _DIR_SIDECAR_FILE
+    if container == "sidecar" or (container is None and sidecar.exists()):
+        try:
+            return read_sidecar(sidecar)[0]
+        except IndexFormatError as exc:
+            raise IndexFormatError(
+                f"directory sidecar {_DIR_SIDECAR_FILE} is missing or corrupt: {exc}"
+            ) from exc
+    # Legacy: an index committed before the sidecar existed.  Its meta
+    # declares "npz" or, older still, no container at all; each array
+    # of the zipped archive decompresses into a private heap copy.
+    if container not in (None, "npz"):
+        raise IndexFormatError(f"unsupported directory container {container!r}")
+    try:
+        with np.load(directory / _NPZ_DIR_FILE) as archive:
+            return {name: archive[name] for name in archive.files}
+    except (OSError, ValueError) as exc:
+        raise IndexFormatError(
+            f"directory file {_NPZ_DIR_FILE} is missing or corrupt: {exc}"
+        ) from exc
 
 
 def _merge_ranges(

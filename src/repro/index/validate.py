@@ -20,14 +20,9 @@ Checked invariants:
    leading postings, the stored bit widths are exactly the minimal
    widths of the re-derived columns, and block byte offsets tile the
    payload contiguously within each list;
-8. (disk readers) the directory container is consistent with the meta
-   file: the container ``index.meta.json`` declares is the one on
-   disk, exactly one container file is present, and — for the mmap
-   sidecar — the TOC is self-consistent (aligned, in-bounds,
-   non-overlapping sections whose byte sizes match their dtype/shape)
-   and carries every array the reader needs per hash function, with
-   matching lengths (``keys == offsets == counts``, the zone-map
-   triple, the block mini-directory);
+8. (disk readers) the sidecar's TOC is self-consistent (aligned,
+   in-bounds, non-overlapping sections whose byte sizes match their
+   dtype/shape), and no legacy ``index.dir.npz`` sits beside it;
 9. (live-index roots, :func:`validate_live_index`) the LSM structure is
    sound: the manifest parses and every run it lists exists, is fully
    committed, matches the manifest's hash family / ``t`` / codec, and
@@ -53,6 +48,8 @@ from repro.index.codec import (
     block_counts,
     list_columns,
 )
+from repro.index.sidecar import SECTION_ALIGN, SIDECAR_FILE, read_toc
+from repro.index.storage import DiskInvertedIndex
 
 
 @dataclass
@@ -76,7 +73,7 @@ def _iter_lists(index, func: int):
     if hasattr(index, "iter_lists"):
         yield from index.iter_lists(func)
         return
-    for minhash in index._keys[func]:
+    for minhash in index.list_keys(func):
         yield int(minhash), index.load_list(func, int(minhash))
 
 
@@ -170,47 +167,25 @@ def validate_index(
                     )
     if getattr(index, "codec", "raw") == "packed":
         _validate_block_directory(index, report, max_lists_per_func)
-    if hasattr(index, "directory_format"):
-        _validate_directory_container(index, report)
+    if isinstance(index, DiskInvertedIndex):
+        _validate_sidecar(index.directory, report)
     return report
 
 
-def _validate_directory_container(index, report: ValidationReport) -> None:
-    """Invariant (8): container files vs. meta, sidecar TOC soundness."""
-    from pathlib import Path
-
-    from repro.index.sidecar import SECTION_ALIGN, SIDECAR_FILE, read_toc
-
-    directory = Path(index._directory)
-    declared = index.directory_format
-    present = {
-        name: (directory / filename).exists()
-        for name, filename in (("sidecar", SIDECAR_FILE), ("npz", "index.dir.npz"))
-    }
-    if not present.get(declared, False):
-        report._fail(
-            f"meta declares directory container {declared!r} but its file "
-            "is missing"
-        )
-    extra = [name for name, here in present.items() if here and name != declared]
-    if extra:
-        report._fail(
-            f"stray directory container file(s) {extra} next to the "
-            f"declared {declared!r} container"
-        )
-    if declared != "sidecar" or not present.get("sidecar", False):
-        return
-
+def _validate_sidecar(directory, report: ValidationReport) -> None:
+    """Invariant (8): sidecar TOC soundness, no npz beside the sidecar."""
+    if not (directory / SIDECAR_FILE).exists():
+        return  # a legacy npz index: the reader already parsed it
+    if (directory / "index.dir.npz").exists():
+        report._fail("stray legacy index.dir.npz next to the directory sidecar")
     try:
         sections, data_start, size = read_toc(directory / SIDECAR_FILE)
     except Exception as exc:  # noqa: BLE001 - any parse failure is the finding
         report._fail(f"sidecar TOC unreadable: {exc}")
         return
-    names = set()
     spans = []
     for section in sections:
         name = section["name"]
-        names.add(name)
         offset, nbytes = int(section["offset"]), int(section["nbytes"])
         if offset % SECTION_ALIGN:
             report._fail(f"sidecar section {name}: offset not {SECTION_ALIGN}-aligned")
@@ -230,55 +205,15 @@ def _validate_directory_container(index, report: ValidationReport) -> None:
         if start < end:
             report._fail(f"sidecar sections {name} and {other} overlap")
 
-    lengths = {section["name"]: int(section["shape"][0]) for section in sections}
-    required = ["keys", "offsets", "counts", "zm_keys", "zm_starts", "zm_lengths", "zm_samples"]
-    if getattr(index, "codec", "raw") == "packed":
-        required += ["blk_first", "blk_widths", "blk_offsets"]
-    for func in range(index.family.k):
-        missing = [
-            prefix for prefix in required if f"{prefix}_{func}" not in names
-        ]
-        if missing:
-            report._fail(f"sidecar is missing sections for func {func}: {missing}")
-            continue
-        num_lists = lengths[f"keys_{func}"]
-        if (
-            lengths[f"offsets_{func}"] != num_lists
-            or lengths[f"counts_{func}"] != num_lists
-        ):
-            report._fail(
-                f"sidecar func {func}: keys/offsets/counts lengths disagree"
-            )
-        num_zm = lengths[f"zm_keys_{func}"]
-        if (
-            lengths[f"zm_starts_{func}"] != num_zm
-            or lengths[f"zm_lengths_{func}"] != num_zm
-        ):
-            report._fail(f"sidecar func {func}: zone-map triple lengths disagree")
-        if getattr(index, "codec", "raw") == "packed":
-            num_blocks = lengths[f"blk_first_{func}"]
-            if (
-                lengths[f"blk_widths_{func}"] != num_blocks
-                or lengths[f"blk_offsets_{func}"] != num_blocks
-            ):
-                report._fail(
-                    f"sidecar func {func}: block mini-directory lengths disagree"
-                )
-
 
 def _validate_block_directory(index, report: ValidationReport, max_lists_per_func):
     """Invariant (7): v2 block directory vs. decoded list contents."""
     for func in range(index.family.k):
-        ptr = index._blk_ptr[func]
-        for slot, minhash in enumerate(index._keys[func]):
+        for slot, minhash in enumerate(index.list_keys(func).tolist()):
             if max_lists_per_func is not None and slot >= max_lists_per_func:
                 break
-            minhash = int(minhash)
             postings = index.load_list(func, minhash)
-            blk_lo, blk_hi = int(ptr[slot]), int(ptr[slot + 1])
-            first = index._blk_first[func][blk_lo:blk_hi]
-            widths = index._blk_widths[func][blk_lo:blk_hi]
-            offsets = index._blk_offsets[func][blk_lo:blk_hi]
+            first, widths, offsets = index.list_blocks(func, minhash)
             counts = block_counts(postings.size)
             if counts.size != first.size:
                 report._fail(
@@ -341,7 +276,6 @@ def validate_live_index(
     from repro.exceptions import IndexFormatError
     from repro.index.lsm.manifest import MANIFEST_FILE, Manifest
     from repro.index.lsm.wal import scan_wal
-    from repro.index.storage import DiskInvertedIndex
 
     report = ValidationReport()
     root = Path(root)

@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.exceptions import InvalidParameterError
+from repro.index.lsm.manifest import _fsync_directory
 
 _FORMAT_VERSION = 2
 _READABLE_FORMATS = (1, 2)
@@ -396,16 +397,3 @@ def with_added_replicas(
         )
     return ShardMap(grown, replicas=shard_map.replicas)
 
-
-def _fsync_directory(root: Path) -> None:
-    """Best-effort fsync of the directory entry after ``os.replace``."""
-    try:
-        fd = os.open(root, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(fd)

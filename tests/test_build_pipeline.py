@@ -37,6 +37,7 @@ from repro.index.external import (
     build_external_index,
 )
 from repro.index.inverted import POSTING_BYTES
+from repro.index.sidecar import SIDECAR_FILE, read_sidecar
 from repro.index.storage import _PAYLOAD_FILE, DiskInvertedIndex, write_index
 
 hash_matrices = st.integers(1, 6).flatmap(
@@ -76,7 +77,10 @@ def payload_lists(directory) -> dict[tuple[int, int], bytes]:
         for func in range(index.family.k)
         for key in index.list_keys(func)
     ]
-    starts = np.concatenate(index._offsets).astype(np.int64) * scale
+    arrays = read_sidecar(directory / SIDECAR_FILE)[0]
+    starts = np.concatenate(
+        [arrays[f"offsets_{func}"] for func in range(index.family.k)]
+    ).astype(np.int64) * scale
     ends = np.empty_like(starts)
     order = np.argsort(starts)
     ends[order] = np.append(starts[order][1:], len(payload))

@@ -41,7 +41,8 @@ from repro.index.codec import (
 )
 from repro.index.inverted import POSTING_BYTES, POSTING_DTYPE
 from repro.index.lsm import UnionIndexReader
-from repro.index.storage import DiskInvertedIndex, convert_directory, write_index
+from repro.index.sidecar import SIDECAR_FILE, read_sidecar, write_sidecar
+from repro.index.storage import DiskInvertedIndex, write_index
 from repro.index.validate import validate_index
 from repro.query.results import BatchStats
 from write_oracle import (
@@ -549,13 +550,13 @@ class TestErrorPaths:
     def test_block_count_mismatch_rejected(self, corpus_setup, tmp_path):
         *_, v2_dir = corpus_setup
         clone = clone_index(v2_dir, tmp_path / "blkmiss")
-        convert_directory(clone, "npz")
-        with np.load(clone / "index.dir.npz") as archive:
-            arrays = {name: archive[name] for name in archive.files}
+        views = read_sidecar(clone / SIDECAR_FILE)[0]
+        arrays = {name: np.array(view) for name, view in views.items()}
+        del views  # unmap before the rewrite below
         name = "blk_first_0"
         if arrays[name].size:
             arrays[name] = arrays[name][:-1]
-            np.savez(clone / "index.dir.npz", **arrays)
+            write_sidecar(clone / SIDECAR_FILE, arrays)
             with pytest.raises(IndexFormatError, match="block"):
                 DiskInvertedIndex(clone)
 

@@ -11,6 +11,7 @@ round trip with its client retry policy.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import threading
 
@@ -333,6 +334,35 @@ class TestLiveIndex:
         assert not stray.exists()  # GC'd on open
         assert validate_live_index(root).ok
         reopened.close()
+
+    def test_seal_syncs_run_before_manifest_commit(self, tmp_path, monkeypatch):
+        """The sealed run's payload, sidecar and meta are fsynced before
+        the manifest adopting the run is renamed into place: the old WAL
+        is deleted right after, so the run is then the only copy."""
+        rng = np.random.default_rng(25)
+        root = tmp_path / "live"
+        live = make_live(root, seal_threshold_postings=10**9)
+        live.append_texts(make_texts(rng, 40, lo=T))
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.readlink(f"/proc/self/fd/{fd}")))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.realpath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        name = live.seal()
+        monkeypatch.undo()
+        live.close()
+        commit = events.index(("replace", os.path.realpath(root / MANIFEST_FILE)))
+        synced = {path for kind, path in events[:commit] if kind == "fsync"}
+        for file in ("index.postings.bin", "index.dir.bin", "index.meta.json.tmp"):
+            assert os.path.realpath(root / name / file) in synced, file
 
     def test_snapshot_isolation_across_seal_and_compact(self, tmp_path):
         rng = np.random.default_rng(24)

@@ -1,11 +1,12 @@
-"""Sidecar directory container tests (ISSUE 6).
+"""Sidecar directory container tests.
 
-The page-aligned mmap sidecar (``index.dir.bin``) replaces the zipped
-``.npz`` archive as the default directory container.  The contract is
-strict interchangeability: the same directory served from either
-container answers every read and every search byte-identically — the
-sidecar only changes *how* the arrays reach memory (one shared
-zero-copy mapping instead of a per-process decompressed copy).
+The page-aligned mmap sidecar (``index.dir.bin``) is the one directory
+container the index writers emit; the zipped ``.npz`` archive of older
+indexes stays readable.  The contract is strict interchangeability: the
+same directory served from either container answers every read and
+every search byte-identically — the sidecar only changes *how* the
+arrays reach memory (one shared zero-copy mapping instead of a
+per-process decompressed copy).
 """
 
 from __future__ import annotations
@@ -28,14 +29,19 @@ from repro.index import (
 )
 from repro.index.builder import build_and_write_index, build_memory_index
 from repro.index.sidecar import DATA_ALIGN, SECTION_ALIGN, read_toc
-from repro.index.storage import DiskInvertedIndex, convert_directory, write_index
+from repro.index.storage import DiskInvertedIndex, write_index
 from repro.index.validate import validate_index
 from repro.service.protocol import result_to_wire
+from write_oracle import OracleIndexWriter
 
 
 @pytest.fixture(scope="module")
 def planted(tmp_path_factory):
-    """Corpus + packed index written in both containers."""
+    """Corpus + packed index in both containers.
+
+    The npz copy comes from the test oracle writer, since no index
+    writer emits that legacy container any more.
+    """
     data = synthweb(
         num_texts=120,
         mean_length=120,
@@ -50,8 +56,12 @@ def planted(tmp_path_factory):
     base = tmp_path_factory.mktemp("containers")
     sidecar_dir = base / "sidecar"
     npz_dir = base / "npz"
-    write_index(memory, sidecar_dir, codec="packed", dir_format="sidecar")
-    write_index(memory, npz_dir, codec="packed", dir_format="npz")
+    write_index(memory, sidecar_dir, codec="packed")
+    legacy = OracleIndexWriter(
+        npz_dir, family, memory.t, codec="packed", dir_format="npz"
+    )
+    legacy.write_lists(*memory.all_lists())
+    legacy.close()
     return data, family, memory, sidecar_dir, npz_dir
 
 
@@ -109,8 +119,9 @@ class TestSidecarFormat:
 class TestContainerEquivalence:
     def test_meta_declares_container(self, planted):
         *_, sidecar_dir, npz_dir = planted
-        assert DiskInvertedIndex(sidecar_dir).directory_format == "sidecar"
-        assert DiskInvertedIndex(npz_dir).directory_format == "npz"
+        for directory, container in ((sidecar_dir, "sidecar"), (npz_dir, "npz")):
+            meta = json.loads((directory / "index.meta.json").read_text())
+            assert meta["directory"] == container
 
     def test_every_list_identical_across_backends(self, planted):
         _, family, memory, sidecar_dir, npz_dir = planted
@@ -145,22 +156,25 @@ class TestContainerEquivalence:
             b = result_to_wire(from_npz.search(query, theta))
             assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_convert_round_trip(self, planted, tmp_path):
-        _, family, memory, sidecar_dir, _ = planted
-        clone = tmp_path / "clone"
+    @pytest.mark.parametrize("container", ["sidecar", "npz"])
+    def test_pre_sidecar_meta_opens(self, planted, tmp_path, container):
+        """A meta without the ``"directory"`` key (written before the
+        sidecar existed) reads whichever container sits on disk."""
+        _, family, memory, sidecar_dir, npz_dir = planted
+        clone = tmp_path / "legacy"
         clone.mkdir()
-        for path in sidecar_dir.iterdir():
+        source = npz_dir if container == "npz" else sidecar_dir
+        for path in source.iterdir():
             (clone / path.name).write_bytes(path.read_bytes())
-        convert_directory(clone, "npz")
-        assert not (clone / SIDECAR_FILE).exists()
-        assert DiskInvertedIndex(clone).directory_format == "npz"
-        convert_directory(clone, "sidecar")
-        assert not (clone / "index.dir.npz").exists()
-        back = DiskInvertedIndex(clone)
-        assert back.directory_format == "sidecar"
+        meta_path = clone / "index.meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["directory"]
+        meta_path.write_text(json.dumps(meta))
+        reader = DiskInvertedIndex(clone)
         for func in range(family.k):
             for minhash, postings in memory.iter_lists(func):
-                assert np.array_equal(back.load_list(func, int(minhash)), postings)
+                assert np.array_equal(reader.load_list(func, int(minhash)), postings)
+        assert validate_index(reader).ok
 
     def test_validate_passes_both_containers(self, planted):
         data, *_ , sidecar_dir, npz_dir = planted
@@ -190,4 +204,3 @@ class TestBuilderDefaults:
         build_and_write_index(data.corpus, HashFamily(k=4, seed=0), 16, out)
         assert (out / SIDECAR_FILE).exists()
         assert not (out / "index.dir.npz").exists()
-        assert DiskInvertedIndex(out).directory_format == "sidecar"

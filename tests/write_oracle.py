@@ -8,7 +8,9 @@ directory as Python lists of ints and reorders it list by list at
 close.  Patched in for ``repro.index.storage._IndexWriter`` (see
 :func:`oracle_writer`), it turns any build path into its oracle: the
 same lists in the same order, written by code that shares nothing with
-the vector writer but the sidecar container.
+the vector writer but the sidecar container.  With ``dir_format="npz"``
+it also writes the legacy zipped directory the package no longer
+writes, so tests keep the reader's legacy branch covered.
 """
 
 from __future__ import annotations
@@ -240,7 +242,7 @@ class OracleIndexWriter:
         if self._dir_format == "sidecar":
             write_sidecar(self._directory / storage._DIR_SIDECAR_FILE, arrays)
         else:
-            np.savez(self._directory / storage._DIR_FILE, **arrays)
+            np.savez(self._directory / storage._NPZ_DIR_FILE, **arrays)
         meta = {
             "format_version": 2 if self._codec == "packed" else 1,
             "t": self._t,
