@@ -18,6 +18,13 @@ searcher:
 5. reports all sequences of length ``>= t`` contained in ``>= beta``
    colliding windows — Definition 2's output, sound and complete
    (Theorem 2).
+
+Readers hand back :data:`~repro.index.inverted.POSTING_DTYPE` records;
+the scan works on their ``(n, 4)`` ``uint32`` row views (the same
+bytes, see :func:`~repro.index.inverted.posting_rows`).  numpy's
+structured-dtype machinery makes every concatenate, sort and mask of
+records several times dearer than the same operation on rows, and a
+query runs each of them at least once.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from repro.core.intervals import (
 from repro.core.theory import collision_threshold
 from repro.core.verify import Span, merge_overlapping_spans
 from repro.exceptions import InvalidParameterError, QueryError
-from repro.index.inverted import InvertedIndexReader
+from repro.index.inverted import InvertedIndexReader, posting_rows
 
 logger = logging.getLogger(__name__)
 
@@ -176,6 +183,21 @@ def derive_theta_result(base: SearchResult, theta: float) -> SearchResult:
         beta=beta,
         t=base.t,
     )
+
+
+def _group_by_text(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``rows`` sorted by ``(text, left)``, with each text's first row and row count.
+
+    One stable argsort on the ``text << 32 | left`` key does the work of
+    a two-field ``lexsort`` and keeps its order for ``(text, left)``
+    ties.  The gather goes through ``np.take``: fancy indexing of a 2-D
+    array is several times slower.
+    """
+    key = (rows[:, 0].astype(np.uint64) << np.uint64(32)) | rows[:, 1]
+    rows = np.take(rows, np.argsort(key, kind="stable"), axis=0)
+    texts = rows[:, 0]
+    starts = np.flatnonzero(np.concatenate(([True], texts[1:] != texts[:-1])))
+    return rows, starts, np.diff(np.append(starts, texts.size))
 
 
 class NearDuplicateSearcher:
@@ -359,14 +381,9 @@ class NearDuplicateSearcher:
         one grouped zone-map read over all long lists instead of one
         point read per candidate per list.
         """
-        merged = np.concatenate(short_chunks)
-        order = np.lexsort((merged["left"], merged["text"]))
-        merged = merged[order]
-        text_ids = merged["text"]
-        starts = np.flatnonzero(
-            np.concatenate(([True], text_ids[1:] != text_ids[:-1]))
+        rows, starts, sizes = _group_by_text(
+            np.concatenate([posting_rows(chunk) for chunk in short_chunks])
         )
-        sizes = np.diff(np.append(starts, merged.size))
         num_groups = int(sizes.size)
         alpha_eff = max(alpha_short, 1)
         keep = sizes >= alpha_short
@@ -374,13 +391,13 @@ class NearDuplicateSearcher:
         if kept_sizes.size == 0:
             stats.groups_scanned += num_groups
             return []
-        kept = merged[np.repeat(keep, sizes)]
-        group_texts = text_ids[starts[keep]].astype(np.int64)
+        kept = rows[np.repeat(keep, sizes)]
+        group_texts = rows[starts[keep], 0].astype(np.int64)
         group_ids = np.repeat(
             np.arange(kept_sizes.size, dtype=np.int64), kept_sizes
         )
         rect = fused_collision_count(
-            kept["left"], kept["center"], kept["right"], group_ids, alpha_eff
+            kept[:, 1], kept[:, 2], kept[:, 3], group_ids, alpha_eff
         )
         cand_groups = np.unique(rect.group)
 
@@ -416,25 +433,14 @@ class NearDuplicateSearcher:
             is_candidate[cand_groups] = True
             parts = [kept[np.repeat(is_candidate, kept_sizes)]]
             parts += self._read_long_lists(long_funcs, sketch, cand_texts, stats)
-            combined = np.concatenate(parts)
-            corder = np.lexsort((combined["left"], combined["text"]))
-            combined = combined[corder]
-            ctexts = combined["text"]
-            cstarts = np.flatnonzero(
-                np.concatenate(([True], ctexts[1:] != ctexts[:-1]))
-            )
-            csizes = np.diff(np.append(cstarts, combined.size))
+            combined, cstarts, csizes = _group_by_text(np.concatenate(parts))
             cgroup_ids = np.repeat(
                 np.arange(csizes.size, dtype=np.int64), csizes
             )
             rect = fused_collision_count(
-                combined["left"],
-                combined["center"],
-                combined["right"],
-                cgroup_ids,
-                beta,
+                combined[:, 1], combined[:, 2], combined[:, 3], cgroup_ids, beta
             )
-            group_texts = ctexts[cstarts].astype(np.int64)
+            group_texts = combined[cstarts, 0].astype(np.int64)
 
         rect = rect.filtered(rect.j_hi - rect.i_lo + 1 >= self.t)
         matches: list[TextMatch] = []
@@ -458,7 +464,7 @@ class NearDuplicateSearcher:
         text_ids: np.ndarray,
         stats: QueryStats,
     ) -> list[np.ndarray]:
-        """The postings of ``text_ids`` in every long list, one read for all.
+        """The rows of ``text_ids`` in every long list, one read for all.
 
         ``point_reads`` still counts one per long list, so the counter
         means the same whatever the reader batches.
@@ -466,7 +472,7 @@ class NearDuplicateSearcher:
         funcs = np.array(sorted(long_funcs), dtype=np.int64)
         stats.point_reads += int(funcs.size)
         fetched = self.index.load_texts_windows(funcs, sketch[funcs], text_ids)
-        return [postings for postings in fetched if postings.size]
+        return [posting_rows(postings) for postings in fetched if postings.size]
 
     # ------------------------------------------------------------------
     def _emit_first_match(
@@ -507,12 +513,14 @@ class NearDuplicateSearcher:
                     long_funcs, sketch, np.array([text_id], dtype=np.int64), stats
                 )
                 combined = np.concatenate(extra)
-                combined = combined[np.argsort(combined["left"], kind="stable")]
+                combined = np.take(
+                    combined, np.argsort(combined[:, 1], kind="stable"), axis=0
+                )
                 refined = fused_collision_count(
-                    combined["left"],
-                    combined["center"],
-                    combined["right"],
-                    np.zeros(combined.size, dtype=np.int64),
+                    combined[:, 1],
+                    combined[:, 2],
+                    combined[:, 3],
+                    np.zeros(len(combined), dtype=np.int64),
                     beta,
                 )
                 rectangles = refined.rectangles()

@@ -21,9 +21,12 @@ per key but reads all of its own misses with one inner vector call.
 
 Batch executors (:mod:`repro.query`) additionally *pin* the lists a
 whole query batch is known to touch: a pinned list is loaded once and
-exempt from eviction until :meth:`CachedIndexReader.unpin_all`, so a
-list loaded for the batch's third query is guaranteed still warm for
-its eighty-seventh.
+exempt from eviction until the batch releases it with
+:meth:`CachedIndexReader.unpin`, so a list loaded for the batch's third
+query is guaranteed still warm for its eighty-seventh.  Pins are
+counted per list: batches running at once (a service's ``/batch`` on a
+worker thread beside its micro-batches) each release only their own,
+and a list stays pinned until every batch that pinned it has finished.
 """
 
 from __future__ import annotations
@@ -119,7 +122,8 @@ class CachedIndexReader:
         # Resident lists, coldest first.
         self._lists: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
         self._used_bytes = 0
-        self._pinned: set[tuple[int, int]] = set()
+        # Pin count per pinned key: one per pin call holding it.
+        self._pinned: dict[tuple[int, int], int] = {}
         self._inflight: dict[tuple[int, int], _Flight] = {}
         self._lock = threading.RLock()
         self.hits = 0
@@ -140,14 +144,16 @@ class CachedIndexReader:
         self, func: int | np.ndarray, minhash: int | np.ndarray
     ) -> np.ndarray | list[np.ndarray]:
         """Whole lists through the cache; a call's misses share one inner read."""
-        loaded = self._fetch(_keys(func, minhash), pin=False)
+        loaded = self._fetch(_keys(func, minhash), pinned=None)
         return loaded if np.ndim(func) else loaded[0]
 
-    def _fetch(self, keys: list[tuple[int, int]], *, pin: bool) -> list[np.ndarray]:
+    def _fetch(
+        self, keys: list[tuple[int, int]], *, pinned: set[tuple[int, int]] | None
+    ) -> list[np.ndarray]:
         """Every key's postings: residents first, misses in one inner read.
 
         Keys are walked in argument order and bookkept one by one: a
-        resident key is a hit (``pin`` only pins it), a key another
+        resident key is a hit (a pin call only pins it), a key another
         thread is loading waits on that flight, and every other key
         becomes this call's flight (a miss).  All of this call's misses
         are read with one inner vector call *outside* the lock, then
@@ -155,7 +161,8 @@ class CachedIndexReader:
         other threads' flights, so two callers waiting on each other's
         keys cannot deadlock.  A repeated key is read once and served
         to its later positions as a hit.  If the inner read raises,
-        every flight it owned is released and its waiters retry.
+        every flight it owned is released and its waiters retry.  A pin
+        call passes the set ``pinned``, which collects the keys it pins.
         """
         out: list[np.ndarray | None] = [None] * len(keys)
         owned: dict[tuple[int, int], _Flight] = {}
@@ -165,12 +172,13 @@ class CachedIndexReader:
             for position, key in enumerate(keys):
                 cached = self._lists.get(key)
                 if cached is not None:
-                    if not pin:
+                    if pinned is None:
                         self._lists.move_to_end(key)
                         self.hits += 1
-                    elif key not in self._pinned:
-                        self._lists.move_to_end(key)
-                        self._pinned.add(key)
+                    else:
+                        if key not in self._pinned:
+                            self._lists.move_to_end(key)
+                        self._pin(key, pinned)
                     out[position] = cached
                 elif key in owned:
                     repeats.append(position)
@@ -180,11 +188,11 @@ class CachedIndexReader:
                     owned[key] = self._inflight[key] = _Flight()
                     self.misses += 1
         if owned:
-            self._load_owned(owned, pin=pin)
+            self._load_owned(owned, pinned=pinned)
             for position, key in enumerate(keys):
                 if key in owned:
                     out[position] = owned[key].postings
-            if repeats and not pin:
+            if repeats and pinned is None:
                 with self._lock:
                     self.hits += len(repeats)
         retry: list[int] = []
@@ -199,21 +207,26 @@ class CachedIndexReader:
                 self.singleflight_waits += 1
                 self.hits += 1
                 key = keys[position]
-                if pin and key not in self._lists:
+                if pinned is not None and key not in self._lists:
                     # Rejected by the loader, or already evicted.
                     self._admit(key, flight.postings)
-                if pin and key in self._lists:
-                    self._pinned.add(key)
+                if pinned is not None and key in self._lists:
+                    self._pin(key, pinned)
             out[position] = flight.postings
         if retry:
             # Become the loader ourselves.
             for position, postings in zip(
-                retry, self._fetch([keys[p] for p in retry], pin=pin)
+                retry, self._fetch([keys[p] for p in retry], pinned=pinned)
             ):
                 out[position] = postings
         return out
 
-    def _load_owned(self, owned: dict[tuple[int, int], _Flight], *, pin: bool) -> None:
+    def _load_owned(
+        self,
+        owned: dict[tuple[int, int], _Flight],
+        *,
+        pinned: set[tuple[int, int]] | None,
+    ) -> None:
         """Loader half of single-flight: one inner read *outside* the lock."""
         funcs = np.array([key[0] for key in owned], dtype=np.int64)
         minhashes = np.array([key[1] for key in owned], dtype=np.int64)
@@ -231,8 +244,8 @@ class CachedIndexReader:
             for (key, flight), postings in zip(owned.items(), loaded):
                 flight.postings = postings
                 self._admit(key, postings)
-                if pin and key in self._lists:
-                    self._pinned.add(key)
+                if pinned is not None and key in self._lists:
+                    self._pin(key, pinned)
                 self._inflight.pop(key, None)
         for flight in owned.values():
             flight.event.set()
@@ -252,24 +265,9 @@ class CachedIndexReader:
         return self.inner.load_text_windows(func, minhash, text_id)
 
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
-        """Batched list lengths for one sketch, cached lists first.
-
-        Resident lists answer from their in-memory size; the missing
-        functions consult the inner reader in one batched call.
-        """
-        sketch = np.asarray(sketch)
-        k = self.family.k
-        lengths = np.full(k, -1, dtype=np.int64)
-        with self._lock:
-            for func in range(k):
-                cached = self._lists.get((func, int(sketch[func])))
-                if cached is not None:
-                    lengths[func] = int(cached.size)
-        missing = np.flatnonzero(lengths < 0)
-        if missing.size == 0:
-            return lengths
-        lengths[missing] = self.inner.sketch_list_lengths(sketch)[missing]
-        return lengths
+        """The inner reader's lengths: caching a list does not change its
+        length, and the inner directory answers all ``k`` in one pass."""
+        return self.inner.sketch_list_lengths(sketch)
 
     def load_texts_windows(
         self, func: int | np.ndarray, minhash: int | np.ndarray, text_ids: np.ndarray
@@ -314,21 +312,46 @@ class CachedIndexReader:
     ) -> bool | list[bool]:
         """Load lists (if needed) and exempt them from eviction.
 
-        Returns ``True`` iff the list now resides pinned in the cache
-        (with arrays, one such flag per pair); a list that would not
-        fit in the budget is left unpinned (the query path still works,
-        it just pays the re-read).
+        Returns ``True`` iff this call pinned the list (with arrays, one
+        such flag per pair); a list that would not fit in the budget is
+        left unpinned (the query path still works, it just pays the
+        re-read).  The call holds one pin on each list it pinned, a
+        repeated pair included once, until :meth:`unpin` releases it.
         """
         keys = _keys(func, minhash)
-        self._fetch(keys, pin=True)
-        with self._lock:
-            pinned = [key in self._pinned for key in keys]
-        return pinned if np.ndim(func) else pinned[0]
+        pinned: set[tuple[int, int]] = set()
+        try:
+            self._fetch(keys, pinned=pinned)
+        except BaseException:
+            self._release(pinned)  # the caller never learns what to unpin
+            raise
+        flags = [key in pinned for key in keys]
+        return flags if np.ndim(func) else flags[0]
 
-    def unpin_all(self) -> None:
-        """Release every pin; pinned entries become ordinary entries."""
+    def unpin(self, func: int | np.ndarray, minhash: int | np.ndarray) -> None:
+        """Release one pin of each list, as one :meth:`pin` call took it.
+
+        Pass the pairs that call pinned.  A list pinned by several calls
+        stays exempt from eviction until each has released it; a list
+        holding no pin (say, dropped by :meth:`clear`) is ignored.
+        """
+        self._release(set(_keys(func, minhash)))
+
+    def _release(self, keys: set[tuple[int, int]]) -> None:
         with self._lock:
-            self._pinned.clear()
+            for key in keys:
+                count = self._pinned.get(key, 0)
+                if count > 1:
+                    self._pinned[key] = count - 1
+                else:
+                    self._pinned.pop(key, None)
+
+    def _pin(self, key: tuple[int, int], pinned: set[tuple[int, int]]) -> None:
+        """Take one pin on resident ``key`` for the pin call collecting
+        ``pinned``, once per call.  Callers hold ``self._lock``."""
+        if key not in pinned:
+            pinned.add(key)
+            self._pinned[key] = self._pinned.get(key, 0) + 1
 
     @property
     def pinned_bytes(self) -> int:

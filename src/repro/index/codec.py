@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.index.inverted import POSTING_DTYPE
+from repro.index.inverted import POSTING_DTYPE, row_postings
 
 #: Postings per block.  128 postings keep every full block's column
 #: slab a whole number of bytes for any bit width, so grouped pack and
@@ -404,9 +404,9 @@ def decode_blocks(
     counts = np.asarray(counts, dtype=np.int64)
     nb = int(counts.size)
     total = int(counts.sum())
-    out = np.empty(total, dtype=POSTING_DTYPE)
+    rows = np.empty((total, NUM_COLUMNS), dtype=np.uint32)
     if total == 0:
-        return out
+        return row_postings(rows)
     buffer = _as_byte_view(buffer)
     offsets = np.asarray(offsets, dtype=np.int64)
     widths = np.asarray(widths, dtype=np.uint8).reshape(nb, NUM_COLUMNS)
@@ -453,8 +453,8 @@ def decode_blocks(
         - base
     )
     centers = columns[2]
-    out["text"] = texts.astype(np.uint32)
-    out["left"] = (centers - columns[1]).astype(np.uint32)
-    out["center"] = centers.astype(np.uint32)
-    out["right"] = (centers + columns[3]).astype(np.uint32)
-    return out
+    rows[:, 0] = texts
+    rows[:, 1] = centers - columns[1]
+    rows[:, 2] = centers
+    rows[:, 3] = centers + columns[3]
+    return row_postings(rows)

@@ -72,7 +72,9 @@ from repro.index.inverted import (
     concat_postings,
     extract_texts,
     gather_ranges,
+    posting_rows,
     range_indices,
+    row_postings,
 )
 from repro.index.sidecar import (
     SIDECAR_FILE as _DIR_SIDECAR_FILE,
@@ -688,12 +690,11 @@ class DiskInvertedIndex:
                 per_pair = np.bincount(block_owners, counts, minlength=slots.size)
                 edges = [0] + np.cumsum(per_pair.astype(np.int64)).tolist()
                 # Own copy per list, so a list a cache keeps does not keep
-                # the call's whole decode buffer alive.  Copied through a
-                # view of four uint32 words per posting, which copies
-                # faster than the record dtype.
-                words = postings.view(np.uint32)
+                # the call's whole decode buffer alive.  Copied as rows,
+                # which copies faster than the record dtype.
+                rows = posting_rows(postings)
                 out = [
-                    words[4 * start : 4 * stop].copy().view(POSTING_DTYPE)
+                    row_postings(rows[start:stop].copy())
                     for start, stop in zip(edges[:-1], edges[1:])
                 ]
         if (slots >= 0).any():

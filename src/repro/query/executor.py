@@ -78,7 +78,8 @@ def _run_shard(
     """Execute one shard of unique queries on one searcher.
 
     Shared by every non-sequential mode: pin the shard's shared lists,
-    answer the queries, release the pins, and report the shard's
+    answer the queries, release the pins this shard took (another batch
+    on the same reader keeps its own), and report the shard's
     I/O/cache accounting alongside the results.
     """
     reader = searcher.index
@@ -86,10 +87,11 @@ def _run_shard(
     io = reader.io_stats
     io_before = (io.bytes_read, io.read_calls, io.seconds)
     cache_before = reader.stats() if isinstance(reader, CachedIndexReader) else None
-    pinned = 0
+    held = None
     if isinstance(reader, CachedIndexReader) and pin_keys:
-        funcs, minhashes = zip(*pin_keys)
-        pinned = sum(reader.pin(np.array(funcs), np.array(minhashes)))
+        funcs, minhashes = (np.array(column) for column in zip(*pin_keys))
+        held = np.array(reader.pin(funcs, minhashes))
+    pinned = 0 if held is None else int(held.sum())
     pin_io = (
         io.bytes_read - io_before[0],
         io.read_calls - io_before[1],
@@ -110,8 +112,8 @@ def _run_shard(
                 )
             )
     finally:
-        if isinstance(reader, CachedIndexReader):
-            reader.unpin_all()
+        if held is not None:
+            reader.unpin(funcs[held], minhashes[held])
     cache_delta = (0, 0, 0, 0, 0)
     if cache_before is not None:
         cache_after = reader.stats()

@@ -8,6 +8,7 @@ sequential per-query loop.
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -372,6 +373,52 @@ class TestPlannedCacheReuse:
         executor.close()
         executor.execute(batch_queries, 0.8)
         assert reader.load_calls == 2 * cold_loads
+
+
+class TestConcurrentBatchPins:
+    """Two batches on one cached reader (a service's ``/batch`` beside
+    its micro-batches): the batch that finishes first releases only its
+    own pins."""
+
+    def test_finished_batch_keeps_running_batch_pinned(self, setup, monkeypatch):
+        corpus, index, _ = setup
+        reader = CachedIndexReader(index)
+        searcher = NearDuplicateSearcher(reader)
+        executor = BatchQueryExecutor(searcher, workers=1)
+        plans = []
+        for text_id in (0, 1):
+            text = np.asarray(corpus[text_id])
+            # Overlapping windows share lists, so the plan pins some.
+            windows = [text[:40], text[2:42], text[4:44]]
+            plans.append(plan_batch(searcher, windows, 0.8))
+        search = searcher.search
+        parked, release = threading.Event(), threading.Event()
+
+        def parking_search(query, theta, **kwargs):
+            if not parked.is_set():  # the first batch's first query
+                parked.set()
+                assert release.wait(30)
+            return search(query, theta, **kwargs)
+
+        monkeypatch.setattr(searcher, "search", parking_search)
+        outcome: list = []
+        first = threading.Thread(
+            target=lambda: outcome.append(executor.execute_plan(plans[0], 0.8))
+        )
+        first.start()
+        try:
+            assert parked.wait(30)
+            held = reader.stats()
+            assert held.pinned_lists > 0
+            executor.execute_plan(plans[1], 0.8)
+            after = reader.stats()
+            assert after.pinned_lists == held.pinned_lists
+            assert after.pinned_bytes == held.pinned_bytes
+        finally:
+            release.set()
+            first.join(30)
+        assert not first.is_alive() and len(outcome) == 1
+        assert reader.stats().pinned_lists == 0
 
 
 class TestExecuteThetas:

@@ -224,14 +224,36 @@ class TestPinning:
         assert cache.io_stats.bytes_read == before
         assert cache.pinned_bytes == 4 * POSTING_BYTES
 
-    def test_unpin_all_restores_lru(self):
+    def test_unpin_restores_lru(self):
         cache = CachedIndexReader(FakeReader(), capacity_bytes=8 * POSTING_BYTES)
         cache.pin(0, 4)
-        cache.unpin_all()
+        cache.unpin(0, 4)
         assert cache.pinned_bytes == 0
         cache.load_list(1, 4)
         cache.load_list(2, 8)  # now the old pin may evict
         assert cache.evictions == 2
+
+    def test_pins_are_counted_per_call(self):
+        cache = CachedIndexReader(FakeReader(), capacity_bytes=8 * POSTING_BYTES)
+        assert cache.pin(np.array([0, 0]), np.array([4, 4])) == [True, True]
+        assert cache.pin(0, 4)
+        cache.unpin(np.array([0, 0]), np.array([4, 4]))  # one call's pin
+        cache.load_list(1, 4)
+        cache.load_list(2, 4)  # pressure: the other call's pin still holds
+        assert cache.stats().pinned_lists == 1 and cache.load_list(0, 4).size == 4
+        assert cache.evictions == 1
+        cache.unpin(0, 4)
+        cache.unpin(0, 4)  # holding no pin: ignored
+        assert cache.stats().pinned_lists == 0
+
+    def test_refused_pin_is_not_released_for_others(self):
+        cache = CachedIndexReader(FakeReader(), capacity_bytes=4 * POSTING_BYTES)
+        assert cache.pin(0, 4)
+        # Everything is pinned, so this call pins nothing: releasing
+        # what it pinned must not release the first call's pin.
+        assert cache.pin(np.array([1, 0]), np.array([4, 4])) == [False, True]
+        cache.unpin(np.array([0]), np.array([4]))
+        assert cache.stats().pinned_lists == 1
 
     def test_oversized_pin_refused(self):
         cache = CachedIndexReader(FakeReader(), capacity_bytes=POSTING_BYTES)
@@ -274,6 +296,7 @@ class TestThreadSafety:
 
         def worker(seed: int) -> None:
             rng = np.random.default_rng(seed)
+            held: list[tuple[int, int]] = []
             try:
                 barrier.wait()
                 for _ in range(400):
@@ -288,9 +311,12 @@ class TestThreadSafety:
                         windows = cache.load_text_windows(func, minhash, 0)
                         assert windows.size == 1
                     elif op == 8:
-                        cache.pin(func, minhash)
-                    else:
-                        cache.unpin_all()
+                        if cache.pin(func, minhash):
+                            held.append((func, minhash))
+                    elif held:
+                        cache.unpin(*held.pop())
+                for key in held:
+                    cache.unpin(*key)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -300,7 +326,7 @@ class TestThreadSafety:
         for thread in threads:
             thread.join(60)
         assert not errors
-        cache.unpin_all()
+        # Every worker released exactly the pins it took.
         snap = cache.stats()
         assert snap.cached_bytes <= snap.capacity_bytes
         assert snap.pinned_bytes == 0 and snap.pinned_lists == 0

@@ -14,7 +14,11 @@ from repro.index.inverted import (
     MemoryInvertedIndex,
     POSTING_BYTES,
     POSTING_DTYPE,
+    concat_postings,
+    posting_rows,
+    row_postings,
 )
+from repro.index.storage import DiskInvertedIndex, write_index
 
 
 def make_postings(records):
@@ -126,6 +130,65 @@ class TestReads:
     def test_list_lengths(self, index):
         assert sorted(index.list_lengths(0).tolist()) == [1, 3]
         assert index.list_lengths(1).size == 0
+
+
+class TestRowViews:
+    """``posting_rows`` / ``row_postings`` / ``concat_postings`` return
+    exactly what record concatenation and indexing return."""
+
+    @pytest.fixture
+    def records(self):
+        records = np.zeros(9, dtype=POSTING_DTYPE)
+        for field_no, name in enumerate(POSTING_DTYPE.names):
+            records[name] = np.arange(9) * 10 + field_no
+        return records
+
+    @staticmethod
+    def assert_same(got, expected):
+        assert got.dtype == expected.dtype == POSTING_DTYPE
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_rows_share_the_records_bytes(self, records):
+        rows = posting_rows(records)
+        assert rows.dtype == np.uint32 and rows.shape == (9, 4)
+        assert np.shares_memory(rows, records)
+        assert rows[3].tolist() == [30, 31, 32, 33]
+        back = row_postings(rows)
+        assert np.shares_memory(back, records)
+        self.assert_same(back, records)
+        order = np.array([4, 0, 8, 4])
+        self.assert_same(row_postings(np.take(rows, order, axis=0)), records[order])
+        mask = records["text"] % 20 == 0
+        self.assert_same(row_postings(rows[mask]), records[mask])
+
+    def test_empty(self, records):
+        self.assert_same(concat_postings([]), np.empty(0, dtype=POSTING_DTYPE))
+        empty = records[:0]
+        assert posting_rows(empty).shape == (0, 4)
+        self.assert_same(row_postings(posting_rows(empty)), empty)
+        self.assert_same(concat_postings([empty, empty]), np.concatenate([empty, empty]))
+
+    def test_one_part_is_returned_itself(self, records):
+        assert concat_postings([records]) is records
+
+    def test_strided_records(self, records):
+        strided = records[::2]
+        rows = posting_rows(strided)
+        assert rows.tolist() == [list(record) for record in strided.tolist()]
+        self.assert_same(row_postings(rows), strided)
+        parts = [strided, records[1:4], records[::3]]
+        self.assert_same(concat_postings(parts), np.concatenate(parts))
+
+    def test_memmap_slices_of_a_raw_index(self, planted_index, tmp_path):
+        write_index(planted_index, tmp_path, codec="raw")
+        payload = DiskInvertedIndex(tmp_path)._payload
+        assert isinstance(payload, np.memmap)
+        parts = [payload[5:40], payload[:0], payload[100:101], payload[7:300:3]]
+        self.assert_same(concat_postings(parts), np.concatenate(parts))
+        rows = posting_rows(payload[5:40])
+        assert np.shares_memory(rows, payload)
+        self.assert_same(row_postings(rows), np.asarray(payload[5:40]))
 
 
 class TestListLengthProfile:
