@@ -7,11 +7,14 @@ searcher:
 2. splits the ``k`` corresponding inverted lists into *short* and
    *long* ones (prefix filtering — long lists are the Zipf-head token
    lists that would dominate I/O);
-3. loads the short lists, groups their compact windows by text, and
-   runs :func:`~repro.core.intervals.collision_count` with the reduced
-   threshold ``beta - (k - p)`` (``p`` = number of short lists): a text
-   that cannot reach ``beta`` even if *every* long list contained it is
-   pruned without touching the long lists;
+3. loads the short lists and keeps only the texts that appear in
+   ``>= beta - (k - p)`` short lists (``p`` = number of short lists): a
+   sequence lies in at most one compact window per hash function, so a
+   text in fewer lists cannot reach ``beta`` even if *every* long list
+   contained it, and is pruned without touching the long lists.  The
+   kept texts' windows are grouped by text and run through
+   :func:`~repro.core.intervals.collision_count` with that reduced
+   threshold;
 4. for each surviving candidate text, point-reads its windows from the
    long lists through their zone maps and re-runs ``collision_count``
    with the full threshold ``beta = ceil(k * theta)``;
@@ -25,6 +28,11 @@ bytes, see :func:`~repro.index.inverted.posting_rows`).  numpy's
 structured-dtype machinery makes every concatenate, sort and mask of
 records several times dearer than the same operation on rows, and a
 query runs each of them at least once.
+
+:meth:`NearDuplicateSearcher.plan_query` does steps 1–2 and returns a
+:class:`PlannedQuery`; :meth:`NearDuplicateSearcher.search` is that plus
+steps 3–5.  The batch executor runs the entries its planner already
+built, so a batched query is sketched and looked up exactly once.
 """
 
 from __future__ import annotations
@@ -159,6 +167,48 @@ class SearchResult:
         return bool(self.matches)
 
 
+#: A list key: (hash function, min-hash value).
+ListKey = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class PlannedQuery:
+    """One query, sketched and split into short and long lists.
+
+    Built by :meth:`NearDuplicateSearcher.plan_query` (the batch planner
+    builds one per unique query); the searcher runs it without
+    sketching or looking up list lengths again.
+    """
+
+    position: int
+    query: np.ndarray
+    sketch: np.ndarray
+    lengths: np.ndarray
+    beta: int
+    long_funcs: frozenset[int]
+    #: Functions of the non-empty short lists, ascending: what the
+    #: search loads in full.
+    short_funcs: np.ndarray
+    #: The reader ``lengths`` came from.  ``None`` on an entry shipped
+    #: to a process that reopened the same static index.
+    source: object = field(default=None, compare=False, repr=False)
+
+    @property
+    def short_keys(self) -> list[ListKey]:
+        """The lists the search will fully load (non-empty short lists)."""
+        return list(
+            zip(self.short_funcs.tolist(), self.sketch[self.short_funcs].tolist())
+        )
+
+    @property
+    def dominant_key(self) -> ListKey | None:
+        """The query's longest list — the shard-locality key."""
+        if not self.lengths.size or int(self.lengths.max()) == 0:
+            return None
+        func = int(self.lengths.argmax())
+        return (func, int(self.sketch[func]))
+
+
 def derive_theta_result(base: SearchResult, theta: float) -> SearchResult:
     """Restrict a loose-threshold result to a stricter ``theta``.
 
@@ -281,38 +331,103 @@ class NearDuplicateSearcher:
             to have been constructed with ``corpus=...``).  Matches
             whose rectangles lose all sequences are dropped.
         """
+        marks = self._marks()
+        return self._search_planned(
+            self.plan_query(query, theta),
+            theta,
+            first_match_only=first_match_only,
+            verify=verify,
+            marks=marks,
+        )
+
+    def plan_query(
+        self,
+        query: np.ndarray,
+        theta: float,
+        *,
+        sketch: np.ndarray | None = None,
+        position: int = 0,
+    ) -> PlannedQuery:
+        """Steps 1–2 for one query: sketch, list lengths, long/short split.
+
+        ``sketch`` optionally supplies the query's precomputed k-mins
+        sketch (the service sketches requests on arrival).
+        """
         query = np.asarray(query)
         if query.size == 0:
             raise QueryError("query sequence is empty")
+        beta = collision_threshold(self.family.k, theta)
+        if sketch is None:
+            sketch = self.family.sketch(query)
+        lengths = self.index.sketch_list_lengths(sketch)
+        long_funcs = self._select_long_lists(lengths, beta)
+        is_short = lengths > 0
+        is_short[list(long_funcs)] = False
+        return PlannedQuery(
+            position=position,
+            query=query,
+            sketch=sketch,
+            lengths=lengths,
+            beta=beta,
+            long_funcs=frozenset(long_funcs),
+            short_funcs=np.flatnonzero(is_short),
+            source=self.index,
+        )
+
+    def _marks(self) -> tuple[float, int, int, float]:
+        """Clock and I/O counters at the start of a query."""
+        io = self.index.io_stats
+        return time.perf_counter(), io.bytes_read, io.read_calls, io.seconds
+
+    def _search_planned(
+        self,
+        entry: PlannedQuery,
+        theta: float,
+        *,
+        first_match_only: bool = False,
+        verify: bool = False,
+        marks: tuple[float, int, int, float] | None = None,
+    ) -> SearchResult:
+        """Steps 3–5 for a planned query: load, scan, refine, report.
+
+        An entry planned against another reader (a live index that
+        moved to a new generation since) is planned again here from its
+        sketch, since its list lengths may no longer hold.  ``marks``
+        (from :meth:`_marks`) starts the stats' clock earlier, so a
+        direct :meth:`search` also counts its planning.
+        """
         if verify and self.corpus is None:
             raise InvalidParameterError(
                 "verify=True requires the searcher to be built with corpus=..."
             )
-        begin_total = time.perf_counter()
-        io = self.index.io_stats
-        io_bytes0, io_calls0, io_seconds0 = io.bytes_read, io.read_calls, io.seconds
+        if marks is None:
+            marks = self._marks()
+        source = entry.source
+        if (
+            source is not None
+            and source is not self.index
+            and source is not getattr(self.index, "inner", None)
+        ):
+            entry = self.plan_query(
+                entry.query, theta, sketch=entry.sketch, position=entry.position
+            )
         stats = QueryStats()
-
-        k = self.family.k
-        beta = collision_threshold(k, theta)
-        sketch = self.family.sketch(query)
-
-        lengths = self.index.sketch_list_lengths(sketch)
-        long_funcs = self._select_long_lists(lengths, beta)
+        beta = entry.beta
+        long_funcs = entry.long_funcs
         stats.long_lists = len(long_funcs)
         alpha_short = beta - len(long_funcs)
 
         # Load the short lists (one read for all of them) so windows of
         # one text from all short lists can be scanned together.
-        is_short = lengths > 0
-        is_short[list(long_funcs)] = False
-        short_funcs = np.flatnonzero(is_short)
+        short_funcs = entry.short_funcs
         stats.lists_loaded += int(short_funcs.size)
         short_chunks: list[np.ndarray] = []
         if short_funcs.size:
             short_chunks = [
                 postings
-                for postings in self.index.load_list(short_funcs, sketch[short_funcs])
+                for postings in self.index.load_list(
+                    short_funcs, entry.sketch[short_funcs]
+                )
                 if postings.size
             ]
 
@@ -322,16 +437,18 @@ class NearDuplicateSearcher:
                 short_chunks,
                 alpha_short,
                 beta,
-                sketch,
+                entry.sketch,
                 long_funcs,
                 stats,
-                query,
+                entry.query,
                 theta,
                 first_match_only,
                 verify,
             )
 
-        stats.total_seconds = time.perf_counter() - begin_total
+        begin, io_bytes0, io_calls0, io_seconds0 = marks
+        io = self.index.io_stats
+        stats.total_seconds = time.perf_counter() - begin
         stats.io_bytes = io.bytes_read - io_bytes0
         stats.io_calls = io.read_calls - io_calls0
         stats.io_seconds = io.seconds - io_seconds0
@@ -350,7 +467,7 @@ class NearDuplicateSearcher:
         return SearchResult(
             matches=matches,
             stats=stats,
-            k=k,
+            k=self.family.k,
             theta=theta,
             beta=beta,
             t=self.t,
@@ -373,26 +490,40 @@ class NearDuplicateSearcher:
         """Vectorized group scan: one fused kernel pass over all groups.
 
         Produces exactly the matches (and ordering) of the scalar
-        per-group Algorithm 4/5 loop: the short postings are sorted once
-        by ``(text, left)``, groups below the reduced threshold are
-        pruned with a single mask, and the double sweep runs as flat
-        event arrays over every surviving group at once.  Long-list
+        per-group Algorithm 4/5 loop.  Texts are pruned by the number of
+        short *lists* they appear in, not by their number of windows: a
+        sequence lies in at most one compact window per hash function,
+        so that count bounds every collision count of the text.  A list
+        holds one text's windows as one run (lists are sorted by text),
+        so the count is the number of run-first rows per text; an
+        unsorted list would only overcount, which keeps the bound
+        sound.  Only the surviving texts' rows are sorted by
+        ``(text, left)``, and the double sweep runs as flat event arrays
+        over all of them at once.  Long-list
         refinement then gathers *all* surviving candidates and issues
         one grouped zone-map read over all long lists instead of one
         point read per candidate per list.
         """
-        rows, starts, sizes = _group_by_text(
-            np.concatenate([posting_rows(chunk) for chunk in short_chunks])
+        rows = np.concatenate([posting_rows(chunk) for chunk in short_chunks])
+        texts = rows[:, 0]
+        run_starts = np.empty(texts.size, dtype=bool)
+        run_starts[0] = True
+        np.not_equal(texts[1:], texts[:-1], out=run_starts[1:])
+        run_starts[
+            np.cumsum([chunk.size for chunk in short_chunks[:-1]], dtype=np.int64)
+        ] = True
+        all_texts, run_text, lists_per_text = np.unique(
+            texts[run_starts], return_inverse=True, return_counts=True
         )
-        num_groups = int(sizes.size)
+        num_groups = int(all_texts.size)
         alpha_eff = max(alpha_short, 1)
-        keep = sizes >= alpha_short
-        kept_sizes = sizes[keep]
-        if kept_sizes.size == 0:
+        keep = lists_per_text >= alpha_short
+        if not keep.any():
             stats.groups_scanned += num_groups
             return []
-        kept = rows[np.repeat(keep, sizes)]
-        group_texts = rows[starts[keep], 0].astype(np.int64)
+        row_keep = keep[run_text[np.cumsum(run_starts) - 1]]
+        kept, _, kept_sizes = _group_by_text(np.compress(row_keep, rows, axis=0))
+        group_texts = all_texts[keep].astype(np.int64)
         group_ids = np.repeat(
             np.arange(kept_sizes.size, dtype=np.int64), kept_sizes
         )

@@ -394,6 +394,11 @@ class CachedIndexReader:
         return self._used_bytes
 
     @property
+    def capacity_bytes(self) -> int:
+        """The byte budget this cache was built with."""
+        return self._capacity
+
+    @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0

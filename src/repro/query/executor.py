@@ -9,9 +9,12 @@ count and the index type:
     reproduce byte-for-byte.
 ``planned``
     ``workers>=1`` whenever ``process`` does not apply: one thread, but
-    the batch is sketch-deduplicated and the shared lists are
-    batch-pinned in a :class:`~repro.index.cache.CachedIndexReader`,
-    so each distinct list is read once per batch.  An uncached searcher
+    the batch is sketch-deduplicated and its short lists are
+    batch-pinned in a :class:`~repro.index.cache.CachedIndexReader`
+    (most demanded first, within :data:`PIN_FRACTION` of its capacity),
+    so each distinct list is read once per batch and the batch's misses
+    are read in one call.  Each query runs from its planned entry: it is
+    sketched and looked up once, by the planner.  An uncached searcher
     gets one such reader per executor, kept warm across
     :meth:`BatchQueryExecutor.execute` calls and chunks.
 ``process``
@@ -19,7 +22,7 @@ count and the index type:
     without ``verify``: workers open the index from its directory once,
     in the pool initializer (mmap-friendly; postings are never
     pickled), own a private cache, and the parent ships each worker the
-    shard of queries whose dominant lists it should keep hot.  The pool itself is created
+    planned entries whose dominant lists it should keep hot.  The pool itself is created
     lazily and **reused across** :meth:`BatchQueryExecutor.execute`
     **calls**: repeated batches pay the fork + index open once, and the
     per-worker caches stay warm between batches.  Call
@@ -32,27 +35,31 @@ a pure execution strategy.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from repro.core.search import (
+    ListKey,
     NearDuplicateSearcher,
+    PlannedQuery,
     SearchResult,
     derive_theta_result,
 )
 from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader
 from repro.index.storage import DiskInvertedIndex
-from repro.query.planner import BatchPlan, PlannedQuery, plan_batch
+from repro.query.planner import BatchPlan, plan_batch
 from repro.query.results import BatchResult, BatchStats
 
 #: Per-worker list-cache budget.
 CACHE_BYTES = 32 * 1024 * 1024
 
-#: Fraction of the cache budget the batch pinner may occupy; the rest
-#: stays available to the ordinary LRU so long-tail lists still cache.
+#: Fraction of the pinned reader's capacity the batch pinner may
+#: occupy; the rest stays available to the ordinary LRU so long-tail
+#: lists still cache.
 PIN_FRACTION = 0.5
 
 # Per-process state of the process-pool path.
@@ -69,18 +76,19 @@ def _init_query_worker(directory: str, long_list_cutoff: int | None) -> None:
 
 def _run_shard(
     searcher: NearDuplicateSearcher,
-    shard: list[tuple[int, np.ndarray]],
+    shard: list[PlannedQuery],
     theta: float,
     first_match_only: bool,
     verify: bool,
-    pin_keys: list[tuple[int, int]],
+    pin_keys: list[ListKey],
 ) -> dict:
-    """Execute one shard of unique queries on one searcher.
+    """Execute one shard of planned queries on one searcher.
 
-    Shared by every non-sequential mode: pin the shard's shared lists,
-    answer the queries, release the pins this shard took (another batch
-    on the same reader keeps its own), and report the shard's
-    I/O/cache accounting alongside the results.
+    Shared by every non-sequential mode: pin the shard's lists (one
+    read for all the misses), answer the queries from their planned
+    entries, release the pins this shard took (another batch on the
+    same reader keeps its own), and report the shard's I/O/cache
+    accounting alongside the results.
     """
     reader = searcher.index
     begin = time.perf_counter()
@@ -99,12 +107,12 @@ def _run_shard(
     )
     results: list[tuple[int, SearchResult]] = []
     try:
-        for position, query in shard:
+        for entry in shard:
             results.append(
                 (
-                    position,
-                    searcher.search(
-                        query,
+                    entry.position,
+                    searcher._search_planned(
+                        entry,
                         theta,
                         first_match_only=first_match_only,
                         verify=verify,
@@ -138,7 +146,7 @@ def _run_process_shard(payload: dict) -> dict:
     assert _WORKER_SEARCHER is not None
     return _run_shard(
         _WORKER_SEARCHER,
-        payload["shard"],
+        payload["entries"],
         payload["theta"],
         payload["first_match_only"],
         False,
@@ -274,21 +282,30 @@ class BatchQueryExecutor:
         if self._resolve_mode(verify) == "process":
             shard_count = max(min(self.workers, len(plan.entries)), 1)
         shards = plan.shards(shard_count)
-        shard_jobs = [
-            (
-                [(entry.position, entry.query) for entry in shard],
-                self._pin_keys_for(shard, plan),
-            )
-            for shard in shards
-        ]
         if len(shards) >= 2:
             mode = "process"
+            # Each worker pins into its own cache of CACHE_BYTES.
+            shard_jobs = [
+                (shard, self._pin_keys_for(shard, plan, CACHE_BYTES))
+                for shard in shards
+            ]
             outcomes = self._run_processes(shard_jobs, theta, first_match_only)
         else:
             mode = "planned"
-            outcomes = self._run_planned(
-                shard_jobs, theta, first_match_only, verify
-            )
+            searcher = self._planned_searcher()
+            outcomes = [
+                _run_shard(
+                    searcher,
+                    shard,
+                    theta,
+                    first_match_only,
+                    verify,
+                    self._pin_keys_for(
+                        shard, plan, searcher.index.capacity_bytes
+                    ),
+                )
+                for shard in shards
+            ]
         batch = self._collect(plan, outcomes, mode)
         # The shards that ran, not the workers asked for: a batch that
         # falls back to ``planned`` ran on one thread.
@@ -339,22 +356,21 @@ class BatchQueryExecutor:
             return index.inner
         return index
 
+    @staticmethod
     def _pin_keys_for(
-        self, shard: list[PlannedQuery], plan: BatchPlan
-    ) -> list[tuple[int, int]]:
-        """Shared lists this shard should pin, within the pin budget."""
-        budget = int(CACHE_BYTES * PIN_FRACTION)
+        shard: list[PlannedQuery], plan: BatchPlan, capacity_bytes: int
+    ) -> list[ListKey]:
+        """The short lists this shard should pin: most demanded first,
+        within :data:`PIN_FRACTION` of the pinned reader's capacity."""
+        budget = int(capacity_bytes * PIN_FRACTION)
         wanted = {key for entry in shard for key in entry.short_keys}
-        keys: list[tuple[int, int]] = []
+        keys: list[ListKey] = []
         used = 0
-        for key in plan.shared_keys():
-            if key not in wanted:
-                continue
-            nbytes = plan.list_bytes.get(key, 0)
-            if used + nbytes > budget:
-                continue
-            keys.append(key)
-            used += nbytes
+        for key in sorted(wanted, key=lambda key: (-plan.demand[key], key)):
+            nbytes = plan.list_bytes[key]
+            if used + nbytes <= budget:
+                keys.append(key)
+                used += nbytes
         return keys
 
     # -- strategy bodies ----------------------------------------------
@@ -382,23 +398,6 @@ class BatchQueryExecutor:
         stats.worker_busy_seconds = stats.execute_seconds
         return BatchResult(results=results, stats=stats)
 
-    def _run_planned(
-        self,
-        shard_jobs: list[tuple[list[tuple[int, np.ndarray]], list[tuple[int, int]]]],
-        theta: float,
-        first_match_only: bool,
-        verify: bool,
-    ) -> list[dict]:
-        searcher = self._planned_searcher()
-        outcomes = []
-        for shard, pin_keys in shard_jobs:
-            outcomes.append(
-                _run_shard(
-                    searcher, shard, theta, first_match_only, verify, pin_keys
-                )
-            )
-        return outcomes
-
     def _planned_searcher(self) -> NearDuplicateSearcher:
         """A searcher whose reader supports pinning, reusing an existing
         cache when the caller already searches through one.
@@ -421,14 +420,17 @@ class BatchQueryExecutor:
 
     def _run_processes(
         self,
-        shard_jobs: list[tuple[list[tuple[int, np.ndarray]], list[tuple[int, int]]]],
+        shard_jobs: list[tuple[list[PlannedQuery], list[ListKey]]],
         theta: float,
         first_match_only: bool,
     ) -> list[dict]:
         base = self._base_index()
         payloads = [
             {
-                "shard": shard,
+                # The worker's reader is its own: ship no reader along.
+                "entries": [
+                    dataclasses.replace(entry, source=None) for entry in shard
+                ],
                 "theta": theta,
                 "first_match_only": first_match_only,
                 "pin_keys": pin_keys,

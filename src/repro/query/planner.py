@@ -9,9 +9,12 @@ happens:
 2. deduplicate queries whose sketches are byte-identical (their search
    results are necessarily identical — the engine sees a query only
    through its sketch), so each distinct sketch is searched once;
-3. enumerate the distinct ``(func, minhash)`` inverted lists the batch
-   touches and how many unique queries reference each, so the executor
-   can pin shared lists once instead of re-reading them per query;
+3. split each unique query's lists into short and long ones (one
+   :class:`~repro.core.search.PlannedQuery` per unique query, which the
+   executor runs as is), and enumerate the distinct ``(func, minhash)``
+   short lists the batch loads and how many unique queries load each,
+   so the executor can pin them, most demanded first, and read every
+   miss of the batch at once;
 4. tag each query with its *dominant* (longest) list so the executor
    can shard queries by hot-list locality.
 """
@@ -23,51 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.search import NearDuplicateSearcher
-from repro.core.theory import collision_threshold
+from repro.core.search import ListKey, NearDuplicateSearcher, PlannedQuery
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.index.inverted import POSTING_BYTES
-
-#: A list key: (hash function, min-hash value).
-ListKey = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class PlannedQuery:
-    """One unique query of a batch, with its precomputed probe set."""
-
-    position: int
-    query: np.ndarray
-    sketch: np.ndarray
-    lengths: np.ndarray
-    beta: int
-    long_funcs: frozenset[int]
-
-    @property
-    def short_keys(self) -> list[ListKey]:
-        """The lists the search will fully load (non-empty short lists)."""
-        return [
-            (func, int(self.sketch[func]))
-            for func in range(self.sketch.size)
-            if func not in self.long_funcs and self.lengths[func] > 0
-        ]
-
-    @property
-    def referenced_keys(self) -> list[ListKey]:
-        """Every non-empty list the query touches (short and long)."""
-        return [
-            (func, int(self.sketch[func]))
-            for func in range(self.sketch.size)
-            if self.lengths[func] > 0
-        ]
-
-    @property
-    def dominant_key(self) -> ListKey | None:
-        """The query's longest list — the shard-locality key."""
-        if not self.lengths.size or int(self.lengths.max()) == 0:
-            return None
-        func = int(self.lengths.argmax())
-        return (func, int(self.sketch[func]))
 
 
 @dataclass
@@ -92,13 +53,6 @@ class BatchPlan:
     @property
     def num_unique(self) -> int:
         return len(self.entries)
-
-    def shared_keys(self) -> list[ListKey]:
-        """Short-list keys wanted by more than one unique query, most
-        demanded first (the pinning priority order)."""
-        shared = [key for key, count in self.demand.items() if count > 1]
-        shared.sort(key=lambda key: (-self.demand[key], key))
-        return shared
 
     def shards(self, num_shards: int) -> list[list[PlannedQuery]]:
         """Partition unique queries into shards by dominant-list locality.
@@ -147,7 +101,6 @@ def plan_batch(
     """
     begin = time.perf_counter()
     family = searcher.family
-    beta = collision_threshold(family.k, theta)
     if sketches is not None and len(sketches) != len(queries):
         raise InvalidParameterError(
             f"got {len(sketches)} precomputed sketches for {len(queries)} queries"
@@ -167,31 +120,21 @@ def plan_batch(
         if dedup and key in seen:
             unique_position = seen[key]
             plan.assignment.append(unique_position)
-            plan.lists_referenced += len(
-                plan.entries[unique_position].referenced_keys
+            plan.lists_referenced += int(
+                np.count_nonzero(plan.entries[unique_position].lengths)
             )
             continue
-        lengths = searcher.index.sketch_list_lengths(sketch)
-        long_funcs = frozenset(searcher._select_long_lists(lengths, beta))
-        entry = PlannedQuery(
-            position=len(plan.entries),
-            query=query,
-            sketch=sketch,
-            lengths=lengths,
-            beta=beta,
-            long_funcs=long_funcs,
+        entry = searcher.plan_query(
+            query, theta, sketch=sketch, position=len(plan.entries)
         )
         if dedup:
             seen[key] = entry.position
         plan.assignment.append(entry.position)
         plan.entries.append(entry)
-        plan.lists_referenced += len(entry.referenced_keys)
-        for list_key in entry.short_keys:
+        plan.lists_referenced += int(np.count_nonzero(entry.lengths))
+        lengths = entry.lengths[entry.short_funcs].tolist()
+        for list_key, length in zip(entry.short_keys, lengths):
             plan.demand[list_key] = plan.demand.get(list_key, 0) + 1
-            if list_key not in plan.list_bytes:
-                func, minhash = list_key
-                plan.list_bytes[list_key] = (
-                    int(lengths[func]) * POSTING_BYTES
-                )
+            plan.list_bytes[list_key] = length * POSTING_BYTES
     plan.plan_seconds = time.perf_counter() - begin
     return plan

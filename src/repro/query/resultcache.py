@@ -206,6 +206,30 @@ class CachingSearcher:
         if query.size == 0:
             # Error path (QueryError) belongs to the inner searcher.
             return self.inner.search(query, theta, **kwargs)
+        return self._memoized(
+            self._key(self.inner.family.sketch(query), query, theta, kwargs),
+            lambda: self.inner.search(query, theta, **kwargs),
+        )
+
+    def _search_planned(self, entry, theta: float, **kwargs):
+        """:meth:`search` for a planned entry, keyed by the plan's sketch."""
+        return self._memoized(
+            self._key(entry.sketch, entry.query, theta, kwargs),
+            lambda: self.inner._search_planned(entry, theta, **kwargs),
+        )
+
+    def _memoized(self, key: bytes, compute):
+        cached, generation = self.result_cache.lookup(key)
+        if cached is not None:
+            return cached
+        result = compute()
+        self.result_cache.store(key, result, generation)
+        return result
+
+    @staticmethod
+    def _key(
+        sketch: np.ndarray, query: np.ndarray, theta: float, kwargs: dict
+    ) -> bytes:
         first_match_only = bool(kwargs.get("first_match_only", False))
         verify = bool(kwargs.get("verify", False))
         extra = tuple(
@@ -215,19 +239,12 @@ class CachingSearcher:
                 if name not in ("first_match_only", "verify")
             )
         )
-        sketch = self.inner.family.sketch(query)
-        key = ResultCache.digest(
+        return ResultCache.digest(
             sketch,
             theta,
             (first_match_only, verify, extra),
-            query if verify else None,
+            np.asarray(query, dtype=np.uint32) if verify else None,
         )
-        cached, generation = self.result_cache.lookup(key)
-        if cached is not None:
-            return cached
-        result = self.inner.search(query, theta, **kwargs)
-        self.result_cache.store(key, result, generation)
-        return result
 
     def __getattr__(self, name: str):
         if name.startswith("__"):

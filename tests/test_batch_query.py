@@ -22,7 +22,7 @@ from repro.exceptions import InvalidParameterError, QueryError
 from repro.index.builder import build_memory_index
 from repro.index.cache import CachedIndexReader
 from repro.index.storage import DiskInvertedIndex, write_index
-from repro.query.executor import BatchQueryExecutor
+from repro.query.executor import PIN_FRACTION, BatchQueryExecutor
 from repro.query.planner import plan_batch
 from repro.query.results import BatchStats
 
@@ -303,14 +303,17 @@ class TestBatchStats:
 
 class _CountingReader:
     """Delegating proxy that counts full lists loaded from the index
-    (keys, not calls: a vector call loads one list per pair)."""
+    (``load_calls`` counts keys: a vector call loads one list per pair;
+    ``read_calls`` counts the calls)."""
 
     def __init__(self, inner):
         self._inner = inner
         self.load_calls = 0
+        self.read_calls = 0
 
     def load_list(self, func, minhash):
         self.load_calls += int(np.size(func))
+        self.read_calls += 1
         return self._inner.load_list(func, minhash)
 
     def __getattr__(self, name):
@@ -375,6 +378,62 @@ class TestPlannedCacheReuse:
         assert reader.load_calls == 2 * cold_loads
 
 
+class TestPlanRunsAsBuilt:
+    def test_one_inner_read_and_no_second_plan(
+        self, setup, batch_queries, monkeypatch
+    ):
+        """A planned batch whose lists fit the cache reads all of them
+        in one inner call, and runs the plan without sketching or
+        looking up list lengths again."""
+        _, index, searcher = setup
+        direct = [searcher.search(query, 0.8) for query in batch_queries]
+        counting = _CountingReader(index)
+        cached = NearDuplicateSearcher(CachedIndexReader(counting))
+        plan = plan_batch(cached, batch_queries, 0.8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the plan was computed again")
+
+        monkeypatch.setattr(cached.family, "sketch", refuse)
+        monkeypatch.setattr(counting, "sketch_list_lengths", refuse)
+        batch = BatchQueryExecutor(cached, workers=1).execute_plan(plan, 0.8)
+        assert counting.read_calls == 1
+        assert_same_results(direct, batch.results)
+        assert batch.stats.lists_pinned == len(plan.demand)
+
+
+class TestPinBudget:
+    def test_small_cache_pins_within_its_own_budget(
+        self, setup, batch_queries, monkeypatch
+    ):
+        """Pins are budgeted against the pinned reader's capacity, not
+        the executor's default cache size."""
+        _, index, searcher = setup
+        direct = [searcher.search(query, 0.8) for query in batch_queries]
+        sizes = plan_batch(searcher, batch_queries, 0.8).list_bytes.values()
+        # Every list fits beside a full pin budget, but not all of them
+        # fit in the cache at once.
+        capacity = 2 * max(sizes)
+        assert sum(sizes) > capacity
+        reader = CachedIndexReader(index, capacity_bytes=capacity)
+        pin = reader.pin
+        pinned_after = []
+
+        def recording_pin(funcs, minhashes):
+            flags = pin(funcs, minhashes)
+            pinned_after.append(reader.pinned_bytes)
+            return flags
+
+        monkeypatch.setattr(reader, "pin", recording_pin)
+        batch = BatchQueryExecutor(
+            NearDuplicateSearcher(reader), workers=1
+        ).execute(batch_queries, 0.8)
+        assert_same_results(direct, batch.results)
+        assert pinned_after
+        assert 0 < max(pinned_after) <= PIN_FRACTION * reader.capacity_bytes
+        assert reader.stats().admission_rejections == 0
+
+
 class TestConcurrentBatchPins:
     """Two batches on one cached reader (a service's ``/batch`` beside
     its micro-batches): the batch that finishes first releases only its
@@ -391,16 +450,16 @@ class TestConcurrentBatchPins:
             # Overlapping windows share lists, so the plan pins some.
             windows = [text[:40], text[2:42], text[4:44]]
             plans.append(plan_batch(searcher, windows, 0.8))
-        search = searcher.search
+        search = searcher._search_planned
         parked, release = threading.Event(), threading.Event()
 
-        def parking_search(query, theta, **kwargs):
+        def parking_search(entry, theta, **kwargs):
             if not parked.is_set():  # the first batch's first query
                 parked.set()
                 assert release.wait(30)
-            return search(query, theta, **kwargs)
+            return search(entry, theta, **kwargs)
 
-        monkeypatch.setattr(searcher, "search", parking_search)
+        monkeypatch.setattr(searcher, "_search_planned", parking_search)
         outcome: list = []
         first = threading.Thread(
             target=lambda: outcome.append(executor.execute_plan(plans[0], 0.8))

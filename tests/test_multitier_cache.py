@@ -23,6 +23,8 @@ from repro.index.cache import CachedIndexReader
 from repro.index.inverted import IOStats, POSTING_DTYPE
 from repro.index.lsm import LiveIndexConfig
 from repro.index.storage import DiskInvertedIndex, write_index
+from repro.query.executor import BatchQueryExecutor
+from repro.query.planner import plan_batch
 from repro.query.resultcache import CachingSearcher, ResultCache
 
 
@@ -172,6 +174,21 @@ class TestResultCache:
         # Defaults spelled explicitly hit the same entry.
         assert searcher.search(query, 0.8, first_match_only=False) is first
 
+    def test_batched_queries_hit_the_memo(self, planted_data, planted_index):
+        """The executor runs planned entries, not ``search``; the memo
+        answers them too, keyed by the plan's sketch."""
+        searcher = CachingSearcher(
+            NearDuplicateSearcher(CachedIndexReader(planted_index))
+        )
+        queries = [
+            np.asarray(planted_data.corpus[i], dtype=np.uint32)[:48]
+            for i in range(4)
+        ]
+        direct = [searcher.search(query, 0.8) for query in queries]
+        batch = BatchQueryExecutor(searcher, workers=1).execute(queries, 0.8)
+        assert all(got is want for got, want in zip(batch.results, direct))
+        assert searcher.result_cache.hits == len(queries)
+
     def test_digest_includes_query_only_when_asked(self):
         sketch = np.arange(8, dtype=np.uint64)
         a = ResultCache.digest(sketch, 0.8, (), np.array([1, 2], np.uint32))
@@ -227,6 +244,26 @@ class TestResultCache:
             assert canon(fresh) == expected
         finally:
             engine.close()
+
+
+def test_plan_of_an_older_generation_is_planned_again(tmp_path):
+    """A live batch planned before an append runs on the new generation
+    with fresh list lengths, not on the plan's stale ones."""
+    engine = NearDupEngine.live(tmp_path / "live", k=8, t=25, vocab_size=256, seed=5)
+    try:
+        rng = np.random.default_rng(3)
+        engine.append_texts([rng.integers(0, 128, size=64).astype(np.uint32)])
+        # Tokens the index has never seen: every list of the query is empty.
+        query = rng.integers(128, 256, size=64).astype(np.uint32)
+        searcher = engine.cached_searcher(cache_bytes=1 << 20, result_cache=False)
+        plan = plan_batch(searcher, [query], 0.8)
+        assert plan.entries[0].short_funcs.size == 0
+        engine.append_texts([query])
+        batch = BatchQueryExecutor(searcher, workers=1).execute_plan(plan, 0.8)
+        assert batch.results[0].num_texts == 1
+        assert canon(batch.results[0]) == canon(engine.searcher.search(query, 0.8))
+    finally:
+        engine.close()
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,9 @@ from repro.core.intervals import (
     fused_collision_count,
     interval_scan,
 )
+from repro.core import search as search_module
 from repro.core.search import NearDuplicateSearcher, QueryStats, TextMatch
+from repro.corpus.corpus import InMemoryCorpus
 from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError
 from repro.index.builder import build_memory_index
@@ -435,6 +437,124 @@ class TestSearcherEquivalence:
         result = searcher.search(np.asarray(data.corpus[0])[:64], 0.7)
         assert result.stats.long_lists == 0
         assert result.stats.point_reads == 0
+
+
+class _ShuffledReader:
+    """Reader proxy that hands back every full list in a random order.
+
+    The list-count prune assumes lists sorted by text only to count
+    exactly; an unsorted list must only overcount, so answers hold.
+    """
+
+    def __init__(self, inner, seed: int) -> None:
+        self._inner = inner
+        self._rng = np.random.default_rng(seed)
+
+    def load_list(self, func, minhash):
+        loaded = self._inner.load_list(func, minhash)
+        if not np.ndim(func):
+            return self._rng.permutation(loaded)
+        return [self._rng.permutation(postings) for postings in loaded]
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@st.composite
+def search_cases(draw):
+    """A small random corpus, index parameters and one query.
+
+    Tiny vocabularies make repeated tokens, hash ties and texts with
+    many windows in one list the common case; ``k=1`` and a cutoff of 1
+    give single short lists and the long-list refinement.
+    """
+    vocab = draw(st.integers(2, 12))
+    texts = draw(
+        st.lists(
+            st.lists(st.integers(0, vocab - 1), min_size=1, max_size=60),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    source = draw(st.integers(0, len(texts)))
+    if source < len(texts):
+        text = texts[source]
+        start = draw(st.integers(0, len(text) - 1))
+        query = text[start : start + draw(st.integers(1, 40))]
+    else:
+        query = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=40))
+    return {
+        "texts": texts,
+        "query": np.array(query, dtype=np.uint32),
+        "k": draw(st.sampled_from([1, 2, 4, 8])),
+        "seed": draw(st.integers(0, 3)),
+        "t": draw(st.integers(1, 6)),
+        "theta": draw(st.sampled_from([0.3, 0.5, 0.75, 1.0])),
+        "cutoff": draw(st.sampled_from([None, 0, 1, 2])),
+        "first_match_only": draw(st.booleans()),
+        "shuffle": draw(st.booleans()),
+    }
+
+
+class TestListCountPrune:
+    """The scan prunes texts by their number of short lists; the scalar
+    reference prunes by their number of windows.  Both must give the
+    same matches, in the same order, with the same counters."""
+
+    @given(case=search_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, case):
+        family = HashFamily(k=case["k"], seed=case["seed"])
+        index = build_memory_index(
+            InMemoryCorpus(case["texts"]), family, t=case["t"]
+        )
+        fused_reader = (
+            _ShuffledReader(index, case["seed"]) if case["shuffle"] else index
+        )
+        fused = NearDuplicateSearcher(fused_reader, long_list_cutoff=case["cutoff"])
+        reference = ReferenceSearcher(index, long_list_cutoff=case["cutoff"])
+        kwargs = {"first_match_only": case["first_match_only"]}
+        a = fused.search(case["query"], case["theta"], **kwargs)
+        b = reference.search(case["query"], case["theta"], **kwargs)
+        assert a.matches == b.matches
+        for name in (
+            "lists_loaded",
+            "long_lists",
+            "groups_scanned",
+            "candidates",
+            "texts_matched",
+        ):
+            assert getattr(a.stats, name) == getattr(b.stats, name), name
+        if case["first_match_only"]:
+            # Both read the long lists once per visited candidate.
+            assert a.stats.point_reads == b.stats.point_reads
+        else:
+            # One grouped read per long list, against one per candidate.
+            assert a.stats.point_reads <= b.stats.point_reads
+
+    def test_repeated_token_text_is_pruned_by_lists(self, monkeypatch):
+        """A text repeating one token has many windows in one list, and
+        no window in any other: at beta >= 2 none of its rows is sorted."""
+        family = HashFamily(k=4, seed=0)
+        texts = [[7] * 200, list(range(40))]
+        index = build_memory_index(InMemoryCorpus(texts), family, t=5)
+        query = np.array([7] * 20 + list(range(20)), dtype=np.uint32)
+        lists = index.load_list(np.arange(family.k), family.sketch(query))
+        per_list = [int(np.count_nonzero(p["text"] == 0)) for p in lists]
+        assert sum(1 for n in per_list if n) == 1 and max(per_list) >= 2
+        sorted_texts = []
+        group_by_text = search_module._group_by_text
+
+        def recording(rows):
+            sorted_texts.extend(rows[:, 0].tolist())
+            return group_by_text(rows)
+
+        monkeypatch.setattr(search_module, "_group_by_text", recording)
+        searcher = NearDuplicateSearcher(index, long_list_cutoff=0)
+        result = searcher.search(query, 0.5)
+        reference = ReferenceSearcher(index, long_list_cutoff=0).search(query, 0.5)
+        assert result.matches == reference.matches
+        assert 0 not in sorted_texts
 
 
 class TestBetaOneEdge:
