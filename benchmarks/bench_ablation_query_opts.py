@@ -1,14 +1,9 @@
 """Ablation: query-side optimizations beyond the paper's baseline engine.
 
-Measures the two extensions this reproduction adds on top of the
-paper's Algorithm 3:
-
-  * **LRU list caching** — repeat queries (the memorization workload
-    re-probes the Zipf-head lists constantly) skip I/O for cached
-    lists;
-  * **cost-model prefix planning** — choosing the prefix cutoff per
-    query from the modeled I/O/CPU trade-off rather than a fixed
-    fraction, while returning bit-identical answers.
+Measures LRU list caching, an extension this reproduction adds on top
+of the paper's Algorithm 3: repeat queries (the memorization workload
+re-probes the Zipf-head lists constantly) skip I/O for cached lists,
+while returning bit-identical answers.
 """
 
 from __future__ import annotations
@@ -17,7 +12,6 @@ import pytest
 
 from repro.core.search import NearDuplicateSearcher
 from repro.index.cache import CachedIndexReader
-from repro.index.costmodel import CostModelSearcher
 
 from bench_fig3_query import run_queries
 from conftest import print_series
@@ -68,31 +62,3 @@ def test_cache_answers_identical(benchmark, default_index, generated_queries):
             assert sa == sb
 
     benchmark.pedantic(compare, rounds=1, iterations=1)
-
-
-def test_costmodel_vs_fixed_cutoffs(benchmark, default_index, generated_queries):
-    """The planner must be competitive with the best fixed cutoff."""
-
-    def measure_all():
-        rows = []
-        totals = {}
-        for label, searcher in (
-            ("no-filter", NearDuplicateSearcher(default_index, long_list_cutoff=0)),
-            ("heuristic", NearDuplicateSearcher(default_index)),
-            ("cost-model", CostModelSearcher(default_index)),
-        ):
-            summary = run_queries(searcher, generated_queries, 0.8)
-            total = summary["io_ms"] + summary["cpu_ms"]
-            totals[label] = total
-            rows.append((label, summary["io_ms"], summary["cpu_ms"], total))
-        return rows, totals
-
-    rows, totals = benchmark.pedantic(measure_all, rounds=1, iterations=1)
-    print_series(
-        "Prefix planning ablation",
-        ["strategy", "io_ms", "cpu_ms", "total_ms"],
-        rows,
-    )
-    benchmark.extra_info["totals"] = {k: round(v, 3) for k, v in totals.items()}
-    # Sanity only (timing noise): the planner cannot be wildly worse.
-    assert totals["cost-model"] < 5 * max(totals["no-filter"], totals["heuristic"])

@@ -168,9 +168,7 @@ def _cmd_batch_query(args: argparse.Namespace) -> int:
         except (ValueError, OverflowError):
             record["error"] = f"line {number + 1} is not a token-id sequence"
         records.append(record)
-    executor = BatchQueryExecutor(
-        searcher, workers=args.workers, batch_size=args.batch_size
-    )
+    executor = BatchQueryExecutor(searcher, batch_size=args.batch_size)
     batch = None
     if valid:
         try:
@@ -352,7 +350,6 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
         theta=args.theta,
         window=args.window,
         max_probes=args.max_probes,
-        workers=args.workers,
     )
     print(
         f"probed {report.probes} windows at theta={args.theta}: "
@@ -501,18 +498,10 @@ def _cmd_memorize(args: argparse.Namespace) -> int:
         window_width=args.window,
         model_name=trained.name,
         seed=args.seed,
-        workers=args.workers,
         batch_size=args.batch_size,
     )
     print(format_series_table(figure4_series([report])))
     return 0
-
-
-#: ``--workers`` help shared by every command that runs the batch executor.
-_WORKERS_HELP = (
-    "batch executor workers: 0 = sequential loop; >= 2 = process pool "
-    "over an on-disk index, otherwise planned"
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("queries", help="file with one token-id sequence per line")
     p_batch.add_argument("--theta", type=float, default=0.8)
     p_batch.add_argument("--cache", action="store_true", help="list cache")
-    p_batch.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p_batch.add_argument(
         "--batch-size",
         type=int,
@@ -667,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dedup.add_argument("--window", type=int, default=64)
     p_dedup.add_argument("--max-probes", type=int, default=None)
     p_dedup.add_argument("--limit", type=int, default=10, help="clusters to print")
-    p_dedup.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p_dedup.set_defaults(func=_cmd_dedup)
 
     p_serve = sub.add_parser(
@@ -859,7 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mem.add_argument("--length", type=int, default=512)
     p_mem.add_argument("--window", type=int, default=32)
     p_mem.add_argument("--seed", type=int, default=0)
-    p_mem.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p_mem.add_argument(
         "--batch-size", type=int, default=None, help="queries per executor chunk"
     )

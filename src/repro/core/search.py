@@ -189,9 +189,8 @@ class PlannedQuery:
     #: Functions of the non-empty short lists, ascending: what the
     #: search loads in full.
     short_funcs: np.ndarray
-    #: The reader ``lengths`` came from.  ``None`` on an entry shipped
-    #: to a process that reopened the same static index.
-    source: object = field(default=None, compare=False, repr=False)
+    #: The reader ``lengths`` came from.
+    source: object = field(compare=False, repr=False)
 
     @property
     def short_keys(self) -> list[ListKey]:
@@ -199,14 +198,6 @@ class PlannedQuery:
         return list(
             zip(self.short_funcs.tolist(), self.sketch[self.short_funcs].tolist())
         )
-
-    @property
-    def dominant_key(self) -> ListKey | None:
-        """The query's longest list — the shard-locality key."""
-        if not self.lengths.size or int(self.lengths.max()) == 0:
-            return None
-        func = int(self.lengths.argmax())
-        return (func, int(self.sketch[func]))
 
 
 def derive_theta_result(base: SearchResult, theta: float) -> SearchResult:
@@ -403,10 +394,8 @@ class NearDuplicateSearcher:
         if marks is None:
             marks = self._marks()
         source = entry.source
-        if (
-            source is not None
-            and source is not self.index
-            and source is not getattr(self.index, "inner", None)
+        if source is not self.index and source is not getattr(
+            self.index, "inner", None
         ):
             entry = self.plan_query(
                 entry.query, theta, sketch=entry.sketch, position=entry.position
@@ -739,26 +728,20 @@ class NearDuplicateSearcher:
         *,
         first_match_only: bool = False,
         verify: bool = False,
-        workers: int = 0,
         batch_size: int | None = None,
     ) -> list[SearchResult]:
         """Answer a batch of queries through the batch executor.
 
         Matches and parameters are identical to calling :meth:`search`
-        per query — batching is a pure execution strategy.  With
-        ``workers=0`` this *is* the sequential per-query loop; with
-        ``workers >= 1`` the batch is planned (duplicate sketches
-        deduplicated, distinct inverted lists pinned once), and
-        ``workers >= 2`` over an on-disk index shards it across a
-        process pool.  Callers that want the aggregated
+        per query — batching is a pure execution strategy: the batch is
+        planned (duplicate sketches deduplicated, distinct inverted
+        lists pinned once).  Callers that want the aggregated
         :class:`~repro.query.results.BatchStats` should use
         :class:`~repro.query.executor.BatchQueryExecutor` directly.
         """
         from repro.query.executor import BatchQueryExecutor
 
-        with BatchQueryExecutor(
-            self, workers=workers, batch_size=batch_size
-        ) as executor:
+        with BatchQueryExecutor(self, batch_size=batch_size) as executor:
             return executor.execute(
                 queries, theta, first_match_only=first_match_only, verify=verify
             ).results

@@ -72,7 +72,6 @@ def find_duplicate_clusters(
     window: int = 64,
     stride: int | None = None,
     max_probes: int | None = None,
-    workers: int = 0,
     batch_size: int | None = 512,
 ) -> DedupReport:
     """Discover near-duplicate clusters via a windowed self-join.
@@ -91,14 +90,11 @@ def find_duplicate_clusters(
         Probe stride; defaults to ``window`` (non-overlapping probes).
     max_probes:
         Optional cap for sampled deduplication of large corpora.
-    workers:
-        Forwarded to the batch executor: ``0`` is the sequential loop,
-        ``>= 1`` plans each probe batch (``>= 2`` over an on-disk index
-        runs it on a process pool).  The self-join is a natural batch
-        workload — neighbouring probes of one text share most of their
-        Zipf-head lists.
     batch_size:
-        Probes searched per executor batch (bounds planning memory).
+        Probes searched per planned executor batch (bounds planning
+        memory).  The self-join is a natural batch workload —
+        neighbouring probes of one text share most of their Zipf-head
+        lists.
     """
     if window < searcher.t:
         raise InvalidParameterError(
@@ -126,9 +122,7 @@ def find_duplicate_clusters(
             probe_spans.append(Span(text_id, start, start + window - 1))
             probe_queries.append(text[start : start + window])
 
-    results = searcher.search_many(
-        probe_queries, theta, workers=workers, batch_size=batch_size
-    )
+    results = searcher.search_many(probe_queries, theta, batch_size=batch_size)
 
     spans: list[Span] = []
     span_ids: dict[tuple[int, int, int], int] = {}

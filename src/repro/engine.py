@@ -246,7 +246,6 @@ class NearDupEngine:
         queries: Sequence[str | Sequence[int] | np.ndarray],
         theta: float = 0.8,
         *,
-        workers: int = 0,
         batch_size: int | None = None,
         verify: bool = False,
         snippet_tokens: int = 40,
@@ -254,18 +253,11 @@ class NearDupEngine:
         """Answer many queries in one planned, I/O-shared pass.
 
         Returns one hit list per query, in input order — identical to
-        calling :meth:`search` per query.  ``workers=0`` runs the
-        sequential reference loop; ``workers>=1`` plans the batch
-        (sketch dedup + list pinning) on one thread, except that
-        ``workers>=2`` over an on-disk index shards it across a process
-        pool.
+        calling :meth:`search` per query.  The batch is planned (sketch
+        dedup + list pinning) and run on the calling thread.
         """
         batch = self.search_batch_raw(
-            queries,
-            theta,
-            workers=workers,
-            batch_size=batch_size,
-            verify=verify,
+            queries, theta, batch_size=batch_size, verify=verify
         )
         return [
             self._to_hits(result, snippet_tokens) for result in batch.results
@@ -276,7 +268,6 @@ class NearDupEngine:
         queries: Sequence[str | Sequence[int] | np.ndarray],
         theta: float = 0.8,
         *,
-        workers: int = 0,
         batch_size: int | None = None,
         **kwargs,
     ):
@@ -286,9 +277,7 @@ class NearDupEngine:
         from repro.query.executor import BatchQueryExecutor
 
         tokenized = [self._as_tokens(query) for query in queries]
-        with BatchQueryExecutor(
-            self.searcher, workers=workers, batch_size=batch_size
-        ) as executor:
+        with BatchQueryExecutor(self.searcher, batch_size=batch_size) as executor:
             return executor.execute(tokenized, theta, **kwargs)
 
     # ------------------------------------------------------------------

@@ -20,13 +20,6 @@ from repro.index.codec import (
     pack_bits,
     unpack_bits_at,
 )
-from repro.index.costmodel import (
-    CostEstimate,
-    CostModelSearcher,
-    PrefixPlan,
-    estimate_cost,
-    plan_prefix,
-)
 from repro.index.external import (
     ExternalBuildConfig,
     build_external_index,
@@ -81,8 +74,6 @@ __all__ = [
     "SIDECAR_FILE",
     "read_sidecar",
     "write_sidecar",
-    "CostEstimate",
-    "CostModelSearcher",
     "DiskInvertedIndex",
     "ExternalBuildConfig",
     "BloomPrefilter",
@@ -94,7 +85,6 @@ __all__ = [
     "UnionIndexReader",
     "WriteAheadLog",
     "manifest_exists",
-    "PrefixPlan",
     "Shard",
     "ShardedIndex",
     "ShardedSearcher",
@@ -114,10 +104,8 @@ __all__ = [
     "build_memory_index",
     "build_zone_map",
     "cutoff_for_top_fraction",
-    "estimate_cost",
     "merge_disk_indexes",
     "merge_per_func_chunks",
-    "plan_prefix",
     "write_index",
     "zipf_tail_report",
 ]

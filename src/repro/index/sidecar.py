@@ -20,7 +20,7 @@ written today, stores the same arrays in a flat container designed for
 Opening is one ``mmap`` plus one ``np.frombuffer`` view per section —
 no decompression, no copies — so N forked server workers share a
 single page-cache copy of the directory, and re-opening the index
-(executor process pools, worker respawn) costs microseconds.
+(worker respawn) costs microseconds.
 """
 
 from __future__ import annotations

@@ -704,7 +704,7 @@ class DiskInvertedIndex:
     # -- introspection ------------------------------------------------
     @property
     def directory(self) -> Path:
-        """The index directory (lets batch workers re-open the index)."""
+        """The index directory."""
         return self._directory
 
     @property

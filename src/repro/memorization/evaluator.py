@@ -89,17 +89,15 @@ def evaluate_generated_texts(
     *,
     model_name: str = "model",
     keep_examples: bool = True,
-    workers: int = 0,
     batch_size: int | None = None,
 ) -> MemorizationReport:
     """Run the sliding-window protocol over pre-generated texts.
 
     All windows of all texts form one query batch fed through
-    :meth:`~repro.core.search.NearDuplicateSearcher.search_many`, so the
-    Zipf-head inverted lists are read once per batch instead of once per
-    query; ``workers >= 2`` over an on-disk index additionally runs the
-    batch on a process pool.  ``workers=0`` keeps the exact sequential
-    semantics.
+    :meth:`~repro.core.search.NearDuplicateSearcher.search_many`, so
+    duplicate windows are searched once and the Zipf-head inverted lists
+    are read once per batch instead of once per query.  Matches equal a
+    per-window :meth:`~repro.core.search.NearDuplicateSearcher.search`.
     """
     report = MemorizationReport(
         model_name=model_name, theta=theta, window_width=window_width
@@ -114,7 +112,6 @@ def evaluate_generated_texts(
         queries,
         theta,
         first_match_only=not keep_examples,
-        workers=workers,
         batch_size=batch_size,
     )
     for (text_index, window_index), query, result in zip(
@@ -149,7 +146,6 @@ def evaluate_model(
     generation: GenerationConfig | None = None,
     model_name: str = "model",
     seed: int = 0,
-    workers: int = 0,
     batch_size: int | None = None,
 ) -> MemorizationReport:
     """End-to-end Section 5 evaluation: generate, slice, search, report.
@@ -169,6 +165,5 @@ def evaluate_model(
         theta,
         window_width,
         model_name=model_name,
-        workers=workers,
         batch_size=batch_size,
     )

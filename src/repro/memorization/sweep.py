@@ -93,7 +93,6 @@ def run_figure4_sweep(
     *,
     vocab_size: int | None = None,
     generation: GenerationConfig | None = None,
-    workers: int = 0,
     batch_size: int | None = None,
 ) -> SweepResult:
     """Train the zoo, generate once per model, evaluate the whole grid.
@@ -101,7 +100,7 @@ def run_figure4_sweep(
     All windows of one (model, width) cell form one query batch run
     through the batch executor; one batched pass at the loosest theta
     answers every theta at once (rectangles carry exact collision
-    counts).  ``workers`` and ``batch_size`` are forwarded to
+    counts).  ``batch_size`` is forwarded to
     :class:`~repro.query.executor.BatchQueryExecutor`.
     """
     from repro.query.executor import BatchQueryExecutor
@@ -111,10 +110,7 @@ def run_figure4_sweep(
     if generation is None:
         generation = GenerationConfig(strategy="top_k", top_k=50)
     zoo = train_zoo(corpus, list(config.model_names), vocab_size=vocab_size)
-    executor = BatchQueryExecutor(
-        searcher, workers=workers, batch_size=batch_size
-    )
-    with executor:
+    with BatchQueryExecutor(searcher, batch_size=batch_size) as executor:
         return _run_sweep(executor, zoo, config, generation)
 
 

@@ -1,4 +1,4 @@
-"""Batch query execution: planned, deduplicated, parallel search.
+"""Batch query execution: planned, deduplicated, I/O-shared search.
 
 The paper's headline workload (Section 5) is hundreds of thousands of
 generated sequences searched against one training corpus.  This package
@@ -7,8 +7,8 @@ turns that from "N independent cold searches" into one planned pass:
 * :mod:`repro.query.planner` — sketch every query up front, deduplicate
   byte-identical sketches, and enumerate the distinct inverted lists the
   batch will touch;
-* :mod:`repro.query.executor` — run the plan in-process or across
-  processes (on-disk index), with the batch's shared lists pinned in a
+* :mod:`repro.query.executor` — run the plan on the calling thread,
+  with the batch's shared lists pinned in a
   :class:`~repro.index.cache.CachedIndexReader`;
 * :mod:`repro.query.results` — per-batch aggregation of
   :class:`~repro.core.search.QueryStats` into a printable

@@ -1,157 +1,45 @@
-"""Parallel, I/O-shared execution of planned query batches.
+"""I/O-shared execution of planned query batches.
 
-Execution strategies (``BatchStats.mode``), chosen from the worker
-count and the index type:
+One strategy, on the calling thread: the batch is sketch-deduplicated
+by :func:`~repro.query.planner.plan_batch`, its short lists are
+batch-pinned in a :class:`~repro.index.cache.CachedIndexReader` (most
+demanded first, within :data:`PIN_FRACTION` of its capacity), so each
+distinct list is read once per batch and the batch's misses are read
+in one call.  Each query runs from its planned entry: it is sketched
+and looked up once, by the planner.  An uncached searcher gets one such
+reader per executor, kept warm across :meth:`BatchQueryExecutor.execute`
+calls and chunks until :meth:`BatchQueryExecutor.close`.
 
-``sequential``
-    ``workers=0``: exactly today's per-query loop — no planning, no
-    dedup, no pinning.  The reference semantics every other mode must
-    reproduce byte-for-byte.
-``planned``
-    ``workers>=1`` whenever ``process`` does not apply: one thread, but
-    the batch is sketch-deduplicated and its short lists are
-    batch-pinned in a :class:`~repro.index.cache.CachedIndexReader`
-    (most demanded first, within :data:`PIN_FRACTION` of its capacity),
-    so each distinct list is read once per batch and the batch's misses
-    are read in one call.  Each query runs from its planned entry: it is
-    sketched and looked up once, by the planner.  An uncached searcher
-    gets one such reader per executor, kept warm across
-    :meth:`BatchQueryExecutor.execute` calls and chunks.
-``process``
-    ``workers>=2`` over a :class:`~repro.index.storage.DiskInvertedIndex`
-    without ``verify``: workers open the index from its directory once,
-    in the pool initializer (mmap-friendly; postings are never
-    pickled), own a private cache, and the parent ships each worker the
-    planned entries whose dominant lists it should keep hot.  The pool itself is created
-    lazily and **reused across** :meth:`BatchQueryExecutor.execute`
-    **calls**: repeated batches pay the fork + index open once, and the
-    per-worker caches stay warm between batches.  Call
-    :meth:`BatchQueryExecutor.close` (or use the executor as a context
-    manager) to release the pool.
-
-All modes return matches identical to the sequential loop; batching is
-a pure execution strategy.
+Matches are identical to calling
+:meth:`~repro.core.search.NearDuplicateSearcher.search` per query;
+batching is a pure execution strategy.  A per-query loop and a process
+pool were measured against this path and deleted (``docs/TUNING.md``,
+"Batch querying").
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from repro.core.search import (
-    ListKey,
     NearDuplicateSearcher,
-    PlannedQuery,
     SearchResult,
     derive_theta_result,
 )
 from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader
-from repro.index.storage import DiskInvertedIndex
 from repro.query.planner import BatchPlan, plan_batch
 from repro.query.results import BatchResult, BatchStats
 
-#: Per-worker list-cache budget.
+#: Capacity of the cache the executor owns for an uncached searcher.
 CACHE_BYTES = 32 * 1024 * 1024
 
 #: Fraction of the pinned reader's capacity the batch pinner may
 #: occupy; the rest stays available to the ordinary LRU so long-tail
 #: lists still cache.
 PIN_FRACTION = 0.5
-
-# Per-process state of the process-pool path.
-_WORKER_SEARCHER: NearDuplicateSearcher | None = None
-
-
-def _init_query_worker(directory: str, long_list_cutoff: int | None) -> None:
-    """Open the on-disk index once per worker process."""
-    global _WORKER_SEARCHER
-    index = DiskInvertedIndex(directory)
-    reader = CachedIndexReader(index, capacity_bytes=CACHE_BYTES)
-    _WORKER_SEARCHER = NearDuplicateSearcher(reader, long_list_cutoff=long_list_cutoff)
-
-
-def _run_shard(
-    searcher: NearDuplicateSearcher,
-    shard: list[PlannedQuery],
-    theta: float,
-    first_match_only: bool,
-    verify: bool,
-    pin_keys: list[ListKey],
-) -> dict:
-    """Execute one shard of planned queries on one searcher.
-
-    Shared by every non-sequential mode: pin the shard's lists (one
-    read for all the misses), answer the queries from their planned
-    entries, release the pins this shard took (another batch on the
-    same reader keeps its own), and report the shard's I/O/cache
-    accounting alongside the results.
-    """
-    reader = searcher.index
-    begin = time.perf_counter()
-    io = reader.io_stats
-    io_before = (io.bytes_read, io.read_calls, io.seconds)
-    cache_before = reader.stats() if isinstance(reader, CachedIndexReader) else None
-    held = None
-    if isinstance(reader, CachedIndexReader) and pin_keys:
-        funcs, minhashes = (np.array(column) for column in zip(*pin_keys))
-        held = np.array(reader.pin(funcs, minhashes))
-    pinned = 0 if held is None else int(held.sum())
-    pin_io = (
-        io.bytes_read - io_before[0],
-        io.read_calls - io_before[1],
-        io.seconds - io_before[2],
-    )
-    results: list[tuple[int, SearchResult]] = []
-    try:
-        for entry in shard:
-            results.append(
-                (
-                    entry.position,
-                    searcher._search_planned(
-                        entry,
-                        theta,
-                        first_match_only=first_match_only,
-                        verify=verify,
-                    ),
-                )
-            )
-    finally:
-        if held is not None:
-            reader.unpin(funcs[held], minhashes[held])
-    cache_delta = (0, 0, 0, 0, 0)
-    if cache_before is not None:
-        cache_after = reader.stats()
-        cache_delta = (
-            cache_after.hits - cache_before.hits,
-            cache_after.misses - cache_before.misses,
-            cache_after.evictions - cache_before.evictions,
-            cache_after.admission_rejections - cache_before.admission_rejections,
-            cache_after.singleflight_waits - cache_before.singleflight_waits,
-        )
-    return {
-        "results": results,
-        "busy_seconds": time.perf_counter() - begin,
-        "pinned": pinned,
-        "pin_io": pin_io,
-        "cache": cache_delta,
-    }
-
-
-def _run_process_shard(payload: dict) -> dict:
-    """Process-pool entry point: run one shard on the per-process searcher."""
-    assert _WORKER_SEARCHER is not None
-    return _run_shard(
-        _WORKER_SEARCHER,
-        payload["entries"],
-        payload["theta"],
-        payload["first_match_only"],
-        False,
-        payload["pin_keys"],
-    )
 
 
 class BatchQueryExecutor:
@@ -160,12 +48,9 @@ class BatchQueryExecutor:
     Parameters
     ----------
     searcher:
-        The configured :class:`~repro.core.search.NearDuplicateSearcher`
-        (its ``long_list_cutoff`` and ``corpus`` carry over to workers).
-    workers:
-        ``0`` = the sequential reference loop; ``>= 2`` = a process
-        pool over an on-disk index, otherwise planned single-threaded
-        execution.
+        The configured :class:`~repro.core.search.NearDuplicateSearcher`,
+        or a wrapper that delegates ``plan_query`` and
+        ``_search_planned`` to one (a live or result-caching searcher).
     batch_size:
         Optional chunking: queries are planned and executed
         ``batch_size`` at a time (bounds sketch/pin memory for very
@@ -176,42 +61,34 @@ class BatchQueryExecutor:
         self,
         searcher: NearDuplicateSearcher,
         *,
-        workers: int = 0,
+        workers: int = 1,
         batch_size: int | None = None,
     ) -> None:
-        if workers < 0:
-            raise InvalidParameterError(f"workers must be >= 0, got {workers}")
+        # ``workers`` stays only because the benchmark harness
+        # (``benchmarks/harness/workloads.py``) passes ``workers=1``.
+        if workers != 1:
+            raise InvalidParameterError(
+                f"workers must be 1, got {workers}: the sequential and "
+                "process-pool batch modes were deleted"
+            )
         if batch_size is not None and batch_size < 1:
             raise InvalidParameterError(
                 f"batch_size must be >= 1 or None, got {batch_size}"
             )
         self.searcher = searcher
-        self.workers = int(workers)
         self.batch_size = batch_size
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_key: tuple | None = None
         self._planned: NearDuplicateSearcher | None = None
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the persistent process pool and the planned-mode cache."""
+        """Drop the cache the executor owns (if any)."""
         self._planned = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_key = None
 
     def __enter__(self) -> "BatchQueryExecutor":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            pool.shutdown(wait=False)
-            self._pool = None
 
     # ------------------------------------------------------------------
     def execute(
@@ -274,44 +151,58 @@ class BatchQueryExecutor:
         micro-batcher) build the plan themselves via
         :func:`~repro.query.planner.plan_batch` with ``sketches=...``
         and hand it here, skipping the executor's own planning pass.
-        Sequential mode is meaningless for a plan (the plan *is* the
-        batched strategy), so ``workers=0`` executes as ``planned``.
+
+        Pins the batch's short lists (one read for all the misses),
+        answers the unique queries from their planned entries, then
+        releases the pins this call took (another batch on the same
+        reader keeps its own).
         """
         begin = time.perf_counter()
-        shard_count = 1
-        if self._resolve_mode(verify) == "process":
-            shard_count = max(min(self.workers, len(plan.entries)), 1)
-        shards = plan.shards(shard_count)
-        if len(shards) >= 2:
-            mode = "process"
-            # Each worker pins into its own cache of CACHE_BYTES.
-            shard_jobs = [
-                (shard, self._pin_keys_for(shard, plan, CACHE_BYTES))
-                for shard in shards
-            ]
-            outcomes = self._run_processes(shard_jobs, theta, first_match_only)
-        else:
-            mode = "planned"
-            searcher = self._planned_searcher()
-            outcomes = [
-                _run_shard(
-                    searcher,
-                    shard,
-                    theta,
-                    first_match_only,
-                    verify,
-                    self._pin_keys_for(
-                        shard, plan, searcher.index.capacity_bytes
-                    ),
+        searcher = self._planned_searcher()
+        reader = searcher.index
+        stats = BatchStats(
+            queries=plan.num_queries,
+            unique_queries=plan.num_unique,
+            lists_referenced=plan.lists_referenced,
+            distinct_lists=len(plan.demand),
+            plan_seconds=plan.plan_seconds,
+        )
+        io = reader.io_stats
+        io_before = (io.bytes_read, io.read_calls, io.seconds)
+        cache_before = reader.stats()
+        funcs, minhashes = self._pin_keys(plan, reader.capacity_bytes)
+        held = np.array(
+            reader.pin(funcs, minhashes) if funcs.size else [], dtype=bool
+        )
+        stats.lists_pinned = int(held.sum())
+        stats.io_bytes = io.bytes_read - io_before[0]
+        stats.io_calls = io.read_calls - io_before[1]
+        stats.io_seconds = io.seconds - io_before[2]
+        try:
+            unique_results = [
+                searcher._search_planned(
+                    entry, theta, first_match_only=first_match_only, verify=verify
                 )
-                for shard in shards
+                for entry in plan.entries
             ]
-        batch = self._collect(plan, outcomes, mode)
-        # The shards that ran, not the workers asked for: a batch that
-        # falls back to ``planned`` ran on one thread.
-        batch.stats.workers = max(len(shards), 1)
-        batch.stats.total_seconds = time.perf_counter() - begin
-        return batch
+        finally:
+            if held.any():
+                reader.unpin(funcs[held], minhashes[held])
+        for result in unique_results:
+            stats.add_query(result.stats)
+        cache_after = reader.stats()
+        stats.cache_hits = cache_after.hits - cache_before.hits
+        stats.cache_misses = cache_after.misses - cache_before.misses
+        stats.cache_evictions = cache_after.evictions - cache_before.evictions
+        stats.cache_admission_rejections = (
+            cache_after.admission_rejections - cache_before.admission_rejections
+        )
+        stats.cache_singleflight_waits = (
+            cache_after.singleflight_waits - cache_before.singleflight_waits
+        )
+        stats.execute_seconds = stats.total_seconds = time.perf_counter() - begin
+        results = [unique_results[position] for position in plan.assignment]
+        return BatchResult(results=results, stats=stats)
 
     # ------------------------------------------------------------------
     def _execute_batch(
@@ -323,80 +214,30 @@ class BatchQueryExecutor:
         verify: bool,
     ) -> BatchResult:
         begin = time.perf_counter()
-        mode = self._resolve_mode(verify)
-        if mode == "sequential":
-            batch = self._execute_sequential(
-                queries, theta, first_match_only, verify
-            )
-            batch.stats.workers = self.workers
-        else:
-            plan = plan_batch(self.searcher, queries, theta, verify=verify)
-            batch = self.execute_plan(
-                plan, theta, first_match_only=first_match_only, verify=verify
-            )
+        plan = plan_batch(self.searcher, queries, theta, verify=verify)
+        batch = self.execute_plan(
+            plan, theta, first_match_only=first_match_only, verify=verify
+        )
         batch.stats.total_seconds = time.perf_counter() - begin
         return batch
 
-    def _resolve_mode(self, verify: bool) -> str:
-        if self.workers == 0:
-            return "sequential"
-        if (
-            self.workers >= 2
-            and isinstance(self._base_index(), DiskInvertedIndex)
-            and not verify
-        ):
-            # Process workers re-open the index by path and have no
-            # corpus for exact verification.
-            return "process"
-        return "planned"
-
-    def _base_index(self):
-        index = self.searcher.index
-        if isinstance(index, CachedIndexReader):
-            return index.inner
-        return index
-
     @staticmethod
-    def _pin_keys_for(
-        shard: list[PlannedQuery], plan: BatchPlan, capacity_bytes: int
-    ) -> list[ListKey]:
-        """The short lists this shard should pin: most demanded first,
-        within :data:`PIN_FRACTION` of the pinned reader's capacity."""
+    def _pin_keys(
+        plan: BatchPlan, capacity_bytes: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(funcs, minhashes)`` of the short lists to pin: most
+        demanded first, within :data:`PIN_FRACTION` of the pinned
+        reader's capacity."""
         budget = int(capacity_bytes * PIN_FRACTION)
-        wanted = {key for entry in shard for key in entry.short_keys}
-        keys: list[ListKey] = []
+        keys = []
         used = 0
-        for key in sorted(wanted, key=lambda key: (-plan.demand[key], key)):
+        for key in sorted(plan.demand, key=lambda key: (-plan.demand[key], key)):
             nbytes = plan.list_bytes[key]
             if used + nbytes <= budget:
                 keys.append(key)
                 used += nbytes
-        return keys
-
-    # -- strategy bodies ----------------------------------------------
-    def _execute_sequential(
-        self,
-        queries: list[np.ndarray],
-        theta: float,
-        first_match_only: bool,
-        verify: bool,
-    ) -> BatchResult:
-        stats = BatchStats(
-            queries=len(queries),
-            unique_queries=len(queries),
-            mode="sequential",
-        )
-        results = []
-        begin = time.perf_counter()
-        for query in queries:
-            result = self.searcher.search(
-                query, theta, first_match_only=first_match_only, verify=verify
-            )
-            stats.add_query(result.stats)
-            results.append(result)
-        stats.execute_seconds = time.perf_counter() - begin
-        stats.worker_busy_seconds = stats.execute_seconds
-        return BatchResult(results=results, stats=stats)
+        funcs, minhashes = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+        return funcs, minhashes
 
     def _planned_searcher(self) -> NearDuplicateSearcher:
         """A searcher whose reader supports pinning, reusing an existing
@@ -417,77 +258,3 @@ class BatchQueryExecutor:
                 corpus=self.searcher.corpus,
             )
         return self._planned
-
-    def _run_processes(
-        self,
-        shard_jobs: list[tuple[list[PlannedQuery], list[ListKey]]],
-        theta: float,
-        first_match_only: bool,
-    ) -> list[dict]:
-        base = self._base_index()
-        payloads = [
-            {
-                # The worker's reader is its own: ship no reader along.
-                "entries": [
-                    dataclasses.replace(entry, source=None) for entry in shard
-                ],
-                "theta": theta,
-                "first_match_only": first_match_only,
-                "pin_keys": pin_keys,
-            }
-            for shard, pin_keys in shard_jobs
-        ]
-        pool = self._process_pool(base)
-        return list(pool.map(_run_process_shard, payloads))
-
-    def _process_pool(self, base: DiskInvertedIndex) -> ProcessPoolExecutor:
-        """The persistent worker pool, (re)created only when the index
-        directory or searcher configuration changes."""
-        initargs = (str(base.directory), self.searcher.long_list_cutoff)
-        key = (*initargs, self.workers)
-        if self._pool is None or self._pool_key != key:
-            self.close()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_query_worker,
-                initargs=initargs,
-            )
-            self._pool_key = key
-        return self._pool
-
-    # -- assembly ------------------------------------------------------
-    def _collect(
-        self, plan: BatchPlan, outcomes: list[dict], mode: str
-    ) -> BatchResult:
-        stats = BatchStats(
-            queries=plan.num_queries,
-            unique_queries=plan.num_unique,
-            mode=mode,
-            lists_referenced=plan.lists_referenced,
-            distinct_lists=len(plan.demand),
-            plan_seconds=plan.plan_seconds,
-        )
-        unique_results: list[SearchResult | None] = [None] * plan.num_unique
-        execute_wall = 0.0
-        for outcome in outcomes:
-            for position, result in outcome["results"]:
-                unique_results[position] = result
-                stats.add_query(result.stats)
-            pin_bytes, pin_calls, pin_seconds = outcome["pin_io"]
-            stats.io_bytes += pin_bytes
-            stats.io_calls += pin_calls
-            stats.io_seconds += pin_seconds
-            stats.lists_pinned += outcome["pinned"]
-            hits, misses, evictions, rejections, sf_waits = outcome["cache"]
-            stats.cache_hits += hits
-            stats.cache_misses += misses
-            stats.cache_evictions += evictions
-            stats.cache_admission_rejections += rejections
-            stats.cache_singleflight_waits += sf_waits
-            stats.worker_busy_seconds += outcome["busy_seconds"]
-            execute_wall = max(execute_wall, outcome["busy_seconds"])
-        stats.execute_seconds = execute_wall
-        results = [unique_results[index] for index in plan.assignment]
-        if any(result is None for result in results):  # pragma: no cover
-            raise RuntimeError("batch execution lost a query result")
-        return BatchResult(results=results, stats=stats)

@@ -14,9 +14,7 @@ happens:
    executor runs as is), and enumerate the distinct ``(func, minhash)``
    short lists the batch loads and how many unique queries load each,
    so the executor can pin them, most demanded first, and read every
-   miss of the batch at once;
-4. tag each query with its *dominant* (longest) list so the executor
-   can shard queries by hot-list locality.
+   miss of the batch at once.
 """
 
 from __future__ import annotations
@@ -53,30 +51,6 @@ class BatchPlan:
     @property
     def num_unique(self) -> int:
         return len(self.entries)
-
-    def shards(self, num_shards: int) -> list[list[PlannedQuery]]:
-        """Partition unique queries into shards by dominant-list locality.
-
-        Queries sharing their dominant (longest, usually Zipf-head) list
-        are kept in one shard so that list is loaded by a single worker;
-        groups are placed greedily on the least-loaded shard (LPT), which
-        balances shard sizes when one hot list dominates the batch.
-        """
-        if num_shards <= 1:
-            return [list(self.entries)] if self.entries else []
-        groups: dict[object, list[PlannedQuery]] = {}
-        for entry in self.entries:
-            # Queries with no dominant list get their own singleton groups.
-            key = entry.dominant_key
-            group_key = key if key is not None else ("solo", entry.position)
-            groups.setdefault(group_key, []).append(entry)
-        loads = [0] * num_shards
-        shards: list[list[PlannedQuery]] = [[] for _ in range(num_shards)]
-        for group in sorted(groups.values(), key=len, reverse=True):
-            target = loads.index(min(loads))
-            shards[target].extend(group)
-            loads[target] += len(group)
-        return [shard for shard in shards if shard]
 
 
 def plan_batch(

@@ -2,8 +2,8 @@
 
 One :class:`BatchStats` merges the per-query
 :class:`~repro.core.search.QueryStats` of a whole batch and adds the
-batch-only dimensions: sketch-dedup savings, distinct-list I/O sharing,
-cache counters, and worker utilization.  The CLI prints it verbatim.
+batch-only dimensions: sketch-dedup savings, distinct-list I/O sharing
+and cache counters.  The CLI prints it verbatim.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ class BatchStats:
 
     queries: int = 0
     unique_queries: int = 0
-    mode: str = "sequential"
-    workers: int = 0
     #: Total (func, hash) list references across all queries (non-empty
     #: lists only) vs. the number of distinct lists actually needed.
     lists_referenced: int = 0
@@ -31,9 +29,6 @@ class BatchStats:
     plan_seconds: float = 0.0
     execute_seconds: float = 0.0
     total_seconds: float = 0.0
-    #: Sum of busy wall time across workers (= execute_seconds when
-    #: sequential); utilization = busy / (workers * execute wall).
-    worker_busy_seconds: float = 0.0
     # Merged QueryStats (duplicates in the batch are counted once —
     # their search ran once).
     io_bytes: int = 0
@@ -76,14 +71,6 @@ class BatchStats:
             return 1.0
         return self.lists_referenced / self.distinct_lists
 
-    @property
-    def worker_utilization(self) -> float:
-        """Fraction of worker capacity kept busy during execution."""
-        capacity = max(self.workers, 1) * self.execute_seconds
-        if capacity <= 0.0:
-            return 0.0
-        return min(1.0, self.worker_busy_seconds / capacity)
-
     # ------------------------------------------------------------------
     def add_query(self, stats: QueryStats) -> None:
         """Fold one executed query's stats into the batch totals.
@@ -107,25 +94,19 @@ class BatchStats:
         """Fold another chunk's stats in (chunked ``batch_size`` runs).
 
         Every counter and time is summed by walking the dataclass
-        fields, so a counter added later cannot be silently dropped;
-        only ``workers`` (the widest chunk) and ``mode`` are not sums.
+        fields, so a counter added later cannot be silently dropped.
         """
         for spec in dataclasses.fields(self):
-            if spec.name not in ("mode", "workers"):
-                setattr(
-                    self, spec.name, getattr(self, spec.name) + getattr(other, spec.name)
-                )
-        self.workers = max(self.workers, other.workers)
-        if self.mode != other.mode:
-            self.mode = other.mode if self.mode == "sequential" else self.mode
+            setattr(
+                self, spec.name, getattr(self, spec.name) + getattr(other, spec.name)
+            )
 
     # ------------------------------------------------------------------
     def format(self) -> str:
         """Human-readable multi-line summary (what the CLI prints)."""
         lines = [
             f"batch: {self.queries} queries "
-            f"({self.unique_queries} unique, {self.duplicate_queries} deduped) "
-            f"mode={self.mode} workers={self.workers}",
+            f"({self.unique_queries} unique, {self.duplicate_queries} deduped)",
             f"lists: {self.lists_referenced} referenced, "
             f"{self.distinct_lists} distinct "
             f"({self.list_dedup_ratio:.2f}x shared), {self.lists_pinned} pinned, "
@@ -140,8 +121,7 @@ class BatchStats:
             f"time: plan {1e3 * self.plan_seconds:.1f} ms, "
             f"execute {1e3 * self.execute_seconds:.1f} ms, "
             f"total {1e3 * self.total_seconds:.1f} ms "
-            f"({self.queries_per_second:.0f} q/s, "
-            f"utilization {self.worker_utilization:.0%})",
+            f"({self.queries_per_second:.0f} q/s)",
             f"matches: {self.texts_matched} texts over {self.candidates} candidates",
         ]
         return "\n".join(lines)

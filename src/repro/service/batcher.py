@@ -86,7 +86,7 @@ class MicroBatcher:
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self.stats = stats or ServiceStats()
-        self.executor = BatchQueryExecutor(searcher, workers=1)
+        self.executor = BatchQueryExecutor(searcher)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._queue: asyncio.Queue[_Pending] | None = None
         self._gate: asyncio.Event | None = None

@@ -1,8 +1,8 @@
 """Tests for the batch query executor (`repro.query`).
 
 The contract under test: batching is a *pure execution strategy* — for
-every worker count and index type, matches are identical to the
-sequential per-query loop.
+every index type and searcher wrapper, matches are identical to a
+per-query ``search`` loop.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.index.builder import build_memory_index
 from repro.index.cache import CachedIndexReader
+from repro.index.lsm.live import LiveIndex, LiveIndexConfig, LiveSearcher
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.query.executor import PIN_FRACTION, BatchQueryExecutor
 from repro.query.planner import plan_batch
+from repro.query.resultcache import CachingSearcher
 from repro.query.results import BatchStats
 
 
@@ -71,6 +73,46 @@ def backends(setup, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def live(setup, tmp_path_factory):
+    """The corpus in a live index: one sealed run plus a memtable."""
+    corpus, index, _ = setup
+    texts = [np.asarray(text, dtype=np.uint32) for text in corpus]
+    live = LiveIndex(
+        tmp_path_factory.mktemp("batch-live"),
+        family=index.family,
+        t=index.t,
+        vocab_size=1024,
+        config=LiveIndexConfig(background_compaction=False),
+    )
+    half = len(texts) // 2
+    live.append_texts(texts[:half])
+    live.seal()
+    live.append_texts(texts[half:])
+    assert len(live.runs) == 1 and live.memtable_postings > 0
+    yield live
+    live.close()
+
+
+@pytest.fixture(scope="module")
+def make_searcher(setup, backends, live):
+    """A fresh searcher per call, so no result memo outlives one use."""
+    corpus, _, _ = setup
+
+    def make(backend: str):
+        if backend == "live":
+            return LiveSearcher(live, corpus=corpus)
+        if backend == "cached":
+            return CachingSearcher(
+                NearDuplicateSearcher(
+                    CachedIndexReader(backends["disk-packed"]), corpus=corpus
+                )
+            )
+        return NearDuplicateSearcher(backends[backend], corpus=corpus)
+
+    return make
+
+
+@pytest.fixture(scope="module")
 def batch_queries(setup):
     corpus, _, _ = setup
     rng = np.random.default_rng(0)
@@ -84,126 +126,91 @@ def batch_queries(setup):
     return queries
 
 
-def resolved_mode(workers: int, backend: str, verify: bool) -> str:
-    """The strategy the executor must pick for one configuration."""
-    if workers == 0:
-        return "sequential"
-    if workers >= 2 and backend.startswith("disk") and not verify:
-        return "process"
-    return "planned"
-
-
 @pytest.mark.parametrize("verify", [False, True])
 @pytest.mark.parametrize("backend", ["memory", "disk-raw", "disk-packed"])
-@pytest.mark.parametrize("workers", [0, 1, 2, 4])
+@pytest.mark.parametrize("chunk", [0, 1, 2, 4])
 def test_every_setting_equals_sequential_loop(
-    setup, backends, batch_queries, workers, backend, verify
+    make_searcher, batch_queries, chunk, backend, verify
 ):
-    corpus, _, _ = setup
-    searcher = NearDuplicateSearcher(backends[backend], corpus=corpus)
-    expected = [searcher.search(query, 0.8, verify=verify) for query in batch_queries]
-    with BatchQueryExecutor(searcher, workers=workers) as executor:
+    """Every chunk size (0 = one chunk) over every index type."""
+    direct = make_searcher(backend)
+    expected = [direct.search(query, 0.8, verify=verify) for query in batch_queries]
+    searcher = make_searcher(backend)
+    with BatchQueryExecutor(searcher, batch_size=chunk or None) as executor:
         batch = executor.execute(batch_queries, 0.8, verify=verify)
     assert_same_results(expected, batch.results)
-    assert batch.stats.mode == resolved_mode(workers, backend, verify)
+    assert batch.stats.queries == len(batch_queries)
+
+
+@pytest.mark.parametrize("first_match_only", [False, True])
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize(
+    "backend", ["memory", "disk-raw", "disk-packed", "live", "cached"]
+)
+def test_every_backend_equals_sequential_loop(
+    make_searcher, batch_queries, backend, verify, first_match_only
+):
+    options = {"verify": verify, "first_match_only": first_match_only}
+    direct = make_searcher(backend)
+    expected = [direct.search(query, 0.8, **options) for query in batch_queries]
+    with BatchQueryExecutor(make_searcher(backend)) as executor:
+        batch = executor.execute(batch_queries, 0.8, **options)
+    assert_same_results(expected, batch.results)
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_matches_sequential(self, setup, batch_queries, workers):
+    @pytest.mark.parametrize("batch_size", [1, 2, 4])
+    def test_matches_sequential(self, setup, batch_queries, batch_size):
         _, _, searcher = setup
-        sequential = BatchQueryExecutor(searcher, workers=0).execute(
+        direct = [searcher.search(query, 0.8) for query in batch_queries]
+        batch = BatchQueryExecutor(searcher, batch_size=batch_size).execute(
             batch_queries, 0.8
         )
-        batch = BatchQueryExecutor(searcher, workers=workers).execute(
-            batch_queries, 0.8
-        )
-        assert_same_results(sequential.results, batch.results)
+        assert_same_results(direct, batch.results)
+        assert batch.stats.queries == len(batch_queries)
 
     def test_first_match_only(self, setup, batch_queries):
         _, _, searcher = setup
-        sequential = BatchQueryExecutor(searcher, workers=0).execute(
+        direct = [
+            searcher.search(query, 0.8, first_match_only=True)
+            for query in batch_queries
+        ]
+        batch = BatchQueryExecutor(searcher).execute(
             batch_queries, 0.8, first_match_only=True
         )
-        batch = BatchQueryExecutor(searcher, workers=2).execute(
-            batch_queries, 0.8, first_match_only=True
-        )
-        for a, b in zip(sequential.results, batch.results):
-            assert bool(a.matches) == bool(b.matches)
+        assert_same_results(direct, batch.results)
 
     def test_verify_equivalence(self, setup, batch_queries):
         corpus, index, _ = setup
         searcher = NearDuplicateSearcher(index, corpus=corpus)
-        sequential = BatchQueryExecutor(searcher, workers=0).execute(
-            batch_queries, 0.8, verify=True
-        )
-        batch = BatchQueryExecutor(searcher, workers=2).execute(
-            batch_queries, 0.8, verify=True
-        )
-        assert_same_results(sequential.results, batch.results)
+        direct = [searcher.search(query, 0.8, verify=True) for query in batch_queries]
+        batch = BatchQueryExecutor(searcher).execute(batch_queries, 0.8, verify=True)
+        assert_same_results(direct, batch.results)
 
     def test_batch_size_chunking(self, setup, batch_queries):
         _, _, searcher = setup
-        whole = BatchQueryExecutor(searcher, workers=2).execute(
+        whole = BatchQueryExecutor(searcher).execute(batch_queries, 0.8)
+        chunked = BatchQueryExecutor(searcher, batch_size=5).execute(
             batch_queries, 0.8
         )
-        chunked = BatchQueryExecutor(
-            searcher, workers=2, batch_size=5
-        ).execute(batch_queries, 0.8)
         assert_same_results(whole.results, chunked.results)
         assert chunked.stats.queries == len(batch_queries)
 
     def test_search_many_delegates(self, setup, batch_queries):
         _, _, searcher = setup
         direct = [searcher.search(q, 0.8) for q in batch_queries]
-        for workers in (0, 2):
-            via_many = searcher.search_many(batch_queries, 0.8, workers=workers)
-            assert_same_results(direct, via_many)
+        assert_same_results(direct, searcher.search_many(batch_queries, 0.8))
 
     def test_empty_batch(self, setup):
         _, _, searcher = setup
-        for workers in (0, 2):
-            batch = BatchQueryExecutor(searcher, workers=workers).execute([], 0.8)
-            assert batch.results == []
+        batch = BatchQueryExecutor(searcher).execute([], 0.8)
+        assert batch.results == []
 
     def test_empty_query_raises(self, setup):
         _, _, searcher = setup
         empty = np.empty(0, dtype=np.uint32)
-        for workers in (0, 1):
-            with pytest.raises(QueryError):
-                BatchQueryExecutor(searcher, workers=workers).execute(
-                    [empty], 0.8
-                )
-
-
-class TestProcessMode:
-    def test_disk_index_uses_processes(self, setup, batch_queries, tmp_path):
-        corpus, index, _ = setup
-        write_index(index, tmp_path / "index")
-        disk = DiskInvertedIndex(tmp_path / "index")
-        searcher = NearDuplicateSearcher(disk)
-        sequential = BatchQueryExecutor(searcher, workers=0).execute(
-            batch_queries, 0.8
-        )
-        batch = BatchQueryExecutor(searcher, workers=2).execute(
-            batch_queries, 0.8
-        )
-        assert batch.stats.mode == "process"
-        assert batch.stats.workers == 2
-        assert_same_results(sequential.results, batch.results)
-
-    def test_verify_falls_back_to_planned(self, setup, batch_queries, tmp_path):
-        corpus, index, _ = setup
-        write_index(index, tmp_path / "index")
-        disk = DiskInvertedIndex(tmp_path / "index")
-        searcher = NearDuplicateSearcher(disk, corpus=corpus)
-        batch = BatchQueryExecutor(searcher, workers=2).execute(
-            batch_queries, 0.8, verify=True
-        )
-        assert batch.stats.mode == "planned"
-        # The fallback ran on one thread, whatever ``workers`` asked for.
-        assert batch.stats.workers == 1
-        assert batch.stats.worker_utilization == pytest.approx(1.0)
+        with pytest.raises(QueryError):
+            BatchQueryExecutor(searcher).execute([empty], 0.8)
 
 
 class TestPlanner:
@@ -230,71 +237,41 @@ class TestPlanner:
         assert loose.num_unique == 1
         assert strict.num_unique == 2
 
-    def test_shards_preserve_all_entries(self, setup, batch_queries):
-        _, _, searcher = setup
-        plan = plan_batch(searcher, batch_queries, 0.8)
-        for num_shards in (1, 2, 4, 100):
-            shards = plan.shards(num_shards)
-            positions = sorted(
-                entry.position for shard in shards for entry in shard
-            )
-            assert positions == list(range(plan.num_unique))
-
 
 class TestBatchStats:
     def test_dedup_and_pinning_save_io(self, setup, batch_queries):
         _, _, searcher = setup
-        sequential = BatchQueryExecutor(searcher, workers=0).execute(
-            batch_queries, 0.8
+        loop_io = sum(
+            searcher.search(query, 0.8).stats.io_bytes for query in batch_queries
         )
-        planned = BatchQueryExecutor(searcher, workers=1).execute(
-            batch_queries, 0.8
-        )
-        assert planned.stats.io_bytes < sequential.stats.io_bytes
+        planned = BatchQueryExecutor(searcher).execute(batch_queries, 0.8)
+        assert planned.stats.io_bytes < loop_io
         assert planned.stats.duplicate_queries == 6
         assert planned.stats.cache_hits > 0
 
     def test_format_is_printable(self, setup, batch_queries):
         _, _, searcher = setup
-        batch = BatchQueryExecutor(searcher, workers=2).execute(
-            batch_queries, 0.8
-        )
+        batch = BatchQueryExecutor(searcher).execute(batch_queries, 0.8)
         text = batch.stats.format()
-        assert "queries" in text and "mode=planned" in text
+        assert "queries" in text and "deduped" in text
         assert str(batch.stats) == text
 
     def test_merge(self):
-        a = BatchStats(queries=4, unique_queries=3, io_bytes=100, mode="planned")
-        b = BatchStats(queries=2, unique_queries=2, io_bytes=50, mode="planned")
+        a = BatchStats(queries=4, unique_queries=3, io_bytes=100)
+        b = BatchStats(queries=2, unique_queries=2, io_bytes=50)
         a.merge(b)
         assert a.queries == 6 and a.unique_queries == 5 and a.io_bytes == 150
         # Every counter and time is summed, none dropped.
-        summed = [
-            spec.name
-            for spec in dataclasses.fields(BatchStats)
-            if spec.name not in ("mode", "workers")
-        ]
-        a = BatchStats(
-            mode="sequential",
-            workers=2,
-            **{name: slot + 1 for slot, name in enumerate(summed)},
-        )
-        b = BatchStats(
-            mode="process",
-            workers=1,
-            **{name: 100 * (slot + 1) for slot, name in enumerate(summed)},
-        )
+        summed = [spec.name for spec in dataclasses.fields(BatchStats)]
+        a = BatchStats(**{name: slot + 1 for slot, name in enumerate(summed)})
+        b = BatchStats(**{name: 100 * (slot + 1) for slot, name in enumerate(summed)})
         a.merge(b)
         for slot, name in enumerate(summed):
             assert getattr(a, name) == 101 * (slot + 1), name
-        assert a.workers == 2
-        assert a.mode == "process"
 
     def test_num_matched(self, setup, batch_queries):
         _, _, searcher = setup
-        batch = BatchQueryExecutor(searcher, workers=1).execute(
-            batch_queries, 0.8
-        )
+        batch = BatchQueryExecutor(searcher).execute(batch_queries, 0.8)
         expected = sum(
             bool(searcher.search(q, 0.8).matches) for q in batch_queries
         )
@@ -328,23 +305,20 @@ _WARMTH_FREE = (
 
 
 class TestPlannedCacheReuse:
-    """Planned mode over an uncached searcher keeps one list cache for
-    the executor's lifetime instead of starting cold on every plan."""
+    """An executor over an uncached searcher keeps one list cache for
+    its lifetime instead of starting cold on every plan."""
 
     def test_second_execute_reads_nothing(self, setup, batch_queries):
         _, index, searcher = setup
         reader = _CountingReader(index)
         direct = [searcher.search(query, 0.8) for query in batch_queries]
-        with BatchQueryExecutor(
-            NearDuplicateSearcher(reader), workers=1
-        ) as executor:
+        with BatchQueryExecutor(NearDuplicateSearcher(reader)) as executor:
             first = executor.execute(batch_queries, 0.8)
             cold_loads = reader.load_calls
             assert cold_loads > 0
             second = executor.execute(batch_queries, 0.8)
             assert reader.load_calls == cold_loads
         for batch in (first, second):
-            assert batch.stats.mode == "planned"
             assert_same_results(direct, batch.results)
             for expected, got in zip(direct, batch.results):
                 for name in _WARMTH_FREE:
@@ -355,14 +329,12 @@ class TestPlannedCacheReuse:
     def test_later_chunks_reuse_earlier_loads(self, setup, batch_queries):
         _, index, _ = setup
         reader = _CountingReader(index)
-        once = BatchQueryExecutor(NearDuplicateSearcher(reader), workers=1)
+        once = BatchQueryExecutor(NearDuplicateSearcher(reader))
         once.execute(batch_queries, 0.8)
         single_pass = reader.load_calls
         reader.load_calls = 0
         chunked = BatchQueryExecutor(
-            NearDuplicateSearcher(reader),
-            workers=1,
-            batch_size=len(batch_queries),
+            NearDuplicateSearcher(reader), batch_size=len(batch_queries)
         )
         chunked.execute(batch_queries + batch_queries, 0.8)
         assert reader.load_calls == single_pass
@@ -370,7 +342,7 @@ class TestPlannedCacheReuse:
     def test_close_drops_the_cache(self, setup, batch_queries):
         _, index, _ = setup
         reader = _CountingReader(index)
-        executor = BatchQueryExecutor(NearDuplicateSearcher(reader), workers=1)
+        executor = BatchQueryExecutor(NearDuplicateSearcher(reader))
         executor.execute(batch_queries, 0.8)
         cold_loads = reader.load_calls
         executor.close()
@@ -396,7 +368,7 @@ class TestPlanRunsAsBuilt:
 
         monkeypatch.setattr(cached.family, "sketch", refuse)
         monkeypatch.setattr(counting, "sketch_list_lengths", refuse)
-        batch = BatchQueryExecutor(cached, workers=1).execute_plan(plan, 0.8)
+        batch = BatchQueryExecutor(cached).execute_plan(plan, 0.8)
         assert counting.read_calls == 1
         assert_same_results(direct, batch.results)
         assert batch.stats.lists_pinned == len(plan.demand)
@@ -425,9 +397,9 @@ class TestPinBudget:
             return flags
 
         monkeypatch.setattr(reader, "pin", recording_pin)
-        batch = BatchQueryExecutor(
-            NearDuplicateSearcher(reader), workers=1
-        ).execute(batch_queries, 0.8)
+        batch = BatchQueryExecutor(NearDuplicateSearcher(reader)).execute(
+            batch_queries, 0.8
+        )
         assert_same_results(direct, batch.results)
         assert pinned_after
         assert 0 < max(pinned_after) <= PIN_FRACTION * reader.capacity_bytes
@@ -443,7 +415,7 @@ class TestConcurrentBatchPins:
         corpus, index, _ = setup
         reader = CachedIndexReader(index)
         searcher = NearDuplicateSearcher(reader)
-        executor = BatchQueryExecutor(searcher, workers=1)
+        executor = BatchQueryExecutor(searcher)
         plans = []
         for text_id in (0, 1):
             text = np.asarray(corpus[text_id])
@@ -484,9 +456,9 @@ class TestExecuteThetas:
     def test_matches_search_thetas(self, setup, batch_queries):
         _, _, searcher = setup
         thetas = [1.0, 0.9, 0.8]
-        per_query, stats = BatchQueryExecutor(
-            searcher, workers=2
-        ).execute_thetas(batch_queries, thetas)
+        per_query, stats = BatchQueryExecutor(searcher).execute_thetas(
+            batch_queries, thetas
+        )
         assert len(per_query) == len(batch_queries)
         for query, derived in zip(batch_queries, per_query):
             reference = searcher.search_thetas(query, thetas)
@@ -500,25 +472,14 @@ class TestExecuteThetas:
 
 
 class TestModeResolution:
-    def test_cached_reader_is_unwrapped(self, backends, batch_queries):
-        searcher = NearDuplicateSearcher(CachedIndexReader(backends["disk-raw"]))
-        with BatchQueryExecutor(searcher, workers=2) as executor:
-            batch = executor.execute(batch_queries, 0.8)
-        assert batch.stats.mode == "process"
+    """There is one execution strategy; ``workers`` only names it."""
 
-    def test_explicit_sequential(self, backends, batch_queries):
-        # workers=0 is the sequential loop even where a pool would apply.
-        searcher = NearDuplicateSearcher(backends["disk-raw"])
-        batch = BatchQueryExecutor(searcher, workers=0).execute(batch_queries, 0.8)
-        assert batch.stats.mode == "sequential"
-
-    def test_incompatible_process_degrades(self, setup, batch_queries):
-        _, _, searcher = setup  # memory index: no directory to re-open
-        batch = BatchQueryExecutor(searcher, workers=2).execute(
-            batch_queries, 0.8
-        )
-        assert batch.stats.mode == "planned"
-        assert batch.stats.workers == 1
+    def test_only_one_worker(self, setup):
+        _, _, searcher = setup
+        assert BatchQueryExecutor(searcher, workers=1).searcher is searcher
+        for workers in (0, 2):
+            with pytest.raises(InvalidParameterError, match="deleted"):
+                BatchQueryExecutor(searcher, workers=workers)
 
     def test_parameter_validation(self, setup):
         _, _, searcher = setup
@@ -541,16 +502,14 @@ class TestEngineFacade:
         engine = NearDupEngine.from_texts(texts, k=8, t=5, vocab_size=300)
         queries = [texts[0], texts[2], texts[0]]
         singles = [engine.search(q, 0.8) for q in queries]
-        for workers in (0, 2):
-            batched = engine.search_batch(queries, 0.8, workers=workers)
-            assert batched == singles
+        assert engine.search_batch(queries, 0.8) == singles
 
     def test_search_batch_raw_exposes_stats(self):
         from repro.engine import NearDupEngine
 
         texts = ["some repeated text body here okay"] * 8
         engine = NearDupEngine.from_texts(texts, k=8, t=3, vocab_size=300)
-        batch = engine.search_batch_raw([texts[0]] * 4, 0.8, workers=1)
+        batch = engine.search_batch_raw([texts[0]] * 4, 0.8)
         assert batch.stats.queries == 4
         assert batch.stats.unique_queries == 1
 
@@ -602,8 +561,8 @@ class TestSelectLongListsBatch:
     vocab=st.integers(min_value=40, max_value=200),
 )
 def test_property_batch_equals_sequential(seed, num_texts, vocab):
-    """ISSUE 1 acceptance: identical results for workers in {0, 2, 4}
-    across random corpora, including duplicate and empty-result queries."""
+    """The executor equals a per-query ``search`` loop across random
+    corpora, including duplicate and empty-result queries."""
     rng = np.random.default_rng(seed)
     texts = [
         rng.integers(0, vocab, size=int(rng.integers(20, 80))).astype(np.uint32)
@@ -619,9 +578,6 @@ def test_property_batch_equals_sequential(seed, num_texts, vocab):
     queries.append(rng.integers(0, vocab, size=20).astype(np.uint32))
     queries.append((np.arange(20) % vocab).astype(np.uint32))
 
-    reference = BatchQueryExecutor(searcher, workers=0).execute(queries, 0.8)
-    for workers in (2, 4):
-        batch = BatchQueryExecutor(searcher, workers=workers).execute(
-            queries, 0.8
-        )
-        assert_same_results(reference.results, batch.results)
+    reference = [searcher.search(query, 0.8) for query in queries]
+    batch = BatchQueryExecutor(searcher).execute(queries, 0.8)
+    assert_same_results(reference, batch.results)

@@ -185,7 +185,7 @@ class TestResultCache:
             for i in range(4)
         ]
         direct = [searcher.search(query, 0.8) for query in queries]
-        batch = BatchQueryExecutor(searcher, workers=1).execute(queries, 0.8)
+        batch = BatchQueryExecutor(searcher).execute(queries, 0.8)
         assert all(got is want for got, want in zip(batch.results, direct))
         assert searcher.result_cache.hits == len(queries)
 
@@ -259,7 +259,7 @@ def test_plan_of_an_older_generation_is_planned_again(tmp_path):
         plan = plan_batch(searcher, [query], 0.8)
         assert plan.entries[0].short_funcs.size == 0
         engine.append_texts([query])
-        batch = BatchQueryExecutor(searcher, workers=1).execute_plan(plan, 0.8)
+        batch = BatchQueryExecutor(searcher).execute_plan(plan, 0.8)
         assert batch.results[0].num_texts == 1
         assert canon(batch.results[0]) == canon(engine.searcher.search(query, 0.8))
     finally:
