@@ -31,7 +31,6 @@ from repro.core import (
     collision_count,
     distinct_jaccard,
     expected_window_count,
-    generate_compact_windows,
     generate_compact_windows_stack,
     interval_scan,
     multiset_jaccard,
@@ -66,7 +65,6 @@ __all__ = [
     "collision_count",
     "distinct_jaccard",
     "expected_window_count",
-    "generate_compact_windows",
     "generate_compact_windows_stack",
     "interval_scan",
     "multiset_jaccard",

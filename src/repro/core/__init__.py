@@ -10,9 +10,9 @@ closed-form analysis of Section 3.
 from repro.core.compact_windows import (
     CompactWindow,
     WINDOW_DTYPE,
-    generate_compact_windows,
+    chunk_layout,
+    generate_chunk_windows,
     generate_compact_windows_kwide,
-    generate_compact_windows_recursive,
     generate_compact_windows_stack,
 )
 from repro.core.hashing import HashFamily
@@ -30,13 +30,6 @@ from repro.core.multiset import (
     expand_multiset,
     multiset_sketch,
     search_definition2_multiset,
-)
-from repro.core.rmq import (
-    BlockRMQ,
-    RMQ_BACKENDS,
-    SegmentTreeRMQ,
-    SparseTableRMQ,
-    make_rmq,
 )
 from repro.core.search import (
     NearDuplicateSearcher,
@@ -61,7 +54,6 @@ from repro.core.verify import (
 )
 
 __all__ = [
-    "BlockRMQ",
     "CollisionRectangle",
     "CompactWindow",
     "FusedRectangles",
@@ -69,14 +61,12 @@ __all__ = [
     "MultisetVerifier",
     "NearDuplicateSearcher",
     "QueryStats",
-    "RMQ_BACKENDS",
     "ScanResult",
     "SearchResult",
-    "SegmentTreeRMQ",
     "Span",
-    "SparseTableRMQ",
     "TextMatch",
     "WINDOW_DTYPE",
+    "chunk_layout",
     "collision_count",
     "collision_threshold",
     "distinct_jaccard",
@@ -86,13 +76,11 @@ __all__ = [
     "expand_multiset",
     "expected_window_count",
     "fused_collision_count",
-    "generate_compact_windows",
+    "generate_chunk_windows",
     "generate_compact_windows_kwide",
-    "generate_compact_windows_recursive",
     "generate_compact_windows_stack",
     "index_size_ratio_bound",
     "interval_scan",
-    "make_rmq",
     "merge_overlapping_spans",
     "multiset_jaccard",
     "multiset_sketch",

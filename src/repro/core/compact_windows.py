@@ -9,38 +9,33 @@ and the window is maximal.  For a length threshold ``t``, a window is
 expectation and that every sequence of length ``>= t`` lies in exactly
 one valid window.
 
-Four generators are provided, all producing the identical window set
-(the property tests assert this):
+Algorithm 2 with leftmost tie-breaking builds the Cartesian tree of the
+hash array: the window of ``c`` runs from one past the previous
+position with hash ``<= f(T[c])`` to one before the next position with
+hash ``< f(T[c])``.  Two generators compute it:
 
-* :func:`generate_compact_windows` — explicit-stack divide and conquer
-  driven by an RMQ structure.  This is Algorithm 2 made iteration-safe
-  (Python's recursion limit rules out the literal recursive form for
-  long texts).
-* :func:`generate_compact_windows_recursive` — the literal Algorithm 2,
-  kept as a test oracle for short inputs.
-* :func:`generate_compact_windows_stack` — an ``O(n)`` monotone-stack
-  formulation.  The valid windows are exactly the nodes of the hash
-  array's Cartesian tree whose subtree span is wide enough, so the two
-  "previous smaller / next smaller" sweeps recover them without any RMQ
-  structure.  This is the single-function reference path and the
-  equivalence oracle for the vectorized generator.
-* :func:`generate_compact_windows_kwide` — the production fast path for
-  index construction: takes the ``(k, n)`` matrix of all ``k`` hash
-  rows of one text and computes every row's windows simultaneously with
-  vectorized pointer-jumping, so the interpreter cost no longer scales
-  with ``k``.
+* :func:`generate_compact_windows_stack` — one hash row, two
+  monotone-stack sweeps.  The reference the tests compare against.
+* :func:`generate_chunk_windows` — the production kernel.  It takes the
+  ``(k, N)`` hash matrix of a chunk of texts and finds the centers
+  first: a cell centers a valid window iff it is the minimum of some
+  length-``t`` window, so a sliding minimum marks them, and the run of
+  window starts each center owns gives its bounds.  Only the centers
+  whose nearest smaller key lies ``t`` or more cells away chase
+  pointers, and only over the other centers.
+  :func:`generate_compact_windows_kwide` is its one-text wrapper.
 
 Indices are 0-based throughout the library; the paper's ``T[l..r]``
 with 1-based inclusive bounds maps to our ``(l-1, r-1)`` inclusive.
+The RMQ-driven forms of Algorithm 2 live with the tests as oracles.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.rmq import make_rmq
 from repro.exceptions import InvalidParameterError
 
 #: Structured dtype for bulk window storage: one record per window.
@@ -71,69 +66,8 @@ def _check_threshold(t: int) -> None:
         raise InvalidParameterError(f"length threshold t must be >= 1, got {t}")
 
 
-def generate_compact_windows_recursive(
-    token_hashes: np.ndarray, t: int
-) -> list[CompactWindow]:
-    """Literal Algorithm 2: recursive divide and conquer.
-
-    Only suitable for short inputs (recursion depth is ``O(n)`` in the
-    worst case); used as a correctness oracle in the tests.
-    """
-    _check_threshold(t)
-    hashes = np.asarray(token_hashes)
-    windows: list[CompactWindow] = []
-    if hashes.size == 0:
-        return windows
-    rmq = make_rmq(hashes)
-
-    def recurse(lo: int, hi: int) -> None:
-        if hi - lo + 1 < t:
-            return
-        center = rmq.query(lo, hi)
-        windows.append(CompactWindow(lo, center, hi))
-        recurse(lo, center - 1)
-        recurse(center + 1, hi)
-
-    recurse(0, hashes.size - 1)
-    return windows
-
-
-def generate_compact_windows(
-    token_hashes: np.ndarray, t: int, rmq_backend: str = "sparse"
-) -> list[CompactWindow]:
-    """Algorithm 2 with an explicit stack instead of recursion.
-
-    Parameters
-    ----------
-    token_hashes:
-        Hash value of each token position (``f(T[p])`` for every ``p``).
-    t:
-        Length threshold; windows narrower than ``t`` are pruned along
-        with their entire recursion subtree.
-    rmq_backend:
-        Which RMQ structure to use (``"sparse"``, ``"segment"`` or
-        ``"block"``); see :mod:`repro.core.rmq`.
-    """
-    _check_threshold(t)
-    hashes = np.asarray(token_hashes)
-    windows: list[CompactWindow] = []
-    if hashes.size < t:
-        return windows
-    rmq = make_rmq(hashes, rmq_backend)
-    stack: list[tuple[int, int]] = [(0, hashes.size - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo + 1 < t:
-            continue
-        center = rmq.query(lo, hi)
-        windows.append(CompactWindow(lo, center, hi))
-        stack.append((lo, center - 1))
-        stack.append((center + 1, hi))
-    return windows
-
-
 def generate_compact_windows_stack(token_hashes: np.ndarray, t: int) -> np.ndarray:
-    """``O(n)`` monotone-stack window generation (production fast path).
+    """``O(n)`` monotone-stack window generation for one hash row.
 
     The divide-and-conquer recursion of Algorithm 2 with leftmost
     tie-breaking builds the Cartesian tree of the hash array: the
@@ -186,95 +120,151 @@ def generate_compact_windows_stack(token_hashes: np.ndarray, t: int) -> np.ndarr
     return out
 
 
-def _kwide_spans(hash_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Window spans of every ``(row, position)`` cell of a ``(k, n)`` matrix.
+#: Bits of a cell key below its hash: the cell's column in the chunk.
+_POS_BITS = 31
+#: Key of a sentinel cell, below every real key (real keys are >= 0).
+_SENTINEL = -1
 
-    Computes, for all ``k`` rows simultaneously, the previous position
-    with hash ``<=`` the cell's hash and the next position with hash
-    strictly ``<`` it — the same quantities the monotone stack of
-    :func:`generate_compact_windows_stack` derives one row at a time.
-    Instead of a stack, each cell chases *candidate pointers*: the
-    candidate of ``i`` starts at ``i - 1``, and while the candidate's
-    hash disqualifies it, the cell jumps to the candidate's own
-    (possibly still converging) pointer.  Every jump lands strictly
-    further left and skips the candidate's whole subtree, so chains
-    collapse like path-halving: the loop runs a handful of passes over
-    a shrinking active set, each pass a few ``O(k * n)`` numpy
-    operations, regardless of ``k``.
 
-    Returns ``(left, right)`` inclusive window bounds, both ``(k, n)``
-    ``int64`` arrays.
+def _sliding_min(keys: np.ndarray, t: int) -> np.ndarray:
+    """``out[s] = keys[s : s + t].min()`` for every length-``t`` window.
+
+    Doubling: after the pass with shift ``w`` every entry is the minimum
+    of ``2w`` consecutive keys, so ``log2(t)`` contiguous passes plus one
+    overlapping pass reach width ``t``.
     """
-    k, n = hash_matrix.shape
-    flat = np.ascontiguousarray(hash_matrix).ravel()
-    size = k * n
-    # Pointers are flat cell indices; by induction every chase stays
-    # inside its own row (initial pointers do, and jumps copy same-row
-    # values), so a single out-of-row sentinel per direction suffices.
-    ptr_dtype = np.int32 if size < np.iinfo(np.int32).max else np.int64
+    out, width = keys, 1
+    while 2 * width <= t:
+        out = np.minimum(out[:-width], out[width:])
+        width *= 2
+    if width < t:
+        out = np.minimum(out[: width - t], out[t - width :])
+    return out
 
-    # Previous position with hash <= own (leftmost-tie-break ancestor).
-    # Sentinel -1 marks "no previous smaller"; row starts begin there.
-    prev = np.arange(-1, size - 1, dtype=ptr_dtype)
-    prev[0::n] = -1
-    # First hop specialized: the candidate is the contiguous left
-    # neighbour, so the comparison is a shifted array op, no gathers.
-    pop = np.empty(size, dtype=bool)
-    pop[0] = False
-    np.greater(flat[:-1], flat[1:], out=pop[1:])
-    pop[0::n] = False
-    active = np.flatnonzero(pop).astype(ptr_dtype)
-    values = flat[active]
-    prev[active] = prev[active - 1]
-    alive = prev[active] >= 0
-    active, values = active[alive], values[alive]
+
+def _previous_smaller(keys: np.ndarray) -> np.ndarray:
+    """Index of the nearest earlier entry with a smaller key, for every
+    non-sentinel entry of ``keys``.
+
+    ``keys[0]`` must be a sentinel, which stops every chase.  A cell
+    whose left neighbour is larger chases pointers: it jumps to the
+    candidate's own (possibly still converging) pointer, skipping the
+    candidate's whole subtree, so the active set shrinks fast.
+    """
+    ptr = np.arange(-1, keys.size - 1, dtype=np.int64)
+    active = np.flatnonzero((keys[:-1] > keys[1:]) & (keys[1:] != _SENTINEL)) + 1
     while active.size:
-        cand = prev[active]
-        jump = flat[cand] > values
-        if not jump.any():
-            break
-        active, values = active[jump], values[jump]
-        prev[active] = prev[cand[jump]]
-        alive = prev[active] >= 0
-        if not alive.all():
-            active, values = active[alive], values[alive]
+        ptr[active] = ptr[ptr[active]]
+        active = active[keys[ptr[active]] > keys[active]]
+    return ptr
 
-    # Next position with hash strictly < own (strict, so the leftmost of
-    # equal minima becomes the ancestor).  Sentinel: one past the end.
-    nxt = np.arange(1, size + 1, dtype=np.int64 if size + 1 > np.iinfo(np.int32).max else ptr_dtype)
-    nxt[n - 1 :: n] = size
-    pop[size - 1] = False
-    np.greater_equal(flat[1:], flat[:-1], out=pop[:-1])
-    pop[n - 1 :: n] = False
-    active = np.flatnonzero(pop).astype(ptr_dtype)
-    values = flat[active]
-    nxt[active] = nxt[active + 1]
-    alive = nxt[active] < size
-    active, values = active[alive], values[alive]
-    while active.size:
-        cand = nxt[active]
-        jump = flat[cand] >= values
-        if not jump.any():
-            break
-        active, values = active[jump], values[jump]
-        nxt[active] = nxt[cand[jump]]
-        alive = nxt[active] < size
-        if not alive.all():
-            active, values = active[alive], values[alive]
 
-    # Convert flat pointers back to per-row column bounds.
-    row_base = (np.arange(k, dtype=np.int64) * n)[:, None]
-    prev2d = prev.reshape(k, n).astype(np.int64)
-    nxt2d = nxt.reshape(k, n).astype(np.int64)
-    left = np.where(prev2d >= 0, prev2d - row_base + 1, 0)
-    right = np.where(nxt2d < size, nxt2d - row_base - 1, n - 1)
-    return left, right
+def chunk_layout(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Lay ``parts`` out along their last axis as ``S p0 S p1 ... S``.
+
+    This is the chunk layout :func:`generate_chunk_windows` takes; the
+    sentinel slots ``S`` hold zeros.
+    """
+    gap = np.zeros(parts[0].shape[:-1] + (1,), dtype=parts[0].dtype)
+    pieces = [gap]
+    for part in parts:
+        pieces += [part, gap]
+    return np.concatenate(pieces, axis=-1)
+
+
+def generate_chunk_windows(
+    hash_matrix: np.ndarray, lengths: Sequence[int], t: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Valid windows of all texts of a chunk, for all ``k`` functions.
+
+    ``hash_matrix`` is the ``(k, N)`` matrix of 32-bit hashes of the
+    chunk's texts in :func:`chunk_layout`, ``S text0 S text1 ... S``:
+    ``lengths[i]`` is the length of text ``i`` and
+    ``N = sum(lengths) + len(lengths) + 1``.  The values in the
+    sentinel columns ``S`` are ignored.
+
+    Returns ``(bounds, minhashes, rows)``.  ``rows`` is a ``(W, 4)``
+    ``uint32`` array of ``(text, left, center, right)``, where ``text``
+    is the index into ``lengths`` and the bounds are positions within
+    that text; the windows of function ``f`` are
+    ``rows[bounds[f] : bounds[f + 1]]``, sorted by ``(text, center)``,
+    and ``minhashes`` holds the hash of each window's center.  For every
+    text and function they equal
+    :func:`generate_compact_windows_stack` of that row.
+    """
+    _check_threshold(t)
+    k, width = hash_matrix.shape
+    if width >= 1 << _POS_BITS:
+        raise InvalidParameterError(f"chunk of {width} columns is too long")
+    if k * width < t:  # not even one length-t window
+        rows = np.empty((0, 4), dtype=np.uint32)
+        return np.zeros(k + 1, dtype=np.int64), np.empty(0, dtype=np.uint32), rows
+    sentinels = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(lengths, dtype=np.int64) + 1, out=sentinels[1:])
+    # Key = hash << 31 | column: unique within a row, and for two cells
+    # of equal hash the left one is smaller, which is the stack rule
+    # (previous hash <= own, next hash < own) as one strict comparison.
+    keys = np.left_shift(hash_matrix, _POS_BITS, dtype=np.int64)
+    keys |= np.arange(width, dtype=np.int64)
+    keys = keys.ravel()
+    row_starts = np.arange(k, dtype=np.int64)[:, None] * width
+    sentinel_cells = (row_starts + sentinels).ravel()
+    keys[sentinel_cells] = _SENTINEL
+
+    # A cell centers a window of width >= t iff it is the minimum of a
+    # length-t window.  Every window that crosses a text or row boundary
+    # holds a sentinel, so the real minima are exactly the centers.  As
+    # the window slides the minimum's position never moves left, so the
+    # window starts [a, b] that share one center are one run.
+    mins = _sliding_min(keys, t)
+    change = np.empty(mins.size, dtype=bool)
+    change[0] = True
+    np.not_equal(mins[1:], mins[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:] - 1
+    ends[-1] = mins.size - 1
+    center_keys = mins[starts]
+    real = center_keys != _SENTINEL
+    starts, ends, center_keys = starts[real], ends[real], center_keys[real]
+    row_base = starts // width * width
+    center = row_base + (center_keys & ((1 << _POS_BITS) - 1))
+
+    # The run is [max(L, c - t + 1), min(c, R - t + 1)] for the window
+    # [L, R] of center c, so it gives L and R directly unless the
+    # nearest smaller key lies t or more cells away.  Such a key is
+    # itself a center or a sentinel (it is the minimum of the length-t
+    # window that starts or ends at it), so those bounds come from a
+    # pointer chase over the centers and sentinels alone.
+    left = starts
+    right = ends + (t - 1)
+    open_left = starts == center - (t - 1)
+    open_right = ends == center
+    if open_left.any() or open_right.any():
+        nodes = np.sort(np.concatenate([center, sentinel_cells]))
+        node_keys = keys[nodes]
+        at = np.searchsorted(nodes, center)
+        prev = _previous_smaller(node_keys)
+        left[open_left] = nodes[prev[at[open_left]]] + 1
+        last = nodes.size - 1
+        nxt = _previous_smaller(node_keys[::-1])
+        right[open_right] = nodes[last - nxt[last - at[open_right]]] - 1
+
+    text = np.searchsorted(sentinels, center - row_base) - 1
+    base = row_base + sentinels[text] + 1
+    rows = np.empty((center.size, 4), dtype=np.uint32)
+    rows[:, 0] = text
+    rows[:, 1] = left - base
+    rows[:, 2] = center - base
+    rows[:, 3] = right - base
+    bounds = np.searchsorted(row_base, np.arange(k + 1, dtype=np.int64) * width)
+    return bounds, (center_keys >> _POS_BITS).astype(np.uint32), rows
 
 
 def generate_compact_windows_kwide(
     hash_matrix: np.ndarray, t: int
 ) -> list[np.ndarray]:
-    """Vectorized window generation for all ``k`` hash rows of one text.
+    """Window generation for all ``k`` hash rows of one text.
 
     ``hash_matrix`` is the ``(k, n)`` matrix whose row ``f`` holds
     ``f_f(T[p])`` for every position ``p`` (one
@@ -282,27 +272,17 @@ def generate_compact_windows_kwide(
     :meth:`~repro.core.hashing.HashFamily.hash_tokens_all`).  Returns a
     list of ``k`` structured arrays; entry ``f`` is element-wise
     identical to ``generate_compact_windows_stack(hash_matrix[f], t)``.
+    Runs :func:`generate_chunk_windows` on a one-text chunk.
     """
-    _check_threshold(t)
     matrix = np.asarray(hash_matrix)
     if matrix.ndim != 2:
         raise InvalidParameterError(
             f"hash matrix must be 2-D (k, n), got shape {matrix.shape}"
         )
     k, n = matrix.shape
-    if n < t:
-        return [np.empty(0, dtype=WINDOW_DTYPE) for _ in range(k)]
-    left, right = _kwide_spans(matrix)
-    keep = (right - left + 1) >= t
-    # One row-major extraction for all k rows, then split per row: the
-    # boolean gathers and nonzero() walk the matrix once each instead of
-    # k times.
-    out = np.empty(int(np.count_nonzero(keep)), dtype=WINDOW_DTYPE)
-    out["left"] = left[keep]
-    out["center"] = np.nonzero(keep)[1]
-    out["right"] = right[keep]
-    bounds = np.cumsum(np.count_nonzero(keep, axis=1))[:-1]
-    return np.split(out, bounds)
+    bounds, _, rows = generate_chunk_windows(chunk_layout([matrix]), [n], t)
+    windows = np.ascontiguousarray(rows[:, 1:]).view(WINDOW_DTYPE).ravel()
+    return [windows[bounds[f] : bounds[f + 1]] for f in range(k)]
 
 
 def windows_to_array(windows: list[CompactWindow]) -> np.ndarray:

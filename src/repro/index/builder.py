@@ -6,13 +6,14 @@ the ``k`` hash functions, groups them into inverted lists and (
 optionally) writes each index to disk.  The out-of-core variant for
 large corpora lives in :mod:`repro.index.external`.
 
-Window generation is vectorized across hash functions: each text is
-hashed into a ``(k, n)`` matrix with a single table gather and the
-compact windows of all ``k`` rows are computed simultaneously
-(:func:`~repro.core.compact_windows.generate_compact_windows_kwide`),
-so the interpreter cost of a build no longer scales with ``k``.  The
-corpus is streamed in bounded batches — peak memory holds one batch of
-texts plus the growing postings, never a second copy of the corpus.
+:func:`generate_corpus_postings` is the one window-generation path of
+every build (this module, the out-of-core build and the live index's
+memtable).  It packs a batch's texts into chunks of about
+``_CHUNK_CELLS`` hash cells, hashes each chunk with one table gather
+and generates the windows of all its texts under all ``k`` functions in
+one :func:`~repro.core.compact_windows.generate_chunk_windows` call.
+The corpus is streamed in bounded batches — peak memory holds one batch
+of texts plus the growing postings, never a second copy of the corpus.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.compact_windows import generate_compact_windows_kwide
+from repro.core.compact_windows import chunk_layout, generate_chunk_windows
 from repro.core.hashing import HashFamily
 from repro.corpus.corpus import Corpus, infer_vocab_size, iter_corpus_batches
 from repro.exceptions import InvalidParameterError
@@ -50,12 +51,13 @@ class BuildStats:
     * ``aggregation_seconds`` — the out-of-core build's pass-2 partition
       aggregation (sort + group + encode), without the index payload
       writes that run inside it;
-    * ``io_seconds`` — spill and index file reads/writes.
-
-    The phases are disjoint, so ``total_seconds`` never exceeds the
-    build's wall time.
+    * ``io_seconds`` — spill and index file reads/writes;
     * ``bytes_written`` — bytes the build put on disk: the index
       payload, plus the spill files of the out-of-core build.
+
+    The phases are disjoint, so ``total_seconds`` never exceeds the
+    build's wall time.  ``windows_per_func`` counts the postings of
+    each hash function.
     """
 
     windows_generated: int = 0
@@ -88,6 +90,26 @@ class BuildStats:
 MAX_VOCAB_TABLE = 1 << 24
 
 
+#: Hash-matrix cells (``k`` x tokens) per call of the window kernel.
+#: Texts are packed into chunks of about this size, so the kernel's
+#: int64 work arrays stay cache-sized and peak memory does not grow
+#: with the batch.  A longer text is one chunk on its own.
+_CHUNK_CELLS = 1 << 16
+
+
+def _chunks(texts: list[tuple[int, np.ndarray]], k: int):
+    """Split a batch into runs of texts of at most ``_CHUNK_CELLS`` cells."""
+    begin, cells = 0, 0
+    for end, (_, tokens) in enumerate(texts):
+        size = k * (int(tokens.size) + 1)
+        if cells and cells + size > _CHUNK_CELLS:
+            yield texts[begin:end]
+            begin, cells = end, 0
+        cells += size
+    if begin < len(texts):
+        yield texts[begin:]
+
+
 def generate_corpus_postings(
     texts: list[tuple[int, np.ndarray]],
     family: HashFamily,
@@ -97,32 +119,35 @@ def generate_corpus_postings(
     """Generate per-function ``(minhash, posting)`` arrays for a batch of texts.
 
     ``vocab_hashes`` is the ``(k, vocab)`` table from
-    :meth:`HashFamily.hash_vocabulary`; each text indexes it once with
-    ``vocab_hashes[:, tokens]``, producing the full ``(k, n)`` hash
-    matrix in one gather.  Pass ``None`` (huge token-id spaces) to hash
-    each text's tokens directly.  Windows for all ``k`` functions are
-    generated simultaneously from the matrix.
+    :meth:`HashFamily.hash_vocabulary`; pass ``None`` (huge token-id
+    spaces) to hash the tokens directly.  The batch is cut into chunks
+    of about ``_CHUNK_CELLS`` hash cells; each chunk's texts are laid
+    out by :func:`~repro.core.compact_windows.chunk_layout`, hashed with
+    one gather and handed to
+    :func:`~repro.core.compact_windows.generate_chunk_windows` in one
+    call.  Function ``f``'s postings are sorted by ``(text, center)``
+    in batch order.
     """
+    k = family.k
     per_func: list[tuple[list[np.ndarray], list[np.ndarray]]] = [
-        ([], []) for _ in range(family.k)
+        ([], []) for _ in range(k)
     ]
-    for text_id, tokens in texts:
+    for chunk in _chunks(texts, k):
+        layout = chunk_layout([tokens for _, tokens in chunk]).astype(np.int64)
         if vocab_hashes is not None:
-            hash_matrix = vocab_hashes[:, tokens.astype(np.int64)]
+            hash_matrix = vocab_hashes[:, layout]
         else:
-            hash_matrix = family.hash_tokens_all(tokens)
-        windows_per_func = generate_compact_windows_kwide(hash_matrix, t)
-        for func, windows in enumerate(windows_per_func):
-            if windows.size == 0:
-                continue
-            postings = np.empty(windows.size, dtype=POSTING_DTYPE)
-            postings["text"] = text_id
-            postings["left"] = windows["left"]
-            postings["center"] = windows["center"]
-            postings["right"] = windows["right"]
-            minhashes = hash_matrix[func][windows["center"].astype(np.int64)]
-            per_func[func][0].append(minhashes)
-            per_func[func][1].append(postings)
+            hash_matrix = family.hash_tokens_all(layout)
+        lengths = [tokens.size for _, tokens in chunk]
+        bounds, minhashes, rows = generate_chunk_windows(hash_matrix, lengths, t)
+        text_ids = np.array([text_id for text_id, _ in chunk], dtype=np.uint32)
+        rows[:, 0] = text_ids[rows[:, 0]]
+        postings = rows.view(POSTING_DTYPE).ravel()
+        for func in range(k):
+            lo, hi = bounds[func], bounds[func + 1]
+            if hi > lo:
+                per_func[func][0].append(minhashes[lo:hi])
+                per_func[func][1].append(postings[lo:hi])
     return merge_per_func_chunks(per_func)
 
 
@@ -135,9 +160,10 @@ def merge_per_func_chunks(
     per_func = []
     for minhash_chunks, posting_chunks in per_func_chunks:
         if minhash_chunks:
-            per_func.append(
-                (np.concatenate(minhash_chunks), np.concatenate(posting_chunks))
-            )
+            # Joined as uint32 words: a structured concatenate pays a
+            # dtype promotion per piece.
+            words = np.concatenate([p.view(np.uint32) for p in posting_chunks])
+            per_func.append((np.concatenate(minhash_chunks), words.view(POSTING_DTYPE)))
         else:
             per_func.append(
                 (np.empty(0, dtype=np.uint32), np.empty(0, dtype=POSTING_DTYPE))

@@ -221,6 +221,7 @@ def build_external_index(
     )
     if stats is None:
         stats = BuildStats()
+    windows_per_func = [0] * family.k
 
     try:
         # Pass 1: generate postings batch by batch and spill by partition.
@@ -232,22 +233,21 @@ def build_external_index(
             for batch in iter_corpus_batches(corpus, config.batch_texts):
                 begin = time.perf_counter()
                 per_func = generate_corpus_postings(batch, family, t, vocab_hashes)
-                chunks = []
-                for func, (minhashes, postings) in enumerate(per_func):
-                    if not postings.size:
-                        continue
-                    records = np.empty(postings.size, dtype=SPILL_DTYPE)
-                    records["func"] = func
-                    records["minhash"] = minhashes
-                    for name in ("text", "left", "center", "right"):
-                        records[name] = postings[name]
-                    chunks.append(records)
+                counts = [int(postings.size) for _, postings in per_func]
+                # Spill records are six uint32 columns: func, minhash and
+                # the four posting fields.
+                batch_records = np.empty(sum(counts), dtype=SPILL_DTYPE)
+                columns = batch_records.view(np.uint32).reshape(-1, 6)
+                columns[:, 0] = np.repeat(np.arange(family.k), counts)
+                columns[:, 1] = np.concatenate([m for m, _ in per_func])
+                postings = np.concatenate([p for _, p in per_func])
+                columns[:, 2:] = postings.view(np.uint32).reshape(-1, 4)
                 stats.generation_seconds += time.perf_counter() - begin
                 stats.texts_indexed += len(batch)
                 stats.batches += 1
-                if not chunks:
+                windows_per_func = [n + c for n, c in zip(windows_per_func, counts)]
+                if not batch_records.size:
                     continue
-                batch_records = np.concatenate(chunks)
                 stats.windows_generated += int(batch_records.size)
                 begin = time.perf_counter()
                 stats.bytes_written += _spill_batch(
@@ -288,6 +288,7 @@ def build_external_index(
         stats.bytes_written += writer.bytes_written
     finally:
         shutil.rmtree(spill_dir, ignore_errors=True)
+    stats.windows_per_func = windows_per_func
     logger.info(
         "external build complete: %d postings, %d bytes written, "
         "generation %.2fs, aggregation %.2fs, io %.2fs",

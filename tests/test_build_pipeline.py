@@ -1,14 +1,16 @@
 """Tests for the vectorized, streamed build pipeline.
 
-Covers the k-wide window generator against the per-function oracles,
-equivalence of every build driver with the sequential reference, the
-bounded-memory streaming property, and the out-of-core aggregation
-fixes (empty sub-partitions, scratch cleanup on failure).
+Covers the window kernel (the one-text wrapper and the chunked batch
+path) against the per-function oracles, the equivalence of every build
+driver with the sequential reference, the bounded-memory streaming
+property, and the out-of-core aggregation fixes (empty sub-partitions,
+scratch cleanup on failure).
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core.compact_windows import (
     generate_compact_windows_kwide,
-    generate_compact_windows_recursive,
     generate_compact_windows_stack,
 )
 from repro.core.hashing import HashFamily
@@ -29,16 +30,22 @@ from repro.corpus.corpus import (
 )
 from repro.corpus.store import DiskCorpus, write_corpus
 from repro.exceptions import InvalidParameterError
-from repro.index.builder import BuildStats, build_memory_index
+from repro.index import builder
+from repro.index.builder import (
+    BuildStats,
+    build_memory_index,
+    generate_corpus_postings,
+)
 from repro.index.external import (
     SPILL_DTYPE,
     ExternalBuildConfig,
     _flush_partition,
     build_external_index,
 )
-from repro.index.inverted import POSTING_BYTES
+from repro.index.inverted import POSTING_BYTES, POSTING_DTYPE
 from repro.index.sidecar import SIDECAR_FILE, read_sidecar
 from repro.index.storage import _PAYLOAD_FILE, DiskInvertedIndex, write_index
+from window_oracle import generate_compact_windows_recursive
 
 hash_matrices = st.integers(1, 6).flatmap(
     lambda k: st.lists(
@@ -93,7 +100,7 @@ class TestKWideGenerator:
     @given(matrix=hash_matrices, t=st.integers(1, 10))
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_stack_and_recursive_oracles(self, matrix, t):
-        """The k-wide generator must reproduce, row for row, both the
+        """The one-text wrapper must reproduce, row for row, both the
         monotone-stack generator and the recursive Algorithm-2 oracle —
         including on heavy ties (hash values drawn from [0, 9])."""
         kwide = generate_compact_windows_kwide(matrix, t)
@@ -127,6 +134,139 @@ class TestKWideGenerator:
         for func in range(8):
             alone = generate_compact_windows_kwide(matrix[func : func + 1], t=4)
             assert np.array_equal(kwide[func], alone[0])
+
+
+def stack_postings(batch, family, t, vocab_hashes):
+    """The per-text, per-function stack loop ``generate_corpus_postings``
+    must reproduce: one ``generate_compact_windows_stack`` call per row,
+    postings in batch order."""
+    per_func = []
+    for func in range(family.k):
+        minhashes, postings = [], []
+        for text_id, tokens in batch:
+            if vocab_hashes is not None:
+                hashes = vocab_hashes[func][tokens.astype(np.int64)]
+            else:
+                hashes = family.hash_tokens(tokens, func)
+            windows = generate_compact_windows_stack(hashes, t)
+            rows = np.empty(windows.size, dtype=POSTING_DTYPE)
+            rows["text"] = text_id
+            for name in ("left", "center", "right"):
+                rows[name] = windows[name]
+            minhashes.append(hashes[windows["center"].astype(np.int64)])
+            postings.append(rows)
+        per_func.append(
+            (
+                np.concatenate(minhashes or [np.empty(0, np.uint32)]),
+                np.concatenate(postings or [np.empty(0, POSTING_DTYPE)]),
+            )
+        )
+    return per_func
+
+
+def assert_matches_stack(batch, family, t, vocab_hashes):
+    got = generate_corpus_postings(batch, family, t, vocab_hashes)
+    expected = stack_postings(batch, family, t, vocab_hashes)
+    assert len(got) == family.k
+    for (minhashes, postings), (want_minhashes, want_postings) in zip(got, expected):
+        assert minhashes.dtype == np.uint32 and postings.dtype == POSTING_DTYPE
+        assert np.array_equal(minhashes, want_minhashes)
+        assert np.array_equal(postings, want_postings)
+
+
+def as_batch(texts, first_id=0):
+    """``(text_id, tokens)`` pairs with non-contiguous ids."""
+    return [
+        (first_id + 3 * i, np.asarray(tokens, dtype=np.uint32))
+        for i, tokens in enumerate(texts)
+    ]
+
+
+batches = st.lists(
+    st.lists(st.integers(0, 4), max_size=30), min_size=0, max_size=8
+)
+
+
+class TestChunkedGeneration:
+    """``generate_corpus_postings`` (one kernel call per chunk of texts)
+    equals the per-text stack loop, chunk boundaries included."""
+
+    @given(
+        texts=batches,
+        k=st.integers(1, 4),
+        t=st.integers(1, 12),
+        chunk_cells=st.integers(1, 120),
+        use_table=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stack_loop(self, texts, k, t, chunk_cells, use_table):
+        """Tokens from [0, 4] tie hashes within and across texts; small
+        chunk budgets put chunk boundaries everywhere, including inside
+        a single text's budget (a text is never split)."""
+        family = HashFamily(k=k, seed=5)
+        vocab_hashes = family.hash_vocabulary(5) if use_table else None
+        with mock.patch.object(builder, "_CHUNK_CELLS", chunk_cells):
+            assert_matches_stack(as_batch(texts), family, t, vocab_hashes)
+
+    @pytest.mark.parametrize(
+        "texts, t",
+        [
+            ([[], [1, 2, 3], [], []], 2),  # empty texts
+            ([[4], [2], [4, 4]], 1),  # length-1 texts, t = 1
+            ([[1, 2, 3], [3, 2], [0, 1, 2, 3, 4]], 4),  # shorter than t
+            ([[2] * 40, [2] * 7], 5),  # all-equal hashes
+            ([[3, 1, 2, 2], [2, 2, 1, 3]], 2),  # ties across a boundary
+            ([[0, 1, 2, 3] * 5], 1),  # t = 1: every cell is a center
+            ([[0, 1, 2], [4, 3]], 50),  # t > n for every text
+        ],
+    )
+    @pytest.mark.parametrize("use_table", [True, False])
+    def test_edge_batches(self, texts, t, use_table):
+        family = HashFamily(k=3, seed=2)
+        vocab_hashes = family.hash_vocabulary(5) if use_table else None
+        assert_matches_stack(as_batch(texts, first_id=11), family, t, vocab_hashes)
+
+    def test_text_longer_than_chunk_budget(self, rng):
+        """A text past the budget is one chunk of its own, and its
+        neighbours still share chunks."""
+        family = HashFamily(k=32, seed=4)
+        vocab_hashes = family.hash_vocabulary(300)
+        texts = [rng.integers(0, 300, size=n) for n in (40, 6_000, 25, 60)]
+        assert family.k * texts[1].size > 2 * builder._CHUNK_CELLS
+        assert_matches_stack(as_batch(texts), family, 25, vocab_hashes)
+
+    def test_texts_straddle_chunk_boundaries(self, rng):
+        """Many texts whose lengths do not divide the budget, so chunk
+        boundaries fall at arbitrary texts."""
+        family = HashFamily(k=32, seed=4)
+        vocab_hashes = family.hash_vocabulary(50)
+        texts = [
+            rng.integers(0, 50, size=int(rng.integers(0, 700))) for _ in range(40)
+        ]
+        cells = family.k * sum(text.size + 1 for text in texts)
+        assert cells > 4 * builder._CHUNK_CELLS
+        assert_matches_stack(as_batch(texts), family, 25, vocab_hashes)
+
+    def test_generation_peak_bounded_by_chunk_budget(self, rng):
+        """Peak allocation of one batch's generation is its output plus a
+        working set fixed by ``_CHUNK_CELLS``: a batch many times the
+        budget never holds the int64 keys of the whole batch."""
+        family = HashFamily(k=32, seed=4)
+        vocab_hashes = family.hash_vocabulary(4096)
+        batch = as_batch(
+            [rng.integers(0, 4096, size=300) for _ in range(300)]
+        )
+        cells = family.k * sum(tokens.size for _, tokens in batch)
+        assert cells > 20 * builder._CHUNK_CELLS
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        per_func = generate_corpus_postings(batch, family, 25, vocab_hashes)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        output = sum(m.nbytes + p.nbytes for m, p in per_func)
+        # The output exists twice while the per-chunk parts are joined.
+        bound = 2 * output + 64 * builder._CHUNK_CELLS
+        assert peak < bound, f"peak {peak} bytes vs bound {bound} bytes"
 
 
 class TestBuildEquivalence:
@@ -198,6 +338,9 @@ class TestBuildEquivalence:
         assert ext_stats.batches == 4
         assert ext_stats.aggregation_seconds > 0
         assert ext_stats.io_seconds > 0
+        assert len(ext_stats.windows_per_func) == family.k
+        assert sum(ext_stats.windows_per_func) == ext_stats.windows_generated
+        assert ext_stats.windows_per_func == mem_stats.windows_per_func
 
 
 class TestBoundedMemory:

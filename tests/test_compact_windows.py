@@ -10,14 +10,13 @@ from repro.core.compact_windows import (
     WINDOW_DTYPE,
     array_to_windows,
     enumerate_covered_sequences,
-    generate_compact_windows,
-    generate_compact_windows_recursive,
     generate_compact_windows_stack,
     window_minhashes,
     windows_to_array,
 )
 from repro.core.theory import expected_window_count
 from repro.exceptions import InvalidParameterError
+from window_oracle import generate_compact_windows, generate_compact_windows_recursive
 
 
 def window_set(windows) -> set[tuple[int, int, int]]:

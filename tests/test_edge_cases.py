@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.bruteforce import search_definition2
-from repro.core.compact_windows import (
-    generate_compact_windows,
-    generate_compact_windows_stack,
-)
+from repro.core.compact_windows import generate_compact_windows_stack
 from repro.core.hashing import HashFamily
 from repro.core.search import NearDuplicateSearcher
 from repro.corpus.corpus import InMemoryCorpus
 from repro.index.builder import build_memory_index
+from window_oracle import generate_compact_windows
 
 
 def result_spans(result):

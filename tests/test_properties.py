@@ -6,14 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compact_windows import (
-    generate_compact_windows,
-    generate_compact_windows_recursive,
-    generate_compact_windows_stack,
-)
+from repro.core.compact_windows import generate_compact_windows_stack
 from repro.core.hashing import HashFamily
 from repro.core.intervals import collision_count, interval_scan, max_collisions
-from repro.core.rmq import BlockRMQ, SegmentTreeRMQ, SparseTableRMQ
 from repro.core.verify import (
     Span,
     distinct_jaccard,
@@ -21,6 +16,8 @@ from repro.core.verify import (
     multiset_jaccard,
 )
 from repro.index.zonemap import build_zone_map
+from rmq import BlockRMQ, SegmentTreeRMQ, SparseTableRMQ
+from window_oracle import generate_compact_windows, generate_compact_windows_recursive
 
 token_arrays = st.lists(st.integers(0, 30), min_size=1, max_size=80).map(
     lambda xs: np.asarray(xs, dtype=np.uint32)

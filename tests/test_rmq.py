@@ -1,18 +1,23 @@
-"""Tests for the three RMQ backends."""
+"""Tests for the three RMQ backends of the Algorithm 2 oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.rmq import (
+from repro.core.compact_windows import (
+    generate_compact_windows_kwide,
+    generate_compact_windows_stack,
+)
+from repro.exceptions import InvalidParameterError
+from rmq import (
     BlockRMQ,
     RMQ_BACKENDS,
     SegmentTreeRMQ,
     SparseTableRMQ,
     make_rmq,
 )
-from repro.exceptions import InvalidParameterError
+from window_oracle import generate_compact_windows
 
 BACKENDS = list(RMQ_BACKENDS.values())
 
@@ -126,3 +131,25 @@ class TestFactory:
 
     def test_default_is_sparse(self):
         assert isinstance(make_rmq(np.array([1, 2])), SparseTableRMQ)
+
+
+class TestBackendAblation:
+    """The RMQ ablation: Algorithm 2 on each backend, the monotone stack
+    and the production kernel all emit the same windows."""
+
+    def test_backends_emit_identical_windows(self):
+        rng = np.random.default_rng(3)
+        hashes = rng.integers(0, 1 << 31, size=40_000).astype(np.uint32)
+        reference = generate_compact_windows_stack(hashes, 50)
+        expected = {
+            (int(w["left"]), int(w["center"]), int(w["right"])) for w in reference
+        }
+        assert len(expected) > 1_000
+        for backend in RMQ_BACKENDS:
+            got = {
+                (w.left, w.center, w.right)
+                for w in generate_compact_windows(hashes, 50, backend)
+            }
+            assert got == expected, backend
+        kernel = generate_compact_windows_kwide(hashes[None, :], 50)[0]
+        assert np.array_equal(kernel, reference)
