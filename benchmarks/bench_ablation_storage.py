@@ -28,6 +28,14 @@ def memory_index(base_corpus):
     return build_memory_index(base_corpus.corpus, family, t=25, vocab_size=VOCAB_LARGE)
 
 
+def longest_list(index):
+    """``(func, minhash, postings)`` of the index's longest list."""
+    funcs, keys, postings, bounds = index.all_lists()
+    longest = int(np.argmax(np.diff(bounds)))
+    lo, hi = bounds[longest], bounds[longest + 1]
+    return int(funcs[longest]), int(keys[longest]), postings[lo:hi]
+
+
 @pytest.mark.parametrize("step", [16, 64, 256])
 def test_zonemap_step_io_tradeoff(benchmark, memory_index, tmp_path, step):
     directory = write_index(
@@ -36,20 +44,13 @@ def test_zonemap_step_io_tradeoff(benchmark, memory_index, tmp_path, step):
     disk = DiskInvertedIndex(directory)
 
     # Probe the longest list for texts it does and does not contain.
-    func, minhash, postings = max(
-        (
-            (f, mh, p)
-            for f in range(disk.family.k)
-            for mh, p in memory_index.iter_lists(f)
-        ),
-        key=lambda item: item[2].size,
-    )
+    func, minhash, postings = longest_list(memory_index)
     probe_texts = list(dict.fromkeys(postings["text"].tolist()))[:20]
 
     def probe():
         disk.io_stats.reset()
         for text_id in probe_texts:
-            disk.load_text_windows(func, minhash, int(text_id))
+            disk.load_texts_windows(func, minhash, [text_id])
         return disk.io_stats.bytes_read
 
     io_bytes = benchmark.pedantic(probe, rounds=3, iterations=1)
@@ -66,14 +67,7 @@ def test_zonemap_step_io_tradeoff(benchmark, memory_index, tmp_path, step):
 
 def test_zonemap_smaller_step_reads_less(benchmark, memory_index, tmp_path):
     results = {}
-    func, minhash, postings = max(
-        (
-            (f, mh, p)
-            for f in range(memory_index.family.k)
-            for mh, p in memory_index.iter_lists(f)
-        ),
-        key=lambda item: item[2].size,
-    )
+    func, minhash, postings = longest_list(memory_index)
     probe_texts = list(dict.fromkeys(postings["text"].tolist()))[:20]
 
     def probe_both_steps():
@@ -87,7 +81,7 @@ def test_zonemap_smaller_step_reads_less(benchmark, memory_index, tmp_path):
             disk = DiskInvertedIndex(directory)
             disk.io_stats.reset()
             for text_id in probe_texts:
-                disk.load_text_windows(func, minhash, int(text_id))
+                disk.load_texts_windows(func, minhash, [text_id])
             results[step] = disk.io_stats.bytes_read
 
     benchmark.pedantic(probe_both_steps, rounds=1, iterations=1)

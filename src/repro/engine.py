@@ -432,10 +432,7 @@ class NearDupEngine:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         write_corpus(self.corpus, directory / "corpus")
-        if hasattr(self.index, "iter_lists"):
-            write_index(self.index, directory / "index", codec=self.codec)
-        else:  # already an on-disk reader: materialize a copy
-            write_index(self.index.to_memory(), directory / "index", codec=self.codec)
+        write_index(self.index, directory / "index", codec=self.codec)
         meta = {"format_version": _FORMAT_VERSION, "has_tokenizer": False}
         if self.tokenizer is not None:
             self.tokenizer.save(directory / "tokenizer.json")

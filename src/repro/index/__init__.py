@@ -40,7 +40,6 @@ from repro.index.inverted import (
     InvertedIndexReader,
     IOStats,
     ListLengthProfile,
-    MemoryInvertedIndex,
     POSTING_BYTES,
     POSTING_DTYPE,
 )
@@ -52,7 +51,7 @@ from repro.index.stats import (
     zipf_tail_report,
 )
 from repro.index.sidecar import SIDECAR_FILE, read_sidecar, write_sidecar
-from repro.index.storage import DiskInvertedIndex, write_index
+from repro.index.storage import DiskInvertedIndex, MemoryInvertedIndex, write_index
 from repro.index.validate import ValidationReport, validate_index
 from repro.index.zonemap import ZoneMap, build_zone_map
 

@@ -29,8 +29,8 @@ from repro.core.compact_windows import chunk_layout, generate_chunk_windows
 from repro.core.hashing import HashFamily
 from repro.corpus.corpus import Corpus, infer_vocab_size, iter_corpus_batches
 from repro.exceptions import InvalidParameterError
-from repro.index.inverted import MemoryInvertedIndex, POSTING_BYTES, POSTING_DTYPE
-from repro.index.storage import _PAYLOAD_FILE, write_index
+from repro.index.inverted import POSTING_BYTES, POSTING_DTYPE
+from repro.index.storage import _PAYLOAD_FILE, MemoryInvertedIndex, write_index
 
 logger = logging.getLogger(__name__)
 
@@ -224,9 +224,8 @@ def build_memory_index(
 
     begin = time.perf_counter()
     index = MemoryInvertedIndex.from_postings(
-        family, t, merge_per_func_chunks(per_func_chunks)
+        family, t, merge_per_func_chunks(per_func_chunks), num_texts=texts_indexed
     )
-    index.num_texts = texts_indexed
     merge_seconds = time.perf_counter() - begin
     logger.info(
         "built in-memory index: %d texts, %d postings, k=%d, t=%d "

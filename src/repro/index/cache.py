@@ -100,8 +100,8 @@ class CachedIndexReader:
         Cache budget.  A cached list is charged 16 bytes per posting;
         single lists larger than the whole budget bypass the cache.
 
-    Only full-list reads are cached here; zone-map point reads
-    (:meth:`load_text_windows`) are served from a cached full list when
+    Only full-list reads are cached here; point reads
+    (:meth:`load_texts_windows`) are served from a cached full list when
     one is resident and otherwise fall through to the inner reader.
 
     The reader is thread-safe: one instance may be shared by the online
@@ -133,13 +133,6 @@ class CachedIndexReader:
         self.singleflight_waits = 0
 
     # -- reader protocol ------------------------------------------------
-    def list_length(self, func: int, minhash: int) -> int:
-        with self._lock:
-            cached = self._lists.get((func, minhash))
-            if cached is not None:
-                return int(cached.size)
-        return self.inner.list_length(func, minhash)
-
     def load_list(
         self, func: int | np.ndarray, minhash: int | np.ndarray
     ) -> np.ndarray | list[np.ndarray]:
@@ -249,20 +242,6 @@ class CachedIndexReader:
                 self._inflight.pop(key, None)
         for flight in owned.values():
             flight.event.set()
-
-    def load_text_windows(self, func: int, minhash: int, text_id: int) -> np.ndarray:
-        key = (func, minhash)
-        with self._lock:
-            cached = self._lists.get(key)
-            if cached is not None:
-                # Serve the point read from the cached full list.
-                self._lists.move_to_end(key)
-                self.hits += 1
-                lo = int(np.searchsorted(cached["text"], text_id, side="left"))
-                hi = int(np.searchsorted(cached["text"], text_id, side="right"))
-                return cached[lo:hi]
-            self.misses += 1
-        return self.inner.load_text_windows(func, minhash, text_id)
 
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
         """The inner reader's lengths: caching a list does not change its

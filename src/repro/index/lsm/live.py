@@ -364,8 +364,13 @@ class LiveIndex:
             name = run_name(self.manifest.run_seq)
             memtable_tokens = self._memtable_tokens
             sealed_next_id = self._next_text_id
-            built.num_texts = sealed_next_id  # absolute id space, not run-local
-            write_index(built, self.root / name, codec=self.manifest.codec)
+            # The run records the absolute id space, not a run-local one.
+            write_index(
+                built,
+                self.root / name,
+                codec=self.manifest.codec,
+                num_texts=sealed_next_id,
+            )
             self.manifest.runs.append(name)
             self.manifest.run_seq += 1
             old_wal_seq = self.manifest.wal_seq

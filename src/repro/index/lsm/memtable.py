@@ -1,7 +1,7 @@
 """In-memory write buffer of freshly appended texts.
 
 Per-batch posting chunks accumulated cheaply on every append, lazily
-consolidated into one :class:`~repro.index.inverted.MemoryInvertedIndex`
+consolidated into one :class:`~repro.index.storage.MemoryInvertedIndex`
 the first time a reader asks.  The live index
 (:mod:`repro.index.lsm.live`) uses it as its memtable, sealing it to an
 immutable on-disk run once it grows past a threshold.
@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.core.hashing import HashFamily
 from repro.exceptions import InvalidParameterError
-from repro.index.builder import generate_corpus_postings
-from repro.index.inverted import MemoryInvertedIndex, POSTING_DTYPE
+from repro.index.builder import generate_corpus_postings, merge_per_func_chunks
+from repro.index.storage import MemoryInvertedIndex
 
 
 class Memtable:
@@ -88,32 +88,15 @@ class Memtable:
         if not self._chunks:
             return None
         if self._built is None:
-            per_func: list[tuple[list[np.ndarray], list[np.ndarray]]] = [
-                ([], []) for _ in range(self.family.k)
+            per_func = [
+                (
+                    [chunk[func][0] for chunk in self._chunks],
+                    [chunk[func][1] for chunk in self._chunks],
+                )
+                for func in range(self.family.k)
             ]
-            for chunk in self._chunks:
-                for func, (minhashes, postings) in enumerate(chunk):
-                    if postings.size:
-                        per_func[func][0].append(minhashes)
-                        per_func[func][1].append(postings)
-            merged = []
-            for minhash_chunks, posting_chunks in per_func:
-                if minhash_chunks:
-                    merged.append(
-                        (
-                            np.concatenate(minhash_chunks),
-                            np.concatenate(posting_chunks),
-                        )
-                    )
-                else:
-                    merged.append(
-                        (
-                            np.empty(0, dtype=np.uint32),
-                            np.empty(0, dtype=POSTING_DTYPE),
-                        )
-                    )
             self._built = MemoryInvertedIndex.from_postings(
-                self.family, self.t, merged
+                self.family, self.t, merge_per_func_chunks(per_func)
             )
         return self._built
 

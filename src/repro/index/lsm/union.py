@@ -48,23 +48,11 @@ class UnionIndexReader:
         self.io_stats = IOStats()
 
     # -- reader protocol ------------------------------------------------
-    def list_length(self, func: int, minhash: int) -> int:
-        return sum(
-            int(source.list_length(func, minhash)) for source in self.sources
-        )
-
     def load_list(
         self, func: int | np.ndarray, minhash: int | np.ndarray
     ) -> np.ndarray | list[np.ndarray]:
         return self._union(
             lambda source: source.load_list(func, minhash), _pairs(func)
-        )
-
-    def load_text_windows(
-        self, func: int, minhash: int, text_id: int
-    ) -> np.ndarray:
-        return self._union(
-            lambda source: source.load_text_windows(func, minhash, text_id), None
         )
 
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:

@@ -137,9 +137,6 @@ def _num_texts(reader: DiskInvertedIndex) -> int:
     recorded = reader.num_texts
     if recorded is not None:
         return recorded
-    top = -1
-    for minhash in reader.list_keys(0):
-        postings = reader.load_list(0, int(minhash))
-        if postings.size:
-            top = max(top, int(postings["text"].max()))
-    return top + 1
+    keys = reader.list_keys(0)
+    lists = reader.load_list(np.zeros(keys.size, dtype=np.int64), keys)
+    return max((int(p["text"].max()) for p in lists if p.size), default=-1) + 1

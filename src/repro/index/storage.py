@@ -1,12 +1,22 @@
-"""On-disk inverted-index format and reader.
+"""The inverted index: its one reader, its on-disk format and its writer.
+
+:class:`InvertedIndex` is the only reader implementation.  It reads a
+flat directory — every list of all ``k`` hash functions keyed
+``func << 32 | minhash`` with its start and length — over one payload
+of raw posting records or bit-packed blocks, with optional zone maps.
+:class:`MemoryInvertedIndex` builds those arrays in RAM (the paper's
+medium-scale path); :class:`DiskInvertedIndex` maps them from an index
+directory (the large-scale path).  Both serve the same lists through
+the same code.
 
 Layout of an index directory:
 
 * ``index.meta.json`` — format version, codec, ``k``, ``t``, the
-  hash-family parameters, zone-map configuration, payload record count.
-  The meta file is the **commit point**: it is written last, via a
-  temp file + ``os.replace``, so a directory holding payload/directory
-  files without it is a recognisably partial build;
+  hash-family parameters, zone-map configuration, payload record count
+  and the size of the text-id space.  The meta file is the **commit
+  point**: it is written last, via a temp file + ``os.replace``, so a
+  directory holding payload/directory files without it is a
+  recognisably partial build;
 * the directory — per hash function ``i``: ``keys_i`` (sorted
   ``uint32`` min-hash values), ``offsets_i`` (``uint64`` start of each
   list — a *posting index* into the payload for the ``raw`` codec, a
@@ -36,13 +46,9 @@ Before the meta rename, :meth:`_IndexWriter.close` fsyncs the payload,
 the sidecar and the meta temp file, and after it the directory, so a
 committed index survives power loss.
 
-The reader concatenates the per-function arrays once at open into one
-flat directory over all ``k`` functions (zone maps stay per function),
-and memory-maps the payload and reads only the slices — for v2,
-only the *blocks* — the searcher asks for, accounting every payload
-byte in ``io_stats`` (with ``decoded_bytes`` tracking the posting
-bytes produced after decompression) so the benchmarks can reproduce
-the paper's I/O-vs-CPU latency split.
+Opening concatenates the per-function arrays once into the flat
+directory and memory-maps the payload; reads touch only the slices —
+for v2, only the *blocks* — a query asks for.
 """
 
 from __future__ import annotations
@@ -65,13 +71,11 @@ from repro.index.codec import (
 )
 from repro.index.inverted import (
     IOStats,
-    MemoryInvertedIndex,
     POSTING_BYTES,
     POSTING_DTYPE,
     as_pairs,
     concat_postings,
     extract_texts,
-    gather_ranges,
     posting_rows,
     range_indices,
     row_postings,
@@ -336,22 +340,19 @@ def _joined(fragments: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
 
 
 def write_index(
-    index: MemoryInvertedIndex,
+    index: InvertedIndex,
     directory: str | Path,
     zonemap_step: int = DEFAULT_STEP,
     zonemap_min_list: int = DEFAULT_ZONEMAP_MIN_LIST,
     codec: str = "raw",
     num_texts: int | None = None,
 ) -> Path:
-    """Persist an in-memory index to ``directory``; returns the path.
+    """Persist an index (held in memory or opened from disk); returns the path.
 
     ``num_texts`` records the size of the text-id space in the metadata
-    (defaults to the index's own ``num_texts`` attribute when the
-    builder set one); readers expose it so appenders can resume id
-    assignment without scanning posting lists.
+    (defaults to the index's own ``num_texts``); readers expose it so
+    appenders can resume id assignment without scanning posting lists.
     """
-    if num_texts is None:
-        num_texts = getattr(index, "num_texts", None)
     writer = _IndexWriter(
         directory,
         index.family,
@@ -359,163 +360,75 @@ def write_index(
         zonemap_step,
         zonemap_min_list,
         codec,
-        num_texts=num_texts,
+        num_texts=index.num_texts if num_texts is None else num_texts,
     )
     writer.write_lists(*index.all_lists())
     writer.close()
     return Path(directory)
 
 
-class DiskInvertedIndex:
-    """Memory-mapped reader of an on-disk index with I/O accounting.
+class InvertedIndex:
+    """The inverted-index reader: one flat directory over one payload.
 
-    Dispatches on the directory's codec: ``raw`` (format v1) payloads
-    are mapped as posting records and sliced directly; ``packed``
-    (format v2) payloads are mapped as bytes and every read decodes
-    only the blocks covering the requested posting range, so the
-    zone-map point-read paths keep their sub-list I/O.  Both codecs
-    share one read path, :meth:`_read_ranges`: a vector read resolves
-    all its pairs at once and packed blocks of every pair decode in
-    one grouped codec call; a scalar read is the one-pair case.
+    Every list of all ``k`` hash functions is one directory entry.
+    ``keys`` holds ``func << 32 | minhash``, ascending, so every pair of
+    a vector read resolves in one ``searchsorted``; ``starts`` holds a
+    list's first posting (``raw``) or first block (``packed``) and
+    ``counts`` its length.  The payload is :data:`POSTING_DTYPE` records
+    (``raw``) or the bit-packed bytes of :mod:`repro.index.codec`
+    (``packed``, given ``blocks``: every block's first text id,
+    ``(nb, 4)`` column bit widths and payload byte offset, in directory
+    order).  ``zone_maps`` — ``(keys, starts, lengths, samples)``, keyed
+    like the directory — narrow a long list's point reads to a few
+    zones; a list without one is read whole and its texts cut out.
+    ``num_texts`` is the size of the text-id space (``None``: unknown).
+
+    :class:`MemoryInvertedIndex` builds these arrays in RAM and
+    :class:`DiskInvertedIndex` maps them from an index directory; both
+    read through this class.  Every read is one accounted call in
+    ``io_stats`` (``decoded_bytes`` counts the posting bytes produced
+    after decompression), so the benchmarks can reproduce the paper's
+    I/O-vs-CPU latency split.
     """
 
-    def __init__(self, directory: str | Path) -> None:
-        self._directory = Path(directory)
-        meta_path = self._directory / _META_FILE
-        payload_path = self._directory / _PAYLOAD_FILE
-        if not meta_path.exists():
-            leftovers = [
-                name
-                for name in (_PAYLOAD_FILE, _DIR_SIDECAR_FILE)
-                if (self._directory / name).exists()
-            ]
-            if leftovers:
-                raise IndexFormatError(
-                    f"{self._directory} has {', '.join(leftovers)} but no "
-                    f"{_META_FILE} — likely a partial build (the writer "
-                    "crashed before the metadata commit point); rebuild the "
-                    "index"
-                )
-            raise IndexFormatError(f"missing {_META_FILE} in {self._directory}")
-        meta = json.loads(meta_path.read_text())
-        version = meta.get("format_version")
-        if version not in (_FORMAT_VERSION, _FORMAT_VERSION_PACKED):
-            raise IndexFormatError(
-                f"unsupported index format version {version!r}"
-            )
-        self._codec = meta.get("codec", "raw")
-        if self._codec not in ("raw", "packed") or (
-            (self._codec == "packed") != (version == _FORMAT_VERSION_PACKED)
-        ):
-            raise IndexFormatError(
-                f"unsupported codec {self._codec!r} for format version {version}"
-            )
-        self.family = HashFamily.from_dict(meta["family"])
-        self.t = int(meta["t"])
-        self._num_postings = int(meta["num_postings"])
-        raw_num_texts = meta.get("num_texts")
-        self._num_texts = None if raw_num_texts is None else int(raw_num_texts)
-        self._zonemap_step = int(meta["zonemap_step"])
-        # Stat the payload exactly once; a vanished or unreadable file
-        # surfaces as a format error, not a raw FileNotFoundError.
-        try:
-            payload_size = payload_path.stat().st_size
-        except OSError as exc:
-            raise IndexFormatError(
-                f"payload file {_PAYLOAD_FILE} is missing or unreadable "
-                f"in {self._directory}: {exc}"
-            ) from exc
-        if self._codec == "packed":
-            self._payload_bytes = int(meta["payload_bytes"])
-            if payload_size != self._payload_bytes:
-                raise IndexFormatError(
-                    f"payload has {payload_size} bytes, "
-                    f"expected {self._payload_bytes} (truncated or corrupt)"
-                )
-            if self._payload_bytes:
-                self._payload = np.memmap(payload_path, dtype=np.uint8, mode="r")
-            else:
-                self._payload = np.empty(0, dtype=np.uint8)
-        else:
-            self._payload_bytes = self._num_postings * POSTING_BYTES
-            if payload_size != self._payload_bytes:
-                raise IndexFormatError(
-                    f"payload has {payload_size} bytes, "
-                    f"expected {self._payload_bytes}"
-                )
-            if self._num_postings:
-                self._payload = np.memmap(payload_path, dtype=POSTING_DTYPE, mode="r")
-            else:
-                self._payload = np.empty(0, dtype=POSTING_DTYPE)
-        self._flatten_directory(_load_directory(self._directory, meta))
-        self.io_stats = IOStats()
-
-    def _flatten_directory(self, arrays: dict[str, np.ndarray]) -> None:
-        """The reader's one copy of the directory: all ``k`` functions in one.
-
-        The container holds every array once per hash function
-        (``keys_0``, ``keys_1``, ...); they are concatenated here, and
-        ``_list_edges`` (``_block_edges``) mark where each function's
-        lists (blocks) begin.  Lists are keyed ``func << 32 | minhash``
-        (ascending, since each function's keys are), so every pair of a
-        vector read resolves in one ``searchsorted``.  ``_flat_starts``
-        is a list's first posting (raw) or first block (packed), and
-        ``_flat_counts`` ends in a sentinel 0 that absent pairs (slot
-        ``-1``) read as their length.  Zone maps stay per function.
-        """
-        k = self.family.k
-        groups = _DIRECTORY_GROUPS[self._codec]
-        try:
-            per_func = {
-                name: [arrays[f"{name}_{func}"] for func in range(k)]
-                for names in groups.values()
-                for name in names
-            }
-        except KeyError as exc:
-            raise IndexFormatError(f"index directory is missing array {exc}") from exc
-        if self._codec == "packed":
-            per_func["blk_widths"] = [w.reshape(-1, 4) for w in per_func["blk_widths"]]
-        for label, names in groups.items():
-            lengths = [[len(array) for array in per_func[name]] for name in names]
-            if lengths.count(lengths[0]) != len(lengths):
-                raise IndexFormatError(f"{label} arrays {names} differ in length")
-        sizes = [keys.size for keys in per_func["keys"]]
-        self._list_edges = np.cumsum([0] + sizes)
-        counts = np.concatenate(per_func["counts"]).astype(np.int64)
-        if int(counts.sum()) != self._num_postings:
-            raise IndexFormatError(
-                f"directory accounts for {int(counts.sum())} postings, "
-                f"metadata says {self._num_postings}"
-            )
-        self._flat_keys = (
-            np.repeat(np.arange(k, dtype=np.uint64), sizes) << np.uint64(32)
-        ) | np.concatenate(per_func["keys"]).astype(np.uint64)
-        self._flat_counts = np.append(counts, 0)
-        self._zm_keys = per_func["zm_keys"]
-        self._zm_starts = per_func["zm_starts"]
-        self._zm_lengths = per_func["zm_lengths"]
-        self._zm_samples = per_func["zm_samples"]
-        if self._codec == "raw":
-            self._flat_starts = np.concatenate(per_func["offsets"]).astype(np.int64)
-            return
-        per_list = (counts + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
-        implied = np.cumsum(np.append(0, per_list))
-        self._block_edges = np.cumsum([0] + [f.size for f in per_func["blk_first"]])
-        stored = np.diff(self._block_edges)
-        wanted = np.diff(implied[self._list_edges])
-        mismatched = np.flatnonzero(stored != wanted)
-        if mismatched.size:
-            func = int(mismatched[0])
-            raise IndexFormatError(
-                f"block directory of function {func} holds {stored[func]} "
-                f"blocks, counts imply {wanted[func]}"
-            )
-        self._flat_starts = implied[:-1]
-        self._flat_blk_first = np.concatenate(per_func["blk_first"])
-        self._flat_blk_widths = np.concatenate(per_func["blk_widths"])
-        self._flat_blk_offsets = np.concatenate(per_func["blk_offsets"]).astype(
-            np.int64
+    def __init__(
+        self,
+        family: HashFamily,
+        t: int,
+        keys: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
+        payload: np.ndarray,
+        *,
+        blocks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        zone_maps: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+        zonemap_step: int = DEFAULT_STEP,
+        num_texts: int | None = None,
+    ) -> None:
+        if t < 1:
+            raise InvalidParameterError(f"t must be >= 1, got {t}")
+        self.family = family
+        self.t = int(t)
+        self.num_texts = None if num_texts is None else int(num_texts)
+        self._codec = "raw" if blocks is None else "packed"
+        self._payload = payload
+        self._flat_keys = keys
+        self._flat_starts = starts
+        # Ends in a sentinel 0 that absent pairs (slot -1) read as their length.
+        self._flat_counts = np.append(counts.astype(np.int64, copy=False), 0)
+        self._num_postings = int(self._flat_counts.sum())
+        # Where each function's lists begin in the directory.
+        self._list_edges = np.searchsorted(
+            keys >> np.uint64(32), np.arange(family.k + 1, dtype=np.uint64)
         )
+        if blocks is not None:
+            self._flat_blk_first, self._flat_blk_widths, self._flat_blk_offsets = blocks
+        # Without zone maps, four empty arrays: ``_zones`` never indexes them.
+        self._zm_keys, self._zm_starts, self._zm_lengths, self._zm_samples = (
+            zone_maps or (np.empty(0, dtype=np.uint64),) * 4
+        )
+        self._zonemap_step = int(zonemap_step)
+        self.io_stats = IOStats()
 
     def _func_lists(self, func: int) -> slice:
         """Flat directory slots of one hash function's lists."""
@@ -541,17 +454,15 @@ class DiskInvertedIndex:
         )
         return np.where(found, slots, -1)
 
-    def list_length(self, func: int, minhash: int) -> int:
-        return int(self._flat_counts[self._resolve(*as_pairs(func, minhash))[0]])
-
     def load_list(
         self, func: int | np.ndarray, minhash: int | np.ndarray
     ) -> np.ndarray | list[np.ndarray]:
         """Whole lists; the vector form reads every pair in one call.
 
-        Raw lists are zero-copy views of the payload mapping, shared
-        with the page cache (and with sibling prefork workers); packed
-        lists are decoded together, one grouped codec call per call.
+        Raw lists are zero-copy views of the payload (for a disk index,
+        of its mapping, shared with the page cache and with sibling
+        prefork workers); packed lists are decoded together, one
+        grouped codec call per call.
         """
         if not np.ndim(func):
             return self.load_list([func], [minhash])[0]
@@ -560,29 +471,11 @@ class DiskInvertedIndex:
         counts = self._flat_counts[slots[owners]]
         return self._read_ranges(slots, owners, np.zeros_like(counts), counts)
 
-    def zone_map(self, func: int, minhash: int) -> ZoneMap | None:
-        """The zone map of one list, or ``None`` if the list is short/absent."""
-        zm_keys = self._zm_keys[func]
-        pos = int(np.searchsorted(zm_keys, minhash))
-        if pos >= zm_keys.size or int(zm_keys[pos]) != int(minhash):
-            return None
-        start = int(self._zm_starts[func][pos])
-        length = int(self._zm_lengths[func][pos])
-        samples = self._zm_samples[func][start : start + length]
-        return ZoneMap(
-            sample_texts=samples,
-            step=self._zonemap_step,
-            length=self.list_length(func, minhash),
-        )
-
-    def load_text_windows(self, func: int, minhash: int, text_id: int) -> np.ndarray:
-        return self.load_texts_windows([func], [minhash], [text_id])[0]
-
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
         """Lengths of the k lists named by one query sketch.
 
-        One ``searchsorted`` over the in-memory flat directory — no
-        payload I/O, no per-function loop.
+        One ``searchsorted`` over the flat directory — no payload I/O,
+        no per-function loop.
         """
         funcs = np.arange(self.family.k, dtype=np.int64)
         return self._flat_counts[self._resolve(*as_pairs(funcs, sketch))]
@@ -592,38 +485,61 @@ class DiskInvertedIndex:
     ) -> np.ndarray | list[np.ndarray]:
         """Postings of every text in ``text_ids`` within one list.
 
-        The batched form of :meth:`load_text_windows`: each list's zone
-        map narrows every requested text to a posting range, and the
-        ranges of all pairs are read in one call (for the packed codec,
-        rounded to blocks and decoded in one grouped kernel call).
-        Postings come back sorted by text id.
+        A list's zone map narrows every requested text to a posting
+        range; a list without one is read whole.  The ranges of all
+        pairs are read in one call (for the packed codec, rounded to
+        blocks and decoded in one grouped kernel call).  Postings come
+        back sorted by text id.
         """
         if not np.ndim(func):
             return self.load_texts_windows([func], [minhash], text_ids)[0]
-        funcs, minhashes = as_pairs(func, minhash)
         text_ids = np.unique(np.asarray(text_ids))
-        slots = self._resolve(funcs, minhashes)
-        none = np.empty(0, dtype=np.int64)
-        owners, los, his = [none], [none], [none]
-        for pair in np.flatnonzero(slots >= 0).tolist():
-            zone = self.zone_map(int(funcs[pair]), int(minhashes[pair]))
-            if zone is None:
-                lo = np.zeros(1, dtype=np.int64)
-                hi = self._flat_counts[slots[pair : pair + 1]]
-            else:
-                lo, hi = zone.locate_many(text_ids)
-                nonempty = hi > lo
-                lo, hi = lo[nonempty], hi[nonempty]
-            owners.append(np.full(lo.size, pair, dtype=np.int64))
-            los.append(lo)
-            his.append(hi)
+        slots = self._resolve(*as_pairs(func, minhash))
+        zones = self._zones(slots)
+        whole = np.flatnonzero((slots >= 0) & (zones < 0))
+        owners = [whole]
+        los = [np.zeros_like(whole)]
+        his = [self._flat_counts[slots[whole]]]
+        for pair in np.flatnonzero(zones >= 0).tolist():
+            lo, hi = self._zone(slots[pair], zones[pair]).locate_many(text_ids)
+            nonempty = hi > lo
+            owners.append(np.full(int(nonempty.sum()), pair, dtype=np.int64))
+            los.append(lo[nonempty])
+            his.append(hi[nonempty])
+        # Ranges grouped by pair, each pair's in ascending order.
+        order = np.argsort(np.concatenate(owners), kind="stable")
         ranges = _merge_ranges(
-            np.concatenate(owners), np.concatenate(los), np.concatenate(his)
+            *(np.concatenate(part)[order] for part in (owners, los, his))
         )
         return [
             extract_texts(chunk, text_ids)
             for chunk in self._read_ranges(slots, *ranges)
         ]
+
+    def zone_map(self, func: int, minhash: int) -> ZoneMap | None:
+        """The zone map of one list, or ``None`` if the list is short/absent."""
+        slots = self._resolve(*as_pairs(func, minhash))
+        zone = int(self._zones(slots)[0])
+        return None if zone < 0 else self._zone(slots[0], zone)
+
+    def _zones(self, slots: np.ndarray) -> np.ndarray:
+        """Zone-map row of every slot's list, ``-1`` for a list without
+        one (and for an absent slot)."""
+        if self._zm_keys.size == 0:
+            return np.full(slots.size, -1, dtype=np.int64)
+        keys = self._flat_keys[slots]
+        rows = np.minimum(
+            np.searchsorted(self._zm_keys, keys), self._zm_keys.size - 1
+        )
+        return np.where((slots >= 0) & (self._zm_keys[rows] == keys), rows, -1)
+
+    def _zone(self, slot: int, row: int) -> ZoneMap:
+        start = int(self._zm_starts[row])
+        return ZoneMap(
+            sample_texts=self._zm_samples[start : start + int(self._zm_lengths[row])],
+            step=self._zonemap_step,
+            length=int(self._flat_counts[slot]),
+        )
 
     def _read_ranges(
         self, slots: np.ndarray, owners: np.ndarray, lo: np.ndarray, hi: np.ndarray
@@ -703,33 +619,22 @@ class DiskInvertedIndex:
 
     # -- introspection ------------------------------------------------
     @property
-    def directory(self) -> Path:
-        """The index directory."""
-        return self._directory
-
-    @property
     def codec(self) -> str:
         """Payload codec: ``raw`` (format v1) or ``packed`` (format v2)."""
         return self._codec
 
     @property
     def num_postings(self) -> int:
+        """Total number of compact windows stored across all ``k`` indexes."""
         return self._num_postings
 
     @property
-    def num_texts(self) -> int | None:
-        """Size of the text-id space, or ``None`` for legacy metadata.
-
-        Indexes written before the key existed do not record it.
-        """
-        return self._num_texts
-
-    @property
     def nbytes(self) -> int:
-        """Payload bytes on disk (the paper's index-size metric)."""
-        return self._payload_bytes
+        """Payload bytes (the paper's index-size metric)."""
+        return int(self._payload.nbytes)
 
     def list_lengths(self, func: int) -> np.ndarray:
+        """Lengths of every inverted list of one hash function."""
         return self._flat_counts[self._func_lists(func)]
 
     def list_keys(self, func: int) -> np.ndarray:
@@ -757,50 +662,190 @@ class DiskInvertedIndex:
             self._flat_blk_offsets[blocks],
         )
 
-    def to_memory(self) -> MemoryInvertedIndex:
-        """Load the entire index into a :class:`MemoryInvertedIndex`.
+    def all_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every list as ``(funcs, keys, postings, bounds)``, in directory order.
 
-        One vectorized gather (raw) or one grouped block decode
-        (packed) per hash function — no per-list Python loop.
+        List ``i`` belongs to function ``funcs[i]``, has key ``keys[i]``
+        and postings ``postings[bounds[i] : bounds[i + 1]]`` — what
+        :func:`write_index` writes.  Raw postings are one gather (the
+        payload itself when it already lies in directory order, as a
+        memory index's does); packed ones are one decode per function.
         """
-        per_func = []
-        for func in range(self.family.k):
-            counts = self.list_lengths(func)
-            minhashes = np.repeat(self.list_keys(func), counts)
-            if self._codec == "packed":
-                postings = self._decode_all(func)
-            else:
-                postings = gather_ranges(
-                    self._payload, self._flat_starts[self._func_lists(func)], counts
+        counts = self._flat_counts[:-1]
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        if self._codec == "packed":
+            per_list = (counts + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
+            local = range_indices(np.zeros_like(per_list), per_list)
+            block_counts = np.minimum(
+                np.repeat(counts, per_list) - local * BLOCK_POSTINGS, BLOCK_POSTINGS
+            )
+            edges = np.append(self._flat_starts, block_counts.size)[self._list_edges]
+            postings = concat_postings(
+                [
+                    decode_blocks(
+                        self._payload,
+                        self._flat_blk_offsets[lo:hi],
+                        block_counts[lo:hi],
+                        self._flat_blk_widths[lo:hi],
+                        self._flat_blk_first[lo:hi],
+                    )
+                    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())
+                    if hi > lo
+                ]
+            )
+        elif np.array_equal(self._flat_starts, bounds[:-1]):
+            postings = self._payload[: bounds[-1]]
+        else:
+            postings = row_postings(
+                np.take(
+                    posting_rows(self._payload),
+                    range_indices(self._flat_starts, counts),
+                    axis=0,
                 )
-                postings = np.array(postings) if postings.size else np.empty(
-                    0, dtype=POSTING_DTYPE
-                )
-            per_func.append((minhashes, postings))
-        return MemoryInvertedIndex.from_postings(self.family, self.t, per_func)
-
-    def _decode_all(self, func: int) -> np.ndarray:
-        """Decode every block of one hash function in a single call."""
-        counts = self.list_lengths(func)
-        per_list = (counts + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
-        if not per_list.sum():
-            return np.empty(0, dtype=POSTING_DTYPE)
-        local = range_indices(np.zeros_like(per_list), per_list)
-        block_counts = np.repeat(counts, per_list) - local * BLOCK_POSTINGS
-        blocks = slice(int(self._block_edges[func]), int(self._block_edges[func + 1]))
-        return decode_blocks(
-            self._payload,
-            self._flat_blk_offsets[blocks],
-            np.minimum(block_counts, BLOCK_POSTINGS),
-            self._flat_blk_widths[blocks],
-            self._flat_blk_first[blocks],
+            )
+        return (
+            (self._flat_keys >> np.uint64(32)).astype(np.int64),
+            (self._flat_keys & np.uint64(0xFFFFFFFF)).astype(np.uint32),
+            postings,
+            bounds,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DiskInvertedIndex({str(self._directory)!r}, k={self.family.k}, "
-            f"t={self.t}, postings={self.num_postings}, codec={self._codec})"
+            f"{type(self).__name__}(k={self.family.k}, t={self.t}, "
+            f"postings={self.num_postings}, codec={self._codec})"
         )
+
+
+class MemoryInvertedIndex(InvertedIndex):
+    """All ``k`` inverted indexes held in memory (paper's medium-scale path).
+
+    The flat directory over a raw payload in RAM, without zone maps.
+    Construct via :func:`repro.index.builder.build_memory_index` or
+    :meth:`from_postings`.
+    """
+
+    @classmethod
+    def from_postings(
+        cls,
+        family: HashFamily,
+        t: int,
+        per_func_postings: list[tuple[np.ndarray, np.ndarray]],
+        num_texts: int | None = None,
+    ) -> "MemoryInvertedIndex":
+        """Build from per-function ``(minhash_array, posting_array)`` pairs.
+
+        Postings are sorted by ``(minhash, text)`` and grouped into
+        inverted lists here; builders only need to emit flat arrays.
+        """
+        if len(per_func_postings) != family.k:
+            raise InvalidParameterError("one posting array per hash function is required")
+        keys, rows = [], []
+        for func, (minhashes, postings) in enumerate(per_func_postings):
+            if postings.dtype != POSTING_DTYPE or minhashes.size != postings.size:
+                raise InvalidParameterError(
+                    "postings must use POSTING_DTYPE and align with their minhashes"
+                )
+            order = np.lexsort((postings["text"], minhashes))
+            keys.append(
+                (np.uint64(func) << np.uint64(32))
+                | minhashes[order].astype(np.uint64)
+            )
+            rows.append(np.take(posting_rows(postings), order, axis=0))
+        flat = np.concatenate(keys)
+        heads = np.ones(flat.size, dtype=bool)
+        heads[1:] = flat[1:] != flat[:-1]
+        starts = np.flatnonzero(heads)
+        return cls(
+            family,
+            t,
+            flat[starts],
+            starts,
+            np.diff(np.append(starts, flat.size)),
+            row_postings(np.concatenate(rows)),
+            num_texts=num_texts,
+        )
+
+
+class DiskInvertedIndex(InvertedIndex):
+    """The index of an on-disk directory, memory-mapped.
+
+    Opening checks the metadata, maps the payload — ``raw`` (format v1)
+    as posting records, ``packed`` (format v2) as bytes — and
+    concatenates the container's per-function directory arrays into the
+    flat directory once; the reads are :class:`InvertedIndex`'s.
+    """
+
+    def __init__(self, directory: str | Path) -> None:
+        self._directory = Path(directory)
+        meta_path = self._directory / _META_FILE
+        payload_path = self._directory / _PAYLOAD_FILE
+        if not meta_path.exists():
+            leftovers = [
+                name
+                for name in (_PAYLOAD_FILE, _DIR_SIDECAR_FILE)
+                if (self._directory / name).exists()
+            ]
+            if leftovers:
+                raise IndexFormatError(
+                    f"{self._directory} has {', '.join(leftovers)} but no "
+                    f"{_META_FILE} — likely a partial build (the writer "
+                    "crashed before the metadata commit point); rebuild the "
+                    "index"
+                )
+            raise IndexFormatError(f"missing {_META_FILE} in {self._directory}")
+        meta = json.loads(meta_path.read_text())
+        version = meta.get("format_version")
+        if version not in (_FORMAT_VERSION, _FORMAT_VERSION_PACKED):
+            raise IndexFormatError(
+                f"unsupported index format version {version!r}"
+            )
+        codec = meta.get("codec", "raw")
+        if codec not in ("raw", "packed") or (
+            (codec == "packed") != (version == _FORMAT_VERSION_PACKED)
+        ):
+            raise IndexFormatError(
+                f"unsupported codec {codec!r} for format version {version}"
+            )
+        family = HashFamily.from_dict(meta["family"])
+        num_postings = int(meta["num_postings"])
+        # Stat the payload exactly once; a vanished or unreadable file
+        # surfaces as a format error, not a raw FileNotFoundError.
+        try:
+            payload_size = payload_path.stat().st_size
+        except OSError as exc:
+            raise IndexFormatError(
+                f"payload file {_PAYLOAD_FILE} is missing or unreadable "
+                f"in {self._directory}: {exc}"
+            ) from exc
+        if codec == "packed":
+            payload_bytes, dtype = int(meta["payload_bytes"]), np.dtype(np.uint8)
+        else:
+            payload_bytes, dtype = num_postings * POSTING_BYTES, POSTING_DTYPE
+        if payload_size != payload_bytes:
+            raise IndexFormatError(
+                f"payload has {payload_size} bytes, "
+                f"expected {payload_bytes} (truncated or corrupt)"
+            )
+        if payload_bytes:
+            payload = np.memmap(payload_path, dtype=dtype, mode="r")
+        else:
+            payload = np.empty(0, dtype=dtype)
+        super().__init__(
+            family,
+            int(meta["t"]),
+            payload=payload,
+            zonemap_step=int(meta["zonemap_step"]),
+            num_texts=meta.get("num_texts"),
+            **_flat_directory(
+                _load_directory(self._directory, meta), family.k, codec, num_postings
+            ),
+        )
+
+    @property
+    def directory(self) -> Path:
+        """The index directory."""
+        return self._directory
 
 
 #: Arrays the directory stores once per hash function, in groups whose
@@ -815,6 +860,82 @@ _DIRECTORY_GROUPS = {
     "raw": _RAW_DIRECTORY,
     "packed": {**_RAW_DIRECTORY, "block": ("blk_first", "blk_widths", "blk_offsets")},
 }
+
+
+def _flat_directory(
+    arrays: dict[str, np.ndarray], k: int, codec: str, num_postings: int
+) -> dict:
+    """A container's directory as :class:`InvertedIndex` arguments.
+
+    The container holds every array once per hash function (``keys_0``,
+    ``keys_1``, ...).  They are concatenated here: list and zone-map
+    keys become ``func << 32 | minhash``, zone-map starts point into the
+    concatenated samples, and a packed list's start is its first block
+    in the concatenated block arrays.
+    """
+    groups = _DIRECTORY_GROUPS[codec]
+    try:
+        per_func = {
+            name: [arrays[f"{name}_{func}"] for func in range(k)]
+            for names in groups.values()
+            for name in names
+        }
+    except KeyError as exc:
+        raise IndexFormatError(f"index directory is missing array {exc}") from exc
+    if codec == "packed":
+        per_func["blk_widths"] = [w.reshape(-1, 4) for w in per_func["blk_widths"]]
+    for label, names in groups.items():
+        lengths = [[len(array) for array in per_func[name]] for name in names]
+        if lengths.count(lengths[0]) != len(lengths):
+            raise IndexFormatError(f"{label} arrays {names} differ in length")
+    counts = np.concatenate(per_func["counts"]).astype(np.int64)
+    if int(counts.sum()) != num_postings:
+        raise IndexFormatError(
+            f"directory accounts for {int(counts.sum())} postings, "
+            f"metadata says {num_postings}"
+        )
+    samples = [0] + [part.size for part in per_func["zm_samples"][:-1]]
+    flat = {
+        "keys": _func_keys(per_func["keys"]),
+        "counts": counts,
+        "zone_maps": (
+            _func_keys(per_func["zm_keys"]),
+            np.concatenate(per_func["zm_starts"]).astype(np.int64)
+            + np.repeat(np.cumsum(samples), [z.size for z in per_func["zm_keys"]]),
+            np.concatenate(per_func["zm_lengths"]).astype(np.int64),
+            np.concatenate(per_func["zm_samples"]),
+        ),
+    }
+    if codec == "raw":
+        flat["starts"] = np.concatenate(per_func["offsets"]).astype(np.int64)
+        return flat
+    per_list = (counts + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
+    implied = np.cumsum(np.append(0, per_list))
+    stored = np.array([first.size for first in per_func["blk_first"]])
+    wanted = np.diff(
+        implied[np.cumsum([0] + [keys.size for keys in per_func["keys"]])]
+    )
+    mismatched = np.flatnonzero(stored != wanted)
+    if mismatched.size:
+        func = int(mismatched[0])
+        raise IndexFormatError(
+            f"block directory of function {func} holds {stored[func]} "
+            f"blocks, counts imply {wanted[func]}"
+        )
+    flat["starts"] = implied[:-1]
+    flat["blocks"] = (
+        np.concatenate(per_func["blk_first"]),
+        np.concatenate(per_func["blk_widths"]),
+        np.concatenate(per_func["blk_offsets"]).astype(np.int64),
+    )
+    return flat
+
+
+def _func_keys(per_func: list[np.ndarray]) -> np.ndarray:
+    """Per-function ``uint32`` keys as one ascending ``func << 32 | key`` array."""
+    sizes = [keys.size for keys in per_func]
+    funcs = np.repeat(np.arange(len(sizes), dtype=np.uint64), sizes)
+    return (funcs << np.uint64(32)) | np.concatenate(per_func).astype(np.uint64)
 
 
 def _load_directory(directory: Path, meta: dict) -> dict[str, np.ndarray]:

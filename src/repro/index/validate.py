@@ -69,12 +69,19 @@ class ValidationReport:
             self.errors.append(message)
 
 
-def _iter_lists(index, func: int):
-    if hasattr(index, "iter_lists"):
-        yield from index.iter_lists(func)
-        return
-    for minhash in index.list_keys(func):
-        yield int(minhash), index.load_list(func, int(minhash))
+#: Lists validation reads per vector ``load_list`` call: bounds the
+#: decoded postings held at once on a large index.
+_VALIDATE_KEYS = 4096
+
+
+def _iter_lists(index, func: int, limit: int | None = None):
+    """``(minhash, postings)`` of one function's first ``limit`` lists
+    (all by default), read :data:`_VALIDATE_KEYS` lists per call."""
+    keys = index.list_keys(func)[:limit]
+    for start in range(0, keys.size, _VALIDATE_KEYS):
+        part = keys[start : start + _VALIDATE_KEYS]
+        lists = index.load_list(np.full(part.size, func, dtype=np.int64), part)
+        yield from zip(part.tolist(), lists)
 
 
 def validate_index(
@@ -108,9 +115,7 @@ def validate_index(
 
     for func in range(family.k):
         previous_key = -1
-        for count, (minhash, postings) in enumerate(_iter_lists(index, func)):
-            if max_lists_per_func is not None and count >= max_lists_per_func:
-                break
+        for minhash, postings in _iter_lists(index, func, max_lists_per_func):
             report.lists_checked += 1
             report.postings_checked += int(postings.size)
             if minhash <= previous_key:
@@ -209,10 +214,7 @@ def _validate_sidecar(directory, report: ValidationReport) -> None:
 def _validate_block_directory(index, report: ValidationReport, max_lists_per_func):
     """Invariant (7): v2 block directory vs. decoded list contents."""
     for func in range(index.family.k):
-        for slot, minhash in enumerate(index.list_keys(func).tolist()):
-            if max_lists_per_func is not None and slot >= max_lists_per_func:
-                break
-            postings = index.load_list(func, minhash)
+        for minhash, postings in _iter_lists(index, func, max_lists_per_func):
             first, widths, offsets = index.list_blocks(func, minhash)
             counts = block_counts(postings.size)
             if counts.size != first.size:

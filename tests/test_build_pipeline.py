@@ -45,6 +45,8 @@ from repro.index.external import (
 from repro.index.inverted import POSTING_BYTES, POSTING_DTYPE
 from repro.index.sidecar import SIDECAR_FILE, read_sidecar
 from repro.index.storage import _PAYLOAD_FILE, DiskInvertedIndex, write_index
+
+from index_lists import func_lists
 from window_oracle import generate_compact_windows_recursive
 
 hash_matrices = st.integers(1, 6).flatmap(
@@ -60,8 +62,8 @@ def indexes_equal(a, b) -> bool:
     if a.family != b.family or a.t != b.t or a.num_postings != b.num_postings:
         return False
     for func in range(a.family.k):
-        lists_a = dict(a.iter_lists(func))
-        lists_b = dict(b.iter_lists(func))
+        lists_a = func_lists(a, func)
+        lists_b = func_lists(b, func)
         if lists_a.keys() != lists_b.keys():
             return False
         for key in lists_a:

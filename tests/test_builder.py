@@ -18,6 +18,8 @@ from repro.index.builder import (
 )
 from repro.index.storage import DiskInvertedIndex
 
+from index_lists import func_lists
+
 
 class TestGenerateCorpusPostings:
     def test_postings_match_direct_generation(self, family, tiny_corpus):
@@ -88,7 +90,7 @@ class TestBuildMemoryIndex:
         corpus = InMemoryCorpus([[1, 2, 3], [4] * 30])
         index = build_memory_index(corpus, family, t=10)
         for func in range(family.k):
-            for _, postings in index.iter_lists(func):
+            for postings in func_lists(index, func).values():
                 assert np.all(postings["text"] == 1)
 
     def test_empty_corpus(self, family):
@@ -100,8 +102,8 @@ class TestBuildMemoryIndex:
         b = build_memory_index(tiny_corpus, family, t=5)
         assert a.num_postings == b.num_postings
         for func in range(family.k):
-            lists_a = dict(a.iter_lists(func))
-            lists_b = dict(b.iter_lists(func))
+            lists_a = func_lists(a, func)
+            lists_b = func_lists(b, func)
             assert lists_a.keys() == lists_b.keys()
             for key in lists_a:
                 assert np.array_equal(lists_a[key], lists_b[key])

@@ -13,6 +13,8 @@ from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader, CacheStats
 from repro.index.inverted import IOStats, POSTING_BYTES, POSTING_DTYPE
 
+from index_lists import func_lists
+
 
 class FakeReader:
     """Deterministic reader: list (func, h) has ``h`` postings."""
@@ -22,8 +24,8 @@ class FakeReader:
         self.t = 10
         self.io_stats = IOStats()
 
-    def list_length(self, func: int, minhash: int) -> int:
-        return int(minhash)
+    def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
+        return np.asarray(sketch, dtype=np.int64)
 
     def load_list(self, func, minhash):
         if np.ndim(func):
@@ -33,9 +35,13 @@ class FakeReader:
         self.io_stats.add(int(minhash) * POSTING_BYTES)
         return postings
 
-    def load_text_windows(self, func: int, minhash: int, text_id: int) -> np.ndarray:
+    def load_texts_windows(self, func, minhash, text_ids):
+        if np.ndim(func):
+            return [
+                self.load_texts_windows(f, m, text_ids) for f, m in zip(func, minhash)
+            ]
         postings = self.load_list(func, minhash)
-        return postings[postings["text"] == text_id]
+        return postings[np.isin(postings["text"], text_ids)]
 
 
 @pytest.fixture
@@ -46,7 +52,7 @@ def cached(planted_index):
 
 def first_list(index):
     for func in range(index.family.k):
-        for minhash, postings in index.iter_lists(func):
+        for minhash, postings in func_lists(index, func).items():
             if postings.size:
                 return func, minhash, postings
     raise AssertionError("index is empty")
@@ -69,9 +75,10 @@ class TestBasics:
 
     def test_list_length_passthrough(self, cached, planted_index):
         func, minhash, postings = first_list(planted_index)
-        assert cached.list_length(func, minhash) == postings.size
+        sketch = np.full(planted_index.family.k, minhash, dtype=np.int64)
+        assert cached.sketch_list_lengths(sketch)[func] == postings.size
         cached.load_list(func, minhash)
-        assert cached.list_length(func, minhash) == postings.size
+        assert cached.sketch_list_lengths(sketch)[func] == postings.size
 
 
 class TestCaching:
@@ -94,7 +101,7 @@ class TestCaching:
         cached.load_list(func, minhash)
         text_id = int(postings["text"][0])
         before = cached.io_stats.bytes_read
-        windows = cached.load_text_windows(func, minhash, text_id)
+        windows = cached.load_texts_windows(func, minhash, [text_id])
         assert cached.io_stats.bytes_read == before
         expected = postings[postings["text"] == text_id]
         assert np.array_equal(windows, expected)
@@ -102,7 +109,7 @@ class TestCaching:
     def test_point_read_uncached_delegates(self, cached):
         func, minhash, postings = first_list(cached.inner)
         text_id = int(postings["text"][0])
-        windows = cached.load_text_windows(func, minhash, text_id)
+        windows = cached.load_texts_windows(func, minhash, [text_id])
         expected = postings[postings["text"] == text_id]
         assert np.array_equal(windows, expected)
 
@@ -111,7 +118,7 @@ class TestCaching:
         tiny = CachedIndexReader(
             planted_index, capacity_bytes=max(POSTING_BYTES * 8, 64)
         )
-        for mh, lst in planted_index.iter_lists(func):
+        for mh in func_lists(planted_index, func):
             tiny.load_list(func, mh)
             assert tiny.cached_bytes <= tiny._capacity
 
@@ -169,7 +176,7 @@ class TestCountersAndStats:
         cache.load_list(0, 16)
         before = cache.io_stats.bytes_read
         cache.load_list(0, 16)
-        cache.load_text_windows(0, 16, 3)
+        cache.load_texts_windows(0, 16, [3])
         assert cache.io_stats.bytes_read == before
 
     def test_stats_snapshot(self):
@@ -308,7 +315,7 @@ class TestThreadSafety:
                         assert postings.size == minhash
                         assert postings["text"][-1] == minhash - 1
                     elif op < 8:
-                        windows = cache.load_text_windows(func, minhash, 0)
+                        windows = cache.load_texts_windows(func, minhash, [0])
                         assert windows.size == 1
                     elif op == 8:
                         if cache.pin(func, minhash):

@@ -45,6 +45,7 @@ from repro.index.sidecar import SIDECAR_FILE, read_sidecar, write_sidecar
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.index.validate import validate_index
 from repro.query.results import BatchStats
+from index_lists import func_lists
 from write_oracle import (
     reference_decode_list,
     reference_encode_list,
@@ -405,7 +406,7 @@ class TestBackendEquivalence:
         _, family, memory, v1_dir, v2_dir = corpus_setup
         backends = reader_backends(memory, v1_dir, v2_dir)
         for func in range(family.k):
-            for minhash, postings in memory.iter_lists(func):
+            for minhash, postings in func_lists(memory, func).items():
                 for name, reader in backends.items():
                     assert np.array_equal(
                         reader.load_list(func, minhash), postings
@@ -416,7 +417,7 @@ class TestBackendEquivalence:
         backends = reader_backends(memory, v1_dir, v2_dir)
         rng = np.random.default_rng(1)
         for func in range(family.k):
-            lists = list(memory.iter_lists(func))
+            lists = list(func_lists(memory, func).items())
             minhash, postings = max(lists, key=lambda item: item[1].size)
             probe = int(rng.choice(postings["text"]))
             expected_one = postings[postings["text"] == probe]
@@ -426,7 +427,7 @@ class TestBackendEquivalence:
             expected_many = postings[np.isin(postings["text"], wanted)]
             for name, reader in backends.items():
                 assert np.array_equal(
-                    reader.load_text_windows(func, minhash, probe), expected_one
+                    reader.load_texts_windows(func, minhash, [probe]), expected_one
                 ), name
                 assert np.array_equal(
                     reader.load_texts_windows(func, minhash, wanted), expected_many
@@ -449,23 +450,20 @@ class TestBackendEquivalence:
                 result = searcher.search(query, theta)
                 assert result.matches == reference.matches, name
 
-    def test_to_memory_identical_across_codecs(self, corpus_setup):
-        _, family, memory, v1_dir, v2_dir = corpus_setup
-        m1 = DiskInvertedIndex(v1_dir).to_memory()
-        m2 = DiskInvertedIndex(v2_dir).to_memory()
-        for func in range(family.k):
-            for (k0, p0), (k1, p1), (k2, p2) in zip(
-                memory.iter_lists(func), m1.iter_lists(func), m2.iter_lists(func)
-            ):
-                assert k0 == k1 == k2
-                assert np.array_equal(p0, p1) and np.array_equal(p0, p2)
+    def test_all_lists_identical_across_codecs(self, corpus_setup):
+        _, _, memory, v1_dir, v2_dir = corpus_setup
+        expected = memory.all_lists()
+        for directory in (v1_dir, v2_dir):
+            got = DiskInvertedIndex(directory).all_lists()
+            for want, have in zip(expected, got):
+                assert np.array_equal(want, have)
 
     def test_v2_reader_reports_compression_in_io_stats(self, corpus_setup):
         _, family, memory, _, v2_dir = corpus_setup
         disk = DiskInvertedIndex(v2_dir)
         func = 0
         minhash, postings = max(
-            memory.iter_lists(func), key=lambda item: item[1].size
+            func_lists(memory, func).items(), key=lambda item: item[1].size
         )
         disk.io_stats.reset()
         disk.load_list(func, minhash)
@@ -662,7 +660,7 @@ class TestPackedIntegration:
         merged = DiskInvertedIndex(merged_dir)
         assert merged.codec == "packed"
         for func in range(family.k):
-            for minhash, postings in memory.iter_lists(func):
+            for minhash, postings in func_lists(memory, func).items():
                 assert np.array_equal(merged.load_list(func, minhash), postings)
 
     def test_engine_save_load_packed(self, tmp_path):
@@ -707,7 +705,7 @@ class TestPackedIntegration:
         disk = DiskInvertedIndex(tmp_path / "ext")
         assert disk.codec == "packed"
         for func in range(family.k):
-            for minhash, postings in memory.iter_lists(func):
+            for minhash, postings in func_lists(memory, func).items():
                 assert np.array_equal(disk.load_list(func, minhash), postings)
 
     def test_cli_build_packed(self, tmp_path):

@@ -9,6 +9,8 @@ from repro.corpus.corpus import InMemoryCorpus
 from repro.engine import Hit, NearDupEngine
 from repro.exceptions import InvalidParameterError
 
+from write_oracle import index_bytes
+
 DOCS = [
     "the standard terms and conditions apply to all purchases made "
     "through this website including digital goods and services " * 2,
@@ -117,9 +119,17 @@ class TestPersistence:
             NearDupEngine.load(tmp_path / "nothing")
 
     def test_saved_engine_resaveable(self, engine, tmp_path):
-        """A loaded (disk-backed) engine can be saved again."""
-        engine.save(tmp_path / "one")
-        loaded = NearDupEngine.load(tmp_path / "one")
-        loaded.save(tmp_path / "two")
-        again = NearDupEngine.load(tmp_path / "two")
-        assert again.num_texts == engine.num_texts
+        """A loaded (disk-backed) engine saves again, byte for byte."""
+        packed = NearDupEngine.from_texts(
+            DOCS, k=24, t=12, vocab_size=400, seed=1, codec="packed"
+        )
+        for source in (engine, packed):
+            root = tmp_path / source.codec
+            source.save(root / "one")
+            loaded = NearDupEngine.load(root / "one")
+            loaded.save(root / "two")
+            again = NearDupEngine.load(root / "two")
+            assert again.num_texts == engine.num_texts
+            assert index_bytes(root / "one" / "index") == index_bytes(
+                root / "two" / "index"
+            )

@@ -21,14 +21,16 @@ from repro.index.external import (
 from repro.index import storage
 from repro.index.storage import DiskInvertedIndex
 
+from index_lists import func_lists
+
 
 def indexes_equal(a, b) -> bool:
     """Same keys and same postings per list for every hash function."""
     if a.family != b.family or a.t != b.t or a.num_postings != b.num_postings:
         return False
     for func in range(a.family.k):
-        lists_a = dict(a.iter_lists(func))
-        lists_b = dict(b.iter_lists(func))
+        lists_a = func_lists(a, func)
+        lists_b = func_lists(b, func)
         if lists_a.keys() != lists_b.keys():
             return False
         for key in lists_a:
@@ -92,8 +94,11 @@ class TestExternalBuild:
             vocab_size=512,
             config=ExternalBuildConfig(batch_texts=13, num_partitions=5),
         )
-        external = DiskInvertedIndex(tmp_path / "ext").to_memory()
+        external = DiskInvertedIndex(tmp_path / "ext")
         assert indexes_equal(reference, external)
+        # The payload holds lists in partition order, so the copy gathers.
+        for want, have in zip(reference.all_lists(), external.all_lists()):
+            assert np.array_equal(want, have)
 
     def test_recursive_partitioning_path(self, corpora, tmp_path):
         """A tiny memory budget forces recursive re-partitioning."""
@@ -113,7 +118,7 @@ class TestExternalBuild:
                 max_recursion=3,
             ),
         )
-        external = DiskInvertedIndex(tmp_path / "deep").to_memory()
+        external = DiskInvertedIndex(tmp_path / "deep")
         assert indexes_equal(reference, external)
         assert stats.windows_generated == reference.num_postings
 

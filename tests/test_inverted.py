@@ -11,14 +11,13 @@ from repro.index.builder import build_memory_index
 from repro.index.inverted import (
     IOStats,
     ListLengthProfile,
-    MemoryInvertedIndex,
     POSTING_BYTES,
     POSTING_DTYPE,
     concat_postings,
     posting_rows,
     row_postings,
 )
-from repro.index.storage import DiskInvertedIndex, write_index
+from repro.index.storage import DiskInvertedIndex, MemoryInvertedIndex, write_index
 
 
 def make_postings(records):
@@ -91,11 +90,13 @@ class TestReads:
         ] * (family.k - 1)
         return MemoryInvertedIndex.from_postings(family, 2, per_func)
 
-    def test_list_length(self, index):
-        assert index.list_length(0, 5) == 3
-        assert index.list_length(0, 9) == 1
-        assert index.list_length(0, 12345) == 0
-        assert index.list_length(1, 5) == 0
+    def test_list_length(self, index, family):
+        sketch = np.full(family.k, 5, dtype=np.int64)
+        assert index.sketch_list_lengths(sketch).tolist() == [3] + [0] * (family.k - 1)
+        sketch[0] = 9
+        assert index.sketch_list_lengths(sketch)[0] == 1
+        sketch[0] = 12345
+        assert index.sketch_list_lengths(sketch)[0] == 0
 
     def test_load_list(self, index):
         postings = index.load_list(0, 5)
@@ -106,26 +107,37 @@ class TestReads:
         assert index.load_list(0, 777).size == 0
 
     def test_load_text_windows(self, index):
-        windows = index.load_text_windows(0, 5, 0)
+        windows = index.load_texts_windows(0, 5, [0])
         assert windows.size == 2
         assert set(windows["center"].tolist()) == {2, 8}
-        assert index.load_text_windows(0, 5, 1).size == 0
+        assert index.load_texts_windows(0, 5, [1]).size == 0
 
     def test_io_accounting(self, index):
         index.io_stats.reset()
         index.load_list(0, 5)
         assert index.io_stats.bytes_read == 3 * POSTING_BYTES
-        index.load_text_windows(0, 5, 2)
-        assert index.io_stats.bytes_read == 4 * POSTING_BYTES
+        assert index.io_stats.read_calls == 1
+        # No zone maps in memory: a point read reads its whole list.
+        index.load_texts_windows(0, 5, [2])
+        assert index.io_stats.bytes_read == 6 * POSTING_BYTES
+        assert index.io_stats.decoded_bytes == 6 * POSTING_BYTES
+        # An absent list costs no read call.
+        index.load_list(0, 777)
+        assert index.io_stats.read_calls == 2
 
     def test_num_postings_and_nbytes(self, index):
         assert index.num_postings == 4
         assert index.nbytes == 4 * POSTING_BYTES
 
-    def test_iter_lists(self, index):
-        lists = dict(index.iter_lists(0))
-        assert set(lists) == {5, 9}
-        assert lists[5].size == 3
+    def test_all_lists(self, index):
+        funcs, keys, postings, bounds = index.all_lists()
+        assert funcs.tolist() == [0, 0] and keys.tolist() == [5, 9]
+        assert bounds.tolist() == [0, 3, 4]
+        assert postings["text"].tolist() == [0, 0, 2, 1]
+        assert all(
+            np.array_equal(postings[lo:hi], index.load_list(int(f), int(key)))
+            for f, key, lo, hi in zip(funcs, keys, bounds[:-1], bounds[1:])
+        )
 
     def test_list_lengths(self, index):
         assert sorted(index.list_lengths(0).tolist()) == [1, 3]

@@ -467,7 +467,10 @@ class TestUnionReader:
                     expected = offline.load_list(func, key)
                     got = reader.load_list(func, key)
                     assert got.tolist() == expected.tolist()
-                    assert reader.list_length(func, key) == expected.size
+                    sketch = np.zeros(FAMILY.k, dtype=np.int64)
+                    sketch[func] = key
+                    lengths = reader.sketch_list_lengths(sketch)
+                    assert lengths[func] == expected.size
 
     def test_io_bytes_are_the_bytes_the_runs_read(self, tmp_path):
         """A snapshot of one sealed packed run reports what the run read,

@@ -13,6 +13,8 @@ from repro.index.builder import build_memory_index
 from repro.index.merge import merge_disk_indexes
 from repro.index.storage import DiskInvertedIndex, write_index
 
+from index_lists import func_lists
+
 VOCAB = 180
 
 
@@ -41,10 +43,9 @@ class TestMerge:
         merged_path = merge_disk_indexes(paths, root / "merged", text_offsets=[0, 4, 8])
         merged = DiskInvertedIndex(merged_path)
         assert merged.num_postings == full.num_postings
-        restored = merged.to_memory()
         for func in range(family.k):
-            lists_a = dict(full.iter_lists(func))
-            lists_b = dict(restored.iter_lists(func))
+            lists_a = func_lists(full, func)
+            lists_b = func_lists(merged, func)
             assert lists_a.keys() == lists_b.keys()
             for key in lists_a:
                 assert np.array_equal(

@@ -300,9 +300,6 @@ class _SlowCountingReader:
             out.append(postings)
         return out
 
-    def list_length(self, func: int, minhash: int) -> int:
-        return 4
-
 
 class TestSingleFlight:
     def test_concurrent_misses_coalesce(self):
@@ -442,7 +439,7 @@ class TestAccounting:
         keys = np.asarray(planted_index.list_keys(0))
         minhash = int(keys[0])
         before = reader.stats()
-        reader.load_text_windows(0, minhash, 0)
+        reader.load_texts_windows(0, minhash, [0])
         after_single = reader.stats()
         assert after_single.misses == before.misses + 1
         reader.load_texts_windows(0, minhash, np.array([0, 1]))
@@ -451,7 +448,7 @@ class TestAccounting:
         # Once the full list is resident, the same reads count as hits.
         reader.load_list(0, minhash)
         hits_before = reader.stats().hits
-        reader.load_text_windows(0, minhash, 0)
+        reader.load_texts_windows(0, minhash, [0])
         reader.load_texts_windows(0, minhash, np.array([0, 1]))
         assert reader.stats().hits == hits_before + 2
 
@@ -464,7 +461,7 @@ class TestAccounting:
             sketch[func] = func_keys[0] if func_keys.size else 0
         expected = np.array(
             [
-                planted_index.list_length(func, int(sketch[func]))
+                planted_index.load_list(func, int(sketch[func])).size
                 for func in range(planted_index.family.k)
             ],
             dtype=np.int64,

@@ -18,6 +18,8 @@ from repro.corpus.corpus import InMemoryCorpus
 from repro.index.builder import build_memory_index
 from repro.tokenizer.bpe import BPETokenizer
 
+from index_lists import func_lists
+
 # Small-but-varied corpora: 2-5 texts, lengths 1-25, vocab 12 (heavy
 # duplication exercises tie-breaking everywhere).
 corpora = st.lists(
@@ -117,7 +119,7 @@ class TestStorageProperties:
         write_index(memory, directory, zonemap_step=2, zonemap_min_list=3)
         disk = DiskInvertedIndex(directory)
         for func in range(family.k):
-            for minhash, postings in memory.iter_lists(func):
+            for minhash, postings in func_lists(memory, func).items():
                 assert np.array_equal(disk.load_list(func, minhash), postings)
 
     @given(
@@ -148,11 +150,11 @@ class TestStorageProperties:
                 memory_budget_bytes=256,  # force recursive partitioning paths
             ),
         )
-        external = DiskInvertedIndex(directory).to_memory()
+        external = DiskInvertedIndex(directory)
         assert external.num_postings == reference.num_postings
         for func in range(family.k):
-            lists_a = dict(reference.iter_lists(func))
-            lists_b = dict(external.iter_lists(func))
+            lists_a = func_lists(reference, func)
+            lists_b = func_lists(external, func)
             assert lists_a.keys() == lists_b.keys()
             for key in lists_a:
                 assert np.array_equal(lists_a[key], lists_b[key])

@@ -9,7 +9,8 @@ Three contracts:
    size included).
 2. The batched reader methods (``sketch_list_lengths``,
    ``load_texts_windows``, ``ZoneMap.locate_many``) return exactly what
-   the scalar methods return, across every reader backend.
+   a loop of one-list / one-text calls returns, across every reader
+   backend.
 3. ``NearDuplicateSearcher`` produces matches identical to
    :class:`ReferenceSearcher` (the pre-vectorization per-group loop),
    and the batched long-list refinement issues no more point-read
@@ -215,7 +216,7 @@ class TestBatchedReaders:
         for name, reader in reader_variants(memory, disk, family).items():
             lengths = reader.sketch_list_lengths(sketch)
             expected = [
-                reader.list_length(func, int(sketch[func]))
+                reader.load_list(func, int(sketch[func])).size
                 for func in range(family.k)
             ]
             assert lengths.tolist() == expected, name
@@ -227,9 +228,7 @@ class TestBatchedReaders:
             family = memory.family
             t = memory.t
             io_stats = memory.io_stats
-            list_length = memory.list_length
             load_list = memory.load_list
-            load_text_windows = memory.load_text_windows
 
         with pytest.raises(InvalidParameterError) as refusal:
             NearDuplicateSearcher(MinimalReader())
@@ -250,7 +249,7 @@ class TestBatchedReaders:
                 minhash = int(sketch[func])
                 batched = reader.load_texts_windows(func, minhash, wanted)
                 parts = [
-                    reader.load_text_windows(func, minhash, int(text_id))
+                    reader.load_texts_windows(func, minhash, [text_id])
                     for text_id in np.unique(wanted)
                 ]
                 parts = [part for part in parts if part.size]
@@ -282,7 +281,7 @@ class TestBatchedReaders:
         batched = reader.load_texts_windows(func, minhash, wanted)
         assert reader.hits == hits_before + 1
         expected = np.concatenate(
-            [memory.load_text_windows(func, minhash, int(t)) for t in wanted]
+            [memory.load_texts_windows(func, minhash, [t]) for t in wanted]
         )
         assert np.array_equal(batched, expected)
 
@@ -356,8 +355,8 @@ class ReferenceSearcher(NearDuplicateSearcher):
             if long_funcs:
                 extra = [group]
                 for func in sorted(long_funcs):
-                    fetched = self.index.load_text_windows(
-                        func, int(sketch[func]), text_id
+                    fetched = self.index.load_texts_windows(
+                        func, int(sketch[func]), [text_id]
                     )
                     stats.point_reads += 1
                     if fetched.size:

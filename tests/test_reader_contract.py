@@ -1,12 +1,13 @@
 """The reader contract, checked once over every reader in the tree.
 
-Every reader satisfies the full :class:`InvertedIndexReader` protocol —
-scalar and batched methods — and the batched methods return exactly
-what a loop over the scalar ones returns; so does the vector form of
-``load_list`` / ``load_texts_windows`` over arrays of ``(func, minhash)``
-pairs, pair by pair.  A reader that lacks part of
-the protocol is refused when a searcher is built on it, not halfway
-through a query.
+Every reader satisfies the :class:`InvertedIndexReader` protocol, and
+what it returns equals an independent oracle: the flat
+``generate_corpus_postings`` output filtered by ``(func, minhash)`` and
+stable-sorted by text.  Batched reads equal a loop of one-list (or
+one-text) calls, and the vector form of ``load_list`` /
+``load_texts_windows`` over arrays of ``(func, minhash)`` pairs equals
+the int form pair by pair.  A reader that lacks part of the protocol is
+refused when a searcher is built on it, not halfway through a query.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.core.hashing import HashFamily
 from repro.core.search import NearDuplicateSearcher
 from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError
-from repro.index.builder import build_memory_index
+from repro.index.builder import build_memory_index, generate_corpus_postings
 from repro.index.cache import CachedIndexReader
 from repro.index.inverted import InvertedIndexReader, POSTING_DTYPE
 from repro.index.lsm import LiveIndex, LiveIndexConfig, UnionIndexReader
@@ -29,9 +30,11 @@ BASE_READERS = ("memory", "disk-raw", "disk-packed", "live-union")
 
 
 class DelegatingProxy:
-    """Shaped like ``benchmarks/harness/trace.py::TimedReader``: the five
-    read calls are explicit methods, everything else (``family``, ``t``,
-    ``io_stats`` ...) resolves on the wrapped reader."""
+    """Shaped like ``benchmarks/harness/trace.py::TimedReader``: the read
+    calls are explicit methods, everything else (``family``, ``t``,
+    ``io_stats`` ...) resolves on the wrapped reader.  Like the harness
+    proxy it still forwards ``list_length`` and ``load_text_windows``,
+    which no reader implements any more; nothing calls them."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -94,8 +97,27 @@ def world(tmp_path_factory):
         "disk-packed": DiskInvertedIndex(root / "packed"),
         "live-union": live.snapshot(),
     }
-    yield texts, family, bases
+    per_func = generate_corpus_postings(list(enumerate(texts)), family, 25, None)
+    yield texts, family, bases, Oracle(per_func)
     live.close()
+
+
+class Oracle:
+    """Inverted lists straight from the window generator's flat output."""
+
+    def __init__(self, per_func):
+        self._per_func = per_func
+
+    def load_list(self, func, minhash):
+        if not 0 <= func < len(self._per_func):
+            return np.empty(0, dtype=POSTING_DTYPE)
+        minhashes, postings = self._per_func[func]
+        chosen = postings[minhashes.astype(np.int64) == minhash]
+        return chosen[np.argsort(chosen["text"], kind="stable")]
+
+    def load_texts_windows(self, func, minhash, text_ids):
+        postings = self.load_list(func, minhash)
+        return postings[np.isin(postings["text"], text_ids)]
 
 
 @pytest.fixture(
@@ -107,14 +129,14 @@ def world(tmp_path_factory):
     ids=lambda param: f"{param[0]}-{param[1]}",
 )
 def reader(request, world):
-    _, _, bases = world
+    _, _, bases, _ = world
     base, wrap = request.param
     wrappers = {"bare": lambda r: r, "cached": CachedIndexReader, "proxy": DelegatingProxy}
     return wrappers[wrap](bases[base])
 
 
 def test_union_really_has_runs_and_a_memtable(world):
-    _, _, bases = world
+    _, _, bases, _ = world
     union = bases["live-union"]
     assert isinstance(union, UnionIndexReader)
     assert union.num_sources == 3
@@ -130,18 +152,23 @@ def test_satisfies_the_protocol(reader):
 
 
 def test_batched_lengths_equal_scalar_loop(reader, world):
-    texts, family, _ = world
+    texts, family, _, oracle = world
     for text in texts[:6]:
         sketch = family.sketch(text[:60])
         lengths = reader.sketch_list_lengths(sketch)
         assert lengths.dtype == np.int64
         assert lengths.tolist() == [
-            reader.list_length(func, int(sketch[func])) for func in range(family.k)
+            reader.load_list(func, int(sketch[func])).size
+            for func in range(family.k)
+        ]
+        assert lengths.tolist() == [
+            oracle.load_list(func, int(sketch[func])).size
+            for func in range(family.k)
         ]
 
 
 def test_batched_point_reads_equal_scalar_loop(reader, world):
-    texts, family, bases = world
+    texts, family, _, oracle = world
     # Present, absent, duplicated and out-of-range text ids.
     wanted = np.array([0, 0, 3, 17, 41, 42, 69, 70, 89, 500], dtype=np.int64)
     for text in texts[:4]:
@@ -149,7 +176,7 @@ def test_batched_point_reads_equal_scalar_loop(reader, world):
         for func in range(family.k):
             minhash = int(sketch[func])
             parts = [
-                reader.load_text_windows(func, minhash, int(text_id))
+                reader.load_texts_windows(func, minhash, [text_id])
                 for text_id in np.unique(wanted)
             ]
             parts = [part for part in parts if part.size]
@@ -158,18 +185,36 @@ def test_batched_point_reads_equal_scalar_loop(reader, world):
             )
             batched = reader.load_texts_windows(func, minhash, wanted)
             assert np.array_equal(batched, expected), func
-            # ... and both agree with the in-memory reference reader.
+            # ... and both agree with the oracle.
             assert np.array_equal(
-                reader.load_list(func, minhash),
-                bases["memory"].load_list(func, minhash),
-            )
+                batched, oracle.load_texts_windows(func, minhash, wanted)
+            ), func
+            assert np.array_equal(
+                reader.load_list(func, minhash), oracle.load_list(func, minhash)
+            ), func
 
 
-def test_absent_list_is_empty_everywhere(reader):
+def test_absent_list_is_empty_everywhere(reader, world):
+    _, family, _, _ = world
+    k = family.k
     wanted = np.array([1, 2], dtype=np.int64)
-    assert reader.list_length(0, 0xDEADBEEF) == 0
-    assert reader.load_list(0, 0xDEADBEEF).size == 0
-    assert reader.load_texts_windows(0, 0xDEADBEEF, wanted).size == 0
+    # A key no list has, a function outside [0, k), a negative min-hash
+    # and one beyond uint32 — beside a present list (func 0's first key)
+    # so a reader cannot answer the pairs by one global emptiness check.
+    present = int(reader.list_keys(0)[0])
+    absent = [(0, 0xDEADBEEF), (-1, present), (k, present), (0, -1), (0, 2**33)]
+    for func, minhash in absent:
+        assert reader.load_list(func, minhash).size == 0, (func, minhash)
+        assert reader.load_texts_windows(func, minhash, wanted).size == 0
+    funcs = np.array([0] + [func for func, _ in absent], dtype=np.int64)
+    minhashes = np.array([present] + [m for _, m in absent], dtype=np.int64)
+    lists = reader.load_list(funcs, minhashes)
+    assert lists[0].size > 0
+    assert [part.size for part in lists[1:]] == [0] * len(absent)
+    points = reader.load_texts_windows(funcs, minhashes, wanted)
+    assert [part.size for part in points[1:]] == [0] * len(absent)
+    sketch = np.array([-1, 2**33] + [0xDEADBEEF] * (k - 2), dtype=np.int64)
+    assert reader.sketch_list_lengths(sketch).tolist() == [0] * k
 
 
 def _sketch_pairs(family, text):
@@ -186,7 +231,7 @@ def _sketch_pairs(family, text):
 
 
 def test_vector_load_list_equals_scalar_calls(reader, world):
-    texts, family, _ = world
+    texts, family, _, _ = world
     for text in texts[:4]:
         funcs, minhashes = _sketch_pairs(family, text)
         vector = reader.load_list(funcs, minhashes)
@@ -197,7 +242,7 @@ def test_vector_load_list_equals_scalar_calls(reader, world):
 
 
 def test_vector_point_reads_equal_scalar_calls(reader, world):
-    texts, family, _ = world
+    texts, family, _, _ = world
     wanted = np.array([0, 0, 3, 17, 41, 42, 69, 70, 89, 500], dtype=np.int64)
     for text in texts[:4]:
         funcs, minhashes = _sketch_pairs(family, text)
@@ -239,7 +284,7 @@ def test_delegating_proxy_has_the_harness_proxy_shape():
 def test_capped_decode_calls_return_the_same_lists(world, monkeypatch):
     from repro.index import storage
 
-    texts, family, bases = world
+    texts, family, bases, _ = world
     packed = bases["disk-packed"]
     funcs, minhashes = _sketch_pairs(family, texts[1])
     wanted = np.array([0, 41, 70], dtype=np.int64)
@@ -254,7 +299,7 @@ def test_capped_decode_calls_return_the_same_lists(world, monkeypatch):
 
 
 def test_one_vector_load_is_one_packed_read_call(world):
-    texts, family, bases = world
+    texts, family, bases, _ = world
     packed = bases["disk-packed"]
     funcs, minhashes = _sketch_pairs(family, texts[0])
     before = packed.io_stats.read_calls
@@ -267,7 +312,7 @@ def test_one_vector_load_is_one_packed_read_call(world):
 
 @pytest.mark.parametrize("missing", ["sketch_list_lengths", "load_texts_windows"])
 def test_incomplete_reader_is_refused_at_construction(world, missing):
-    _, _, bases = world
+    _, _, bases, _ = world
     memory = bases["memory"]
     members = {
         name: getattr(memory, name)
@@ -275,9 +320,7 @@ def test_incomplete_reader_is_refused_at_construction(world, missing):
             "family",
             "t",
             "io_stats",
-            "list_length",
             "load_list",
-            "load_text_windows",
             "sketch_list_lengths",
             "load_texts_windows",
         )

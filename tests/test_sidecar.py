@@ -32,6 +32,8 @@ from repro.index.sidecar import DATA_ALIGN, SECTION_ALIGN, read_toc
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.index.validate import validate_index
 from repro.service.protocol import result_to_wire
+
+from index_lists import func_lists
 from write_oracle import OracleIndexWriter
 
 
@@ -135,7 +137,7 @@ class TestContainerEquivalence:
             ),
         }
         for func in range(family.k):
-            for minhash, postings in memory.iter_lists(func):
+            for minhash, postings in func_lists(memory, func).items():
                 for name, reader in backends.items():
                     assert np.array_equal(
                         reader.load_list(func, int(minhash)), postings
@@ -172,7 +174,7 @@ class TestContainerEquivalence:
         meta_path.write_text(json.dumps(meta))
         reader = DiskInvertedIndex(clone)
         for func in range(family.k):
-            for minhash, postings in memory.iter_lists(func):
+            for minhash, postings in func_lists(memory, func).items():
                 assert np.array_equal(reader.load_list(func, int(minhash)), postings)
         assert validate_index(reader).ok
 

@@ -12,6 +12,8 @@ from repro.exceptions import IndexFormatError
 from repro.index.builder import build_memory_index
 from repro.index.storage import DiskInvertedIndex, write_index
 
+from index_lists import func_lists
+
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory, request):
@@ -37,7 +39,7 @@ class TestRoundTrip:
     def test_every_list_identical(self, saved):
         memory, disk, _ = saved
         for func in range(memory.family.k):
-            for minhash, postings in memory.iter_lists(func):
+            for minhash, postings in func_lists(memory, func).items():
                 loaded = disk.load_list(func, minhash)
                 assert np.array_equal(loaded, postings), (func, minhash)
 
@@ -45,7 +47,8 @@ class TestRoundTrip:
         _, disk, _ = saved
         # 2**32 - 1 is (almost surely) not a stored min-hash here.
         assert disk.load_list(0, 2**32 - 1).size == 0
-        assert disk.list_length(0, 2**32 - 1) == 0
+        sketch = np.full(disk.family.k, 2**32 - 1, dtype=np.int64)
+        assert disk.sketch_list_lengths(sketch)[0] == 0
 
     def test_list_lengths_match(self, saved):
         memory, disk, _ = saved
@@ -54,13 +57,12 @@ class TestRoundTrip:
                 memory.list_lengths(func).tolist()
             )
 
-    def test_to_memory_equivalent(self, saved):
+    def test_all_lists_equivalent(self, saved):
         memory, disk, _ = saved
-        restored = disk.to_memory()
-        assert restored.num_postings == memory.num_postings
-        for func in range(memory.family.k):
-            for minhash, postings in memory.iter_lists(func):
-                assert np.array_equal(restored.load_list(func, minhash), postings)
+        funcs, keys, postings, bounds = disk.all_lists()
+        assert postings.size == memory.num_postings
+        for want, have in zip(memory.all_lists(), (funcs, keys, postings, bounds)):
+            assert np.array_equal(want, have)
 
     def test_num_texts_recorded(self, saved):
         memory, disk, _ = saved
@@ -86,10 +88,10 @@ class TestTextWindowReads:
     def test_matches_full_list_filter(self, saved):
         memory, disk, _ = saved
         for func in range(memory.family.k):
-            for minhash, postings in memory.iter_lists(func):
+            for minhash, postings in func_lists(memory, func).items():
                 texts = set(postings["text"].tolist())
                 probe = sorted(texts)[len(texts) // 2]
-                via_zone = disk.load_text_windows(func, minhash, probe)
+                via_zone = disk.load_texts_windows(func, minhash, [probe])
                 expected = postings[postings["text"] == probe]
                 assert np.array_equal(via_zone, expected)
                 break  # one list per function keeps the test fast
@@ -97,14 +99,14 @@ class TestTextWindowReads:
     def test_absent_text_empty(self, saved):
         memory, disk, _ = saved
         func = 0
-        minhash, _ = next(iter(memory.iter_lists(func)))
-        assert disk.load_text_windows(func, minhash, 10**6).size == 0
+        minhash, _ = next(iter(func_lists(memory, func).items()))
+        assert disk.load_texts_windows(func, minhash, [10**6]).size == 0
 
     def test_zone_map_present_for_long_lists(self, saved):
         memory, disk, _ = saved
         found = 0
         for func in range(memory.family.k):
-            for minhash, postings in memory.iter_lists(func):
+            for minhash, postings in func_lists(memory, func).items():
                 zone = disk.zone_map(func, minhash)
                 if postings.size >= 16:
                     assert zone is not None
@@ -119,13 +121,13 @@ class TestTextWindowReads:
         # Find the longest list and point-read one text from it.
         best = None
         for func in range(memory.family.k):
-            for minhash, postings in memory.iter_lists(func):
+            for minhash, postings in func_lists(memory, func).items():
                 if best is None or postings.size > best[2].size:
                     best = (func, minhash, postings)
         func, minhash, postings = best
         assert postings.size >= 16
         disk.io_stats.reset()
-        disk.load_text_windows(func, minhash, int(postings["text"][0]))
+        disk.load_texts_windows(func, minhash, postings["text"][:1])
         assert disk.io_stats.bytes_read < postings.nbytes
 
 
@@ -133,7 +135,7 @@ class TestIOAccounting:
     def test_load_list_counts_bytes(self, saved):
         memory, disk, _ = saved
         func = 0
-        minhash, postings = next(iter(memory.iter_lists(func)))
+        minhash, postings = next(iter(func_lists(memory, func).items()))
         disk.io_stats.reset()
         disk.load_list(func, minhash)
         assert disk.io_stats.bytes_read == postings.nbytes

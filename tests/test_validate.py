@@ -8,8 +8,8 @@ import pytest
 from repro.core.hashing import HashFamily
 from repro.corpus.corpus import InMemoryCorpus
 from repro.index.builder import build_memory_index
-from repro.index.inverted import MemoryInvertedIndex, POSTING_DTYPE
-from repro.index.storage import DiskInvertedIndex, write_index
+from repro.index.inverted import POSTING_DTYPE
+from repro.index.storage import DiskInvertedIndex, MemoryInvertedIndex, write_index
 from repro.index.validate import validate_index
 
 
