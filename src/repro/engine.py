@@ -288,7 +288,6 @@ class NearDupEngine:
         *,
         cache_bytes: int = 32 * 1024 * 1024,
         result_cache: bool | None = None,
-        result_entries: int = 1024,
     ) -> NearDuplicateSearcher:
         """A searcher backed by the two-tier read cache.
 
@@ -297,7 +296,8 @@ class NearDupEngine:
         ``engine.searcher``.  Tiers, outermost first:
 
         - *result cache* (``result_cache=True``): exact memoization of
-          whole ``SearchResult``s, invalidated by the backend
+          the last ``DEFAULT_RESULT_ENTRIES`` (1024) whole
+          ``SearchResult``s, invalidated by the backend
           generation.  Defaults on for the live backend (where the
           generation gate gives it a correctness story) and off for
           static indexes.
@@ -319,9 +319,7 @@ class NearDupEngine:
 
                 live_index = self.index
                 searcher = CachingSearcher(
-                    searcher,
-                    max_entries=result_entries,
-                    generation_fn=lambda: live_index.generation,
+                    searcher, generation_fn=lambda: live_index.generation
                 )
             return searcher
         reader = CachedIndexReader(self.index, capacity_bytes=cache_bytes)
@@ -329,7 +327,7 @@ class NearDupEngine:
         if result_cache:
             from repro.query.resultcache import CachingSearcher
 
-            searcher = CachingSearcher(searcher, max_entries=result_entries)
+            searcher = CachingSearcher(searcher)
         return searcher
 
     def warmup(

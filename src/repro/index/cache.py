@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,19 +63,11 @@ class CacheStats:
 
     def to_dict(self) -> dict:
         """JSON-ready form (the service's ``/stats`` cache block)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-            "cached_bytes": self.cached_bytes,
-            "capacity_bytes": self.capacity_bytes,
-            "pinned_bytes": self.pinned_bytes,
-            "cached_lists": self.cached_lists,
-            "pinned_lists": self.pinned_lists,
-            "admission_rejections": self.admission_rejections,
-            "singleflight_waits": self.singleflight_waits,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
+
+
+#: The cumulative counters of a :class:`CachedIndexReader`.
+_COUNTERS = ("hits", "misses", "evictions", "admission_rejections", "singleflight_waits")
 
 
 class _Flight:
@@ -397,6 +389,12 @@ class CachedIndexReader:
                 admission_rejections=self.admission_rejections,
                 singleflight_waits=self.singleflight_waits,
             )
+
+    def carry_counters(self, previous: "CachedIndexReader") -> None:
+        """Continue ``previous``'s hit/miss/eviction history in this cache."""
+        with previous._lock:
+            for name in _COUNTERS:
+                setattr(self, name, getattr(previous, name))
 
     def clear(self) -> None:
         """Drop every cached list (pins included)."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 import logging
 import shutil
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,8 @@ from repro.index.storage import DiskInvertedIndex, write_index
 logger = logging.getLogger(__name__)
 
 PREFILTER_FILE = "prefilter.npz"
+#: Size ratio under which adjacent runs count as one compaction tier.
+TIER_RATIO = 4.0
 
 
 def wal_name(seq: int) -> str:
@@ -82,16 +84,11 @@ class LiveIndexConfig:
     fsync_batch: int = 32
     #: Adjacent similar-sized runs that trigger a tiered merge.
     compact_fanout: int = 4
-    #: Size ratio under which adjacent runs count as one tier.
-    tier_ratio: float = 4.0
     #: Run the compaction policy on a background thread after seals.
     background_compaction: bool = True
     #: Enable the Bloom exact-duplicate prefilter (off by default: a
     #: false positive silently drops a distinct text).
     dedupe: bool = False
-    #: Prefilter sizing (used only when ``dedupe`` is on).
-    dedupe_capacity: int = 1_000_000
-    dedupe_fp_rate: float = 1e-4
 
 
 @dataclass
@@ -107,15 +104,7 @@ class LiveIndexStats:
     replayed_texts: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "appends": self.appends,
-            "texts_accepted": self.texts_accepted,
-            "texts_deduped": self.texts_deduped,
-            "seals": self.seals,
-            "compactions": self.compactions,
-            "replayed_records": self.replayed_records,
-            "replayed_texts": self.replayed_texts,
-        }
+        return asdict(self)
 
 
 def pick_compaction(
@@ -242,10 +231,7 @@ class LiveIndex:
                 except IndexFormatError:
                     self.prefilter = None
             if self.prefilter is None:
-                self.prefilter = BloomPrefilter(
-                    capacity=self.config.dedupe_capacity,
-                    fp_rate=self.config.dedupe_fp_rate,
-                )
+                self.prefilter = BloomPrefilter()
 
     # ------------------------------------------------------------------
     # Recovery
@@ -423,7 +409,7 @@ class LiveIndex:
                         int(self._reader(name).num_postings) for name in runs
                     ]
                     window = pick_compaction(
-                        sizes, self.config.compact_fanout, self.config.tier_ratio
+                        sizes, self.config.compact_fanout, TIER_RATIO
                     )
                 if window is None:
                     return False
@@ -681,9 +667,12 @@ class LiveSearcher:
                 if self.cache_bytes > 0:
                     from repro.index.cache import CachedIndexReader
 
-                    reader = CachedIndexReader(
-                        reader, capacity_bytes=self.cache_bytes
-                    )
+                    cache = CachedIndexReader(reader, capacity_bytes=self.cache_bytes)
+                    if self._inner is not None:
+                        # One counter history across generations, so the
+                        # service's /stats never goes backwards.
+                        cache.carry_counters(self._inner.index)
+                    reader = cache
                 self._inner = NearDuplicateSearcher(
                     reader,
                     long_list_cutoff=self._long_list_cutoff,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,16 +62,7 @@ class ResultCacheStats:
 
     def to_dict(self) -> dict:
         """JSON-ready form (the service's ``/stats`` result-cache block)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-            "invalidations": self.invalidations,
-            "entries": self.entries,
-            "capacity_entries": self.capacity_entries,
-            "generation": self.generation,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
 
 
 class ResultCache:

@@ -63,7 +63,7 @@ from repro.service.protocol import (
     ServiceError,
     result_to_wire,
 )
-from repro.service.prefork import PreforkServer, SharedServiceStats, StatsSlots
+from repro.service.prefork import PreforkServer, StatsSlots
 from repro.service.replicas import POLICIES, ReplicaSet, ReplicaState
 from repro.service.router import (
     RouterConfig,
@@ -107,7 +107,6 @@ __all__ = [
     "ServiceStats",
     "ShardEntry",
     "ShardMap",
-    "SharedServiceStats",
     "StatsSlots",
     "build_shard_fleet",
     "discover_shard_fleet",

@@ -181,11 +181,11 @@ class MicroBatcher:
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
-            self.stats.record_shed()
+            self.stats.record(requests=1, shed=1)
             raise RequestShedError(
                 f"request queue is full ({self.max_queue} waiting)"
             ) from None
-        self.stats.record_admitted()
+        self.stats.record(requests=1)
         return await asyncio.wait_for(item.future, timeout)
 
     async def submit_batch(
@@ -206,8 +206,7 @@ class MicroBatcher:
         if self._closed:
             raise ServiceClosedError("service is shutting down")
         assert self._loop is not None
-        for _ in queries:
-            self.stats.record_admitted()
+        self.stats.record(requests=len(queries))
         self.stats.record_batch(len(queries))
         queries = [np.asarray(query, dtype=np.uint32) for query in queries]
         call = self._loop.run_in_executor(
@@ -218,8 +217,8 @@ class MicroBatcher:
         # A deadline abandons the wait, not the call, so close() still
         # waits for the thread before it closes the executor.
         batch = await asyncio.wait_for(asyncio.shield(call), timeout)
-        self.stats.record_search_io(
-            batch.stats.lists_loaded, batch.stats.point_reads
+        self.stats.record(
+            lists_loaded=batch.stats.lists_loaded, point_reads=batch.stats.point_reads
         )
         return batch
 
@@ -266,11 +265,12 @@ class MicroBatcher:
                 result = self._execute(group)
             except Exception as exc:  # noqa: BLE001 - forwarded to every caller
                 for item in group:
-                    self.stats.record_error()
+                    self.stats.record(errors=1)
                     item.future.set_exception(exc)
                 continue
-            self.stats.record_search_io(
-                result.stats.lists_loaded, result.stats.point_reads
+            self.stats.record(
+                lists_loaded=result.stats.lists_loaded,
+                point_reads=result.stats.point_reads,
             )
             for item, answer in zip(group, result.results):
                 item.future.set_result((answer, len(group), started - item.enqueued))

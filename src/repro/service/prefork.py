@@ -21,10 +21,11 @@ service across cores the classic Unix way:
   finishes its admitted requests through the normal
   :meth:`~repro.service.server.SearchService.shutdown` path — and
   escalates to SIGKILL only past the drain timeout;
-* per-worker counters live in one shared-memory block
-  (:class:`StatsSlots`, a ``multiprocessing.RawArray``), each worker
-  publishing write-through from its own slot, so ``/stats`` answered
-  by *any* worker carries an aggregated ``cluster`` view of the fleet.
+* each worker's :class:`~repro.service.stats.ServiceStats` is built
+  over its own row of one shared-memory block (:class:`StatsSlots`),
+  so ``/stats`` answered by *any* worker carries a ``cluster`` view of
+  the fleet: the same report as the ``service`` block, run over the
+  live rows summed.
 
 Fork start method only (the engine and socket must be inherited, not
 pickled), which is also what keeps the index zero-copy: forked page
@@ -50,203 +51,44 @@ import numpy as np
 
 from repro.engine import NearDupEngine
 from repro.exceptions import InvalidParameterError
-from repro.index.cache import CachedIndexReader
 from repro.service.client import ServiceClient
 from repro.service.server import SearchService, ServiceConfig
-from repro.service.stats import LatencyHistogram, ServiceStats
+from repro.service.stats import ServiceStats
 
 logger = logging.getLogger(__name__)
 
-#: Scalar fields of one worker's stats slot, in layout order; the
-#: latency histogram buckets follow them.
-_FIELDS = (
-    "requests",
-    "completed",
-    "errors",
-    "shed",
-    "timeouts",
-    "batches",
-    "batched_queries",
-    "lists_loaded",
-    "point_reads",
-    "latency_count",
-    "latency_sum",
-    "latency_max",
-    "queue_count",
-    "queue_sum",
-    "cache_hits",
-    "cache_misses",
-    "cache_bytes",
-    "cache_lists",
-    "cache_admission_rejections",
-    "cache_singleflight_waits",
-    "pid",
-    "generation",
-)
-_INDEX = {name: position for position, name in enumerate(_FIELDS)}
-_BUCKETS_AT = len(_FIELDS)
-_SLOT_WIDTH = len(_FIELDS) + LatencyHistogram.NUM_BUCKETS
-
 
 class StatsSlots:
-    """Fixed-layout shared-memory stats: one float64 row per worker.
+    """One shared-memory block of ``ServiceStats`` rows, one per worker.
 
-    Single writer per row (the owning worker), any reader (every
-    worker's ``/stats``, the supervisor); aligned 8-byte stores are
-    atomic on every platform we target, so no cross-process lock is
-    needed for monotonic counters.
+    The block is a ``multiprocessing.RawArray``.  A worker's stats
+    block is built over its own row (:meth:`stats`), so each update
+    lands in shared memory as it is made; any worker's ``/stats`` reads
+    every row (:meth:`cluster`).  One writer per row and aligned 8-byte
+    stores mean no cross-process lock is needed.
     """
 
     def __init__(self, workers: int) -> None:
         self.workers = int(workers)
-        self._array = multiprocessing.RawArray("d", self.workers * _SLOT_WIDTH)
+        self._array = multiprocessing.RawArray("d", self.workers * ServiceStats.WIDTH)
 
     def view(self) -> np.ndarray:
         """A ``(workers, width)`` float64 view over the shared block."""
         return np.frombuffer(self._array, dtype=np.float64).reshape(
-            self.workers, _SLOT_WIDTH
+            self.workers, ServiceStats.WIDTH
         )
 
     def reset(self, slot: int) -> None:
         self.view()[slot, :] = 0.0
 
-    def aggregate(self) -> dict[str, Any]:
-        """The ``cluster`` block of ``/stats``: fleet-wide totals.
+    def stats(self, slot: int, generation: int) -> ServiceStats:
+        """Worker ``slot``'s stats block, living in its shared row."""
+        at, rows = slot * ServiceStats.WIDTH, memoryview(self._array).cast("B").cast("d")
+        return ServiceStats(rows[at : at + ServiceStats.WIDTH], generation=generation)
 
-        Counters sum across slots; latency quantiles come from the
-        *summed* histogram buckets (geometric buckets aggregate
-        exactly — the whole point of fixed buckets over reservoirs).
-        """
-        rows = np.array(self.view())  # one snapshot copy
-        live = rows[rows[:, _INDEX["pid"]] > 0]
-        histogram = LatencyHistogram()
-        histogram.counts = [
-            int(count) for count in live[:, _BUCKETS_AT:].sum(axis=0)
-        ] if live.size else histogram.counts
-        histogram.total = int(live[:, _INDEX["latency_count"]].sum()) if live.size else 0
-        histogram.sum_seconds = float(live[:, _INDEX["latency_sum"]].sum()) if live.size else 0.0
-        histogram.max_seconds = float(live[:, _INDEX["latency_max"]].max()) if live.size else 0.0
-
-        def total(name: str) -> int:
-            return int(live[:, _INDEX[name]].sum()) if live.size else 0
-
-        queue_count = total("queue_count")
-        queue_sum = float(live[:, _INDEX["queue_sum"]].sum()) if live.size else 0.0
-        return {
-            "procs": int(self.workers),
-            "alive": int(live.shape[0]),
-            "workers": [
-                {
-                    "pid": int(row[_INDEX["pid"]]),
-                    "generation": int(row[_INDEX["generation"]]),
-                    "requests": int(row[_INDEX["requests"]]),
-                    "completed": int(row[_INDEX["completed"]]),
-                }
-                for row in live
-            ],
-            "requests": total("requests"),
-            "completed": total("completed"),
-            "errors": total("errors"),
-            "shed": total("shed"),
-            "timeouts": total("timeouts"),
-            "batches": total("batches"),
-            "batched_queries": total("batched_queries"),
-            "lists_loaded": total("lists_loaded"),
-            "point_reads": total("point_reads"),
-            "latency": histogram.to_dict(),
-            "queue_wait": {
-                "count": queue_count,
-                "mean_ms": 1e3 * queue_sum / queue_count if queue_count else 0.0,
-            },
-            "cache": {
-                "hits": total("cache_hits"),
-                "misses": total("cache_misses"),
-                "cached_bytes": total("cache_bytes"),
-                "cached_lists": total("cache_lists"),
-                "admission_rejections": total("cache_admission_rejections"),
-                "singleflight_waits": total("cache_singleflight_waits"),
-            },
-        }
-
-
-class SharedServiceStats(ServiceStats):
-    """A :class:`ServiceStats` that mirrors itself into a stats slot.
-
-    Every ``record_*`` call publishes the full counter row after the
-    normal in-process update, so the shared block is at least as fresh
-    as any response the worker has produced.
-    """
-
-    def __init__(self, slots: StatsSlots, slot: int, generation: int) -> None:
-        super().__init__()
-        self._slots = slots
-        self._slot = int(slot)
-        self._generation = int(generation)
-        self._cache_reader: CachedIndexReader | None = None
-
-    def attach_cache(self, reader) -> None:
-        """Start mirroring ``reader``'s cache counters (if it has any)."""
-        if isinstance(reader, CachedIndexReader):
-            self._cache_reader = reader
-
-    def publish(self) -> None:
-        row = self._slots.view()[self._slot]
-        with self._lock:
-            row[_INDEX["requests"]] = self.requests
-            row[_INDEX["completed"]] = self.completed
-            row[_INDEX["errors"]] = self.errors
-            row[_INDEX["shed"]] = self.shed
-            row[_INDEX["timeouts"]] = self.timeouts
-            row[_INDEX["batches"]] = self.batches
-            row[_INDEX["batched_queries"]] = self.batched_queries
-            row[_INDEX["lists_loaded"]] = self.lists_loaded
-            row[_INDEX["point_reads"]] = self.point_reads
-            row[_INDEX["latency_count"]] = self.latency.total
-            row[_INDEX["latency_sum"]] = self.latency.sum_seconds
-            row[_INDEX["latency_max"]] = self.latency.max_seconds
-            row[_INDEX["queue_count"]] = self.queue_wait.total
-            row[_INDEX["queue_sum"]] = self.queue_wait.sum_seconds
-            row[_BUCKETS_AT:] = self.latency.counts
-            row[_INDEX["pid"]] = os.getpid()
-            row[_INDEX["generation"]] = self._generation
-        if self._cache_reader is not None:
-            cache = self._cache_reader.stats()
-            row[_INDEX["cache_hits"]] = cache.hits
-            row[_INDEX["cache_misses"]] = cache.misses
-            row[_INDEX["cache_bytes"]] = cache.cached_bytes
-            row[_INDEX["cache_lists"]] = cache.cached_lists
-            row[_INDEX["cache_admission_rejections"]] = cache.admission_rejections
-            row[_INDEX["cache_singleflight_waits"]] = cache.singleflight_waits
-
-    def record_admitted(self) -> None:
-        super().record_admitted()
-        self.publish()
-
-    def record_shed(self) -> None:
-        super().record_shed()
-        self.publish()
-
-    def record_timeout(self) -> None:
-        super().record_timeout()
-        self.publish()
-
-    def record_error(self) -> None:
-        super().record_error()
-        self.publish()
-
-    def record_batch(self, size: int) -> None:
-        super().record_batch(size)
-        self.publish()
-
-    def record_search_io(self, lists_loaded: int, point_reads: int) -> None:
-        super().record_search_io(lists_loaded, point_reads)
-        self.publish()
-
-    def record_completed(
-        self, latency_seconds: float, queue_seconds: float | None = None
-    ) -> None:
-        super().record_completed(latency_seconds, queue_seconds)
-        self.publish()
+    def cluster(self) -> dict[str, Any]:
+        """The ``cluster`` block of ``/stats``: the fleet's live rows summed."""
+        return ServiceStats.cluster(np.array(self.view()))
 
 
 # ----------------------------------------------------------------------
@@ -261,33 +103,21 @@ def _worker_main(
     generation: int,
 ) -> None:
     """Forked child entry: one full asyncio server over the shared map."""
+
+    async def serve() -> None:
+        stop = asyncio.Event()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            asyncio.get_running_loop().add_signal_handler(signum, stop.set)
+        service = SearchService(engine, config, stats=slots.stats(slot, generation))
+        service.cluster = slots.cluster
+        await service.start(sock=sock)
+        await stop.wait()
+        await service.shutdown()
+
     try:
-        asyncio.run(_worker_amain(engine, config, sock, slots, slot, generation))
+        asyncio.run(serve())
     except KeyboardInterrupt:  # pragma: no cover - race with the handler
         pass
-
-
-async def _worker_amain(
-    engine: NearDupEngine,
-    config: ServiceConfig,
-    sock: socket.socket | None,
-    slots: StatsSlots,
-    slot: int,
-    generation: int,
-) -> None:
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(signum, stop.set)
-    stats = SharedServiceStats(slots, slot, generation)
-    service = SearchService(engine, config, stats=stats)
-    service.cluster = slots.aggregate
-    await service.start(sock=sock)
-    stats.attach_cache(service.searcher.index)
-    stats.publish()
-    await stop.wait()
-    await service.shutdown()
-    stats.publish()
 
 
 class PreforkServer:

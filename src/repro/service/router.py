@@ -112,7 +112,6 @@ class RouterConfig:
     max_connections: int = 16  #: pooled keep-alive connections per replica
     partial_results: bool = True  #: answer from healthy shards on failure
     health_timeout_ms: float = 2000.0  #: budget of /health and /stats fan-outs
-    max_body_bytes: int = 8 * 1024 * 1024
     policy: str = "pick-first"  #: replica selection (see replicas.POLICIES)
     hedge_after_ms: float | None = None  #: None off; 0 auto (p95); >0 fixed
     breaker_failures: int = 3  #: consecutive failures that open a breaker
@@ -216,7 +215,7 @@ class RouterService(HttpServiceBase):
             raise
         except Exception as exc:
             if state.on_failure(breaker=self._retryable(exc)):
-                self.stats.record_breaker_trip()
+                self.stats.record(breaker_trips=1)
             raise
         seconds = loop.time() - begin
         state.on_success(seconds)
@@ -274,7 +273,7 @@ class RouterService(HttpServiceBase):
                     tried.append(backup)
                     backup.hedges += 1
                     hedge_targets.add(id(backup))
-                    self.stats.record_hedge_fired()
+                    self.stats.record(hedges_fired=1)
                     tasks[
                         asyncio.ensure_future(
                             self._ask_replica(
@@ -289,7 +288,7 @@ class RouterService(HttpServiceBase):
                     if exc is None:
                         if id(state) in hedge_targets:
                             state.hedge_wins += 1
-                            self.stats.record_hedge_win()
+                            self.stats.record(hedge_wins=1)
                         return task.result()
                     errors.append(exc)
                     if not self._retryable(exc):
@@ -302,7 +301,7 @@ class RouterService(HttpServiceBase):
                 if nxt is None or path not in _IDEMPOTENT_PATHS:
                     raise errors[0]
                 tried.append(nxt)
-                self.stats.record_failover()
+                self.stats.record(failovers=1)
                 tasks[
                     asyncio.ensure_future(
                         self._ask_replica(replica_set, nxt, path, body, deadline)
@@ -366,7 +365,11 @@ class RouterService(HttpServiceBase):
                 response, seconds = outcome
                 successes.append((entry, response))
                 latencies.append(seconds)
-        self.stats.record_fanout(latencies, len(failures))
+        self.stats.record(
+            fanout_requests=len(latencies) + len(failures),
+            fanout_failures=len(failures),
+            shard_latency=latencies,
+        )
         if not successes:
             codes = {failure["code"] for failure in failures}
             detail = "; ".join(
@@ -461,7 +464,7 @@ class RouterService(HttpServiceBase):
             raise ProtocolError(f"unknown path {path!r}", status=404)
         except Exception as exc:  # noqa: BLE001 - mapped to a JSON error
             status, payload = error_body(exc)
-            self.stats.record_error()
+            self.stats.record(requests=1, errors=1)
             if status >= 500 and not isinstance(exc, ServiceError):
                 logger.exception("routed request failed")
             return status, payload
@@ -491,7 +494,9 @@ class RouterService(HttpServiceBase):
             [(entry, response["result"]) for entry, response in successes]
         )
         total = loop.time() - begin
-        self.stats.record_completed(total, partial=bool(failures))
+        self.stats.record(
+            requests=1, completed=1, partial=int(bool(failures)), latency=(total,)
+        )
         payload: dict[str, Any] = {
             "ok": True,
             "result": merged,
@@ -543,7 +548,9 @@ class RouterService(HttpServiceBase):
                 )
             )
         total = loop.time() - begin
-        self.stats.record_completed(total, partial=bool(failures))
+        self.stats.record(
+            requests=1, completed=1, partial=int(bool(failures)), latency=(total,)
+        )
         payload: dict[str, Any] = {
             "ok": True,
             "results": merged_results,

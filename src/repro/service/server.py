@@ -58,6 +58,8 @@ _REASONS = {
 }
 
 _MAX_HEADERS = 64
+#: Largest request body accepted (a larger ``Content-Length`` is a 400).
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 @dataclass
@@ -75,7 +77,6 @@ class ServiceConfig:
     result_cache: bool | None = None  #: None = on for live backends, off for static
     warmup_lists: int = 64  #: hot lists preloaded at startup; 0 disables
     theta: float = 0.8  #: default threshold when a request omits it
-    max_body_bytes: int = 8 * 1024 * 1024
 
 
 class HttpServiceBase:
@@ -85,8 +86,7 @@ class HttpServiceBase:
     ``_route(method, path, body) -> (status, payload)`` and reuse the
     connection handling: request-line/header/body parsing with bounded
     sizes, keep-alive, JSON responses, and protocol-error mapping.  A
-    subclass's ``config`` must carry ``host``, ``port``, and
-    ``max_body_bytes``.
+    subclass's ``config`` must carry ``host`` and ``port``.
     """
 
     config: Any
@@ -198,10 +198,9 @@ class HttpServiceBase:
             length = int(length_text)
         except ValueError:
             raise ProtocolError(f"bad Content-Length {length_text!r}")
-        if length < 0 or length > self.config.max_body_bytes:
+        if length < 0 or length > MAX_BODY_BYTES:
             raise ProtocolError(
-                f"body of {length} bytes exceeds the "
-                f"{self.config.max_body_bytes}-byte limit"
+                f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
             )
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
@@ -278,6 +277,7 @@ class SearchService(HttpServiceBase):
             self.warmed_lists = self.engine.warmup(
                 self.searcher, max_lists=self.config.warmup_lists
             )
+        self.stats.record_cache(self.searcher.index.stats())
         await self.batcher.start()
         await self._start_listener(sock=sock)
         logger.info(
@@ -325,7 +325,7 @@ class SearchService(HttpServiceBase):
                 raise ProtocolError(f"{method} not allowed on {path}", status=405)
             raise ProtocolError(f"unknown path {path!r}", status=404)
         except (asyncio.TimeoutError, TimeoutError):
-            self.stats.record_timeout()
+            self.stats.record(timeouts=1)
             return 504, {
                 "ok": False,
                 "error": "deadline exceeded before execution",
@@ -334,7 +334,7 @@ class SearchService(HttpServiceBase):
         except Exception as exc:  # noqa: BLE001 - mapped to a JSON error
             status, payload = error_body(exc)
             if status >= 500 and not isinstance(exc, ServiceClosedError):
-                self.stats.record_error()
+                self.stats.record(errors=1)
                 logger.exception("request failed")
             return status, payload
 
@@ -361,7 +361,8 @@ class SearchService(HttpServiceBase):
             tokens, theta, verify=verify, timeout=timeout
         )
         total = loop.time() - begin
-        self.stats.record_completed(total, queue_wait)
+        self.stats.record(completed=1, latency=(total,), queue_wait=(queue_wait,))
+        self.stats.record_cache(self.searcher.index.stats())
         return {
             "ok": True,
             "result": result_to_wire(result),
@@ -390,8 +391,10 @@ class SearchService(HttpServiceBase):
             queries, theta, verify=verify, timeout=timeout
         )
         total = loop.time() - begin
-        for result in batch.results:
-            self.stats.record_completed(total)
+        self.stats.record(
+            completed=len(batch.results), latency=(total,) * len(batch.results)
+        )
+        self.stats.record_cache(self.searcher.index.stats())
         return {
             "ok": True,
             "results": [result_to_wire(result) for result in batch.results],

@@ -5,13 +5,26 @@ control shedding, where is the latency, and is micro-batching actually
 coalescing?  :class:`ServiceStats` answers all three from O(1) memory:
 fixed-bucket histograms instead of reservoirs, so the ``/stats``
 endpoint stays cheap no matter how long the server has been up.
+
+Each counter block keeps its counters and histograms in one flat
+float64 row whose layout its class declares once, here.  The row is
+private to the instance, except in a prefork worker: its
+:class:`ServiceStats` is built over its own slot of shared memory
+(:class:`~repro.service.prefork.StatsSlots`), so each update is visible
+fleet-wide as it happens, and the ``cluster`` view is the same report
+run over the live rows summed (:meth:`ServiceStats.cluster`).
 """
 
 from __future__ import annotations
 
+import array
+import os
 import threading
 import time
 from collections import Counter
+from typing import Any
+
+import numpy as np
 
 
 class LatencyHistogram:
@@ -21,17 +34,26 @@ class LatencyHistogram:
     any sane request deadline.  A quantile is reported as the upper
     bound of the bucket where the cumulative count crosses it — biased
     at most one bucket (2x) high, which is the right fidelity for a
-    p99 on a counter budget of ``24 * 8`` bytes.
+    p99 on a counter budget of ``24 * 8`` bytes.  The state is one
+    float64 row — count, sum of seconds, max seconds, then the bucket
+    counts — so a histogram can live inside a counter block's row.
     """
 
     FIRST_BOUND_SECONDS = 0.00025
     NUM_BUCKETS = 24
+    _COUNT, _SUM, _MAX, _BUCKETS = 0, 1, 2, 3
+    WIDTH = _BUCKETS + NUM_BUCKETS
 
-    def __init__(self) -> None:
-        self.counts = [0] * self.NUM_BUCKETS
-        self.total = 0
-        self.sum_seconds = 0.0
-        self.max_seconds = 0.0
+    def __init__(self, row: memoryview | None = None) -> None:
+        self._row = memoryview(array.array("d", bytes(8 * self.WIDTH))) if row is None else row
+
+    @property
+    def total(self) -> int:
+        return int(self._row[self._COUNT])
+
+    @property
+    def counts(self) -> list[int]:
+        return [int(count) for count in self._row[self._BUCKETS :]]
 
     def observe(self, seconds: float) -> None:
         seconds = max(0.0, float(seconds))
@@ -40,10 +62,11 @@ class LatencyHistogram:
         while seconds > bound and slot < self.NUM_BUCKETS - 1:
             bound *= 2.0
             slot += 1
-        self.counts[slot] += 1
-        self.total += 1
-        self.sum_seconds += seconds
-        self.max_seconds = max(self.max_seconds, seconds)
+        row = self._row
+        row[self._BUCKETS + slot] += 1
+        row[self._COUNT] += 1
+        row[self._SUM] += seconds
+        row[self._MAX] = max(row[self._MAX], seconds)
 
     def quantile(self, q: float) -> float:
         """Upper bucket bound at cumulative fraction ``q`` (0 if empty)."""
@@ -52,7 +75,7 @@ class LatencyHistogram:
         needed = q * self.total
         cumulative = 0
         bound = self.FIRST_BOUND_SECONDS
-        for count in self.counts:
+        for count in self._row[self._BUCKETS :]:
             cumulative += count
             if cumulative >= needed:
                 return bound
@@ -61,7 +84,7 @@ class LatencyHistogram:
 
     @property
     def mean(self) -> float:
-        return self.sum_seconds / self.total if self.total else 0.0
+        return self._row[self._SUM] / self.total if self.total else 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -70,184 +93,177 @@ class LatencyHistogram:
             "p50_ms": 1e3 * self.quantile(0.50),
             "p95_ms": 1e3 * self.quantile(0.95),
             "p99_ms": 1e3 * self.quantile(0.99),
-            "max_ms": 1e3 * self.max_seconds,
+            "max_ms": 1e3 * self._row[self._MAX],
         }
 
 
-class ServiceStats:
-    """Thread-safe counter block behind the ``/stats`` endpoint.
+class CounterBlock:
+    """Named counters and latency histograms in one flat float64 row.
 
-    Mutated only from the service's event loop, but a lock keeps
-    ``snapshot`` safe from other threads (tests, runners); every method
-    is O(1) so contention stays negligible next to a search.
+    A subclass's ``COUNTERS``, ``HISTOGRAMS`` and ``GAUGES`` are the
+    whole layout: the counters in order, ``LatencyHistogram.WIDTH``
+    cells per histogram, then the gauges (cells the report leaves out).
+    Counters read as integer attributes and change through
+    :meth:`record`.  Only the owner writes its row; the lock keeps
+    :meth:`snapshot` consistent for other threads, and aligned 8-byte
+    stores keep readers in other processes safe without one.
     """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
+    COUNTERS: tuple[str, ...] = ()
+    HISTOGRAMS: tuple[str, ...] = ()
+    GAUGES: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        width = LatencyHistogram.WIDTH
+        cls._HISTOGRAM_AT = {
+            name: len(cls.COUNTERS) + position * width
+            for position, name in enumerate(cls.HISTOGRAMS)
+        }
+        gauges_at = len(cls.COUNTERS) + len(cls.HISTOGRAMS) * width
+        cls._AT = {name: at for at, name in enumerate(cls.COUNTERS)}
+        cls._AT.update({name: gauges_at + at for at, name in enumerate(cls.GAUGES)})
+        cls.WIDTH = gauges_at + len(cls.GAUGES)
+        for name in cls.COUNTERS:
+            setattr(cls, name, property(lambda self, at=cls._AT[name]: int(self._row[at])))
+
+    def __init__(self, row: memoryview | None = None) -> None:
+        self._row = memoryview(array.array("d", bytes(8 * self.WIDTH))) if row is None else row
+        self._lock = threading.RLock()
         self.started = time.monotonic()
-        self.requests = 0
-        self.completed = 0
-        self.errors = 0
-        self.shed = 0
-        self.timeouts = 0
-        self.batches = 0
-        self.batched_queries = 0
-        self.lists_loaded = 0
-        self.point_reads = 0
-        self.latency = LatencyHistogram()
-        self.queue_wait = LatencyHistogram()
+        for name, at in self._HISTOGRAM_AT.items():
+            setattr(self, name, LatencyHistogram(self._row[at : at + LatencyHistogram.WIDTH]))
+
+    def record(self, **amounts) -> None:
+        """Add to counters and observe histograms by name, under one lock.
+
+        A counter takes the amount to add, a histogram the sequence of
+        seconds to observe: ``record(completed=1, latency=[0.004])``.
+        """
+        with self._lock:
+            for name, amount in amounts.items():
+                if name in self._HISTOGRAM_AT:
+                    for seconds in amount:
+                        getattr(self, name).observe(seconds)
+                else:
+                    self._row[self._AT[name]] += amount
+
+    @classmethod
+    def merged(cls, rows: np.ndarray):
+        """One block over the sum of ``rows`` (histogram maxima take the
+        max): what a single block fed every row's updates would hold."""
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, cls.WIDTH)
+        total = rows.sum(axis=0)
+        for at in cls._HISTOGRAM_AT.values():
+            top = at + LatencyHistogram._MAX
+            total[top] = rows[:, top].max(initial=0.0)
+        return cls(memoryview(total))
+
+    def _report(self) -> dict[str, Any]:
+        report = {name: getattr(self, name) for name in self.COUNTERS}
+        return {**report, **{name: getattr(self, name).to_dict() for name in self.HISTOGRAMS}}
+
+    def snapshot(self) -> dict[str, Any]:
+        """JSON-ready snapshot (the ``/stats`` block)."""
+        with self._lock:
+            return {"uptime_seconds": time.monotonic() - self.started, **self._report()}
+
+
+#: List-cache counters a worker copies into its row for the cluster view.
+_CACHE_KEYS = (
+    "hits", "misses", "cached_bytes", "cached_lists",
+    "admission_rejections", "singleflight_waits",
+)
+
+
+class ServiceStats(CounterBlock):
+    """Counter block behind the service's ``/stats`` endpoint.
+
+    ``lists_loaded`` and ``point_reads`` count full-list loads and
+    zone-map point reads; ``queue_wait`` observes only requests that
+    queued (not client-supplied batches).  A ``generation`` (prefork
+    workers) stamps the row with the owning pid, which marks it live
+    for :meth:`cluster`.
+    """
+
+    COUNTERS = (
+        "requests", "completed", "errors", "shed", "timeouts",
+        "batches", "batched_queries", "lists_loaded", "point_reads",
+    )
+    HISTOGRAMS = ("latency", "queue_wait")
+    GAUGES = ("pid", "generation", *(f"cache_{key}" for key in _CACHE_KEYS))
+
+    def __init__(self, row: memoryview | None = None, *, generation: int = 0) -> None:
+        super().__init__(row)
         self.batch_sizes: Counter[int] = Counter()
-
-    # -- recording ------------------------------------------------------
-    def record_admitted(self) -> None:
-        with self._lock:
-            self.requests += 1
-
-    def record_shed(self) -> None:
-        with self._lock:
-            self.requests += 1
-            self.shed += 1
-
-    def record_timeout(self) -> None:
-        with self._lock:
-            self.timeouts += 1
-
-    def record_error(self) -> None:
-        with self._lock:
-            self.errors += 1
+        if generation:
+            self._row[self._AT["pid"]] = os.getpid()
+            self._row[self._AT["generation"]] = generation
 
     def record_batch(self, size: int) -> None:
         with self._lock:
-            self.batches += 1
-            self.batched_queries += size
+            self.record(batches=1, batched_queries=size)
             self.batch_sizes[size] += 1
 
-    def record_search_io(self, lists_loaded: int, point_reads: int) -> None:
-        """Fold one executed batch's index-read counts in (full-list
-        loads vs. zone-map point-read operations)."""
+    def record_cache(self, cache) -> None:
+        """Copy a list cache's counters (a ``CacheStats``) into the row."""
         with self._lock:
-            self.lists_loaded += int(lists_loaded)
-            self.point_reads += int(point_reads)
+            for key in _CACHE_KEYS:
+                self._row[self._AT[f"cache_{key}"]] = getattr(cache, key)
 
-    def record_completed(
-        self, latency_seconds: float, queue_seconds: float | None = None
-    ) -> None:
-        """``queue_seconds`` is None for requests that never queued
-        (client-supplied batches), so they leave ``queue_wait`` alone."""
-        with self._lock:
-            self.completed += 1
-            self.latency.observe(latency_seconds)
-            if queue_seconds is not None:
-                self.queue_wait.observe(queue_seconds)
-
-    # -- reporting ------------------------------------------------------
     @property
     def mean_batch_size(self) -> float:
         return self.batched_queries / self.batches if self.batches else 0.0
 
-    def snapshot(self) -> dict:
+    def _report(self) -> dict[str, Any]:
+        return {**super()._report(), "mean_batch_size": self.mean_batch_size}
+
+    def snapshot(self) -> dict[str, Any]:
         """JSON-ready snapshot (the ``/stats`` service block)."""
         with self._lock:
-            return {
-                "uptime_seconds": time.monotonic() - self.started,
-                "requests": self.requests,
-                "completed": self.completed,
-                "errors": self.errors,
-                "shed": self.shed,
-                "timeouts": self.timeouts,
-                "batches": self.batches,
-                "batched_queries": self.batched_queries,
-                "lists_loaded": self.lists_loaded,
-                "point_reads": self.point_reads,
-                "mean_batch_size": self.mean_batch_size,
-                "batch_size_distribution": {
-                    str(size): count
-                    for size, count in sorted(self.batch_sizes.items())
-                },
-                "latency": self.latency.to_dict(),
-                "queue_wait": self.queue_wait.to_dict(),
-            }
+            sizes = {str(size): n for size, n in sorted(self.batch_sizes.items())}
+            return {**super().snapshot(), "batch_size_distribution": sizes}
+
+    @classmethod
+    def cluster(cls, rows: np.ndarray) -> dict[str, Any]:
+        """The ``cluster`` block of ``/stats`` over every worker's row.
+
+        Rows with no pid (never started, or reset for a respawn) are
+        skipped.  The live rows' sum is reported by the same code as
+        one worker's ``service`` block — less the per-worker uptime and
+        batch-size distribution — plus the fleet's size, each worker's
+        identity, and the summed cache counters.
+        """
+        at = cls._AT
+        live = rows[rows[:, at["pid"]] > 0]
+        total = cls.merged(live)
+        workers = [
+            {key: int(row[at[key]]) for key in ("pid", "generation", "requests", "completed")}
+            for row in live
+        ]
+        return {
+            **total._report(),
+            "procs": int(rows.shape[0]),
+            "alive": int(live.shape[0]),
+            "workers": workers,
+            "cache": {key: int(total._row[at[f"cache_{key}"]]) for key in _CACHE_KEYS},
+        }
 
 
-class RouterStats:
+class RouterStats(CounterBlock):
     """Counters behind the router's ``/stats`` endpoint.
 
-    The router's health question is different from a shard's: not "is
-    the batcher coalescing" but "how wide is the fan-out spread" —
-    end-to-end latency is the *max* over shards, so the gap between the
-    per-shard and end-to-end histograms is exactly the price of the
-    slowest replica.  Mutated only from the router's event loop, but a
-    lock keeps ``snapshot`` safe from other threads (tests, runners).
+    The router's health question is "how wide is the fan-out spread":
+    end-to-end ``latency`` is the *max* over shards, so its gap to the
+    per-shard ``shard_latency`` is the price of the slowest replica.
+    ``fanout_*`` count per-shard sub-requests and their failures,
+    ``hedge_wins`` the hedges that beat the primary, ``failovers`` the
+    sub-requests replayed on another replica.
     """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.started = time.monotonic()
-        self.requests = 0
-        self.completed = 0
-        self.partial = 0
-        self.errors = 0
-        self.fanout_requests = 0  #: per-shard sub-requests issued
-        self.fanout_failures = 0  #: sub-requests that timed out / failed
-        self.hedges_fired = 0  #: backup sub-requests sent past the hedge delay
-        self.hedge_wins = 0  #: hedges whose answer beat the primary's
-        self.failovers = 0  #: sub-requests replayed on another replica
-        self.breaker_trips = 0  #: replica breakers opened (incl. re-opens)
-        self.latency = LatencyHistogram()  #: end-to-end (max over shards)
-        self.shard_latency = LatencyHistogram()  #: every per-shard exchange
-
-    def record_fanout(self, shard_seconds: list[float], failures: int) -> None:
-        """Fold one scatter-gather round in (one entry per shard asked)."""
-        with self._lock:
-            self.fanout_requests += len(shard_seconds) + failures
-            self.fanout_failures += failures
-            for seconds in shard_seconds:
-                self.shard_latency.observe(seconds)
-
-    def record_hedge_fired(self) -> None:
-        with self._lock:
-            self.hedges_fired += 1
-
-    def record_hedge_win(self) -> None:
-        """A hedge's answer was the one used (the primary lost the race)."""
-        with self._lock:
-            self.hedge_wins += 1
-
-    def record_failover(self) -> None:
-        with self._lock:
-            self.failovers += 1
-
-    def record_breaker_trip(self) -> None:
-        with self._lock:
-            self.breaker_trips += 1
-
-    def record_completed(self, seconds: float, *, partial: bool) -> None:
-        with self._lock:
-            self.requests += 1
-            self.completed += 1
-            if partial:
-                self.partial += 1
-            self.latency.observe(seconds)
-
-    def record_error(self) -> None:
-        with self._lock:
-            self.requests += 1
-            self.errors += 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "uptime_seconds": time.monotonic() - self.started,
-                "requests": self.requests,
-                "completed": self.completed,
-                "partial": self.partial,
-                "errors": self.errors,
-                "fanout_requests": self.fanout_requests,
-                "fanout_failures": self.fanout_failures,
-                "hedges_fired": self.hedges_fired,
-                "hedge_wins": self.hedge_wins,
-                "failovers": self.failovers,
-                "breaker_trips": self.breaker_trips,
-                "latency": self.latency.to_dict(),
-                "shard_latency": self.shard_latency.to_dict(),
-            }
+    COUNTERS = (
+        "requests", "completed", "partial", "errors",
+        "fanout_requests", "fanout_failures", "hedges_fired", "hedge_wins",
+        "failovers", "breaker_trips",
+    )
+    HISTOGRAMS = ("latency", "shard_latency")

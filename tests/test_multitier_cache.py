@@ -4,6 +4,7 @@ configuration must return exactly what the uncached reader returns."""
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import tempfile
 import threading
@@ -19,13 +20,14 @@ from repro.core.hashing import HashFamily
 from repro.core.search import NearDuplicateSearcher
 from repro.engine import NearDupEngine
 from repro.exceptions import InvalidParameterError
-from repro.index.cache import CachedIndexReader
+from repro.index.cache import CachedIndexReader, CacheStats
 from repro.index.inverted import IOStats, POSTING_DTYPE
 from repro.index.lsm import LiveIndexConfig
+from repro.index.lsm.live import LiveIndexStats
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.query.executor import BatchQueryExecutor
 from repro.query.planner import plan_batch
-from repro.query.resultcache import CachingSearcher, ResultCache
+from repro.query.resultcache import CachingSearcher, ResultCache, ResultCacheStats
 
 
 def canon(result):
@@ -471,3 +473,14 @@ class TestAccounting:
         # the resident copy.
         reader.load_list(0, int(keys0[0]))
         np.testing.assert_array_equal(reader.sketch_list_lengths(sketch), expected)
+
+
+@pytest.mark.parametrize(
+    "stats_class, derived",
+    [(CacheStats, {"hit_rate"}), (ResultCacheStats, {"hit_rate"}), (LiveIndexStats, set())],
+)
+def test_to_dict_keys_are_the_fields(stats_class, derived):
+    """A counter added to a stats dataclass reaches ``/stats`` unasked."""
+    names = {spec.name for spec in dataclasses.fields(stats_class)}
+    sample = stats_class(**{name: 0 for name in names})
+    assert set(sample.to_dict()) == names | derived

@@ -23,7 +23,7 @@ from repro.service import (
     PreforkServer,
     ServiceClient,
     ServiceConfig,
-    SharedServiceStats,
+    ServiceStats,
     StatsSlots,
     result_to_wire,
 )
@@ -109,6 +109,16 @@ class TestClusterStats:
         # Aggregated latency comes from summed histogram buckets.
         assert cluster["latency"]["count"] == cluster["completed"]
         assert cluster["latency"]["p95_ms"] >= 0.0
+        # The fleet view is the service report over the summed rows.
+        per_worker = {"batch_size_distribution", "uptime_seconds"}
+        assert set(stats["service"]) - per_worker <= set(cluster)
+        for name in ("latency", "queue_wait"):
+            assert set(cluster[name]) == set(stats["service"][name])
+        assert set(cluster["cache"]) == {
+            "hits", "misses", "cached_bytes", "cached_lists",
+            "admission_rejections", "singleflight_waits",
+        }
+        assert cluster["cache"]["misses"] >= 1  # every worker warmed lists
 
     def test_health_reports_worker_pid(self, fleet, client):
         health = client.health()
@@ -141,15 +151,14 @@ class TestCrashRespawn:
 
 
 class TestStatsSlots:
-    def test_aggregate_sums_counters_and_buckets(self):
+    def test_cluster_sums_counters_and_buckets(self):
         slots = StatsSlots(3)
         for slot, (completed, latency) in enumerate([(3, 0.001), (5, 0.004)]):
-            stats = SharedServiceStats(slots, slot, generation=slot + 1)
+            stats = slots.stats(slot, generation=slot + 1)
             for _ in range(completed):
-                stats.record_admitted()
-                stats.record_completed(latency, 0.0)
-        # Slot 2 never published: a dead row (pid 0) must be skipped.
-        cluster = slots.aggregate()
+                stats.record(requests=1, completed=1, latency=[latency])
+        # Slot 2 never started a worker: a dead row (pid 0) must be skipped.
+        cluster = slots.cluster()
         assert cluster["alive"] == 2
         assert cluster["requests"] == 8
         assert cluster["completed"] == 8
@@ -159,27 +168,64 @@ class TestStatsSlots:
 
     def test_reset_clears_a_slot(self):
         slots = StatsSlots(1)
-        stats = SharedServiceStats(slots, 0, generation=1)
-        stats.record_admitted()
-        stats.record_completed(0.001, 0.0)
-        assert slots.aggregate()["completed"] == 1
+        stats = slots.stats(0, generation=1)
+        stats.record(requests=1, completed=1, latency=[0.001])
+        assert slots.cluster()["completed"] == 1
         slots.reset(0)
-        assert slots.aggregate()["alive"] == 0
-        assert slots.aggregate()["completed"] == 0
+        assert slots.cluster()["alive"] == 0
+        assert slots.cluster()["completed"] == 0
 
-    def test_shared_stats_mirror_local_counters(self):
+    def test_slot_stats_write_through(self):
         slots = StatsSlots(1)
-        stats = SharedServiceStats(slots, 0, generation=7)
-        stats.record_admitted()
+        stats = slots.stats(0, generation=7)
+        stats.record(requests=1)
         stats.record_batch(4)
-        stats.record_search_io(10, 3)
-        stats.record_completed(0.002, 0.0005)
-        row = slots.view()[0]
-        cluster = slots.aggregate()
+        stats.record(lists_loaded=10, point_reads=3)
+        stats.record(completed=1, latency=[0.002], queue_wait=[0.0005])
+        cluster = slots.cluster()
         assert cluster["requests"] == stats.requests == 1
         assert cluster["batches"] == 1
         assert cluster["batched_queries"] == 4
+        assert cluster["mean_batch_size"] == 4.0
         assert cluster["lists_loaded"] == 10
         assert cluster["point_reads"] == 3
-        assert int(row[-1 - 0]) >= 0  # histogram tail is addressable
-        assert cluster["workers"][0]["generation"] == 7
+        assert cluster["queue_wait"] == stats.snapshot()["queue_wait"]
+        assert cluster["workers"][0] == {
+            "pid": os.getpid(), "generation": 7, "requests": 1, "completed": 1,
+        }
+
+    def test_split_across_slots_matches_in_process(self):
+        """One record sequence in one block, or split over two worker
+        rows: the cluster reports the same counters, buckets and max."""
+        rng = np.random.default_rng(5)
+        events = [
+            dict(
+                requests=1, completed=1, batches=1,
+                batched_queries=int(rng.integers(1, 9)),
+                lists_loaded=int(rng.integers(0, 50)),
+                point_reads=int(rng.integers(0, 5)),
+                latency=[float(rng.exponential(0.01))],
+                queue_wait=[float(rng.exponential(0.001))],
+            )
+            for _ in range(40)
+        ]
+        events += [dict(requests=1, shed=1), dict(timeouts=1), dict(errors=2)]
+        whole = ServiceStats()
+        slots = StatsSlots(2)
+        halves = [slots.stats(0, generation=1), slots.stats(1, generation=2)]
+        for position, event in enumerate(events):
+            whole.record(**event)
+            halves[position % 2].record(**event)
+        merged = ServiceStats.merged(slots.view())
+        for name in ServiceStats.HISTOGRAMS:
+            assert getattr(merged, name).counts == getattr(whole, name).counts
+            assert getattr(merged, name).to_dict()["max_ms"] == (
+                getattr(whole, name).to_dict()["max_ms"]
+            )
+        cluster = slots.cluster()
+        expected = whole.snapshot()
+        for name in ServiceStats.COUNTERS:
+            assert cluster[name] == expected[name], name
+        assert cluster["mean_batch_size"] == expected["mean_batch_size"]
+        for name in ServiceStats.HISTOGRAMS:
+            assert cluster[name] == pytest.approx(expected[name])

@@ -182,12 +182,12 @@ class TestLatencyHistogram:
 class TestServiceStats:
     def test_counters_and_snapshot(self):
         stats = ServiceStats()
-        stats.record_admitted()
-        stats.record_admitted()
-        stats.record_shed()
-        stats.record_timeout()
+        stats.record(requests=1)
+        stats.record(requests=1)
+        stats.record(requests=1, shed=1)
+        stats.record(timeouts=1)
         stats.record_batch(2)
-        stats.record_completed(0.004, 0.001)
+        stats.record(completed=1, latency=[0.004], queue_wait=[0.001])
         snap = stats.snapshot()
         assert snap["requests"] == 3 and snap["shed"] == 1
         assert snap["timeouts"] == 1 and snap["completed"] == 1
@@ -198,7 +198,7 @@ class TestServiceStats:
 
     def test_completion_without_queue_wait(self):
         stats = ServiceStats()
-        stats.record_completed(0.004)
+        stats.record(completed=1, latency=[0.004])
         snap = stats.snapshot()
         assert snap["completed"] == 1 and snap["latency"]["count"] == 1
         assert snap["queue_wait"]["count"] == 0
@@ -771,3 +771,34 @@ class TestClientRetry:
             for attempt in range(4)
         ]
         assert delays == [10.0, 20.0, 25.0, 25.0]
+
+
+class TestLiveStats:
+    def test_cache_counters_never_decrease_across_generations(self, tmp_path):
+        """Every append moves a live index's generation, and the served
+        searcher rebuilds its list cache for it; the ``/stats`` cache
+        counters must still carry one history, not restart from zero."""
+        engine = NearDupEngine.live(
+            tmp_path / "live", k=8, t=25, vocab_size=256, seed=5
+        )
+        rng = np.random.default_rng(3)
+        texts = [rng.integers(0, 256, size=80).astype(np.uint32) for _ in range(6)]
+        engine.append_texts(texts)
+        counters = (
+            "hits", "misses", "evictions", "admission_rejections", "singleflight_waits",
+        )
+        readings = []
+        config = ServiceConfig(port=0, warmup_lists=8)
+        with ServiceRunner(engine, config) as runner:
+            with ServiceClient(runner.host, runner.port, timeout=15) as client:
+                for text in texts:
+                    client.search(text[:60], 0.8)
+                readings.append(client.stats()["cache"])
+                for _ in range(2):
+                    client.ingest([rng.integers(0, 256, size=80).tolist()])
+                    client.search(texts[0][5:70], 0.8)
+                    readings.append(client.stats()["cache"])
+        assert readings[0]["misses"] > 0
+        for name in counters:
+            values = [reading[name] for reading in readings]
+            assert values == sorted(values), (name, values)

@@ -133,9 +133,14 @@ def main() -> int:
             assert cluster["procs"] == args.workers, cluster
             assert cluster["alive"] == args.workers, cluster
             assert cluster["completed"] >= 1, cluster
+            # The fleet view is the service report over the summed rows.
+            assert "p95_ms" in cluster["queue_wait"], cluster
+            assert cluster["mean_batch_size"] >= 1.0, cluster
             print(
                 f"cluster: {cluster['alive']}/{cluster['procs']} workers, "
-                f"{cluster['completed']} completed, pids "
+                f"{cluster['completed']} completed, queue wait p95 "
+                f"{cluster['queue_wait']['p95_ms']:.2f} ms, mean batch "
+                f"{cluster['mean_batch_size']:.2f}, pids "
                 f"{[worker['pid'] for worker in cluster['workers']]}"
             )
         client.close()
