@@ -39,7 +39,6 @@ from repro.index.merge import merge_disk_indexes
 from repro.index.inverted import (
     InvertedIndexReader,
     IOStats,
-    ListLengthProfile,
     POSTING_BYTES,
     POSTING_DTYPE,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "IOStats",
     "IndexSummary",
     "InvertedIndexReader",
-    "ListLengthProfile",
     "MemoryInvertedIndex",
     "POSTING_BYTES",
     "POSTING_DTYPE",

@@ -15,14 +15,15 @@ structured-dtype machinery.
 
 This module holds what every reader shares: the posting dtype, the
 range helpers, :class:`IOStats`, the :class:`InvertedIndexReader`
-protocol and :class:`ListLengthProfile`.  The one index implementation
-— held in RAM or memory-mapped from disk, over the same flat directory
-— lives in :mod:`repro.index.storage`.
+protocol.  The one index implementation — held in RAM or
+memory-mapped from disk, over the same flat directory — lives in
+:mod:`repro.index.storage`.  List-length cutoffs for the prefix filter
+are :func:`repro.index.stats.cutoff_for_top_fraction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -176,40 +177,3 @@ class InvertedIndexReader(Protocol):
         With arrays, the same ``text_ids`` are read from every pair's
         list."""
         ...
-
-
-@dataclass
-class ListLengthProfile:
-    """Distribution of inverted-list lengths, for prefix-filter cutoffs."""
-
-    lengths: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    @classmethod
-    def from_index(cls, index) -> "ListLengthProfile":
-        parts = [index.list_lengths(func) for func in range(index.family.k)]
-        lengths = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        return cls(np.sort(lengths.astype(np.int64)))
-
-    def cutoff_for_fraction(self, fraction: float) -> int:
-        """List-length cutoff such that ~``fraction`` of postings lie in longer lists.
-
-        Mirrors the paper's "5% .. 20% most frequent tokens" prefix
-        lengths: returns the smallest length ``L`` such that lists with
-        length > ``L`` together hold at most ``fraction`` of all
-        postings.
-        """
-        if not 0.0 <= fraction < 1.0:
-            raise InvalidParameterError(f"fraction must be in [0, 1), got {fraction}")
-        if self.lengths.size == 0:
-            return 0
-        total = int(self.lengths.sum())
-        if total == 0:
-            return 0
-        suffix = np.cumsum(self.lengths[::-1])[::-1]  # postings in lists >= each rank
-        allowed = fraction * total
-        # Walk from the longest list down until the mass of longer lists
-        # would exceed the allowed fraction.
-        for rank in range(self.lengths.size - 1, -1, -1):
-            if suffix[rank] > allowed:
-                return int(self.lengths[rank])
-        return 0

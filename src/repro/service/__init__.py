@@ -73,7 +73,6 @@ from repro.service.router import (
 )
 from repro.service.server import SearchService, ServiceConfig, ServiceRunner
 from repro.service.shardmap import (
-    HashRing,
     Replica,
     ShardEntry,
     ShardMap,
@@ -84,7 +83,6 @@ from repro.service.stats import LatencyHistogram, RouterStats, ServiceStats
 __all__ = [
     "POLICIES",
     "AsyncServiceClient",
-    "HashRing",
     "LatencyHistogram",
     "MicroBatcher",
     "PreforkServer",

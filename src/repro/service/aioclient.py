@@ -13,11 +13,10 @@ closes it *between* our requests, and ``is_closing()`` cannot see a
 FIN the event loop has not processed — the death only surfaces when
 the next exchange fails.  That failure is unambiguous exactly when no
 response byte has arrived yet **and** the connection came from the
-pool: the request provably never reached a working server, so
-idempotent requests transparently retry once on a fresh connection.
-Non-idempotent ``/ingest`` never does (the server may have committed
-the append before the connection died), and a fresh connection's
-failure is a real error, not staleness.
+pool: the request provably never reached a working server, so it
+transparently retries once on a fresh connection.  The router sends
+only reads, which are safe to replay; a fresh connection's failure is a
+real error, not staleness.
 
 Error mapping mirrors the blocking :class:`~repro.service.client.ServiceClient`:
 non-200 / ``ok: false`` responses raise the same typed exceptions
@@ -25,7 +24,9 @@ non-200 / ``ok: false`` responses raise the same typed exceptions
 :class:`~repro.service.protocol.RequestTimeoutError`,
 :class:`~repro.service.protocol.ServiceClosedError`,
 :class:`~repro.service.protocol.RemoteError`), so retry and
-partial-result policies never string-match.
+partial-result policies never string-match.  A response the server cut
+short, or whose ``Content-Length`` is not a non-negative integer, is a
+``RemoteError`` with status 502: the replica failed, not the request.
 """
 
 from __future__ import annotations
@@ -142,26 +143,17 @@ class AsyncServiceClient:
         body: dict[str, Any] | None = None,
         *,
         timeout: float | None = None,
-        idempotent: bool = True,
     ) -> dict[str, Any]:
         """One request/response exchange under a deadline (seconds).
 
         Raises :class:`asyncio.TimeoutError` past the deadline and the
-        typed service errors on error responses.  ``idempotent=False``
-        (ingest) disables the stale-pooled-connection replay.
+        typed service errors on error responses.
         """
         limit = self.timeout if timeout is None else float(timeout)
-        return await asyncio.wait_for(
-            self._request(method, path, body, idempotent=idempotent), limit
-        )
+        return await asyncio.wait_for(self._request(method, path, body), limit)
 
     async def _request(
-        self,
-        method: str,
-        path: str,
-        body: dict[str, Any] | None,
-        *,
-        idempotent: bool = True,
+        self, method: str, path: str, body: dict[str, Any] | None
     ) -> dict[str, Any]:
         payload = json.dumps(body).encode("utf-8") if body is not None else b""
         head = (
@@ -191,12 +183,11 @@ class AsyncServiceClient:
                     # failures are pre-response by definition.  On a
                     # *pooled* connection that means the server had
                     # already hung up and the request never ran — a
-                    # fresh socket replays it safely (idempotent
-                    # requests only: a committed /ingest must not
-                    # replay).  A fresh connection failing the same way
-                    # is a live server error and surfaces; that also
-                    # bounds the loop, since the pool only drains.
-                    if not (pooled and idempotent):
+                    # fresh socket replays it safely.  A fresh
+                    # connection failing the same way is a live server
+                    # error and surfaces; that also bounds the loop,
+                    # since the pool only drains.
+                    if not pooled:
                         raise
                 finally:
                     # Cancellation (the caller's deadline) or any
@@ -237,8 +228,20 @@ class AsyncServiceClient:
         else:
             raise RemoteError(f"more than {_MAX_HEADERS} response headers", 502)
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-        length = int(headers.get("content-length", "0"))
-        raw = await reader.readexactly(length) if length else b""
+        length_text = headers.get("content-length", "0")
+        try:
+            length = int(length_text)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise RemoteError(f"bad Content-Length {length_text!r}", 502)
+        try:
+            raw = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise RemoteError(
+                f"response body cut short: {len(exc.partial)} of {length} bytes",
+                502,
+            )
         return status, keep_alive, raw
 
     @staticmethod
@@ -253,27 +256,6 @@ class AsyncServiceClient:
         return decoded
 
     # -- endpoints ------------------------------------------------------
-    async def search(
-        self, body: dict[str, Any], *, timeout: float | None = None
-    ) -> dict[str, Any]:
-        """``POST /search`` with an already-built wire body."""
-        return await self.request("POST", "/search", body, timeout=timeout)
-
-    async def batch(
-        self, body: dict[str, Any], *, timeout: float | None = None
-    ) -> dict[str, Any]:
-        """``POST /batch`` with an already-built wire body."""
-        return await self.request("POST", "/batch", body, timeout=timeout)
-
-    async def ingest(
-        self, body: dict[str, Any], *, timeout: float | None = None
-    ) -> dict[str, Any]:
-        """``POST /ingest`` with an already-built wire body
-        (``{"texts": [...]}``); not idempotent — never auto-retried."""
-        return await self.request(
-            "POST", "/ingest", body, timeout=timeout, idempotent=False
-        )
-
     async def health(self, *, timeout: float | None = None) -> dict[str, Any]:
         return await self.request("GET", "/health", timeout=timeout)
 

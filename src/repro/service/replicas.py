@@ -261,11 +261,6 @@ class ReplicaSet:
     def __len__(self) -> int:
         return len(self.replicas)
 
-    @property
-    def primary(self) -> ReplicaState:
-        """The writer replica — non-idempotent requests go only here."""
-        return self.replicas[0]
-
     # -- selection ------------------------------------------------------
     def pick(
         self, *, exclude: Iterable[ReplicaState] = ()

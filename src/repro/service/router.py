@@ -32,9 +32,10 @@ the router balances across:
 * with hedging enabled, a sub-request still unanswered after the
   shard's hedge delay (fixed, or auto-derived from its observed p95)
   is *also* sent to a second replica, the first answer wins, and the
-  loser is cancelled.  Hedging applies only to idempotent ``/search``
-  and ``/batch`` fan-outs; non-idempotent ingest stays pinned to the
-  shard's primary (writer) replica.
+  loser is cancelled.
+
+The router routes reads only — ``/search`` and ``/batch``, one scatter
+path for both — so every sub-request is safe to fail over and hedge.
 
 Replicas of one shard serve identical data, so none of this changes
 the bytes of a routed ``result`` — which replica answered, whether a
@@ -61,7 +62,7 @@ import logging
 import random
 import signal
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -90,14 +91,14 @@ from repro.service.shardmap import (
     ShardMap,
     with_added_replicas,
 )
-from repro.service.stats import RouterStats
+from repro.service.stats import RouterStats, ServiceStats
 
 logger = logging.getLogger(__name__)
 
 SHARD_MAP_FILE = "shardmap.json"
 
-#: Fan-out paths safe to hedge and fail over (idempotent reads).
-_IDEMPOTENT_PATHS = frozenset({"/search", "/batch"})
+#: Budget of the ``/health`` and ``/stats`` probes of every replica.
+PROBE_TIMEOUT_S = 2.0
 
 
 @dataclass
@@ -108,15 +109,10 @@ class RouterConfig:
     port: int = 8080  #: 0 = ephemeral (the bound port lands in ``router.port``)
     timeout_ms: float = 30000.0  #: default end-to-end budget per request
     shard_timeout_ms: float | None = None  #: per-shard cap; None = whole budget
-    connect_timeout_ms: float = 5000.0
     max_connections: int = 16  #: pooled keep-alive connections per replica
     partial_results: bool = True  #: answer from healthy shards on failure
-    health_timeout_ms: float = 2000.0  #: budget of /health and /stats fan-outs
     policy: str = "pick-first"  #: replica selection (see replicas.POLICIES)
     hedge_after_ms: float | None = None  #: None off; 0 auto (p95); >0 fixed
-    breaker_failures: int = 3  #: consecutive failures that open a breaker
-    breaker_cooldown_ms: float = 2000.0  #: open time before half-open probing
-    ewma_alpha: float = 0.2  #: latency EWMA smoothing per replica
     policy_seed: int | None = None  #: seed the power-of-two rng (tests/bench)
 
 
@@ -138,17 +134,11 @@ class RouterService(HttpServiceBase):
         for entry in self.shard_map:
             states = []
             for replica in entry.replicas:
-                state = ReplicaState(
-                    replica,
-                    failure_threshold=config.breaker_failures,
-                    cooldown_s=config.breaker_cooldown_ms / 1e3,
-                    ewma_alpha=config.ewma_alpha,
-                )
+                state = ReplicaState(replica)
                 state.client = AsyncServiceClient(
                     replica.host,
                     replica.port,
                     timeout=config.timeout_ms / 1e3,
-                    connect_timeout=config.connect_timeout_ms / 1e3,
                     max_connections=config.max_connections,
                 )
                 states.append(state)
@@ -247,11 +237,7 @@ class RouterService(HttpServiceBase):
         }
         tried = [first]
         hedge_targets: set[int] = set()
-        hedgeable = (
-            self.config.hedge_after_ms is not None
-            and path in _IDEMPOTENT_PATHS
-            and len(replica_set) > 1
-        )
+        hedgeable = self.config.hedge_after_ms is not None and len(replica_set) > 1
         hedged = False
         errors: list[BaseException] = []
         try:
@@ -298,7 +284,7 @@ class RouterService(HttpServiceBase):
                 # Every attempt so far failed: fail over if a replica
                 # remains (the breaker may exclude known-bad ones).
                 nxt = replica_set.pick(exclude=tried)
-                if nxt is None or path not in _IDEMPOTENT_PATHS:
+                if nxt is None:
                     raise errors[0]
                 tried.append(nxt)
                 self.stats.record(failovers=1)
@@ -483,39 +469,67 @@ class RouterService(HttpServiceBase):
             forward["verify"] = True
         return forward, timeout
 
-    async def _search(self, body: dict[str, Any]) -> dict[str, Any]:
-        forward, timeout = self._validated(body)
-        parse_tokens(body.get("query"))
-        forward["query"] = body["query"]
+    async def _scatter(
+        self, path: str, forward: dict[str, Any], timeout: float, count: int
+    ) -> dict[str, Any]:
+        """Fan ``count`` queries out to every shard; merge them by position.
+
+        A shard's ``/search`` answer is read as a one-query batch, so
+        both endpoints share the merge, the counters, and the envelope:
+        ``results`` and ``server.stats`` hold one entry per query, and
+        ``partial`` / ``failed_shards`` appear when a shard failed.
+        """
         loop = asyncio.get_running_loop()
         begin = loop.time()
-        successes, failures = await self._fan_out("/search", forward, timeout)
-        merged = self._merge_results(
-            [(entry, response["result"]) for entry, response in successes]
-        )
+        successes, failures = await self._fan_out(path, forward, timeout)
+        answers = []
+        for entry, response in successes:
+            server = response["server"]
+            if path == "/search":
+                answers.append((entry, [response["result"]], [server.get("stats")]))
+            else:
+                answers.append(
+                    (entry, response["results"], server.get("stats", [None] * count))
+                )
+        results = []
+        stats = []
+        for position in range(count):
+            merged = self._merge_results(
+                [(entry, shard_results[position]) for entry, shard_results, _ in answers]
+            )
+            results.append(merged)
+            stats.append(
+                self._merge_stats(
+                    [shard_stats[position] for _, _, shard_stats in answers],
+                    merged["num_texts"],
+                )
+            )
         total = loop.time() - begin
         self.stats.record(
             requests=1, completed=1, partial=int(bool(failures)), latency=(total,)
         )
         payload: dict[str, Any] = {
             "ok": True,
-            "result": merged,
+            "results": results,
             "server": {
                 "shards_asked": len(self.shard_map),
                 "shards_answered": len(successes),
                 "total_ms": 1e3 * total,
-                "stats": self._merge_stats(
-                    [
-                        response["server"].get("stats")
-                        for _, response in successes
-                    ],
-                    merged["num_texts"],
-                ),
+                "stats": stats,
             },
         }
         if failures:
             payload["partial"] = True
             payload["failed_shards"] = failures
+        return payload
+
+    async def _search(self, body: dict[str, Any]) -> dict[str, Any]:
+        forward, timeout = self._validated(body)
+        parse_tokens(body.get("query"))
+        forward["query"] = body["query"]
+        payload = await self._scatter("/search", forward, timeout, 1)
+        payload["result"] = payload.pop("results")[0]
+        payload["server"]["stats"] = payload["server"]["stats"][0]
         return payload
 
     async def _batch(self, body: dict[str, Any]) -> dict[str, Any]:
@@ -526,58 +540,19 @@ class RouterService(HttpServiceBase):
         for position, entry in enumerate(raw):
             parse_tokens(entry, field=f"queries[{position}]")
         forward["queries"] = raw
-        loop = asyncio.get_running_loop()
-        begin = loop.time()
-        successes, failures = await self._fan_out("/batch", forward, timeout)
-        merged_results = []
-        merged_stats = []
-        for position in range(len(raw)):
-            per_shard = [
-                (entry, response["results"][position])
-                for entry, response in successes
-            ]
-            merged = self._merge_results(per_shard)
-            merged_results.append(merged)
-            merged_stats.append(
-                self._merge_stats(
-                    [
-                        response["server"].get("stats", [None] * len(raw))[position]
-                        for _, response in successes
-                    ],
-                    merged["num_texts"],
-                )
-            )
-        total = loop.time() - begin
-        self.stats.record(
-            requests=1, completed=1, partial=int(bool(failures)), latency=(total,)
-        )
-        payload: dict[str, Any] = {
-            "ok": True,
-            "results": merged_results,
-            "server": {
-                "shards_asked": len(self.shard_map),
-                "shards_answered": len(successes),
-                "total_ms": 1e3 * total,
-                "stats": merged_stats,
-            },
-        }
-        if failures:
-            payload["partial"] = True
-            payload["failed_shards"] = failures
-        return payload
+        return await self._scatter("/batch", forward, timeout, len(raw))
 
     async def _probe_replicas(
         self, ask
     ) -> list[tuple[ShardEntry, list[tuple[ReplicaState, Any]]]]:
         """Best-effort concurrent GET against every replica of every shard."""
-        deadline = self.config.health_timeout_ms / 1e3
         flat: list[tuple[ShardEntry, ReplicaState]] = [
             (entry, state)
             for entry in self.shard_map
             for state in self._replicas[entry.name].replicas
         ]
         outcomes = await asyncio.gather(
-            *(ask(state.client, deadline) for _, state in flat),
+            *(ask(state.client, PROBE_TIMEOUT_S) for _, state in flat),
             return_exceptions=True,
         )
         grouped: dict[str, list[tuple[ReplicaState, Any]]] = {}
@@ -646,15 +621,7 @@ class RouterService(HttpServiceBase):
             lambda client, deadline: client.stats(timeout=deadline)
         )
         per_shard: dict[str, Any] = {}
-        aggregate = {
-            "requests": 0,
-            "completed": 0,
-            "errors": 0,
-            "shed": 0,
-            "timeouts": 0,
-            "lists_loaded": 0,
-            "point_reads": 0,
-        }
+        aggregate = dict.fromkeys(ServiceStats.COUNTERS, 0)
         for entry, replica_outcomes in probed:
             replicas: dict[str, Any] = {}
             shard_service = None
@@ -700,16 +667,7 @@ class RouterService(HttpServiceBase):
             "shards": per_shard,
             "routing": routing,
             "pooled_connections": pooled,
-            "config": {
-                "timeout_ms": self.config.timeout_ms,
-                "shard_timeout_ms": self.config.shard_timeout_ms,
-                "max_connections": self.config.max_connections,
-                "partial_results": self.config.partial_results,
-                "policy": self.config.policy,
-                "hedge_after_ms": self.config.hedge_after_ms,
-                "breaker_failures": self.config.breaker_failures,
-                "breaker_cooldown_ms": self.config.breaker_cooldown_ms,
-            },
+            "config": asdict(self.config),
         }
 
 

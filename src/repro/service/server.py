@@ -25,7 +25,7 @@ import logging
 import os
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.engine import NearDupEngine
@@ -470,14 +470,7 @@ class SearchService(HttpServiceBase):
             "queue_depth": self.batcher.depth,
             "warmed_lists": self.warmed_lists,
             "engine": self._health_payload(),
-            "config": {
-                "procs": self.config.procs,
-                "max_batch": self.config.max_batch,
-                "max_queue": self.config.max_queue,
-                "timeout_ms": self.config.timeout_ms,
-                "cache_bytes": self.config.cache_bytes,
-                "result_cache": self.config.result_cache,
-            },
+            "config": asdict(self.config),
         }
         result_cache = getattr(self.searcher, "result_cache", None)
         if result_cache is not None:

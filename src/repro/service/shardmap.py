@@ -3,111 +3,48 @@
 A scatter-gather deployment splits the corpus into shards of contiguous
 text-id ranges (exactly :class:`~repro.index.sharded.ShardedIndex`'s
 partitioning), serves each shard from its own search server, and fans
-queries out to all of them.  The map is the piece every party shares:
+queries out to all of them.  The map is the piece both parties share:
 
 * the **router** reads it to know the shard endpoints and the
   ``first_text`` offset that translates each shard's local text ids
   back to global corpus ids;
 * the **fleet launcher** (``repro-cli serve-shards``) writes it next to
-  the ``shard<i>/`` directories it serves;
-* **ingest** asks it which shard should own a *new* text, via a
-  consistent-hash ring (:class:`HashRing`): assignments are a pure
-  function of ``(key, shard names)``, so every process agrees without
-  coordination, and adding a shard moves only ``~1/N`` of the keys —
-  the property that lets capacity grow without a full rebuild.
+  the ``shard<i>/`` directories it serves.
 
-Format 2 adds **replica sets**: each shard names a *list* of endpoints
-serving identical copies of that shard's index, so capacity grows by
-adding replicas without touching the partition, and the router can
-balance, fail over, and hedge across them.  The first replica is the
-shard's *primary* (the only replica non-idempotent ingest may target).
-The serialized form is one JSON document, ``shardmap.json``::
+The fleet only reads: every shard is built offline, so the map assigns
+no new texts.  Format 2 adds **replica sets**: each shard names a *list*
+of endpoints serving identical copies of that shard's index, so capacity
+grows by adding replicas without touching the partition, and the router
+can balance, fail over, and hedge across them.  The serialized form is
+one JSON document, ``shardmap.json``::
 
-    {"format": 2, "ring_replicas": 64,
+    {"format": 2,
      "shards": [{"name": "shard0", "first_text": 0, "count": 500,
                  "replicas": [{"host": "127.0.0.1", "port": 8101},
                               {"host": "127.0.0.1", "port": 8103}]},
                 ...]}
 
-Format-1 documents (one ``host``/``port`` per shard, ring vnodes under
-``"replicas"``) still load and are promoted to one-replica sets.
+Format-1 documents (one ``host``/``port`` per shard) still load and are
+promoted to one-replica sets.  Both formats may carry the vnode count of
+a consistent-hash ring an earlier build kept (format 1 under
+``"replicas"``, format 2 under ``"ring_replicas"``); loading ignores
+it, and a re-save drops it.
 """
 
 from __future__ import annotations
 
 import bisect
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.exceptions import InvalidParameterError
 from repro.index.lsm.manifest import _fsync_directory
 
 _FORMAT_VERSION = 2
 _READABLE_FORMATS = (1, 2)
-
-#: Virtual nodes per shard on the ring.  More vnodes smooth the
-#: per-shard load split (stddev ~ 1/sqrt(vnodes)) at O(N * vnodes)
-#: map-build cost; 64 keeps the imbalance under a few percent for
-#: realistic fleet sizes.
-DEFAULT_RING_REPLICAS = 64
-
-
-def ring_hash(data: bytes) -> int:
-    """Stable 64-bit ring position of ``data``.
-
-    ``hashlib.blake2b`` rather than Python's ``hash()``: the builtin is
-    salted per process (``PYTHONHASHSEED``), and the whole point of the
-    ring is that every router, launcher, and ingest worker computes the
-    *same* assignment for the same key.
-    """
-    return int.from_bytes(
-        hashlib.blake2b(data, digest_size=8).digest(), "big"
-    )
-
-
-class HashRing:
-    """Consistent-hash ring over shard names.
-
-    Each shard contributes ``replicas`` virtual points; a key is owned
-    by the first point at or after its own hash (wrapping).  Removing
-    or adding one shard therefore only reassigns the keys that fall in
-    the arcs its points cover — ``~1/N`` of the key space — and never
-    moves a key between two surviving shards.
-    """
-
-    def __init__(
-        self, names: Sequence[str], *, replicas: int = DEFAULT_RING_REPLICAS
-    ) -> None:
-        if not names:
-            raise InvalidParameterError("a hash ring needs at least one shard")
-        if len(set(names)) != len(names):
-            raise InvalidParameterError(f"duplicate shard names in {list(names)}")
-        if replicas <= 0:
-            raise InvalidParameterError(f"replicas must be positive, got {replicas}")
-        self.names = list(names)
-        self.replicas = int(replicas)
-        points: list[tuple[int, str]] = []
-        for name in self.names:
-            for replica in range(self.replicas):
-                points.append((ring_hash(f"{name}#{replica}".encode()), name))
-        points.sort()
-        self._points = [point for point, _ in points]
-        self._owners = [name for _, name in points]
-
-    def assign(self, key: int) -> str:
-        """The shard name owning integer ``key`` (total: every key maps)."""
-        position = ring_hash(int(key).to_bytes(8, "big", signed=False))
-        slot = bisect.bisect_right(self._points, position)
-        if slot == len(self._points):  # wrap past the last point
-            slot = 0
-        return self._owners[slot]
-
-    def assign_many(self, keys: Iterable[int]) -> list[str]:
-        return [self.assign(key) for key in keys]
 
 
 @dataclass(frozen=True)
@@ -173,7 +110,7 @@ class ShardEntry:
 
     @property
     def primary(self) -> Replica:
-        """The writer replica: ingest stays pinned here."""
+        """The first replica, the one ``pick-first`` routes to."""
         return self.replicas[0]
 
     def to_dict(self) -> dict[str, Any]:
@@ -218,14 +155,9 @@ class ShardEntry:
 
 
 class ShardMap:
-    """Ordered shard entries + the consistent-hash ring over their names."""
+    """Shard entries ordered by text range, validated to tile it."""
 
-    def __init__(
-        self,
-        entries: Sequence[ShardEntry],
-        *,
-        replicas: int = DEFAULT_RING_REPLICAS,
-    ) -> None:
+    def __init__(self, entries: Sequence[ShardEntry]) -> None:
         if not entries:
             raise InvalidParameterError("a shard map needs at least one shard")
         ordered = sorted(entries, key=lambda entry: entry.first_text)
@@ -250,8 +182,6 @@ class ShardMap:
                     )
             expected += entry.count
         self.entries: list[ShardEntry] = ordered
-        self.replicas = int(replicas)
-        self.ring = HashRing([entry.name for entry in ordered], replicas=replicas)
         self._by_name = {entry.name: entry for entry in ordered}
         self._starts = [entry.first_text for entry in ordered]
 
@@ -285,20 +215,10 @@ class ShardMap:
         entry = self.entries[slot]
         return entry, text_id - entry.first_text
 
-    def shard_for_key(self, key: int) -> ShardEntry:
-        """The shard a *new* text keyed ``key`` should be ingested into.
-
-        Consistent-hash assignment: stable across processes, covers the
-        whole key space, and adding a shard remaps only ``~1/N`` keys
-        (never between two pre-existing shards).
-        """
-        return self._by_name[self.ring.assign(key)]
-
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         return {
             "format": _FORMAT_VERSION,
-            "ring_replicas": self.replicas,
             "shards": [entry.to_dict() for entry in self.entries],
         }
 
@@ -315,13 +235,7 @@ class ShardMap:
         shards = raw.get("shards")
         if not isinstance(shards, list) or not shards:
             raise InvalidParameterError("shard map has no 'shards' list")
-        # Format 1 stored ring vnodes under "replicas"; format 2 frees
-        # that word for replica *endpoints* and renames the ring knob.
-        vnodes_key = "replicas" if version == 1 else "ring_replicas"
-        return cls(
-            [ShardEntry.from_dict(entry) for entry in shards],
-            replicas=int(raw.get(vnodes_key, DEFAULT_RING_REPLICAS)),
-        )
+        return cls([ShardEntry.from_dict(entry) for entry in shards])
 
     def save(self, path: str | Path) -> Path:
         """Write ``shardmap.json`` crash-safely.
@@ -395,5 +309,5 @@ def with_added_replicas(
                 replicas=tuple(replicas),
             )
         )
-    return ShardMap(grown, replicas=shard_map.replicas)
+    return ShardMap(grown)
 

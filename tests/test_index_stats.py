@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,18 @@ class TestIndexSummary:
         assert int(lengths.sum()) == planted_index.num_postings
 
 
+class ListLengths:
+    """An index reduced to what the cutoff reads: one list-length array
+    per hash function."""
+
+    def __init__(self, *per_function):
+        self.family = SimpleNamespace(k=len(per_function))
+        self._lengths = [np.asarray(lengths, dtype=np.int64) for lengths in per_function]
+
+    def list_lengths(self, func):
+        return self._lengths[func]
+
+
 class TestCutoffSelection:
     def test_monotone(self, planted_index):
         c05 = cutoff_for_top_fraction(planted_index, 0.05)
@@ -37,12 +51,29 @@ class TestCutoffSelection:
         assert c20 <= c10 <= c05
 
     def test_fraction_respected(self, planted_index):
-        """Lists longer than the cutoff hold at most ~the fraction of postings."""
-        fraction = 0.10
-        cutoff = cutoff_for_top_fraction(planted_index, fraction)
-        lengths = all_list_lengths(planted_index)
-        long_mass = int(lengths[lengths > cutoff].sum())
-        assert long_mass <= fraction * int(lengths.sum())
+        """Lists longer than the cutoff hold at most ~the fraction of
+        postings, and the cutoff is the smallest length that does; an
+        index with no postings has cutoff 0, and fraction 0 marks
+        nothing long."""
+        cases = [
+            (planted_index, 0.10),
+            (planted_index, 0.0),
+            (ListLengths([]), 0.10),
+            (ListLengths([0, 0]), 0.10),
+            (ListLengths([5, 1], [3, 3, 8]), 0.0),
+            (ListLengths([5, 1], [3, 3, 8]), 0.5),
+        ]
+        for index, fraction in cases:
+            cutoff = cutoff_for_top_fraction(index, fraction)
+            lengths = all_list_lengths(index)
+            long_mass = int(lengths[lengths > cutoff].sum())
+            assert long_mass <= fraction * int(lengths.sum())
+            if fraction == 0.0:
+                assert cutoff == int(lengths.max())
+            if int(lengths.sum()) == 0:
+                assert cutoff == 0
+            for smaller in lengths[lengths < cutoff]:
+                assert int(lengths[lengths > smaller].sum()) > fraction * lengths.sum()
 
     def test_validation(self, planted_index):
         with pytest.raises(InvalidParameterError):

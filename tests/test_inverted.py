@@ -10,7 +10,6 @@ from repro.exceptions import InvalidParameterError
 from repro.index.builder import build_memory_index
 from repro.index.inverted import (
     IOStats,
-    ListLengthProfile,
     POSTING_BYTES,
     POSTING_DTYPE,
     concat_postings,
@@ -201,28 +200,3 @@ class TestRowViews:
         rows = posting_rows(payload[5:40])
         assert np.shares_memory(rows, payload)
         self.assert_same(row_postings(rows), np.asarray(payload[5:40]))
-
-
-class TestListLengthProfile:
-    def test_from_built_index(self, planted_index):
-        profile = ListLengthProfile.from_index(planted_index)
-        assert profile.lengths.size > 0
-        assert np.all(np.diff(profile.lengths) >= 0)
-
-    def test_cutoff_monotone_in_fraction(self, planted_index):
-        profile = ListLengthProfile.from_index(planted_index)
-        c05 = profile.cutoff_for_fraction(0.05)
-        c20 = profile.cutoff_for_fraction(0.20)
-        assert c20 <= c05
-
-    def test_cutoff_zero_fraction(self, planted_index):
-        profile = ListLengthProfile.from_index(planted_index)
-        cutoff = profile.cutoff_for_fraction(0.0)
-        assert cutoff == int(profile.lengths[-1])
-
-    def test_cutoff_validation(self):
-        with pytest.raises(InvalidParameterError):
-            ListLengthProfile(np.array([1])).cutoff_for_fraction(1.0)
-
-    def test_empty_profile(self):
-        assert ListLengthProfile().cutoff_for_fraction(0.1) == 0

@@ -27,6 +27,7 @@ import socket
 
 import numpy as np
 import pytest
+from conftest import TRUNCATED_RESPONSE
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,7 +100,10 @@ class TestShardMapFormat2:
         assert (entry.host, entry.port) == ("127.0.0.1", 9000)
 
     def test_format1_documents_still_load(self, tmp_path):
-        doc = {
+        """Format 1, and format 2 as earlier builds saved it: both carry
+        a hash ring's vnode count, which loading ignores and re-saving
+        drops."""
+        format1 = {
             "format": 1,
             "replicas": 48,  # ring vnodes, the format-1 meaning
             "shards": [
@@ -107,15 +111,30 @@ class TestShardMapFormat2:
                 {"name": "s1", "host": "h", "port": 2, "first_text": 3, "count": 4},
             ],
         }
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(doc))
-        loaded = ShardMap.load(path)
-        assert loaded.replicas == 48  # ring width survives the rename
-        for entry, port in zip(loaded, (1, 2)):
-            assert [r.endpoint for r in entry.replicas] == [f"h:{port}"]
-        # re-saving upgrades in place
-        loaded.save(path)
-        assert json.loads(path.read_text())["format"] == 2
+        format2 = {
+            "format": 2,
+            "ring_replicas": 64,
+            "shards": [
+                {
+                    "name": f"s{i}",
+                    "first_text": 3 * i,
+                    "count": 3 + i,
+                    "replicas": [{"host": "h", "port": port}],
+                }
+                for i, port in enumerate((1, 2))
+            ],
+        }
+        for doc in (format1, format2):
+            path = tmp_path / "old.json"
+            path.write_text(json.dumps(doc))
+            loaded = ShardMap.load(path)
+            for entry, port in zip(loaded, (1, 2)):
+                assert [r.endpoint for r in entry.replicas] == [f"h:{port}"]
+            # re-saving upgrades in place
+            loaded.save(path)
+            saved = json.loads(path.read_text())
+            assert saved["format"] == 2
+            assert set(saved) == {"format", "shards"}
 
     def test_rejects_duplicate_endpoints_within_a_shard(self):
         with pytest.raises(InvalidParameterError):
@@ -522,6 +541,17 @@ def small_replicated(tmp_path):
             runner.stop()
 
 
+def small_direct(fleet) -> str:
+    """The direct sharded answer to the small fleet's query at 0.5."""
+    engine = fleet["engine"]
+    searcher = ShardedSearcher(
+        ShardedIndex.build(
+            engine.corpus, engine.index.family, engine.index.t, num_shards=2
+        )
+    )
+    return canonical(result_to_wire(searcher.search(fleet["query"], 0.5)))
+
+
 def start_router(shard_map, **config_kwargs) -> tuple:
     router = RouterService(shard_map, RouterConfig(port=0, **config_kwargs))
     runner = ServiceRunner(service=router).start()
@@ -531,26 +561,12 @@ def start_router(shard_map, **config_kwargs) -> tuple:
 class TestFailoverAndBreaker:
     def test_dead_primary_fails_over_without_partial(self, small_replicated):
         """Kill shard0's primary: pick-first keeps choosing it, the
-        failover retries on the survivor, and after breaker_failures
-        consecutive failures the breaker opens and it stops being
-        picked at all — all invisible to the caller."""
+        failover retries on the survivor, and after three (the default
+        threshold) consecutive failures the breaker opens and it stops
+        being picked at all — all invisible to the caller."""
         small_replicated["runners"]["shard0"][0].stop()
-        router, runner = start_router(
-            small_replicated["map"],
-            policy="pick-first",
-            breaker_failures=2,
-        )
-        direct2 = ShardedSearcher(
-            ShardedIndex.build(
-                small_replicated["engine"].corpus,
-                small_replicated["engine"].index.family,
-                small_replicated["engine"].index.t,
-                num_shards=2,
-            )
-        )
-        want = canonical(
-            result_to_wire(direct2.search(small_replicated["query"], 0.5))
-        )
+        router, runner = start_router(small_replicated["map"], policy="pick-first")
+        want = small_direct(small_replicated)
         try:
             with ServiceClient(runner.host, runner.port) as client:
                 for _ in range(4):
@@ -574,6 +590,31 @@ class TestFailoverAndBreaker:
         # once open, the breaker keeps the dead replica out of the path:
         # later requests stop failing over entirely
         assert router_block["failovers"] < 4
+
+    def test_cut_short_replica_fails_over(self, small_replicated, stub_shard):
+        """A replica that dies in the middle of its body is a replica
+        failure (502): the request fails over to the next replica."""
+        host, port = stub_shard(TRUNCATED_RESPONSE)
+        first, *rest = small_replicated["map"].entries
+        entries = [
+            ShardEntry(
+                name=first.name,
+                first_text=first.first_text,
+                count=first.count,
+                replicas=(Replica(host, port), first.replicas[1]),
+            ),
+            *rest,
+        ]
+        router, runner = start_router(ShardMap(entries), policy="pick-first")
+        try:
+            with ServiceClient(runner.host, runner.port) as client:
+                response = client.search(small_replicated["query"], 0.5)
+                stats = client.stats()
+        finally:
+            runner.stop()
+        assert "partial" not in response
+        assert canonical(response["result"]) == small_direct(small_replicated)
+        assert stats["router"]["failovers"] == 1
 
     def test_both_replicas_down_yields_partial(self, small_replicated):
         for runner in small_replicated["runners"]["shard1"]:
@@ -706,27 +747,22 @@ class TestStalePooledConnections:
         assert stats["opened"] == 2  # original + the replay's fresh socket
         assert stats["discarded"] >= 1
 
-    def test_non_idempotent_requests_never_replay(self, restartable_server):
-        holder = restartable_server
+    def test_fresh_connection_failures_never_replay(self, stub_shard):
+        """Only a *pooled* socket's pre-response failure is staleness: a
+        server that hangs up on a fresh connection is a real error."""
+        host, port = stub_shard(b"")
 
         async def exercise():
-            client = AsyncServiceClient("127.0.0.1", holder["port"])
+            client = AsyncServiceClient(host, port)
             try:
-                assert (await client.health())["ok"] is True
-                holder["runner"].stop()
-                holder["runner"] = await asyncio.to_thread(holder["start"])
                 with pytest.raises(
                     (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
                 ):
-                    await client.request(
-                        "POST",
-                        "/search",
-                        {"query": [1, 2, 3]},
-                        idempotent=False,
-                    )
+                    await client.request("POST", "/search", {"query": [1, 2, 3]})
                 return client.pool_stats()
             finally:
                 await client.close()
 
         stats = asyncio.run(exercise())
         assert stats["stale_retries"] == 0
+        assert stats["opened"] == 1

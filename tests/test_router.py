@@ -17,29 +17,27 @@ failing shard's name, without sleeping on races.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import TRUNCATED_RESPONSE
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.engine import NearDupEngine
 from repro.exceptions import InvalidParameterError
 from repro.index.sharded import ShardedIndex, ShardedSearcher, shard_ranges
 from repro.service import (
     AsyncServiceClient,
-    HashRing,
     RemoteError,
     RouterConfig,
     RouterService,
     ServiceClient,
     ServiceConfig,
     ServiceRunner,
+    ServiceStats,
     ShardEntry,
     ShardMap,
     build_shard_fleet,
@@ -67,87 +65,8 @@ def canonical(wire) -> str:
 
 
 # ----------------------------------------------------------------------
-# Shard map + consistent-hash ring (no server)
+# Shard map (no server)
 # ----------------------------------------------------------------------
-names_strategy = st.lists(
-    st.text(alphabet="abcdefghijklmnop0123456789", min_size=1, max_size=8),
-    min_size=1,
-    max_size=8,
-    unique=True,
-)
-keys_strategy = st.lists(
-    st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=50
-)
-
-
-class TestHashRing:
-    @given(names=names_strategy, keys=keys_strategy)
-    @settings(max_examples=50, deadline=None)
-    def test_total_and_deterministic(self, names, keys):
-        """Every key maps to a member, identically on a rebuilt ring."""
-        first = HashRing(names)
-        second = HashRing(list(names))
-        for key in keys:
-            owner = first.assign(key)
-            assert owner in names
-            assert second.assign(key) == owner
-
-    @given(names=names_strategy, keys=keys_strategy)
-    @settings(max_examples=50, deadline=None)
-    def test_adding_a_shard_never_moves_keys_between_survivors(
-        self, names, keys
-    ):
-        """The consistent-hash contract: growth only steals for the
-        newcomer; no key is shuffled between two pre-existing shards."""
-        newcomer = "zz-new-shard"
-        assert newcomer not in names
-        before = HashRing(names)
-        after = HashRing(list(names) + [newcomer])
-        for key in keys:
-            old, new = before.assign(key), after.assign(key)
-            assert new == old or new == newcomer
-
-    def test_remap_fraction_is_about_one_over_n(self):
-        """Adding the 9th shard should move ~1/9 of keys (blake2b is
-        unsalted, so this is exact and reproducible)."""
-        names = [f"s{i}" for i in range(8)]
-        before = HashRing(names)
-        after = HashRing(names + ["s8"])
-        keys = range(4000)
-        moved = sum(before.assign(k) != after.assign(k) for k in keys)
-        fraction = moved / len(range(4000))
-        assert 0.03 < fraction < 0.30
-
-    def test_assignments_identical_across_processes(self):
-        """The ring must not depend on the per-process hash salt."""
-        ring = HashRing(["alpha", "beta", "gamma"])
-        local = [ring.assign(key) for key in range(100)]
-        code = (
-            "from repro.service.shardmap import HashRing;"
-            "ring = HashRing(['alpha', 'beta', 'gamma']);"
-            "print([ring.assign(key) for key in range(100)])"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
-        env["PYTHONHASHSEED"] = "12345"  # a salt the builtin hash would see
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert eval(out.stdout.strip()) == local
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(InvalidParameterError):
-            HashRing([])
-        with pytest.raises(InvalidParameterError):
-            HashRing(["a", "a"])
-        with pytest.raises(InvalidParameterError):
-            HashRing(["a"], replicas=0)
-
-
 class TestShardMap:
     def entries(self):
         return [
@@ -185,15 +104,11 @@ class TestShardMap:
             ShardMap(overlapping)
 
     def test_json_round_trip(self, tmp_path):
-        shard_map = ShardMap(self.entries(), replicas=32)
+        shard_map = ShardMap(self.entries())
         path = shard_map.save(tmp_path / "shardmap.json")
         loaded = ShardMap.load(path)
         assert loaded.to_dict() == shard_map.to_dict()
         assert [entry.name for entry in loaded] == ["s0", "s1", "s2"]
-        assert loaded.replicas == 32
-        # and the ring agrees too
-        for key in range(50):
-            assert loaded.shard_for_key(key).name == shard_map.shard_for_key(key).name
 
     def test_load_rejects_bad_documents(self, tmp_path):
         with pytest.raises(InvalidParameterError):
@@ -373,6 +288,19 @@ class TestRouterEndpoints:
         assert stats["aggregate"]["completed"] >= NUM_SHARDS
         assert set(stats["pooled_connections"]) == set(stats["shards"])
 
+    def test_stats_blocks_follow_their_declarations(self, client, fleet):
+        """``aggregate`` sums every service counter, and each ``config``
+        block is its dataclass, field for field."""
+        stats = client.stats()
+        assert list(stats["aggregate"]) == list(ServiceStats.COUNTERS)
+        assert list(stats["config"]) == [f.name for f in fields(RouterConfig)]
+        shard = fleet["shards"][0]
+        with ServiceClient(shard.host, shard.port) as direct_client:
+            served = direct_client.stats()
+        assert list(served["config"]) == [f.name for f in fields(ServiceConfig)]
+        for key, total in stats["aggregate"].items():
+            assert total >= served["service"][key]
+
     def test_connection_pool_reuses_sockets(self, fleet, queries):
         router = fleet["router"]
 
@@ -424,6 +352,7 @@ def small_fleet(tmp_path):
         "shards": runners,
         "query": texts[3][:30].tolist(),
         "engine": engine,
+        "map": ShardMap(entries),
     }
     router_runner.stop()
     for runner in runners:
@@ -432,20 +361,61 @@ def small_fleet(tmp_path):
 
 class TestPartialResults:
     def test_stopped_shard_yields_partial(self, small_fleet):
+        """``/search`` and ``/batch`` share the partial-result path."""
         small_fleet["shards"][1].stop()
         with ServiceClient(
             small_fleet["router_runner"].host, small_fleet["router_runner"].port
         ) as client:
-            response = client.search(small_fleet["query"], 0.5)
+            searched = client.search(small_fleet["query"], 0.5)
+            batched = client.batch([small_fleet["query"]] * 2, 0.5)
+        count0 = small_fleet["engine"].num_texts // 2
+        for response, results in (
+            (searched, [searched["result"]]),
+            (batched, batched["results"]),
+        ):
+            assert response["ok"] is True
+            assert response["partial"] is True
+            failed = response["failed_shards"]
+            assert [failure["shard"] for failure in failed] == ["shard1"]
+            assert failed[0]["code"] in (502, 503)
+            # surviving shard's ids are all within its own range
+            for result in results:
+                for match in result["matches"]:
+                    assert match["text_id"] < count0
+        assert len(batched["results"]) == len(batched["server"]["stats"]) == 2
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            TRUNCATED_RESPONSE,
+            b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: lots\r\n\r\n",
+        ],
+        ids=["cut-short", "negative-length", "non-integer-length"],
+    )
+    def test_broken_shard_response_yields_partial_502(
+        self, small_fleet, stub_shard, reply
+    ):
+        """A shard whose response is cut short or mis-framed is one
+        failed shard (502), not a failed request."""
+        host, port = stub_shard(reply)
+        live, broken = small_fleet["map"].entries
+        shard_map = ShardMap(
+            [live, ShardEntry(broken.name, host, port, broken.first_text, broken.count)]
+        )
+        runner = ServiceRunner(
+            service=RouterService(shard_map, RouterConfig(port=0))
+        ).start()
+        try:
+            with ServiceClient(runner.host, runner.port) as client:
+                response = client.search(small_fleet["query"], 0.5)
+        finally:
+            runner.stop()
         assert response["ok"] is True
         assert response["partial"] is True
-        failed = response["failed_shards"]
-        assert [failure["shard"] for failure in failed] == ["shard1"]
-        assert failed[0]["code"] in (502, 503)
-        # surviving shard's ids are all within its own range
-        count0 = small_fleet["engine"].num_texts // 2
-        for match in response["result"]["matches"]:
-            assert match["text_id"] < count0
+        assert [(f["shard"], f["code"]) for f in response["failed_shards"]] == [
+            ("shard1", 502)
+        ]
 
     def test_deadline_exceeded_shard_yields_partial_504(self, small_fleet):
         slow = small_fleet["shards"][0]
@@ -529,7 +499,9 @@ class TestAsyncServiceClient:
             client = AsyncServiceClient(shard.host, shard.port)
             try:
                 with pytest.raises(asyncio.TimeoutError):
-                    await client.search(
+                    await client.request(
+                        "POST",
+                        "/search",
                         {"query": small_fleet["query"], "timeout_ms": 5000},
                         timeout=0.3,
                     )

@@ -38,9 +38,8 @@ METHOD_DOCS = {
     "MicroBatcher": ["submit", "submit_batch"],
     "SearchService": ["start", "shutdown"],
     "RouterService": ["start", "shutdown"],
-    "AsyncServiceClient": ["search", "batch", "health", "stats", "close"],
-    "ShardMap": ["locate", "shard_for_key", "save", "load"],
-    "HashRing": ["assign", "assign_many"],
+    "AsyncServiceClient": ["request", "health", "stats", "close"],
+    "ShardMap": ["locate", "save", "load"],
     "ShardedSearcher": ["search"],
     "PreforkServer": ["start", "stop", "wait_ready", "run_forever"],
     "StatsSlots": ["stats", "cluster"],

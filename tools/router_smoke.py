@@ -9,7 +9,8 @@ see both shards healthy, and asserts:
   :class:`ShardedSearcher` over the same partition (several queries and
   thetas, including the re-numbered global text ids);
 * ``/batch`` through the router matches direct results too;
-* router ``/stats`` aggregates both shards;
+* router ``/stats`` aggregates both shards over every service counter,
+  and its ``config`` block carries every ``RouterConfig`` field;
 * both children drain cleanly (exit 0) on SIGINT.
 
 With ``--replicas 2`` every shard gets two server processes behind a
@@ -33,6 +34,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,9 @@ from repro.engine import NearDupEngine
 from repro.index.sharded import ShardedIndex, ShardedSearcher
 from repro.service import (
     Replica,
+    RouterConfig,
     ServiceClient,
+    ServiceStats,
     ShardEntry,
     ShardMap,
     build_shard_fleet,
@@ -242,6 +246,10 @@ def main() -> int:
         assert stats["router"]["completed"] >= checked
         assert set(stats["shards"]) == {"shard0", "shard1"}
         assert stats["aggregate"]["completed"] >= checked * NUM_SHARDS
+        missing = set(ServiceStats.COUNTERS) - set(stats["aggregate"])
+        assert not missing, f"aggregate lacks service counters {sorted(missing)}"
+        missing = {f.name for f in fields(RouterConfig)} - set(stats["config"])
+        assert not missing, f"config lacks RouterConfig fields {sorted(missing)}"
         # satellite: per-replica pool counters surface through /stats
         for shard_name, routing in stats["routing"].items():
             for snap in routing["replicas"]:
