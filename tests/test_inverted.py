@@ -16,6 +16,7 @@ from repro.index.inverted import (
     posting_rows,
     row_postings,
 )
+from repro.index.stats import all_list_lengths, cutoff_for_top_fraction
 from repro.index.storage import DiskInvertedIndex, MemoryInvertedIndex, write_index
 
 
@@ -200,3 +201,27 @@ class TestRowViews:
         rows = posting_rows(payload[5:40])
         assert np.shares_memory(rows, payload)
         self.assert_same(row_postings(rows), np.asarray(payload[5:40]))
+
+
+class TestListLengthProfile:
+    """Prefix-filter cutoffs read from an index's inverted-list lengths."""
+
+    def test_cutoff_monotone_in_fraction(self, planted_index):
+        c05 = cutoff_for_top_fraction(planted_index, 0.05)
+        c20 = cutoff_for_top_fraction(planted_index, 0.20)
+        assert c20 <= c05
+
+    def test_cutoff_zero_fraction(self, planted_index):
+        cutoff = cutoff_for_top_fraction(planted_index, 0.0)
+        assert cutoff == int(all_list_lengths(planted_index).max())
+
+    def test_cutoff_validation(self, planted_index):
+        with pytest.raises(InvalidParameterError):
+            cutoff_for_top_fraction(planted_index, 1.0)
+
+    def test_empty_profile(self, family):
+        per_func = [
+            (np.empty(0, dtype=np.uint32), np.empty(0, dtype=POSTING_DTYPE))
+        ] * family.k
+        index = MemoryInvertedIndex.from_postings(family, 2, per_func)
+        assert cutoff_for_top_fraction(index, 0.1) == 0
