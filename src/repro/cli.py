@@ -144,7 +144,7 @@ def _cmd_batch_query(args: argparse.Namespace) -> int:
     from repro.index.cache import CachedIndexReader
     from repro.query.executor import BatchQueryExecutor
 
-    reader = CachedIndexReader(index) if args.cache else index
+    reader = CachedIndexReader(index)
     searcher = NearDuplicateSearcher(reader)
     with open(args.queries) as handle:
         lines = [line.strip() for line in handle if line.strip()]
@@ -194,9 +194,8 @@ def _cmd_batch_query(args: argparse.Namespace) -> int:
             "queries": records,
             "failed": failed,
             "stats": dataclasses.asdict(batch.stats) if batch is not None else None,
+            "cache": reader.stats().to_dict(),
         }
-        if args.cache:
-            payload["cache"] = reader.stats().to_dict()
         print(json.dumps(payload, indent=2))
         for record in records:
             if record["error"] is not None:
@@ -214,8 +213,7 @@ def _cmd_batch_query(args: argparse.Namespace) -> int:
         )
     if batch is not None:
         print(batch.stats.format())
-    if args.cache:
-        print(f"cache hit rate: {reader.hit_rate:.0%}")
+    print(f"cache hit rate: {reader.hit_rate:.0%}")
     return 2 if failed else 0
 
 
@@ -376,12 +374,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         procs=args.workers,
-        reuse_port=args.reuse_port,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         timeout_ms=args.timeout_ms,
         cache_bytes=args.cache_mb << 20,
-        result_cache={"auto": None, "on": True, "off": False}[args.result_cache],
         warmup_lists=args.warmup_lists,
         theta=args.theta,
     )
@@ -557,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("index", help="index directory")
     p_batch.add_argument("queries", help="file with one token-id sequence per line")
     p_batch.add_argument("--theta", type=float, default=0.8)
-    p_batch.add_argument("--cache", action="store_true", help="list cache")
     p_batch.add_argument(
         "--batch-size",
         type=int,
@@ -681,12 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
         "listening socket (1 = single in-process server)",
     )
     p_serve.add_argument(
-        "--reuse-port",
-        action="store_true",
-        help="per-worker SO_REUSEPORT sockets instead of one shared "
-        "accept socket (kernel hash-balances connections)",
-    )
-    p_serve.add_argument(
         "--max-batch", type=int, default=16, help="requests coalesced per batch"
     )
     p_serve.add_argument(
@@ -703,12 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache-mb", type=int, default=64, help="inverted-list cache budget"
-    )
-    p_serve.add_argument(
-        "--result-cache",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="whole-result memoization (auto: on for live indexes only)",
     )
     p_serve.add_argument(
         "--warmup-lists",

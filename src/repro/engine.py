@@ -284,51 +284,38 @@ class NearDupEngine:
     # Serving hooks
     # ------------------------------------------------------------------
     def cached_searcher(
-        self,
-        *,
-        cache_bytes: int = 32 * 1024 * 1024,
-        result_cache: bool | None = None,
+        self, *, cache_bytes: int = 32 * 1024 * 1024
     ) -> NearDuplicateSearcher:
-        """A searcher backed by the two-tier read cache.
+        """A searcher backed by the read cache.
 
         The online service (and any other long-lived caller answering
         many queries) searches through one of these instead of
-        ``engine.searcher``.  Tiers, outermost first:
-
-        - *result cache* (``result_cache=True``): exact memoization of
-          the last ``DEFAULT_RESULT_ENTRIES`` (1024) whole
-          ``SearchResult``s, invalidated by the backend
-          generation.  Defaults on for the live backend (where the
-          generation gate gives it a correctness story) and off for
-          static indexes.
-        - *list cache*: the :class:`~repro.index.cache.CachedIndexReader`
-          whole-list LRU tier of ``cache_bytes``.
+        ``engine.searcher``.  Every searcher reads through a
+        :class:`~repro.index.cache.CachedIndexReader` whole-list LRU of
+        ``cache_bytes``.  A live searcher is also wrapped in a
+        :class:`~repro.query.resultcache.CachingSearcher`, which
+        memoizes the last ``DEFAULT_RESULT_ENTRIES`` (1024) whole
+        ``SearchResult``s and drops them whenever the live generation
+        moves.  A static searcher has no result tier: the batch
+        planner's sketch dedup plus list pinning already covers repeats
+        inside a batch.
 
         Each call builds fresh caches.
         """
         from repro.index.cache import CachedIndexReader
 
         if self.backend == "live":
-            # The live searcher rebuilds its cache per generation, so
-            # mutations never serve stale lists.
-            searcher = LiveSearcher(
-                self.index, cache_bytes=cache_bytes, corpus=self.corpus
-            )
-            if result_cache or result_cache is None:
-                from repro.query.resultcache import CachingSearcher
-
-                live_index = self.index
-                searcher = CachingSearcher(
-                    searcher, generation_fn=lambda: live_index.generation
-                )
-            return searcher
-        reader = CachedIndexReader(self.index, capacity_bytes=cache_bytes)
-        searcher = NearDuplicateSearcher(reader, corpus=self.corpus)
-        if result_cache:
             from repro.query.resultcache import CachingSearcher
 
-            searcher = CachingSearcher(searcher)
-        return searcher
+            # The live searcher rebuilds its cache per generation, so
+            # mutations never serve stale lists.
+            live = self.live_index
+            return CachingSearcher(
+                LiveSearcher(live, cache_bytes=cache_bytes, corpus=self.corpus),
+                generation_fn=lambda: live.generation,
+            )
+        reader = CachedIndexReader(self.index, capacity_bytes=cache_bytes)
+        return NearDuplicateSearcher(reader, corpus=self.corpus)
 
     def warmup(
         self,

@@ -5,8 +5,8 @@ generated sequences searched against one training corpus.  This package
 turns that from "N independent cold searches" into one planned pass:
 
 * :mod:`repro.query.planner` — sketch every query up front, deduplicate
-  byte-identical sketches, and enumerate the distinct inverted lists the
-  batch will touch;
+  queries by :func:`~repro.query.planner.query_key`, and enumerate the
+  distinct inverted lists the batch will touch;
 * :mod:`repro.query.executor` — run the plan on the calling thread,
   with the batch's shared lists pinned in a
   :class:`~repro.index.cache.CachedIndexReader`;
@@ -19,7 +19,7 @@ Batching is a pure execution strategy: matches are identical to calling
 """
 
 from repro.query.executor import BatchQueryExecutor
-from repro.query.planner import BatchPlan, PlannedQuery, plan_batch
+from repro.query.planner import BatchPlan, PlannedQuery, plan_batch, query_key
 from repro.query.resultcache import CachingSearcher, ResultCache, ResultCacheStats
 from repro.query.results import BatchResult, BatchStats
 
@@ -33,4 +33,5 @@ __all__ = [
     "ResultCache",
     "ResultCacheStats",
     "plan_batch",
+    "query_key",
 ]

@@ -6,9 +6,11 @@ same head inverted lists.  The planner exploits both *before* any I/O
 happens:
 
 1. compute every query's k-mins sketch up front;
-2. deduplicate queries whose sketches are byte-identical (their search
-   results are necessarily identical — the engine sees a query only
-   through its sketch), so each distinct sketch is searched once;
+2. deduplicate queries with equal :func:`query_key` (byte-identical
+   sketches — the engine sees a query only through its sketch — plus
+   the tokens under ``verify``), so each distinct query is searched
+   once.  The key is the one definition of query identity: the result
+   tier (:mod:`repro.query.resultcache`) memoizes by it too;
 3. split each unique query's lists into short and long ones (one
    :class:`~repro.core.search.PlannedQuery` per unique query, which the
    executor runs as is), and enumerate the distinct ``(func, minhash)``
@@ -53,20 +55,31 @@ class BatchPlan:
         return len(self.entries)
 
 
+def query_key(sketch: np.ndarray, query: np.ndarray, verify: bool) -> bytes:
+    """The identity of a query: its sketch bytes, plus the tokens under
+    ``verify``.
+
+    Two queries with one key get one result.  Exact-Jaccard
+    verification reads the raw query, so with ``verify=True`` only
+    byte-identical queries share a key.
+    """
+    key = np.ascontiguousarray(sketch).tobytes()
+    if verify:
+        key += b"|" + np.ascontiguousarray(query).tobytes()
+    return key
+
+
 def plan_batch(
     searcher: NearDuplicateSearcher,
     queries: list[np.ndarray],
     theta: float,
     *,
-    dedup: bool = True,
     verify: bool = False,
     sketches: list[np.ndarray] | None = None,
 ) -> BatchPlan:
     """Build the batch plan for ``queries`` at threshold ``theta``.
 
-    With ``verify=True`` the dedup key includes the query tokens, not
-    just the sketch: exact-Jaccard verification reads the raw query, so
-    only byte-identical queries may share a result.
+    Queries with equal :func:`query_key` share one planned entry.
 
     ``sketches`` optionally supplies one precomputed k-mins sketch per
     query (aligned with ``queries``).  The online service sketches each
@@ -88,10 +101,8 @@ def plan_batch(
         sketch = (
             sketches[position] if sketches is not None else family.sketch(query)
         )
-        key = sketch.tobytes()
-        if verify:
-            key += b"|" + np.ascontiguousarray(query).tobytes()
-        if dedup and key in seen:
+        key = query_key(sketch, query, verify)
+        if key in seen:
             unique_position = seen[key]
             plan.assignment.append(unique_position)
             plan.lists_referenced += int(
@@ -101,8 +112,7 @@ def plan_batch(
         entry = searcher.plan_query(
             query, theta, sketch=sketch, position=len(plan.entries)
         )
-        if dedup:
-            seen[key] = entry.position
+        seen[key] = entry.position
         plan.assignment.append(entry.position)
         plan.entries.append(entry)
         plan.lists_referenced += int(np.count_nonzero(entry.lengths))

@@ -4,40 +4,36 @@ The memorization evaluation replays heavily repeated queries (the same
 training prefixes probed again and again); for those, even a warm list
 cache still pays sketching, candidate sweeps, and refinement.  This
 tier memoizes the *entire* :class:`~repro.core.search.SearchResult`
-keyed by ``(sketch digest, theta, params)`` — the same identity the
-batch planner uses for its dedup, including the query tokens when
-``verify=True`` (exact-Jaccard verification reads the raw query, so
-sketch-identical queries may verify differently).
+keyed by ``(query_key, theta, first_match_only, verify)``, where
+:func:`~repro.query.planner.query_key` is the one definition of query
+identity, the same key the batch planner dedups by.
 
 Correctness on a mutable index comes from **generation gating**: every
 lookup compares the backend's current generation (for the LSM live
 backend, ``(MANIFEST generation << 32) + memtable texts``) against the
 generation the cache was filled under, and a moved generation drops
 every entry before answering.  A result computed against generation G
-is likewise never stored once the index has moved past G.  Static
-indexes have one constant generation, so the gate is free — but the
-tier is *disabled by default* for them in
-:meth:`~repro.engine.NearDupEngine.cached_searcher`, because the batch
-planner's sketch dedup plus list pinning already covers intra-batch
-repeats; enable it for serving workloads with heavy cross-request
-repetition.
+is likewise never stored once the index has moved past G.
+:meth:`~repro.engine.NearDupEngine.cached_searcher` puts this tier on
+live searchers only; a static searcher relies on the batch planner's
+dedup plus list pinning for repeats.
 
-A cache hit returns the memoized :class:`SearchResult` object itself —
-its ``stats`` describe the *original* computation (zero new I/O
-happened), so aggregate ``BatchStats`` over a result-cache-heavy run
-overstate I/O unless read together with the result-cache hit counters.
+A hit does no search work, and its result says so: its ``stats`` are
+all zero except ``texts_matched``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from collections.abc import Hashable
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from repro.core.search import QueryStats
 from repro.exceptions import InvalidParameterError
+from repro.query.planner import query_key
 
 #: Default number of memoized results.
 DEFAULT_RESULT_ENTRIES = 1024
@@ -66,7 +62,7 @@ class ResultCacheStats:
 
 
 class ResultCache:
-    """LRU of ``digest -> SearchResult``, invalidated by generation.
+    """LRU of ``key -> SearchResult``, invalidated by generation.
 
     ``generation_fn`` names the backend's commit point (the LSM
     manifest generation plus memtable growth for the live backend, a
@@ -85,32 +81,13 @@ class ResultCache:
             raise InvalidParameterError("max_entries must be positive")
         self.max_entries = int(max_entries)
         self._generation_fn = generation_fn or (lambda: 0)
-        self._entries: OrderedDict[bytes, object] = OrderedDict()
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self._generation: int | None = None
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-
-    @staticmethod
-    def digest(
-        sketch: np.ndarray,
-        theta: float,
-        params: tuple,
-        query: np.ndarray | None = None,
-    ) -> bytes:
-        """The cache key: sketch bytes + theta + params (+ query tokens).
-
-        ``query`` must be supplied when the searched parameters make the
-        result depend on the raw tokens (``verify=True``).
-        """
-        hasher = hashlib.blake2b(digest_size=16)
-        hasher.update(np.ascontiguousarray(sketch).tobytes())
-        hasher.update(repr((float(theta), params)).encode())
-        if query is not None:
-            hasher.update(np.ascontiguousarray(query).tobytes())
-        return hasher.digest()
 
     def _sync_generation_locked(self) -> int:
         generation = int(self._generation_fn())
@@ -121,7 +98,7 @@ class ResultCache:
             self._generation = generation
         return generation
 
-    def lookup(self, key: bytes) -> tuple[object | None, int]:
+    def lookup(self, key: Hashable) -> tuple[object | None, int]:
         """Return ``(result-or-None, generation token)`` for ``key``.
 
         The token pins the generation the caller computes under; pass
@@ -138,7 +115,7 @@ class ResultCache:
                 self.misses += 1
             return result, generation
 
-    def store(self, key: bytes, result, generation: int) -> None:
+    def store(self, key: Hashable, result, generation: int) -> None:
         with self._lock:
             if self._sync_generation_locked() != generation:
                 return  # computed against a superseded snapshot
@@ -147,10 +124,6 @@ class ResultCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     def stats(self) -> ResultCacheStats:
         with self._lock:
@@ -192,49 +165,66 @@ class CachingSearcher:
         self.inner = inner
         self.result_cache = ResultCache(max_entries, generation_fn=generation_fn)
 
-    def search(self, query: np.ndarray, theta: float, **kwargs):
+    def search(
+        self,
+        query: np.ndarray,
+        theta: float,
+        *,
+        first_match_only: bool = False,
+        verify: bool = False,
+    ):
+        """The inner searcher's ``search``, answered from the memo on a repeat."""
         query = np.asarray(query, dtype=np.uint32)
+        flags = {"first_match_only": first_match_only, "verify": verify}
         if query.size == 0:
             # Error path (QueryError) belongs to the inner searcher.
-            return self.inner.search(query, theta, **kwargs)
+            return self.inner.search(query, theta, **flags)
         return self._memoized(
-            self._key(self.inner.family.sketch(query), query, theta, kwargs),
-            lambda: self.inner.search(query, theta, **kwargs),
+            self._key(self.inner.family.sketch(query), query, theta, **flags),
+            lambda: self.inner.search(query, theta, **flags),
         )
 
-    def _search_planned(self, entry, theta: float, **kwargs):
+    def _search_planned(
+        self,
+        entry,
+        theta: float,
+        *,
+        first_match_only: bool = False,
+        verify: bool = False,
+    ):
         """:meth:`search` for a planned entry, keyed by the plan's sketch."""
+        flags = {"first_match_only": first_match_only, "verify": verify}
         return self._memoized(
-            self._key(entry.sketch, entry.query, theta, kwargs),
-            lambda: self.inner._search_planned(entry, theta, **kwargs),
+            self._key(entry.sketch, entry.query, theta, **flags),
+            lambda: self.inner._search_planned(entry, theta, **flags),
         )
 
-    def _memoized(self, key: bytes, compute):
+    def _memoized(self, key: tuple, compute):
         cached, generation = self.result_cache.lookup(key)
         if cached is not None:
-            return cached
+            # No search ran: report no work, only the answer's size.
+            return replace(
+                cached, stats=QueryStats(texts_matched=cached.stats.texts_matched)
+            )
         result = compute()
         self.result_cache.store(key, result, generation)
         return result
 
     @staticmethod
     def _key(
-        sketch: np.ndarray, query: np.ndarray, theta: float, kwargs: dict
-    ) -> bytes:
-        first_match_only = bool(kwargs.get("first_match_only", False))
-        verify = bool(kwargs.get("verify", False))
-        extra = tuple(
-            sorted(
-                (name, value)
-                for name, value in kwargs.items()
-                if name not in ("first_match_only", "verify")
-            )
-        )
-        return ResultCache.digest(
-            sketch,
-            theta,
-            (first_match_only, verify, extra),
-            np.asarray(query, dtype=np.uint32) if verify else None,
+        sketch: np.ndarray,
+        query: np.ndarray,
+        theta: float,
+        *,
+        first_match_only: bool,
+        verify: bool,
+    ) -> tuple:
+        verify = bool(verify)
+        return (
+            query_key(sketch, np.asarray(query, dtype=np.uint32), verify),
+            float(theta),
+            bool(first_match_only),
+            verify,
         )
 
     def __getattr__(self, name: str):

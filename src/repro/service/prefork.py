@@ -12,8 +12,7 @@ service across cores the classic Unix way:
   runs the unmodified :class:`~repro.service.server.SearchService`
   (asyncio front-end + micro-batcher) with an accept loop on the
   shared socket, so the kernel hands each connection to exactly one
-  worker.  With ``config.reuse_port`` the workers instead bind their
-  own ``SO_REUSEPORT`` sockets and the kernel hash-balances accepts;
+  worker;
 * a watcher thread respawns any worker that dies (the replacement
   forks from the supervisor, so it inherits the warm mapping and the
   listening socket; its stats slot restarts from zero);
@@ -43,7 +42,6 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import replace
 from multiprocessing import connection
 from typing import Any
 
@@ -97,7 +95,7 @@ class StatsSlots:
 def _worker_main(
     engine: NearDupEngine,
     config: ServiceConfig,
-    sock: socket.socket | None,
+    sock: socket.socket,
     slots: StatsSlots,
     slot: int,
     generation: int,
@@ -129,9 +127,8 @@ class PreforkServer:
         The loaded engine.  Open it *before* constructing the server —
         every worker inherits the mapping through fork.
     config:
-        ``config.procs`` workers are spawned.  ``config.reuse_port``
-        switches from the shared accept socket to per-worker
-        ``SO_REUSEPORT`` sockets.
+        ``config.procs`` workers are spawned, all accepting on one
+        shared listening socket.
     """
 
     def __init__(
@@ -146,11 +143,6 @@ class PreforkServer:
             raise InvalidParameterError(
                 "prefork serving requires the fork start method (Unix)"
             ) from exc
-        if self.config.reuse_port and not hasattr(socket, "SO_REUSEPORT"):
-            raise InvalidParameterError(
-                "SO_REUSEPORT is not available on this platform; "
-                "use the shared accept socket (reuse_port=False)"
-            )
         self.port: int | None = None
         self.slots = StatsSlots(self.procs)
         self._sock: socket.socket | None = None
@@ -164,25 +156,12 @@ class PreforkServer:
     def start(self) -> "PreforkServer":
         """Bind, fork the fleet, and start the respawn watcher."""
         self._stopping.clear()
-        if self.config.reuse_port:
-            # Resolve an ephemeral port with a throwaway SO_REUSEPORT
-            # bind, then let each worker bind its own socket to it.
-            # (A probe left open would enter the kernel's accept
-            # balancing and swallow connections it never accepts.)
-            probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            probe.bind((self.config.host, self.config.port))
-            self.port = probe.getsockname()[1]
-            probe.close()
-            self.config = replace(self.config, port=self.port)
-            self._sock = None
-        else:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((self.config.host, self.config.port))
-            sock.listen(128)
-            self.port = sock.getsockname()[1]
-            self._sock = sock
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind((self.config.host, self.config.port))
+        sock.listen(128)
+        self.port = sock.getsockname()[1]
+        self._sock = sock
         for slot in range(self.procs):
             self._spawn(slot)
         self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
@@ -309,7 +288,7 @@ class PreforkServer:
                     f"repro service: {self.engine.num_texts} texts / "
                     f"{self.engine.index.num_postings} postings on "
                     f"{self.config.host}:{self.port} across {self.procs} "
-                    f"workers ({'SO_REUSEPORT' if self.config.reuse_port else 'shared accept socket'}); "
+                    "workers; "
                     "Ctrl-C drains and exits"
                 )
             interrupted.wait()

@@ -69,12 +69,10 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8080  #: 0 = ephemeral (the bound port lands in ``service.port``)
     procs: int = 1  #: prefork worker processes (1 = single in-process server)
-    reuse_port: bool = False  #: per-worker SO_REUSEPORT sockets instead of one shared accept socket
     max_batch: int = 16  #: most requests one dispatch runs on the event loop
     max_queue: int = 128
     timeout_ms: float = 30000.0
     cache_bytes: int = 64 * 1024 * 1024
-    result_cache: bool | None = None  #: None = on for live backends, off for static
     warmup_lists: int = 64  #: hot lists preloaded at startup; 0 disables
     theta: float = 0.8  #: default threshold when a request omits it
 
@@ -108,7 +106,6 @@ class HttpServiceBase:
                 self._handle_connection,
                 self.config.host,
                 self.config.port,
-                reuse_port=getattr(self.config, "reuse_port", False) or None,
             )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -252,10 +249,7 @@ class SearchService(HttpServiceBase):
         #: Optional cluster aggregation hook (set by the prefork
         #: worker); when present, ``/stats`` adds a ``cluster`` block.
         self.cluster: Callable[[], dict[str, Any]] | None = None
-        self.searcher = engine.cached_searcher(
-            cache_bytes=self.config.cache_bytes,
-            result_cache=self.config.result_cache,
-        )
+        self.searcher = engine.cached_searcher(cache_bytes=self.config.cache_bytes)
         self.batcher = MicroBatcher(
             self.searcher,
             max_batch=self.config.max_batch,
@@ -270,8 +264,7 @@ class SearchService(HttpServiceBase):
 
         ``sock`` lets a prefork supervisor pass one already-bound
         listening socket shared by every forked worker (a shared accept
-        loop); with ``config.reuse_port`` each worker instead binds its
-        own ``SO_REUSEPORT`` socket and the kernel spreads accepts.
+        loop).
         """
         if self.config.warmup_lists > 0:
             self.warmed_lists = self.engine.warmup(
@@ -293,7 +286,7 @@ class SearchService(HttpServiceBase):
         """Graceful drain: refuse new work, finish everything admitted."""
         await self._close_listener()
         await self.batcher.close(drain=True)
-        if getattr(self.engine, "backend", "static") == "live":
+        if self.engine.backend == "live":
             # Final WAL fsync + compactor join so nothing acknowledged
             # is left riding on the page cache.
             await asyncio.get_running_loop().run_in_executor(
@@ -413,7 +406,7 @@ class SearchService(HttpServiceBase):
         ids, so clients must not auto-retry it on ambiguous transport
         failures (see :meth:`repro.service.client.ServiceClient.ingest`).
         """
-        if getattr(self.engine, "backend", "static") != "live":
+        if self.engine.backend != "live":
             raise ProtocolError(
                 "this engine is static; /ingest requires serving a live "
                 "index root (repro-cli serve <live-root>)"
@@ -459,7 +452,7 @@ class SearchService(HttpServiceBase):
             "postings": self.engine.index.num_postings,
             "k": self.engine.index.family.k,
             "t": self.engine.index.t,
-            "backend": getattr(self.engine, "backend", "static"),
+            "backend": self.engine.backend,
         }
 
     def _stats_payload(self) -> dict[str, Any]:
@@ -472,10 +465,8 @@ class SearchService(HttpServiceBase):
             "engine": self._health_payload(),
             "config": asdict(self.config),
         }
-        result_cache = getattr(self.searcher, "result_cache", None)
-        if result_cache is not None:
-            payload["result_cache"] = result_cache.stats().to_dict()
-        if getattr(self.engine, "backend", "static") == "live":
+        if self.engine.backend == "live":
+            payload["result_cache"] = self.searcher.result_cache.stats().to_dict()
             payload["live"] = self.engine.live_index.status()
         if self.cluster is not None:
             payload["cluster"] = self.cluster()
@@ -650,7 +641,7 @@ def serve(
     """
     engine = load_served_engine(index_dir, corpus_dir)
     if config is not None and config.procs > 1:
-        if getattr(engine, "backend", "static") == "live":
+        if engine.backend == "live":
             from repro.exceptions import InvalidParameterError
 
             raise InvalidParameterError(

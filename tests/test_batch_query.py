@@ -222,11 +222,6 @@ class TestPlanner:
         assert plan.num_unique == len(batch_queries) - 6
         assert plan.lists_referenced >= len(plan.demand)
 
-    def test_dedup_disabled(self, setup, batch_queries):
-        _, _, searcher = setup
-        plan = plan_batch(searcher, batch_queries, 0.8, dedup=False)
-        assert plan.num_unique == len(batch_queries)
-
     def test_verify_dedup_keys_include_tokens(self, setup):
         _, _, searcher = setup
         # Same distinct-token set => same sketch, different token order.

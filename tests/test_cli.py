@@ -159,7 +159,7 @@ class TestBatchQuery:
         query_file = tmp_path / "queries.txt"
         query_file.write_text("\n".join(lines))
         code = main(
-            ["batch-query", index_dir, str(query_file), "--theta", "0.9", "--cache"]
+            ["batch-query", index_dir, str(query_file), "--theta", "0.9"]
         )
         assert code == 0
         out = capsys.readouterr().out

@@ -581,10 +581,6 @@ class TestLiveEngine:
         # result cache; the live searcher stays reachable underneath.
         assert isinstance(cached.inner, LiveSearcher)
         assert cached.result_cache is not None
-        without_results = engine.cached_searcher(
-            cache_bytes=1 << 20, result_cache=False
-        )
-        assert isinstance(without_results, LiveSearcher)
         engine.close()
 
     def test_static_engine_rejects_live_api(self, planted_data, planted_index):

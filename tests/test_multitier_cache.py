@@ -23,10 +23,10 @@ from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader, CacheStats
 from repro.index.inverted import IOStats, POSTING_DTYPE
 from repro.index.lsm import LiveIndexConfig
-from repro.index.lsm.live import LiveIndexStats
+from repro.index.lsm.live import LiveIndexStats, LiveSearcher
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.query.executor import BatchQueryExecutor
-from repro.query.planner import plan_batch
+from repro.query.planner import plan_batch, query_key
 from repro.query.resultcache import CachingSearcher, ResultCache, ResultCacheStats
 
 
@@ -139,10 +139,10 @@ class TestHypothesisIdentity:
             )
             try:
                 cached = [
-                    engine.cached_searcher(
-                        cache_bytes=capacity, result_cache=result_cache
-                    )
-                    for result_cache in (False, True)
+                    LiveSearcher(
+                        engine.live_index, cache_bytes=capacity, corpus=engine.corpus
+                    ),
+                    engine.cached_searcher(cache_bytes=capacity),
                 ]
                 seen: list[np.ndarray] = []
                 for step, text in enumerate(texts):
@@ -163,18 +163,24 @@ class TestHypothesisIdentity:
 # ----------------------------------------------------------------------
 class TestResultCache:
     def test_memoizes_and_distinguishes_params(self, planted_data, planted_index):
-        searcher = CachingSearcher(NearDuplicateSearcher(planted_index))
+        searcher = CachingSearcher(
+            NearDuplicateSearcher(planted_index, corpus=planted_data.corpus)
+        )
+        memo = searcher.result_cache
         query = np.asarray(planted_data.corpus[0], dtype=np.uint32)[:48]
         first = searcher.search(query, 0.8)
-        assert searcher.search(query, 0.8) is first
-        assert searcher.result_cache.hits == 1
+        assert canon(searcher.search(query, 0.8)) == canon(first)
+        assert (memo.hits, memo.misses) == (1, 1)
         # Different theta / flags are different entries, not collisions.
-        other = searcher.search(query, 0.9)
-        assert other is not first
-        fmo = searcher.search(query, 0.8, first_match_only=True)
-        assert fmo is not first
+        searcher.search(query, 0.9)
+        searcher.search(query, 0.8, first_match_only=True)
+        searcher.search(query, 0.8, verify=True)
+        assert (memo.hits, memo.misses) == (1, 4)
+        assert memo.stats().entries == 4
         # Defaults spelled explicitly hit the same entry.
-        assert searcher.search(query, 0.8, first_match_only=False) is first
+        again = searcher.search(query, 0.8, first_match_only=False, verify=False)
+        assert canon(again) == canon(first)
+        assert (memo.hits, memo.misses) == (2, 4)
 
     def test_batched_queries_hit_the_memo(self, planted_data, planted_index):
         """The executor runs planned entries, not ``search``; the memo
@@ -186,22 +192,56 @@ class TestResultCache:
             np.asarray(planted_data.corpus[i], dtype=np.uint32)[:48]
             for i in range(4)
         ]
-        direct = [searcher.search(query, 0.8) for query in queries]
+        direct = [canon(searcher.search(query, 0.8)) for query in queries]
+        misses = searcher.result_cache.misses
         batch = BatchQueryExecutor(searcher).execute(queries, 0.8)
-        assert all(got is want for got, want in zip(batch.results, direct))
+        assert [canon(result) for result in batch.results] == direct
         assert searcher.result_cache.hits == len(queries)
+        assert searcher.result_cache.misses == misses
 
-    def test_digest_includes_query_only_when_asked(self):
+    def test_repeated_search_reports_no_work(self, planted_data, packed_dir):
+        """A hit did no I/O and loaded no list, and its stats say so."""
+        searcher = CachingSearcher(NearDuplicateSearcher(DiskInvertedIndex(packed_dir)))
+        query = np.asarray(planted_data.corpus[3], dtype=np.uint32)[:48]
+        first = searcher.search(query, 0.8)
+        assert first.stats.io_bytes > 0 and first.stats.lists_loaded > 0
+        hits = searcher.result_cache.hits
+        again = searcher.search(query, 0.8)
+        assert searcher.result_cache.hits == hits + 1
+        assert again.stats.io_bytes == 0
+        assert again.stats.lists_loaded == 0
+        assert again.stats.texts_matched == first.stats.texts_matched
+        assert canon(again) == canon(first)
+
+    def test_repeated_batch_reports_no_work(self, planted_data, packed_dir):
+        searcher = CachingSearcher(
+            NearDuplicateSearcher(CachedIndexReader(DiskInvertedIndex(packed_dir)))
+        )
+        queries = [
+            np.asarray(planted_data.corpus[i], dtype=np.uint32)[:48]
+            for i in range(10)
+        ]
+        with BatchQueryExecutor(searcher) as executor:
+            cold = executor.execute(queries, 0.8)
+            warm = executor.execute(queries, 0.8)
+        assert cold.stats.io_bytes > 0 and cold.stats.lists_loaded > 0
+        assert searcher.result_cache.hits == len(queries)
+        assert warm.stats.lists_loaded == 0
+        assert warm.stats.io_bytes == 0
+        assert [canon(r) for r in warm.results] == [canon(r) for r in cold.results]
+
+    def test_query_key_includes_tokens_only_under_verify(self):
         sketch = np.arange(8, dtype=np.uint64)
-        a = ResultCache.digest(sketch, 0.8, (), np.array([1, 2], np.uint32))
-        b = ResultCache.digest(sketch, 0.8, (), np.array([1, 3], np.uint32))
-        c = ResultCache.digest(sketch, 0.8, ())
-        assert a != b and a != c
+        a = np.array([1, 2], np.uint32)
+        b = np.array([1, 3], np.uint32)
+        assert query_key(sketch, a, True) != query_key(sketch, b, True)
+        assert query_key(sketch, a, False) == query_key(sketch, b, False)
+        assert query_key(sketch, a, True) != query_key(sketch, a, False)
 
     def test_lru_bound_and_eviction(self):
         cache = ResultCache(max_entries=2)
         for i in range(3):
-            key = ResultCache.digest(np.array([i], np.uint64), 0.8, ())
+            key = bytes([i])
             _, generation = cache.lookup(key)
             cache.store(key, f"r{i}", generation)
         stats = cache.stats()
@@ -210,7 +250,7 @@ class TestResultCache:
     def test_generation_gate_drops_stale_store(self):
         generation = [0]
         cache = ResultCache(generation_fn=lambda: generation[0])
-        key = ResultCache.digest(np.array([1], np.uint64), 0.8, ())
+        key = b"query"
         _, token = cache.lookup(key)
         generation[0] += 1  # index moved while we computed
         cache.store(key, "stale", token)
@@ -231,15 +271,17 @@ class TestResultCache:
             engine.append_texts([base])
             searcher = engine.cached_searcher(cache_bytes=1 << 20)
             assert isinstance(searcher, CachingSearcher)
+            memo = searcher.result_cache
             first = searcher.search(base, 0.8)
-            assert searcher.search(base, 0.8) is first
+            assert canon(searcher.search(base, 0.8)) == canon(first)
+            assert (memo.hits, memo.misses) == (1, 1)
             # Ingest a near-duplicate: the generation moves, the memo
             # must not serve the pre-ingest result.
             mutated = base.copy()
             mutated[5] = (mutated[5] + 1) % 256
             engine.append_texts([mutated])
             fresh = searcher.search(base, 0.8)
-            assert fresh is not first
+            assert (memo.hits, memo.misses) == (1, 2)
             assert fresh.num_texts >= first.num_texts
             assert searcher.result_cache.stats().invalidations >= 1
             expected = canon(engine.searcher.search(base, 0.8))
@@ -257,7 +299,9 @@ def test_plan_of_an_older_generation_is_planned_again(tmp_path):
         engine.append_texts([rng.integers(0, 128, size=64).astype(np.uint32)])
         # Tokens the index has never seen: every list of the query is empty.
         query = rng.integers(128, 256, size=64).astype(np.uint32)
-        searcher = engine.cached_searcher(cache_bytes=1 << 20, result_cache=False)
+        searcher = LiveSearcher(
+            engine.live_index, cache_bytes=1 << 20, corpus=engine.corpus
+        )
         plan = plan_batch(searcher, [query], 0.8)
         assert plan.entries[0].short_funcs.size == 0
         engine.append_texts([query])

@@ -802,3 +802,27 @@ class TestLiveStats:
         for name in counters:
             values = [reading[name] for reading in readings]
             assert values == sorted(values), (name, values)
+
+    def test_result_tier_counts_hits_and_ingest_invalidations(self, tmp_path):
+        """A live server memoizes whole results: a repeated ``/search``
+        is a ``result_cache`` hit answering like the first, and an
+        ``/ingest`` drops the memo."""
+        engine = NearDupEngine.live(
+            tmp_path / "live", k=8, t=25, vocab_size=256, seed=5
+        )
+        rng = np.random.default_rng(7)
+        text = rng.integers(0, 256, size=80).astype(np.uint32)
+        engine.append_texts([text])
+        with ServiceRunner(engine, ServiceConfig(port=0)) as runner:
+            with ServiceClient(runner.host, runner.port, timeout=15) as client:
+                first = client.search(text[:60], 0.8)
+                before = client.stats()["result_cache"]
+                repeat = client.search(text[:60], 0.8)
+                after = client.stats()["result_cache"]
+                assert repeat["result"] == first["result"]
+                assert after["hits"] == before["hits"] + 1
+                client.ingest([rng.integers(0, 256, size=80).tolist()])
+                client.search(text[:60], 0.8)
+                assert client.stats()["result_cache"]["invalidations"] == (
+                    after["invalidations"] + 1
+                )
