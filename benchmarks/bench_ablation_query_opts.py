@@ -17,18 +17,34 @@ from bench_fig3_query import run_queries
 from conftest import print_series
 
 
+class _CountingReader:
+    """Delegates to ``inner``, counting its whole-list ``load_list`` calls."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.list_loads = 0
+
+    def load_list(self, func, minhash):
+        self.list_loads += 1
+        return self.inner.load_list(func, minhash)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 def test_list_cache_hit_rate(benchmark, default_index, generated_queries):
     """Second pass over the query batch should be nearly I/O-free."""
-    cached = CachedIndexReader(default_index, capacity_bytes=64 << 20)
+    inner = _CountingReader(default_index)
+    cached = CachedIndexReader(inner, capacity_bytes=64 << 20)
     searcher = NearDuplicateSearcher(cached)
 
     def two_passes():
         run_queries(searcher, generated_queries, 0.8)
-        first_pass_misses = cached.misses
+        first_pass_misses, first_pass_loads = cached.misses, inner.list_loads
         run_queries(searcher, generated_queries, 0.8)
-        return first_pass_misses, cached.hits, cached.misses
+        return first_pass_misses, first_pass_loads, cached.hits, cached.misses
 
-    first_misses, hits, misses = benchmark.pedantic(
+    first_misses, first_loads, hits, misses = benchmark.pedantic(
         two_passes, rounds=1, iterations=1
     )
     benchmark.extra_info["hit_rate"] = round(hits / max(hits + misses, 1), 3)
@@ -37,8 +53,10 @@ def test_list_cache_hit_rate(benchmark, default_index, generated_queries):
         ["pass1_misses", "total_hits", "total_misses", "hit_rate"],
         [(first_misses, hits, misses, hits / max(hits + misses, 1))],
     )
-    # Every list needed by pass 2 was already cached in pass 1.
-    assert misses == first_misses
+    # Every whole list pass 2 needs was cached in pass 1.  Point reads
+    # (long lists) are never cached, so each still counts a miss.
+    assert first_loads > 0
+    assert inner.list_loads == first_loads
 
 
 def test_cache_answers_identical(benchmark, default_index, generated_queries):

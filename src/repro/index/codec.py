@@ -26,9 +26,17 @@ Both kernels are pure numpy and vectorized across postings, blocks
 word holding its first bit (and the next word, when it spills) and
 ORs the words together — one pass over every field of every block of
 every list, whatever their widths; :func:`encode_lists` encodes a
-whole run of lists in one call.  Unpacking gathers 8-byte windows and
-reduces them with shifts/ors.  No Python per-posting or per-list
-loops anywhere; the scalar oracle codec lives with the tests.
+whole run of lists in one call.  Unpacking gathers each field's bytes
+into a 64-bit window and shifts the field out, at one width per field,
+so one call reads a column of many blocks whatever their widths.
+
+Decoding runs in two steps.  :func:`decode_texts` unpacks column 0 and
+prefix-sums it into text ids; :func:`decode_rows` then unpacks columns
+1–3 at the rows asked for, one kernel call per column.  A whole-list
+read asks for every row (:func:`decode_blocks`); a point read finds the
+rows of its texts from the ids and unpacks only those.  No Python
+per-posting or per-list loops anywhere; the scalar oracle codec lives
+with the tests.
 """
 
 from __future__ import annotations
@@ -241,40 +249,47 @@ def _stream_bytes(words: np.ndarray, nbytes: int) -> np.ndarray:
 
 
 def unpack_bits_at(
-    slab: np.ndarray, bit_starts: np.ndarray, width: int
+    slab: np.ndarray, bit_starts: np.ndarray, width: int | np.ndarray
 ) -> np.ndarray:
     """Read a ``width``-bit value at every bit offset in ``bit_starts``.
 
-    The shifts/or-reduce kernel of the decode hot path: for each value
-    an 8-byte big-endian window is gathered starting at its byte, the
-    lanes are combined with shifts and ors, and one final shift+mask
-    extracts every value at once.  Bit offsets may be arbitrary (even
-    unsorted), which is what lets callers decode many blocks of equal
-    width in a single call.  Window bytes past a value's field are
-    shifted out or masked off, so reads are clamped to the slab instead
-    of copying it into a padded buffer.
+    The shifts/or-reduce kernel of the decode hot path: the bytes from
+    each value's first byte on are gathered into a big-endian 64-bit
+    window, one byte lane at a time (as many lanes as the widest field
+    needs), and one shift and one mask cut every value out at once.
+    ``width`` is an int (every field's width) or one width per field,
+    in ``[0, 32]``, and bit offsets may be arbitrary (even unsorted),
+    which is what lets callers decode one column of many blocks,
+    whatever their widths, in a single call.  Window bytes past a
+    value's field are shifted out, so reads are clamped to the slab
+    instead of copying it into a padded buffer.
     """
-    if width < 0 or width > 32:
-        raise InvalidParameterError(f"width must be in [0, 32], got {width}")
+    widths = np.asarray(width, dtype=np.int64)
     bit_starts = np.asarray(bit_starts, dtype=np.int64)
-    if width == 0 or bit_starts.size == 0:
+    if widths.ndim and widths.shape != bit_starts.shape:
+        raise InvalidParameterError("need one width per bit offset")
+    low, top = (int(widths.min()), int(widths.max())) if widths.size else (0, 0)
+    if low < 0 or top > 32:
+        raise InvalidParameterError(
+            f"width must be in [0, 32], got {low if low < 0 else top}"
+        )
+    if top == 0 or bit_starts.size == 0:
         return np.zeros(bit_starts.size, dtype=np.uint32)
     slab = _as_byte_view(slab)
     if slab.size == 0:
         raise InvalidParameterError("cannot unpack from an empty slab")
-    byte0 = bit_starts >> 3
-    last = slab.size - 1
-    word = np.zeros(bit_starts.size, dtype=np.uint64)
-    for lane in range((width + 14) >> 3):  # bytes covering offset+width bits
-        lane_bytes = slab[np.minimum(byte0 + lane, last)]
-        word |= lane_bytes.astype(np.uint64) << np.uint64(8 * (7 - lane))
-    shift = (
-        np.uint64(64)
-        - (bit_starts.astype(np.uint64) & np.uint64(7))
-        - np.uint64(width)
-    )
-    mask = np.uint64((1 << width) - 1)
-    return ((word >> shift) & mask).astype(np.uint32)
+    lanes = (top + 14) >> 3  # bytes covering offset+width bits, at most 5
+    at = bit_starts >> 3
+    word = np.take(slab, at, mode="clip").astype(np.int64)
+    for _ in range(lanes - 1):
+        at += 1
+        word <<= 8
+        word |= np.take(slab, at, mode="clip")
+    # The window holds ``8 * lanes`` <= 40 bits, so int64 shifts are
+    # logical: drop the bits after the field, then mask the ones before.
+    word >>= 8 * lanes - (bit_starts & 7) - widths
+    word &= (1 << widths) - 1
+    return word.astype(np.uint32)
 
 
 # ----------------------------------------------------------------------
@@ -397,64 +412,83 @@ def decode_blocks(
         The blocks' directory entries: postings per block, ``(nb, 4)``
         per-column bit widths, first text id per block.
 
-    Decoding is grouped by ``(column, width)``: one
-    :func:`unpack_bits_at` call covers every block sharing a width, so
-    the kernel-call count depends on width diversity, not block count.
+    The two decode steps over every row: :func:`decode_texts`, then
+    :func:`decode_rows`.  Each column is one :func:`unpack_bits_at`
+    call across all blocks, whatever their widths, so the kernel-call
+    count is four per call, not per block or per width.
+    """
+    texts = decode_texts(buffer, offsets, counts, widths, first_texts)
+    return decode_rows(buffer, offsets, counts, widths, texts)
+
+
+def decode_texts(
+    buffer: np.ndarray,
+    offsets: np.ndarray,
+    counts: np.ndarray,
+    widths: np.ndarray,
+    first_texts: np.ndarray,
+) -> np.ndarray:
+    """Text id of every posting of the blocks (block order), as uint32.
+
+    Decode step one: column 0 alone — the text deltas in one kernel
+    call, then each block's prefix sum from its ``first_texts`` entry.
+    Arguments are :func:`decode_blocks`'; a caller that needs only some
+    rows finds them here and hands them to :func:`decode_rows`.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    nb = int(counts.size)
-    total = int(counts.sum())
-    rows = np.empty((total, NUM_COLUMNS), dtype=np.uint32)
-    if total == 0:
-        return row_postings(rows)
-    buffer = _as_byte_view(buffer)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    widths = np.asarray(widths, dtype=np.uint8).reshape(nb, NUM_COLUMNS)
-    slab_sizes = column_slab_sizes(counts, widths)
-    column_offsets = offsets[:, None] + np.concatenate(
-        [np.zeros((nb, 1), dtype=np.int64), np.cumsum(slab_sizes, axis=1)[:, :-1]],
-        axis=1,
-    )
-    out_offsets = np.concatenate(([0], np.cumsum(counts)))
-    block_of = np.repeat(np.arange(nb, dtype=np.int64), counts)
-    j_within = np.arange(total, dtype=np.int64) - np.repeat(
-        out_offsets[:-1], counts
-    )
+    # Column 0 is the first slab of its block.
+    block_width = np.asarray(widths, dtype=np.int64).reshape(-1, NUM_COLUMNS)[:, 0]
+    heads = np.cumsum(counts) - counts
+    base = 8 * np.asarray(offsets, dtype=np.int64) - heads * block_width
+    width = np.repeat(block_width, counts)
+    bits = np.repeat(base, counts) + np.arange(width.size) * width
+    prefix = np.cumsum(unpack_bits_at(buffer, bits, width), dtype=np.int64)
+    lead = np.asarray(first_texts, dtype=np.int64) - prefix[heads]
+    return (prefix + np.repeat(lead, counts)).astype(np.uint32)
 
-    columns = np.zeros((NUM_COLUMNS, total), dtype=np.int64)
-    for col in range(NUM_COLUMNS):
-        col_widths = widths[:, col]
-        width0 = int(col_widths[0])
-        if np.all(col_widths == width0):
-            # Fast path: one width across every block (the common case)
-            # — no per-width masks, one kernel call, direct assignment.
-            if width0 != 0:
-                bit_starts = (
-                    column_offsets[block_of, col] * 8 + j_within * width0
-                )
-                columns[col] = unpack_bits_at(buffer, bit_starts, width0)
-            continue
-        for width in np.unique(col_widths):
-            width = int(width)
-            if width == 0:
-                continue
-            selected = (col_widths == width)[block_of]
-            bit_starts = (
-                column_offsets[block_of[selected], col] * 8
-                + j_within[selected] * width
-            )
-            columns[col][selected] = unpack_bits_at(buffer, bit_starts, width)
 
-    prefix = np.cumsum(columns[0])
-    base = np.repeat(prefix[out_offsets[:-1]], counts)
-    texts = (
-        np.repeat(np.asarray(first_texts, dtype=np.int64), counts)
-        + prefix
-        - base
-    )
-    centers = columns[2]
-    rows[:, 0] = texts
-    rows[:, 1] = centers - columns[1]
-    rows[:, 2] = centers
-    rows[:, 3] = centers + columns[3]
-    return row_postings(rows)
+def decode_rows(
+    buffer: np.ndarray,
+    offsets: np.ndarray,
+    counts: np.ndarray,
+    widths: np.ndarray,
+    texts: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """The postings at ``rows`` of the blocks, given their text ids.
+
+    Decode step two: columns 1–3 unpacked at the given rows only (row
+    ``i`` is the blocks' ``i``-th posting in block order; ``None`` is
+    every row), one kernel call per column.  ``texts`` holds the rows'
+    text ids, from :func:`decode_texts`.  Every block's widths are
+    checked, so a corrupt width fails the read even where no row is
+    unpacked.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    widths = np.asarray(widths, dtype=np.int64).reshape(-1, NUM_COLUMNS)
+    if widths.size and (widths.min() < 0 or widths.max() > 32):
+        raise InvalidParameterError("every block width must be in [0, 32]")
+    slabs = column_slab_sizes(counts, widths)
+    heads = np.cumsum(counts) - counts
+    # Bit of row 0 of the blocks if each slab ran back to it: row r of
+    # block b is at ``base[b] + r * width[b]``.
+    offsets = np.asarray(offsets, dtype=np.int64)[:, None]
+    base = 8 * (offsets + np.cumsum(slabs, axis=1) - slabs) - heads[:, None] * widths
+    if rows is None:
+        rows = np.arange(int(counts.sum()))
+        block = np.repeat(np.arange(counts.size), counts)
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        block = np.searchsorted(heads, rows, side="right") - 1
+
+    def column(col: int) -> np.ndarray:
+        width = np.take(widths[:, col], block)
+        bits = np.take(base[:, col], block) + rows * width
+        return unpack_bits_at(buffer, bits, width)
+
+    out = np.empty((rows.size, NUM_COLUMNS), dtype=np.uint32)
+    out[:, 0] = texts
+    out[:, 2] = column(2)
+    np.subtract(out[:, 2], column(1), out=out[:, 1])
+    np.add(out[:, 2], column(3), out=out[:, 3])
+    return row_postings(out)

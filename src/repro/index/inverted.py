@@ -118,9 +118,12 @@ class IOStats:
     bytes_read: int = 0
     read_calls: int = 0
     seconds: float = 0.0
-    #: Posting bytes handed to the searcher after decoding.  Equal to
-    #: ``bytes_read`` for raw (v1) payloads; larger for compressed (v2)
-    #: payloads, where the gap is the codec's I/O saving.
+    #: Posting bytes the reader materialised.  Raw (v1) reads count
+    #: the records they read, so this equals ``bytes_read``.  Packed
+    #: (v2) reads count 16 bytes per posting returned: a whole-list read
+    #: decodes more than it reads (the gap is the codec's I/O saving),
+    #: while a point read unpacks only its hit rows and can decode less
+    #: than the blocks it read.
     decoded_bytes: int = 0
 
     def reset(self) -> None:

@@ -67,6 +67,8 @@ from repro.index.codec import (
     block_byte_sizes,
     check_codec,
     decode_blocks,
+    decode_rows,
+    decode_texts,
     encode_lists,
 )
 from repro.index.inverted import (
@@ -386,9 +388,9 @@ class InvertedIndex:
     :class:`MemoryInvertedIndex` builds these arrays in RAM and
     :class:`DiskInvertedIndex` maps them from an index directory; both
     read through this class.  Every read is one accounted call in
-    ``io_stats`` (``decoded_bytes`` counts the posting bytes produced
-    after decompression), so the benchmarks can reproduce the paper's
-    I/O-vs-CPU latency split.
+    ``io_stats`` (``decoded_bytes`` counts the posting bytes it
+    materialises; see :class:`~repro.index.inverted.IOStats`), so the
+    benchmarks can reproduce the paper's I/O-vs-CPU latency split.
     """
 
     def __init__(
@@ -461,8 +463,8 @@ class InvertedIndex:
 
         Raw lists are zero-copy views of the payload (for a disk index,
         of its mapping, shared with the page cache and with sibling
-        prefork workers); packed lists are decoded together, one
-        grouped codec call per call.
+        prefork workers); packed lists are decoded together, one codec
+        pass per call.
         """
         if not np.ndim(func):
             return self.load_list([func], [minhash])[0]
@@ -487,9 +489,10 @@ class InvertedIndex:
 
         A list's zone map narrows every requested text to a posting
         range; a list without one is read whole.  The ranges of all
-        pairs are read in one call (for the packed codec, rounded to
-        blocks and decoded in one grouped kernel call).  Postings come
-        back sorted by text id.
+        pairs are read in one call; for the packed codec they are
+        rounded to blocks, whose text ids are decoded first and whose
+        other columns are unpacked for the requested texts' rows only.
+        Postings come back sorted by text id.
         """
         if not np.ndim(func):
             return self.load_texts_windows([func], [minhash], text_ids)[0]
@@ -511,10 +514,7 @@ class InvertedIndex:
         ranges = _merge_ranges(
             *(np.concatenate(part)[order] for part in (owners, los, his))
         )
-        return [
-            extract_texts(chunk, text_ids)
-            for chunk in self._read_ranges(slots, *ranges)
-        ]
+        return self._read_ranges(slots, *ranges, text_ids=text_ids)
 
     def zone_map(self, func: int, minhash: int) -> ZoneMap | None:
         """The zone map of one list, or ``None`` if the list is short/absent."""
@@ -542,17 +542,24 @@ class InvertedIndex:
         )
 
     def _read_ranges(
-        self, slots: np.ndarray, owners: np.ndarray, lo: np.ndarray, hi: np.ndarray
+        self,
+        slots: np.ndarray,
+        owners: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        text_ids: np.ndarray | None = None,
     ) -> list[np.ndarray]:
         """Posting ranges of many lists, read as one accounted call.
 
         ``slots`` holds every pair's flat directory slot; range ``i`` is
         postings ``[lo[i], hi[i])`` of pair ``owners[i]``'s list, grouped
         by pair, disjoint and ascending.  Returns one array per pair: its
-        ranges' postings in text order.  Raw ranges are sliced from the
-        mapping; packed ranges are rounded to blocks (a block two ranges
-        share is read once), and every block of every pair goes through
-        one :func:`~repro.index.codec.decode_blocks` call.
+        ranges' postings in text order, or with ``text_ids`` (sorted,
+        unique) only those of the texts it names.  Raw ranges are sliced
+        from the mapping; packed ranges are rounded to blocks (a block
+        two ranges share is read once), whose text ids are decoded
+        first; the other columns are then decoded for the rows returned
+        only, at most :data:`_DECODE_BLOCKS` blocks per codec call.
         """
         if slots.size == 0:
             return []
@@ -567,6 +574,8 @@ class InvertedIndex:
             out = [concat_postings(part) for part in parts]
             nbytes = int((hi - lo).sum()) * POSTING_BYTES
             elapsed, decoded = time.perf_counter() - begin, nbytes
+            if text_ids is not None:
+                out = [extract_texts(chunk, text_ids) for chunk in out]
         else:
             owners, blk_lo, blk_hi = _merge_ranges(
                 owners,
@@ -584,18 +593,24 @@ class InvertedIndex:
             )
             widths = self._flat_blk_widths[blocks]
             begin = time.perf_counter()
-            decoded_parts = []
+            # The pair of every row kept, when only some rows are.
+            decoded_parts, kept_owners = [], [np.empty(0, dtype=np.int64)]
             for start in range(0, blocks.size, _DECODE_BLOCKS):
                 part = slice(start, start + _DECODE_BLOCKS)
-                decoded_parts.append(
-                    decode_blocks(
-                        self._payload,
-                        self._flat_blk_offsets[blocks[part]],
-                        counts[part],
-                        widths[part],
-                        self._flat_blk_first[blocks[part]],
-                    )
+                geometry = (
+                    self._payload,
+                    self._flat_blk_offsets[blocks[part]],
+                    counts[part],
+                    widths[part],
                 )
+                texts = decode_texts(*geometry, self._flat_blk_first[blocks[part]])
+                if text_ids is None:
+                    decoded_parts.append(decode_rows(*geometry, texts))
+                    continue
+                hits = _rows_of_texts(texts, text_ids)
+                decoded_parts.append(decode_rows(*geometry, texts[hits], hits))
+                hit_blocks = np.searchsorted(np.cumsum(counts[part]), hits, side="right")
+                kept_owners.append(block_owners[part][hit_blocks])
             postings = concat_postings(decoded_parts)
             elapsed = time.perf_counter() - begin
             nbytes = int(block_byte_sizes(counts, widths).sum())
@@ -603,7 +618,11 @@ class InvertedIndex:
             if slots.size == 1:
                 out = [postings]
             else:
-                per_pair = np.bincount(block_owners, counts, minlength=slots.size)
+                per_pair = (
+                    np.bincount(block_owners, counts, minlength=slots.size)
+                    if text_ids is None
+                    else np.bincount(np.concatenate(kept_owners), minlength=slots.size)
+                )
                 edges = [0] + np.cumsum(per_pair.astype(np.int64)).tolist()
                 # Own copy per list, so a list a cache keeps does not keep
                 # the call's whole decode buffer alive.  Copied as rows,
@@ -965,6 +984,15 @@ def _load_directory(directory: Path, meta: dict) -> dict[str, np.ndarray]:
         raise IndexFormatError(
             f"directory file {_NPZ_DIR_FILE} is missing or corrupt: {exc}"
         ) from exc
+
+
+def _rows_of_texts(texts: np.ndarray, text_ids: np.ndarray) -> np.ndarray:
+    """Positions of the ``texts`` entries that ``text_ids`` (sorted,
+    unique) holds."""
+    if text_ids.size == 0:
+        return np.empty(0, dtype=np.int64)
+    at = np.minimum(np.searchsorted(text_ids, texts), text_ids.size - 1)
+    return np.flatnonzero(text_ids[at] == texts)
 
 
 def _merge_ranges(

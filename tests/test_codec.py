@@ -33,6 +33,8 @@ from repro.index.codec import (
     block_counts,
     check_codec,
     decode_blocks,
+    decode_rows,
+    decode_texts,
     encode_list,
     encode_lists,
     list_columns,
@@ -81,6 +83,20 @@ def make_postings(
     return out
 
 
+def pack_fields(values: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar packer for fields of mixed widths: the fields MSB-first,
+    back to back, as one Python int; returns the slab and every field's
+    first bit."""
+    stream, starts, bit = 0, [], 0
+    for value, width in zip(values.tolist(), widths.tolist()):
+        stream = (stream << width) | value
+        starts.append(bit)
+        bit += width
+    nbytes = (bit + 7) // 8
+    slab = (stream << (8 * nbytes - bit)).to_bytes(nbytes, "big")
+    return np.frombuffer(slab, dtype=np.uint8), np.asarray(starts, dtype=np.int64)
+
+
 def roundtrip(postings: np.ndarray) -> np.ndarray:
     """Encode then decode all blocks of one list."""
     encoded = encode_list(postings)
@@ -122,6 +138,20 @@ class TestPackKernels:
         assert np.array_equal(
             reference_unpack_bits(slab, vals.size, width), vals
         )
+        # Per-field widths 0-32 in unsorted order: the first field is 0
+        # bits wide at bit 0 (a kernel that shifted its field out of a
+        # 64-bit word would shift by 64) and the last is 32 bits wide,
+        # ending on the slab's last byte.
+        rng = np.random.default_rng(seed)
+        widths = np.concatenate(([0], rng.integers(0, 33, vals.size), [32]))
+        fields = np.asarray([0, *values, values[-1] | 1 << 31], dtype=np.uint32)
+        fields &= ((np.uint64(1) << widths.astype(np.uint64)) - 1).astype(np.uint32)
+        slab, starts = pack_fields(fields, widths)
+        assert starts[-1] + 32 > 8 * (slab.size - 1)
+        perm = rng.permutation(widths.size)
+        assert np.array_equal(
+            unpack_bits_at(slab, starts[perm], widths[perm]), fields[perm]
+        )
 
     def test_width_zero_and_empty(self):
         assert pack_bits(np.arange(5, dtype=np.uint32) * 0, 0).size == 0
@@ -136,6 +166,23 @@ class TestPackKernels:
             pack_bits(np.zeros(1, np.uint32), 33)
         with pytest.raises(InvalidParameterError):
             unpack_bits_at(np.zeros(1, np.uint8), np.zeros(1, np.int64), -1)
+        for widths in ([3, 33], [-1, 3], [0, 255]):
+            with pytest.raises(InvalidParameterError):
+                unpack_bits_at(np.zeros(8, np.uint8), np.zeros(2, np.int64), widths)
+        with pytest.raises(InvalidParameterError, match="one width per"):
+            unpack_bits_at(np.zeros(8, np.uint8), np.zeros(2, np.int64), [3])
+
+    def test_decode_rows_checks_every_block_width(self):
+        encoded = encode_list(make_postings(300, seed=4))
+        counts = block_counts(encoded.count)
+        offsets = np.concatenate(([0], np.cumsum(encoded.block_sizes)))[:-1]
+        widths = encoded.widths.copy()
+        widths[2, 3] = 33
+        texts = decode_texts(encoded.data, offsets, counts, widths, encoded.first_texts)
+        with pytest.raises(InvalidParameterError):  # no row of block 2 asked for
+            decode_rows(encoded.data, offsets, counts, widths, texts[:1], [0])
+        with pytest.raises(InvalidParameterError):
+            decode_blocks(encoded.data, offsets, counts, widths, encoded.first_texts)
 
     def test_check_codec(self):
         assert check_codec("raw") == "raw"
@@ -432,6 +479,20 @@ class TestBackendEquivalence:
                 assert np.array_equal(
                     reader.load_texts_windows(func, minhash, wanted), expected_many
                 ), name
+            # Empty, absent, repeated, negative and past-uint32 ids (the
+            # last one aliases ``probe`` modulo 2**32, so must not match it).
+            for ids in (
+                np.empty(0, dtype=np.int64),
+                np.array([10**6], dtype=np.int64),
+                np.array([probe, probe, probe], dtype=np.int64),
+                np.array([-1, -probe - 1, probe], dtype=np.int64),
+                np.array([2**32 + probe, 2**40], dtype=np.int64),
+            ):
+                expected = postings[np.isin(postings["text"], ids)]
+                for name, reader in backends.items():
+                    got = reader.load_texts_windows(func, minhash, ids)
+                    assert got.dtype == POSTING_DTYPE, name
+                    assert np.array_equal(got, expected), (name, ids)
 
     @pytest.mark.parametrize("theta", [0.6, 0.8])
     def test_search_results_identical(self, corpus_setup, theta):
@@ -459,7 +520,7 @@ class TestBackendEquivalence:
                 assert np.array_equal(want, have)
 
     def test_v2_reader_reports_compression_in_io_stats(self, corpus_setup):
-        _, family, memory, _, v2_dir = corpus_setup
+        _, family, memory, v1_dir, v2_dir = corpus_setup
         disk = DiskInvertedIndex(v2_dir)
         func = 0
         minhash, postings = max(
@@ -469,6 +530,22 @@ class TestBackendEquivalence:
         disk.load_list(func, minhash)
         assert disk.io_stats.decoded_bytes == postings.size * POSTING_BYTES
         assert disk.io_stats.bytes_read < disk.io_stats.decoded_bytes
+        # A point read reads its zone range's blocks but decodes only the
+        # postings it returns; a raw one reads and counts its zone range.
+        raw = DiskInvertedIndex(v1_dir)
+        probe = int(postings["text"][postings.size // 2])
+        lo, hi = disk.zone_map(func, minhash).locate(probe)
+        blocks = slice(lo // BLOCK_POSTINGS, -(-hi // BLOCK_POSTINGS))
+        widths = disk.list_blocks(func, minhash)[1]
+        ranged = block_byte_sizes(block_counts(postings.size)[blocks], widths[blocks])
+        for reader in (disk, raw):
+            reader.io_stats.reset()
+            got = reader.load_texts_windows(func, minhash, [probe])
+            assert got.size == int((postings["text"] == probe).sum())
+        assert disk.io_stats.bytes_read == int(ranged.sum())
+        assert disk.io_stats.decoded_bytes == got.size * POSTING_BYTES
+        assert raw.io_stats.bytes_read == (hi - lo) * POSTING_BYTES
+        assert raw.io_stats.decoded_bytes == raw.io_stats.bytes_read
 
     def test_validate_passes_on_packed_index(self, corpus_setup):
         data, _, _, _, v2_dir = corpus_setup
@@ -544,6 +621,36 @@ class TestErrorPaths:
         *_, v2_dir = corpus_setup
         assert not (v2_dir / "index.meta.json.tmp").exists()
         assert (v2_dir / "index.meta.json").exists()
+
+    @pytest.mark.parametrize("column, width", [(0, 33), (1, 255), (2, 33), (3, 64)])
+    def test_block_width_past_32_fails_the_read(
+        self, corpus_setup, tmp_path, column, width
+    ):
+        """A block width the kernel cannot unpack fails every read that
+        covers the block, whole-list and point reads alike, whichever
+        column it is: the read raises instead of returning postings."""
+        _, _, memory, _, v2_dir = corpus_setup
+        func = 0
+        minhash, postings = max(
+            func_lists(memory, func).items(), key=lambda item: item[1].size
+        )
+        clone = clone_index(v2_dir, tmp_path / "wide")
+        views = read_sidecar(clone / SIDECAR_FILE)[0]
+        arrays = {name: np.array(view) for name, view in views.items()}
+        del views  # unmap before the rewrite below
+        keys, counts = arrays[f"keys_{func}"], arrays[f"counts_{func}"].astype(np.int64)
+        slot = int(np.searchsorted(keys, minhash))
+        first_block = int(((counts[:slot] + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS).sum())
+        last_block = first_block + (postings.size - 1) // BLOCK_POSTINGS
+        widths = arrays[f"blk_widths_{func}"]
+        widths.reshape(-1, 4)[last_block, column] = width
+        write_sidecar(clone / SIDECAR_FILE, arrays)
+        disk = DiskInvertedIndex(clone)
+        text = int(arrays[f"blk_first_{func}"][last_block])
+        with pytest.raises(InvalidParameterError):
+            disk.load_list(func, minhash)
+        with pytest.raises(InvalidParameterError):
+            disk.load_texts_windows(func, minhash, [text])
 
     def test_block_count_mismatch_rejected(self, corpus_setup, tmp_path):
         *_, v2_dir = corpus_setup

@@ -296,6 +296,21 @@ def test_capped_decode_calls_return_the_same_lists(world, monkeypatch):
     capped = packed.load_texts_windows(funcs, minhashes, wanted)
     for got, expected in zip(capped, windows):
         assert np.array_equal(got, expected)
+    # Hit-only point reads under the cap: empty, absent, repeated,
+    # negative and past-uint32 text ids (2**32 + 41 aliases text 41).
+    for ids in (
+        np.empty(0, dtype=np.int64),
+        np.array([10**6], dtype=np.int64),
+        np.array([41, 41, 41], dtype=np.int64),
+        np.array([-41, -1, 41], dtype=np.int64),
+        np.array([2**32 + 41, 2**33], dtype=np.int64),
+    ):
+        expected = bases["memory"].load_texts_windows(funcs, minhashes, ids)
+        for name in ("disk-raw", "disk-packed"):
+            got = bases[name].load_texts_windows(funcs, minhashes, ids)
+            assert len(got) == len(expected) == funcs.size
+            for part, want in zip(got, expected):
+                assert np.array_equal(part, want), (name, ids)
 
 
 def test_one_vector_load_is_one_packed_read_call(world):
