@@ -57,7 +57,7 @@ def test_exact_vs_near_memorization(
             near_hits[theta] = sum(
                 1
                 for window in generation_windows
-                if searcher.search(window, theta, first_match_only=True).matches
+                if bool(searcher.search(window, theta).matches)
             )
         return exact_hits, near_hits
 

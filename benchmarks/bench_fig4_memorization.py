@@ -46,7 +46,7 @@ def test_fig4ac_fraction_vs_theta_and_model(
     report = benchmark.pedantic(
         evaluate_generated_texts,
         args=(zoo_generations[model_name], searcher, theta, 32),
-        kwargs={"model_name": model_name, "keep_examples": False},
+        kwargs={"model_name": model_name},
         rounds=1,
         iterations=1,
     )
@@ -68,7 +68,7 @@ def test_fig4ac_theta_monotonicity(benchmark, default_index, zoo_generations):
             for theta in THETAS:
                 report = evaluate_generated_texts(
                     zoo_generations[model_name], searcher, theta, 32,
-                    model_name=model_name, keep_examples=False,
+                    model_name=model_name,
                 )
                 fractions.append(report.memorized_fraction)
             # THETAS is descending, so fractions must be non-decreasing.
@@ -87,7 +87,7 @@ def test_fig4ac_capacity_monotonicity(benchmark, default_index, zoo_generations)
         for model_name in MODELS:
             report = evaluate_generated_texts(
                 zoo_generations[model_name], searcher, 0.8, 32,
-                model_name=model_name, keep_examples=False,
+                model_name=model_name,
             )
             fractions[model_name] = report.memorized_fraction
             rows.append((model_name, 100 * report.memorized_fraction))
@@ -107,7 +107,7 @@ def test_fig4bd_fraction_vs_window_width(
     report = benchmark.pedantic(
         evaluate_generated_texts,
         args=(zoo_generations["xl"], searcher, 0.8, width),
-        kwargs={"model_name": "xl", "keep_examples": False},
+        kwargs={"model_name": "xl"},
         rounds=1,
         iterations=1,
     )
@@ -125,12 +125,8 @@ def test_fig4bd_smaller_windows_memorize_more(
     searcher = NearDuplicateSearcher(default_index)
 
     def both():
-        small = evaluate_generated_texts(
-            zoo_generations["xl"], searcher, 0.8, 32, keep_examples=False
-        )
-        large = evaluate_generated_texts(
-            zoo_generations["xl"], searcher, 0.8, 128, keep_examples=False
-        )
+        small = evaluate_generated_texts(zoo_generations["xl"], searcher, 0.8, 32)
+        large = evaluate_generated_texts(zoo_generations["xl"], searcher, 0.8, 128)
         return small, large
 
     small, large = benchmark.pedantic(both, rounds=1, iterations=1)

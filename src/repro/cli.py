@@ -267,7 +267,6 @@ def _cmd_live_ingest(args: argparse.Namespace) -> int:
         fsync_batch=args.fsync_batch,
         compact_fanout=args.fanout,
         background_compaction=not args.no_compaction,
-        dedupe=args.dedupe,
     )
     if manifest_exists(args.root):
         live = LiveIndex(args.root, config=config)
@@ -281,28 +280,24 @@ def _cmd_live_ingest(args: argparse.Namespace) -> int:
         )
     corpus = DiskCorpus(args.corpus)
     begin = time.perf_counter()
-    appended = deduped = tokens = 0
+    appended = tokens = 0
     with live:
         batch: list = []
         for text in corpus:
             batch.append(text)
             if len(batch) >= args.batch:
-                ids = live.append_texts(batch)
-                appended += sum(1 for i in ids if i is not None)
-                deduped += sum(1 for i in ids if i is None)
+                appended += len(live.append_texts(batch))
                 tokens += sum(int(t.size) for t in batch)
                 batch.clear()
         if batch:
-            ids = live.append_texts(batch)
-            appended += sum(1 for i in ids if i is not None)
-            deduped += sum(1 for i in ids if i is None)
+            appended += len(live.append_texts(batch))
             tokens += sum(int(t.size) for t in batch)
         live.flush()
         elapsed = time.perf_counter() - begin
         status = live.status()
     rate = appended / elapsed if elapsed > 0 else float("inf")
     print(
-        f"appended {appended} texts ({tokens} tokens, {deduped} deduped) "
+        f"appended {appended} texts ({tokens} tokens) "
         f"in {elapsed:.2f}s ({rate:.0f} texts/s, ack={args.ack_policy})"
     )
     print(
@@ -619,12 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-compaction",
         action="store_true",
         help="disable the background compaction thread",
-    )
-    p_live.add_argument(
-        "--dedupe",
-        action="store_true",
-        help="Bloom-prefilter exact duplicates before the WAL (lossy: "
-        "~fp-rate of distinct texts may be skipped)",
     )
     p_live.add_argument(
         "--batch", type=int, default=64, help="texts per append batch"

@@ -47,7 +47,6 @@ import numpy as np
 from repro.core.hashing import HashFamily
 from repro.core.intervals import (
     CollisionRectangle,
-    FusedRectangles,
     fused_collision_count,
 )
 from repro.core.theory import collision_threshold
@@ -300,7 +299,6 @@ class NearDuplicateSearcher:
         query: np.ndarray,
         theta: float,
         *,
-        first_match_only: bool = False,
         verify: bool = False,
     ) -> SearchResult:
         """Find all sequences colliding with ``query`` in ``>= beta`` trials.
@@ -312,10 +310,6 @@ class NearDuplicateSearcher:
         theta:
             Similarity threshold in ``(0, 1]``; the collision threshold
             is ``beta = ceil(k * theta)``.
-        first_match_only:
-            Stop at the first matching text.  The memorization
-            evaluator only needs existence, and early exit mirrors how
-            such an evaluation would be deployed.
         verify:
             Post-filter every candidate sequence by its *exact*
             distinct Jaccard against the query (requires the searcher
@@ -326,7 +320,6 @@ class NearDuplicateSearcher:
         return self._search_planned(
             self.plan_query(query, theta),
             theta,
-            first_match_only=first_match_only,
             verify=verify,
             marks=marks,
         )
@@ -375,7 +368,6 @@ class NearDuplicateSearcher:
         entry: PlannedQuery,
         theta: float,
         *,
-        first_match_only: bool = False,
         verify: bool = False,
         marks: tuple[float, int, int, float] | None = None,
     ) -> SearchResult:
@@ -431,7 +423,6 @@ class NearDuplicateSearcher:
                 stats,
                 entry.query,
                 theta,
-                first_match_only,
                 verify,
             )
 
@@ -473,7 +464,6 @@ class NearDuplicateSearcher:
         stats: QueryStats,
         query: np.ndarray,
         theta: float,
-        first_match_only: bool,
         verify: bool,
     ) -> list[TextMatch]:
         """Vectorized group scan: one fused kernel pass over all groups.
@@ -520,24 +510,6 @@ class NearDuplicateSearcher:
             kept[:, 1], kept[:, 2], kept[:, 3], group_ids, alpha_eff
         )
         cand_groups = np.unique(rect.group)
-
-        if first_match_only:
-            return self._emit_first_match(
-                rect,
-                cand_groups,
-                kept,
-                kept_sizes,
-                group_texts,
-                np.flatnonzero(keep),
-                num_groups,
-                beta,
-                sketch,
-                long_funcs,
-                stats,
-                query,
-                theta,
-                verify,
-            )
 
         stats.groups_scanned += num_groups
         stats.candidates += int(cand_groups.size)
@@ -593,71 +565,6 @@ class NearDuplicateSearcher:
         stats.point_reads += int(funcs.size)
         fetched = self.index.load_texts_windows(funcs, sketch[funcs], text_ids)
         return [posting_rows(postings) for postings in fetched if postings.size]
-
-    # ------------------------------------------------------------------
-    def _emit_first_match(
-        self,
-        rect: FusedRectangles,
-        cand_groups: np.ndarray,
-        kept: np.ndarray,
-        kept_sizes: np.ndarray,
-        group_texts: np.ndarray,
-        kept_positions: np.ndarray,
-        num_groups: int,
-        beta: int,
-        sketch: np.ndarray,
-        long_funcs: set[int],
-        stats: QueryStats,
-        query: np.ndarray,
-        theta: float,
-        verify: bool,
-    ) -> list[TextMatch]:
-        """First-match mode over fused pass-A rectangles.
-
-        Candidates are visited in ascending text order with *lazy*
-        per-candidate long-list reads, so the early exit reads exactly
-        as much as a per-group loop would; the stats counters mirror
-        that loop's stop point (groups and candidates beyond the first
-        match stay uncounted, as if never visited).
-        """
-        group_bounds = np.concatenate(
-            ([0], np.cumsum(kept_sizes))
-        ).astype(np.int64)
-        for visited, group in enumerate(cand_groups.tolist()):
-            text_id = int(group_texts[group])
-            lo, hi = rect.group_slice(group)
-            rectangles = rect.rectangles(lo, hi)
-            if long_funcs:
-                extra = [kept[group_bounds[group] : group_bounds[group + 1]]]
-                extra += self._read_long_lists(
-                    long_funcs, sketch, np.array([text_id], dtype=np.int64), stats
-                )
-                combined = np.concatenate(extra)
-                combined = np.take(
-                    combined, np.argsort(combined[:, 1], kind="stable"), axis=0
-                )
-                refined = fused_collision_count(
-                    combined[:, 1],
-                    combined[:, 2],
-                    combined[:, 3],
-                    np.zeros(len(combined), dtype=np.int64),
-                    beta,
-                )
-                rectangles = refined.rectangles()
-            rectangles = [
-                r for r in rectangles if r.clip_min_length(self.t) is not None
-            ]
-            if rectangles and verify:
-                rectangles = self._verify_rectangles(
-                    query, theta, text_id, rectangles
-                )
-            if rectangles:
-                stats.groups_scanned += int(kept_positions[group]) + 1
-                stats.candidates += visited + 1
-                return [TextMatch(text_id, tuple(rectangles))]
-        stats.groups_scanned += num_groups
-        stats.candidates += int(cand_groups.size)
-        return []
 
     # ------------------------------------------------------------------
     def search_thetas(
@@ -726,7 +633,6 @@ class NearDuplicateSearcher:
         queries: list[np.ndarray],
         theta: float,
         *,
-        first_match_only: bool = False,
         verify: bool = False,
         batch_size: int | None = None,
     ) -> list[SearchResult]:
@@ -742,9 +648,7 @@ class NearDuplicateSearcher:
         from repro.query.executor import BatchQueryExecutor
 
         with BatchQueryExecutor(self, batch_size=batch_size) as executor:
-            return executor.execute(
-                queries, theta, first_match_only=first_match_only, verify=verify
-            ).results
+            return executor.execute(queries, theta, verify=verify).results
 
     def _effective_cutoff(self, lengths: np.ndarray) -> int | None:
         """The long-list cutoff for one query, or ``None`` when disabled.

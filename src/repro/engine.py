@@ -194,14 +194,14 @@ class NearDupEngine:
 
     def append_texts(
         self, texts: Sequence[str | Sequence[int] | np.ndarray]
-    ) -> list[int | None]:
-        """Ingest a batch into a live engine; returns assigned text ids
-        (``None`` marks a text the dedup prefilter skipped).  Durable
-        under the live index's ``ack_policy`` when this returns."""
+    ) -> list[int]:
+        """Ingest a batch into a live engine; returns the assigned text
+        ids, one per text in input order.  Durable under the live
+        index's ``ack_policy`` when this returns."""
         live_index = self.live_index
         return live_index.append_texts([self._as_tokens(text) for text in texts])
 
-    def append_text(self, text: str | Sequence[int] | np.ndarray) -> int | None:
+    def append_text(self, text: str | Sequence[int] | np.ndarray) -> int:
         """Ingest one text into a live engine; returns its id."""
         return self.append_texts([text])[0]
 
@@ -236,10 +236,14 @@ class NearDupEngine:
         return self._to_hits(result, snippet_tokens)
 
     def search_raw(
-        self, query: str | Sequence[int] | np.ndarray, theta: float = 0.8, **kwargs
+        self,
+        query: str | Sequence[int] | np.ndarray,
+        theta: float = 0.8,
+        *,
+        verify: bool = False,
     ) -> SearchResult:
         """The full :class:`SearchResult` for callers that need rectangles."""
-        return self.searcher.search(self._as_tokens(query), theta, **kwargs)
+        return self.searcher.search(self._as_tokens(query), theta, verify=verify)
 
     def search_batch(
         self,
@@ -269,7 +273,7 @@ class NearDupEngine:
         theta: float = 0.8,
         *,
         batch_size: int | None = None,
-        **kwargs,
+        verify: bool = False,
     ):
         """Batch counterpart of :meth:`search_raw`: the full
         :class:`~repro.query.results.BatchResult`, including the merged
@@ -278,7 +282,7 @@ class NearDupEngine:
 
         tokenized = [self._as_tokens(query) for query in queries]
         with BatchQueryExecutor(self.searcher, batch_size=batch_size) as executor:
-            return executor.execute(tokenized, theta, **kwargs)
+            return executor.execute(tokenized, theta, verify=verify)
 
     # ------------------------------------------------------------------
     # Serving hooks
@@ -379,11 +383,8 @@ class NearDupEngine:
     def contains_near_duplicate(
         self, query: str | Sequence[int] | np.ndarray, theta: float = 0.8
     ) -> bool:
-        """Fast existence check (early-exits on the first match)."""
-        result = self.searcher.search(
-            self._as_tokens(query), theta, first_match_only=True
-        )
-        return bool(result.matches)
+        """Whether ``query`` has at least one near-duplicate at ``theta``."""
+        return bool(self.searcher.search(self._as_tokens(query), theta).matches)
 
     def _to_hits(self, result: SearchResult, snippet_tokens: int) -> list[Hit]:
         hits = []

@@ -25,7 +25,6 @@ from repro.index.external import (
     build_external_index,
 )
 from repro.index.lsm import (
-    BloomPrefilter,
     LiveIndex,
     LiveIndexConfig,
     LiveSearcher,
@@ -74,7 +73,6 @@ __all__ = [
     "write_sidecar",
     "DiskInvertedIndex",
     "ExternalBuildConfig",
-    "BloomPrefilter",
     "LiveIndex",
     "LiveIndexConfig",
     "LiveSearcher",

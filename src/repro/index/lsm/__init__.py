@@ -8,7 +8,6 @@ Public surface:
 * :class:`UnionIndexReader` — immutable union over text-disjoint readers.
 * :class:`Memtable` — the in-memory write buffer.
 * :class:`WriteAheadLog` / :class:`Manifest` — durability primitives.
-* :class:`BloomPrefilter` — optional exact-duplicate ingest gate.
 """
 
 from repro.index.lsm.live import (
@@ -27,7 +26,6 @@ from repro.index.lsm.manifest import (
     manifest_exists,
 )
 from repro.index.lsm.memtable import Memtable
-from repro.index.lsm.prefilter import BloomPrefilter, optimal_bits, optimal_hashes
 from repro.index.lsm.union import UnionIndexReader
 from repro.index.lsm.wal import (
     ACK_POLICIES,
@@ -40,7 +38,6 @@ from repro.index.lsm.wal import (
 
 __all__ = [
     "ACK_POLICIES",
-    "BloomPrefilter",
     "LiveIndex",
     "LiveIndexConfig",
     "LiveIndexStats",
@@ -55,8 +52,6 @@ __all__ = [
     "decode_record",
     "encode_record",
     "manifest_exists",
-    "optimal_bits",
-    "optimal_hashes",
     "pick_compaction",
     "run_name",
     "scan_wal",

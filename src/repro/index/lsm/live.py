@@ -6,7 +6,6 @@ A :class:`LiveIndex` root directory holds::
       MANIFEST.json        # committed run set (atomic os.replace)
       wal-<seq>.log        # active WAL segment (memtable durability)
       run-<seq>/           # immutable format-v2 index directories
-      prefilter.npz        # optional Bloom dedup state (best-effort)
 
 Write path: ``append_texts`` validates the batch, logs it to the WAL
 (fsync per ``ack_policy``), buffers it in the
@@ -45,11 +44,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.hashing import HashFamily
-from repro.exceptions import IndexFormatError, InvalidParameterError
+from repro.exceptions import InvalidParameterError
 from repro.index.codec import check_codec
 from repro.index.lsm.manifest import MANIFEST_FILE, Manifest, manifest_exists
 from repro.index.lsm.memtable import Memtable
-from repro.index.lsm.prefilter import BloomPrefilter
 from repro.index.lsm.union import UnionIndexReader
 from repro.index.lsm.wal import ACK_POLICIES, WriteAheadLog
 from repro.index.merge import merge_disk_indexes
@@ -57,7 +55,6 @@ from repro.index.storage import DiskInvertedIndex, write_index
 
 logger = logging.getLogger(__name__)
 
-PREFILTER_FILE = "prefilter.npz"
 #: Size ratio under which adjacent runs count as one compaction tier.
 TIER_RATIO = 4.0
 
@@ -86,9 +83,6 @@ class LiveIndexConfig:
     compact_fanout: int = 4
     #: Run the compaction policy on a background thread after seals.
     background_compaction: bool = True
-    #: Enable the Bloom exact-duplicate prefilter (off by default: a
-    #: false positive silently drops a distinct text).
-    dedupe: bool = False
 
 
 @dataclass
@@ -97,7 +91,6 @@ class LiveIndexStats:
 
     appends: int = 0
     texts_accepted: int = 0
-    texts_deduped: int = 0
     seals: int = 0
     compactions: int = 0
     replayed_records: int = 0
@@ -222,16 +215,6 @@ class LiveIndex:
         self._memtable_tokens = 0
         self._next_text_id = self.manifest.next_text_id
         self._recover()
-        self.prefilter: BloomPrefilter | None = None
-        if self.config.dedupe:
-            prefilter_path = self.root / PREFILTER_FILE
-            if prefilter_path.exists():
-                try:
-                    self.prefilter = BloomPrefilter.load(prefilter_path)
-                except IndexFormatError:
-                    self.prefilter = None
-            if self.prefilter is None:
-                self.prefilter = BloomPrefilter()
 
     # ------------------------------------------------------------------
     # Recovery
@@ -243,7 +226,9 @@ class LiveIndex:
         directory not in the manifest was never committed; a WAL
         segment with a lower sequence number than the manifest's was
         superseded by a committed seal; WAL records whose ids fall
-        below ``next_text_id`` were sealed before the crash.
+        below ``next_text_id`` were sealed before the crash.  Only
+        ``run-*`` and ``wal-*`` entries are collected; any other file
+        in the root (an old release's ``prefilter.npz``) is left alone.
         """
         referenced = set(self.manifest.runs)
         for entry in sorted(self.root.iterdir()):
@@ -280,12 +265,12 @@ class LiveIndex:
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
-    def append_text(self, tokens: np.ndarray) -> int | None:
-        """Ingest one text; returns its id (``None`` if deduplicated)."""
+    def append_text(self, tokens: np.ndarray) -> int:
+        """Ingest one text; returns its id."""
         return self.append_texts([tokens])[0]
 
-    def append_texts(self, texts: list[np.ndarray]) -> list[int | None]:
-        """Ingest a batch; one id per input, ``None`` for deduplicated.
+    def append_texts(self, texts: list[np.ndarray]) -> list[int]:
+        """Ingest a batch; returns one id per input, in input order.
 
         The batch is validated first, logged to the WAL second, and
         buffered third — when this method returns, every assigned id is
@@ -293,22 +278,12 @@ class LiveIndex:
         """
         with self._lock:
             self._check_open()
-            validated = [self.memtable.check_tokens(tokens) for tokens in texts]
-            ids: list[int | None] = []
-            accepted: list[np.ndarray] = []
-            for tokens in validated:
-                if self.prefilter is not None and self.prefilter.seen_or_add(tokens):
-                    ids.append(None)
-                    self.stats.texts_deduped += 1
-                    continue
-                ids.append(self._next_text_id + len(accepted))
-                accepted.append(tokens)
+            accepted = [self.memtable.check_tokens(tokens) for tokens in texts]
+            first_id = self._next_text_id
+            ids = list(range(first_id, first_id + len(accepted)))
             if accepted:
-                first_id = self._next_text_id
                 self.wal.append(first_id, accepted)
-                self.memtable.add_texts(
-                    list(zip(range(first_id, first_id + len(accepted)), accepted))
-                )
+                self.memtable.add_texts(list(zip(ids, accepted)))
                 self._memtable_tokens += sum(int(t.size) for t in accepted)
                 self._next_text_id += len(accepted)
                 self._snapshot_cache = None
@@ -377,11 +352,6 @@ class LiveIndex:
             self._memtable_tokens = 0
             self._snapshot_cache = None
             self.stats.seals += 1
-            if self.prefilter is not None:
-                try:
-                    self.prefilter.save(self.root / PREFILTER_FILE)
-                except OSError:  # pragma: no cover - best-effort persistence
-                    pass
         logger.info("sealed %s (%d postings)", name, int(built.num_postings))
         if self.config.background_compaction:
             self._ensure_compactor()
@@ -536,11 +506,6 @@ class LiveIndex:
         if self._compactor is not None:
             self._compactor.join(timeout=30.0)
         self.wal.close(sync=True)
-        if self.prefilter is not None:
-            try:
-                self.prefilter.save(self.root / PREFILTER_FILE)
-            except OSError:  # pragma: no cover - best-effort persistence
-                pass
 
     def _check_open(self) -> None:
         if self._closed:
@@ -614,7 +579,6 @@ class LiveIndex:
                 "wal_records": self.wal.records_written,
                 "wal_syncs": self.wal.syncs,
                 "ack_policy": self.config.ack_policy,
-                "dedupe": self.prefilter is not None,
                 **self.stats.to_dict(),
             }
 
@@ -681,9 +645,9 @@ class LiveSearcher:
                 self._generation = generation
             return self._inner
 
-    def search(self, query: np.ndarray, theta: float, **kwargs):
+    def search(self, query: np.ndarray, theta: float, *, verify: bool = False):
         """One query against the latest committed generation."""
-        return self._current().search(query, theta, **kwargs)
+        return self._current().search(query, theta, verify=verify)
 
     def __getattr__(self, name: str):
         # Fires only for attributes not set on the instance: family, t,

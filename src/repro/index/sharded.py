@@ -205,8 +205,11 @@ class ShardedSearcher:
             t=self.t,
         )
 
-    def search(self, query: np.ndarray, theta: float, **kwargs):
+    def search(self, query: np.ndarray, theta: float, *, verify: bool = False):
         return self._merge(
-            [searcher.search(query, theta, **kwargs) for searcher in self._searchers],
+            [
+                searcher.search(query, theta, verify=verify)
+                for searcher in self._searchers
+            ],
             theta,
         )

@@ -88,7 +88,6 @@ def evaluate_generated_texts(
     window_width: int,
     *,
     model_name: str = "model",
-    keep_examples: bool = True,
     batch_size: int | None = None,
 ) -> MemorizationReport:
     """Run the sliding-window protocol over pre-generated texts.
@@ -108,20 +107,11 @@ def evaluate_generated_texts(
         for window_index, query in enumerate(sliding_queries(text, window_width)):
             positions.append((text_index, window_index))
             queries.append(query)
-    results = searcher.search_many(
-        queries,
-        theta,
-        first_match_only=not keep_examples,
-        batch_size=batch_size,
-    )
+    results = searcher.search_many(queries, theta, batch_size=batch_size)
     for (text_index, window_index), query, result in zip(
         positions, queries, results
     ):
-        example = None
-        if keep_examples and result.matches:
-            merged = result.merged_spans()
-            if merged:
-                example = merged[0]
+        merged = result.merged_spans()
         report.outcomes.append(
             QueryOutcome(
                 generated_text=text_index,
@@ -129,7 +119,7 @@ def evaluate_generated_texts(
                 query=np.asarray(query),
                 matched=bool(result.matches),
                 num_texts=result.num_texts,
-                example=example,
+                example=merged[0] if merged else None,
             )
         )
     return report

@@ -122,7 +122,7 @@ def run_extraction_attack(
     scored.sort(key=lambda item: item[2])
     report = ExtractionReport(theta=theta, score_kind=score_kind)
     for sample_index, tokens, score in scored:
-        result = searcher.search(tokens, theta, first_match_only=True)
+        result = searcher.search(tokens, theta)
         report.candidates.append(
             ExtractionCandidate(
                 sample_index=sample_index,

@@ -96,7 +96,6 @@ class BatchQueryExecutor:
         queries: list[np.ndarray],
         theta: float,
         *,
-        first_match_only: bool = False,
         verify: bool = False,
     ) -> BatchResult:
         """Answer every query; results come back in input order."""
@@ -104,17 +103,12 @@ class BatchQueryExecutor:
             combined = BatchResult()
             for start in range(0, len(queries), self.batch_size):
                 chunk = self._execute_batch(
-                    queries[start : start + self.batch_size],
-                    theta,
-                    first_match_only=first_match_only,
-                    verify=verify,
+                    queries[start : start + self.batch_size], theta, verify=verify
                 )
                 combined.results.extend(chunk.results)
                 combined.stats.merge(chunk.stats)
             return combined
-        return self._execute_batch(
-            queries, theta, first_match_only=first_match_only, verify=verify
-        )
+        return self._execute_batch(queries, theta, verify=verify)
 
     def execute_thetas(
         self,
@@ -141,7 +135,6 @@ class BatchQueryExecutor:
         plan: BatchPlan,
         theta: float,
         *,
-        first_match_only: bool = False,
         verify: bool = False,
     ) -> BatchResult:
         """Run an already-built :class:`~repro.query.planner.BatchPlan`.
@@ -180,9 +173,7 @@ class BatchQueryExecutor:
         stats.io_seconds = io.seconds - io_before[2]
         try:
             unique_results = [
-                searcher._search_planned(
-                    entry, theta, first_match_only=first_match_only, verify=verify
-                )
+                searcher._search_planned(entry, theta, verify=verify)
                 for entry in plan.entries
             ]
         finally:
@@ -210,14 +201,11 @@ class BatchQueryExecutor:
         queries: list[np.ndarray],
         theta: float,
         *,
-        first_match_only: bool,
         verify: bool,
     ) -> BatchResult:
         begin = time.perf_counter()
         plan = plan_batch(self.searcher, queries, theta, verify=verify)
-        batch = self.execute_plan(
-            plan, theta, first_match_only=first_match_only, verify=verify
-        )
+        batch = self.execute_plan(plan, theta, verify=verify)
         batch.stats.total_seconds = time.perf_counter() - begin
         return batch
 

@@ -4,7 +4,7 @@ The memorization evaluation replays heavily repeated queries (the same
 training prefixes probed again and again); for those, even a warm list
 cache still pays sketching, candidate sweeps, and refinement.  This
 tier memoizes the *entire* :class:`~repro.core.search.SearchResult`
-keyed by ``(query_key, theta, first_match_only, verify)``, where
+keyed by ``(query_key, theta, verify)``, where
 :func:`~repro.query.planner.query_key` is the one definition of query
 identity, the same key the batch planner dedups by.
 
@@ -170,18 +170,16 @@ class CachingSearcher:
         query: np.ndarray,
         theta: float,
         *,
-        first_match_only: bool = False,
         verify: bool = False,
     ):
         """The inner searcher's ``search``, answered from the memo on a repeat."""
         query = np.asarray(query, dtype=np.uint32)
-        flags = {"first_match_only": first_match_only, "verify": verify}
         if query.size == 0:
             # Error path (QueryError) belongs to the inner searcher.
-            return self.inner.search(query, theta, **flags)
+            return self.inner.search(query, theta, verify=verify)
         return self._memoized(
-            self._key(self.inner.family.sketch(query), query, theta, **flags),
-            lambda: self.inner.search(query, theta, **flags),
+            self._key(self.inner.family.sketch(query), query, theta, verify),
+            lambda: self.inner.search(query, theta, verify=verify),
         )
 
     def _search_planned(
@@ -189,14 +187,12 @@ class CachingSearcher:
         entry,
         theta: float,
         *,
-        first_match_only: bool = False,
         verify: bool = False,
     ):
         """:meth:`search` for a planned entry, keyed by the plan's sketch."""
-        flags = {"first_match_only": first_match_only, "verify": verify}
         return self._memoized(
-            self._key(entry.sketch, entry.query, theta, **flags),
-            lambda: self.inner._search_planned(entry, theta, **flags),
+            self._key(entry.sketch, entry.query, theta, verify),
+            lambda: self.inner._search_planned(entry, theta, verify=verify),
         )
 
     def _memoized(self, key: tuple, compute):
@@ -215,15 +211,12 @@ class CachingSearcher:
         sketch: np.ndarray,
         query: np.ndarray,
         theta: float,
-        *,
-        first_match_only: bool,
         verify: bool,
     ) -> tuple:
         verify = bool(verify)
         return (
             query_key(sketch, np.asarray(query, dtype=np.uint32), verify),
             float(theta),
-            bool(first_match_only),
             verify,
         )
 

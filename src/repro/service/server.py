@@ -436,8 +436,7 @@ class SearchService(HttpServiceBase):
         return {
             "ok": True,
             "ids": ids,
-            "accepted": sum(1 for text_id in ids if text_id is not None),
-            "deduped": sum(1 for text_id in ids if text_id is None),
+            "accepted": len(ids),
             "next_text_id": live.num_texts,
             "generation": live.manifest.generation,
             "server": {"total_ms": 1e3 * total},

@@ -142,19 +142,19 @@ def test_every_setting_equals_sequential_loop(
     assert batch.stats.queries == len(batch_queries)
 
 
-@pytest.mark.parametrize("first_match_only", [False, True])
+@pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("verify", [False, True])
 @pytest.mark.parametrize(
     "backend", ["memory", "disk-raw", "disk-packed", "live", "cached"]
 )
 def test_every_backend_equals_sequential_loop(
-    make_searcher, batch_queries, backend, verify, first_match_only
+    make_searcher, batch_queries, backend, verify, chunked
 ):
-    options = {"verify": verify, "first_match_only": first_match_only}
     direct = make_searcher(backend)
-    expected = [direct.search(query, 0.8, **options) for query in batch_queries]
-    with BatchQueryExecutor(make_searcher(backend)) as executor:
-        batch = executor.execute(batch_queries, 0.8, **options)
+    expected = [direct.search(query, 0.8, verify=verify) for query in batch_queries]
+    searcher = make_searcher(backend)
+    with BatchQueryExecutor(searcher, batch_size=2 if chunked else None) as executor:
+        batch = executor.execute(batch_queries, 0.8, verify=verify)
     assert_same_results(expected, batch.results)
 
 
@@ -168,17 +168,6 @@ class TestEquivalence:
         )
         assert_same_results(direct, batch.results)
         assert batch.stats.queries == len(batch_queries)
-
-    def test_first_match_only(self, setup, batch_queries):
-        _, _, searcher = setup
-        direct = [
-            searcher.search(query, 0.8, first_match_only=True)
-            for query in batch_queries
-        ]
-        batch = BatchQueryExecutor(searcher).execute(
-            batch_queries, 0.8, first_match_only=True
-        )
-        assert_same_results(direct, batch.results)
 
     def test_verify_equivalence(self, setup, batch_queries):
         corpus, index, _ = setup

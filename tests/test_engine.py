@@ -79,6 +79,14 @@ class TestFromTexts:
         hits = engine.search(self.QUERY, theta=0.7, verify=True)
         assert {hit.text_id for hit in hits} >= {0}
 
+    def test_unknown_search_keyword_raises(self, engine):
+        """The raw searches take ``verify`` and nothing else: any other
+        keyword fails at the call instead of reaching the searcher."""
+        with pytest.raises(TypeError):
+            engine.search_raw(self.QUERY, first_match_only=True)
+        with pytest.raises(TypeError):
+            engine.search_batch_raw([self.QUERY], first_match_only=True)
+
 
 class TestFromCorpus:
     def test_token_only_engine(self):

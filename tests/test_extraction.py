@@ -64,7 +64,7 @@ class TestRunAttack:
             attacked, searcher, num_samples=10, sample_length=48, theta=0.8, seed=7
         )
         for candidate in report.candidates:
-            result = searcher.search(candidate.tokens, 0.8, first_match_only=True)
+            result = searcher.search(candidate.tokens, 0.8)
             assert candidate.memorized == bool(result.matches)
 
     def test_validation(self, attack_setup):

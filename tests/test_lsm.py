@@ -1,9 +1,9 @@
 """Tests for the LSM live index (WAL, manifest, memtable, runs, service).
 
 Layered bottom-up: WAL record encoding and torn-tail recovery, manifest
-atomic commit, compaction picking, the Bloom prefilter, then
-:class:`LiveIndex` end-to-end (append/seal/compact/reopen equivalence
-with an offline build, snapshot isolation, crash-window GC), the live
+atomic commit, compaction picking, then :class:`LiveIndex` end-to-end
+(append/seal/compact/reopen equivalence with an offline build, snapshot
+isolation, crash-window GC, legacy root files), the live
 engine facade, ``validate_live_index``, and the ``/ingest`` service
 round trip with its client retry policy.
 """
@@ -26,7 +26,6 @@ from repro.exceptions import IndexFormatError, InvalidParameterError
 from repro.index.builder import build_memory_index
 from repro.index.lsm import (
     ACK_POLICIES,
-    BloomPrefilter,
     LiveIndex,
     LiveIndexConfig,
     LiveSearcher,
@@ -246,30 +245,6 @@ class TestPickCompaction:
 
 
 # ----------------------------------------------------------------------
-# Bloom prefilter
-# ----------------------------------------------------------------------
-class TestBloomPrefilter:
-    def test_no_false_negatives(self):
-        rng = np.random.default_rng(7)
-        bloom = BloomPrefilter(capacity=500, fp_rate=1e-3)
-        texts = make_texts(rng, 100)
-        assert [bloom.seen_or_add(t) for t in texts] == [False] * 100
-        assert [bloom.seen_or_add(t) for t in texts] == [True] * 100
-
-    def test_save_load(self, tmp_path):
-        rng = np.random.default_rng(8)
-        bloom = BloomPrefilter(capacity=100, fp_rate=1e-3)
-        texts = make_texts(rng, 20)
-        for text in texts:
-            bloom.seen_or_add(text)
-        path = tmp_path / "bloom.npz"
-        bloom.save(path)
-        loaded = BloomPrefilter.load(path)
-        assert [loaded.seen_or_add(t) for t in texts] == [True] * 20
-        assert 0.0 < loaded.fill_ratio < 1.0
-
-
-# ----------------------------------------------------------------------
 # LiveIndex end-to-end
 # ----------------------------------------------------------------------
 class TestLiveIndex:
@@ -385,27 +360,44 @@ class TestLiveIndex:
             fresh = result_set(live.searcher(), probe)
             assert fresh == result_set(offline_searcher(first + more), probe)
 
-    def test_dedupe_prefilter(self, tmp_path):
+    def test_repeated_texts_each_get_an_id(self, tmp_path):
+        """Every append is indexed: a text sent twice is two texts, so
+        the live index answers like a rebuild of everything appended."""
         rng = np.random.default_rng(25)
         texts = make_texts(rng, 10, lo=T)
-        with make_live(tmp_path / "live", dedupe=True) as live:
+        with make_live(tmp_path / "live") as live:
             ids = live.append_texts(texts)
-            assert ids == list(range(10))
-            replayed = live.append_texts(texts)
-            assert replayed == [None] * 10
-            assert live.num_texts == 10
-            assert live.stats.texts_deduped == 10
+            ids += live.append_texts(texts)
+            assert ids == list(range(20))
+            assert live.num_texts == 20
+            assert live.stats.texts_accepted == 20
+            offline = offline_searcher(texts + texts)
+            searcher = live.searcher()
+            for probe in texts[::3]:
+                assert result_set(searcher, probe) == result_set(offline, probe)
 
-    def test_dedupe_survives_reopen(self, tmp_path):
+    def test_legacy_bloom_file_is_ignored(self, tmp_path):
+        """A stray ``prefilter.npz`` in an older root is neither read nor
+        rewritten nor garbage-collected, and changes no answer."""
         rng = np.random.default_rng(26)
-        texts = make_texts(rng, 10, lo=T)
+        texts = make_texts(rng, 40, lo=T)
         root = tmp_path / "live"
-        live = make_live(root, dedupe=True)
-        live.append_texts(texts)
-        live.close()
-        reopened = make_live(root, dedupe=True)
-        assert reopened.append_texts(texts) == [None] * 10
-        reopened.close()
+        with make_live(root) as live:
+            live.append_texts(texts[:30])
+            live.seal()
+            live.append_texts(texts[30:])
+            before = [result_set(live.searcher(), probe) for probe in texts[::7]]
+        legacy = root / "prefilter.npz"
+        np.savez(legacy, bits=rng.integers(0, 256, size=64, dtype=np.uint8))
+        payload = legacy.read_bytes()
+        with make_live(root) as reopened:
+            assert reopened.num_texts == 40
+            after = [result_set(reopened.searcher(), probe) for probe in texts[::7]]
+            assert after == before
+            assert reopened.append_texts(texts[:2]) == [40, 41]
+            reopened.seal()
+        assert legacy.read_bytes() == payload
+        assert validate_live_index(root).ok
 
     def test_background_compaction_thread(self, tmp_path):
         rng = np.random.default_rng(27)

@@ -99,6 +99,26 @@ class TestEvaluateGeneratedTexts:
         assert report.num_queries == 0
         assert report.memorized_fraction == 0.0
 
+    def test_outcome_counts_every_matching_text(self):
+        """A window planted in several corpus texts reports all of them,
+        and its example is the first merged span of the full search."""
+        rng = np.random.default_rng(51)
+        vocab = 300
+        passage = rng.integers(0, vocab, size=40).astype(np.uint32)
+        texts = [rng.integers(0, vocab, size=150).astype(np.uint32) for _ in range(12)]
+        for text_id, offset in ((2, 10), (5, 60), (9, 100)):
+            texts[text_id][offset : offset + passage.size] = passage
+        index = build_memory_index(
+            InMemoryCorpus(texts), HashFamily(k=16, seed=21), t=25, vocab_size=vocab
+        )
+        searcher = NearDuplicateSearcher(index)
+        report = evaluate_generated_texts([passage], searcher, 0.8, passage.size)
+        expected = searcher.search(passage, 0.8)
+        (outcome,) = report.outcomes
+        assert expected.num_texts >= 3
+        assert outcome.num_texts == expected.num_texts
+        assert outcome.example == expected.merged_spans()[0]
+
 
 class TestEvaluateModel:
     def test_end_to_end(self, memorization_setup):

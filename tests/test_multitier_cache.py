@@ -171,16 +171,16 @@ class TestResultCache:
         first = searcher.search(query, 0.8)
         assert canon(searcher.search(query, 0.8)) == canon(first)
         assert (memo.hits, memo.misses) == (1, 1)
-        # Different theta / flags are different entries, not collisions.
+        # A different theta or verify flag is a different entry, not a
+        # collision.
         searcher.search(query, 0.9)
-        searcher.search(query, 0.8, first_match_only=True)
         searcher.search(query, 0.8, verify=True)
-        assert (memo.hits, memo.misses) == (1, 4)
-        assert memo.stats().entries == 4
-        # Defaults spelled explicitly hit the same entry.
-        again = searcher.search(query, 0.8, first_match_only=False, verify=False)
+        assert (memo.hits, memo.misses) == (1, 3)
+        assert memo.stats().entries == 3
+        # The default spelled explicitly hits the same entry.
+        again = searcher.search(query, 0.8, verify=False)
         assert canon(again) == canon(first)
-        assert (memo.hits, memo.misses) == (2, 4)
+        assert (memo.hits, memo.misses) == (2, 3)
 
     def test_batched_queries_hit_the_memo(self, planted_data, planted_index):
         """The executor runs planned entries, not ``search``; the memo

@@ -331,7 +331,6 @@ class ReferenceSearcher(NearDuplicateSearcher):
         stats: QueryStats,
         query: np.ndarray,
         theta: float,
-        first_match_only: bool,
         verify: bool,
     ) -> list[TextMatch]:
         merged = np.concatenate(short_chunks)
@@ -369,28 +368,22 @@ class ReferenceSearcher(NearDuplicateSearcher):
                 rectangles = self._verify_rectangles(query, theta, text_id, rectangles)
             if rectangles:
                 matches.append(TextMatch(text_id, tuple(rectangles)))
-                if first_match_only:
-                    break
         return matches
 
 
 class TestSearcherEquivalence:
     @pytest.mark.parametrize("backend", ["memory", "disk"])
     @pytest.mark.parametrize("theta", [0.6, 0.8, 1.0])
-    @pytest.mark.parametrize("first_match_only", [False, True])
-    def test_matches_and_stats(
-        self, corpus_setup, backend, theta, first_match_only
-    ):
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_matches_and_stats(self, corpus_setup, backend, theta, shuffled):
         data, family, memory, disk = corpus_setup
         index = memory if backend == "memory" else disk
-        fused = NearDuplicateSearcher(index)
+        fused = NearDuplicateSearcher(_ShuffledReader(index, 0) if shuffled else index)
         reference = ReferenceSearcher(index)
         for position in (0, 3, 17, 41):
             query = np.asarray(data.corpus[position])[:64]
-            a = fused.search(query, theta, first_match_only=first_match_only)
-            b = reference.search(
-                query, theta, first_match_only=first_match_only
-            )
+            a = fused.search(query, theta)
+            b = reference.search(query, theta)
             assert a.matches == b.matches
             assert a.stats.groups_scanned == b.stats.groups_scanned
             assert a.stats.candidates == b.stats.candidates
@@ -490,7 +483,6 @@ def search_cases(draw):
         "t": draw(st.integers(1, 6)),
         "theta": draw(st.sampled_from([0.3, 0.5, 0.75, 1.0])),
         "cutoff": draw(st.sampled_from([None, 0, 1, 2])),
-        "first_match_only": draw(st.booleans()),
         "shuffle": draw(st.booleans()),
     }
 
@@ -512,9 +504,8 @@ class TestListCountPrune:
         )
         fused = NearDuplicateSearcher(fused_reader, long_list_cutoff=case["cutoff"])
         reference = ReferenceSearcher(index, long_list_cutoff=case["cutoff"])
-        kwargs = {"first_match_only": case["first_match_only"]}
-        a = fused.search(case["query"], case["theta"], **kwargs)
-        b = reference.search(case["query"], case["theta"], **kwargs)
+        a = fused.search(case["query"], case["theta"])
+        b = reference.search(case["query"], case["theta"])
         assert a.matches == b.matches
         for name in (
             "lists_loaded",
@@ -524,12 +515,8 @@ class TestListCountPrune:
             "texts_matched",
         ):
             assert getattr(a.stats, name) == getattr(b.stats, name), name
-        if case["first_match_only"]:
-            # Both read the long lists once per visited candidate.
-            assert a.stats.point_reads == b.stats.point_reads
-        else:
-            # One grouped read per long list, against one per candidate.
-            assert a.stats.point_reads <= b.stats.point_reads
+        # One grouped read per long list, against one per candidate.
+        assert a.stats.point_reads <= b.stats.point_reads
 
     def test_repeated_token_text_is_pruned_by_lists(self, monkeypatch):
         """A text repeating one token has many windows in one list, and

@@ -89,13 +89,6 @@ class TestBasicSearch:
         result = NearDuplicateSearcher(index).search(query, 0.9)
         assert result.num_texts == 0
 
-    def test_first_match_only_stops_early(self, engine):
-        _, index, query = engine
-        full = NearDuplicateSearcher(index).search(query, 0.8)
-        first = NearDuplicateSearcher(index).search(query, 0.8, first_match_only=True)
-        assert first.num_texts == 1
-        assert full.num_texts >= 1
-
 
 class TestPrefixFiltering:
     def test_same_results_for_all_cutoffs(self, engine):

@@ -111,3 +111,11 @@ class TestSearch:
         result = fanout.search(np.asarray(corpus[2])[5:35], 0.6)
         ids = [m.text_id for m in result.matches]
         assert ids == sorted(ids)
+
+    def test_unknown_search_keyword_raises(self, sharded_setup):
+        """A stale flag fails at the call, not once per shard."""
+        corpus, _, _, sharded = sharded_setup
+        with pytest.raises(TypeError):
+            ShardedSearcher(sharded).search(
+                np.asarray(corpus[0])[:30], 0.8, first_match_only=True
+            )

@@ -113,9 +113,3 @@ class TestSearchMany:
     def test_empty_batch(self, engine):
         _, searcher = engine
         assert searcher.search_many([], 0.8) == []
-
-    def test_first_match_only_propagates(self, engine):
-        corpus, searcher = engine
-        queries = [np.asarray(corpus[0])[:25]]
-        results = searcher.search_many(queries, 0.8, first_match_only=True)
-        assert results[0].num_texts <= 1
