@@ -141,16 +141,59 @@ class HashFamily:
     def sketch(self, tokens: np.ndarray) -> np.ndarray:
         """The ``k``-mins sketch of a sequence: all ``k`` min-hashes.
 
-        Returns a ``uint32`` array of length ``k``.
+        Returns a ``uint32`` array of length ``k``: the one-row case of
+        :meth:`sketch_many`.
         """
-        tokens = np.asarray(tokens)
-        if tokens.size == 0:
+        return self.sketch_many(np.asarray(tokens).reshape(1, -1))[0]
+
+    def sketch_many(self, batch) -> np.ndarray:
+        """The ``k``-mins sketches of a batch of sequences, one row each.
+
+        ``batch`` is a ``(B, w)`` token matrix or a sequence of ``B``
+        token sequences of any lengths; returns a ``(B, k)`` ``uint32``
+        matrix whose row ``i`` is the sketch of sequence ``i``.  The
+        batch's tokens are deduplicated once (one ``np.unique``) and
+        only the distinct ones are hashed, into a ``(distinct, k)``
+        table.  A ragged batch is grouped by width; each group (a
+        matrix is one) takes one gather of that table and one ``min``
+        over its width.
+        """
+        if isinstance(batch, np.ndarray) and batch.ndim == 2:
+            size = batch.shape[0]
+            groups = [(slice(None), batch)] if size else []
+        else:
+            rows = [np.asarray(tokens).reshape(-1) for tokens in batch]
+            size = len(rows)
+            by_width: dict[int, list[int]] = {}
+            for i, row in enumerate(rows):
+                by_width.setdefault(row.size, []).append(i)
+            groups = [
+                (members, np.stack([rows[i] for i in members]))
+                for members in by_width.values()
+            ]
+        out = np.empty((size, self.k), dtype=np.uint32)
+        if not groups:
+            return out
+        if any(matrix.shape[1] == 0 for _, matrix in groups):
             raise InvalidParameterError("cannot sketch an empty sequence")
-        x = np.unique(tokens).astype(np.uint64)
+        distinct, inverse = np.unique(
+            np.concatenate([matrix.reshape(-1) for _, matrix in groups]),
+            return_inverse=True,
+        )
+        table = self._hash_distinct(distinct)
+        offset = 0
+        for members, matrix in groups:
+            cells = inverse[offset : offset + matrix.size].reshape(matrix.shape)
+            offset += matrix.size
+            out[members] = np.take(table, cells, axis=0).min(axis=1)
+        return out
+
+    def _hash_distinct(self, tokens: np.ndarray) -> np.ndarray:
+        """The ``(len(tokens), k)`` ``uint32`` hashes of distinct tokens."""
+        x = tokens.astype(np.uint64)
         with np.errstate(over="ignore"):
-            mixed = x[None, :] * self._a[:, None] + self._b[:, None]
-        hashed = (_finalize(mixed) >> np.uint64(64 - HASH_BITS)).astype(np.uint32)
-        return hashed.min(axis=1)
+            mixed = x[:, None] * self._a[None, :] + self._b[None, :]
+        return (_finalize(mixed) >> np.uint64(64 - HASH_BITS)).astype(np.uint32)
 
     # ------------------------------------------------------------------
     # Persistence

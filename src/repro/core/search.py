@@ -12,7 +12,10 @@ searcher:
    sequence lies in at most one compact window per hash function, so a
    text in fewer lists cannot reach ``beta`` even if *every* long list
    contained it, and is pruned without touching the long lists.  The
-   kept texts' windows are grouped by text and run through
+   prune counts *runs*, not rows: each list's run texts (its distinct
+   text ids, :func:`_run_texts`) go through one ``np.unique`` with
+   counts, and the lists' rows are joined only when some text survives.
+   The kept texts' windows are grouped by text and run through
    :func:`~repro.core.intervals.collision_count` with that reduced
    threshold;
 4. for each surviving candidate text, point-reads its windows from the
@@ -29,10 +32,19 @@ structured-dtype machinery makes every concatenate, sort and mask of
 records several times dearer than the same operation on rows, and a
 query runs each of them at least once.
 
-:meth:`NearDuplicateSearcher.plan_query` does steps 1–2 and returns a
-:class:`PlannedQuery`; :meth:`NearDuplicateSearcher.search` is that plus
-steps 3–5.  The batch executor runs the entries its planner already
-built, so a batched query is sketched and looked up exactly once.
+Steps 1–2 are planned a batch at a time:
+:meth:`NearDuplicateSearcher.plan_many` sketches every query with one
+:meth:`~repro.core.hashing.HashFamily.sketch_many` call, looks up the
+``(B, k)`` list lengths with one ``sketch_list_lengths`` call and splits
+every row with one vectorized :meth:`~NearDuplicateSearcher._select_long_lists`;
+:meth:`~NearDuplicateSearcher.plan_query` is its batch of one, and
+:meth:`NearDuplicateSearcher.search` is that plus steps 3–5.  The batch
+executor runs the entries its planner already built, each reading its
+short lists — rows and run texts — from the batch's :class:`PinnedView`,
+so a batched query is sketched and looked up exactly once and its
+pinned lists are read without another cache lookup.  A query outside a
+batch reads through an empty view, so every list goes through the
+reader's ``load_list`` on the same path.
 """
 
 from __future__ import annotations
@@ -52,9 +64,12 @@ from repro.core.intervals import (
 from repro.core.theory import collision_threshold
 from repro.core.verify import Span, merge_overlapping_spans
 from repro.exceptions import InvalidParameterError, QueryError
-from repro.index.inverted import InvertedIndexReader, posting_rows
+from repro.index.inverted import InvertedIndexReader, posting_rows, range_indices
 
 logger = logging.getLogger(__name__)
+
+#: A cutoff no list length exceeds: the query has no long lists.
+_NO_CUTOFF = np.iinfo(np.int64).max
 
 #: Every attribute and method of the reader protocol; a searcher names
 #: the ones a refused reader lacks.
@@ -166,20 +181,16 @@ class SearchResult:
         return bool(self.matches)
 
 
-#: A list key: (hash function, min-hash value).
-ListKey = tuple[int, int]
-
-
 @dataclass(frozen=True)
 class PlannedQuery:
     """One query, sketched and split into short and long lists.
 
-    Built by :meth:`NearDuplicateSearcher.plan_query` (the batch planner
-    builds one per unique query); the searcher runs it without
-    sketching or looking up list lengths again.
+    Built by :meth:`NearDuplicateSearcher.plan_many` (the batch planner
+    builds one per unique query, :meth:`~NearDuplicateSearcher.plan_query`
+    a batch of one); the searcher runs it without sketching or looking
+    up list lengths again.
     """
 
-    position: int
     query: np.ndarray
     sketch: np.ndarray
     lengths: np.ndarray
@@ -190,13 +201,6 @@ class PlannedQuery:
     short_funcs: np.ndarray
     #: The reader ``lengths`` came from.
     source: object = field(compare=False, repr=False)
-
-    @property
-    def short_keys(self) -> list[ListKey]:
-        """The lists the search will fully load (non-empty short lists)."""
-        return list(
-            zip(self.short_funcs.tolist(), self.sketch[self.short_funcs].tolist())
-        )
 
 
 def derive_theta_result(base: SearchResult, theta: float) -> SearchResult:
@@ -217,7 +221,7 @@ def derive_theta_result(base: SearchResult, theta: float) -> SearchResult:
             matches.append(TextMatch(match.text_id, kept))
     return SearchResult(
         matches=matches,
-        stats=dataclasses.replace(base.stats, texts_matched=len(matches)),
+        stats=QueryStats(**{**vars(base.stats), "texts_matched": len(matches)}),
         k=base.k,
         theta=theta,
         beta=beta,
@@ -238,6 +242,116 @@ def _group_by_text(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     texts = rows[:, 0]
     starts = np.flatnonzero(np.concatenate(([True], texts[1:] != texts[:-1])))
     return rows, starts, np.diff(np.append(starts, texts.size))
+
+
+def _run_texts(chunks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Every list's run texts, concatenated, and how many each list has.
+
+    ``chunks`` are non-empty ``(n, 4)`` row arrays of text-sorted lists.
+    A list holds each text's windows as one run, so its *run texts* are
+    its distinct text ids in list order: the text of each row that
+    starts a run.  One vector pass covers every list (a list boundary
+    always starts a run).
+    """
+    texts = np.concatenate([chunk[:, 0] for chunk in chunks])
+    firsts = np.empty(texts.size, dtype=bool)
+    firsts[0] = True
+    np.not_equal(texts[1:], texts[:-1], out=firsts[1:])
+    starts = np.cumsum([0] + [chunk.shape[0] for chunk in chunks[:-1]])
+    firsts[starts] = True
+    return texts[firsts], np.add.reduceat(firsts, starts, dtype=np.int64)
+
+
+class PinnedView:
+    """The lists one batch pinned, as its queries read them.
+
+    Built once per batch from the lists a
+    :class:`~repro.index.cache.CachedIndexReader` ``pin`` call hands
+    back: each list's rows and its run texts (:func:`_run_texts`, one
+    vector pass over every pinned list).  A planned query reads its
+    short lists here instead of through ``load_list``; a list the view
+    does not hold (left outside the pin budget) is read through the
+    searcher's reader as usual.  Every list served here is a hit of
+    ``reader``, counted and made recent through its ``touch``, just as
+    a ``load_list`` of a resident list would.  The empty view
+    (``_NO_VIEW``) is how a query outside a batch reads its lists.
+    """
+
+    def __init__(
+        self,
+        reader,
+        funcs: np.ndarray,
+        minhashes: np.ndarray,
+        lists: list[np.ndarray],
+    ) -> None:
+        self.reader = reader
+        held = np.array(
+            [i for i, postings in enumerate(lists) if postings.size], dtype=np.int64
+        )
+        funcs = np.asarray(funcs, dtype=np.int64)[held]
+        minhashes = np.asarray(minhashes, dtype=np.int64)[held]
+        keys = (funcs.astype(np.uint64) << np.uint64(32)) | minhashes.astype(
+            np.uint64
+        )
+        order = np.argsort(keys)
+        #: Sorted ``func << 32 | minhash`` keys of the held lists.
+        self.keys = keys[order]
+        self._pairs = list(zip(funcs[order].tolist(), minhashes[order].tolist()))
+        self._rows = [posting_rows(lists[i]) for i in held[order].tolist()]
+        self._runs = np.empty(0, dtype=np.uint32)
+        self._run_counts = np.empty(0, dtype=np.int64)
+        if self._rows:
+            self._runs, self._run_counts = _run_texts(self._rows)
+        self._run_starts = np.cumsum(self._run_counts) - self._run_counts
+
+    def read(
+        self, funcs: np.ndarray, minhashes: np.ndarray, load_list
+    ) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """The rows of every non-empty list among the ``(funcs,
+        minhashes)`` pairs, in pair order, and all their run texts (in
+        no particular order; ``None`` without rows).  Pairs the view
+        does not hold are read with ``load_list``, in one call."""
+        wanted = (funcs.astype(np.uint64) << np.uint64(32)) | minhashes.astype(
+            np.uint64
+        )
+        if self.keys.size:
+            slots = np.minimum(np.searchsorted(self.keys, wanted), self.keys.size - 1)
+            found = self.keys[slots] == wanted
+        else:
+            slots = np.zeros(wanted.size, dtype=np.int64)
+            found = np.zeros(wanted.size, dtype=bool)
+        hits = slots[found]
+        if not hits.size:
+            # Nothing held here (always so for ``_NO_VIEW``, so for every
+            # unbatched query): one read and no per-pair merge.
+            rows = [
+                posting_rows(postings)
+                for postings in load_list(funcs, minhashes)
+                if postings.size
+            ]
+            return rows, _run_texts(rows)[0] if rows else None
+        self.reader.touch([self._pairs[slot] for slot in hits.tolist()])
+        runs = [
+            self._runs[range_indices(self._run_starts[hits], self._run_counts[hits])]
+        ]
+        if hits.size == wanted.size:
+            return [self._rows[slot] for slot in hits.tolist()], runs[0]
+        loaded = iter(load_list(funcs[~found], minhashes[~found]))
+        rows: list[np.ndarray] = []
+        misses: list[np.ndarray] = []
+        for slot, hit in zip(slots.tolist(), found.tolist()):
+            if hit:
+                rows.append(self._rows[slot])
+            elif (postings := next(loaded)).size:
+                rows.append(posting_rows(postings))
+                misses.append(rows[-1])
+        if misses:
+            runs.append(_run_texts(misses)[0])
+        return rows, np.concatenate(runs) if rows else None
+
+
+#: The view of no pinned batch: every list is read through ``load_list``.
+_NO_VIEW = PinnedView(None, np.empty(0), np.empty(0), [])
 
 
 class NearDuplicateSearcher:
@@ -330,33 +444,60 @@ class NearDuplicateSearcher:
         theta: float,
         *,
         sketch: np.ndarray | None = None,
-        position: int = 0,
     ) -> PlannedQuery:
-        """Steps 1–2 for one query: sketch, list lengths, long/short split.
+        """Steps 1–2 for one query: :meth:`plan_many` over a batch of one.
 
         ``sketch`` optionally supplies the query's precomputed k-mins
-        sketch (the service sketches requests on arrival).
+        sketch (the service sketches requests on arrival); otherwise
+        :meth:`~repro.core.hashing.HashFamily.sketch`, the one-row case
+        of ``sketch_many``, computes it.
         """
-        query = np.asarray(query)
-        if query.size == 0:
+        if sketch is None:
+            query = np.asarray(query)
+            if query.size == 0:
+                raise QueryError("query sequence is empty")
+            sketch = self.family.sketch(query)
+        return self.plan_many([query], theta, sketches=[sketch])[0]
+
+    def plan_many(
+        self,
+        queries: list[np.ndarray],
+        theta: float,
+        *,
+        sketches: np.ndarray | None = None,
+    ) -> list[PlannedQuery]:
+        """Steps 1–2 for a batch: sketch, list lengths, long/short split.
+
+        One :meth:`~repro.core.hashing.HashFamily.sketch_many` call
+        sketches the batch (unless ``sketches``, one row per query, are
+        supplied), one ``sketch_list_lengths`` call looks up its
+        ``(B, k)`` list lengths, and :meth:`_select_long_lists` splits
+        every row at once.  Returns one entry per query, in order.
+        """
+        queries = [np.asarray(query) for query in queries]
+        if any(query.size == 0 for query in queries):
             raise QueryError("query sequence is empty")
         beta = collision_threshold(self.family.k, theta)
-        if sketch is None:
-            sketch = self.family.sketch(query)
-        lengths = self.index.sketch_list_lengths(sketch)
-        long_funcs = self._select_long_lists(lengths, beta)
-        is_short = lengths > 0
-        is_short[list(long_funcs)] = False
-        return PlannedQuery(
-            position=position,
-            query=query,
-            sketch=sketch,
-            lengths=lengths,
-            beta=beta,
-            long_funcs=frozenset(long_funcs),
-            short_funcs=np.flatnonzero(is_short),
-            source=self.index,
+        if sketches is None:
+            sketches = self.family.sketch_many(queries)
+        sketches = np.asarray(sketches).reshape(len(queries), self.family.k)
+        lengths = np.asarray(self.index.sketch_list_lengths(sketches)).reshape(
+            sketches.shape
         )
+        long = self._select_long_lists(lengths, beta)
+        short = (lengths > 0) & ~long
+        return [
+            PlannedQuery(
+                query=query,
+                sketch=sketches[row],
+                lengths=lengths[row],
+                beta=beta,
+                long_funcs=frozenset(np.flatnonzero(long[row]).tolist()),
+                short_funcs=np.flatnonzero(short[row]),
+                source=self.index,
+            )
+            for row, query in enumerate(queries)
+        ]
 
     def _marks(self) -> tuple[float, int, int, float]:
         """Clock and I/O counters at the start of a query."""
@@ -370,14 +511,18 @@ class NearDuplicateSearcher:
         *,
         verify: bool = False,
         marks: tuple[float, int, int, float] | None = None,
+        view: PinnedView | None = None,
     ) -> SearchResult:
         """Steps 3–5 for a planned query: load, scan, refine, report.
 
         An entry planned against another reader (a live index that
         moved to a new generation since) is planned again here from its
-        sketch, since its list lengths may no longer hold.  ``marks``
-        (from :meth:`_marks`) starts the stats' clock earlier, so a
-        direct :meth:`search` also counts its planning.
+        sketch, since its list lengths may no longer hold, and it reads
+        its lists through this searcher's reader, never from ``view``
+        (the batch's :class:`PinnedView`, pinned on the reader the plan
+        came from).  ``marks`` (from :meth:`_marks`) starts the stats'
+        clock earlier, so a direct :meth:`search` also counts its
+        planning.
         """
         if verify and self.corpus is None:
             raise InvalidParameterError(
@@ -389,42 +534,39 @@ class NearDuplicateSearcher:
         if source is not self.index and source is not getattr(
             self.index, "inner", None
         ):
-            entry = self.plan_query(
-                entry.query, theta, sketch=entry.sketch, position=entry.position
-            )
+            entry = self.plan_query(entry.query, theta, sketch=entry.sketch)
+            view = None
+        if view is None or view.reader is not self.index:
+            view = _NO_VIEW
         stats = QueryStats()
         beta = entry.beta
         long_funcs = entry.long_funcs
         stats.long_lists = len(long_funcs)
         alpha_short = beta - len(long_funcs)
 
-        # Load the short lists (one read for all of them) so windows of
-        # one text from all short lists can be scanned together.
+        # Read the short lists (from the batch's view; what it does not
+        # hold in one read) so windows of one text from all short lists
+        # are scanned together.
         short_funcs = entry.short_funcs
         stats.lists_loaded += int(short_funcs.size)
-        short_chunks: list[np.ndarray] = []
-        if short_funcs.size:
-            short_chunks = [
-                postings
-                for postings in self.index.load_list(
-                    short_funcs, entry.sketch[short_funcs]
-                )
-                if postings.size
-            ]
-
         matches: list[TextMatch] = []
-        if short_chunks:
-            matches = self._scan(
-                short_chunks,
-                alpha_short,
-                beta,
-                entry.sketch,
-                long_funcs,
-                stats,
-                entry.query,
-                theta,
-                verify,
+        if short_funcs.size:
+            rows, runs = view.read(
+                short_funcs, entry.sketch[short_funcs], self.index.load_list
             )
+            if rows:
+                matches = self._scan(
+                    rows,
+                    runs,
+                    alpha_short,
+                    beta,
+                    entry.sketch,
+                    long_funcs,
+                    stats,
+                    entry.query,
+                    theta,
+                    verify,
+                )
 
         begin, io_bytes0, io_calls0, io_seconds0 = marks
         io = self.index.io_stats
@@ -456,7 +598,8 @@ class NearDuplicateSearcher:
     # ------------------------------------------------------------------
     def _scan(
         self,
-        short_chunks: list[np.ndarray],
+        short_rows: list[np.ndarray],
+        run_texts: np.ndarray,
         alpha_short: int,
         beta: int,
         sketch: np.ndarray,
@@ -472,46 +615,39 @@ class NearDuplicateSearcher:
         per-group Algorithm 4/5 loop.  Texts are pruned by the number of
         short *lists* they appear in, not by their number of windows: a
         sequence lies in at most one compact window per hash function,
-        so that count bounds every collision count of the text.  A list
-        holds one text's windows as one run (lists are sorted by text),
-        so the count is the number of run-first rows per text; an
+        so that count bounds every collision count of the text.
+        ``run_texts`` holds every short list's run texts (its distinct
+        text ids, :func:`_run_texts`), so the count is one
+        ``np.unique(..., return_counts=True)`` over runs, not rows; an
         unsorted list would only overcount, which keeps the bound
-        sound.  Only the surviving texts' rows are sorted by
-        ``(text, left)``, and the double sweep runs as flat event arrays
-        over all of them at once.  Long-list
-        refinement then gathers *all* surviving candidates and issues
-        one grouped zone-map read over all long lists instead of one
-        point read per candidate per list.
+        sound.  Only when some text reaches ``alpha_short`` are the
+        short lists' rows joined, and only the surviving texts' rows
+        are sorted by ``(text, left)``; the double sweep runs as flat
+        event arrays over all of them at once.  Long-list refinement
+        then gathers *all* surviving candidates and issues one grouped
+        zone-map read over all long lists instead of one point read per
+        candidate per list.
         """
-        rows = np.concatenate([posting_rows(chunk) for chunk in short_chunks])
-        texts = rows[:, 0]
-        run_starts = np.empty(texts.size, dtype=bool)
-        run_starts[0] = True
-        np.not_equal(texts[1:], texts[:-1], out=run_starts[1:])
-        run_starts[
-            np.cumsum([chunk.size for chunk in short_chunks[:-1]], dtype=np.int64)
-        ] = True
-        all_texts, run_text, lists_per_text = np.unique(
-            texts[run_starts], return_inverse=True, return_counts=True
-        )
-        num_groups = int(all_texts.size)
-        alpha_eff = max(alpha_short, 1)
+        all_texts, lists_per_text = np.unique(run_texts, return_counts=True)
+        stats.groups_scanned += int(all_texts.size)
         keep = lists_per_text >= alpha_short
         if not keep.any():
-            stats.groups_scanned += num_groups
             return []
-        row_keep = keep[run_text[np.cumsum(run_starts) - 1]]
-        kept, _, kept_sizes = _group_by_text(np.compress(row_keep, rows, axis=0))
-        group_texts = all_texts[keep].astype(np.int64)
+        group_texts = all_texts[keep]
+        rows = short_rows[0] if len(short_rows) == 1 else np.concatenate(short_rows)
+        texts = rows[:, 0]
+        found = np.minimum(np.searchsorted(group_texts, texts), group_texts.size - 1)
+        kept, _, kept_sizes = _group_by_text(
+            np.compress(group_texts[found] == texts, rows, axis=0)
+        )
+        group_texts = group_texts.astype(np.int64)
         group_ids = np.repeat(
             np.arange(kept_sizes.size, dtype=np.int64), kept_sizes
         )
         rect = fused_collision_count(
-            kept[:, 1], kept[:, 2], kept[:, 3], group_ids, alpha_eff
+            kept[:, 1], kept[:, 2], kept[:, 3], group_ids, max(alpha_short, 1)
         )
         cand_groups = np.unique(rect.group)
-
-        stats.groups_scanned += num_groups
         stats.candidates += int(cand_groups.size)
         if cand_groups.size == 0:
             return []
@@ -650,37 +786,58 @@ class NearDuplicateSearcher:
         with BatchQueryExecutor(self, batch_size=batch_size) as executor:
             return executor.execute(queries, theta, verify=verify).results
 
-    def _effective_cutoff(self, lengths: np.ndarray) -> int | None:
-        """The long-list cutoff for one query, or ``None`` when disabled.
+    def _effective_cutoff(self, lengths: np.ndarray) -> np.ndarray:
+        """The long-list cutoff of each query (each row of ``lengths``).
 
-        For a configured cutoff this is the hoisted constant; only the
-        default heuristic (8x the median of the query's own non-empty
-        list lengths) depends on the query.
+        ``_NO_CUTOFF`` (no list is long) where prefix filtering is off:
+        ``long_list_cutoff=0``, or a query without a non-empty list
+        under the heuristic.  A configured cutoff is the hoisted
+        constant; only the default heuristic, ``max(64, 8 × median)`` of
+        the query's own non-empty list lengths, depends on the row.
+        The median is read off each row sorted once: its non-empty
+        lengths sit at the end.
         """
+        lengths = np.asarray(lengths)
         if self.long_list_cutoff == 0:
-            return None
+            return np.full(lengths.shape[:-1], _NO_CUTOFF)
         if self._static_cutoff is not None:
-            return self._static_cutoff
-        positive = lengths[lengths > 0]
-        if positive.size == 0:
-            return None
-        return max(64, 8 * int(np.median(positive)))
+            return np.full(lengths.shape[:-1], self._static_cutoff)
+        k = lengths.shape[-1]
+        ordered = np.sort(lengths.reshape(-1, k).astype(np.int64, copy=False), axis=1)
+        positive = (ordered > 0).sum(axis=1)
+        rows = np.arange(ordered.shape[0])
+        first = k - positive
+        median = (
+            ordered[rows, np.minimum(first + (positive - 1) // 2, k - 1)]
+            + ordered[rows, np.minimum(first + positive // 2, k - 1)]
+        ) // 2
+        cutoffs = np.where(positive > 0, np.maximum(64, 8 * median), _NO_CUTOFF)
+        return cutoffs.reshape(lengths.shape[:-1])
 
-    def _select_long_lists(self, lengths: np.ndarray, beta: int) -> set[int]:
-        """Pick which of the query's ``k`` lists to prefix-filter away.
+    def _select_long_lists(self, lengths: np.ndarray, beta: int) -> np.ndarray:
+        """Which of each query's ``k`` lists to prefix-filter away.
 
-        Correctness cap: with ``k - p`` long lists, the short-list
-        collision threshold is ``beta - (k - p)``; it must stay ``>= 1``
-        (a candidate must collide at least once among the short lists),
-        so at most ``beta - 1`` lists may be long.  The longest lists
-        are preferred.
+        ``lengths`` is one query's ``k`` list lengths or a ``(B, k)``
+        matrix of them; returns a boolean mask of the same shape, every
+        row split at once.  Correctness cap: with ``k - p`` long lists,
+        the short-list collision threshold is ``beta - (k - p)``; it
+        must stay ``>= 1`` (a candidate must collide at least once among
+        the short lists), so at most ``beta - 1`` lists may be long.
+        The longest lists are preferred, ties by function order.
         """
-        cutoff = self._effective_cutoff(lengths)
-        if cutoff is None:
-            return set()
-        candidates = np.flatnonzero(lengths > cutoff)
+        lengths = np.asarray(lengths)
+        k = lengths.shape[-1]
+        long = lengths > self._effective_cutoff(lengths)[..., None]
         max_long = max(0, beta - 1)
-        if candidates.size > max_long:
-            order = np.argsort(-lengths[candidates], kind="stable")
-            candidates = candidates[order[:max_long]]
-        return {int(func) for func in candidates}
+        rows = long.reshape(-1, k)  # a view: writes land in ``long``
+        capped = rows.sum(axis=1) > max_long
+        if capped.any():
+            chosen = rows[capped]
+            # Candidates by descending length (stable: ties keep
+            # function order), the others after them.
+            key = np.where(chosen, -lengths.reshape(-1, k)[capped], 1)
+            order = np.argsort(key, axis=1, kind="stable")
+            rank = np.empty_like(order)
+            np.put_along_axis(rank, order, np.arange(k)[None, :], axis=1)
+            rows[capped] = chosen & (rank < max_long)
+        return long

@@ -23,7 +23,9 @@ Batch executors (:mod:`repro.query`) additionally *pin* the lists a
 whole query batch is known to touch: a pinned list is loaded once and
 exempt from eviction until the batch releases it with
 :meth:`CachedIndexReader.unpin`, so a list loaded for the batch's third
-query is guaranteed still warm for its eighty-seventh.  Pins are
+query is guaranteed still warm for its eighty-seventh.  ``pin`` hands
+the lists it holds back to the batch, which reads them without another
+locked lookup and reports each such read with :meth:`CachedIndexReader.touch`.  Pins are
 counted per list: batches running at once (a service's ``/batch`` on a
 worker thread beside its micro-batches) each release only their own,
 and a list stays pinned until every batch that pinned it has finished.
@@ -280,24 +282,42 @@ class CachedIndexReader:
     # -- batch pinning ------------------------------------------------
     def pin(
         self, func: int | np.ndarray, minhash: int | np.ndarray
-    ) -> bool | list[bool]:
+    ) -> np.ndarray | None | list[np.ndarray | None]:
         """Load lists (if needed) and exempt them from eviction.
 
-        Returns ``True`` iff this call pinned the list (with arrays, one
-        such flag per pair); a list that would not fit in the budget is
-        left unpinned (the query path still works, it just pays the
-        re-read).  The call holds one pin on each list it pinned, a
-        repeated pair included once, until :meth:`unpin` releases it.
+        Returns the list's postings iff this call pinned it, ``None``
+        otherwise (with arrays, one such entry per pair): the batch
+        executor reads the lists it holds from what this returns.  A
+        list that would not fit in the budget is left unpinned (the
+        query path still works, it just pays the re-read).  The call
+        holds one pin on each list it pinned, a repeated pair included
+        once, until :meth:`unpin` releases it.
         """
         keys = _keys(func, minhash)
         pinned: set[tuple[int, int]] = set()
         try:
-            self._fetch(keys, pinned=pinned)
+            lists = self._fetch(keys, pinned=pinned)
         except BaseException:
             self._release(pinned)  # the caller never learns what to unpin
             raise
-        flags = [key in pinned for key in keys]
-        return flags if np.ndim(func) else flags[0]
+        held = [
+            postings if key in pinned else None for key, postings in zip(keys, lists)
+        ]
+        return held if np.ndim(func) else held[0]
+
+    def touch(self, keys: list[tuple[int, int]]) -> None:
+        """Count a hit for each of ``keys`` and make it the most recent.
+
+        What a ``load_list`` of these resident keys would do to the
+        counters and the recency order, for lists a caller already
+        holds: the batch executor's view of the lists its ``pin`` call
+        returned.  ``hits`` keeps its meaning in ``/stats``.
+        """
+        with self._lock:
+            for key in keys:
+                if key in self._lists:
+                    self._lists.move_to_end(key)
+            self.hits += len(keys)
 
     def unpin(self, func: int | np.ndarray, minhash: int | np.ndarray) -> None:
         """Release one pin of each list, as one :meth:`pin` call took it.

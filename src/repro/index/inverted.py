@@ -169,7 +169,8 @@ class InvertedIndexReader(Protocol):
 
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
         """The k list lengths of one query sketch (an ``int64`` array),
-        in one directory pass."""
+        in one directory pass; for a ``(B, k)`` sketch matrix, a
+        ``(B, k)`` matrix of them, still one pass."""
         ...
 
     def load_texts_windows(

@@ -423,9 +423,10 @@ class LiveIndex:
 
     def _ensure_compactor(self) -> None:
         with self._lock:
+            if self._stop_compactor.is_set():
+                return  # closing: the compactor stays stopped
             if self._compactor is not None and self._compactor.is_alive():
                 return
-            self._stop_compactor.clear()
             self._compactor = threading.Thread(
                 target=self._compaction_loop, name="lsm-compactor", daemon=True
             )
@@ -438,8 +439,9 @@ class LiveIndex:
                 return
             self._compact_wakeup.clear()
             try:
-                # Drain: keep merging while the policy finds work.
-                while self.compact():
+                # Drain: keep merging while the policy finds work, but
+                # start no new merge once close() has begun.
+                while not self._stop_compactor.is_set() and self.compact():
                     pass
             except Exception:  # pragma: no cover - surfaced via logs
                 logger.exception("background compaction failed")
@@ -496,15 +498,24 @@ class LiveIndex:
             self.wal.sync()
 
     def close(self) -> None:
-        """Stop the compactor, sync the WAL, and release the root."""
+        """Stop the compactor, sync the WAL, and release the root.
+
+        The compactor is stopped and joined *before* the index is marked
+        closed: a compaction it is running finishes on an open index
+        instead of failing on a closed one.
+        """
         with self._lock:
             if self._closed:
                 return
-            self._closed = True
-        self._stop_compactor.set()
+            self._stop_compactor.set()
+            compactor = self._compactor
         self._compact_wakeup.set()
-        if self._compactor is not None:
-            self._compactor.join(timeout=30.0)
+        if compactor is not None:
+            compactor.join(timeout=30.0)
+        with self._lock:
+            if self._closed:
+                return  # a concurrent close() finished first
+            self._closed = True
         self.wal.close(sync=True)
 
     def _check_open(self) -> None:

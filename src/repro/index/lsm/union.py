@@ -56,7 +56,9 @@ class UnionIndexReader:
         )
 
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
-        lengths = np.zeros(self.family.k, dtype=np.int64)
+        """The sources' lengths summed: one call per source, for one
+        sketch or a ``(B, k)`` sketch matrix alike."""
+        lengths = np.zeros(np.shape(sketch), dtype=np.int64)
         for source in self.sources:
             lengths = lengths + np.asarray(
                 source.sketch_list_lengths(sketch), dtype=np.int64

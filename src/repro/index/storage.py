@@ -474,13 +474,18 @@ class InvertedIndex:
         return self._read_ranges(slots, owners, np.zeros_like(counts), counts)
 
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
-        """Lengths of the k lists named by one query sketch.
+        """Lengths of the k lists named by a query sketch, or by each row
+        of a ``(B, k)`` sketch matrix.
 
-        One ``searchsorted`` over the flat directory — no payload I/O,
-        no per-function loop.
+        One ``searchsorted`` over the flat directory for the whole
+        batch — no payload I/O, no per-function or per-query loop.
         """
-        funcs = np.arange(self.family.k, dtype=np.int64)
-        return self._flat_counts[self._resolve(*as_pairs(funcs, sketch))]
+        sketch = np.asarray(sketch)
+        k = self.family.k
+        funcs = np.tile(np.arange(k, dtype=np.int64), sketch.size // k)
+        return self._flat_counts[self._resolve(*as_pairs(funcs, sketch))].reshape(
+            sketch.shape
+        )
 
     def load_texts_windows(
         self, func: int | np.ndarray, minhash: int | np.ndarray, text_ids: np.ndarray

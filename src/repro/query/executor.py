@@ -1,14 +1,29 @@
 """I/O-shared execution of planned query batches.
 
-One strategy, on the calling thread: the batch is sketch-deduplicated
-by :func:`~repro.query.planner.plan_batch`, its short lists are
-batch-pinned in a :class:`~repro.index.cache.CachedIndexReader` (most
-demanded first, within :data:`PIN_FRACTION` of its capacity), so each
-distinct list is read once per batch and the batch's misses are read
-in one call.  Each query runs from its planned entry: it is sketched
-and looked up once, by the planner.  An uncached searcher gets one such
-reader per executor, kept warm across :meth:`BatchQueryExecutor.execute`
-calls and chunks until :meth:`BatchQueryExecutor.close`.
+One strategy, on the calling thread, with the batch as the unit:
+
+1. :func:`~repro.query.planner.plan_batch` sketches, deduplicates and
+   plans the whole batch at once;
+2. its short lists are batch-pinned in a
+   :class:`~repro.index.cache.CachedIndexReader` (most demanded first,
+   within :data:`PIN_FRACTION` of its capacity), so each distinct list
+   is read once per batch and the batch's misses are read in one call;
+3. ``pin`` hands back the lists it holds, and the executor builds one
+   :class:`~repro.core.search.PinnedView` of them: their rows plus the
+   *run texts* of every pinned list (each list's distinct text ids in
+   list order), computed in one vector pass;
+4. each unique query runs from its planned entry and reads its short
+   lists from the view; the run texts feed the searcher's prune
+   directly, so a window whose texts all fall short never joins its
+   lists' rows.  A list outside the pin budget, and every list of an
+   entry planned again because a live index moved to a new generation,
+   is read through ``load_list`` as usual.
+
+A list served by the view counts as a cache hit, exactly as the
+``load_list`` call it replaces would.  An uncached searcher gets one
+such reader per executor, kept warm across
+:meth:`BatchQueryExecutor.execute` calls and chunks until
+:meth:`BatchQueryExecutor.close`.
 
 Matches are identical to calling
 :meth:`~repro.core.search.NearDuplicateSearcher.search` per query;
@@ -25,6 +40,7 @@ import numpy as np
 
 from repro.core.search import (
     NearDuplicateSearcher,
+    PinnedView,
     SearchResult,
     derive_theta_result,
 )
@@ -49,7 +65,7 @@ class BatchQueryExecutor:
     ----------
     searcher:
         The configured :class:`~repro.core.search.NearDuplicateSearcher`,
-        or a wrapper that delegates ``plan_query`` and
+        or a wrapper that delegates ``plan_many`` and
         ``_search_planned`` to one (a live or result-caching searcher).
     batch_size:
         Optional chunking: queries are planned and executed
@@ -157,23 +173,28 @@ class BatchQueryExecutor:
             queries=plan.num_queries,
             unique_queries=plan.num_unique,
             lists_referenced=plan.lists_referenced,
-            distinct_lists=len(plan.demand),
+            distinct_lists=int(plan.list_keys.size),
             plan_seconds=plan.plan_seconds,
         )
         io = reader.io_stats
         io_before = (io.bytes_read, io.read_calls, io.seconds)
         cache_before = reader.stats()
         funcs, minhashes = self._pin_keys(plan, reader.capacity_bytes)
-        held = np.array(
-            reader.pin(funcs, minhashes) if funcs.size else [], dtype=bool
-        )
+        lists = reader.pin(funcs, minhashes) if funcs.size else []
+        held = np.array([postings is not None for postings in lists], dtype=bool)
         stats.lists_pinned = int(held.sum())
         stats.io_bytes = io.bytes_read - io_before[0]
         stats.io_calls = io.read_calls - io_before[1]
         stats.io_seconds = io.seconds - io_before[2]
         try:
+            view = PinnedView(
+                reader,
+                funcs[held],
+                minhashes[held],
+                [postings for postings in lists if postings is not None],
+            )
             unique_results = [
-                searcher._search_planned(entry, theta, verify=verify)
+                searcher._search_planned(entry, theta, verify=verify, view=view)
                 for entry in plan.entries
             ]
         finally:
@@ -214,18 +235,24 @@ class BatchQueryExecutor:
         plan: BatchPlan, capacity_bytes: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """The ``(funcs, minhashes)`` of the short lists to pin: most
-        demanded first, within :data:`PIN_FRACTION` of the pinned
-        reader's capacity."""
+        demanded first (ties by key), greedily within
+        :data:`PIN_FRACTION` of the pinned reader's capacity."""
         budget = int(capacity_bytes * PIN_FRACTION)
-        keys = []
-        used = 0
-        for key in sorted(plan.demand, key=lambda key: (-plan.demand[key], key)):
-            nbytes = plan.list_bytes[key]
-            if used + nbytes <= budget:
-                keys.append(key)
-                used += nbytes
-        funcs, minhashes = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-        return funcs, minhashes
+        order = np.lexsort((plan.list_keys, -plan.demand))
+        sizes = plan.list_bytes[order]
+        if sizes.sum() > budget:
+            chosen = []
+            used = 0
+            for position, nbytes in enumerate(sizes.tolist()):
+                if used + nbytes <= budget:
+                    chosen.append(position)
+                    used += nbytes
+            order = order[chosen]
+        keys = plan.list_keys[order]
+        return (
+            (keys >> np.uint64(32)).astype(np.int64),
+            (keys & np.uint64(0xFFFFFFFF)).astype(np.int64),
+        )
 
     def _planned_searcher(self) -> NearDuplicateSearcher:
         """A searcher whose reader supports pinning, reusing an existing

@@ -3,20 +3,28 @@
 Generated text is highly repetitive — many prompts yield byte-identical
 continuations, and Zipf skew means different queries still touch the
 same head inverted lists.  The planner exploits both *before* any I/O
-happens:
+happens, treating the batch as one unit:
 
-1. compute every query's k-mins sketch up front;
+1. sketch the whole batch with one
+   :meth:`~repro.core.hashing.HashFamily.sketch_many` call (one
+   ``np.unique`` over the batch's tokens, one hash of the distinct
+   ones; a ragged batch is grouped by width);
 2. deduplicate queries with equal :func:`query_key` (byte-identical
    sketches — the engine sees a query only through its sketch — plus
    the tokens under ``verify``), so each distinct query is searched
    once.  The key is the one definition of query identity: the result
    tier (:mod:`repro.query.resultcache`) memoizes by it too;
-3. split each unique query's lists into short and long ones (one
+3. plan the unique queries with one
+   :meth:`~repro.core.search.NearDuplicateSearcher.plan_many` call: one
+   ``sketch_list_lengths`` lookup of the ``(U, k)`` sketch matrix and
+   one vectorized long/short split, giving one
    :class:`~repro.core.search.PlannedQuery` per unique query, which the
-   executor runs as is), and enumerate the distinct ``(func, minhash)``
-   short lists the batch loads and how many unique queries load each,
-   so the executor can pin them, most demanded first, and read every
-   miss of the batch at once.
+   executor runs as is;
+4. enumerate the distinct ``(func, minhash)`` short lists the batch
+   loads, how many unique queries load each and their sizes (one
+   ``np.unique`` over the batch's short-list keys), so the executor can
+   pin them, most demanded first, and read every miss of the batch at
+   once.
 """
 
 from __future__ import annotations
@@ -26,9 +34,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.search import ListKey, NearDuplicateSearcher, PlannedQuery
+from repro.core.search import NearDuplicateSearcher, PlannedQuery
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.index.inverted import POSTING_BYTES
+
+
+def _empty_keys() -> np.ndarray:
+    return np.empty(0, dtype=np.uint64)
+
+
+def _empty_counts() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -38,10 +54,13 @@ class BatchPlan:
     entries: list[PlannedQuery] = field(default_factory=list)
     #: Original query position -> index into :attr:`entries`.
     assignment: list[int] = field(default_factory=list)
-    #: Distinct short-list key -> number of unique queries loading it.
-    demand: dict[ListKey, int] = field(default_factory=dict)
-    #: Distinct short-list key -> size in bytes (for pin budgeting).
-    list_bytes: dict[ListKey, int] = field(default_factory=dict)
+    #: The distinct short lists the batch loads, as sorted
+    #: ``func << 32 | minhash`` keys.
+    list_keys: np.ndarray = field(default_factory=_empty_keys)
+    #: Per distinct short list: the number of unique queries loading it.
+    demand: np.ndarray = field(default_factory=_empty_counts)
+    #: Per distinct short list: its size in bytes (for pin budgeting).
+    list_bytes: np.ndarray = field(default_factory=_empty_counts)
     #: Non-empty list references summed over *all* queries (dupes included).
     lists_referenced: int = 0
     plan_seconds: float = 0.0
@@ -87,38 +106,46 @@ def plan_batch(
     the coalesced plan skips the sketch pass entirely.
     """
     begin = time.perf_counter()
-    family = searcher.family
     if sketches is not None and len(sketches) != len(queries):
         raise InvalidParameterError(
             f"got {len(sketches)} precomputed sketches for {len(queries)} queries"
         )
+    queries = [np.asarray(query) for query in queries]
+    if any(query.size == 0 for query in queries):
+        raise QueryError("query sequence is empty")
     plan = BatchPlan()
-    seen: dict[bytes, int] = {}
-    for position, query in enumerate(queries):
-        query = np.asarray(query)
-        if query.size == 0:
-            raise QueryError("query sequence is empty")
-        sketch = (
-            sketches[position] if sketches is not None else family.sketch(query)
+    if queries:
+        if sketches is None:
+            sketches = searcher.family.sketch_many(queries)
+        sketches = np.asarray(sketches).reshape(len(queries), searcher.family.k)
+        seen: dict[bytes, int] = {}
+        unique: list[int] = []
+        for position, query in enumerate(queries):
+            key = query_key(sketches[position], query, verify)
+            slot = seen.setdefault(key, len(seen))
+            if slot == len(unique):
+                unique.append(position)
+            plan.assignment.append(slot)
+        plan.entries = searcher.plan_many(
+            [queries[position] for position in unique],
+            theta,
+            sketches=sketches[unique],
         )
-        key = query_key(sketch, query, verify)
-        if key in seen:
-            unique_position = seen[key]
-            plan.assignment.append(unique_position)
-            plan.lists_referenced += int(
-                np.count_nonzero(plan.entries[unique_position].lengths)
-            )
-            continue
-        entry = searcher.plan_query(
-            query, theta, sketch=sketch, position=len(plan.entries)
+        lengths = np.stack([entry.lengths for entry in plan.entries])
+        plan.lists_referenced = int(
+            np.count_nonzero(lengths, axis=1)[plan.assignment].sum()
         )
-        seen[key] = entry.position
-        plan.assignment.append(entry.position)
-        plan.entries.append(entry)
-        plan.lists_referenced += int(np.count_nonzero(entry.lengths))
-        lengths = entry.lengths[entry.short_funcs].tolist()
-        for list_key, length in zip(entry.short_keys, lengths):
-            plan.demand[list_key] = plan.demand.get(list_key, 0) + 1
-            plan.list_bytes[list_key] = length * POSTING_BYTES
+        funcs = np.concatenate([entry.short_funcs for entry in plan.entries])
+        owners = np.repeat(
+            np.arange(len(plan.entries)),
+            [entry.short_funcs.size for entry in plan.entries],
+        )
+        keys = (funcs.astype(np.uint64) << np.uint64(32)) | sketches[
+            np.asarray(unique)[owners], funcs
+        ].astype(np.uint64)
+        plan.list_keys, first, plan.demand = np.unique(
+            keys, return_index=True, return_counts=True
+        )
+        plan.list_bytes = lengths[owners[first], funcs[first]] * POSTING_BYTES
     plan.plan_seconds = time.perf_counter() - begin
     return plan

@@ -188,11 +188,15 @@ class CachingSearcher:
         theta: float,
         *,
         verify: bool = False,
+        view=None,
     ):
-        """:meth:`search` for a planned entry, keyed by the plan's sketch."""
+        """:meth:`search` for a planned entry, keyed by the plan's sketch;
+        a miss reads its lists from the batch's ``view``."""
         return self._memoized(
             self._key(entry.sketch, entry.query, theta, verify),
-            lambda: self.inner._search_planned(entry, theta, verify=verify),
+            lambda: self.inner._search_planned(
+                entry, theta, verify=verify, view=view
+            ),
         )
 
     def _memoized(self, key: tuple, compute):

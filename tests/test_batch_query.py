@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.hashing import HashFamily
-from repro.core.search import NearDuplicateSearcher
+from repro.core.search import NearDuplicateSearcher, PinnedView
 from repro.corpus.corpus import InMemoryCorpus
 from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError, QueryError
@@ -23,6 +23,7 @@ from repro.index.builder import build_memory_index
 from repro.index.cache import CachedIndexReader
 from repro.index.lsm.live import LiveIndex, LiveIndexConfig, LiveSearcher
 from repro.index.storage import DiskInvertedIndex, write_index
+from repro.query import executor as executor_module
 from repro.query.executor import PIN_FRACTION, BatchQueryExecutor
 from repro.query.planner import plan_batch
 from repro.query.resultcache import CachingSearcher
@@ -366,7 +367,7 @@ class TestPinBudget:
         the executor's default cache size."""
         _, index, searcher = setup
         direct = [searcher.search(query, 0.8) for query in batch_queries]
-        sizes = plan_batch(searcher, batch_queries, 0.8).list_bytes.values()
+        sizes = plan_batch(searcher, batch_queries, 0.8).list_bytes.tolist()
         # Every list fits beside a full pin budget, but not all of them
         # fit in the cache at once.
         capacity = 2 * max(sizes)
@@ -388,6 +389,50 @@ class TestPinBudget:
         assert pinned_after
         assert 0 < max(pinned_after) <= PIN_FRACTION * reader.capacity_bytes
         assert reader.stats().admission_rejections == 0
+
+
+    def test_lists_outside_the_budget_are_read_through_the_cache(
+        self, setup, batch_queries, monkeypatch
+    ):
+        """The view holds only the pinned lists; a query reads the rest
+        through ``load_list`` and still equals a direct search."""
+        _, index, searcher = setup
+        direct = [searcher.search(query, 0.8) for query in batch_queries]
+        plan = plan_batch(searcher, batch_queries, 0.8)
+        reader = CachedIndexReader(
+            index, capacity_bytes=2 * int(plan.list_bytes.max())
+        )
+        views = _record_views(monkeypatch)
+        fetch = reader._fetch
+        unpinned_fetches = []
+
+        def recording_fetch(keys, *, pinned):
+            if pinned is None:
+                unpinned_fetches.append(len(keys))
+            return fetch(keys, pinned=pinned)
+
+        monkeypatch.setattr(reader, "_fetch", recording_fetch)
+        batch = BatchQueryExecutor(NearDuplicateSearcher(reader)).execute(
+            batch_queries, 0.8
+        )
+        assert_same_results(direct, batch.results)
+        (view,) = views
+        assert 0 < view.keys.size < plan.list_keys.size
+        assert batch.stats.lists_pinned == view.keys.size
+        assert unpinned_fetches and sum(unpinned_fetches) > 0
+
+
+def _record_views(monkeypatch) -> list[PinnedView]:
+    """Every :class:`PinnedView` the executor builds, in order."""
+    views: list[PinnedView] = []
+
+    class RecordedView(PinnedView):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            views.append(self)
+
+    monkeypatch.setattr(executor_module, "PinnedView", RecordedView)
+    return views
 
 
 class TestConcurrentBatchPins:
@@ -525,7 +570,9 @@ class TestSelectLongListsBatch:
         k = index.family.k
         lengths = np.arange(10, 10 + k) * 100
         for beta in range(1, k + 1):
-            chosen = searcher._select_long_lists(lengths, beta)
+            chosen = set(
+                np.flatnonzero(searcher._select_long_lists(lengths, beta)).tolist()
+            )
             assert len(chosen) == min(beta - 1, k)
             # The longest lists are preferred.
             expected = set(range(k - len(chosen), k))
@@ -535,7 +582,7 @@ class TestSelectLongListsBatch:
         _, index, _ = setup
         searcher = NearDuplicateSearcher(index, long_list_cutoff=1)
         lengths = np.array([1000] * index.family.k)
-        assert searcher._select_long_lists(lengths, beta=1) == set()
+        assert not searcher._select_long_lists(lengths, beta=1).any()
 
 
 @settings(max_examples=8, deadline=None)
@@ -565,3 +612,200 @@ def test_property_batch_equals_sequential(seed, num_texts, vocab):
     reference = [searcher.search(query, 0.8) for query in queries]
     batch = BatchQueryExecutor(searcher).execute(queries, 0.8)
     assert_same_results(reference, batch.results)
+
+
+def _scalar_split(lengths: np.ndarray, beta: int, long_list_cutoff) -> set[int]:
+    """The long/short rule one query at a time, as a set of functions."""
+    if long_list_cutoff == 0:
+        return set()
+    if long_list_cutoff is not None:
+        cutoff = long_list_cutoff
+    else:
+        positive = lengths[lengths > 0]
+        if positive.size == 0:
+            return set()
+        cutoff = max(64, 8 * int(np.median(positive)))
+    candidates = np.flatnonzero(lengths > cutoff)
+    max_long = max(0, beta - 1)
+    if candidates.size > max_long:
+        order = np.argsort(-lengths[candidates], kind="stable")
+        candidates = candidates[order[:max_long]]
+    return set(candidates.tolist())
+
+
+#: Lengths that tie often, straddle the heuristic's floor of 64 and the
+#: static cutoff of 100, and include empty lists.
+_LENGTHS = st.sampled_from([0, 0, 1, 7, 8, 64, 65, 100, 101, 520, 520, 4000])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.lists(_LENGTHS, min_size=16, max_size=16), min_size=1, max_size=6),
+    cutoff=st.sampled_from([None, 0, 100]),
+    beta=st.integers(1, 17),
+)
+def test_vectorized_split_equals_scalar_rule(setup, rows, cutoff, beta):
+    """The batch split equals the one-query rule for every row: the
+    heuristic, a disabled and a static cutoff, ties at the ``beta - 1``
+    cap, all-zero rows."""
+    _, index, _ = setup
+    searcher = NearDuplicateSearcher(index, long_list_cutoff=cutoff)
+    lengths = np.array(
+        rows + [[0] * 16, [520] * 16, [4000] * 8 + [0] * 8], dtype=np.int64
+    )
+    mask = searcher._select_long_lists(lengths, beta)
+    assert mask.shape == lengths.shape and mask.dtype == bool
+    for row, chosen in zip(lengths, mask):
+        assert set(np.flatnonzero(chosen).tolist()) == _scalar_split(row, beta, cutoff)
+        assert np.array_equal(searcher._select_long_lists(row, beta), chosen)
+
+
+class RowPruneSearcher(NearDuplicateSearcher):
+    """The prune as it ran on rows: ``np.unique(return_inverse=True)``
+    over each run's first row, a per-row ``cumsum`` back to the rows,
+    then a mask.  The surviving rows go to the run-count scan, which
+    keeps all of them; the run texts handed in are not used."""
+
+    def _scan(self, short_rows, run_texts, alpha_short, *args):
+        stats = args[3]
+        rows = np.concatenate(short_rows)
+        texts = rows[:, 0]
+        run_starts = np.empty(texts.size, dtype=bool)
+        run_starts[0] = True
+        np.not_equal(texts[1:], texts[:-1], out=run_starts[1:])
+        run_starts[
+            np.cumsum([chunk.shape[0] for chunk in short_rows[:-1]], dtype=np.int64)
+        ] = True
+        all_texts, run_text, lists_per_text = np.unique(
+            texts[run_starts], return_inverse=True, return_counts=True
+        )
+        keep = lists_per_text >= alpha_short
+        stats.groups_scanned += int(all_texts.size - keep.sum())
+        if not keep.any():
+            return []
+        row_keep = keep[run_text[np.cumsum(run_starts) - 1]]
+        return super()._scan(
+            [np.compress(row_keep, rows, axis=0)],
+            texts[run_starts & row_keep],
+            alpha_short,
+            *args,
+        )
+
+
+class TestPinnedView:
+    """Each planned query reads its short lists from the batch's view."""
+
+    def test_mixed_batch_equals_direct(self, make_searcher, setup):
+        """Duplicate windows, several widths and a query none of whose
+        lists exist, over every backend and wrapper."""
+        corpus = setup[0]
+        widths = [40, 25, 64, 40, 33, 25, 64, 40, 25, 70]
+        queries = [np.asarray(corpus[i])[:width] for i, width in enumerate(widths)]
+        queries += [queries[0], queries[2], queries[0], queries[4]]
+        queries.append(np.arange(5000, 5040, dtype=np.uint32))
+        for backend in ("memory", "disk-packed", "cached", "live"):
+            searcher = make_searcher(backend)
+            plan = plan_batch(searcher, queries, 0.8)
+            assert plan.entries[-1].short_funcs.size == 0
+            assert plan.num_unique == len(widths) + 1
+            expected = [make_searcher(backend).search(query, 0.8) for query in queries]
+            batch = BatchQueryExecutor(searcher).execute_plan(plan, 0.8)
+            assert_same_results(expected, batch.results)
+            for direct, batched in zip(expected, batch.results):
+                for name in _WARMTH_FREE:
+                    assert getattr(direct.stats, name) == getattr(batched.stats, name)
+
+    def test_pinned_batch_counts_like_per_query_loads(
+        self, setup, batch_queries, monkeypatch
+    ):
+        """Reading from the view moves the cache's counters and recency
+        exactly as a ``load_list`` per query would, without a locked
+        per-query fetch."""
+        _, index, _ = setup
+        viewed = CachedIndexReader(index)
+        plan = plan_batch(NearDuplicateSearcher(viewed), batch_queries, 0.8)
+        fetch = viewed._fetch
+        fetches = []
+
+        def recording_fetch(keys, *, pinned):
+            fetches.append(pinned is not None)
+            return fetch(keys, pinned=pinned)
+
+        monkeypatch.setattr(viewed, "_fetch", recording_fetch)
+        BatchQueryExecutor(NearDuplicateSearcher(viewed)).execute_plan(plan, 0.8)
+        assert fetches == [True]  # the pin, and no fetch per query
+
+        # The loop the view replaces: pin, then each query's load_list.
+        looped = CachedIndexReader(index)
+        searcher = NearDuplicateSearcher(looped)
+        plan = plan_batch(searcher, batch_queries, 0.8)
+        funcs, minhashes = BatchQueryExecutor._pin_keys(plan, looped.capacity_bytes)
+        looped.pin(funcs, minhashes)
+        for entry in plan.entries:
+            searcher._search_planned(entry, 0.8)
+        looped.unpin(funcs, minhashes)
+        ours, theirs = viewed.stats(), looped.stats()
+        assert ours.hits > 0 and ours.misses > 0
+        for name in ("hits", "misses", "evictions", "admission_rejections"):
+            assert getattr(ours, name) == getattr(theirs, name), name
+        assert list(viewed._lists) == list(looped._lists)
+
+    @pytest.mark.parametrize("cutoff", [None, 0, 40])
+    @pytest.mark.parametrize("theta", [0.5, 0.8, 1.0])
+    def test_run_count_prune_equals_row_path(self, setup, batch_queries, cutoff, theta):
+        """Same matches, ``groups_scanned`` and ``candidates`` as the row
+        prune, direct and batched."""
+        corpus, index, _ = setup
+        queries = batch_queries + [np.asarray(corpus[i])[5:69] for i in range(20, 30)]
+        runs = NearDuplicateSearcher(index, long_list_cutoff=cutoff)
+        rows = RowPruneSearcher(index, long_list_cutoff=cutoff)
+        pairs = [
+            (runs.search(query, theta), rows.search(query, theta)) for query in queries
+        ]
+        pairs += zip(
+            BatchQueryExecutor(runs).execute(queries, theta).results,
+            BatchQueryExecutor(rows).execute(queries, theta).results,
+        )
+        assert any(ours.matches for ours, _ in pairs)
+        for ours, theirs in pairs:
+            assert ours.matches == theirs.matches
+            assert ours.stats.groups_scanned == theirs.stats.groups_scanned
+            assert ours.stats.candidates == theirs.stats.candidates
+
+    def test_generation_moving_after_the_pin_skips_the_stale_view(
+        self, setup, tmp_path, monkeypatch
+    ):
+        """A live index that moves after the batch pinned its lists: the
+        re-planned query reads the new generation, not the view of the
+        old one, so it finds the text appended in between."""
+        corpus, index, _ = setup
+        texts = [np.asarray(text, dtype=np.uint32) for text in corpus][:40]
+        live = LiveIndex(
+            tmp_path / "live",
+            family=index.family,
+            t=index.t,
+            vocab_size=1024,
+            config=LiveIndexConfig(background_compaction=False),
+        )
+        try:
+            live.append_texts(texts)
+            searcher = LiveSearcher(live, cache_bytes=1 << 22)
+            query = texts[3][:40]
+            plan = plan_batch(searcher, [query], 0.8)
+            assert plan.entries[0].short_funcs.size > 0
+            views = []
+
+            class MovingView(PinnedView):
+                def __init__(self, *args) -> None:
+                    super().__init__(*args)
+                    views.append(self)
+                    live.append_texts([query])  # a new generation
+
+            monkeypatch.setattr(executor_module, "PinnedView", MovingView)
+            batch = BatchQueryExecutor(searcher).execute_plan(plan, 0.8)
+            assert views and views[0].keys.size > 0
+            expected = NearDuplicateSearcher(live.snapshot()).search(query, 0.8)
+            assert match_set(batch.results[0]) == match_set(expected)
+            assert len(texts) in {match.text_id for match in batch.results[0].matches}
+        finally:
+            live.close()

@@ -223,7 +223,7 @@ class TestPinning:
 
     def test_pinned_list_survives_pressure(self):
         cache = CachedIndexReader(FakeReader(), capacity_bytes=8 * POSTING_BYTES)
-        assert cache.pin(0, 4)
+        assert cache.pin(0, 4) is not None
         cache.load_list(1, 4)
         cache.load_list(2, 4)  # pressure: must evict (1, 4), not the pin
         before = cache.io_stats.bytes_read
@@ -242,8 +242,9 @@ class TestPinning:
 
     def test_pins_are_counted_per_call(self):
         cache = CachedIndexReader(FakeReader(), capacity_bytes=8 * POSTING_BYTES)
-        assert cache.pin(np.array([0, 0]), np.array([4, 4])) == [True, True]
-        assert cache.pin(0, 4)
+        held = cache.pin(np.array([0, 0]), np.array([4, 4]))
+        assert [postings is not None for postings in held] == [True, True]
+        assert cache.pin(0, 4) is not None
         cache.unpin(np.array([0, 0]), np.array([4, 4]))  # one call's pin
         cache.load_list(1, 4)
         cache.load_list(2, 4)  # pressure: the other call's pin still holds
@@ -255,23 +256,24 @@ class TestPinning:
 
     def test_refused_pin_is_not_released_for_others(self):
         cache = CachedIndexReader(FakeReader(), capacity_bytes=4 * POSTING_BYTES)
-        assert cache.pin(0, 4)
+        assert cache.pin(0, 4) is not None
         # Everything is pinned, so this call pins nothing: releasing
         # what it pinned must not release the first call's pin.
-        assert cache.pin(np.array([1, 0]), np.array([4, 4])) == [False, True]
+        held = cache.pin(np.array([1, 0]), np.array([4, 4]))
+        assert [postings is not None for postings in held] == [False, True]
         cache.unpin(np.array([0]), np.array([4]))
         assert cache.stats().pinned_lists == 1
 
     def test_oversized_pin_refused(self):
         cache = CachedIndexReader(FakeReader(), capacity_bytes=POSTING_BYTES)
-        assert not cache.pin(0, 100)
+        assert cache.pin(0, 100) is None
         assert cache.pinned_bytes == 0
 
     def test_pin_is_idempotent(self):
         cache = CachedIndexReader(FakeReader(), capacity_bytes=1 << 20)
-        assert cache.pin(0, 4)
+        assert cache.pin(0, 4) is not None
         misses = cache.misses
-        assert cache.pin(0, 4)
+        assert cache.pin(0, 4) is not None
         assert cache.misses == misses
 
     def test_all_pinned_blocks_admission_not_reads(self):
@@ -318,7 +320,7 @@ class TestThreadSafety:
                         windows = cache.load_texts_windows(func, minhash, [0])
                         assert windows.size == 1
                     elif op == 8:
-                        if cache.pin(func, minhash):
+                        if cache.pin(func, minhash) is not None:
                             held.append((func, minhash))
                     elif held:
                         cache.unpin(*held.pop())

@@ -59,7 +59,7 @@ class TestSelectLongLists:
 
         searcher = NearDuplicateSearcher(planted_index, long_list_cutoff=0)
         lengths = np.array([1000] * planted_index.family.k)
-        assert searcher._select_long_lists(lengths, beta=8) == set()
+        assert not searcher._select_long_lists(lengths, beta=8).any()
 
     def test_explicit_cutoff_marks_longer_lists(self, planted_index):
         import numpy as np
@@ -68,7 +68,9 @@ class TestSelectLongLists:
 
         searcher = NearDuplicateSearcher(planted_index, long_list_cutoff=100)
         lengths = np.array([50, 150, 99, 101] + [10] * (planted_index.family.k - 4))
-        chosen = searcher._select_long_lists(lengths, beta=8)
+        chosen = set(
+            np.flatnonzero(searcher._select_long_lists(lengths, beta=8)).tolist()
+        )
         assert chosen == {1, 3}
 
     def test_beta_cap_prefers_longest(self, planted_index):
@@ -79,7 +81,9 @@ class TestSelectLongLists:
         searcher = NearDuplicateSearcher(planted_index, long_list_cutoff=1)
         k = planted_index.family.k
         lengths = np.arange(10, 10 + k) * 100
-        chosen = searcher._select_long_lists(lengths, beta=3)
+        chosen = set(
+            np.flatnonzero(searcher._select_long_lists(lengths, beta=3)).tolist()
+        )
         assert len(chosen) == 2  # beta - 1
         # The two longest lists are the last two.
         assert chosen == {k - 1, k - 2}
@@ -91,4 +95,4 @@ class TestSelectLongLists:
 
         searcher = NearDuplicateSearcher(planted_index)  # heuristic cutoff
         lengths = np.zeros(planted_index.family.k, dtype=np.int64)
-        assert searcher._select_long_lists(lengths, beta=8) == set()
+        assert not searcher._select_long_lists(lengths, beta=8).any()

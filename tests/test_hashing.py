@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.hashing import HASH_SPACE, HashFamily
 from repro.core.verify import distinct_jaccard, estimate_jaccard
@@ -158,4 +159,72 @@ class TestPersistence:
         for func in range(family.k):
             assert np.array_equal(
                 family.hash_tokens(tokens, func), loaded.hash_tokens(tokens, func)
+            )
+
+
+#: Token ids that repeat often and sit at both ends of the uint32 range.
+_TOKENS = st.one_of(st.integers(0, 6), st.integers(2**32 - 4, 2**32 - 1))
+
+
+def _oracle_sketch(family: HashFamily, tokens: np.ndarray) -> np.ndarray:
+    """Min over every function's hashes of the distinct tokens, through
+    ``hash_tokens_all`` rather than the sketch path."""
+    return family.hash_tokens_all(np.unique(tokens)).min(axis=1)
+
+
+class TestSketchMany:
+    """``sketch_many`` over a batch equals one ``sketch`` per row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(_TOKENS, min_size=1, max_size=9), min_size=1, max_size=7
+        ),
+        k=st.integers(1, 9),
+        seed=st.integers(0, 40),
+    )
+    def test_equals_stacked_sketch(self, rows, k, seed):
+        """Ragged widths, width 1, repeated tokens, ids near ``2**32 - 1``
+        and a batch of one."""
+        family = HashFamily(k=k, seed=seed)
+        batch = [np.asarray(row, dtype=np.uint32) for row in rows]
+        many = family.sketch_many(batch)
+        assert many.shape == (len(batch), k) and many.dtype == np.uint32
+        for tokens, got in zip(batch, many):
+            assert np.array_equal(got, family.sketch(tokens))
+            assert np.array_equal(got, _oracle_sketch(family, tokens))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.integers(1, 9),
+        count=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_matrix_form_equals_row_form(self, width, count, data):
+        family = HashFamily(k=5, seed=1)
+        matrix = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(_TOKENS, min_size=width, max_size=width),
+                    min_size=count,
+                    max_size=count,
+                )
+            ),
+            dtype=np.uint32,
+        )
+        assert np.array_equal(
+            family.sketch_many(matrix), family.sketch_many(list(matrix))
+        )
+
+    def test_empty_batch_and_empty_row(self, family: HashFamily):
+        assert family.sketch_many([]).shape == (0, family.k)
+        empty = np.empty((0, 4), dtype=np.uint32)
+        assert family.sketch_many(empty).shape == (0, family.k)
+        with pytest.raises(InvalidParameterError):
+            family.sketch_many(np.empty((2, 0), dtype=np.uint32))
+        with pytest.raises(InvalidParameterError):
+            family.sketch(np.array([], dtype=np.uint32))
+        with pytest.raises(InvalidParameterError):
+            family.sketch_many(
+                [np.array([1, 2], dtype=np.uint32), np.array([], dtype=np.uint32)]
             )

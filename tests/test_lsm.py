@@ -42,6 +42,7 @@ from repro.index.lsm import (
     scan_wal,
     wal_name,
 )
+from repro.index.lsm.live import TIER_RATIO
 from repro.index.storage import DiskInvertedIndex
 from repro.index.validate import validate_live_index
 from repro.service import (
@@ -415,6 +416,51 @@ class TestLiveIndex:
             searcher = live.searcher()
             offline = offline_searcher(texts)
             assert result_set(searcher, texts[0]) == result_set(offline, texts[0])
+
+    def test_close_during_background_compaction_logs_no_error(
+        self, tmp_path, caplog
+    ):
+        """A compaction the background thread starts while ``close()``
+        is under way finishes quietly: no "background compaction
+        failed" traceback on a clean shutdown, and the drain starts no
+        further merge once ``close()`` has begun."""
+        rng = np.random.default_rng(29)
+        live = make_live(
+            tmp_path / "live",
+            background_compaction=True,
+            seal_threshold_postings=10**9,
+            compact_fanout=2,
+        )
+        compact = live.compact
+        entered = threading.Event()
+
+        def held_compact(**kwargs):
+            # Hold the loop's first compact() until close() has begun.
+            if not entered.is_set():
+                entered.set()
+                assert live._stop_compactor.wait(30)
+            return compact(**kwargs)
+
+        live.compact = held_compact
+        with caplog.at_level("ERROR", logger="repro.index.lsm.live"):
+            # Two big runs, then two small ones: two eligible windows,
+            # merged one after the other by an unbounded drain.
+            for count in (60, 60, 4, 4):
+                live.append_texts(make_texts(rng, count, lo=T))
+                assert live.seal() is not None
+            assert entered.wait(30)
+            sizes = [int(live._reader(n).num_postings) for n in live.manifest.runs]
+            assert pick_compaction(sizes, 2, TIER_RATIO) == (0, 2)
+            assert pick_compaction([sum(sizes[:2])] + sizes[2:], 2, TIER_RATIO) == (
+                1,
+                3,
+            )
+            live.close()
+        assert not live._compactor.is_alive()
+        assert [r for r in caplog.records if r.levelname == "ERROR"] == []
+        # Only the merge already running when close() began was made.
+        assert live.stats.compactions == 1
+        assert len(live.manifest.runs) == 3
 
     def test_status_and_stats(self, tmp_path):
         rng = np.random.default_rng(28)

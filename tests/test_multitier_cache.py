@@ -418,7 +418,7 @@ class TestSingleFlight:
                 loaded = reader.load_list(funcs, minhashes)
                 assert [int(p["text"][0]) for p in loaded] == minhashes.tolist()
                 pinned = reader.pin(funcs[::-1], minhashes[::-1])
-                assert pinned == [True] * 6
+                assert [postings is not None for postings in pinned] == [True] * 6
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 

@@ -37,7 +37,7 @@ from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError
 from repro.index.builder import build_memory_index
 from repro.index.cache import CachedIndexReader
-from repro.index.inverted import POSTING_DTYPE
+from repro.index.inverted import POSTING_DTYPE, row_postings
 from repro.index.lsm import UnionIndexReader
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.index.zonemap import build_zone_map
@@ -323,7 +323,8 @@ class ReferenceSearcher(NearDuplicateSearcher):
 
     def _scan(
         self,
-        short_chunks: list[np.ndarray],
+        short_rows: list[np.ndarray],
+        run_texts: np.ndarray,
         alpha_short: int,
         beta: int,
         sketch: np.ndarray,
@@ -333,7 +334,8 @@ class ReferenceSearcher(NearDuplicateSearcher):
         theta: float,
         verify: bool,
     ) -> list[TextMatch]:
-        merged = np.concatenate(short_chunks)
+        # The short lists as records; the oracle ignores the run texts.
+        merged = np.concatenate([row_postings(rows) for rows in short_rows])
         merged = merged[np.argsort(merged["text"], kind="stable")]
         text_ids = merged["text"]
         boundaries = np.flatnonzero(
@@ -550,8 +552,8 @@ class TestBetaOneEdge:
         _, family, memory, _ = corpus_setup
         searcher = NearDuplicateSearcher(memory, long_list_cutoff=1)
         lengths = np.array([10_000] * family.k, dtype=np.int64)
-        assert searcher._select_long_lists(lengths, beta=1) == set()
-        assert len(searcher._select_long_lists(lengths, beta=4)) == 3
+        assert not searcher._select_long_lists(lengths, beta=1).any()
+        assert searcher._select_long_lists(lengths, beta=4).sum() == 3
 
     def test_search_at_beta_one_uses_no_long_lists(self, corpus_setup):
         data, family, memory, _ = corpus_setup

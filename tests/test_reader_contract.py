@@ -167,6 +167,24 @@ def test_batched_lengths_equal_scalar_loop(reader, world):
         ]
 
 
+def test_matrix_lengths_equal_row_calls(reader, world):
+    """A ``(B, k)`` sketch matrix gets the ``(B, k)`` lengths of its rows,
+    as many one-sketch calls would: windows of two widths, a repeated
+    row and a row no list has."""
+    texts, family, _, _ = world
+    windows = [text[:60] for text in texts[:5]] + [text[10:43] for text in texts[5:8]]
+    sketches = family.sketch_many(windows)
+    sketches = np.vstack(
+        [sketches, sketches[:1], np.full((1, family.k), 0xDEADBEEF, dtype=np.uint32)]
+    )
+    matrix = reader.sketch_list_lengths(sketches)
+    assert matrix.shape == sketches.shape and matrix.dtype == np.int64
+    for row, sketch in zip(matrix, sketches):
+        assert row.tolist() == reader.sketch_list_lengths(sketch).tolist()
+    assert matrix[-1].tolist() == [0] * family.k
+    assert matrix[:-1].any()
+
+
 def test_batched_point_reads_equal_scalar_loop(reader, world):
     texts, family, _, oracle = world
     # Present, absent, duplicated and out-of-range text ids.

@@ -32,6 +32,7 @@ PACKAGES = [
 # entry points; most classes are summarized by their docstring alone).
 METHOD_DOCS = {
     "NearDupEngine": ["search", "search_batch", "search_batch_raw"],
+    "HashFamily": ["sketch", "sketch_many"],
     "NearDuplicateSearcher": ["search", "search_many", "search_thetas"],
     "BatchQueryExecutor": ["execute", "execute_thetas"],
     "ServiceClient": ["search", "batch", "health", "stats"],
