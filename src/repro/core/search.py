@@ -25,12 +25,13 @@ searcher:
    colliding windows — Definition 2's output, sound and complete
    (Theorem 2).
 
-Readers hand back :data:`~repro.index.inverted.POSTING_DTYPE` records;
-the scan works on their ``(n, 4)`` ``uint32`` row views (the same
-bytes, see :func:`~repro.index.inverted.posting_rows`).  numpy's
-structured-dtype machinery makes every concatenate, sort and mask of
-records several times dearer than the same operation on rows, and a
-query runs each of them at least once.
+Readers hand back a vector read as one ragged batch of
+:data:`~repro.index.inverted.POSTING_DTYPE` records plus each list's
+size; the scan takes one ``(n, 4)`` ``uint32`` row view per batch (the
+same bytes, see :func:`~repro.index.inverted.posting_rows`) and its
+list boundaries from the sizes.  numpy's structured-dtype machinery
+makes every concatenate, sort and mask of records several times dearer
+than the same operation on rows, and a query runs each at least once.
 
 Steps 1–2 are planned a batch at a time:
 :meth:`NearDuplicateSearcher.plan_many` sketches every query with one
@@ -244,20 +245,20 @@ def _group_by_text(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return rows, starts, np.diff(np.append(starts, texts.size))
 
 
-def _run_texts(chunks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Every list's run texts, concatenated, and how many each list has.
+def _run_texts(texts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every list's run texts, concatenated, and how many each non-empty
+    list has.
 
-    ``chunks`` are non-empty ``(n, 4)`` row arrays of text-sorted lists.
-    A list holds each text's windows as one run, so its *run texts* are
-    its distinct text ids in list order: the text of each row that
-    starts a run.  One vector pass covers every list (a list boundary
-    always starts a run).
+    ``texts`` is the text column of text-sorted lists laid end to end,
+    ``sizes`` their lengths.  A list holds each text's windows as one
+    run, so its *run texts* are its distinct text ids in list order: the
+    text of each row that starts a run.  One vector pass covers every
+    list (a list boundary always starts a run).
     """
-    texts = np.concatenate([chunk[:, 0] for chunk in chunks])
-    firsts = np.empty(texts.size, dtype=bool)
-    firsts[0] = True
+    sizes = np.asarray(sizes, dtype=np.int64)
+    firsts = np.ones(texts.size, dtype=bool)
     np.not_equal(texts[1:], texts[:-1], out=firsts[1:])
-    starts = np.cumsum([0] + [chunk.shape[0] for chunk in chunks[:-1]])
+    starts = (np.cumsum(sizes) - sizes)[sizes > 0]
     firsts[starts] = True
     return texts[firsts], np.add.reduceat(firsts, starts, dtype=np.int64)
 
@@ -301,16 +302,20 @@ class PinnedView:
         self._runs = np.empty(0, dtype=np.uint32)
         self._run_counts = np.empty(0, dtype=np.int64)
         if self._rows:
-            self._runs, self._run_counts = _run_texts(self._rows)
+            self._runs, self._run_counts = _run_texts(
+                np.concatenate([rows[:, 0] for rows in self._rows]),
+                [rows.shape[0] for rows in self._rows],
+            )
         self._run_starts = np.cumsum(self._run_counts) - self._run_counts
 
     def read(
         self, funcs: np.ndarray, minhashes: np.ndarray, load_list
     ) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """The rows of every non-empty list among the ``(funcs,
-        minhashes)`` pairs, in pair order, and all their run texts (in
-        no particular order; ``None`` without rows).  Pairs the view
-        does not hold are read with ``load_list``, in one call."""
+        """Row blocks that, laid end to end, are the rows of every list
+        among the ``(funcs, minhashes)`` pairs in pair order, and all
+        their run texts (in no particular order; ``None`` without rows).
+        Pairs the view does not hold are read with ``load_list``, in one
+        call."""
         wanted = (funcs.astype(np.uint64) << np.uint64(32)) | minhashes.astype(
             np.uint64
         )
@@ -323,31 +328,28 @@ class PinnedView:
         hits = slots[found]
         if not hits.size:
             # Nothing held here (always so for ``_NO_VIEW``, so for every
-            # unbatched query): one read and no per-pair merge.
-            rows = [
-                posting_rows(postings)
-                for postings in load_list(funcs, minhashes)
-                if postings.size
-            ]
-            return rows, _run_texts(rows)[0] if rows else None
+            # unbatched query): one read, one row view, no per-pair merge.
+            postings, sizes = load_list(funcs, minhashes)
+            if not postings.size:
+                return [], None
+            rows = posting_rows(postings)
+            return [rows], _run_texts(rows[:, 0], sizes)[0]
         self.reader.touch([self._pairs[slot] for slot in hits.tolist()])
         runs = [
             self._runs[range_indices(self._run_starts[hits], self._run_counts[hits])]
         ]
         if hits.size == wanted.size:
             return [self._rows[slot] for slot in hits.tolist()], runs[0]
-        loaded = iter(load_list(funcs[~found], minhashes[~found]))
-        rows: list[np.ndarray] = []
-        misses: list[np.ndarray] = []
-        for slot, hit in zip(slots.tolist(), found.tolist()):
-            if hit:
-                rows.append(self._rows[slot])
-            elif (postings := next(loaded)).size:
-                rows.append(posting_rows(postings))
-                misses.append(rows[-1])
-        if misses:
-            runs.append(_run_texts(misses)[0])
-        return rows, np.concatenate(runs) if rows else None
+        postings, sizes = load_list(funcs[~found], minhashes[~found])
+        missed = posting_rows(postings)
+        runs.append(_run_texts(missed[:, 0], sizes)[0])
+        # The misses' slices of their one batch, between the hits.
+        loaded = iter(np.split(missed, np.cumsum(sizes)[:-1]))
+        rows = [
+            self._rows[slot] if hit else next(loaded)
+            for slot, hit in zip(slots.tolist(), found.tolist())
+        ]
+        return [part for part in rows if part.size], np.concatenate(runs)
 
 
 #: The view of no pinned batch: every list is read through ``load_list``.
@@ -660,7 +662,7 @@ class NearDuplicateSearcher:
             is_candidate = np.zeros(kept_sizes.size, dtype=bool)
             is_candidate[cand_groups] = True
             parts = [kept[np.repeat(is_candidate, kept_sizes)]]
-            parts += self._read_long_lists(long_funcs, sketch, cand_texts, stats)
+            parts.append(self._read_long_lists(long_funcs, sketch, cand_texts, stats))
             combined, cstarts, csizes = _group_by_text(np.concatenate(parts))
             cgroup_ids = np.repeat(
                 np.arange(csizes.size, dtype=np.int64), csizes
@@ -691,7 +693,7 @@ class NearDuplicateSearcher:
         sketch: np.ndarray,
         text_ids: np.ndarray,
         stats: QueryStats,
-    ) -> list[np.ndarray]:
+    ) -> np.ndarray:
         """The rows of ``text_ids`` in every long list, one read for all.
 
         ``point_reads`` still counts one per long list, so the counter
@@ -699,8 +701,8 @@ class NearDuplicateSearcher:
         """
         funcs = np.array(sorted(long_funcs), dtype=np.int64)
         stats.point_reads += int(funcs.size)
-        fetched = self.index.load_texts_windows(funcs, sketch[funcs], text_ids)
-        return [posting_rows(postings) for postings in fetched if postings.size]
+        postings, _ = self.index.load_texts_windows(funcs, sketch[funcs], text_ids)
+        return posting_rows(postings)
 
     # ------------------------------------------------------------------
     def search_thetas(

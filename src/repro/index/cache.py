@@ -17,7 +17,8 @@ loader through a per-key in-flight future — N threads asking for the
 same cold list cost one inner read, and misses for *different* keys
 overlap their I/O instead of serializing behind one lock.  A vector
 ``load_list`` / ``pin`` call (arrays of keys) keeps that bookkeeping
-per key but reads all of its own misses with one inner vector call.
+per key but reads all of its own misses with one inner vector call; a
+list is copied out of that read only when it is admitted.
 
 Batch executors (:mod:`repro.query`) additionally *pin* the lists a
 whole query batch is known to touch: a pinned list is loaded once and
@@ -40,7 +41,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.index.inverted import IOStats, POSTING_BYTES, as_pairs, extract_texts
+from repro.index.inverted import (
+    IOStats, POSTING_BYTES, as_pairs, concat_postings, extract_texts
+)
 
 
 @dataclass(frozen=True)
@@ -129,10 +132,10 @@ class CachedIndexReader:
     # -- reader protocol ------------------------------------------------
     def load_list(
         self, func: int | np.ndarray, minhash: int | np.ndarray
-    ) -> np.ndarray | list[np.ndarray]:
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Whole lists through the cache; a call's misses share one inner read."""
         loaded = self._fetch(_keys(func, minhash), pinned=None)
-        return loaded if np.ndim(func) else loaded[0]
+        return _batch(loaded) if np.ndim(func) else loaded[0]
 
     def _fetch(
         self, keys: list[tuple[int, int]], *, pinned: set[tuple[int, int]] | None
@@ -218,7 +221,7 @@ class CachedIndexReader:
         funcs = np.array([key[0] for key in owned], dtype=np.int64)
         minhashes = np.array([key[1] for key in owned], dtype=np.int64)
         try:
-            loaded = self.inner.load_list(funcs, minhashes)
+            postings, sizes = self.inner.load_list(funcs, minhashes)
         except BaseException as exc:
             with self._lock:
                 for key, flight in owned.items():
@@ -227,10 +230,11 @@ class CachedIndexReader:
             for flight in owned.values():
                 flight.event.set()
             raise
+        loaded = np.split(postings, np.cumsum(sizes)[:-1])
         with self._lock:
             for (key, flight), postings in zip(owned.items(), loaded):
-                flight.postings = postings
                 self._admit(key, postings)
+                flight.postings = self._lists.get(key, postings)
                 if pinned is not None and key in self._lists:
                     self._pin(key, pinned)
                 self._inflight.pop(key, None)
@@ -244,7 +248,7 @@ class CachedIndexReader:
 
     def load_texts_windows(
         self, func: int | np.ndarray, minhash: int | np.ndarray, text_ids: np.ndarray
-    ) -> np.ndarray | list[np.ndarray]:
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Batched point read, served from cached full lists when hot.
 
         The vector form forwards every pair whose list is not resident
@@ -270,14 +274,16 @@ class CachedIndexReader:
             if cached is not None:
                 out[position] = extract_texts(cached, text_ids)
         if missing:
-            fetched = self.inner.load_texts_windows(
+            postings, sizes = self.inner.load_texts_windows(
                 np.array([keys[p][0] for p in missing], dtype=np.int64),
                 np.array([keys[p][1] for p in missing], dtype=np.int64),
                 text_ids,
             )
-            for position, postings in zip(missing, fetched):
-                out[position] = postings
-        return out
+            for position, part in zip(
+                missing, np.split(postings, np.cumsum(sizes)[:-1])
+            ):
+                out[position] = part
+        return _batch(out)
 
     # -- batch pinning ------------------------------------------------
     def pin(
@@ -377,7 +383,8 @@ class CachedIndexReader:
                 return
             self._used_bytes -= int(self._lists.pop(victim).size) * POSTING_BYTES
             self.evictions += 1
-        self._lists[key] = postings
+        # Own bytes, not a view of the read; copied as uint32, not records.
+        self._lists[key] = postings.view(np.uint32).copy().view(postings.dtype)
         self._used_bytes += nbytes
 
     @property
@@ -443,6 +450,11 @@ class CachedIndexReader:
             f"CachedIndexReader({self.inner!r}, "
             f"used={self.cached_bytes}, hit_rate={self.hit_rate:.2f})"
         )
+
+
+def _batch(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair lists as one ragged batch ``(postings, sizes)``."""
+    return concat_postings(lists), np.array([p.size for p in lists], dtype=np.int64)
 
 
 def _keys(funcs, minhashes) -> list[tuple[int, int]]:

@@ -78,14 +78,15 @@ def row_postings(rows: np.ndarray) -> np.ndarray:
 def concat_postings(parts: list[np.ndarray]) -> np.ndarray:
     """``parts`` joined into one posting array (a lone part is returned as is).
 
-    Joined as row views: numpy's structured-dtype concatenate costs
-    several times more than the same bytes as ``uint32`` rows.
+    Joined as bytes: numpy's structured-dtype concatenate costs many
+    times more per record.
     """
-    if not parts:
-        return np.empty(0, dtype=POSTING_DTYPE)
     if len(parts) == 1:
         return parts[0]
-    return row_postings(np.concatenate([posting_rows(part) for part in parts]))
+    return np.frombuffer(
+        bytearray().join([np.ascontiguousarray(part) for part in parts]),
+        dtype=POSTING_DTYPE,
+    )
 
 
 def as_pairs(funcs, minhashes) -> tuple[np.ndarray, np.ndarray]:
@@ -146,14 +147,15 @@ class InvertedIndexReader(Protocol):
     The searcher, planner, list cache, merge and warmup read lengths
     with :meth:`sketch_list_lengths` and postings with the two methods
     below.  ``load_list`` and ``load_texts_windows`` each have two
-    forms.  With an ``int`` ``func`` and ``minhash`` they read one list.
-    With two equal-length int arrays they read every
-    ``(funcs[i], minhashes[i])`` pair in one call and return a list with
-    one array per pair, in argument order; entry ``i`` equals the int
-    call on pair ``i`` (an absent or repeated pair included).  The
-    vector form is what lets a reader batch a whole sketch's lists into
-    one decode.  A pair no list has — a function outside ``[0, k)`` or
-    a min-hash outside ``uint32`` included — reads as empty.
+    forms.  With two equal-length int arrays they read every
+    ``(funcs[i], minhashes[i])`` pair in one call and return one ragged
+    batch ``(postings, sizes)``: a C-contiguous :data:`POSTING_DTYPE`
+    array of every pair's postings in argument order, and an ``int64``
+    array of each pair's count.  With an ``int`` ``func`` and
+    ``minhash`` they return one pair's postings.  The vector form is
+    what lets a reader batch a whole sketch's lists into one decode.  A
+    pair no list has — a function outside ``[0, k)`` or a min-hash
+    outside ``uint32`` included — reads as empty.
     """
 
     family: HashFamily
@@ -162,9 +164,9 @@ class InvertedIndexReader(Protocol):
 
     def load_list(
         self, func: int | np.ndarray, minhash: int | np.ndarray
-    ) -> np.ndarray | list[np.ndarray]:
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """The full inverted list, a :data:`POSTING_DTYPE` array sorted by
-        text; with arrays, one such list per pair."""
+        text; with arrays, every pair's list as one ragged batch."""
         ...
 
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
@@ -175,9 +177,9 @@ class InvertedIndexReader(Protocol):
 
     def load_texts_windows(
         self, func: int | np.ndarray, minhash: int | np.ndarray, text_ids: np.ndarray
-    ) -> np.ndarray | list[np.ndarray]:
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """The postings of many texts within one list, sorted by text —
         one grouped ranged read instead of one point read per text.
         With arrays, the same ``text_ids`` are read from every pair's
-        list."""
+        list, as one ragged batch."""
         ...

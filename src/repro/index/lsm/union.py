@@ -22,7 +22,9 @@ import time
 import numpy as np
 
 from repro.core.hashing import HashFamily
-from repro.index.inverted import IOStats, POSTING_BYTES, concat_postings
+from repro.index.inverted import (
+    IOStats, POSTING_BYTES, concat_postings, range_indices
+)
 
 
 class UnionIndexReader:
@@ -50,9 +52,11 @@ class UnionIndexReader:
     # -- reader protocol ------------------------------------------------
     def load_list(
         self, func: int | np.ndarray, minhash: int | np.ndarray
-    ) -> np.ndarray | list[np.ndarray]:
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        if not np.ndim(func):
+            return self.load_list([func], [minhash])[0]
         return self._union(
-            lambda source: source.load_list(func, minhash), _pairs(func)
+            lambda source: source.load_list(func, minhash), np.size(func)
         )
 
     def sketch_list_lengths(self, sketch: np.ndarray) -> np.ndarray:
@@ -67,36 +71,39 @@ class UnionIndexReader:
 
     def load_texts_windows(
         self, func: int | np.ndarray, minhash: int | np.ndarray, text_ids: np.ndarray
-    ) -> np.ndarray | list[np.ndarray]:
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        if not np.ndim(func):
+            return self.load_texts_windows([func], [minhash], text_ids)[0]
         return self._union(
             lambda source: source.load_texts_windows(func, minhash, text_ids),
-            _pairs(func),
+            np.size(func),
         )
 
-    def _union(self, read, pairs: int | None):
-        """``read`` on every source (one call each), concatenated per pair.
+    def _union(self, read, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+        """``read`` on every source (one vector call each), merged per pair.
 
-        ``pairs`` is the vector form's pair count, ``None`` for a scalar
-        read.  Sources ascend in text id, so concatenation preserves the
+        Every source returns a ragged batch over the same ``pairs``
+        pairs; one join and one gather put each pair's parts together in
+        source order.  Sources ascend in text id, so this preserves the
         text-id sort the query processor relies on.  The call accounts
         the bytes its sources read, and the merged postings as decoded.
         """
         begin = time.perf_counter()
         read0 = self._source_bytes()
-        per_source = [read(source) for source in self.sources]
-        if pairs is None:
-            merged = [concat_postings([part for part in per_source if part.size])]
-        else:
-            merged = [
-                concat_postings([parts[i] for parts in per_source if parts[i].size])
-                for i in range(pairs)
-            ]
+        batches = [read(source) for source in self.sources]
+        by_source = np.array(
+            [sizes for _, sizes in batches], dtype=np.int64
+        ).reshape(len(batches), pairs)
+        # Each (source, pair) part's start in the join, read pair-major.
+        starts = (np.cumsum(by_source) - by_source.ravel()).reshape(by_source.shape)
+        joined = concat_postings([part for part, _ in batches])
+        postings = joined[range_indices(starts.T.ravel(), by_source.T.ravel())]
         self.io_stats.add(
             self._source_bytes() - read0,
             time.perf_counter() - begin,
-            decoded=sum(part.size for part in merged) * POSTING_BYTES,
+            decoded=postings.size * POSTING_BYTES,
         )
-        return merged[0] if pairs is None else merged
+        return postings, by_source.sum(axis=0)
 
     def _source_bytes(self) -> int:
         return sum(int(source.io_stats.bytes_read) for source in self.sources)
@@ -138,7 +145,3 @@ class UnionIndexReader:
             f"generation={self.generation}, postings={self.num_postings})"
         )
 
-
-def _pairs(func) -> int | None:
-    """Pair count of a vector-form call, ``None`` for a scalar one."""
-    return int(np.size(func)) if np.ndim(func) else None

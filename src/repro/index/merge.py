@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import IndexFormatError, InvalidParameterError
-from repro.index.inverted import POSTING_DTYPE, concat_postings, range_indices
+from repro.index.inverted import posting_rows, range_indices, row_postings
 from repro.index.storage import DiskInvertedIndex, _IndexWriter
 
 #: Keys a partition reads per vector ``load_list`` call while merging.
@@ -46,7 +46,8 @@ def merge_disk_indexes(
         cumulative text counts inferred from the partitions themselves
         (max text id + 1 per partition), which is correct when each
         partition indexed a contiguous corpus slice starting at local
-        id 0 and every text produced at least one window.
+        id 0 and every text produced at least one window.  Offsets that
+        break a merged list's text order raise before anything commits.
     codec:
         Payload codec of the *merged* index (``raw`` or ``packed``).
         Sources may use either codec — lists are decoded while
@@ -74,6 +75,7 @@ def merge_disk_indexes(
             base += _num_texts(reader)
     if len(text_offsets) != len(readers):
         raise InvalidParameterError("one text offset per source index is required")
+    offsets = np.asarray(text_offsets, dtype=np.int64)
 
     # The merged id space ends where the last partition's ends; when
     # every source carries num_texts metadata this is exact even for
@@ -98,33 +100,49 @@ def merge_disk_indexes(
             keys = all_keys[lo : lo + _KEYS_PER_READ]
             funcs = np.full(keys.size, func, dtype=np.int64)
             per_reader = [reader.load_list(funcs, keys) for reader in readers]
-            sizes = np.array(
-                [[postings.size for postings in lists] for lists in per_reader],
-                dtype=np.int64,
-            ).reshape(len(readers), keys.size)
+            sizes = np.stack([counts for _, counts in per_reader])
             totals = sizes.sum(axis=0)
             # Partitions are in ascending text order and internally
             # sorted, so a merged list is its partitions' lists in
             # partition order: partition r's part of list i starts after
             # the parts of partitions < r.
             firsts = np.cumsum(totals) - totals + np.cumsum(sizes, axis=0) - sizes
-            merged = np.empty(int(totals.sum()), dtype=POSTING_DTYPE)
-            for lists, offset, first, size in zip(
-                per_reader, text_offsets, firsts, sizes
-            ):
-                slots = range_indices(first, size)
-                merged[slots] = concat_postings(lists)
+            slots = [range_indices(first, size) for first, size in zip(firsts, sizes)]
+            merged = np.empty((int(totals.sum()), 4), dtype=np.uint32)
+            for (postings, _), part in zip(per_reader, slots):
+                merged[part] = posting_rows(postings)
+            _check_text_order(merged, firsts, sizes, offsets)
+            for offset, part in zip(offsets.tolist(), slots):
                 if offset:
-                    merged["text"][slots] += np.uint32(offset)
+                    merged[part, 0] += np.uint32(offset)
             nonempty = totals > 0
             writer.write_lists(
                 func,
                 keys[nonempty],
-                merged,
+                row_postings(merged),
                 np.concatenate(([0], np.cumsum(totals[nonempty]))),
             )
     writer.close()
     return Path(destination)
+
+
+def _check_text_order(rows, firsts, sizes, offsets) -> None:
+    """Refuse offsets that would corrupt a merged list: shifted in
+    ``int64``, each (partition, list) part's first and last text (its
+    bounds: a part is sorted) must fit ``uint32``, and each part must
+    start after its list's previous part ends.  ``rows`` holds the batch
+    unshifted; part ``(r, i)`` is ``sizes[r, i]`` rows from ``firsts[r, i]``."""
+    held = sizes.T > 0
+    shift = np.broadcast_to(offsets, held.shape)[held]
+    lo = rows[firsts.T[held], 0] + shift
+    hi = rows[(firsts + sizes - 1).T[held], 0] + shift
+    lists = np.nonzero(held)[0]
+    if np.any((lists[1:] == lists[:-1]) & (lo[1:] <= hi[:-1])) or (
+        lo.size and (lo.min() < 0 or hi.max() >= 2**32)
+    ):
+        raise InvalidParameterError(
+            f"text_offsets {offsets.tolist()} break the merged lists' text order"
+        )
 
 
 def _num_texts(reader: DiskInvertedIndex) -> int:
@@ -138,5 +156,5 @@ def _num_texts(reader: DiskInvertedIndex) -> int:
     if recorded is not None:
         return recorded
     keys = reader.list_keys(0)
-    lists = reader.load_list(np.zeros(keys.size, dtype=np.int64), keys)
-    return max((int(p["text"].max()) for p in lists if p.size), default=-1) + 1
+    postings, _ = reader.load_list(np.zeros(keys.size, dtype=np.int64), keys)
+    return int(postings["text"].max()) + 1 if postings.size else 0

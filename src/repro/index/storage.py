@@ -66,7 +66,6 @@ from repro.index.codec import (
     BLOCK_POSTINGS,
     block_byte_sizes,
     check_codec,
-    decode_blocks,
     decode_rows,
     decode_texts,
     encode_lists,
@@ -77,7 +76,6 @@ from repro.index.inverted import (
     POSTING_DTYPE,
     as_pairs,
     concat_postings,
-    extract_texts,
     posting_rows,
     range_indices,
     row_postings,
@@ -458,13 +456,14 @@ class InvertedIndex:
 
     def load_list(
         self, func: int | np.ndarray, minhash: int | np.ndarray
-    ) -> np.ndarray | list[np.ndarray]:
-        """Whole lists; the vector form reads every pair in one call.
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """Whole lists; the vector form reads every pair in one call, as
+        one ragged batch.
 
-        Raw lists are zero-copy views of the payload (for a disk index,
-        of its mapping, shared with the page cache and with sibling
-        prefork workers); packed lists are decoded together, one codec
-        pass per call.
+        Raw lists are gathered from the payload (for a disk index, its
+        mapping, shared with the page cache and with sibling prefork
+        workers); packed lists are decoded together, one codec pass per
+        call.
         """
         if not np.ndim(func):
             return self.load_list([func], [minhash])[0]
@@ -489,7 +488,7 @@ class InvertedIndex:
 
     def load_texts_windows(
         self, func: int | np.ndarray, minhash: int | np.ndarray, text_ids: np.ndarray
-    ) -> np.ndarray | list[np.ndarray]:
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Postings of every text in ``text_ids`` within one list.
 
         A list's zone map narrows every requested text to a posting
@@ -497,7 +496,7 @@ class InvertedIndex:
         pairs are read in one call; for the packed codec they are
         rounded to blocks, whose text ids are decoded first and whose
         other columns are unpacked for the requested texts' rows only.
-        Postings come back sorted by text id.
+        Postings come back sorted by text id, as one ragged batch.
         """
         if not np.ndim(func):
             return self.load_texts_windows([func], [minhash], text_ids)[0]
@@ -553,34 +552,32 @@ class InvertedIndex:
         lo: np.ndarray,
         hi: np.ndarray,
         text_ids: np.ndarray | None = None,
-    ) -> list[np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Posting ranges of many lists, read as one accounted call.
 
         ``slots`` holds every pair's flat directory slot; range ``i`` is
         postings ``[lo[i], hi[i])`` of pair ``owners[i]``'s list, grouped
-        by pair, disjoint and ascending.  Returns one array per pair: its
-        ranges' postings in text order, or with ``text_ids`` (sorted,
-        unique) only those of the texts it names.  Raw ranges are sliced
-        from the mapping; packed ranges are rounded to blocks (a block
-        two ranges share is read once), whose text ids are decoded
-        first; the other columns are then decoded for the rows returned
-        only, at most :data:`_DECODE_BLOCKS` blocks per codec call.
+        by pair, disjoint and ascending.  Returns one ragged batch: the
+        ranges' postings in pair order and text order (with ``text_ids``,
+        sorted and unique, only those of the texts it names) and each
+        pair's count.  Raw ranges are one gather from the mapping; packed
+        ranges are rounded to blocks (a block two ranges share is read
+        once), whose text ids are decoded first; the other columns are
+        then decoded for the rows returned only, at most
+        :data:`_DECODE_BLOCKS` blocks per codec call.
         """
-        if slots.size == 0:
-            return []
         if self._codec == "raw":
             begin = time.perf_counter()
-            starts = self._flat_starts[slots[owners]] + lo
-            parts: list[list[np.ndarray]] = [[] for _ in range(slots.size)]
-            for pair, start, stop in zip(
-                owners.tolist(), starts.tolist(), (starts + hi - lo).tolist()
-            ):
-                parts[pair].append(self._payload[start:stop])
-            out = [concat_postings(part) for part in parts]
-            nbytes = int((hi - lo).sum()) * POSTING_BYTES
-            elapsed, decoded = time.perf_counter() - begin, nbytes
+            spans = hi - lo
+            rows = range_indices(self._flat_starts[slots[owners]] + lo, spans)
+            row_owners = np.repeat(owners, spans)
             if text_ids is not None:
-                out = [extract_texts(chunk, text_ids) for chunk in out]
+                hits = _rows_of_texts(self._payload["text"][rows], text_ids)
+                rows, row_owners = rows[hits], row_owners[hits]
+            postings = row_postings(np.take(posting_rows(self._payload), rows, axis=0))
+            sizes = np.bincount(row_owners, minlength=slots.size)
+            elapsed = time.perf_counter() - begin
+            nbytes = decoded = int(spans.sum()) * POSTING_BYTES
         else:
             owners, blk_lo, blk_hi = _merge_ranges(
                 owners,
@@ -620,26 +617,14 @@ class InvertedIndex:
             elapsed = time.perf_counter() - begin
             nbytes = int(block_byte_sizes(counts, widths).sum())
             decoded = postings.size * POSTING_BYTES
-            if slots.size == 1:
-                out = [postings]
-            else:
-                per_pair = (
-                    np.bincount(block_owners, counts, minlength=slots.size)
-                    if text_ids is None
-                    else np.bincount(np.concatenate(kept_owners), minlength=slots.size)
-                )
-                edges = [0] + np.cumsum(per_pair.astype(np.int64)).tolist()
-                # Own copy per list, so a list a cache keeps does not keep
-                # the call's whole decode buffer alive.  Copied as rows,
-                # which copies faster than the record dtype.
-                rows = posting_rows(postings)
-                out = [
-                    row_postings(rows[start:stop].copy())
-                    for start, stop in zip(edges[:-1], edges[1:])
-                ]
+            sizes = (
+                np.bincount(block_owners, counts, minlength=slots.size).astype(np.int64)
+                if text_ids is None
+                else np.bincount(np.concatenate(kept_owners), minlength=slots.size)
+            )
         if (slots >= 0).any():
             self.io_stats.add(nbytes, elapsed, decoded=decoded)
-        return out
+        return postings, sizes
 
     # -- introspection ------------------------------------------------
     @property
@@ -691,42 +676,17 @@ class InvertedIndex:
 
         List ``i`` belongs to function ``funcs[i]``, has key ``keys[i]``
         and postings ``postings[bounds[i] : bounds[i + 1]]`` — what
-        :func:`write_index` writes.  Raw postings are one gather (the
-        payload itself when it already lies in directory order, as a
-        memory index's does); packed ones are one decode per function.
+        :func:`write_index` writes.  The postings are one vector read of
+        every list (the payload itself when raw lists already lie in
+        directory order, as a memory index's do).
         """
         counts = self._flat_counts[:-1]
         bounds = np.concatenate(([0], np.cumsum(counts)))
-        if self._codec == "packed":
-            per_list = (counts + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
-            local = range_indices(np.zeros_like(per_list), per_list)
-            block_counts = np.minimum(
-                np.repeat(counts, per_list) - local * BLOCK_POSTINGS, BLOCK_POSTINGS
-            )
-            edges = np.append(self._flat_starts, block_counts.size)[self._list_edges]
-            postings = concat_postings(
-                [
-                    decode_blocks(
-                        self._payload,
-                        self._flat_blk_offsets[lo:hi],
-                        block_counts[lo:hi],
-                        self._flat_blk_widths[lo:hi],
-                        self._flat_blk_first[lo:hi],
-                    )
-                    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())
-                    if hi > lo
-                ]
-            )
-        elif np.array_equal(self._flat_starts, bounds[:-1]):
+        if self._codec == "raw" and np.array_equal(self._flat_starts, bounds[:-1]):
             postings = self._payload[: bounds[-1]]
         else:
-            postings = row_postings(
-                np.take(
-                    posting_rows(self._payload),
-                    range_indices(self._flat_starts, counts),
-                    axis=0,
-                )
-            )
+            slots = np.arange(counts.size)
+            postings, _ = self._read_ranges(slots, slots, np.zeros_like(counts), counts)
         return (
             (self._flat_keys >> np.uint64(32)).astype(np.int64),
             (self._flat_keys & np.uint64(0xFFFFFFFF)).astype(np.uint32),

@@ -80,8 +80,8 @@ def _iter_lists(index, func: int, limit: int | None = None):
     keys = index.list_keys(func)[:limit]
     for start in range(0, keys.size, _VALIDATE_KEYS):
         part = keys[start : start + _VALIDATE_KEYS]
-        lists = index.load_list(np.full(part.size, func, dtype=np.int64), part)
-        yield from zip(part.tolist(), lists)
+        postings, sizes = index.load_list(np.full(part.size, func), part)
+        yield from zip(part.tolist(), np.split(postings, np.cumsum(sizes)[:-1]))
 
 
 def validate_index(

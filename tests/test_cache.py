@@ -13,7 +13,7 @@ from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader, CacheStats
 from repro.index.inverted import IOStats, POSTING_BYTES, POSTING_DTYPE
 
-from index_lists import func_lists
+from index_lists import func_lists, join_lists
 
 
 class FakeReader:
@@ -29,7 +29,7 @@ class FakeReader:
 
     def load_list(self, func, minhash):
         if np.ndim(func):
-            return [self.load_list(f, m) for f, m in zip(func, minhash)]
+            return join_lists(self.load_list(f, m) for f, m in zip(func, minhash))
         postings = np.zeros(int(minhash), dtype=POSTING_DTYPE)
         postings["text"] = np.arange(int(minhash))
         self.io_stats.add(int(minhash) * POSTING_BYTES)
@@ -37,9 +37,9 @@ class FakeReader:
 
     def load_texts_windows(self, func, minhash, text_ids):
         if np.ndim(func):
-            return [
+            return join_lists(
                 self.load_texts_windows(f, m, text_ids) for f, m in zip(func, minhash)
-            ]
+            )
         postings = self.load_list(func, minhash)
         return postings[np.isin(postings["text"], text_ids)]
 

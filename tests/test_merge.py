@@ -12,6 +12,7 @@ from repro.exceptions import IndexFormatError, InvalidParameterError
 from repro.index.builder import build_memory_index
 from repro.index.merge import merge_disk_indexes
 from repro.index.storage import DiskInvertedIndex, write_index
+from repro.index.validate import validate_index
 
 from index_lists import func_lists
 
@@ -106,3 +107,47 @@ class TestMerge:
         _, _, _, paths, _, _ = partitions
         with pytest.raises(InvalidParameterError):
             merge_disk_indexes(paths, tmp_path / "off", text_offsets=[0, 4])
+
+
+@pytest.fixture(scope="module")
+def halves(tmp_path_factory):
+    """Two partitions of 6 texts each, indexed with local ids 0..5."""
+    rng = np.random.default_rng(5)
+    texts = [rng.integers(0, VOCAB, size=60).astype(np.uint32) for _ in range(12)]
+    family = HashFamily(k=6, seed=8)
+    root = tmp_path_factory.mktemp("halves")
+    paths = []
+    for part in range(2):
+        local = InMemoryCorpus(texts[part * 6 : (part + 1) * 6])
+        path = root / f"half{part}"
+        write_index(build_memory_index(local, family, 10, vocab_size=VOCAB), path)
+        paths.append(path)
+    full = build_memory_index(InMemoryCorpus(texts), family, 10, vocab_size=VOCAB)
+    return paths, full
+
+
+class TestTextOffsetsChecked:
+    """Offsets that would interleave two partitions' text ids in a list,
+    or push them past ``uint32``, are refused before anything commits."""
+
+    @pytest.mark.parametrize(
+        "offsets", [[0, 0], [6, 0], [0, 2**32 - 3]], ids=["equal", "reversed", "wrap"]
+    )
+    def test_bad_offsets_raise_and_commit_nothing(self, halves, tmp_path, offsets):
+        paths, _ = halves
+        with pytest.raises(InvalidParameterError, match="text_offsets"):
+            merge_disk_indexes(paths, tmp_path / "bad", text_offsets=offsets)
+        assert not (tmp_path / "bad" / "index.meta.json").exists()
+
+    def test_good_offsets_equal_the_monolithic_build(self, halves, tmp_path):
+        paths, full = halves
+        merged = DiskInvertedIndex(
+            merge_disk_indexes(paths, tmp_path / "good", text_offsets=[0, 6])
+        )
+        assert validate_index(merged).ok
+        for func in range(full.family.k):
+            lists_a = func_lists(full, func)
+            lists_b = func_lists(merged, func)
+            assert lists_a.keys() == lists_b.keys()
+            for key in lists_a:
+                assert np.array_equal(lists_a[key], lists_b[key]), (func, key)

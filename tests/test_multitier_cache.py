@@ -29,6 +29,8 @@ from repro.query.executor import BatchQueryExecutor
 from repro.query.planner import plan_batch, query_key
 from repro.query.resultcache import CachingSearcher, ResultCache, ResultCacheStats
 
+from index_lists import split_lists
+
 
 def canon(result):
     """A search result's observable content (stats excluded)."""
@@ -339,12 +341,9 @@ class _SlowCountingReader:
         if self.fail_first and 1 in counts:
             raise OSError("transient read failure")
         time.sleep(self.delay)
-        out = []
-        for _, minhash in keys:
-            postings = np.zeros(4, dtype=POSTING_DTYPE)
-            postings["text"] = minhash
-            out.append(postings)
-        return out
+        postings = np.zeros(4 * len(keys), dtype=POSTING_DTYPE)
+        postings["text"] = np.repeat([minhash for _, minhash in keys], 4)
+        return postings, np.full(len(keys), 4, dtype=np.int64)
 
 
 class TestSingleFlight:
@@ -415,7 +414,7 @@ class TestSingleFlight:
             funcs = minhashes % 4
             try:
                 barrier.wait()
-                loaded = reader.load_list(funcs, minhashes)
+                loaded = split_lists(*reader.load_list(funcs, minhashes))
                 assert [int(p["text"][0]) for p in loaded] == minhashes.tolist()
                 pinned = reader.pin(funcs[::-1], minhashes[::-1])
                 assert [postings is not None for postings in pinned] == [True] * 6
@@ -453,7 +452,9 @@ class TestSingleFlight:
         def worker() -> None:
             barrier.wait()
             try:
-                loaded = reader.load_list(np.array([0, 1, 2]), np.array([5, 6, 7]))
+                loaded = split_lists(
+                    *reader.load_list(np.array([0, 1, 2]), np.array([5, 6, 7]))
+                )
                 assert [int(p["text"][0]) for p in loaded] == [5, 6, 7]
                 outcome = "ok"
             except OSError:
@@ -472,8 +473,8 @@ class TestSingleFlight:
         assert outcomes.count("failed") == 1 and outcomes.count("ok") == threads - 1
         assert inner.loads == {(0, 5): 2, (1, 6): 2, (2, 7): 2}
         assert not reader._inflight
-        for postings in reader.load_list(np.array([0, 1, 2]), np.array([5, 6, 7])):
-            assert postings.size == 4
+        _, sizes = reader.load_list(np.array([0, 1, 2]), np.array([5, 6, 7]))
+        assert sizes.tolist() == [4, 4, 4]
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,8 @@ from repro.index.lsm import UnionIndexReader
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.index.zonemap import build_zone_map
 
+from index_lists import join_lists, split_lists
+
 
 # ---------------------------------------------------------------------------
 # Kernel oracle
@@ -448,7 +450,9 @@ class _ShuffledReader:
         loaded = self._inner.load_list(func, minhash)
         if not np.ndim(func):
             return self._rng.permutation(loaded)
-        return [self._rng.permutation(postings) for postings in loaded]
+        return join_lists(
+            self._rng.permutation(part) for part in split_lists(*loaded)
+        )
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -527,7 +531,9 @@ class TestListCountPrune:
         texts = [[7] * 200, list(range(40))]
         index = build_memory_index(InMemoryCorpus(texts), family, t=5)
         query = np.array([7] * 20 + list(range(20)), dtype=np.uint32)
-        lists = index.load_list(np.arange(family.k), family.sketch(query))
+        lists = split_lists(
+            *index.load_list(np.arange(family.k), family.sketch(query))
+        )
         per_list = [int(np.count_nonzero(p["text"] == 0)) for p in lists]
         assert sum(1 for n in per_list if n) == 1 and max(per_list) >= 2
         sorted_texts = []

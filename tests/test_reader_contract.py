@@ -5,8 +5,9 @@ what it returns equals an independent oracle: the flat
 ``generate_corpus_postings`` output filtered by ``(func, minhash)`` and
 stable-sorted by text.  Batched reads equal a loop of one-list (or
 one-text) calls, and the vector form of ``load_list`` /
-``load_texts_windows`` over arrays of ``(func, minhash)`` pairs equals
-the int form pair by pair.  A reader that lacks part of the protocol is
+``load_texts_windows`` over arrays of ``(func, minhash)`` pairs returns
+one ragged batch ``(postings, sizes)`` whose slice ``i`` equals the int
+form on pair ``i``.  A reader that lacks part of the protocol is
 refused when a searcher is built on it, not halfway through a query.
 """
 
@@ -21,9 +22,17 @@ from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError
 from repro.index.builder import build_memory_index, generate_corpus_postings
 from repro.index.cache import CachedIndexReader
+from repro.index.codec import (
+    block_byte_sizes,
+    block_counts,
+    decode_blocks,
+    encode_list,
+)
 from repro.index.inverted import InvertedIndexReader, POSTING_DTYPE
 from repro.index.lsm import LiveIndex, LiveIndexConfig, UnionIndexReader
 from repro.index.storage import DiskInvertedIndex, write_index
+
+from index_lists import split_lists
 
 VOCAB = 512
 BASE_READERS = ("memory", "disk-raw", "disk-packed", "live-union")
@@ -226,37 +235,52 @@ def test_absent_list_is_empty_everywhere(reader, world):
         assert reader.load_texts_windows(func, minhash, wanted).size == 0
     funcs = np.array([0] + [func for func, _ in absent], dtype=np.int64)
     minhashes = np.array([present] + [m for _, m in absent], dtype=np.int64)
-    lists = reader.load_list(funcs, minhashes)
-    assert lists[0].size > 0
-    assert [part.size for part in lists[1:]] == [0] * len(absent)
-    points = reader.load_texts_windows(funcs, minhashes, wanted)
-    assert [part.size for part in points[1:]] == [0] * len(absent)
+    postings, sizes = reader.load_list(funcs, minhashes)
+    assert sizes[0] > 0 and postings.size == sizes[0]
+    assert sizes[1:].tolist() == [0] * len(absent)
+    _, sizes = reader.load_texts_windows(funcs, minhashes, wanted)
+    assert sizes[1:].tolist() == [0] * len(absent)
     sketch = np.array([-1, 2**33] + [0xDEADBEEF] * (k - 2), dtype=np.int64)
     assert reader.sketch_list_lengths(sketch).tolist() == [0] * k
 
 
 def _sketch_pairs(family, text):
-    """Every function's list for one sketch, plus an absent pair and a
-    repeated one, in a scrambled order."""
+    """Every function's list for one sketch, plus an absent pair, a
+    repeated one and out-of-range ones, in a scrambled order."""
     sketch = family.sketch(text[:70])
     funcs = np.arange(family.k, dtype=np.int64)
     minhashes = sketch.astype(np.int64)
-    funcs = np.concatenate((funcs[::-1], [0, 3], funcs[:2]))
+    funcs = np.concatenate((funcs[::-1], [0, 3, -1, family.k, 0], funcs[:2]))
     minhashes = np.concatenate(
-        (minhashes[::-1], [0xDEADBEEF, minhashes[3]], minhashes[:2])
+        (
+            minhashes[::-1],
+            [0xDEADBEEF, minhashes[3], minhashes[0], minhashes[1], 2**33],
+            minhashes[:2],
+        )
     )
     return funcs, minhashes
+
+
+def _assert_ragged(batch, pairs):
+    """``batch`` is one ragged batch over ``pairs`` pairs; returns its
+    per-pair slices."""
+    postings, sizes = batch
+    assert postings.dtype == POSTING_DTYPE and postings.ndim == 1
+    assert postings.flags.c_contiguous
+    assert sizes.dtype == np.int64 and sizes.shape == (pairs,)
+    assert int(sizes.sum()) == postings.size
+    return split_lists(postings, sizes)
 
 
 def test_vector_load_list_equals_scalar_calls(reader, world):
     texts, family, _, _ = world
     for text in texts[:4]:
         funcs, minhashes = _sketch_pairs(family, text)
-        vector = reader.load_list(funcs, minhashes)
-        assert isinstance(vector, list) and len(vector) == funcs.size
+        vector = _assert_ragged(reader.load_list(funcs, minhashes), funcs.size)
         for func, minhash, got in zip(funcs.tolist(), minhashes.tolist(), vector):
-            assert np.array_equal(got, reader.load_list(func, minhash))
-            assert got.dtype == POSTING_DTYPE
+            one = reader.load_list(func, minhash)
+            assert one.dtype == POSTING_DTYPE
+            assert np.array_equal(got, one)
 
 
 def test_vector_point_reads_equal_scalar_calls(reader, world):
@@ -264,16 +288,95 @@ def test_vector_point_reads_equal_scalar_calls(reader, world):
     wanted = np.array([0, 0, 3, 17, 41, 42, 69, 70, 89, 500], dtype=np.int64)
     for text in texts[:4]:
         funcs, minhashes = _sketch_pairs(family, text)
-        vector = reader.load_texts_windows(funcs, minhashes, wanted)
-        assert isinstance(vector, list) and len(vector) == funcs.size
+        vector = _assert_ragged(
+            reader.load_texts_windows(funcs, minhashes, wanted), funcs.size
+        )
         for func, minhash, got in zip(funcs.tolist(), minhashes.tolist(), vector):
-            assert np.array_equal(got, reader.load_texts_windows(func, minhash, wanted))
+            one = reader.load_texts_windows(func, minhash, wanted)
+            assert one.dtype == POSTING_DTYPE
+            assert np.array_equal(got, one)
 
 
 def test_vector_forms_take_empty_arrays(reader):
     none = np.empty(0, dtype=np.int64)
-    assert reader.load_list(none, none) == []
-    assert reader.load_texts_windows(none, none, np.array([1, 2])) == []
+    for batch in (
+        reader.load_list(none, none),
+        reader.load_texts_windows(none, none, np.array([1, 2])),
+    ):
+        assert _assert_ragged(batch, 0) == []
+        assert batch[0].size == 0
+
+
+def test_packed_vector_read_is_one_buffer(world):
+    """A packed vector read hands back its decode buffer whole: every
+    pair's slice is a view of the one ``postings`` array."""
+    texts, family, bases, _ = world
+    funcs, minhashes = _sketch_pairs(family, texts[2])
+    postings, sizes = bases["disk-packed"].load_list(funcs, minhashes)
+    parts = [part for part in split_lists(postings, sizes) if part.size]
+    assert len(parts) > 1
+    assert all(np.shares_memory(part, postings) for part in parts)
+
+
+class _BatchRecorder:
+    """Delegating reader that keeps every ragged batch it returned."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.batches = []
+
+    def load_list(self, func, minhash):
+        self.batches.append(self._inner.load_list(func, minhash))
+        return self.batches[-1]
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.mark.parametrize("base", BASE_READERS)
+def test_cache_admits_copies_not_slices_of_a_read(world, base):
+    """A list the cache admits from a miss read owns its memory: it
+    shares none with the inner read's batch or the batch the call
+    returned, so a resident list never keeps either buffer alive."""
+    texts, family, bases, _ = world
+    inner = _BatchRecorder(bases[base])
+    cached = CachedIndexReader(inner, capacity_bytes=1 << 20)
+    funcs, minhashes = _sketch_pairs(family, texts[3])
+    postings, sizes = cached.load_list(funcs, minhashes)
+    (read, _), = inner.batches
+    resident = [lst for lst in cached._lists.values() if lst.size]
+    assert resident
+    for lst in resident:
+        assert not np.shares_memory(lst, read)
+        assert not np.shares_memory(lst, postings)
+    # The call's batch still equals the bare reader's.
+    expected = bases[base].load_list(funcs, minhashes)
+    assert np.array_equal(postings, expected[0])
+    assert np.array_equal(sizes, expected[1])
+
+
+@pytest.mark.parametrize("base", BASE_READERS)
+def test_int_form_round_trips_through_the_codec(world, base):
+    """``encode_list(reader.load_list(func, minhash))`` — how the
+    benchmark times the encoder — takes the int form as it comes and
+    decodes back to it."""
+    texts, family, bases, _ = world
+    reader = bases[base]
+    sketch = family.sketch(texts[5][:70])
+    for func in range(family.k):
+        postings = reader.load_list(func, int(sketch[func]))
+        encoded = encode_list(postings)
+        assert encoded.count == postings.size
+        counts = block_counts(encoded.count)
+        nbytes = block_byte_sizes(counts, encoded.widths)
+        decoded = decode_blocks(
+            encoded.data,
+            np.cumsum(nbytes) - nbytes,
+            counts,
+            encoded.widths,
+            encoded.first_texts,
+        )
+        assert np.array_equal(decoded, postings), func
 
 
 def test_delegating_proxy_has_the_harness_proxy_shape():
@@ -309,11 +412,12 @@ def test_capped_decode_calls_return_the_same_lists(world, monkeypatch):
     lists = packed.load_list(funcs, minhashes)
     windows = packed.load_texts_windows(funcs, minhashes, wanted)
     monkeypatch.setattr(storage, "_DECODE_BLOCKS", 1)
-    for got, expected in zip(packed.load_list(funcs, minhashes), lists):
-        assert np.array_equal(got, expected)
-    capped = packed.load_texts_windows(funcs, minhashes, wanted)
-    for got, expected in zip(capped, windows):
-        assert np.array_equal(got, expected)
+    for got, expected in (
+        (packed.load_list(funcs, minhashes), lists),
+        (packed.load_texts_windows(funcs, minhashes, wanted), windows),
+    ):
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
     # Hit-only point reads under the cap: empty, absent, repeated,
     # negative and past-uint32 text ids (2**32 + 41 aliases text 41).
     for ids in (
@@ -326,9 +430,9 @@ def test_capped_decode_calls_return_the_same_lists(world, monkeypatch):
         expected = bases["memory"].load_texts_windows(funcs, minhashes, ids)
         for name in ("disk-raw", "disk-packed"):
             got = bases[name].load_texts_windows(funcs, minhashes, ids)
-            assert len(got) == len(expected) == funcs.size
-            for part, want in zip(got, expected):
-                assert np.array_equal(part, want), (name, ids)
+            assert got[1].size == expected[1].size == funcs.size
+            assert np.array_equal(got[0], expected[0]), (name, ids)
+            assert np.array_equal(got[1], expected[1]), (name, ids)
 
 
 def test_one_vector_load_is_one_packed_read_call(world):
