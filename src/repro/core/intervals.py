@@ -212,15 +212,17 @@ def _sweep_groups(
     starts: np.ndarray,
     ends: np.ndarray,
     group_ids: np.ndarray,
-    alpha: int,
+    alpha: int | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized multi-group endpoint sweep (Algorithm 5, counting form).
 
     Sweeps the inclusive intervals ``[starts[i], ends[i]]`` of *every*
     group at once and returns, per maximal constant-coverage segment
-    with coverage ``>= alpha``, the arrays ``(group, seg_start, seg_end,
-    count)`` ordered by ``(group, segment coordinate)`` — exactly the
-    order :func:`interval_scan` reports segments in, group by group.
+    with coverage ``>= alpha[group]``, the arrays ``(group, seg_start,
+    seg_end, count)`` ordered by ``(group, segment coordinate)`` —
+    exactly the order :func:`interval_scan` reports segments in, group
+    by group.  ``alpha`` holds one threshold per group; an int is every
+    group's.
 
     The trick that fuses the groups into one pass: events carry a
     composite ``group * span + coordinate`` key (``span`` exceeds every
@@ -244,22 +246,23 @@ def _sweep_groups(
     keys = np.empty(2 * n, dtype=np.int64)
     keys[:n] = ((base + starts) << 1) | 1
     keys[n:] = (base + ends + 1) << 1
-    order = np.argsort(keys)
+    order = keys.argsort()
     window = order % n  # event -> source interval
     deltas = np.where(order < n, 1, -1)
-    active = np.cumsum(deltas)
+    active = deltas.cumsum()
     composite = keys[order] >> 1  # (group, coordinate), comparable
     ev_group = group_ids[window]
     ev_coord = composite - ev_group * span
+    alpha = np.asarray(alpha)
     # A segment spans from one coordinate to the next *within a group*;
     # it is materialized at the last event of its coordinate batch.
     segment = np.zeros(2 * n, dtype=bool)
     segment[:-1] = (
         (composite[1:] != composite[:-1])
         & (ev_group[1:] == ev_group[:-1])
-        & (active[:-1] >= alpha)
+        & (active[:-1] >= (alpha[ev_group[:-1]] if alpha.ndim else alpha))
     )
-    found = np.flatnonzero(segment)
+    found = segment.nonzero()[0]
     return (
         ev_group[found],
         ev_coord[found],
@@ -302,24 +305,16 @@ class FusedRectangles:
             self.count[mask],
         )
 
-    def group_slice(self, group: int) -> tuple[int, int]:
-        """Row range ``[lo, hi)`` of one group's rectangles."""
-        lo = int(np.searchsorted(self.group, group, side="left"))
-        hi = int(np.searchsorted(self.group, group, side="right"))
-        return lo, hi
-
-    def rectangles(self, lo: int = 0, hi: int | None = None) -> list[CollisionRectangle]:
-        """Materialize rows ``[lo, hi)`` as :class:`CollisionRectangle`\\ s."""
-        if hi is None:
-            hi = self.size
+    def rectangles(self) -> list[CollisionRectangle]:
+        """Every row as a :class:`CollisionRectangle`, in row order."""
         return [
             CollisionRectangle(i_lo=a, i_hi=b, j_lo=c, j_hi=d, count=e)
             for a, b, c, d, e in zip(
-                self.i_lo[lo:hi].tolist(),
-                self.i_hi[lo:hi].tolist(),
-                self.j_lo[lo:hi].tolist(),
-                self.j_hi[lo:hi].tolist(),
-                self.count[lo:hi].tolist(),
+                self.i_lo.tolist(),
+                self.i_hi.tolist(),
+                self.j_lo.tolist(),
+                self.j_hi.tolist(),
+                self.count.tolist(),
             )
         ]
 
@@ -329,7 +324,7 @@ def fused_collision_count(
     centers: np.ndarray,
     rights: np.ndarray,
     group_ids: np.ndarray,
-    alpha: int,
+    alpha: int | np.ndarray,
 ) -> FusedRectangles:
     """Algorithm 4 over many window groups in one vectorized pass.
 
@@ -352,13 +347,16 @@ def fused_collision_count(
         Window coordinates, **sorted by** ``(group_ids, lefts)``.
     group_ids:
         Dense group labels ``0 .. G-1``, non-decreasing, aligned with
-        the coordinate arrays (one group per candidate text during
-        query processing).
+        the coordinate arrays (one group per ``(query, text)`` pair
+        during query processing).
     alpha:
-        Collision threshold (``>= 1``).
+        Collision threshold of each group (``>= 1``), indexed by group
+        id; an int is every group's.  A batch of queries at different
+        reduced thresholds runs as one call.
     """
-    if alpha < 1:
-        raise InvalidParameterError(f"alpha must be >= 1, got {alpha}")
+    alpha = np.asarray(alpha, dtype=np.int64)
+    if alpha.size and alpha.min() < 1:
+        raise InvalidParameterError(f"alpha must be >= 1, got {alpha.min()}")
     empty = np.empty(0, dtype=np.int64)
     nothing = FusedRectangles(empty, empty, empty, empty, empty, empty)
     n = int(lefts.size)
@@ -382,25 +380,26 @@ def fused_collision_count(
     span = int(rights.max()) + 2
     left_keys = group_ids * span + lefts
     num_groups = int(group_ids[-1]) + 1
-    group_starts = np.searchsorted(group_ids, np.arange(num_groups))
-    upper = np.searchsorted(left_keys, seg_group * span + seg_start, side="right")
+    group_starts = group_ids.searchsorted(np.arange(num_groups))
+    upper = left_keys.searchsorted(seg_group * span + seg_start, side="right")
     lower = group_starts[seg_group]
     counts = upper - lower
-    offsets = np.cumsum(counts) - counts
+    offsets = counts.cumsum() - counts
     member = (
         np.arange(int(counts.sum()), dtype=np.int64)
-        - np.repeat(offsets, counts)
-        + np.repeat(lower, counts)
+        - offsets.repeat(counts)
+        + lower.repeat(counts)
     )
-    seg_of_member = np.repeat(
-        np.arange(seg_group.size, dtype=np.int64), counts
-    )
-    covered = centers[member] >= np.repeat(seg_start, counts)
+    seg_of_member = np.arange(seg_group.size, dtype=np.int64).repeat(counts)
+    covered = centers[member] >= seg_start.repeat(counts)
     member = member[covered]
     seg_of_member = seg_of_member[covered]
 
     rect_seg, j_lo, j_hi, rect_count = _sweep_groups(
-        centers[member], rights[member], seg_of_member, alpha
+        centers[member],
+        rights[member],
+        seg_of_member,
+        alpha[seg_group] if alpha.ndim else alpha,
     )
     return FusedRectangles(
         group=seg_group[rect_seg],

@@ -12,12 +12,12 @@ searcher:
    sequence lies in at most one compact window per hash function, so a
    text in fewer lists cannot reach ``beta`` even if *every* long list
    contained it, and is pruned without touching the long lists.  The
-   prune counts *runs*, not rows: each list's run texts (its distinct
-   text ids, :func:`_run_texts`) go through one ``np.unique`` with
-   counts, and the lists' rows are joined only when some text survives.
-   The kept texts' windows are grouped by text and run through
-   :func:`~repro.core.intervals.collision_count` with that reduced
-   threshold;
+   prune counts *runs*, not rows: a list holds each text's windows as
+   one run, so counting the runs' text ids (:func:`_counted`) counts
+   each text's lists, and only the surviving runs' rows are
+   gathered.  The kept texts' windows are grouped by text and run
+   through :func:`~repro.core.intervals.collision_count` with that
+   reduced threshold;
 4. for each surviving candidate text, point-reads its windows from the
    long lists through their zone maps and re-runs ``collision_count``
    with the full threshold ``beta = ceil(k * theta)``;
@@ -31,21 +31,22 @@ size; the scan takes one ``(n, 4)`` ``uint32`` row view per batch (the
 same bytes, see :func:`~repro.index.inverted.posting_rows`) and its
 list boundaries from the sizes.  numpy's structured-dtype machinery
 makes every concatenate, sort and mask of records several times dearer
-than the same operation on rows, and a query runs each at least once.
+than the same operation on rows.
 
-Steps 1–2 are planned a batch at a time:
-:meth:`NearDuplicateSearcher.plan_many` sketches every query with one
-:meth:`~repro.core.hashing.HashFamily.sketch_many` call, looks up the
-``(B, k)`` list lengths with one ``sketch_list_lengths`` call and splits
-every row with one vectorized :meth:`~NearDuplicateSearcher._select_long_lists`;
-:meth:`~NearDuplicateSearcher.plan_query` is its batch of one, and
-:meth:`NearDuplicateSearcher.search` is that plus steps 3–5.  The batch
-executor runs the entries its planner already built, each reading its
-short lists — rows and run texts — from the batch's :class:`PinnedView`,
-so a batched query is sketched and looked up exactly once and its
-pinned lists are read without another cache lookup.  A query outside a
-batch reads through an empty view, so every list goes through the
-reader's ``load_list`` on the same path.
+Both halves run a batch at a time.
+:meth:`NearDuplicateSearcher.plan_many` does steps 1–2 for a batch: one
+:meth:`~repro.core.hashing.HashFamily.sketch_many` call, one
+``sketch_list_lengths`` call for the ``(B, k)`` list lengths and one
+vectorized :meth:`~NearDuplicateSearcher._select_long_lists`.
+:meth:`~NearDuplicateSearcher._search_batch` does steps 3–5 for every
+planned query of a batch at once, a group being a ``(query, text)``
+pair: one prune over all their run counts, one gather of the surviving
+rows, one kernel pass at each query's reduced threshold, one point read
+per query with long lists and one kernel pass at ``beta`` over every
+refined group.  The batch executor hands it the short lists its pin
+holds; :meth:`NearDuplicateSearcher.search` is the batch of one
+(:meth:`~NearDuplicateSearcher.plan_query` plus one ``load_list``), on
+the same path.
 """
 
 from __future__ import annotations
@@ -60,12 +61,18 @@ import numpy as np
 from repro.core.hashing import HashFamily
 from repro.core.intervals import (
     CollisionRectangle,
+    FusedRectangles,
     fused_collision_count,
 )
 from repro.core.theory import collision_threshold
 from repro.core.verify import Span, merge_overlapping_spans
 from repro.exceptions import InvalidParameterError, QueryError
-from repro.index.inverted import InvertedIndexReader, posting_rows, range_indices
+from repro.index.inverted import (
+    InvertedIndexReader,
+    concat_postings,
+    posting_rows,
+    range_indices,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -98,6 +105,10 @@ class QueryStats:
     #: call covers.  Complements ``lists_loaded``, which only sees full
     #: short-list loads.
     point_reads: int = 0
+    #: Rows of the query's short lists: what its prune counted runs over.
+    rows_scanned: int = 0
+    #: Rows of the texts that survived the prune: what reached the kernel.
+    rows_kept: int = 0
 
     @property
     def cpu_seconds(self) -> float:
@@ -230,130 +241,83 @@ def derive_theta_result(base: SearchResult, theta: float) -> SearchResult:
     )
 
 
-def _group_by_text(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``rows`` sorted by ``(text, left)``, with each text's first row and row count.
+def _list_runs(texts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of text-sorted lists laid end to end.
 
-    One stable argsort on the ``text << 32 | left`` key does the work of
-    a two-field ``lexsort`` and keeps its order for ``(text, left)``
-    ties.  The gather goes through ``np.take``: fancy indexing of a 2-D
-    array is several times slower.
+    ``texts`` is the text column of the lists, ``sizes`` their lengths.
+    A list holds each text's windows as one run, so its runs are its
+    distinct texts in list order; a list boundary always starts a run.
+    Returns every run's first row followed by the row count (run ``r``
+    holds rows ``bounds[r]`` up to ``bounds[r + 1]``), and each list's
+    first run followed by the run count (list ``i`` holds runs
+    ``list_runs[i]`` up to ``list_runs[i + 1]``).
     """
-    key = (rows[:, 0].astype(np.uint64) << np.uint64(32)) | rows[:, 1]
-    rows = np.take(rows, np.argsort(key, kind="stable"), axis=0)
-    texts = rows[:, 0]
-    starts = np.flatnonzero(np.concatenate(([True], texts[1:] != texts[:-1])))
-    return rows, starts, np.diff(np.append(starts, texts.size))
+    starts = np.zeros(sizes.size + 1, dtype=np.int64)
+    sizes.cumsum(out=starts[1:])
+    # One slot past the rows closes the last run.
+    firsts = np.ones(texts.size + 1, dtype=bool)
+    np.not_equal(texts[1:], texts[:-1], out=firsts[1:-1])
+    firsts[starts[:-1][sizes > 0]] = True
+    bounds = firsts.nonzero()[0].astype(np.int32)
+    return bounds, bounds.searchsorted(starts)
 
 
-def _run_texts(texts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every list's run texts, concatenated, and how many each non-empty
-    list has.
+def _counted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, sorted, and how often each occurs: what
+    ``np.unique(keys, return_counts=True)`` returns, at half its cost on
+    the few thousand keys of one query."""
+    ordered = np.sort(keys)
+    edges = np.empty(ordered.size + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=edges[1:-1])
+    at = edges.nonzero()[0]
+    return ordered[at[:-1]], at[1:] - at[:-1]
 
-    ``texts`` is the text column of text-sorted lists laid end to end,
-    ``sizes`` their lengths.  A list holds each text's windows as one
-    run, so its *run texts* are its distinct text ids in list order: the
-    text of each row that starts a run.  One vector pass covers every
-    list (a list boundary always starts a run).
+
+#: About the most ``(pair, run)`` keys one prune step holds, so the
+#: scan's scratch memory (some 40 bytes a key) stays bounded however
+#: large the batch.
+_PRUNE_KEYS = 1 << 15
+
+
+def _prune_steps(per_pair: np.ndarray, counts: np.ndarray) -> list[tuple[int, int]]:
+    """Pair ranges ``[lo, hi)`` of whole queries, about
+    :data:`_PRUNE_KEYS` run keys each (a larger query is a step alone).
+
+    ``per_pair`` is each pair's run count, ``counts`` each query's
+    number of pairs (its pairs are consecutive).
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    firsts = np.ones(texts.size, dtype=bool)
-    np.not_equal(texts[1:], texts[:-1], out=firsts[1:])
-    starts = (np.cumsum(sizes) - sizes)[sizes > 0]
-    firsts[starts] = True
-    return texts[firsts], np.add.reduceat(firsts, starts, dtype=np.int64)
+    if per_pair.sum() <= _PRUNE_KEYS:
+        return [(0, per_pair.size)]
+    pair_edges = np.concatenate(([0], counts.cumsum()))
+    keys = np.concatenate(([0], per_pair.cumsum()))[pair_edges]
+    cuts = keys.searchsorted(np.arange(_PRUNE_KEYS, keys[-1], _PRUNE_KEYS))
+    edges = pair_edges[np.unique(np.concatenate(([0], cuts, [counts.size])))].tolist()
+    return list(zip(edges[:-1], edges[1:]))
 
 
-class PinnedView:
-    """The lists one batch pinned, as its queries read them.
+def _sorted_groups(rows: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and their ``groups`` sorted by ``(group, left)``.
 
-    Built once per batch from the lists a
-    :class:`~repro.index.cache.CachedIndexReader` ``pin`` call hands
-    back: each list's rows and its run texts (:func:`_run_texts`, one
-    vector pass over every pinned list).  A planned query reads its
-    short lists here instead of through ``load_list``; a list the view
-    does not hold (left outside the pin budget) is read through the
-    searcher's reader as usual.  Every list served here is a hit of
-    ``reader``, counted and made recent through its ``touch``, just as
-    a ``load_list`` of a resident list would.  The empty view
-    (``_NO_VIEW``) is how a query outside a batch reads its lists.
+    One argsort on the ``group << 32 | left`` key; the kernel's output
+    does not depend on the order of ties.  The gather goes through
+    ``take``: fancy indexing of a 2-D array is several times slower.
     """
-
-    def __init__(
-        self,
-        reader,
-        funcs: np.ndarray,
-        minhashes: np.ndarray,
-        lists: list[np.ndarray],
-    ) -> None:
-        self.reader = reader
-        held = np.array(
-            [i for i, postings in enumerate(lists) if postings.size], dtype=np.int64
-        )
-        funcs = np.asarray(funcs, dtype=np.int64)[held]
-        minhashes = np.asarray(minhashes, dtype=np.int64)[held]
-        keys = (funcs.astype(np.uint64) << np.uint64(32)) | minhashes.astype(
-            np.uint64
-        )
-        order = np.argsort(keys)
-        #: Sorted ``func << 32 | minhash`` keys of the held lists.
-        self.keys = keys[order]
-        self._pairs = list(zip(funcs[order].tolist(), minhashes[order].tolist()))
-        self._rows = [posting_rows(lists[i]) for i in held[order].tolist()]
-        self._runs = np.empty(0, dtype=np.uint32)
-        self._run_counts = np.empty(0, dtype=np.int64)
-        if self._rows:
-            self._runs, self._run_counts = _run_texts(
-                np.concatenate([rows[:, 0] for rows in self._rows]),
-                [rows.shape[0] for rows in self._rows],
-            )
-        self._run_starts = np.cumsum(self._run_counts) - self._run_counts
-
-    def read(
-        self, funcs: np.ndarray, minhashes: np.ndarray, load_list
-    ) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """Row blocks that, laid end to end, are the rows of every list
-        among the ``(funcs, minhashes)`` pairs in pair order, and all
-        their run texts (in no particular order; ``None`` without rows).
-        Pairs the view does not hold are read with ``load_list``, in one
-        call."""
-        wanted = (funcs.astype(np.uint64) << np.uint64(32)) | minhashes.astype(
-            np.uint64
-        )
-        if self.keys.size:
-            slots = np.minimum(np.searchsorted(self.keys, wanted), self.keys.size - 1)
-            found = self.keys[slots] == wanted
-        else:
-            slots = np.zeros(wanted.size, dtype=np.int64)
-            found = np.zeros(wanted.size, dtype=bool)
-        hits = slots[found]
-        if not hits.size:
-            # Nothing held here (always so for ``_NO_VIEW``, so for every
-            # unbatched query): one read, one row view, no per-pair merge.
-            postings, sizes = load_list(funcs, minhashes)
-            if not postings.size:
-                return [], None
-            rows = posting_rows(postings)
-            return [rows], _run_texts(rows[:, 0], sizes)[0]
-        self.reader.touch([self._pairs[slot] for slot in hits.tolist()])
-        runs = [
-            self._runs[range_indices(self._run_starts[hits], self._run_counts[hits])]
-        ]
-        if hits.size == wanted.size:
-            return [self._rows[slot] for slot in hits.tolist()], runs[0]
-        postings, sizes = load_list(funcs[~found], minhashes[~found])
-        missed = posting_rows(postings)
-        runs.append(_run_texts(missed[:, 0], sizes)[0])
-        # The misses' slices of their one batch, between the hits.
-        loaded = iter(np.split(missed, np.cumsum(sizes)[:-1]))
-        rows = [
-            self._rows[slot] if hit else next(loaded)
-            for slot, hit in zip(slots.tolist(), found.tolist())
-        ]
-        return [part for part in rows if part.size], np.concatenate(runs)
+    order = ((groups.astype(np.uint64) << np.uint64(32)) | rows[:, 1]).argsort()
+    return rows.take(order, axis=0), groups[order]
 
 
-#: The view of no pinned batch: every list is read through ``load_list``.
-_NO_VIEW = PinnedView(None, np.empty(0), np.empty(0), [])
+def _merged(parts: list[FusedRectangles]) -> FusedRectangles:
+    """Kernels' rectangles as one, ordered by group (stable)."""
+    parts = [part for part in parts if part.size] or parts[:1]
+    if len(parts) == 1:
+        return parts[0]
+    columns = [
+        np.concatenate([getattr(part, name) for part in parts])
+        for name in ("group", "i_lo", "i_hi", "j_lo", "j_hi", "count")
+    ]
+    order = np.argsort(columns[0], kind="stable")
+    return FusedRectangles(*(column[order] for column in columns))
 
 
 class NearDuplicateSearcher:
@@ -431,14 +395,13 @@ class NearDuplicateSearcher:
             distinct Jaccard against the query (requires the searcher
             to have been constructed with ``corpus=...``).  Matches
             whose rectangles lose all sequences are dropped.
+
+        The batch of one: its stats' clock starts before planning.
         """
         marks = self._marks()
-        return self._search_planned(
-            self.plan_query(query, theta),
-            theta,
-            verify=verify,
-            marks=marks,
-        )
+        return self._search_batch(
+            [self.plan_query(query, theta)], theta, verify=verify, marks=marks
+        )[0]
 
     def plan_query(
         self,
@@ -506,25 +469,33 @@ class NearDuplicateSearcher:
         io = self.index.io_stats
         return time.perf_counter(), io.bytes_read, io.read_calls, io.seconds
 
-    def _search_planned(
+    def _search_batch(
         self,
-        entry: PlannedQuery,
+        entries: list[PlannedQuery],
         theta: float,
         *,
         verify: bool = False,
+        pinned: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         marks: tuple[float, int, int, float] | None = None,
-        view: PinnedView | None = None,
-    ) -> SearchResult:
-        """Steps 3–5 for a planned query: load, scan, refine, report.
+    ) -> list[SearchResult]:
+        """Steps 3–5 for planned queries, scanned as one batch; one
+        result per entry, in order.
 
-        An entry planned against another reader (a live index that
-        moved to a new generation since) is planned again here from its
-        sketch, since its list lengths may no longer hold, and it reads
-        its lists through this searcher's reader, never from ``view``
-        (the batch's :class:`PinnedView`, pinned on the reader the plan
-        came from).  ``marks`` (from :meth:`_marks`) starts the stats'
-        clock earlier, so a direct :meth:`search` also counts its
-        planning.
+        ``pinned`` is ``(keys, postings, sizes)``: lists the caller holds
+        (the executor's pin), as sorted ``func << 32 | minhash`` keys and
+        one ragged batch in key order.  Short lists among them are read
+        there and reported to the reader's ``touch``; the batch's other
+        short lists are read with one ``load_list``.  Entries planned
+        against another reader (a live index that moved to a new
+        generation since) are planned again from their sketches and run
+        as a batch of their own.
+
+        A member's ``total_seconds`` is an even share of the batch's wall
+        time, counted from ``marks`` (from :meth:`_marks`: a direct
+        :meth:`search` counts its planning) or else from this call; its
+        ``io_*`` are its own point reads plus an even share of the
+        batch's other reads.  The members sum to the batch, and a batch
+        of one counts exactly its own reads.
         """
         if verify and self.corpus is None:
             raise InvalidParameterError(
@@ -532,177 +503,200 @@ class NearDuplicateSearcher:
             )
         if marks is None:
             marks = self._marks()
-        source = entry.source
-        if source is not self.index and source is not getattr(
-            self.index, "inner", None
-        ):
-            entry = self.plan_query(entry.query, theta, sketch=entry.sketch)
-            view = None
-        if view is None or view.reader is not self.index:
-            view = _NO_VIEW
-        stats = QueryStats()
-        beta = entry.beta
-        long_funcs = entry.long_funcs
-        stats.long_lists = len(long_funcs)
-        alpha_short = beta - len(long_funcs)
-
-        # Read the short lists (from the batch's view; what it does not
-        # hold in one read) so windows of one text from all short lists
-        # are scanned together.
-        short_funcs = entry.short_funcs
-        stats.lists_loaded += int(short_funcs.size)
-        matches: list[TextMatch] = []
-        if short_funcs.size:
-            rows, runs = view.read(
-                short_funcs, entry.sketch[short_funcs], self.index.load_list
+        inner = getattr(self.index, "inner", None)
+        moved = [e.source is not self.index and e.source is not inner for e in entries]
+        if any(moved):
+            stale = [entry for entry, gone in zip(entries, moved) if gone]
+            fresh = [entry for entry, gone in zip(entries, moved) if not gone]
+            replanned = self.plan_many(
+                [e.query for e in stale], theta, sketches=[e.sketch for e in stale]
             )
-            if rows:
-                matches = self._scan(
-                    rows,
-                    runs,
-                    alpha_short,
-                    beta,
-                    entry.sketch,
-                    long_funcs,
-                    stats,
-                    entry.query,
-                    theta,
-                    verify,
-                )
-
-        begin, io_bytes0, io_calls0, io_seconds0 = marks
-        io = self.index.io_stats
-        stats.total_seconds = time.perf_counter() - begin
-        stats.io_bytes = io.bytes_read - io_bytes0
-        stats.io_calls = io.read_calls - io_calls0
-        stats.io_seconds = io.seconds - io_seconds0
-        stats.texts_matched = len(matches)
-        logger.debug(
-            "query theta=%.2f beta=%d: %d matches, %d candidates, "
-            "%d long lists, %.1fms (%d bytes io)",
-            theta,
-            beta,
-            len(matches),
-            stats.candidates,
-            stats.long_lists,
-            1e3 * stats.total_seconds,
-            stats.io_bytes,
-        )
-        return SearchResult(
-            matches=matches,
-            stats=stats,
-            k=self.family.k,
-            theta=theta,
-            beta=beta,
-            t=self.t,
-        )
-
-    # ------------------------------------------------------------------
-    def _scan(
-        self,
-        short_rows: list[np.ndarray],
-        run_texts: np.ndarray,
-        alpha_short: int,
-        beta: int,
-        sketch: np.ndarray,
-        long_funcs: set[int],
-        stats: QueryStats,
-        query: np.ndarray,
-        theta: float,
-        verify: bool,
-    ) -> list[TextMatch]:
-        """Vectorized group scan: one fused kernel pass over all groups.
-
-        Produces exactly the matches (and ordering) of the scalar
-        per-group Algorithm 4/5 loop.  Texts are pruned by the number of
-        short *lists* they appear in, not by their number of windows: a
-        sequence lies in at most one compact window per hash function,
-        so that count bounds every collision count of the text.
-        ``run_texts`` holds every short list's run texts (its distinct
-        text ids, :func:`_run_texts`), so the count is one
-        ``np.unique(..., return_counts=True)`` over runs, not rows; an
-        unsorted list would only overcount, which keeps the bound
-        sound.  Only when some text reaches ``alpha_short`` are the
-        short lists' rows joined, and only the surviving texts' rows
-        are sorted by ``(text, left)``; the double sweep runs as flat
-        event arrays over all of them at once.  Long-list refinement
-        then gathers *all* surviving candidates and issues one grouped
-        zone-map read over all long lists instead of one point read per
-        candidate per list.
-        """
-        all_texts, lists_per_text = np.unique(run_texts, return_counts=True)
-        stats.groups_scanned += int(all_texts.size)
-        keep = lists_per_text >= alpha_short
-        if not keep.any():
+            again = iter(self._search_batch(replanned, theta, verify=verify))
+            current = iter(self._search_batch(fresh, theta, verify=verify, pinned=pinned))
+            return [next(again) if gone else next(current) for gone in moved]
+        if not entries:
             return []
-        group_texts = all_texts[keep]
-        rows = short_rows[0] if len(short_rows) == 1 else np.concatenate(short_rows)
+
+        beta = entries[0].beta
+        size = len(entries)
+        counts = np.array([e.short_funcs.size for e in entries], dtype=np.int64)
+        long_counts = np.array([len(e.long_funcs) for e in entries], dtype=np.int64)
+        owner = np.arange(size).repeat(counts)
+        funcs = np.concatenate([e.short_funcs for e in entries])
+        minhashes = np.concatenate([e.sketch[e.short_funcs] for e in entries])
+        rows, sizes, slots = self._read_short_lists(funcs, minhashes, pinned)
+
+        # The prune (step 3): a ``(query, text)`` group's count is the
+        # number of the query's short lists holding a run of the text.
+        # One count (:func:`_counted`) over the pairs' run keys, ``query *
+        # span + text`` in the narrowest type that holds them, counts
+        # them all, a step of whole queries at a time (:func:`_prune_steps`).
         texts = rows[:, 0]
-        found = np.minimum(np.searchsorted(group_texts, texts), group_texts.size - 1)
-        kept, _, kept_sizes = _group_by_text(
-            np.compress(group_texts[found] == texts, rows, axis=0)
-        )
-        group_texts = group_texts.astype(np.int64)
-        group_ids = np.repeat(
-            np.arange(kept_sizes.size, dtype=np.int64), kept_sizes
-        )
-        rect = fused_collision_count(
-            kept[:, 1], kept[:, 2], kept[:, 3], group_ids, max(alpha_short, 1)
-        )
-        cand_groups = np.unique(rect.group)
-        stats.candidates += int(cand_groups.size)
-        if cand_groups.size == 0:
-            return []
-
-        if long_funcs:
-            # Batched long-list refinement: one grouped point read of
-            # every long list covering every surviving candidate, then
-            # one fused pass at the full threshold beta.
-            cand_texts = group_texts[cand_groups]
-            is_candidate = np.zeros(kept_sizes.size, dtype=bool)
-            is_candidate[cand_groups] = True
-            parts = [kept[np.repeat(is_candidate, kept_sizes)]]
-            parts.append(self._read_long_lists(long_funcs, sketch, cand_texts, stats))
-            combined, cstarts, csizes = _group_by_text(np.concatenate(parts))
-            cgroup_ids = np.repeat(
-                np.arange(csizes.size, dtype=np.int64), csizes
+        bounds, list_runs = _list_runs(texts, sizes)
+        span = int(texts.max()) + 1 if texts.size else 1
+        key_type = np.uint32 if size * span <= 1 << 32 else np.uint64
+        span = key_type(span)
+        alpha = np.maximum(beta - long_counts, 1)
+        per_pair = list_runs[1:] - list_runs[:-1]
+        if slots is not None:
+            per_pair = per_pair[slots]
+        rows_scanned = np.bincount(owner, sizes if slots is None else sizes[slots], size)
+        scanned, rows_kept = np.zeros((2, size), dtype=np.int64)
+        groups, found, rects, short_rows, short_groups = [], [], [], [], []
+        offset = 0  # surviving groups of the earlier steps
+        for lo, hi in _prune_steps(per_pair, counts):
+            pair_runs = (  # pair i reads list i: its runs are the list's
+                slice(list_runs[lo], list_runs[hi])
+                if slots is None
+                else range_indices(list_runs[slots[lo:hi]], per_pair[lo:hi])
             )
-            rect = fused_collision_count(
-                combined[:, 1], combined[:, 2], combined[:, 3], cgroup_ids, beta
+            first_rows = bounds[:-1][pair_runs]
+            keys = owner[lo:hi].astype(key_type).repeat(per_pair[lo:hi]) * span
+            keys += texts[first_rows]
+            group_keys, lists_per_group = _counted(keys)
+            group_query = (group_keys // span).astype(np.int64)
+            scanned += np.bincount(group_query, minlength=size)
+            survive = lists_per_group >= alpha[group_query]
+            survivors, group_query = group_keys[survive], group_query[survive]
+            # Gather the surviving runs' rows, one kernel pass at each
+            # query's reduced threshold.
+            slot = survivors.searchsorted(keys)
+            np.minimum(slot, max(survivors.size - 1, 0), out=slot)
+            hit = (survivors[slot] == keys).nonzero()[0] if survivors.size else slot[:0]
+            starts = first_rows[hit]
+            lengths = bounds[bounds.searchsorted(starts, side="right")] - starts
+            kept, kept_groups = _sorted_groups(
+                rows.take(range_indices(starts, lengths), axis=0),
+                slot[hit].repeat(lengths),
             )
-            group_texts = combined[cstarts, 0].astype(np.int64)
+            rows_kept += np.bincount(group_query[kept_groups], minlength=size)
+            rect = fused_collision_count(*kept.T[1:], kept_groups, alpha[group_query])
+            candidate = np.zeros(survivors.size, dtype=bool)
+            candidate[rect.group] = True
+            found.append(candidate.nonzero()[0] + offset)
+            # Candidates of queries with long lists keep their rows.
+            refine = (candidate & (long_counts[group_query] > 0))[kept_groups]
+            short_rows.append(kept.compress(refine, axis=0))
+            short_groups.append(kept_groups[refine] + offset)
+            if offset:
+                rect = dataclasses.replace(rect, group=rect.group + offset)
+            rects.append(rect)
+            groups.append(survivors)
+            offset += survivors.size
+        groups = np.concatenate(groups)
+        group_query = (groups // span).astype(np.int64)
+        group_texts = (groups % span).astype(np.int64)
+        rect = _merged(rects)
+        found = np.concatenate(found)
+        found_query = group_query[found]
 
-        rect = rect.filtered(rect.j_hi - rect.i_lo + 1 >= self.t)
-        matches: list[TextMatch] = []
-        for group in np.unique(rect.group).tolist():
-            lo, hi = rect.group_slice(group)
-            rectangles = rect.rectangles(lo, hi)
-            text_id = int(group_texts[group])
-            if verify:
-                rectangles = self._verify_rectangles(
-                    query, theta, text_id, rectangles
+        # Refinement (step 4) for the queries with long lists: one point
+        # read per query over all its candidates, then one kernel pass
+        # at ``beta`` over every refined group.
+        point_io: dict[int, list] = {}  # position -> its point reads' I/O
+        refined = found[long_counts[found_query] > 0]
+        if refined.size:
+            edges = group_query[refined].searchsorted(np.arange(size + 1)).tolist()
+            for position in (np.diff(edges) > 0).nonzero()[0].tolist():
+                entry = entries[position]
+                long_funcs = np.array(sorted(entry.long_funcs), dtype=np.int64)
+                before = self._marks()
+                postings, _ = self.index.load_texts_windows(
+                    long_funcs,
+                    entry.sketch[long_funcs],
+                    group_texts[refined[edges[position] : edges[position + 1]]],
                 )
-            if rectangles:
-                matches.append(TextMatch(text_id, tuple(rectangles)))
-        return matches
+                point_io[position] = [b - a for a, b in zip(before, self._marks())][1:]
+                long_rows = posting_rows(postings)
+                short_rows.append(long_rows)
+                short_groups.append(
+                    groups.searchsorted(key_type(position) * span + long_rows[:, 0])
+                )
+            refine, refine_groups = _sorted_groups(
+                np.concatenate(short_rows), np.concatenate(short_groups)
+            )
+            first = rect.filtered(long_counts[group_query[rect.group]] == 0)
+            second = fused_collision_count(*refine.T[1:], refine_groups, beta)
+            rect = _merged([first, second])
 
-    # ------------------------------------------------------------------
-    def _read_long_lists(
+        # Step 5: the sequences of length >= t, one match per group.
+        rect = rect.filtered(rect.j_hi - rect.i_lo + 1 >= self.t)
+        matches: list[list[TextMatch]] = [[] for _ in entries]
+        if rect.group.size:
+            rectangles = rect.rectangles()
+            cuts = ((rect.group[1:] != rect.group[:-1]).nonzero()[0] + 1).tolist()
+            for group, lo, hi in zip(
+                rect.group[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(rectangles)]
+            ):
+                position, text_id = int(group_query[group]), int(group_texts[group])
+                kept_rects = rectangles[lo:hi]
+                if verify:
+                    kept_rects = self._verify_rectangles(
+                        entries[position].query, theta, text_id, kept_rects
+                    )
+                if kept_rects:
+                    matches[position].append(TextMatch(text_id, tuple(kept_rects)))
+
+        # Counters per query by bincount, in ``QueryStats`` field order
+        # after the clock and I/O; clock and reads shared out.
+        elapsed = time.perf_counter() - marks[0]
+        candidates = np.bincount(found_query, minlength=size)
+        counters = np.array(
+            (counts, long_counts, scanned, candidates, [len(m) for m in matches])
+            + ((candidates > 0) * long_counts, rows_scanned, rows_kept),
+            dtype=np.int64,
+        ).T.tolist()
+        shared = [now - then for then, now in zip(marks, self._marks())][1:]
+        for reads in point_io.values():
+            shared = [total - own for total, own in zip(shared, reads)]
+        logger.debug(
+            "query theta=%.2f beta=%d: batch of %d, %d candidates, %.1fms",
+            *(theta, beta, size, found.size, 1e3 * elapsed),
+        )
+        results = []
+        for position, row in enumerate(counters):
+            own = point_io.get(position, (0, 0, 0.0))
+            # Even integer shares: the members' reads sum to the batch's.
+            io_bytes, io_calls = (
+                own[at] + total * (position + 1) // size - total * position // size
+                for at, total in enumerate(shared[:2])
+            )
+            stats = QueryStats(
+                elapsed / size, own[2] + shared[2] / size, io_bytes, io_calls, *row
+            )
+            results.append(
+                SearchResult(matches[position], stats, self.family.k, theta, beta, self.t)
+            )
+        return results
+
+    def _read_short_lists(
         self,
-        long_funcs: set[int],
-        sketch: np.ndarray,
-        text_ids: np.ndarray,
-        stats: QueryStats,
-    ) -> np.ndarray:
-        """The rows of ``text_ids`` in every long list, one read for all.
-
-        ``point_reads`` still counts one per long list, so the counter
-        means the same whatever the reader batches.
+        funcs: np.ndarray,
+        minhashes: np.ndarray,
+        pinned: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The rows of a batch's short lists, each list's size, and each
+        ``(funcs, minhashes)`` pair's list among them (``None``: pair
+        ``i`` reads list ``i``).  Pairs held in ``pinned`` point into it;
+        the rest are read with one ``load_list``, one list per pair.
         """
-        funcs = np.array(sorted(long_funcs), dtype=np.int64)
-        stats.point_reads += int(funcs.size)
-        postings, _ = self.index.load_texts_windows(funcs, sketch[funcs], text_ids)
-        return posting_rows(postings)
+        if pinned is None or not pinned[0].size:
+            postings, sizes = self.index.load_list(funcs, minhashes)
+            return posting_rows(postings), sizes, None
+        keys, postings, pinned_sizes = pinned
+        wanted = (funcs.astype(np.uint64) << np.uint64(32)) | minhashes.astype(np.uint64)
+        at = np.minimum(keys.searchsorted(wanted), keys.size - 1)
+        held = keys[at] == wanted
+        if held.any():
+            self.index.touch(keys[np.unique(at[held])], int(held.sum()))
+        if held.all():
+            return posting_rows(postings), pinned_sizes, at
+        loaded, sizes = self.index.load_list(funcs[~held], minhashes[~held])
+        return (
+            posting_rows(concat_postings([postings, loaded])),
+            np.concatenate((pinned_sizes, sizes)),
+            np.where(held, at, keys.size + np.cumsum(~held) - 1),
+        )
 
     # ------------------------------------------------------------------
     def search_thetas(

@@ -26,7 +26,8 @@ exempt from eviction until the batch releases it with
 :meth:`CachedIndexReader.unpin`, so a list loaded for the batch's third
 query is guaranteed still warm for its eighty-seventh.  ``pin`` hands
 the lists it holds back to the batch, which reads them without another
-locked lookup and reports each such read with :meth:`CachedIndexReader.touch`.  Pins are
+locked lookup and reports its reads with one
+:meth:`CachedIndexReader.touch` (a batch is one unit of recency).  Pins are
 counted per list: batches running at once (a service's ``/batch`` on a
 worker thread beside its micro-batches) each release only their own,
 and a list stays pinned until every batch that pinned it has finished.
@@ -311,19 +312,23 @@ class CachedIndexReader:
         ]
         return held if np.ndim(func) else held[0]
 
-    def touch(self, keys: list[tuple[int, int]]) -> None:
-        """Count a hit for each of ``keys`` and make it the most recent.
+    def touch(self, keys: np.ndarray, hits: int) -> None:
+        """Count a batch's ``hits`` reads of the lists its ``pin`` call
+        returned, as the per-query ``load_list`` calls they replace would
+        (so ``hits`` keeps its meaning in ``/stats``).
 
-        What a ``load_list`` of these resident keys would do to the
-        counters and the recency order, for lists a caller already
-        holds: the batch executor's view of the lists its ``pin`` call
-        returned.  ``hits`` keeps its meaning in ``/stats``.
+        ``keys`` are the distinct ``func << 32 | minhash`` keys it read.
+        A batch is one unit of recency: each moves to the recent end
+        once, in key order, however many of the batch's queries read it.
         """
+        pairs = zip(
+            (keys >> np.uint64(32)).tolist(), (keys & np.uint64(0xFFFFFFFF)).tolist()
+        )
         with self._lock:
-            for key in keys:
+            for key in pairs:
                 if key in self._lists:
                     self._lists.move_to_end(key)
-            self.hits += len(keys)
+            self.hits += hits
 
     def unpin(self, func: int | np.ndarray, minhash: int | np.ndarray) -> None:
         """Release one pin of each list, as one :meth:`pin` call took it.

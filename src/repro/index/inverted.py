@@ -52,10 +52,10 @@ def range_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total size, shifted per range.
     """
     counts = np.asarray(counts).astype(np.int64, copy=False)
-    offsets = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
-        np.asarray(starts).astype(np.int64, copy=False) - offsets, counts
-    )
+    offsets = counts.cumsum() - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) + (
+        np.asarray(starts).astype(np.int64, copy=False) - offsets
+    ).repeat(counts)
 
 
 def posting_rows(postings: np.ndarray) -> np.ndarray:

@@ -8,20 +8,19 @@ One strategy, on the calling thread, with the batch as the unit:
    :class:`~repro.index.cache.CachedIndexReader` (most demanded first,
    within :data:`PIN_FRACTION` of its capacity), so each distinct list
    is read once per batch and the batch's misses are read in one call;
-3. ``pin`` hands back the lists it holds, and the executor builds one
-   :class:`~repro.core.search.PinnedView` of them: their rows plus the
-   *run texts* of every pinned list (each list's distinct text ids in
-   list order), computed in one vector pass;
-4. each unique query runs from its planned entry and reads its short
-   lists from the view; the run texts feed the searcher's prune
-   directly, so a window whose texts all fall short never joins its
-   lists' rows.  A list outside the pin budget, and every list of an
-   entry planned again because a live index moved to a new generation,
-   is read through ``load_list`` as usual.
+3. the lists ``pin`` hands back are laid end to end in key order, and
+   the searcher scans every unique query of the plan at once
+   (:meth:`~repro.core.search.NearDuplicateSearcher._search_batch`):
+   one prune over ``(query, text)`` run counts, one gather of the
+   surviving rows, one kernel pass at each query's reduced threshold
+   and one refinement pass for the queries with long lists.  Lists
+   outside the pin budget are read with one ``load_list``; entries a
+   moved live index planned against an older generation are planned
+   again and scanned as a batch of their own.
 
-A list served by the view counts as a cache hit, exactly as the
-``load_list`` call it replaces would.  An uncached searcher gets one
-such reader per executor, kept warm across
+Every ``(query, list)`` read served by the pin counts as a cache hit,
+as the per-query ``load_list`` it replaces would.  An uncached searcher
+gets one such reader per executor, kept warm across
 :meth:`BatchQueryExecutor.execute` calls and chunks until
 :meth:`BatchQueryExecutor.close`.
 
@@ -40,12 +39,12 @@ import numpy as np
 
 from repro.core.search import (
     NearDuplicateSearcher,
-    PinnedView,
     SearchResult,
     derive_theta_result,
 )
 from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader
+from repro.index.inverted import concat_postings
 from repro.query.planner import BatchPlan, plan_batch
 from repro.query.results import BatchResult, BatchStats
 
@@ -65,8 +64,8 @@ class BatchQueryExecutor:
     ----------
     searcher:
         The configured :class:`~repro.core.search.NearDuplicateSearcher`,
-        or a wrapper that delegates ``plan_many`` and
-        ``_search_planned`` to one (a live or result-caching searcher).
+        or a wrapper that delegates ``plan_many`` and ``_search_batch``
+        to one (a live or result-caching searcher).
     batch_size:
         Optional chunking: queries are planned and executed
         ``batch_size`` at a time (bounds sketch/pin memory for very
@@ -162,9 +161,9 @@ class BatchQueryExecutor:
         and hand it here, skipping the executor's own planning pass.
 
         Pins the batch's short lists (one read for all the misses),
-        answers the unique queries from their planned entries, then
-        releases the pins this call took (another batch on the same
-        reader keeps its own).
+        scans the unique queries as one batch over what the pin handed
+        back, then releases the pins this call took (another batch on
+        the same reader keeps its own).
         """
         begin = time.perf_counter()
         searcher = self._planned_searcher()
@@ -179,24 +178,23 @@ class BatchQueryExecutor:
         io = reader.io_stats
         io_before = (io.bytes_read, io.read_calls, io.seconds)
         cache_before = reader.stats()
-        funcs, minhashes = self._pin_keys(plan, reader.capacity_bytes)
-        lists = reader.pin(funcs, minhashes) if funcs.size else []
+        keys = self._pin_keys(plan, reader.capacity_bytes)
+        funcs = (keys >> np.uint64(32)).astype(np.int64)
+        minhashes = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        lists = reader.pin(funcs, minhashes) if keys.size else []
         held = np.array([postings is not None for postings in lists], dtype=bool)
         stats.lists_pinned = int(held.sum())
         stats.io_bytes = io.bytes_read - io_before[0]
         stats.io_calls = io.read_calls - io_before[1]
         stats.io_seconds = io.seconds - io_before[2]
         try:
-            view = PinnedView(
-                reader,
-                funcs[held],
-                minhashes[held],
-                [postings for postings in lists if postings is not None],
+            order = held.nonzero()[0][keys[held].argsort()]  # the held lists, by key
+            lists = [lists[slot] for slot in order.tolist()]
+            sizes = np.array([postings.size for postings in lists], dtype=np.int64)
+            pinned = (keys[order], concat_postings(lists), sizes)
+            unique_results = searcher._search_batch(
+                plan.entries, theta, verify=verify, pinned=pinned
             )
-            unique_results = [
-                searcher._search_planned(entry, theta, verify=verify, view=view)
-                for entry in plan.entries
-            ]
         finally:
             if held.any():
                 reader.unpin(funcs[held], minhashes[held])
@@ -231,11 +229,9 @@ class BatchQueryExecutor:
         return batch
 
     @staticmethod
-    def _pin_keys(
-        plan: BatchPlan, capacity_bytes: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(funcs, minhashes)`` of the short lists to pin: most
-        demanded first (ties by key), greedily within
+    def _pin_keys(plan: BatchPlan, capacity_bytes: int) -> np.ndarray:
+        """The ``func << 32 | minhash`` keys of the short lists to pin:
+        most demanded first (ties by key), greedily within
         :data:`PIN_FRACTION` of the pinned reader's capacity."""
         budget = int(capacity_bytes * PIN_FRACTION)
         order = np.lexsort((plan.list_keys, -plan.demand))
@@ -248,11 +244,7 @@ class BatchQueryExecutor:
                     chosen.append(position)
                     used += nbytes
             order = order[chosen]
-        keys = plan.list_keys[order]
-        return (
-            (keys >> np.uint64(32)).astype(np.int64),
-            (keys & np.uint64(0xFFFFFFFF)).astype(np.int64),
-        )
+        return plan.list_keys[order]
 
     def _planned_searcher(self) -> NearDuplicateSearcher:
         """A searcher whose reader supports pinning, reusing an existing

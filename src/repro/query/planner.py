@@ -19,12 +19,12 @@ happens, treating the batch as one unit:
    ``sketch_list_lengths`` lookup of the ``(U, k)`` sketch matrix and
    one vectorized long/short split, giving one
    :class:`~repro.core.search.PlannedQuery` per unique query, which the
-   executor runs as is;
+   executor scans as one batch;
 4. enumerate the distinct ``(func, minhash)`` short lists the batch
    loads, how many unique queries load each and their sizes (one
    ``np.unique`` over the batch's short-list keys), so the executor can
-   pin them, most demanded first, and read every miss of the batch at
-   once.
+   pin them, most demanded first, read every miss of the batch at once
+   and hand the scan those lists in key order.
 """
 
 from __future__ import annotations

@@ -172,43 +172,50 @@ class CachingSearcher:
         *,
         verify: bool = False,
     ):
-        """The inner searcher's ``search``, answered from the memo on a repeat."""
+        """The inner searcher's ``search``, answered from the memo on a repeat.
+
+        The query is sketched once: the sketch keys the memo, and a miss
+        runs as the inner batch of one planned from it.
+        """
         query = np.asarray(query, dtype=np.uint32)
         if query.size == 0:
             # Error path (QueryError) belongs to the inner searcher.
             return self.inner.search(query, theta, verify=verify)
-        return self._memoized(
-            self._key(self.inner.family.sketch(query), query, theta, verify),
-            lambda: self.inner.search(query, theta, verify=verify),
-        )
-
-    def _search_planned(
-        self,
-        entry,
-        theta: float,
-        *,
-        verify: bool = False,
-        view=None,
-    ):
-        """:meth:`search` for a planned entry, keyed by the plan's sketch;
-        a miss reads its lists from the batch's ``view``."""
-        return self._memoized(
-            self._key(entry.sketch, entry.query, theta, verify),
-            lambda: self.inner._search_planned(
-                entry, theta, verify=verify, view=view
-            ),
-        )
-
-    def _memoized(self, key: tuple, compute):
+        sketch = self.inner.family.sketch(query)
+        key = self._key(sketch, query, theta, verify)
         cached, generation = self.result_cache.lookup(key)
         if cached is not None:
-            # No search ran: report no work, only the answer's size.
-            return replace(
-                cached, stats=QueryStats(texts_matched=cached.stats.texts_matched)
-            )
-        result = compute()
+            return self._hit(cached)
+        (result,) = self.inner._search_batch(
+            [self.inner.plan_query(query, theta, sketch=sketch)], theta, verify=verify
+        )
         self.result_cache.store(key, result, generation)
         return result
+
+    def _search_batch(self, entries, theta: float, *, verify: bool = False, pinned=None):
+        """The inner searcher's batch scan, memoized per entry: hits are
+        answered from the memo, the misses run as one inner batch."""
+        keys = [self._key(entry.sketch, entry.query, theta, verify) for entry in entries]
+        looked = [self.result_cache.lookup(key) for key in keys]
+        misses = [entry for entry, (cached, _) in zip(entries, looked) if cached is None]
+        computed = iter(
+            self.inner._search_batch(misses, theta, verify=verify, pinned=pinned)
+            if misses
+            else ()
+        )
+        results = []
+        for key, (cached, generation) in zip(keys, looked):
+            if cached is None:
+                results.append(next(computed))
+                self.result_cache.store(key, results[-1], generation)
+            else:
+                results.append(self._hit(cached))
+        return results
+
+    @staticmethod
+    def _hit(cached):
+        """A memoized result as a hit reports it: no work, only its size."""
+        return replace(cached, stats=QueryStats(texts_matched=cached.stats.texts_matched))
 
     @staticmethod
     def _key(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.hashing import HashFamily
-from repro.core.search import NearDuplicateSearcher, PinnedView
+from repro.core.search import NearDuplicateSearcher, QueryStats
 from repro.corpus.corpus import InMemoryCorpus
 from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError, QueryError
@@ -23,11 +23,12 @@ from repro.index.builder import build_memory_index
 from repro.index.cache import CachedIndexReader
 from repro.index.lsm.live import LiveIndex, LiveIndexConfig, LiveSearcher
 from repro.index.storage import DiskInvertedIndex, write_index
-from repro.query import executor as executor_module
 from repro.query.executor import PIN_FRACTION, BatchQueryExecutor
 from repro.query.planner import plan_batch
 from repro.query.resultcache import CachingSearcher
 from repro.query.results import BatchStats
+
+from scan_oracle import ReferenceSearcher
 
 
 def match_set(result):
@@ -99,16 +100,20 @@ def make_searcher(setup, backends, live):
     """A fresh searcher per call, so no result memo outlives one use."""
     corpus, _, _ = setup
 
-    def make(backend: str):
+    def make(backend: str, long_list_cutoff: int | None = None):
         if backend == "live":
-            return LiveSearcher(live, corpus=corpus)
+            return LiveSearcher(live, corpus=corpus, long_list_cutoff=long_list_cutoff)
         if backend == "cached":
             return CachingSearcher(
                 NearDuplicateSearcher(
-                    CachedIndexReader(backends["disk-packed"]), corpus=corpus
+                    CachedIndexReader(backends["disk-packed"]),
+                    corpus=corpus,
+                    long_list_cutoff=long_list_cutoff,
                 )
             )
-        return NearDuplicateSearcher(backends[backend], corpus=corpus)
+        return NearDuplicateSearcher(
+            backends[backend], corpus=corpus, long_list_cutoff=long_list_cutoff
+        )
 
     return make
 
@@ -394,15 +399,16 @@ class TestPinBudget:
     def test_lists_outside_the_budget_are_read_through_the_cache(
         self, setup, batch_queries, monkeypatch
     ):
-        """The view holds only the pinned lists; a query reads the rest
-        through ``load_list`` and still equals a direct search."""
+        """The scan holds only the pinned lists; it reads the rest with
+        one ``load_list`` and still equals a direct search."""
         _, index, searcher = setup
         direct = [searcher.search(query, 0.8) for query in batch_queries]
         plan = plan_batch(searcher, batch_queries, 0.8)
         reader = CachedIndexReader(
             index, capacity_bytes=2 * int(plan.list_bytes.max())
         )
-        views = _record_views(monkeypatch)
+        batched = NearDuplicateSearcher(reader)
+        pinned = _record_pinned(monkeypatch, batched)
         fetch = reader._fetch
         unpinned_fetches = []
 
@@ -412,27 +418,26 @@ class TestPinBudget:
             return fetch(keys, pinned=pinned)
 
         monkeypatch.setattr(reader, "_fetch", recording_fetch)
-        batch = BatchQueryExecutor(NearDuplicateSearcher(reader)).execute(
-            batch_queries, 0.8
-        )
+        batch = BatchQueryExecutor(batched).execute(batch_queries, 0.8)
         assert_same_results(direct, batch.results)
-        (view,) = views
-        assert 0 < view.keys.size < plan.list_keys.size
-        assert batch.stats.lists_pinned == view.keys.size
-        assert unpinned_fetches and sum(unpinned_fetches) > 0
+        ((keys, postings, sizes),) = pinned
+        assert 0 < keys.size < plan.list_keys.size
+        assert batch.stats.lists_pinned == keys.size == sizes.size
+        assert postings.size == sizes.sum()
+        assert len(unpinned_fetches) == 1 and unpinned_fetches[0] > 0
 
 
-def _record_views(monkeypatch) -> list[PinnedView]:
-    """Every :class:`PinnedView` the executor builds, in order."""
-    views: list[PinnedView] = []
+def _record_pinned(monkeypatch, searcher) -> list:
+    """Every ``pinned`` batch the executor hands ``searcher``, in order."""
+    seen = []
+    search_batch = searcher._search_batch
 
-    class RecordedView(PinnedView):
-        def __init__(self, *args) -> None:
-            super().__init__(*args)
-            views.append(self)
+    def recording(entries, theta, **kwargs):
+        seen.append(kwargs.get("pinned"))
+        return search_batch(entries, theta, **kwargs)
 
-    monkeypatch.setattr(executor_module, "PinnedView", RecordedView)
-    return views
+    monkeypatch.setattr(searcher, "_search_batch", recording)
+    return seen
 
 
 class TestConcurrentBatchPins:
@@ -451,16 +456,16 @@ class TestConcurrentBatchPins:
             # Overlapping windows share lists, so the plan pins some.
             windows = [text[:40], text[2:42], text[4:44]]
             plans.append(plan_batch(searcher, windows, 0.8))
-        search = searcher._search_planned
+        search = searcher._search_batch
         parked, release = threading.Event(), threading.Event()
 
-        def parking_search(entry, theta, **kwargs):
-            if not parked.is_set():  # the first batch's first query
+        def parking_search(entries, theta, **kwargs):
+            if not parked.is_set():  # the first batch's scan
                 parked.set()
                 assert release.wait(30)
-            return search(entry, theta, **kwargs)
+            return search(entries, theta, **kwargs)
 
-        monkeypatch.setattr(searcher, "_search_planned", parking_search)
+        monkeypatch.setattr(searcher, "_search_batch", parking_search)
         outcome: list = []
         first = threading.Thread(
             target=lambda: outcome.append(executor.execute_plan(plans[0], 0.8))
@@ -660,67 +665,114 @@ def test_vectorized_split_equals_scalar_rule(setup, rows, cutoff, beta):
         assert np.array_equal(searcher._select_long_lists(row, beta), chosen)
 
 
-class RowPruneSearcher(NearDuplicateSearcher):
-    """The prune as it ran on rows: ``np.unique(return_inverse=True)``
-    over each run's first row, a per-row ``cumsum`` back to the rows,
-    then a mask.  The surviving rows go to the run-count scan, which
-    keeps all of them; the run texts handed in are not used."""
+#: Every ``QueryStats`` field but the clock and the I/O counters.
+_CONTENT = tuple(
+    spec.name
+    for spec in dataclasses.fields(QueryStats)
+    if not spec.name.startswith(("io_", "total_"))
+)
 
-    def _scan(self, short_rows, run_texts, alpha_short, *args):
-        stats = args[3]
-        rows = np.concatenate(short_rows)
-        texts = rows[:, 0]
-        run_starts = np.empty(texts.size, dtype=bool)
-        run_starts[0] = True
-        np.not_equal(texts[1:], texts[:-1], out=run_starts[1:])
-        run_starts[
-            np.cumsum([chunk.shape[0] for chunk in short_rows[:-1]], dtype=np.int64)
-        ] = True
-        all_texts, run_text, lists_per_text = np.unique(
-            texts[run_starts], return_inverse=True, return_counts=True
-        )
-        keep = lists_per_text >= alpha_short
-        stats.groups_scanned += int(all_texts.size - keep.sum())
-        if not keep.any():
-            return []
-        row_keep = keep[run_text[np.cumsum(run_starts) - 1]]
-        return super()._scan(
-            [np.compress(row_keep, rows, axis=0)],
-            texts[run_starts & row_keep],
-            alpha_short,
-            *args,
-        )
+
+def _assert_same_stats(expected, actual) -> None:
+    """Matches and every non-timing counter equal, query by query."""
+    assert_same_results(expected, actual)
+    for direct, batched in zip(expected, actual):
+        for name in _CONTENT:
+            assert getattr(direct.stats, name) == getattr(batched.stats, name), name
 
 
 class TestPinnedView:
-    """Each planned query reads its short lists from the batch's view."""
+    """The executor scans each plan as one batch over the lists its pin
+    holds; every query's answer and counters equal its direct search,
+    the batch of one."""
 
-    def test_mixed_batch_equals_direct(self, make_searcher, setup):
-        """Duplicate windows, several widths and a query none of whose
-        lists exist, over every backend and wrapper."""
+    @pytest.fixture(scope="class")
+    def mixed_queries(self, setup):
+        """Windows at widths 32 and 64 (some repeated), at a cutoff of
+        200 and theta 0.5: queries with no long list (one of which
+        matches), with some, and at the ``beta - 1`` cap (the corpus's
+        most frequent tokens), plus a query none of whose lists exist."""
         corpus = setup[0]
-        widths = [40, 25, 64, 40, 33, 25, 64, 40, 25, 70]
+        tokens, counts = np.unique(
+            np.concatenate([np.asarray(text) for text in corpus]), return_counts=True
+        )
+        widths = [32, 64, 32, 64, 32, 64, 32, 64]
         queries = [np.asarray(corpus[i])[:width] for i, width in enumerate(widths)]
-        queries += [queries[0], queries[2], queries[0], queries[4]]
+        queries.append(np.asarray(corpus[112])[:40])
+        queries.append(tokens[np.argsort(-counts, kind="stable")][:40].astype(np.uint32))
+        queries += [queries[0], queries[3], queries[0]]
         queries.append(np.arange(5000, 5040, dtype=np.uint32))
+        return queries
+
+    def test_mixed_batch_equals_direct(self, make_searcher, mixed_queries):
+        """One batch over every backend and wrapper, with and without
+        ``verify``."""
         for backend in ("memory", "disk-packed", "cached", "live"):
-            searcher = make_searcher(backend)
-            plan = plan_batch(searcher, queries, 0.8)
-            assert plan.entries[-1].short_funcs.size == 0
-            assert plan.num_unique == len(widths) + 1
-            expected = [make_searcher(backend).search(query, 0.8) for query in queries]
-            batch = BatchQueryExecutor(searcher).execute_plan(plan, 0.8)
-            assert_same_results(expected, batch.results)
-            for direct, batched in zip(expected, batch.results):
-                for name in _WARMTH_FREE:
-                    assert getattr(direct.stats, name) == getattr(batched.stats, name)
+            for verify in (False, True):
+                searcher = make_searcher(backend, long_list_cutoff=200)
+                plan = plan_batch(searcher, mixed_queries, 0.5, verify=verify)
+                beta = plan.entries[0].beta
+                longs = [len(entry.long_funcs) for entry in plan.entries]
+                assert 0 in longs and beta - 1 in longs
+                assert any(0 < count < beta - 1 for count in longs)
+                assert plan.entries[-1].short_funcs.size == 0
+                assert plan.num_unique == len(mixed_queries) - 3
+                expected = [
+                    make_searcher(backend, long_list_cutoff=200).search(
+                        query, 0.5, verify=verify
+                    )
+                    for query in mixed_queries
+                ]
+                assert any(r.matches and not r.stats.long_lists for r in expected)
+                batch = BatchQueryExecutor(searcher).execute_plan(
+                    plan, 0.5, verify=verify
+                )
+                _assert_same_stats(expected, batch.results)
+
+    @pytest.mark.parametrize("cutoff", [None, 0, 1, 40])
+    @pytest.mark.parametrize("theta", [0.5, 0.8, 1.0])
+    def test_run_count_prune_equals_row_path(self, setup, batch_queries, cutoff, theta):
+        """The scan prunes by lists per ``(query, text)``; the scalar
+        oracle prunes each text by its windows (rows).  Same matches and
+        counters, direct and batched, and the batch equals the direct
+        search on every counter."""
+        corpus, index, _ = setup
+        queries = batch_queries + [np.asarray(corpus[i])[5:69] for i in range(20, 30)]
+        searcher = NearDuplicateSearcher(index, long_list_cutoff=cutoff)
+        rows = ReferenceSearcher(index, long_list_cutoff=cutoff)
+        expected = [searcher.search(query, theta) for query in queries]
+        batch = BatchQueryExecutor(searcher).execute(queries, theta)
+        _assert_same_stats(expected, batch.results)
+        assert any(result.matches for result in expected)
+        for query, ours in zip(queries, expected):
+            theirs = rows.search(query, theta)
+            assert ours.matches == theirs.matches
+            for name in ("groups_scanned", "candidates", "rows_scanned", "rows_kept"):
+                assert getattr(ours.stats, name) == getattr(theirs.stats, name), name
+
+    def test_members_share_the_batch(self, backends, batch_queries):
+        """A member's time and reads are shares of the batch's scan, so
+        the batch's I/O is exactly its pin's plus its members'."""
+        index = backends["disk-raw"]
+        searcher = NearDuplicateSearcher(
+            CachedIndexReader(index, capacity_bytes=1 << 14), long_list_cutoff=40
+        )
+        plan = plan_batch(searcher, batch_queries, 0.8)
+        before = (index.io_stats.bytes_read, index.io_stats.read_calls)
+        batch = BatchQueryExecutor(searcher).execute_plan(plan, 0.8)
+        unique = list({id(result): result for result in batch.results}.values())
+        assert len(unique) == batch.stats.unique_queries
+        assert sum(r.stats.point_reads for r in unique) > 0
+        assert sum(r.stats.total_seconds for r in unique) <= batch.stats.execute_seconds
+        assert batch.stats.io_bytes == index.io_stats.bytes_read - before[0] > 0
+        assert batch.stats.io_calls == index.io_stats.read_calls - before[1]
 
     def test_pinned_batch_counts_like_per_query_loads(
         self, setup, batch_queries, monkeypatch
     ):
-        """Reading from the view moves the cache's counters and recency
-        exactly as a ``load_list`` per query would, without a locked
-        per-query fetch."""
+        """Reading from the pinned lists moves the cache's counters as a
+        ``load_list`` per query would, without a locked fetch per query,
+        and leaves the same lists resident."""
         _, index, _ = setup
         viewed = CachedIndexReader(index)
         plan = plan_batch(NearDuplicateSearcher(viewed), batch_queries, 0.8)
@@ -735,49 +787,53 @@ class TestPinnedView:
         BatchQueryExecutor(NearDuplicateSearcher(viewed)).execute_plan(plan, 0.8)
         assert fetches == [True]  # the pin, and no fetch per query
 
-        # The loop the view replaces: pin, then each query's load_list.
+        # The loop the batch replaces: pin, then each query's load_list.
         looped = CachedIndexReader(index)
         searcher = NearDuplicateSearcher(looped)
         plan = plan_batch(searcher, batch_queries, 0.8)
-        funcs, minhashes = BatchQueryExecutor._pin_keys(plan, looped.capacity_bytes)
+        keys = BatchQueryExecutor._pin_keys(plan, looped.capacity_bytes)
+        funcs, minhashes = keys >> np.uint64(32), keys & np.uint64(0xFFFFFFFF)
         looped.pin(funcs, minhashes)
         for entry in plan.entries:
-            searcher._search_planned(entry, 0.8)
+            searcher._search_batch([entry], 0.8)
         looped.unpin(funcs, minhashes)
         ours, theirs = viewed.stats(), looped.stats()
         assert ours.hits > 0 and ours.misses > 0
         for name in ("hits", "misses", "evictions", "admission_rejections"):
             assert getattr(ours, name) == getattr(theirs, name), name
-        assert list(viewed._lists) == list(looped._lists)
+        assert set(viewed._lists) == set(looped._lists)
 
-    @pytest.mark.parametrize("cutoff", [None, 0, 40])
-    @pytest.mark.parametrize("theta", [0.5, 0.8, 1.0])
-    def test_run_count_prune_equals_row_path(self, setup, batch_queries, cutoff, theta):
-        """Same matches, ``groups_scanned`` and ``candidates`` as the row
-        prune, direct and batched."""
-        corpus, index, _ = setup
-        queries = batch_queries + [np.asarray(corpus[i])[5:69] for i in range(20, 30)]
-        runs = NearDuplicateSearcher(index, long_list_cutoff=cutoff)
-        rows = RowPruneSearcher(index, long_list_cutoff=cutoff)
-        pairs = [
-            (runs.search(query, theta), rows.search(query, theta)) for query in queries
+    def test_touch_moves_each_served_list_once(self, setup, batch_queries, monkeypatch):
+        """A batch is one unit of recency: one ``touch`` for the batch,
+        with each distinct pinned list once and one hit per read."""
+        _, index, _ = setup
+        reader = CachedIndexReader(index)
+        searcher = NearDuplicateSearcher(reader, long_list_cutoff=0)
+        plan = plan_batch(searcher, batch_queries, 0.8)
+        touches = []
+        touch = reader.touch
+
+        def recording(keys, hits):
+            touches.append((keys.copy(), hits))
+            touch(keys, hits)
+
+        monkeypatch.setattr(reader, "touch", recording)
+        BatchQueryExecutor(searcher).execute_plan(plan, 0.8)
+        ((keys, hits),) = touches
+        assert np.array_equal(keys, plan.list_keys)
+        assert hits == int(plan.demand.sum())
+        served = [
+            (int(key >> np.uint64(32)), int(key & np.uint64(0xFFFFFFFF)))
+            for key in keys
         ]
-        pairs += zip(
-            BatchQueryExecutor(runs).execute(queries, theta).results,
-            BatchQueryExecutor(rows).execute(queries, theta).results,
-        )
-        assert any(ours.matches for ours, _ in pairs)
-        for ours, theirs in pairs:
-            assert ours.matches == theirs.matches
-            assert ours.stats.groups_scanned == theirs.stats.groups_scanned
-            assert ours.stats.candidates == theirs.stats.candidates
+        assert list(reader._lists) == served
 
     def test_generation_moving_after_the_pin_skips_the_stale_view(
         self, setup, tmp_path, monkeypatch
     ):
         """A live index that moves after the batch pinned its lists: the
-        re-planned query reads the new generation, not the view of the
-        old one, so it finds the text appended in between."""
+        re-planned query reads the new generation, not the pinned lists
+        of the old one, so it finds the text appended in between."""
         corpus, index, _ = setup
         texts = [np.asarray(text, dtype=np.uint32) for text in corpus][:40]
         live = LiveIndex(
@@ -791,21 +847,26 @@ class TestPinnedView:
             live.append_texts(texts)
             searcher = LiveSearcher(live, cache_bytes=1 << 22)
             query = texts[3][:40]
-            plan = plan_batch(searcher, [query], 0.8)
+            other = texts[5][:40]
+            plan = plan_batch(searcher, [query, other], 0.8)
             assert plan.entries[0].short_funcs.size > 0
-            views = []
+            reader = searcher.index
+            pin = reader.pin
+            pinned = []
 
-            class MovingView(PinnedView):
-                def __init__(self, *args) -> None:
-                    super().__init__(*args)
-                    views.append(self)
-                    live.append_texts([query])  # a new generation
+            def moving_pin(funcs, minhashes):
+                held = pin(funcs, minhashes)
+                pinned.append(sum(postings is not None for postings in held))
+                live.append_texts([query])  # a new generation
+                return held
 
-            monkeypatch.setattr(executor_module, "PinnedView", MovingView)
+            monkeypatch.setattr(reader, "pin", moving_pin)
             batch = BatchQueryExecutor(searcher).execute_plan(plan, 0.8)
-            assert views and views[0].keys.size > 0
-            expected = NearDuplicateSearcher(live.snapshot()).search(query, 0.8)
-            assert match_set(batch.results[0]) == match_set(expected)
+            assert pinned and pinned[0] > 0
+            assert searcher.index is not reader
+            snapshot = NearDuplicateSearcher(live.snapshot())
+            for query_tokens, result in zip((query, other), batch.results):
+                assert match_set(result) == match_set(snapshot.search(query_tokens, 0.8))
             assert len(texts) in {match.text_id for match in batch.results[0].matches}
         finally:
             live.close()

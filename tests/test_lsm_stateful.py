@@ -45,6 +45,8 @@ CONTENT_STATS = (
     "candidates",
     "texts_matched",
     "point_reads",
+    "rows_scanned",
+    "rows_kept",
 )
 
 any_text = st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=20).map(

@@ -292,6 +292,36 @@ class TestResultCache:
             engine.close()
 
 
+    def test_one_sketch_per_search(self, tmp_path, monkeypatch):
+        """The result tier sketches a query once, on a miss and on a
+        hit: a miss runs as the inner batch of one planned from the
+        sketch that keyed the memo."""
+        engine = NearDupEngine.live(tmp_path / "live", k=8, t=25, vocab_size=256, seed=5)
+        try:
+            rng = np.random.default_rng(7)
+            base = rng.integers(0, 256, size=64).astype(np.uint32)
+            engine.append_texts([base, base[::-1].copy()])
+            expected = canon(engine.searcher.search(base, 0.8))
+            searcher = engine.cached_searcher(cache_bytes=1 << 20)
+            family = searcher.family
+            sketch = family.sketch
+            calls = []
+
+            def counting(tokens):
+                calls.append(len(tokens))
+                return sketch(tokens)
+
+            monkeypatch.setattr(family, "sketch", counting)
+            miss = searcher.search(base, 0.8)
+            assert len(calls) == 1 and searcher.result_cache.misses == 1
+            hit = searcher.search(base, 0.8)
+            assert len(calls) == 2 and searcher.result_cache.hits == 1
+            assert canon(miss) == canon(hit) == expected
+            assert miss.num_texts >= 1
+        finally:
+            engine.close()
+
+
 def test_plan_of_an_older_generation_is_planned_again(tmp_path):
     """A live batch planned before an append runs on the new generation
     with fresh list lengths, not on the plan's stale ones."""

@@ -12,7 +12,7 @@ Three contracts:
    a loop of one-list / one-text calls returns, across every reader
    backend.
 3. ``NearDuplicateSearcher`` produces matches identical to
-   :class:`ReferenceSearcher` (the pre-vectorization per-group loop),
+   ``scan_oracle.ReferenceSearcher`` (a standalone scalar per-text loop),
    and the batched long-list refinement issues no more point-read
    operations than the per-candidate loop.
 """
@@ -30,19 +30,19 @@ from repro.core.intervals import (
     fused_collision_count,
     interval_scan,
 )
-from repro.core import search as search_module
-from repro.core.search import NearDuplicateSearcher, QueryStats, TextMatch
+from repro.core.search import NearDuplicateSearcher
 from repro.corpus.corpus import InMemoryCorpus
 from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError
 from repro.index.builder import build_memory_index
 from repro.index.cache import CachedIndexReader
-from repro.index.inverted import POSTING_DTYPE, row_postings
+from repro.index.inverted import POSTING_DTYPE
 from repro.index.lsm import UnionIndexReader
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.index.zonemap import build_zone_map
 
 from index_lists import join_lists, split_lists
+from scan_oracle import ReferenceSearcher
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +56,10 @@ def make_group_array(windows: list[tuple[int, int, int]]) -> np.ndarray:
     return array
 
 
-def fused_over_groups(groups: list[list[tuple[int, int, int]]], alpha: int):
+def fused_over_groups(groups: list[list[tuple[int, int, int]]], alpha):
     """Run the fused kernel over concatenated groups; return per-group
-    rectangle lists keyed by group position."""
+    rectangle lists keyed by group position.  ``alpha`` is an int or
+    one threshold per group."""
     triples = [
         (gid, left, center, right)
         for gid, group in enumerate(groups)
@@ -71,9 +72,8 @@ def fused_over_groups(groups: list[list[tuple[int, int, int]]], alpha: int):
     rights = np.array([t[3] for t in triples], dtype=np.int64)
     rect = fused_collision_count(lefts, centers, rights, gids, alpha)
     per_group = {}
-    for gid in np.unique(rect.group).tolist():
-        lo, hi = rect.group_slice(gid)
-        per_group[gid] = rect.rectangles(lo, hi)
+    for gid, rectangle in zip(rect.group.tolist(), rect.rectangles()):
+        per_group.setdefault(gid, []).append(rectangle)
     return per_group
 
 
@@ -160,6 +160,39 @@ class TestFusedKernelOracle:
         group = [(0, 2, 9), (1, 3, 4), (2, 6, 8), (0, 6, 7), (4, 5, 6)]
         fused = fused_over_groups([group], 2)
         assert fused[0] == collision_count(make_group_array(group), 2)
+
+    @given(
+        groups=st.lists(
+            st.lists(window_strategy, min_size=1, max_size=10), min_size=0, max_size=8
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_per_group_alpha_matches_collision_count(self, groups, data):
+        """One call at one threshold per group (the batch scan's reduced
+        thresholds) equals the scalar oracle per group at its own."""
+        k = 8
+        alphas = data.draw(
+            st.lists(st.integers(1, k), min_size=len(groups), max_size=len(groups))
+        )
+        fused = fused_over_groups(groups, np.array(alphas, dtype=np.int64))
+        for gid, (group, alpha) in enumerate(zip(groups, alphas)):
+            expected = collision_count(make_group_array(group), alpha)
+            assert fused.get(gid, []) == expected
+
+    def test_per_group_alpha_single_window_groups(self):
+        groups = [[(2, 4, 7)], [(0, 0, 0)], [(5, 5, 9)], [(1, 3, 3)]]
+        fused = fused_over_groups(groups, np.array([1, 2, 1, 3]))
+        assert sorted(fused) == [0, 2]
+        for gid in (0, 2):
+            assert fused[gid] == collision_count(make_group_array(groups[gid]), 1)
+
+    def test_per_group_alpha_must_be_positive(self):
+        ones = np.zeros(2, dtype=np.int64)
+        with pytest.raises(InvalidParameterError):
+            fused_collision_count(ones, ones, ones, np.array([0, 1]), np.array([1, 0]))
+        empty = np.empty(0, dtype=np.int64)
+        assert fused_collision_count(empty, empty, empty, empty, empty).size == 0
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
@@ -314,67 +347,6 @@ class TestZoneMapLocateMany:
 # ---------------------------------------------------------------------------
 # Searcher: fused == reference
 # ---------------------------------------------------------------------------
-class ReferenceSearcher(NearDuplicateSearcher):
-    """The searcher with its group scan replaced by the scalar loop.
-
-    One text at a time: Algorithm 4/5 over the text's short-list
-    windows, then one zone-map point read per long list for every
-    surviving candidate.  The oracle the vectorized scan must match on
-    matches, ordering and every deterministic counter.
-    """
-
-    def _scan(
-        self,
-        short_rows: list[np.ndarray],
-        run_texts: np.ndarray,
-        alpha_short: int,
-        beta: int,
-        sketch: np.ndarray,
-        long_funcs: set[int],
-        stats: QueryStats,
-        query: np.ndarray,
-        theta: float,
-        verify: bool,
-    ) -> list[TextMatch]:
-        # The short lists as records; the oracle ignores the run texts.
-        merged = np.concatenate([row_postings(rows) for rows in short_rows])
-        merged = merged[np.argsort(merged["text"], kind="stable")]
-        text_ids = merged["text"]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], text_ids[1:] != text_ids[:-1]))
-        )
-        boundaries = np.append(boundaries, merged.size)
-        matches: list[TextMatch] = []
-        for start, end in zip(boundaries[:-1], boundaries[1:]):
-            group = merged[start:end]
-            stats.groups_scanned += 1
-            if group.size < alpha_short:
-                continue
-            rectangles = collision_count(group, max(alpha_short, 1))
-            if not rectangles:
-                continue
-            stats.candidates += 1
-            text_id = int(group["text"][0])
-            if long_funcs:
-                extra = [group]
-                for func in sorted(long_funcs):
-                    fetched = self.index.load_texts_windows(
-                        func, int(sketch[func]), [text_id]
-                    )
-                    stats.point_reads += 1
-                    if fetched.size:
-                        extra.append(fetched)
-                rectangles = collision_count(np.concatenate(extra), beta)
-            rectangles = [
-                rect for rect in rectangles if rect.clip_min_length(self.t) is not None
-            ]
-            if rectangles and verify:
-                rectangles = self._verify_rectangles(query, theta, text_id, rectangles)
-            if rectangles:
-                matches.append(TextMatch(text_id, tuple(rectangles)))
-        return matches
-
-
 class TestSearcherEquivalence:
     @pytest.mark.parametrize("backend", ["memory", "disk"])
     @pytest.mark.parametrize("theta", [0.6, 0.8, 1.0])
@@ -393,6 +365,9 @@ class TestSearcherEquivalence:
             assert a.stats.candidates == b.stats.candidates
             assert a.stats.lists_loaded == b.stats.lists_loaded
             assert a.stats.long_lists == b.stats.long_lists
+            assert a.stats.rows_scanned == b.stats.rows_scanned
+            if not shuffled:  # a shuffled list's runs overcount
+                assert a.stats.rows_kept == b.stats.rows_kept
 
     def test_verify_path_equivalent(self, corpus_setup):
         data, _, memory, _ = corpus_setup
@@ -519,14 +494,18 @@ class TestListCountPrune:
             "groups_scanned",
             "candidates",
             "texts_matched",
+            "rows_scanned",
         ):
             assert getattr(a.stats, name) == getattr(b.stats, name), name
+        if not case["shuffle"]:  # a shuffled list's runs overcount
+            assert a.stats.rows_kept == b.stats.rows_kept
         # One grouped read per long list, against one per candidate.
         assert a.stats.point_reads <= b.stats.point_reads
 
-    def test_repeated_token_text_is_pruned_by_lists(self, monkeypatch):
+    def test_repeated_token_text_is_pruned_by_lists(self):
         """A text repeating one token has many windows in one list, and
-        no window in any other: at beta >= 2 none of its rows is sorted."""
+        no window in any other: at beta >= 2 none of its rows reaches
+        the kernel."""
         family = HashFamily(k=4, seed=0)
         texts = [[7] * 200, list(range(40))]
         index = build_memory_index(InMemoryCorpus(texts), family, t=5)
@@ -536,19 +515,12 @@ class TestListCountPrune:
         )
         per_list = [int(np.count_nonzero(p["text"] == 0)) for p in lists]
         assert sum(1 for n in per_list if n) == 1 and max(per_list) >= 2
-        sorted_texts = []
-        group_by_text = search_module._group_by_text
-
-        def recording(rows):
-            sorted_texts.extend(rows[:, 0].tolist())
-            return group_by_text(rows)
-
-        monkeypatch.setattr(search_module, "_group_by_text", recording)
         searcher = NearDuplicateSearcher(index, long_list_cutoff=0)
         result = searcher.search(query, 0.5)
         reference = ReferenceSearcher(index, long_list_cutoff=0).search(query, 0.5)
         assert result.matches == reference.matches
-        assert 0 not in sorted_texts
+        assert result.stats.rows_scanned == sum(p.size for p in lists)
+        assert result.stats.rows_kept <= result.stats.rows_scanned - sum(per_list)
 
 
 class TestBetaOneEdge:
