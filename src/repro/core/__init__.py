@@ -32,10 +32,12 @@ from repro.core.multiset import (
     search_definition2_multiset,
 )
 from repro.core.search import (
+    BatchPlan,
     NearDuplicateSearcher,
     QueryStats,
     SearchResult,
     TextMatch,
+    query_key,
 )
 from repro.core.theory import (
     collision_threshold,
@@ -54,6 +56,7 @@ from repro.core.verify import (
 )
 
 __all__ = [
+    "BatchPlan",
     "CollisionRectangle",
     "CompactWindow",
     "FusedRectangles",
@@ -84,6 +87,7 @@ __all__ = [
     "merge_overlapping_spans",
     "multiset_jaccard",
     "multiset_sketch",
+    "query_key",
     "recall_estimate",
     "search_definition2_multiset",
     "verify_spans",

@@ -33,20 +33,21 @@ list boundaries from the sizes.  numpy's structured-dtype machinery
 makes every concatenate, sort and mask of records several times dearer
 than the same operation on rows.
 
-Both halves run a batch at a time.
-:meth:`NearDuplicateSearcher.plan_many` does steps 1–2 for a batch: one
-:meth:`~repro.core.hashing.HashFamily.sketch_many` call, one
-``sketch_list_lengths`` call for the ``(B, k)`` list lengths and one
-vectorized :meth:`~NearDuplicateSearcher._select_long_lists`.
+Both halves run a batch at a time.  :meth:`NearDuplicateSearcher.plan`
+does steps 1–2 for a batch and returns one :class:`BatchPlan`: the
+unique queries' ``(U, k)`` sketches, list lengths and long-list mask
+(one :meth:`~repro.core.hashing.HashFamily.sketch_many` call, one
+``sketch_list_lengths`` call and one vectorized
+:meth:`~NearDuplicateSearcher._select_long_lists`), with the threshold
+and ``verify`` it was built for.
 :meth:`~NearDuplicateSearcher._search_batch` does steps 3–5 for every
-planned query of a batch at once, a group being a ``(query, text)``
-pair: one prune over all their run counts, one gather of the surviving
-rows, one kernel pass at each query's reduced threshold, one point read
-per query with long lists and one kernel pass at ``beta`` over every
-refined group.  The batch executor hands it the short lists its pin
-holds; :meth:`NearDuplicateSearcher.search` is the batch of one
-(:meth:`~NearDuplicateSearcher.plan_query` plus one ``load_list``), on
-the same path.
+query of a plan at once, a group being a ``(query, text)`` pair: one
+prune over all their run counts, one gather of the surviving rows, one
+kernel pass at each query's reduced threshold, one point read per query
+with long lists and one kernel pass at ``beta`` over every refined
+group.  The batch executor hands it the short lists its pin holds;
+:meth:`NearDuplicateSearcher.search` is the batch of one (a plan of one
+query plus one ``load_list``), on the same path.
 """
 
 from __future__ import annotations
@@ -193,26 +194,72 @@ class SearchResult:
         return bool(self.matches)
 
 
-@dataclass(frozen=True)
-class PlannedQuery:
-    """One query, sketched and split into short and long lists.
+def query_key(sketch: np.ndarray, query: np.ndarray, verify: bool) -> bytes:
+    """The identity of a query: its sketch, plus its tokens under ``verify``.
 
-    Built by :meth:`NearDuplicateSearcher.plan_many` (the batch planner
-    builds one per unique query, :meth:`~NearDuplicateSearcher.plan_query`
-    a batch of one); the searcher runs it without sketching or looking
-    up list lengths again.
+    The key is the sketch's bytes, then ``b"|"`` and the tokens as
+    ``uint32`` bytes under ``verify``.  Two queries with one key get one
+    result: a plan gives them one row, and the result tier memoizes by
+    it.  Exact-Jaccard verification reads the raw query, so with
+    ``verify=True`` only byte-identical queries share a key.
+    """
+    key = np.ascontiguousarray(sketch).tobytes()
+    if verify:
+        key += b"|" + np.ascontiguousarray(query, dtype=np.uint32).tobytes()
+    return key
+
+
+@dataclass(eq=False)
+class BatchPlan:
+    """Steps 1–2 of a batch, as ``(U, k)`` arrays over its unique queries.
+
+    The ``U`` unique queries' sketches, list lengths and long-list mask,
+    with the threshold and ``verify`` they were planned for.  Built by
+    :meth:`NearDuplicateSearcher.plan`; the searcher runs it without
+    sketching or looking up list lengths again.
     """
 
-    query: np.ndarray
-    sketch: np.ndarray
+    #: The unique queries: queries with one :func:`query_key` share a row.
+    queries: list[np.ndarray]
+    sketches: np.ndarray
     lengths: np.ndarray
+    #: The lists to prefix-filter away: point-read for candidates only.
+    long: np.ndarray
+    theta: float
     beta: int
-    long_funcs: frozenset[int]
-    #: Functions of the non-empty short lists, ascending: what the
-    #: search loads in full.
-    short_funcs: np.ndarray
+    verify: bool
+    #: Each unique query's :func:`query_key`.
+    query_keys: list[bytes]
+    #: Original query position -> its unique row.
+    assignment: list[int]
     #: The reader ``lengths`` came from.
-    source: object = field(compare=False, repr=False)
+    source: object = field(repr=False)
+    plan_seconds: float = 0.0
+
+    @property
+    def short(self) -> np.ndarray:
+        """The non-empty lists that are not long: what the scan loads."""
+        return (self.lengths > 0) & ~self.long
+
+    @property
+    def num_queries(self) -> int:
+        return len(self.assignment)
+
+    @property
+    def num_unique(self) -> int:
+        return len(self.queries)
+
+    def subset(self, rows: list[int]) -> "BatchPlan":
+        """The plan of the unique queries ``rows`` alone, in that order."""
+        return dataclasses.replace(
+            self,
+            queries=[self.queries[row] for row in rows],
+            sketches=self.sketches[rows],
+            lengths=self.lengths[rows],
+            long=self.long[rows],
+            query_keys=[self.query_keys[row] for row in rows],
+            assignment=list(range(len(rows))),
+        )
 
 
 def derive_theta_result(base: SearchResult, theta: float) -> SearchResult:
@@ -399,70 +446,69 @@ class NearDuplicateSearcher:
         The batch of one: its stats' clock starts before planning.
         """
         marks = self._marks()
-        return self._search_batch(
-            [self.plan_query(query, theta)], theta, verify=verify, marks=marks
-        )[0]
+        return self._search_batch(self.plan([query], theta, verify=verify), marks=marks)[0]
 
-    def plan_query(
-        self,
-        query: np.ndarray,
-        theta: float,
-        *,
-        sketch: np.ndarray | None = None,
-    ) -> PlannedQuery:
-        """Steps 1–2 for one query: :meth:`plan_many` over a batch of one.
-
-        ``sketch`` optionally supplies the query's precomputed k-mins
-        sketch (the service sketches requests on arrival); otherwise
-        :meth:`~repro.core.hashing.HashFamily.sketch`, the one-row case
-        of ``sketch_many``, computes it.
-        """
-        if sketch is None:
-            query = np.asarray(query)
-            if query.size == 0:
-                raise QueryError("query sequence is empty")
-            sketch = self.family.sketch(query)
-        return self.plan_many([query], theta, sketches=[sketch])[0]
-
-    def plan_many(
+    def plan(
         self,
         queries: list[np.ndarray],
         theta: float,
         *,
+        verify: bool = False,
         sketches: np.ndarray | None = None,
-    ) -> list[PlannedQuery]:
-        """Steps 1–2 for a batch: sketch, list lengths, long/short split.
+    ) -> BatchPlan:
+        """Steps 1–2 for a batch: sketch, dedup, list lengths, split.
 
         One :meth:`~repro.core.hashing.HashFamily.sketch_many` call
-        sketches the batch (unless ``sketches``, one row per query, are
-        supplied), one ``sketch_list_lengths`` call looks up its
-        ``(B, k)`` list lengths, and :meth:`_select_long_lists` splits
-        every row at once.  Returns one entry per query, in order.
+        sketches the batch (a batch of one goes through
+        :meth:`~repro.core.hashing.HashFamily.sketch`, its one-row case)
+        unless ``sketches``, one row per query, are supplied: the
+        service sketches requests on arrival.  Queries with one
+        :func:`query_key` share a row; one ``sketch_list_lengths`` call
+        looks up the unique rows' ``(U, k)`` list lengths and
+        :meth:`_select_long_lists` splits every row at once.
         """
+        begin = time.perf_counter()
+        if sketches is not None and len(sketches) != len(queries):
+            raise InvalidParameterError(
+                f"got {len(sketches)} precomputed sketches for {len(queries)} queries"
+            )
         queries = [np.asarray(query) for query in queries]
         if any(query.size == 0 for query in queries):
             raise QueryError("query sequence is empty")
-        beta = collision_threshold(self.family.k, theta)
+        k = self.family.k
         if sketches is None:
-            sketches = self.family.sketch_many(queries)
-        sketches = np.asarray(sketches).reshape(len(queries), self.family.k)
+            sketches = (
+                self.family.sketch(queries[0])
+                if len(queries) == 1
+                else self.family.sketch_many(queries)
+            )
+        sketches = np.asarray(sketches).reshape(len(queries), k)
+        rows: dict[bytes, int] = {}
+        assignment, unique = [], []
+        for position, query in enumerate(queries):
+            row = rows.setdefault(query_key(sketches[position], query, verify), len(rows))
+            if row == len(unique):
+                unique.append(position)
+            assignment.append(row)
+        if len(unique) < len(queries):
+            queries, sketches = [queries[at] for at in unique], sketches[unique]
+        beta = collision_threshold(k, theta)
         lengths = np.asarray(self.index.sketch_list_lengths(sketches)).reshape(
             sketches.shape
         )
-        long = self._select_long_lists(lengths, beta)
-        short = (lengths > 0) & ~long
-        return [
-            PlannedQuery(
-                query=query,
-                sketch=sketches[row],
-                lengths=lengths[row],
-                beta=beta,
-                long_funcs=frozenset(np.flatnonzero(long[row]).tolist()),
-                short_funcs=np.flatnonzero(short[row]),
-                source=self.index,
-            )
-            for row, query in enumerate(queries)
-        ]
+        return BatchPlan(
+            queries=queries,
+            sketches=sketches,
+            lengths=lengths,
+            long=self._select_long_lists(lengths, beta),
+            theta=theta,
+            beta=beta,
+            verify=bool(verify),
+            query_keys=list(rows),
+            assignment=assignment,
+            source=self.index,
+            plan_seconds=time.perf_counter() - begin,
+        )
 
     def _marks(self) -> tuple[float, int, int, float]:
         """Clock and I/O counters at the start of a query."""
@@ -471,24 +517,23 @@ class NearDuplicateSearcher:
 
     def _search_batch(
         self,
-        entries: list[PlannedQuery],
-        theta: float,
+        plan: BatchPlan,
         *,
-        verify: bool = False,
         pinned: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         marks: tuple[float, int, int, float] | None = None,
     ) -> list[SearchResult]:
-        """Steps 3–5 for planned queries, scanned as one batch; one
-        result per entry, in order.
+        """Steps 3–5 for every unique query of ``plan``, scanned as one
+        batch at the plan's threshold and ``verify``; one result per
+        unique query, in order.
 
         ``pinned`` is ``(keys, postings, sizes)``: lists the caller holds
         (the executor's pin), as sorted ``func << 32 | minhash`` keys and
         one ragged batch in key order.  Short lists among them are read
         there and reported to the reader's ``touch``; the batch's other
-        short lists are read with one ``load_list``.  Entries planned
+        short lists are read with one ``load_list``.  A plan built
         against another reader (a live index that moved to a new
-        generation since) are planned again from their sketches and run
-        as a batch of their own.
+        generation since) is planned again from its sketches, and its
+        pinned lists are not read.
 
         A member's ``total_seconds`` is an even share of the batch's wall
         time, counted from ``marks`` (from :meth:`_marks`: a direct
@@ -497,33 +542,26 @@ class NearDuplicateSearcher:
         batch's other reads.  The members sum to the batch, and a batch
         of one counts exactly its own reads.
         """
+        theta, beta, verify = plan.theta, plan.beta, plan.verify
         if verify and self.corpus is None:
             raise InvalidParameterError(
                 "verify=True requires the searcher to be built with corpus=..."
             )
         if marks is None:
             marks = self._marks()
-        inner = getattr(self.index, "inner", None)
-        moved = [e.source is not self.index and e.source is not inner for e in entries]
-        if any(moved):
-            stale = [entry for entry, gone in zip(entries, moved) if gone]
-            fresh = [entry for entry, gone in zip(entries, moved) if not gone]
-            replanned = self.plan_many(
-                [e.query for e in stale], theta, sketches=[e.sketch for e in stale]
-            )
-            again = iter(self._search_batch(replanned, theta, verify=verify))
-            current = iter(self._search_batch(fresh, theta, verify=verify, pinned=pinned))
-            return [next(again) if gone else next(current) for gone in moved]
-        if not entries:
+        if plan.source is not self.index and plan.source is not getattr(
+            self.index, "inner", None
+        ):
+            plan = self.plan(plan.queries, theta, verify=verify, sketches=plan.sketches)
+            pinned = None
+        size = plan.num_unique
+        if not size:
             return []
 
-        beta = entries[0].beta
-        size = len(entries)
-        counts = np.array([e.short_funcs.size for e in entries], dtype=np.int64)
-        long_counts = np.array([len(e.long_funcs) for e in entries], dtype=np.int64)
-        owner = np.arange(size).repeat(counts)
-        funcs = np.concatenate([e.short_funcs for e in entries])
-        minhashes = np.concatenate([e.sketch[e.short_funcs] for e in entries])
+        owner, funcs = plan.short.nonzero()
+        counts = np.bincount(owner, minlength=size)
+        long_counts = plan.long.sum(axis=1)
+        minhashes = plan.sketches[owner, funcs]
         rows, sizes, slots = self._read_short_lists(funcs, minhashes, pinned)
 
         # The prune (step 3): a ``(query, text)`` group's count is the
@@ -598,12 +636,11 @@ class NearDuplicateSearcher:
         if refined.size:
             edges = group_query[refined].searchsorted(np.arange(size + 1)).tolist()
             for position in (np.diff(edges) > 0).nonzero()[0].tolist():
-                entry = entries[position]
-                long_funcs = np.array(sorted(entry.long_funcs), dtype=np.int64)
+                long_funcs = plan.long[position].nonzero()[0]
                 before = self._marks()
                 postings, _ = self.index.load_texts_windows(
                     long_funcs,
-                    entry.sketch[long_funcs],
+                    plan.sketches[position, long_funcs],
                     group_texts[refined[edges[position] : edges[position + 1]]],
                 )
                 point_io[position] = [b - a for a, b in zip(before, self._marks())][1:]
@@ -621,7 +658,7 @@ class NearDuplicateSearcher:
 
         # Step 5: the sequences of length >= t, one match per group.
         rect = rect.filtered(rect.j_hi - rect.i_lo + 1 >= self.t)
-        matches: list[list[TextMatch]] = [[] for _ in entries]
+        matches: list[list[TextMatch]] = [[] for _ in range(size)]
         if rect.group.size:
             rectangles = rect.rectangles()
             cuts = ((rect.group[1:] != rect.group[:-1]).nonzero()[0] + 1).tolist()
@@ -632,7 +669,7 @@ class NearDuplicateSearcher:
                 kept_rects = rectangles[lo:hi]
                 if verify:
                     kept_rects = self._verify_rectangles(
-                        entries[position].query, theta, text_id, kept_rects
+                        plan.queries[position], theta, text_id, kept_rects
                     )
                 if kept_rects:
                     matches[position].append(TextMatch(text_id, tuple(kept_rects)))

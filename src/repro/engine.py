@@ -300,9 +300,9 @@ class NearDupEngine:
         :class:`~repro.query.resultcache.CachingSearcher`, which
         memoizes the last ``DEFAULT_RESULT_ENTRIES`` (1024) whole
         ``SearchResult``s and drops them whenever the live generation
-        moves.  A static searcher has no result tier: the batch
-        planner's sketch dedup plus list pinning already covers repeats
-        inside a batch.
+        moves.  A static searcher has no result tier: a batch plan's
+        sketch dedup plus list pinning already covers repeats inside a
+        batch.
 
         Each call builds fresh caches.
         """

@@ -144,7 +144,7 @@ class IOStats:
 class InvertedIndexReader(Protocol):
     """Read interface every index reader implements.
 
-    The searcher, planner, list cache, merge and warmup read lengths
+    The searcher, list cache, merge and warmup read lengths
     with :meth:`sketch_list_lengths` and postings with the two methods
     below.  ``load_list`` and ``load_texts_windows`` each have two
     forms.  With two equal-length int arrays they read every

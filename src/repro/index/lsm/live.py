@@ -609,8 +609,8 @@ class LiveSearcher:
     its optional :class:`~repro.index.cache.CachedIndexReader`) is
     rebuilt only when the generation actually moved, so a read-mostly
     workload keeps its cache.  Unknown attributes delegate to the inner
-    searcher, which makes this a drop-in for the batch planner/executor
-    and the service micro-batcher.
+    searcher, which makes this a drop-in for the batch executor and the
+    service micro-batcher.
     """
 
     def __init__(
@@ -662,7 +662,7 @@ class LiveSearcher:
 
     def __getattr__(self, name: str):
         # Fires only for attributes not set on the instance: family, t,
-        # index, corpus, long_list_cutoff, plan helpers, ... — all
+        # index, corpus, long_list_cutoff, plan, ... — all
         # resolved against the inner searcher of the latest generation.
         if name.startswith("__"):
             raise AttributeError(name)

@@ -24,6 +24,7 @@ from repro.core.verify import Span
 from repro.exceptions import InvalidParameterError
 from repro.lm.generation import GenerationConfig, generate
 from repro.lm.ngram import NGramLM
+from repro.query.executor import BatchQueryExecutor
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,48 @@ def sliding_queries(text: np.ndarray, width: int) -> list[np.ndarray]:
     return [text[i * width : (i + 1) * width] for i in range(count)]
 
 
+def evaluate_windows(
+    executor: BatchQueryExecutor,
+    texts: list[np.ndarray],
+    window_width: int,
+    thetas: list[float],
+    *,
+    model_name: str = "model",
+) -> list[MemorizationReport]:
+    """Slice, search and fold: one report per theta, in order.
+
+    All windows of all texts form one query batch run through
+    :meth:`~repro.query.executor.BatchQueryExecutor.execute_thetas`, so
+    duplicate windows are searched once, the Zipf-head inverted lists
+    are read once per batch, and one pass at the loosest theta answers
+    every theta.  A window's ``example`` is its first merged span.
+    """
+    windows = [
+        (text_index, window_index, query)
+        for text_index, text in enumerate(texts)
+        for window_index, query in enumerate(sliding_queries(text, window_width))
+    ]
+    per_query, _ = executor.execute_thetas([query for *_, query in windows], thetas)
+    reports = []
+    for theta in thetas:
+        report = MemorizationReport(model_name, theta, window_width)
+        for (text_index, window_index, query), by_theta in zip(windows, per_query):
+            result = by_theta[theta]
+            merged = result.merged_spans()
+            report.outcomes.append(
+                QueryOutcome(
+                    generated_text=text_index,
+                    window_index=window_index,
+                    query=np.asarray(query),
+                    matched=bool(result.matches),
+                    num_texts=result.num_texts,
+                    example=merged[0] if merged else None,
+                )
+            )
+        reports.append(report)
+    return reports
+
+
 def evaluate_generated_texts(
     texts: list[np.ndarray],
     searcher: NearDuplicateSearcher,
@@ -92,35 +135,14 @@ def evaluate_generated_texts(
 ) -> MemorizationReport:
     """Run the sliding-window protocol over pre-generated texts.
 
-    All windows of all texts form one query batch fed through
-    :meth:`~repro.core.search.NearDuplicateSearcher.search_many`, so
-    duplicate windows are searched once and the Zipf-head inverted lists
-    are read once per batch instead of once per query.  Matches equal a
-    per-window :meth:`~repro.core.search.NearDuplicateSearcher.search`.
+    :func:`evaluate_windows` at the one ``theta``, through a
+    :class:`~repro.query.executor.BatchQueryExecutor` chunked by
+    ``batch_size``.  Matches equal a per-window
+    :meth:`~repro.core.search.NearDuplicateSearcher.search`.
     """
-    report = MemorizationReport(
-        model_name=model_name, theta=theta, window_width=window_width
-    )
-    positions: list[tuple[int, int]] = []
-    queries: list[np.ndarray] = []
-    for text_index, text in enumerate(texts):
-        for window_index, query in enumerate(sliding_queries(text, window_width)):
-            positions.append((text_index, window_index))
-            queries.append(query)
-    results = searcher.search_many(queries, theta, batch_size=batch_size)
-    for (text_index, window_index), query, result in zip(
-        positions, queries, results
-    ):
-        merged = result.merged_spans()
-        report.outcomes.append(
-            QueryOutcome(
-                generated_text=text_index,
-                window_index=window_index,
-                query=np.asarray(query),
-                matched=bool(result.matches),
-                num_texts=result.num_texts,
-                example=merged[0] if merged else None,
-            )
+    with BatchQueryExecutor(searcher, batch_size=batch_size) as executor:
+        (report,) = evaluate_windows(
+            executor, texts, window_width, [theta], model_name=model_name
         )
     return report
 

@@ -11,18 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.search import NearDuplicateSearcher
 from repro.corpus.corpus import Corpus
 from repro.exceptions import InvalidParameterError
 from repro.lm.generation import GenerationConfig, generate
 from repro.lm.models import train_zoo
-from repro.memorization.evaluator import (
-    MemorizationReport,
-    QueryOutcome,
-    sliding_queries,
-)
+from repro.memorization.evaluator import MemorizationReport, evaluate_windows
+from repro.query.executor import BatchQueryExecutor
 
 
 @dataclass(frozen=True)
@@ -97,64 +92,31 @@ def run_figure4_sweep(
 ) -> SweepResult:
     """Train the zoo, generate once per model, evaluate the whole grid.
 
-    All windows of one (model, width) cell form one query batch run
-    through the batch executor; one batched pass at the loosest theta
-    answers every theta at once (rectangles carry exact collision
-    counts).  ``batch_size`` is forwarded to
+    Each (model, width) cell is one :func:`evaluate_windows` call: all
+    its windows form one query batch, and one batched pass at the
+    loosest theta answers every theta at once (rectangles carry exact
+    collision counts).  ``batch_size`` is forwarded to
     :class:`~repro.query.executor.BatchQueryExecutor`.
     """
-    from repro.query.executor import BatchQueryExecutor
-
     if config is None:
         config = SweepConfig()
     if generation is None:
         generation = GenerationConfig(strategy="top_k", top_k=50)
     zoo = train_zoo(corpus, list(config.model_names), vocab_size=vocab_size)
-    with BatchQueryExecutor(searcher, batch_size=batch_size) as executor:
-        return _run_sweep(executor, zoo, config, generation)
-
-
-def _run_sweep(executor, zoo, config, generation) -> "SweepResult":
     result = SweepResult()
-    thetas = list(config.thetas)
-    for tier in zoo:
-        texts = [
-            generate(
-                tier.model,
-                config.text_length,
-                config=generation,
-                seed=config.seed + offset,
-            )
-            for offset in range(config.num_texts)
-        ]
-        for width in config.window_widths:
-            reports = {
-                theta: MemorizationReport(
-                    model_name=tier.name, theta=theta, window_width=width
+    with BatchQueryExecutor(searcher, batch_size=batch_size) as executor:
+        for tier in zoo:
+            texts = [
+                generate(
+                    tier.model,
+                    config.text_length,
+                    config=generation,
+                    seed=config.seed + offset,
                 )
-                for theta in thetas
-            }
-            positions: list[tuple[int, int]] = []
-            queries: list[np.ndarray] = []
-            for text_index, text in enumerate(texts):
-                for window_index, query in enumerate(sliding_queries(text, width)):
-                    positions.append((text_index, window_index))
-                    queries.append(query)
-            per_query, _ = executor.execute_thetas(queries, thetas)
-            for (text_index, window_index), query, per_theta in zip(
-                positions, queries, per_query
-            ):
-                for theta in thetas:
-                    outcome = per_theta[theta]
-                    reports[theta].outcomes.append(
-                        QueryOutcome(
-                            generated_text=text_index,
-                            window_index=window_index,
-                            query=np.asarray(query),
-                            matched=bool(outcome.matches),
-                            num_texts=outcome.num_texts,
-                            example=None,
-                        )
-                    )
-            result.reports.extend(reports[theta] for theta in thetas)
+                for offset in range(config.num_texts)
+            ]
+            for width in config.window_widths:
+                result.reports += evaluate_windows(
+                    executor, texts, width, list(config.thetas), model_name=tier.name
+                )
     return result

@@ -4,12 +4,15 @@ The paper's headline workload (Section 5) is hundreds of thousands of
 generated sequences searched against one training corpus.  This package
 turns that from "N independent cold searches" into one planned pass:
 
-* :mod:`repro.query.planner` — sketch every query up front, deduplicate
-  queries by :func:`~repro.query.planner.query_key`, and enumerate the
-  distinct inverted lists the batch will touch;
-* :mod:`repro.query.executor` — run the plan on the calling thread,
-  with the batch's shared lists pinned in a
-  :class:`~repro.index.cache.CachedIndexReader`;
+* :meth:`~repro.core.search.NearDuplicateSearcher.plan` sketches every
+  query up front, deduplicates queries by
+  :func:`~repro.core.search.query_key` and splits their lists, into one
+  :class:`~repro.core.search.BatchPlan` of ``(U, k)`` arrays;
+* :mod:`repro.query.executor` — enumerate the distinct inverted lists
+  the plan touches and run it on the calling thread, with those lists
+  pinned in a :class:`~repro.index.cache.CachedIndexReader`;
+* :mod:`repro.query.resultcache` — memoize whole results by query key
+  for live searchers;
 * :mod:`repro.query.results` — per-batch aggregation of
   :class:`~repro.core.search.QueryStats` into a printable
   :class:`~repro.query.results.BatchStats`.
@@ -19,19 +22,14 @@ Batching is a pure execution strategy: matches are identical to calling
 """
 
 from repro.query.executor import BatchQueryExecutor
-from repro.query.planner import BatchPlan, PlannedQuery, plan_batch, query_key
 from repro.query.resultcache import CachingSearcher, ResultCache, ResultCacheStats
 from repro.query.results import BatchResult, BatchStats
 
 __all__ = [
-    "BatchPlan",
     "BatchQueryExecutor",
     "BatchResult",
     "BatchStats",
     "CachingSearcher",
-    "PlannedQuery",
     "ResultCache",
     "ResultCacheStats",
-    "plan_batch",
-    "query_key",
 ]

@@ -2,21 +2,25 @@
 
 One strategy, on the calling thread, with the batch as the unit:
 
-1. :func:`~repro.query.planner.plan_batch` sketches, deduplicates and
-   plans the whole batch at once;
-2. its short lists are batch-pinned in a
-   :class:`~repro.index.cache.CachedIndexReader` (most demanded first,
-   within :data:`PIN_FRACTION` of its capacity), so each distinct list
-   is read once per batch and the batch's misses are read in one call;
+1. :meth:`~repro.core.search.NearDuplicateSearcher.plan` sketches,
+   deduplicates and plans the whole batch at once, into one
+   :class:`~repro.core.search.BatchPlan` that carries its threshold and
+   ``verify``;
+2. :func:`shared_lists` enumerates the distinct ``(func, minhash)``
+   short lists the plan loads, how many unique queries load each and
+   their sizes (one ``np.unique`` over the plan's short-list keys), and
+   they are batch-pinned in a :class:`~repro.index.cache.CachedIndexReader`
+   (most demanded first, within :data:`PIN_FRACTION` of its capacity),
+   so each distinct list is read once per batch and the batch's misses
+   are read in one call;
 3. the lists ``pin`` hands back are laid end to end in key order, and
    the searcher scans every unique query of the plan at once
    (:meth:`~repro.core.search.NearDuplicateSearcher._search_batch`):
    one prune over ``(query, text)`` run counts, one gather of the
    surviving rows, one kernel pass at each query's reduced threshold
    and one refinement pass for the queries with long lists.  Lists
-   outside the pin budget are read with one ``load_list``; entries a
-   moved live index planned against an older generation are planned
-   again and scanned as a batch of their own.
+   outside the pin budget are read with one ``load_list``; a plan a
+   moved live index built against an older generation is planned again.
 
 Every ``(query, list)`` read served by the pin counts as a cache hit,
 as the per-query ``load_list`` it replaces would.  An uncached searcher
@@ -34,18 +38,19 @@ pool were measured against this path and deleted (``docs/TUNING.md``,
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.search import (
+    BatchPlan,
     NearDuplicateSearcher,
     SearchResult,
     derive_theta_result,
 )
 from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader
-from repro.index.inverted import concat_postings
-from repro.query.planner import BatchPlan, plan_batch
+from repro.index.inverted import POSTING_BYTES, concat_postings
 from repro.query.results import BatchResult, BatchStats
 
 #: Capacity of the cache the executor owns for an uncached searcher.
@@ -57,6 +62,35 @@ CACHE_BYTES = 32 * 1024 * 1024
 PIN_FRACTION = 0.5
 
 
+class SharedLists(NamedTuple):
+    """The distinct short lists a plan loads."""
+
+    #: Sorted ``func << 32 | minhash`` keys.
+    keys: np.ndarray
+    #: Per list: the number of unique queries loading it.
+    demand: np.ndarray
+    #: Per list: its size in bytes (for pin budgeting).
+    nbytes: np.ndarray
+    #: Non-empty list references summed over *all* queries (dupes included).
+    referenced: int
+
+
+def shared_lists(plan: BatchPlan) -> SharedLists:
+    """What ``plan``'s queries share: one ``np.unique`` over the keys of
+    its ``(query, short list)`` pairs."""
+    owner, funcs = plan.short.nonzero()
+    keys = (funcs.astype(np.uint64) << np.uint64(32)) | plan.sketches[
+        owner, funcs
+    ].astype(np.uint64)
+    keys, first, demand = np.unique(keys, return_index=True, return_counts=True)
+    return SharedLists(
+        keys,
+        demand,
+        plan.lengths[owner[first], funcs[first]] * POSTING_BYTES,
+        int(np.count_nonzero(plan.lengths, axis=1)[plan.assignment].sum()),
+    )
+
+
 class BatchQueryExecutor:
     """Plan and run query batches against one searcher's index.
 
@@ -64,7 +98,7 @@ class BatchQueryExecutor:
     ----------
     searcher:
         The configured :class:`~repro.core.search.NearDuplicateSearcher`,
-        or a wrapper that delegates ``plan_many`` and ``_search_batch``
+        or a wrapper that delegates ``plan`` and ``_search_batch``
         to one (a live or result-caching searcher).
     batch_size:
         Optional chunking: queries are planned and executed
@@ -145,56 +179,52 @@ class BatchQueryExecutor:
         ]
         return per_query, batch.stats
 
-    def execute_plan(
-        self,
-        plan: BatchPlan,
-        theta: float,
-        *,
-        verify: bool = False,
-    ) -> BatchResult:
-        """Run an already-built :class:`~repro.query.planner.BatchPlan`.
+    def execute_plan(self, plan: BatchPlan) -> BatchResult:
+        """Run an already-built :class:`~repro.core.search.BatchPlan` at
+        the threshold and ``verify`` it was planned for.
 
         The reusable entry point for pre-sketched queries: callers that
         sketch queries as they arrive (the online service's
         micro-batcher) build the plan themselves via
-        :func:`~repro.query.planner.plan_batch` with ``sketches=...``
-        and hand it here, skipping the executor's own planning pass.
+        :meth:`~repro.core.search.NearDuplicateSearcher.plan` with
+        ``sketches=...`` and hand it here, skipping the executor's own
+        planning pass.
 
-        Pins the batch's short lists (one read for all the misses),
-        scans the unique queries as one batch over what the pin handed
-        back, then releases the pins this call took (another batch on
-        the same reader keeps its own).
+        Finds the plan's :func:`shared_lists` (timed as planning), pins
+        them (one read for all the misses), scans the unique queries as
+        one batch over what the pin handed back, then releases the pins
+        this call took (another batch on the same reader keeps its own).
         """
         begin = time.perf_counter()
+        lists = shared_lists(plan)
+        analysed = time.perf_counter()
         searcher = self._planned_searcher()
         reader = searcher.index
         stats = BatchStats(
             queries=plan.num_queries,
             unique_queries=plan.num_unique,
-            lists_referenced=plan.lists_referenced,
-            distinct_lists=int(plan.list_keys.size),
-            plan_seconds=plan.plan_seconds,
+            lists_referenced=lists.referenced,
+            distinct_lists=int(lists.keys.size),
+            plan_seconds=plan.plan_seconds + analysed - begin,
         )
         io = reader.io_stats
         io_before = (io.bytes_read, io.read_calls, io.seconds)
         cache_before = reader.stats()
-        keys = self._pin_keys(plan, reader.capacity_bytes)
+        keys = self._pin_keys(lists, reader.capacity_bytes)
         funcs = (keys >> np.uint64(32)).astype(np.int64)
         minhashes = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
-        lists = reader.pin(funcs, minhashes) if keys.size else []
-        held = np.array([postings is not None for postings in lists], dtype=bool)
+        held_lists = reader.pin(funcs, minhashes) if keys.size else []
+        held = np.array([postings is not None for postings in held_lists], dtype=bool)
         stats.lists_pinned = int(held.sum())
         stats.io_bytes = io.bytes_read - io_before[0]
         stats.io_calls = io.read_calls - io_before[1]
         stats.io_seconds = io.seconds - io_before[2]
         try:
             order = held.nonzero()[0][keys[held].argsort()]  # the held lists, by key
-            lists = [lists[slot] for slot in order.tolist()]
-            sizes = np.array([postings.size for postings in lists], dtype=np.int64)
-            pinned = (keys[order], concat_postings(lists), sizes)
-            unique_results = searcher._search_batch(
-                plan.entries, theta, verify=verify, pinned=pinned
-            )
+            held_lists = [held_lists[slot] for slot in order.tolist()]
+            sizes = np.array([postings.size for postings in held_lists], dtype=np.int64)
+            pinned = (keys[order], concat_postings(held_lists), sizes)
+            unique_results = searcher._search_batch(plan, pinned=pinned)
         finally:
             if held.any():
                 reader.unpin(funcs[held], minhashes[held])
@@ -210,7 +240,8 @@ class BatchQueryExecutor:
         stats.cache_singleflight_waits = (
             cache_after.singleflight_waits - cache_before.singleflight_waits
         )
-        stats.execute_seconds = stats.total_seconds = time.perf_counter() - begin
+        end = time.perf_counter()
+        stats.execute_seconds, stats.total_seconds = end - analysed, end - begin
         results = [unique_results[position] for position in plan.assignment]
         return BatchResult(results=results, stats=stats)
 
@@ -223,19 +254,18 @@ class BatchQueryExecutor:
         verify: bool,
     ) -> BatchResult:
         begin = time.perf_counter()
-        plan = plan_batch(self.searcher, queries, theta, verify=verify)
-        batch = self.execute_plan(plan, theta, verify=verify)
+        batch = self.execute_plan(self.searcher.plan(queries, theta, verify=verify))
         batch.stats.total_seconds = time.perf_counter() - begin
         return batch
 
     @staticmethod
-    def _pin_keys(plan: BatchPlan, capacity_bytes: int) -> np.ndarray:
+    def _pin_keys(lists: SharedLists, capacity_bytes: int) -> np.ndarray:
         """The ``func << 32 | minhash`` keys of the short lists to pin:
         most demanded first (ties by key), greedily within
         :data:`PIN_FRACTION` of the pinned reader's capacity."""
         budget = int(capacity_bytes * PIN_FRACTION)
-        order = np.lexsort((plan.list_keys, -plan.demand))
-        sizes = plan.list_bytes[order]
+        order = np.lexsort((lists.keys, -lists.demand))
+        sizes = lists.nbytes[order]
         if sizes.sum() > budget:
             chosen = []
             used = 0
@@ -244,7 +274,7 @@ class BatchQueryExecutor:
                     chosen.append(position)
                     used += nbytes
             order = order[chosen]
-        return plan.list_keys[order]
+        return lists.keys[order]
 
     def _planned_searcher(self) -> NearDuplicateSearcher:
         """A searcher whose reader supports pinning, reusing an existing

@@ -5,8 +5,9 @@ training prefixes probed again and again); for those, even a warm list
 cache still pays sketching, candidate sweeps, and refinement.  This
 tier memoizes the *entire* :class:`~repro.core.search.SearchResult`
 keyed by ``(query_key, theta, verify)``, where
-:func:`~repro.query.planner.query_key` is the one definition of query
-identity, the same key the batch planner dedups by.
+:func:`~repro.core.search.query_key` is the one definition of query
+identity, the same key a :class:`~repro.core.search.BatchPlan` dedups
+by.
 
 Correctness on a mutable index comes from **generation gating**: every
 lookup compares the backend's current generation (for the LSM live
@@ -15,8 +16,8 @@ generation the cache was filled under, and a moved generation drops
 every entry before answering.  A result computed against generation G
 is likewise never stored once the index has moved past G.
 :meth:`~repro.engine.NearDupEngine.cached_searcher` puts this tier on
-live searchers only; a static searcher relies on the batch planner's
-dedup plus list pinning for repeats.
+live searchers only; a static searcher relies on the plan's dedup plus
+list pinning for repeats.
 
 A hit does no search work, and its result says so: its ``stats`` are
 all zero except ``texts_matched``.
@@ -31,9 +32,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from repro.core.search import QueryStats
+from repro.core.search import BatchPlan, QueryStats, query_key
 from repro.exceptions import InvalidParameterError
-from repro.query.planner import query_key
 
 #: Default number of memoized results.
 DEFAULT_RESULT_ENTRIES = 1024
@@ -151,8 +151,8 @@ class CachingSearcher:
     Wraps any searcher (:class:`~repro.core.search.NearDuplicateSearcher`
     or a live searcher) and answers repeated ``search`` calls from a
     :class:`ResultCache`; every other attribute delegates to the inner
-    searcher, so the batch planner, executor, and micro-batcher treat
-    it exactly like the searcher it wraps.
+    searcher, so the executor and micro-batcher treat it exactly like
+    the searcher it wraps.
     """
 
     def __init__(
@@ -182,27 +182,25 @@ class CachingSearcher:
             # Error path (QueryError) belongs to the inner searcher.
             return self.inner.search(query, theta, verify=verify)
         sketch = self.inner.family.sketch(query)
-        key = self._key(sketch, query, theta, verify)
+        key = (query_key(sketch, query, verify), theta, bool(verify))
         cached, generation = self.result_cache.lookup(key)
         if cached is not None:
             return self._hit(cached)
-        (result,) = self.inner._search_batch(
-            [self.inner.plan_query(query, theta, sketch=sketch)], theta, verify=verify
-        )
+        plan = self.inner.plan([query], theta, verify=verify, sketches=sketch[None])
+        (result,) = self.inner._search_batch(plan)
         self.result_cache.store(key, result, generation)
         return result
 
-    def _search_batch(self, entries, theta: float, *, verify: bool = False, pinned=None):
-        """The inner searcher's batch scan, memoized per entry: hits are
-        answered from the memo, the misses run as one inner batch."""
-        keys = [self._key(entry.sketch, entry.query, theta, verify) for entry in entries]
+    def _search_batch(self, plan: BatchPlan, *, pinned=None):
+        """The inner searcher's batch scan, memoized per unique query:
+        hits are answered from the memo, the misses' rows of the plan
+        run as one inner batch."""
+        keys = [(key, plan.theta, plan.verify) for key in plan.query_keys]
         looked = [self.result_cache.lookup(key) for key in keys]
-        misses = [entry for entry, (cached, _) in zip(entries, looked) if cached is None]
-        computed = iter(
-            self.inner._search_batch(misses, theta, verify=verify, pinned=pinned)
-            if misses
-            else ()
-        )
+        misses = [row for row, (cached, _) in enumerate(looked) if cached is None]
+        if len(misses) < plan.num_unique:
+            plan = plan.subset(misses)
+        computed = iter(self.inner._search_batch(plan, pinned=pinned) if misses else ())
         results = []
         for key, (cached, generation) in zip(keys, looked):
             if cached is None:
@@ -216,20 +214,6 @@ class CachingSearcher:
     def _hit(cached):
         """A memoized result as a hit reports it: no work, only its size."""
         return replace(cached, stats=QueryStats(texts_matched=cached.stats.texts_matched))
-
-    @staticmethod
-    def _key(
-        sketch: np.ndarray,
-        query: np.ndarray,
-        theta: float,
-        verify: bool,
-    ) -> tuple:
-        verify = bool(verify)
-        return (
-            query_key(sketch, np.asarray(query, dtype=np.uint32), verify),
-            float(theta),
-            verify,
-        )
 
     def __getattr__(self, name: str):
         if name.startswith("__"):

@@ -11,6 +11,8 @@ in a bounded queue.
 The dispatch loop never waits for company.  It takes the first queued
 request, adds whatever else is already queued (up to ``max_batch``),
 and runs each same-``(theta, verify)`` group as one
+:class:`~repro.core.search.BatchPlan`, planned from the requests'
+arrival sketches, through one
 :meth:`~repro.query.executor.BatchQueryExecutor.execute_plan` call
 *inline on the event loop*.  Requests that arrive while a batch runs
 queue up and form the next batch, so batches coalesce under load and
@@ -34,7 +36,6 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.query.executor import BatchQueryExecutor
-from repro.query.planner import plan_batch
 from repro.query.results import BatchResult
 from repro.service.protocol import RequestShedError, ServiceClosedError
 from repro.service.stats import ServiceStats
@@ -168,7 +169,7 @@ class MicroBatcher:
         assert self._loop is not None and self._queue is not None
         tokens = np.asarray(tokens, dtype=np.uint32)
         now = self._loop.time()
-        # Sketch on arrival, so the planner's sketch pass is free.
+        # Sketch on arrival, so planning the batch sketches nothing.
         item = _Pending(
             tokens=tokens,
             sketch=self.searcher.family.sketch(tokens),
@@ -277,13 +278,10 @@ class MicroBatcher:
 
     def _execute(self, items: list[_Pending]) -> BatchResult:
         """Plan one group from its pre-computed sketches, then run it."""
-        theta = items[0].theta
-        verify = items[0].verify
-        plan = plan_batch(
-            self.searcher,
+        plan = self.searcher.plan(
             [item.tokens for item in items],
-            theta,
-            verify=verify,
+            items[0].theta,
+            verify=items[0].verify,
             sketches=[item.sketch for item in items],
         )
-        return self.executor.execute_plan(plan, theta, verify=verify)
+        return self.executor.execute_plan(plan)

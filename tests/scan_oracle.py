@@ -2,8 +2,9 @@
 
 One query at a time, one list per ``load_list`` and one text at a time,
 as Algorithms 3–5 read in the paper; nothing in it is shared with the
-vectorized scan in :mod:`repro.core.search` except the plan (the
-long/short split) and the exact-Jaccard filter.
+vectorized scan in :mod:`repro.core.search` except the exact-Jaccard
+filter.  Its long/short split is :func:`scalar_split`, the rule written
+out for one query.
 """
 
 from __future__ import annotations
@@ -17,12 +18,39 @@ from repro.core.search import (
     SearchResult,
     TextMatch,
 )
+from repro.core.theory import collision_threshold
+
+
+def scalar_split(lengths: np.ndarray, beta: int, long_list_cutoff) -> list[int]:
+    """The long/short rule for one query's ``k`` list lengths: the
+    functions of its long lists, ascending.
+
+    A list is long when it is longer than the cutoff: ``long_list_cutoff``
+    when set (``0`` means none is), else ``max(64, 8 × median)`` of the
+    query's non-empty lengths.  At most ``beta - 1`` lists are long,
+    the longest first, ties by function order.
+    """
+    if long_list_cutoff == 0:
+        return []
+    if long_list_cutoff is not None:
+        cutoff = long_list_cutoff
+    else:
+        positive = lengths[lengths > 0]
+        if positive.size == 0:
+            return []
+        cutoff = max(64, 8 * int(np.median(positive)))
+    candidates = np.flatnonzero(lengths > cutoff)
+    max_long = max(0, beta - 1)
+    if candidates.size > max_long:
+        order = np.argsort(-lengths[candidates], kind="stable")
+        candidates = candidates[order[:max_long]]
+    return sorted(candidates.tolist())
 
 
 class ReferenceSearcher:
     """The scalar search, standalone: the oracle of the batch scan.
 
-    Plans with :meth:`~NearDuplicateSearcher.plan_query`, reads each
+    Splits the query's lists with :func:`scalar_split`, reads each
     short list with its own ``load_list``, then goes one text at a time:
     Algorithm 4/5 over the text's short-list windows, then one zone-map
     point read per long list for every surviving candidate.  It prunes a
@@ -36,21 +64,23 @@ class ReferenceSearcher:
     def __init__(self, index, *, long_list_cutoff=None, corpus=None) -> None:
         self.index = index
         self.t = index.t
-        self.planner = NearDuplicateSearcher(
-            index, long_list_cutoff=long_list_cutoff, corpus=corpus
-        )
+        self.family = index.family
+        self.long_list_cutoff = long_list_cutoff
+        self.verifier = NearDuplicateSearcher(index, corpus=corpus)
 
     def search(self, query, theta, *, verify=False) -> SearchResult:
-        entry = self.planner.plan_query(query, theta)
-        long_funcs = sorted(entry.long_funcs)
-        alpha_short = entry.beta - len(long_funcs)
-        stats = QueryStats(
-            lists_loaded=int(entry.short_funcs.size), long_lists=len(long_funcs)
-        )
-        lists = [
-            self.index.load_list(func, int(entry.sketch[func]))
-            for func in entry.short_funcs.tolist()
+        sketch = self.family.sketch(query)
+        lengths = np.asarray(self.index.sketch_list_lengths(sketch[None])).reshape(-1)
+        beta = collision_threshold(self.family.k, theta)
+        long_funcs = scalar_split(lengths, beta, self.long_list_cutoff)
+        short_funcs = [
+            func
+            for func in range(self.family.k)
+            if lengths[func] > 0 and func not in long_funcs
         ]
+        alpha_short = beta - len(long_funcs)
+        stats = QueryStats(lists_loaded=len(short_funcs), long_lists=len(long_funcs))
+        lists = [self.index.load_list(func, int(sketch[func])) for func in short_funcs]
         stats.rows_scanned = sum(int(postings.size) for postings in lists)
         matches: list[TextMatch] = []
         if stats.rows_scanned:
@@ -79,19 +109,19 @@ class ReferenceSearcher:
                     extra = [group]
                     for func in long_funcs:
                         fetched = self.index.load_texts_windows(
-                            func, int(entry.sketch[func]), [text_id]
+                            func, int(sketch[func]), [text_id]
                         )
                         stats.point_reads += 1
                         if fetched.size:
                             extra.append(fetched)
-                    rectangles = collision_count(np.concatenate(extra), entry.beta)
+                    rectangles = collision_count(np.concatenate(extra), beta)
                 rectangles = [
                     rect
                     for rect in rectangles
                     if rect.clip_min_length(self.t) is not None
                 ]
                 if rectangles and verify:
-                    rectangles = self.planner._verify_rectangles(
+                    rectangles = self.verifier._verify_rectangles(
                         query, theta, text_id, rectangles
                     )
                 if rectangles:
@@ -100,8 +130,8 @@ class ReferenceSearcher:
         return SearchResult(
             matches=matches,
             stats=stats,
-            k=self.planner.family.k,
+            k=self.family.k,
             theta=theta,
-            beta=entry.beta,
+            beta=beta,
             t=self.t,
         )

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.hashing import HashFamily
 from repro.core.search import NearDuplicateSearcher, QueryStats
+from repro.core.theory import collision_threshold
 from repro.corpus.corpus import InMemoryCorpus
 from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError, QueryError
@@ -23,12 +24,11 @@ from repro.index.builder import build_memory_index
 from repro.index.cache import CachedIndexReader
 from repro.index.lsm.live import LiveIndex, LiveIndexConfig, LiveSearcher
 from repro.index.storage import DiskInvertedIndex, write_index
-from repro.query.executor import PIN_FRACTION, BatchQueryExecutor
-from repro.query.planner import plan_batch
+from repro.query.executor import PIN_FRACTION, BatchQueryExecutor, shared_lists
 from repro.query.resultcache import CachingSearcher
 from repro.query.results import BatchStats
 
-from scan_oracle import ReferenceSearcher
+from scan_oracle import ReferenceSearcher, scalar_split
 
 
 def match_set(result):
@@ -211,19 +211,20 @@ class TestEquivalence:
 class TestPlanner:
     def test_dedup_counts(self, setup, batch_queries):
         _, _, searcher = setup
-        plan = plan_batch(searcher, batch_queries, 0.8)
+        plan = searcher.plan(batch_queries, 0.8)
         assert plan.num_queries == len(batch_queries)
         # 6 queries are byte-identical repeats of the first 6.
         assert plan.num_unique == len(batch_queries) - 6
-        assert plan.lists_referenced >= len(plan.demand)
+        lists = shared_lists(plan)
+        assert lists.referenced >= len(lists.demand)
 
     def test_verify_dedup_keys_include_tokens(self, setup):
         _, _, searcher = setup
         # Same distinct-token set => same sketch, different token order.
         a = np.array([5, 6, 7, 8] * 10, dtype=np.uint32)
         b = np.array([8, 7, 6, 5] * 10, dtype=np.uint32)
-        loose = plan_batch(searcher, [a, b], 0.8, verify=False)
-        strict = plan_batch(searcher, [a, b], 0.8, verify=True)
+        loose = searcher.plan([a, b], 0.8, verify=False)
+        strict = searcher.plan([a, b], 0.8, verify=True)
         assert loose.num_unique == 1
         assert strict.num_unique == 2
 
@@ -351,17 +352,17 @@ class TestPlanRunsAsBuilt:
         direct = [searcher.search(query, 0.8) for query in batch_queries]
         counting = _CountingReader(index)
         cached = NearDuplicateSearcher(CachedIndexReader(counting))
-        plan = plan_batch(cached, batch_queries, 0.8)
+        plan = cached.plan(batch_queries, 0.8)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the plan was computed again")
 
         monkeypatch.setattr(cached.family, "sketch", refuse)
         monkeypatch.setattr(counting, "sketch_list_lengths", refuse)
-        batch = BatchQueryExecutor(cached).execute_plan(plan, 0.8)
+        batch = BatchQueryExecutor(cached).execute_plan(plan)
         assert counting.read_calls == 1
         assert_same_results(direct, batch.results)
-        assert batch.stats.lists_pinned == len(plan.demand)
+        assert batch.stats.lists_pinned == len(shared_lists(plan).demand)
 
 
 class TestPinBudget:
@@ -372,7 +373,7 @@ class TestPinBudget:
         the executor's default cache size."""
         _, index, searcher = setup
         direct = [searcher.search(query, 0.8) for query in batch_queries]
-        sizes = plan_batch(searcher, batch_queries, 0.8).list_bytes.tolist()
+        sizes = shared_lists(searcher.plan(batch_queries, 0.8)).nbytes.tolist()
         # Every list fits beside a full pin budget, but not all of them
         # fit in the cache at once.
         capacity = 2 * max(sizes)
@@ -403,10 +404,8 @@ class TestPinBudget:
         one ``load_list`` and still equals a direct search."""
         _, index, searcher = setup
         direct = [searcher.search(query, 0.8) for query in batch_queries]
-        plan = plan_batch(searcher, batch_queries, 0.8)
-        reader = CachedIndexReader(
-            index, capacity_bytes=2 * int(plan.list_bytes.max())
-        )
+        lists = shared_lists(searcher.plan(batch_queries, 0.8))
+        reader = CachedIndexReader(index, capacity_bytes=2 * int(lists.nbytes.max()))
         batched = NearDuplicateSearcher(reader)
         pinned = _record_pinned(monkeypatch, batched)
         fetch = reader._fetch
@@ -421,7 +420,7 @@ class TestPinBudget:
         batch = BatchQueryExecutor(batched).execute(batch_queries, 0.8)
         assert_same_results(direct, batch.results)
         ((keys, postings, sizes),) = pinned
-        assert 0 < keys.size < plan.list_keys.size
+        assert 0 < keys.size < lists.keys.size
         assert batch.stats.lists_pinned == keys.size == sizes.size
         assert postings.size == sizes.sum()
         assert len(unpinned_fetches) == 1 and unpinned_fetches[0] > 0
@@ -432,9 +431,9 @@ def _record_pinned(monkeypatch, searcher) -> list:
     seen = []
     search_batch = searcher._search_batch
 
-    def recording(entries, theta, **kwargs):
+    def recording(plan, **kwargs):
         seen.append(kwargs.get("pinned"))
-        return search_batch(entries, theta, **kwargs)
+        return search_batch(plan, **kwargs)
 
     monkeypatch.setattr(searcher, "_search_batch", recording)
     return seen
@@ -455,27 +454,27 @@ class TestConcurrentBatchPins:
             text = np.asarray(corpus[text_id])
             # Overlapping windows share lists, so the plan pins some.
             windows = [text[:40], text[2:42], text[4:44]]
-            plans.append(plan_batch(searcher, windows, 0.8))
+            plans.append(searcher.plan(windows, 0.8))
         search = searcher._search_batch
         parked, release = threading.Event(), threading.Event()
 
-        def parking_search(entries, theta, **kwargs):
+        def parking_search(plan, **kwargs):
             if not parked.is_set():  # the first batch's scan
                 parked.set()
                 assert release.wait(30)
-            return search(entries, theta, **kwargs)
+            return search(plan, **kwargs)
 
         monkeypatch.setattr(searcher, "_search_batch", parking_search)
         outcome: list = []
         first = threading.Thread(
-            target=lambda: outcome.append(executor.execute_plan(plans[0], 0.8))
+            target=lambda: outcome.append(executor.execute_plan(plans[0]))
         )
         first.start()
         try:
             assert parked.wait(30)
             held = reader.stats()
             assert held.pinned_lists > 0
-            executor.execute_plan(plans[1], 0.8)
+            executor.execute_plan(plans[1])
             after = reader.stats()
             assert after.pinned_lists == held.pinned_lists
             assert after.pinned_bytes == held.pinned_bytes
@@ -619,25 +618,6 @@ def test_property_batch_equals_sequential(seed, num_texts, vocab):
     assert_same_results(reference, batch.results)
 
 
-def _scalar_split(lengths: np.ndarray, beta: int, long_list_cutoff) -> set[int]:
-    """The long/short rule one query at a time, as a set of functions."""
-    if long_list_cutoff == 0:
-        return set()
-    if long_list_cutoff is not None:
-        cutoff = long_list_cutoff
-    else:
-        positive = lengths[lengths > 0]
-        if positive.size == 0:
-            return set()
-        cutoff = max(64, 8 * int(np.median(positive)))
-    candidates = np.flatnonzero(lengths > cutoff)
-    max_long = max(0, beta - 1)
-    if candidates.size > max_long:
-        order = np.argsort(-lengths[candidates], kind="stable")
-        candidates = candidates[order[:max_long]]
-    return set(candidates.tolist())
-
-
 #: Lengths that tie often, straddle the heuristic's floor of 64 and the
 #: static cutoff of 100, and include empty lists.
 _LENGTHS = st.sampled_from([0, 0, 1, 7, 8, 64, 65, 100, 101, 520, 520, 4000])
@@ -661,7 +641,7 @@ def test_vectorized_split_equals_scalar_rule(setup, rows, cutoff, beta):
     mask = searcher._select_long_lists(lengths, beta)
     assert mask.shape == lengths.shape and mask.dtype == bool
     for row, chosen in zip(lengths, mask):
-        assert set(np.flatnonzero(chosen).tolist()) == _scalar_split(row, beta, cutoff)
+        assert np.flatnonzero(chosen).tolist() == scalar_split(row, beta, cutoff)
         assert np.array_equal(searcher._select_long_lists(row, beta), chosen)
 
 
@@ -679,6 +659,64 @@ def _assert_same_stats(expected, actual) -> None:
     for direct, batched in zip(expected, actual):
         for name in _CONTENT:
             assert getattr(direct.stats, name) == getattr(batched.stats, name), name
+
+
+class TestPlanCarriesItsParameters:
+    """A plan runs at the threshold and ``verify`` it was planned for:
+    running it cannot relabel its answers or verify answers it
+    deduplicated without the tokens."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        data = synthweb(
+            num_texts=80,
+            mean_length=150,
+            vocab_size=1024,
+            duplicate_rate=0.2,
+            span_length=48,
+            mutation_rate=0.04,
+            seed=7,
+        )
+        index = build_memory_index(data.corpus, HashFamily(k=32, seed=3), t=25)
+        return NearDuplicateSearcher(index, corpus=data.corpus)
+
+    def test_plan_runs_at_its_theta(self, wide):
+        queries = [np.asarray(wide.corpus[i], dtype=np.uint32)[:64] for i in range(8)]
+        for theta in (0.5, 1.0):
+            batch = BatchQueryExecutor(wide).execute_plan(wide.plan(queries, theta))
+            expected = [wide.search(query, theta) for query in queries]
+            assert_same_results(expected, batch.results)
+            assert {(r.theta, r.beta) for r in batch.results} == {
+                (theta, collision_threshold(32, theta))
+            }
+        assert any(r.matches for r in expected)
+
+    def test_plan_runs_with_its_verify(self, wide):
+        """Two queries with one sketch but different token sets share a
+        row only in a plan without ``verify``."""
+        family = wide.family
+        query = np.asarray(wide.corpus[0], dtype=np.uint32)[:64]
+        sketch = family.sketch(query)
+        # Swap tokens that are no function's minimum for tokens hashing
+        # above every minimum: the sketch stays, the token set does not.
+        hashes = family.sketch_many(np.arange(1024, dtype=np.uint32)[:, None])
+        spare = np.flatnonzero((hashes > sketch).all(axis=1))
+        spare = spare[~np.isin(spare, query)][:12]
+        other = query.copy()
+        other[np.flatnonzero(~(hashes[query] == sketch).any(axis=1))[:12]] = spare
+        assert np.array_equal(family.sketch(other), sketch)
+        for theta in (0.8, 0.7, 0.6, 0.5):
+            loose = wide.plan([query, other], theta)
+            strict = wide.plan([query, other], theta, verify=True)
+            assert (loose.num_unique, strict.num_unique) == (1, 2)
+            for plan in (loose, strict):
+                batch = BatchQueryExecutor(wide).execute_plan(plan)
+                expected = [
+                    wide.search(tokens, theta, verify=plan.verify)
+                    for tokens in (query, other)
+                ]
+                assert_same_results(expected, batch.results)
+            assert match_set(expected[0]) != match_set(expected[1])
 
 
 class TestPinnedView:
@@ -710,12 +748,11 @@ class TestPinnedView:
         for backend in ("memory", "disk-packed", "cached", "live"):
             for verify in (False, True):
                 searcher = make_searcher(backend, long_list_cutoff=200)
-                plan = plan_batch(searcher, mixed_queries, 0.5, verify=verify)
-                beta = plan.entries[0].beta
-                longs = [len(entry.long_funcs) for entry in plan.entries]
-                assert 0 in longs and beta - 1 in longs
-                assert any(0 < count < beta - 1 for count in longs)
-                assert plan.entries[-1].short_funcs.size == 0
+                plan = searcher.plan(mixed_queries, 0.5, verify=verify)
+                longs = plan.long.sum(axis=1).tolist()
+                assert 0 in longs and plan.beta - 1 in longs
+                assert any(0 < count < plan.beta - 1 for count in longs)
+                assert not plan.short[-1].any()
                 assert plan.num_unique == len(mixed_queries) - 3
                 expected = [
                     make_searcher(backend, long_list_cutoff=200).search(
@@ -724,9 +761,7 @@ class TestPinnedView:
                     for query in mixed_queries
                 ]
                 assert any(r.matches and not r.stats.long_lists for r in expected)
-                batch = BatchQueryExecutor(searcher).execute_plan(
-                    plan, 0.5, verify=verify
-                )
+                batch = BatchQueryExecutor(searcher).execute_plan(plan)
                 _assert_same_stats(expected, batch.results)
 
     @pytest.mark.parametrize("cutoff", [None, 0, 1, 40])
@@ -757,9 +792,9 @@ class TestPinnedView:
         searcher = NearDuplicateSearcher(
             CachedIndexReader(index, capacity_bytes=1 << 14), long_list_cutoff=40
         )
-        plan = plan_batch(searcher, batch_queries, 0.8)
+        plan = searcher.plan(batch_queries, 0.8)
         before = (index.io_stats.bytes_read, index.io_stats.read_calls)
-        batch = BatchQueryExecutor(searcher).execute_plan(plan, 0.8)
+        batch = BatchQueryExecutor(searcher).execute_plan(plan)
         unique = list({id(result): result for result in batch.results}.values())
         assert len(unique) == batch.stats.unique_queries
         assert sum(r.stats.point_reads for r in unique) > 0
@@ -775,7 +810,7 @@ class TestPinnedView:
         and leaves the same lists resident."""
         _, index, _ = setup
         viewed = CachedIndexReader(index)
-        plan = plan_batch(NearDuplicateSearcher(viewed), batch_queries, 0.8)
+        plan = NearDuplicateSearcher(viewed).plan(batch_queries, 0.8)
         fetch = viewed._fetch
         fetches = []
 
@@ -784,18 +819,18 @@ class TestPinnedView:
             return fetch(keys, pinned=pinned)
 
         monkeypatch.setattr(viewed, "_fetch", recording_fetch)
-        BatchQueryExecutor(NearDuplicateSearcher(viewed)).execute_plan(plan, 0.8)
+        BatchQueryExecutor(NearDuplicateSearcher(viewed)).execute_plan(plan)
         assert fetches == [True]  # the pin, and no fetch per query
 
         # The loop the batch replaces: pin, then each query's load_list.
         looped = CachedIndexReader(index)
         searcher = NearDuplicateSearcher(looped)
-        plan = plan_batch(searcher, batch_queries, 0.8)
-        keys = BatchQueryExecutor._pin_keys(plan, looped.capacity_bytes)
+        plan = searcher.plan(batch_queries, 0.8)
+        keys = BatchQueryExecutor._pin_keys(shared_lists(plan), looped.capacity_bytes)
         funcs, minhashes = keys >> np.uint64(32), keys & np.uint64(0xFFFFFFFF)
         looped.pin(funcs, minhashes)
-        for entry in plan.entries:
-            searcher._search_batch([entry], 0.8)
+        for row in range(plan.num_unique):
+            searcher._search_batch(plan.subset([row]))
         looped.unpin(funcs, minhashes)
         ours, theirs = viewed.stats(), looped.stats()
         assert ours.hits > 0 and ours.misses > 0
@@ -809,7 +844,8 @@ class TestPinnedView:
         _, index, _ = setup
         reader = CachedIndexReader(index)
         searcher = NearDuplicateSearcher(reader, long_list_cutoff=0)
-        plan = plan_batch(searcher, batch_queries, 0.8)
+        plan = searcher.plan(batch_queries, 0.8)
+        lists = shared_lists(plan)
         touches = []
         touch = reader.touch
 
@@ -818,10 +854,10 @@ class TestPinnedView:
             touch(keys, hits)
 
         monkeypatch.setattr(reader, "touch", recording)
-        BatchQueryExecutor(searcher).execute_plan(plan, 0.8)
+        BatchQueryExecutor(searcher).execute_plan(plan)
         ((keys, hits),) = touches
-        assert np.array_equal(keys, plan.list_keys)
-        assert hits == int(plan.demand.sum())
+        assert np.array_equal(keys, lists.keys)
+        assert hits == int(lists.demand.sum())
         served = [
             (int(key >> np.uint64(32)), int(key & np.uint64(0xFFFFFFFF)))
             for key in keys
@@ -848,8 +884,8 @@ class TestPinnedView:
             searcher = LiveSearcher(live, cache_bytes=1 << 22)
             query = texts[3][:40]
             other = texts[5][:40]
-            plan = plan_batch(searcher, [query, other], 0.8)
-            assert plan.entries[0].short_funcs.size > 0
+            plan = searcher.plan([query, other], 0.8)
+            assert plan.short[0].any()
             reader = searcher.index
             pin = reader.pin
             pinned = []
@@ -861,7 +897,7 @@ class TestPinnedView:
                 return held
 
             monkeypatch.setattr(reader, "pin", moving_pin)
-            batch = BatchQueryExecutor(searcher).execute_plan(plan, 0.8)
+            batch = BatchQueryExecutor(searcher).execute_plan(plan)
             assert pinned and pinned[0] > 0
             assert searcher.index is not reader
             snapshot = NearDuplicateSearcher(live.snapshot())

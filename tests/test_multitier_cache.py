@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hashing import HashFamily
-from repro.core.search import NearDuplicateSearcher
+from repro.core.search import NearDuplicateSearcher, query_key
 from repro.engine import NearDupEngine
 from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader, CacheStats
@@ -26,7 +26,6 @@ from repro.index.lsm import LiveIndexConfig
 from repro.index.lsm.live import LiveIndexStats, LiveSearcher
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.query.executor import BatchQueryExecutor
-from repro.query.planner import plan_batch, query_key
 from repro.query.resultcache import CachingSearcher, ResultCache, ResultCacheStats
 
 from index_lists import split_lists
@@ -201,6 +200,38 @@ class TestResultCache:
         assert searcher.result_cache.hits == len(queries)
         assert searcher.result_cache.misses == misses
 
+    def test_batch_of_hits_and_misses(self, planted_data, planted_index, monkeypatch):
+        """A batch of memoized and fresh queries: the memo answers the
+        hits, and the misses' rows alone run as one inner batch."""
+        inner = NearDuplicateSearcher(CachedIndexReader(planted_index))
+        searcher = CachingSearcher(inner)
+        queries = [
+            np.asarray(planted_data.corpus[i], dtype=np.uint32)[:48]
+            for i in (0, 3, 7, 16, 40, 97)
+        ]
+        for query in queries[:3]:
+            searcher.search(query, 0.8)
+        memo = searcher.result_cache
+        before = (memo.hits, memo.misses)
+        calls = []
+        search_batch = inner._search_batch
+
+        def recording(plan, **kwargs):
+            calls.append(plan)
+            return search_batch(plan, **kwargs)
+
+        monkeypatch.setattr(inner, "_search_batch", recording)
+        mixed = [queries[i] for i in (0, 3, 1, 4, 2, 5)]
+        batch = BatchQueryExecutor(searcher).execute(mixed, 0.8)
+        direct = NearDuplicateSearcher(planted_index)
+        assert [canon(r) for r in batch.results] == [
+            canon(direct.search(query, 0.8)) for query in mixed
+        ]
+        assert (memo.hits - before[0], memo.misses - before[1]) == (3, 3)
+        (plan,) = calls
+        assert [q.tolist() for q in plan.queries] == [q.tolist() for q in queries[3:]]
+        assert plan.sketches.shape[0] == plan.num_unique == 3
+
     def test_repeated_search_reports_no_work(self, planted_data, packed_dir):
         """A hit did no I/O and loaded no list, and its stats say so."""
         searcher = CachingSearcher(NearDuplicateSearcher(DiskInvertedIndex(packed_dir)))
@@ -334,10 +365,10 @@ def test_plan_of_an_older_generation_is_planned_again(tmp_path):
         searcher = LiveSearcher(
             engine.live_index, cache_bytes=1 << 20, corpus=engine.corpus
         )
-        plan = plan_batch(searcher, [query], 0.8)
-        assert plan.entries[0].short_funcs.size == 0
+        plan = searcher.plan([query], 0.8)
+        assert not plan.short.any()
         engine.append_texts([query])
-        batch = BatchQueryExecutor(searcher).execute_plan(plan, 0.8)
+        batch = BatchQueryExecutor(searcher).execute_plan(plan)
         assert batch.results[0].num_texts == 1
         assert canon(batch.results[0]) == canon(engine.searcher.search(query, 0.8))
     finally:

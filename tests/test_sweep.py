@@ -10,6 +10,8 @@ from repro.core.search import NearDuplicateSearcher
 from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError
 from repro.index.builder import build_memory_index
+from repro.memorization.evaluator import evaluate_generated_texts
+from repro.memorization.report import table1_rows
 from repro.memorization.sweep import SweepConfig, SweepResult, run_figure4_sweep
 
 
@@ -84,3 +86,32 @@ class TestSweep:
         a = sweep_result.get("xl", 1.0, 32)
         b = sweep_result.get("xl", 0.8, 32)
         assert a.num_queries == b.num_queries
+
+    def test_table1_rows_equal_the_evaluators(self, sweep_setup, sweep_result):
+        """A sweep report carries each window's example, as the evaluator
+        does: the same texts, width and theta give the same Table 1 rows."""
+        corpus, searcher = sweep_setup
+        report = sweep_result.get("xl", 0.8, 32)
+        # Width 32 tiles the 128-token texts, so the windows rebuild them.
+        texts = [
+            np.concatenate([o.query for o in report.outcomes if o.generated_text == i])
+            for i in range(2)
+        ]
+        direct = evaluate_generated_texts(texts, searcher, 0.8, 32, model_name="xl")
+
+        def rows(memorization_report):
+            return [
+                (
+                    row.model_name,
+                    row.query_tokens.tolist(),
+                    row.match_text,
+                    row.match_start,
+                    row.match_end,
+                    row.match_tokens.tolist(),
+                )
+                for row in table1_rows(memorization_report, corpus, limit=100)
+            ]
+
+        assert report.num_memorized > 0
+        assert rows(report) == rows(direct)
+        assert len(rows(report)) == report.num_memorized

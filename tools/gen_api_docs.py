@@ -33,7 +33,7 @@ PACKAGES = [
 METHOD_DOCS = {
     "NearDupEngine": ["search", "search_batch", "search_batch_raw"],
     "HashFamily": ["sketch", "sketch_many"],
-    "NearDuplicateSearcher": ["search", "search_many", "search_thetas"],
+    "NearDuplicateSearcher": ["search", "plan", "search_many", "search_thetas"],
     "BatchQueryExecutor": ["execute", "execute_thetas"],
     "ServiceClient": ["search", "batch", "health", "stats"],
     "MicroBatcher": ["submit", "submit_batch"],
