@@ -45,14 +45,16 @@ query of a plan at once, a group being a ``(query, text)`` pair: one
 prune over all their run counts, one gather of the surviving rows, one
 kernel pass at each query's reduced threshold, one point read per query
 with long lists and one kernel pass at ``beta`` over every refined
-group.  The batch executor hands it the short lists its pin holds;
-:meth:`NearDuplicateSearcher.search` is the batch of one (a plan of one
-query plus one ``load_list``), on the same path.
+group.  It reads the batch's distinct short lists with one
+``load_list``, each once however many queries share it;
+:meth:`NearDuplicateSearcher.search` is the batch of one, on the same
+path.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -68,12 +70,7 @@ from repro.core.intervals import (
 from repro.core.theory import collision_threshold
 from repro.core.verify import Span, merge_overlapping_spans
 from repro.exceptions import InvalidParameterError, QueryError
-from repro.index.inverted import (
-    InvertedIndexReader,
-    concat_postings,
-    posting_rows,
-    range_indices,
-)
+from repro.index.inverted import InvertedIndexReader, posting_rows, range_indices
 
 logger = logging.getLogger(__name__)
 
@@ -240,6 +237,27 @@ class BatchPlan:
     def short(self) -> np.ndarray:
         """The non-empty lists that are not long: what the scan loads."""
         return (self.lengths > 0) & ~self.long
+
+    @functools.cached_property
+    def short_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The scan's one read: each ``(query, short list)`` pair's query,
+        the distinct lists' ``func << 32 | minhash`` keys and each pair's
+        list among them.
+
+        One ``np.unique`` over the pairs' keys.  The lists run by
+        ascending demand (the number of unique queries loading them,
+        ties by key), so a cache admits the most-shared ones last and
+        keeps them when a batch's lists overflow it.
+        """
+        owner, funcs = self.short.nonzero()
+        keys = (funcs.astype(np.uint64) << np.uint64(32)) | self.sketches[
+            owner, funcs
+        ].astype(np.uint64)
+        keys, inverse = np.unique(keys, return_inverse=True)
+        order = np.bincount(inverse).argsort(kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return owner, keys[order], rank[inverse]
 
     @property
     def num_queries(self) -> int:
@@ -519,21 +537,17 @@ class NearDuplicateSearcher:
         self,
         plan: BatchPlan,
         *,
-        pinned: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         marks: tuple[float, int, int, float] | None = None,
     ) -> list[SearchResult]:
         """Steps 3–5 for every unique query of ``plan``, scanned as one
         batch at the plan's threshold and ``verify``; one result per
         unique query, in order.
 
-        ``pinned`` is ``(keys, postings, sizes)``: lists the caller holds
-        (the executor's pin), as sorted ``func << 32 | minhash`` keys and
-        one ragged batch in key order.  Short lists among them are read
-        there and reported to the reader's ``touch``; the batch's other
-        short lists are read with one ``load_list``.  A plan built
-        against another reader (a live index that moved to a new
-        generation since) is planned again from its sketches, and its
-        pinned lists are not read.
+        The batch's distinct short lists (:attr:`BatchPlan.short_lists`)
+        are read with one ``load_list``, each once however many queries
+        share it.  A plan built against another reader (a live index
+        that moved to a new generation since) is planned again from its
+        sketches.
 
         A member's ``total_seconds`` is an even share of the batch's wall
         time, counted from ``marks`` (from :meth:`_marks`: a direct
@@ -553,16 +567,18 @@ class NearDuplicateSearcher:
             self.index, "inner", None
         ):
             plan = self.plan(plan.queries, theta, verify=verify, sketches=plan.sketches)
-            pinned = None
         size = plan.num_unique
         if not size:
             return []
 
-        owner, funcs = plan.short.nonzero()
+        owner, list_keys, slots = plan.short_lists
         counts = np.bincount(owner, minlength=size)
         long_counts = plan.long.sum(axis=1)
-        minhashes = plan.sketches[owner, funcs]
-        rows, sizes, slots = self._read_short_lists(funcs, minhashes, pinned)
+        postings, sizes = self.index.load_list(
+            (list_keys >> np.uint64(32)).astype(np.int64),
+            (list_keys & np.uint64(0xFFFFFFFF)).astype(np.int64),
+        )
+        rows = posting_rows(postings)
 
         # The prune (step 3): a ``(query, text)`` group's count is the
         # number of the query's short lists holding a run of the text.
@@ -575,20 +591,15 @@ class NearDuplicateSearcher:
         key_type = np.uint32 if size * span <= 1 << 32 else np.uint64
         span = key_type(span)
         alpha = np.maximum(beta - long_counts, 1)
-        per_pair = list_runs[1:] - list_runs[:-1]
-        if slots is not None:
-            per_pair = per_pair[slots]
-        rows_scanned = np.bincount(owner, sizes if slots is None else sizes[slots], size)
+        per_pair = (list_runs[1:] - list_runs[:-1])[slots]
+        rows_scanned = np.bincount(owner, sizes[slots], size)
         scanned, rows_kept = np.zeros((2, size), dtype=np.int64)
         groups, found, rects, short_rows, short_groups = [], [], [], [], []
         offset = 0  # surviving groups of the earlier steps
         for lo, hi in _prune_steps(per_pair, counts):
-            pair_runs = (  # pair i reads list i: its runs are the list's
-                slice(list_runs[lo], list_runs[hi])
-                if slots is None
-                else range_indices(list_runs[slots[lo:hi]], per_pair[lo:hi])
-            )
-            first_rows = bounds[:-1][pair_runs]
+            first_rows = bounds[:-1][
+                range_indices(list_runs[slots[lo:hi]], per_pair[lo:hi])
+            ]
             keys = owner[lo:hi].astype(key_type).repeat(per_pair[lo:hi]) * span
             keys += texts[first_rows]
             group_keys, lists_per_group = _counted(keys)
@@ -706,35 +717,6 @@ class NearDuplicateSearcher:
             )
         return results
 
-    def _read_short_lists(
-        self,
-        funcs: np.ndarray,
-        minhashes: np.ndarray,
-        pinned: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The rows of a batch's short lists, each list's size, and each
-        ``(funcs, minhashes)`` pair's list among them (``None``: pair
-        ``i`` reads list ``i``).  Pairs held in ``pinned`` point into it;
-        the rest are read with one ``load_list``, one list per pair.
-        """
-        if pinned is None or not pinned[0].size:
-            postings, sizes = self.index.load_list(funcs, minhashes)
-            return posting_rows(postings), sizes, None
-        keys, postings, pinned_sizes = pinned
-        wanted = (funcs.astype(np.uint64) << np.uint64(32)) | minhashes.astype(np.uint64)
-        at = np.minimum(keys.searchsorted(wanted), keys.size - 1)
-        held = keys[at] == wanted
-        if held.any():
-            self.index.touch(keys[np.unique(at[held])], int(held.sum()))
-        if held.all():
-            return posting_rows(postings), pinned_sizes, at
-        loaded, sizes = self.index.load_list(funcs[~held], minhashes[~held])
-        return (
-            posting_rows(concat_postings([postings, loaded])),
-            np.concatenate((pinned_sizes, sizes)),
-            np.where(held, at, keys.size + np.cumsum(~held) - 1),
-        )
-
     # ------------------------------------------------------------------
     def search_thetas(
         self, query: np.ndarray, thetas: list[float]
@@ -809,8 +791,8 @@ class NearDuplicateSearcher:
 
         Matches and parameters are identical to calling :meth:`search`
         per query — batching is a pure execution strategy: the batch is
-        planned (duplicate sketches deduplicated, distinct inverted
-        lists pinned once).  Callers that want the aggregated
+        planned (duplicate sketches deduplicated) and each distinct
+        inverted list is read once.  Callers that want the aggregated
         :class:`~repro.query.results.BatchStats` should use
         :class:`~repro.query.executor.BatchQueryExecutor` directly.
         """

@@ -258,7 +258,7 @@ class NearDupEngine:
 
         Returns one hit list per query, in input order — identical to
         calling :meth:`search` per query.  The batch is planned (sketch
-        dedup + list pinning) and run on the calling thread.
+        dedup, each distinct list read once) and run on the calling thread.
         """
         batch = self.search_batch_raw(
             queries, theta, batch_size=batch_size, verify=verify
@@ -301,8 +301,8 @@ class NearDupEngine:
         memoizes the last ``DEFAULT_RESULT_ENTRIES`` (1024) whole
         ``SearchResult``s and drops them whenever the live generation
         moves.  A static searcher has no result tier: a batch plan's
-        sketch dedup plus list pinning already covers repeats inside a
-        batch.
+        sketch dedup plus its one read per distinct list already covers
+        repeats inside a batch.
 
         Each call builds fresh caches.
         """

@@ -16,21 +16,15 @@ inner read, and concurrent misses for the same key coalesce onto one
 loader through a per-key in-flight future — N threads asking for the
 same cold list cost one inner read, and misses for *different* keys
 overlap their I/O instead of serializing behind one lock.  A vector
-``load_list`` / ``pin`` call (arrays of keys) keeps that bookkeeping
-per key but reads all of its own misses with one inner vector call; a
-list is copied out of that read only when it is admitted.
+``load_list`` call (arrays of keys) keeps that bookkeeping per key but
+reads all of its own misses with one inner vector call; a list is
+copied out of that read only when it is admitted.
 
-Batch executors (:mod:`repro.query`) additionally *pin* the lists a
-whole query batch is known to touch: a pinned list is loaded once and
-exempt from eviction until the batch releases it with
-:meth:`CachedIndexReader.unpin`, so a list loaded for the batch's third
-query is guaranteed still warm for its eighty-seventh.  ``pin`` hands
-the lists it holds back to the batch, which reads them without another
-locked lookup and reports its reads with one
-:meth:`CachedIndexReader.touch` (a batch is one unit of recency).  Pins are
-counted per list: batches running at once (a service's ``/batch`` on a
-worker thread beside its micro-batches) each release only their own,
-and a list stays pinned until every batch that pinned it has finished.
+A query batch reads each of its distinct lists once, with one vector
+``load_list`` (:meth:`~repro.core.search.NearDuplicateSearcher._search_batch`):
+one hit per resident list, one miss per cold one.  It asks for its
+most-shared lists last, so they are the last admitted and the last
+evicted.
 """
 
 from __future__ import annotations
@@ -56,9 +50,7 @@ class CacheStats:
     evictions: int
     cached_bytes: int
     capacity_bytes: int
-    pinned_bytes: int
     cached_lists: int = 0
-    pinned_lists: int = 0
     admission_rejections: int = 0
     singleflight_waits: int = 0
 
@@ -120,8 +112,6 @@ class CachedIndexReader:
         # Resident lists, coldest first.
         self._lists: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
         self._used_bytes = 0
-        # Pin count per pinned key: one per pin call holding it.
-        self._pinned: dict[tuple[int, int], int] = {}
         self._inflight: dict[tuple[int, int], _Flight] = {}
         self._lock = threading.RLock()
         self.hits = 0
@@ -135,25 +125,22 @@ class CachedIndexReader:
         self, func: int | np.ndarray, minhash: int | np.ndarray
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Whole lists through the cache; a call's misses share one inner read."""
-        loaded = self._fetch(_keys(func, minhash), pinned=None)
+        loaded = self._fetch(_keys(func, minhash))
         return _batch(loaded) if np.ndim(func) else loaded[0]
 
-    def _fetch(
-        self, keys: list[tuple[int, int]], *, pinned: set[tuple[int, int]] | None
-    ) -> list[np.ndarray]:
+    def _fetch(self, keys: list[tuple[int, int]]) -> list[np.ndarray]:
         """Every key's postings: residents first, misses in one inner read.
 
         Keys are walked in argument order and bookkept one by one: a
-        resident key is a hit (a pin call only pins it), a key another
-        thread is loading waits on that flight, and every other key
-        becomes this call's flight (a miss).  All of this call's misses
+        resident key is a hit, a key another thread is loading waits on
+        that flight, and every other key becomes this call's flight (a
+        miss).  All of this call's misses
         are read with one inner vector call *outside* the lock, then
         admitted in argument order; only then does the call wait on
         other threads' flights, so two callers waiting on each other's
         keys cannot deadlock.  A repeated key is read once and served
         to its later positions as a hit.  If the inner read raises,
-        every flight it owned is released and its waiters retry.  A pin
-        call passes the set ``pinned``, which collects the keys it pins.
+        every flight it owned is released and its waiters retry.
         """
         out: list[np.ndarray | None] = [None] * len(keys)
         owned: dict[tuple[int, int], _Flight] = {}
@@ -163,13 +150,8 @@ class CachedIndexReader:
             for position, key in enumerate(keys):
                 cached = self._lists.get(key)
                 if cached is not None:
-                    if pinned is None:
-                        self._lists.move_to_end(key)
-                        self.hits += 1
-                    else:
-                        if key not in self._pinned:
-                            self._lists.move_to_end(key)
-                        self._pin(key, pinned)
+                    self._lists.move_to_end(key)
+                    self.hits += 1
                     out[position] = cached
                 elif key in owned:
                     repeats.append(position)
@@ -179,11 +161,11 @@ class CachedIndexReader:
                     owned[key] = self._inflight[key] = _Flight()
                     self.misses += 1
         if owned:
-            self._load_owned(owned, pinned=pinned)
+            self._load_owned(owned)
             for position, key in enumerate(keys):
                 if key in owned:
                     out[position] = owned[key].postings
-            if repeats and pinned is None:
+            if repeats:
                 with self._lock:
                     self.hits += len(repeats)
         retry: list[int] = []
@@ -197,27 +179,16 @@ class CachedIndexReader:
             with self._lock:
                 self.singleflight_waits += 1
                 self.hits += 1
-                key = keys[position]
-                if pinned is not None and key not in self._lists:
-                    # Rejected by the loader, or already evicted.
-                    self._admit(key, flight.postings)
-                if pinned is not None and key in self._lists:
-                    self._pin(key, pinned)
             out[position] = flight.postings
         if retry:
             # Become the loader ourselves.
             for position, postings in zip(
-                retry, self._fetch([keys[p] for p in retry], pinned=pinned)
+                retry, self._fetch([keys[p] for p in retry])
             ):
                 out[position] = postings
         return out
 
-    def _load_owned(
-        self,
-        owned: dict[tuple[int, int], _Flight],
-        *,
-        pinned: set[tuple[int, int]] | None,
-    ) -> None:
+    def _load_owned(self, owned: dict[tuple[int, int], _Flight]) -> None:
         """Loader half of single-flight: one inner read *outside* the lock."""
         funcs = np.array([key[0] for key in owned], dtype=np.int64)
         minhashes = np.array([key[1] for key in owned], dtype=np.int64)
@@ -236,8 +207,6 @@ class CachedIndexReader:
             for (key, flight), postings in zip(owned.items(), loaded):
                 self._admit(key, postings)
                 flight.postings = self._lists.get(key, postings)
-                if pinned is not None and key in self._lists:
-                    self._pin(key, pinned)
                 self._inflight.pop(key, None)
         for flight in owned.values():
             flight.event.set()
@@ -286,90 +255,11 @@ class CachedIndexReader:
                 out[position] = part
         return _batch(out)
 
-    # -- batch pinning ------------------------------------------------
-    def pin(
-        self, func: int | np.ndarray, minhash: int | np.ndarray
-    ) -> np.ndarray | None | list[np.ndarray | None]:
-        """Load lists (if needed) and exempt them from eviction.
-
-        Returns the list's postings iff this call pinned it, ``None``
-        otherwise (with arrays, one such entry per pair): the batch
-        executor reads the lists it holds from what this returns.  A
-        list that would not fit in the budget is left unpinned (the
-        query path still works, it just pays the re-read).  The call
-        holds one pin on each list it pinned, a repeated pair included
-        once, until :meth:`unpin` releases it.
-        """
-        keys = _keys(func, minhash)
-        pinned: set[tuple[int, int]] = set()
-        try:
-            lists = self._fetch(keys, pinned=pinned)
-        except BaseException:
-            self._release(pinned)  # the caller never learns what to unpin
-            raise
-        held = [
-            postings if key in pinned else None for key, postings in zip(keys, lists)
-        ]
-        return held if np.ndim(func) else held[0]
-
-    def touch(self, keys: np.ndarray, hits: int) -> None:
-        """Count a batch's ``hits`` reads of the lists its ``pin`` call
-        returned, as the per-query ``load_list`` calls they replace would
-        (so ``hits`` keeps its meaning in ``/stats``).
-
-        ``keys`` are the distinct ``func << 32 | minhash`` keys it read.
-        A batch is one unit of recency: each moves to the recent end
-        once, in key order, however many of the batch's queries read it.
-        """
-        pairs = zip(
-            (keys >> np.uint64(32)).tolist(), (keys & np.uint64(0xFFFFFFFF)).tolist()
-        )
-        with self._lock:
-            for key in pairs:
-                if key in self._lists:
-                    self._lists.move_to_end(key)
-            self.hits += hits
-
-    def unpin(self, func: int | np.ndarray, minhash: int | np.ndarray) -> None:
-        """Release one pin of each list, as one :meth:`pin` call took it.
-
-        Pass the pairs that call pinned.  A list pinned by several calls
-        stays exempt from eviction until each has released it; a list
-        holding no pin (say, dropped by :meth:`clear`) is ignored.
-        """
-        self._release(set(_keys(func, minhash)))
-
-    def _release(self, keys: set[tuple[int, int]]) -> None:
-        with self._lock:
-            for key in keys:
-                count = self._pinned.get(key, 0)
-                if count > 1:
-                    self._pinned[key] = count - 1
-                else:
-                    self._pinned.pop(key, None)
-
-    def _pin(self, key: tuple[int, int], pinned: set[tuple[int, int]]) -> None:
-        """Take one pin on resident ``key`` for the pin call collecting
-        ``pinned``, once per call.  Callers hold ``self._lock``."""
-        if key not in pinned:
-            pinned.add(key)
-            self._pinned[key] = self._pinned.get(key, 0) + 1
-
-    @property
-    def pinned_bytes(self) -> int:
-        with self._lock:
-            return sum(
-                int(self._lists[key].size) * POSTING_BYTES
-                for key in self._pinned
-                if key in self._lists
-            )
-
     # -- cache management ------------------------------------------------
     def _admit(self, key: tuple[int, int], postings: np.ndarray) -> None:
-        """Make ``key`` resident, evicting cold unpinned lists to fit.
+        """Make ``key`` resident, evicting the coldest lists to fit.
 
-        A list larger than the whole budget, or one that cannot fit
-        because everything else is pinned, is rejected (counted in
+        A list larger than the whole budget is rejected (counted in
         ``admission_rejections``).  Callers hold ``self._lock``.
         """
         if key in self._lists:
@@ -380,13 +270,8 @@ class CachedIndexReader:
             self.admission_rejections += 1
             return
         while self._used_bytes + nbytes > self._capacity:
-            victim = next(
-                (held for held in self._lists if held not in self._pinned), None
-            )
-            if victim is None:
-                self.admission_rejections += 1
-                return
-            self._used_bytes -= int(self._lists.pop(victim).size) * POSTING_BYTES
+            _, victim = self._lists.popitem(last=False)
+            self._used_bytes -= int(victim.size) * POSTING_BYTES
             self.evictions += 1
         # Own bytes, not a view of the read; copied as uint32, not records.
         self._lists[key] = postings.view(np.uint32).copy().view(postings.dtype)
@@ -415,9 +300,7 @@ class CachedIndexReader:
                 evictions=self.evictions,
                 cached_bytes=self._used_bytes,
                 capacity_bytes=self._capacity,
-                pinned_bytes=self.pinned_bytes,
                 cached_lists=len(self._lists),
-                pinned_lists=len(self._pinned),
                 admission_rejections=self.admission_rejections,
                 singleflight_waits=self.singleflight_waits,
             )
@@ -429,10 +312,9 @@ class CachedIndexReader:
                 setattr(self, name, getattr(previous, name))
 
     def clear(self) -> None:
-        """Drop every cached list (pins included)."""
+        """Drop every cached list."""
         with self._lock:
             self._lists.clear()
-            self._pinned.clear()
             self._used_bytes = 0
 
     # -- passthrough introspection ----------------------------------------

@@ -8,9 +8,9 @@ turns that from "N independent cold searches" into one planned pass:
   query up front, deduplicates queries by
   :func:`~repro.core.search.query_key` and splits their lists, into one
   :class:`~repro.core.search.BatchPlan` of ``(U, k)`` arrays;
-* :mod:`repro.query.executor` — enumerate the distinct inverted lists
-  the plan touches and run it on the calling thread, with those lists
-  pinned in a :class:`~repro.index.cache.CachedIndexReader`;
+* :mod:`repro.query.executor` — run the plan on the calling thread as
+  one scan that reads each distinct inverted list once, through a
+  :class:`~repro.index.cache.CachedIndexReader`;
 * :mod:`repro.query.resultcache` — memoize whole results by query key
   for live searchers;
 * :mod:`repro.query.results` — per-batch aggregation of

@@ -6,26 +6,18 @@ One strategy, on the calling thread, with the batch as the unit:
    deduplicates and plans the whole batch at once, into one
    :class:`~repro.core.search.BatchPlan` that carries its threshold and
    ``verify``;
-2. :func:`shared_lists` enumerates the distinct ``(func, minhash)``
-   short lists the plan loads, how many unique queries load each and
-   their sizes (one ``np.unique`` over the plan's short-list keys), and
-   they are batch-pinned in a :class:`~repro.index.cache.CachedIndexReader`
-   (most demanded first, within :data:`PIN_FRACTION` of its capacity),
-   so each distinct list is read once per batch and the batch's misses
-   are read in one call;
-3. the lists ``pin`` hands back are laid end to end in key order, and
-   the searcher scans every unique query of the plan at once
+2. the searcher scans every unique query of the plan at once
    (:meth:`~repro.core.search.NearDuplicateSearcher._search_batch`):
-   one prune over ``(query, text)`` run counts, one gather of the
-   surviving rows, one kernel pass at each query's reduced threshold
-   and one refinement pass for the queries with long lists.  Lists
-   outside the pin budget are read with one ``load_list``; a plan a
-   moved live index built against an older generation is planned again.
+   one read of the distinct short lists the plan loads (each once per
+   batch, the batch's misses in one inner call), one prune over
+   ``(query, text)`` run counts, one gather of the surviving rows, one
+   kernel pass at each query's reduced threshold and one refinement
+   pass for the queries with long lists.  A plan a moved live index
+   built against an older generation is planned again.
 
-Every ``(query, list)`` read served by the pin counts as a cache hit,
-as the per-query ``load_list`` it replaces would.  An uncached searcher
-gets one such reader per executor, kept warm across
-:meth:`BatchQueryExecutor.execute` calls and chunks until
+An uncached searcher gets one
+:class:`~repro.index.cache.CachedIndexReader` per executor, kept warm
+across :meth:`BatchQueryExecutor.execute` calls and chunks until
 :meth:`BatchQueryExecutor.close`.
 
 Matches are identical to calling
@@ -38,7 +30,6 @@ pool were measured against this path and deleted (``docs/TUNING.md``,
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,45 +41,10 @@ from repro.core.search import (
 )
 from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader
-from repro.index.inverted import POSTING_BYTES, concat_postings
 from repro.query.results import BatchResult, BatchStats
 
 #: Capacity of the cache the executor owns for an uncached searcher.
 CACHE_BYTES = 32 * 1024 * 1024
-
-#: Fraction of the pinned reader's capacity the batch pinner may
-#: occupy; the rest stays available to the ordinary LRU so long-tail
-#: lists still cache.
-PIN_FRACTION = 0.5
-
-
-class SharedLists(NamedTuple):
-    """The distinct short lists a plan loads."""
-
-    #: Sorted ``func << 32 | minhash`` keys.
-    keys: np.ndarray
-    #: Per list: the number of unique queries loading it.
-    demand: np.ndarray
-    #: Per list: its size in bytes (for pin budgeting).
-    nbytes: np.ndarray
-    #: Non-empty list references summed over *all* queries (dupes included).
-    referenced: int
-
-
-def shared_lists(plan: BatchPlan) -> SharedLists:
-    """What ``plan``'s queries share: one ``np.unique`` over the keys of
-    its ``(query, short list)`` pairs."""
-    owner, funcs = plan.short.nonzero()
-    keys = (funcs.astype(np.uint64) << np.uint64(32)) | plan.sketches[
-        owner, funcs
-    ].astype(np.uint64)
-    keys, first, demand = np.unique(keys, return_index=True, return_counts=True)
-    return SharedLists(
-        keys,
-        demand,
-        plan.lengths[owner[first], funcs[first]] * POSTING_BYTES,
-        int(np.count_nonzero(plan.lengths, axis=1)[plan.assignment].sum()),
-    )
 
 
 class BatchQueryExecutor:
@@ -102,7 +58,7 @@ class BatchQueryExecutor:
         to one (a live or result-caching searcher).
     batch_size:
         Optional chunking: queries are planned and executed
-        ``batch_size`` at a time (bounds sketch/pin memory for very
+        ``batch_size`` at a time (bounds sketch and read memory for very
         large sweeps; dedup then only applies within a chunk).
     """
 
@@ -190,47 +146,26 @@ class BatchQueryExecutor:
         ``sketches=...`` and hand it here, skipping the executor's own
         planning pass.
 
-        Finds the plan's :func:`shared_lists` (timed as planning), pins
-        them (one read for all the misses), scans the unique queries as
-        one batch over what the pin handed back, then releases the pins
-        this call took (another batch on the same reader keeps its own).
+        One :meth:`~repro.core.search.NearDuplicateSearcher._search_batch`
+        over the unique queries, plus the batch's stats: the per-query
+        stats (the list reads included) and the cache's counter deltas.
         """
         begin = time.perf_counter()
-        lists = shared_lists(plan)
-        analysed = time.perf_counter()
         searcher = self._planned_searcher()
-        reader = searcher.index
+        cache_before = searcher.index.stats()
+        unique_results = searcher._search_batch(plan)
         stats = BatchStats(
             queries=plan.num_queries,
             unique_queries=plan.num_unique,
-            lists_referenced=lists.referenced,
-            distinct_lists=int(lists.keys.size),
-            plan_seconds=plan.plan_seconds + analysed - begin,
+            lists_referenced=int(
+                np.count_nonzero(plan.lengths, axis=1)[plan.assignment].sum()
+            ),
+            distinct_lists=int(plan.short_lists[1].size),
+            plan_seconds=plan.plan_seconds,
         )
-        io = reader.io_stats
-        io_before = (io.bytes_read, io.read_calls, io.seconds)
-        cache_before = reader.stats()
-        keys = self._pin_keys(lists, reader.capacity_bytes)
-        funcs = (keys >> np.uint64(32)).astype(np.int64)
-        minhashes = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
-        held_lists = reader.pin(funcs, minhashes) if keys.size else []
-        held = np.array([postings is not None for postings in held_lists], dtype=bool)
-        stats.lists_pinned = int(held.sum())
-        stats.io_bytes = io.bytes_read - io_before[0]
-        stats.io_calls = io.read_calls - io_before[1]
-        stats.io_seconds = io.seconds - io_before[2]
-        try:
-            order = held.nonzero()[0][keys[held].argsort()]  # the held lists, by key
-            held_lists = [held_lists[slot] for slot in order.tolist()]
-            sizes = np.array([postings.size for postings in held_lists], dtype=np.int64)
-            pinned = (keys[order], concat_postings(held_lists), sizes)
-            unique_results = searcher._search_batch(plan, pinned=pinned)
-        finally:
-            if held.any():
-                reader.unpin(funcs[held], minhashes[held])
         for result in unique_results:
             stats.add_query(result.stats)
-        cache_after = reader.stats()
+        cache_after = searcher.index.stats()
         stats.cache_hits = cache_after.hits - cache_before.hits
         stats.cache_misses = cache_after.misses - cache_before.misses
         stats.cache_evictions = cache_after.evictions - cache_before.evictions
@@ -240,8 +175,7 @@ class BatchQueryExecutor:
         stats.cache_singleflight_waits = (
             cache_after.singleflight_waits - cache_before.singleflight_waits
         )
-        end = time.perf_counter()
-        stats.execute_seconds, stats.total_seconds = end - analysed, end - begin
+        stats.execute_seconds = stats.total_seconds = time.perf_counter() - begin
         results = [unique_results[position] for position in plan.assignment]
         return BatchResult(results=results, stats=stats)
 
@@ -258,31 +192,14 @@ class BatchQueryExecutor:
         batch.stats.total_seconds = time.perf_counter() - begin
         return batch
 
-    @staticmethod
-    def _pin_keys(lists: SharedLists, capacity_bytes: int) -> np.ndarray:
-        """The ``func << 32 | minhash`` keys of the short lists to pin:
-        most demanded first (ties by key), greedily within
-        :data:`PIN_FRACTION` of the pinned reader's capacity."""
-        budget = int(capacity_bytes * PIN_FRACTION)
-        order = np.lexsort((lists.keys, -lists.demand))
-        sizes = lists.nbytes[order]
-        if sizes.sum() > budget:
-            chosen = []
-            used = 0
-            for position, nbytes in enumerate(sizes.tolist()):
-                if used + nbytes <= budget:
-                    chosen.append(position)
-                    used += nbytes
-            order = order[chosen]
-        return lists.keys[order]
-
     def _planned_searcher(self) -> NearDuplicateSearcher:
-        """A searcher whose reader supports pinning, reusing an existing
-        cache when the caller already searches through one.
+        """A searcher that reads through a list cache, reusing the
+        caller's when it already searches through one.
 
-        Otherwise the executor owns one cache for its lifetime, so
-        later chunks and ``execute`` calls find the lists earlier ones
-        loaded; it is rebuilt only when the searcher's reader changed
+        Otherwise the executor owns one cache for its lifetime: uncached
+        evaluator, sweep and dedup callers reuse lists across chunks and
+        ``execute`` calls, which then find the lists earlier ones
+        loaded.  It is rebuilt only when the searcher's reader changed
         (a live searcher moving to a new generation's snapshot).
         """
         index = self.searcher.index

@@ -17,7 +17,7 @@ every entry before answering.  A result computed against generation G
 is likewise never stored once the index has moved past G.
 :meth:`~repro.engine.NearDupEngine.cached_searcher` puts this tier on
 live searchers only; a static searcher relies on the plan's dedup plus
-list pinning for repeats.
+its list cache for repeats.
 
 A hit does no search work, and its result says so: its ``stats`` are
 all zero except ``texts_matched``.
@@ -191,7 +191,7 @@ class CachingSearcher:
         self.result_cache.store(key, result, generation)
         return result
 
-    def _search_batch(self, plan: BatchPlan, *, pinned=None):
+    def _search_batch(self, plan: BatchPlan):
         """The inner searcher's batch scan, memoized per unique query:
         hits are answered from the memo, the misses' rows of the plan
         run as one inner batch."""
@@ -200,7 +200,7 @@ class CachingSearcher:
         misses = [row for row, (cached, _) in enumerate(looked) if cached is None]
         if len(misses) < plan.num_unique:
             plan = plan.subset(misses)
-        computed = iter(self.inner._search_batch(plan, pinned=pinned) if misses else ())
+        computed = iter(self.inner._search_batch(plan) if misses else ())
         results = []
         for key, (cached, generation) in zip(keys, looked):
             if cached is None:

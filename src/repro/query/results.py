@@ -24,7 +24,6 @@ class BatchStats:
     #: lists only) vs. the number of distinct lists actually needed.
     lists_referenced: int = 0
     distinct_lists: int = 0
-    lists_pinned: int = 0
     # Stage wall times.
     plan_seconds: float = 0.0
     execute_seconds: float = 0.0
@@ -45,8 +44,7 @@ class BatchStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    #: Lists the cache turned away: larger than the whole budget, or
-    #: everything else was pinned.
+    #: Lists the cache turned away: larger than the whole budget.
     cache_admission_rejections: int = 0
     #: Cold misses that piggybacked on another thread's in-flight load
     #: instead of reading the list themselves.
@@ -109,7 +107,7 @@ class BatchStats:
             f"({self.unique_queries} unique, {self.duplicate_queries} deduped)",
             f"lists: {self.lists_referenced} referenced, "
             f"{self.distinct_lists} distinct "
-            f"({self.list_dedup_ratio:.2f}x shared), {self.lists_pinned} pinned, "
+            f"({self.list_dedup_ratio:.2f}x shared), "
             f"{self.lists_loaded} loaded",
             f"io: {self.io_bytes} bytes in {self.io_calls} calls "
             f"({1e3 * self.io_seconds:.1f} ms), "

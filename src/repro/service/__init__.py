@@ -13,7 +13,7 @@ This package is that layer:
   dispatched on arrival when the server is idle, and requests that
   arrive while a batch runs coalesce (up to ``max_batch``) into the
   next :class:`~repro.query.executor.BatchQueryExecutor` call, so a
-  batch plan's sketch dedup and list pinning apply *across clients*;
+  batch plan's sketch dedup and shared list reads apply *across clients*;
 * :mod:`repro.service.server` — a stdlib-only asyncio HTTP/1.1 server
   (``/search``, ``/batch``, ``/health``, ``/stats``) with admission
   control (bounded queue, 429 shed), per-request deadlines, and

@@ -2,7 +2,7 @@
 
 A *batch* of queries planned together costs a fraction of the same
 queries run independently — sketch dedup answers repeated queries once,
-and shared Zipf-head lists are pinned and read once.  An online service
+and shared Zipf-head lists are read once.  An online service
 receives exactly that workload, just spread across concurrent clients
 instead of one caller.  The micro-batcher recreates the batch boundary
 at the server: an arriving request is sketched immediately and parked
@@ -62,7 +62,7 @@ class MicroBatcher:
     searcher:
         The shared searcher, normally from
         :meth:`~repro.engine.NearDupEngine.cached_searcher` so every
-        batch pins into one thread-safe LRU cache.
+        batch reads through one thread-safe LRU cache.
     max_batch:
         Upper bound on requests coalesced into one dispatch, and so on
         the searches one dispatch holds the event loop for.
@@ -200,7 +200,7 @@ class MicroBatcher:
         """Run a client-supplied batch on the loop's default executor.
 
         The batch bypasses the coalescing queue — it already *is* a
-        batch — but shares the pinned cache and the stats block with
+        batch — but shares the list cache and the stats block with
         micro-batched traffic.  It runs off the loop, as ``/ingest``
         does, so one long client batch does not stall ``/search``.
         """

@@ -8,7 +8,6 @@ per-query ``search`` loop.
 from __future__ import annotations
 
 import dataclasses
-import threading
 
 import numpy as np
 import pytest
@@ -22,9 +21,10 @@ from repro.corpus.synthetic import synthweb
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.index.builder import build_memory_index
 from repro.index.cache import CachedIndexReader
+from repro.index.inverted import POSTING_BYTES
 from repro.index.lsm.live import LiveIndex, LiveIndexConfig, LiveSearcher
 from repro.index.storage import DiskInvertedIndex, write_index
-from repro.query.executor import PIN_FRACTION, BatchQueryExecutor, shared_lists
+from repro.query.executor import BatchQueryExecutor
 from repro.query.resultcache import CachingSearcher
 from repro.query.results import BatchStats
 
@@ -215,8 +215,8 @@ class TestPlanner:
         assert plan.num_queries == len(batch_queries)
         # 6 queries are byte-identical repeats of the first 6.
         assert plan.num_unique == len(batch_queries) - 6
-        lists = shared_lists(plan)
-        assert lists.referenced >= len(lists.demand)
+        stats = BatchQueryExecutor(searcher).execute_plan(plan).stats
+        assert stats.lists_referenced >= stats.distinct_lists > 0
 
     def test_verify_dedup_keys_include_tokens(self, setup):
         _, _, searcher = setup
@@ -238,7 +238,8 @@ class TestBatchStats:
         planned = BatchQueryExecutor(searcher).execute(batch_queries, 0.8)
         assert planned.stats.io_bytes < loop_io
         assert planned.stats.duplicate_queries == 6
-        assert planned.stats.cache_hits > 0
+        # A list shared by several queries is read once.
+        assert 0 < planned.stats.distinct_lists < planned.stats.lists_loaded
 
     def test_format_is_printable(self, setup, batch_queries):
         _, _, searcher = setup
@@ -362,127 +363,8 @@ class TestPlanRunsAsBuilt:
         batch = BatchQueryExecutor(cached).execute_plan(plan)
         assert counting.read_calls == 1
         assert_same_results(direct, batch.results)
-        assert batch.stats.lists_pinned == len(shared_lists(plan).demand)
-
-
-class TestPinBudget:
-    def test_small_cache_pins_within_its_own_budget(
-        self, setup, batch_queries, monkeypatch
-    ):
-        """Pins are budgeted against the pinned reader's capacity, not
-        the executor's default cache size."""
-        _, index, searcher = setup
-        direct = [searcher.search(query, 0.8) for query in batch_queries]
-        sizes = shared_lists(searcher.plan(batch_queries, 0.8)).nbytes.tolist()
-        # Every list fits beside a full pin budget, but not all of them
-        # fit in the cache at once.
-        capacity = 2 * max(sizes)
-        assert sum(sizes) > capacity
-        reader = CachedIndexReader(index, capacity_bytes=capacity)
-        pin = reader.pin
-        pinned_after = []
-
-        def recording_pin(funcs, minhashes):
-            flags = pin(funcs, minhashes)
-            pinned_after.append(reader.pinned_bytes)
-            return flags
-
-        monkeypatch.setattr(reader, "pin", recording_pin)
-        batch = BatchQueryExecutor(NearDuplicateSearcher(reader)).execute(
-            batch_queries, 0.8
-        )
-        assert_same_results(direct, batch.results)
-        assert pinned_after
-        assert 0 < max(pinned_after) <= PIN_FRACTION * reader.capacity_bytes
-        assert reader.stats().admission_rejections == 0
-
-
-    def test_lists_outside_the_budget_are_read_through_the_cache(
-        self, setup, batch_queries, monkeypatch
-    ):
-        """The scan holds only the pinned lists; it reads the rest with
-        one ``load_list`` and still equals a direct search."""
-        _, index, searcher = setup
-        direct = [searcher.search(query, 0.8) for query in batch_queries]
-        lists = shared_lists(searcher.plan(batch_queries, 0.8))
-        reader = CachedIndexReader(index, capacity_bytes=2 * int(lists.nbytes.max()))
-        batched = NearDuplicateSearcher(reader)
-        pinned = _record_pinned(monkeypatch, batched)
-        fetch = reader._fetch
-        unpinned_fetches = []
-
-        def recording_fetch(keys, *, pinned):
-            if pinned is None:
-                unpinned_fetches.append(len(keys))
-            return fetch(keys, pinned=pinned)
-
-        monkeypatch.setattr(reader, "_fetch", recording_fetch)
-        batch = BatchQueryExecutor(batched).execute(batch_queries, 0.8)
-        assert_same_results(direct, batch.results)
-        ((keys, postings, sizes),) = pinned
-        assert 0 < keys.size < lists.keys.size
-        assert batch.stats.lists_pinned == keys.size == sizes.size
-        assert postings.size == sizes.sum()
-        assert len(unpinned_fetches) == 1 and unpinned_fetches[0] > 0
-
-
-def _record_pinned(monkeypatch, searcher) -> list:
-    """Every ``pinned`` batch the executor hands ``searcher``, in order."""
-    seen = []
-    search_batch = searcher._search_batch
-
-    def recording(plan, **kwargs):
-        seen.append(kwargs.get("pinned"))
-        return search_batch(plan, **kwargs)
-
-    monkeypatch.setattr(searcher, "_search_batch", recording)
-    return seen
-
-
-class TestConcurrentBatchPins:
-    """Two batches on one cached reader (a service's ``/batch`` beside
-    its micro-batches): the batch that finishes first releases only its
-    own pins."""
-
-    def test_finished_batch_keeps_running_batch_pinned(self, setup, monkeypatch):
-        corpus, index, _ = setup
-        reader = CachedIndexReader(index)
-        searcher = NearDuplicateSearcher(reader)
-        executor = BatchQueryExecutor(searcher)
-        plans = []
-        for text_id in (0, 1):
-            text = np.asarray(corpus[text_id])
-            # Overlapping windows share lists, so the plan pins some.
-            windows = [text[:40], text[2:42], text[4:44]]
-            plans.append(searcher.plan(windows, 0.8))
-        search = searcher._search_batch
-        parked, release = threading.Event(), threading.Event()
-
-        def parking_search(plan, **kwargs):
-            if not parked.is_set():  # the first batch's scan
-                parked.set()
-                assert release.wait(30)
-            return search(plan, **kwargs)
-
-        monkeypatch.setattr(searcher, "_search_batch", parking_search)
-        outcome: list = []
-        first = threading.Thread(
-            target=lambda: outcome.append(executor.execute_plan(plans[0]))
-        )
-        first.start()
-        try:
-            assert parked.wait(30)
-            held = reader.stats()
-            assert held.pinned_lists > 0
-            executor.execute_plan(plans[1])
-            after = reader.stats()
-            assert after.pinned_lists == held.pinned_lists
-            assert after.pinned_bytes == held.pinned_bytes
-        finally:
-            release.set()
-            first.join(30)
-        assert not first.is_alive() and len(outcome) == 1
-        assert reader.stats().pinned_lists == 0
+        assert batch.stats.cache_misses == batch.stats.distinct_lists
+        assert counting.load_calls == batch.stats.distinct_lists
 
 
 class TestExecuteThetas:
@@ -720,9 +602,9 @@ class TestPlanCarriesItsParameters:
 
 
 class TestPinnedView:
-    """The executor scans each plan as one batch over the lists its pin
-    holds; every query's answer and counters equal its direct search,
-    the batch of one."""
+    """The executor scans each plan as one batch over one read of its
+    distinct lists; every query's answer and counters equal its direct
+    search, the batch of one."""
 
     @pytest.fixture(scope="class")
     def mixed_queries(self, setup):
@@ -787,7 +669,7 @@ class TestPinnedView:
 
     def test_members_share_the_batch(self, backends, batch_queries):
         """A member's time and reads are shares of the batch's scan, so
-        the batch's I/O is exactly its pin's plus its members'."""
+        the members' I/O sums to exactly the batch's."""
         index = backends["disk-raw"]
         searcher = NearDuplicateSearcher(
             CachedIndexReader(index, capacity_bytes=1 << 14), long_list_cutoff=40
@@ -802,107 +684,46 @@ class TestPinnedView:
         assert batch.stats.io_bytes == index.io_stats.bytes_read - before[0] > 0
         assert batch.stats.io_calls == index.io_stats.read_calls - before[1]
 
-    def test_pinned_batch_counts_like_per_query_loads(
-        self, setup, batch_queries, monkeypatch
-    ):
-        """Reading from the pinned lists moves the cache's counters as a
-        ``load_list`` per query would, without a locked fetch per query,
-        and leaves the same lists resident."""
+
+class TestOneReadPerList:
+    """A batch reads each of its distinct short lists once, with one
+    ``load_list``: the cache counts one hit per resident list and one
+    miss per cold one, and keeps the most-shared lists."""
+
+    def test_cache_counts_each_distinct_list_once(self, setup, batch_queries):
         _, index, _ = setup
-        viewed = CachedIndexReader(index)
-        plan = NearDuplicateSearcher(viewed).plan(batch_queries, 0.8)
-        fetch = viewed._fetch
-        fetches = []
+        searcher = NearDuplicateSearcher(CachedIndexReader(index), long_list_cutoff=0)
+        executor = BatchQueryExecutor(searcher)
+        cold = executor.execute(batch_queries, 0.8).stats
+        assert cold.distinct_lists > 0
+        assert (cold.cache_hits, cold.cache_misses) == (0, cold.distinct_lists)
+        warm = executor.execute(batch_queries, 0.8).stats
+        assert (warm.cache_hits, warm.cache_misses) == (warm.distinct_lists, 0)
 
-        def recording_fetch(keys, *, pinned):
-            fetches.append(pinned is not None)
-            return fetch(keys, pinned=pinned)
-
-        monkeypatch.setattr(viewed, "_fetch", recording_fetch)
-        BatchQueryExecutor(NearDuplicateSearcher(viewed)).execute_plan(plan)
-        assert fetches == [True]  # the pin, and no fetch per query
-
-        # The loop the batch replaces: pin, then each query's load_list.
-        looped = CachedIndexReader(index)
-        searcher = NearDuplicateSearcher(looped)
-        plan = searcher.plan(batch_queries, 0.8)
-        keys = BatchQueryExecutor._pin_keys(shared_lists(plan), looped.capacity_bytes)
-        funcs, minhashes = keys >> np.uint64(32), keys & np.uint64(0xFFFFFFFF)
-        looped.pin(funcs, minhashes)
-        for row in range(plan.num_unique):
-            searcher._search_batch(plan.subset([row]))
-        looped.unpin(funcs, minhashes)
-        ours, theirs = viewed.stats(), looped.stats()
-        assert ours.hits > 0 and ours.misses > 0
-        for name in ("hits", "misses", "evictions", "admission_rejections"):
-            assert getattr(ours, name) == getattr(theirs, name), name
-        assert set(viewed._lists) == set(looped._lists)
-
-    def test_touch_moves_each_served_list_once(self, setup, batch_queries, monkeypatch):
-        """A batch is one unit of recency: one ``touch`` for the batch,
-        with each distinct pinned list once and one hit per read."""
-        _, index, _ = setup
-        reader = CachedIndexReader(index)
-        searcher = NearDuplicateSearcher(reader, long_list_cutoff=0)
-        plan = searcher.plan(batch_queries, 0.8)
-        lists = shared_lists(plan)
-        touches = []
-        touch = reader.touch
-
-        def recording(keys, hits):
-            touches.append((keys.copy(), hits))
-            touch(keys, hits)
-
-        monkeypatch.setattr(reader, "touch", recording)
-        BatchQueryExecutor(searcher).execute_plan(plan)
-        ((keys, hits),) = touches
-        assert np.array_equal(keys, lists.keys)
-        assert hits == int(lists.demand.sum())
-        served = [
-            (int(key >> np.uint64(32)), int(key & np.uint64(0xFFFFFFFF)))
-            for key in keys
+    def test_overflowing_batch_keeps_its_most_demanded_lists(self, setup):
+        corpus, index, searcher = setup
+        # Overlapping windows share lists, some by many queries.
+        queries = [
+            np.asarray(corpus[text])[start : start + 40]
+            for text in range(6)
+            for start in range(0, 12, 3)
         ]
-        assert list(reader._lists) == served
-
-    def test_generation_moving_after_the_pin_skips_the_stale_view(
-        self, setup, tmp_path, monkeypatch
-    ):
-        """A live index that moves after the batch pinned its lists: the
-        re-planned query reads the new generation, not the pinned lists
-        of the old one, so it finds the text appended in between."""
-        corpus, index, _ = setup
-        texts = [np.asarray(text, dtype=np.uint32) for text in corpus][:40]
-        live = LiveIndex(
-            tmp_path / "live",
-            family=index.family,
-            t=index.t,
-            vocab_size=1024,
-            config=LiveIndexConfig(background_compaction=False),
+        plan = searcher.plan(queries, 0.8)
+        demand: dict[tuple[int, int], int] = {}
+        nbytes: dict[tuple[int, int], int] = {}
+        for row, func in zip(*((plan.lengths > 0) & ~plan.long).nonzero()):
+            key = (int(func), int(plan.sketches[row, func]))
+            demand[key] = demand.get(key, 0) + 1
+            nbytes[key] = int(plan.lengths[row, func]) * POSTING_BYTES
+        assert len(set(demand.values())) > 2
+        capacity = sum(nbytes.values()) // 3
+        assert max(nbytes.values()) <= capacity
+        reader = CachedIndexReader(index, capacity_bytes=capacity)
+        BatchQueryExecutor(NearDuplicateSearcher(reader)).execute_plan(plan)
+        resident = set(reader._lists)
+        evicted = set(demand) - resident
+        assert resident and evicted
+        assert max(demand, key=demand.get) in resident
+        assert min(demand[key] for key in resident) >= max(
+            demand[key] for key in evicted
         )
-        try:
-            live.append_texts(texts)
-            searcher = LiveSearcher(live, cache_bytes=1 << 22)
-            query = texts[3][:40]
-            other = texts[5][:40]
-            plan = searcher.plan([query, other], 0.8)
-            assert plan.short[0].any()
-            reader = searcher.index
-            pin = reader.pin
-            pinned = []
-
-            def moving_pin(funcs, minhashes):
-                held = pin(funcs, minhashes)
-                pinned.append(sum(postings is not None for postings in held))
-                live.append_texts([query])  # a new generation
-                return held
-
-            monkeypatch.setattr(reader, "pin", moving_pin)
-            batch = BatchQueryExecutor(searcher).execute_plan(plan)
-            assert pinned and pinned[0] > 0
-            assert searcher.index is not reader
-            snapshot = NearDuplicateSearcher(live.snapshot())
-            for query_tokens, result in zip((query, other), batch.results):
-                assert match_set(result) == match_set(snapshot.search(query_tokens, 0.8))
-            assert len(texts) in {match.text_id for match in batch.results[0].matches}
-        finally:
-            live.close()

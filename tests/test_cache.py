@@ -13,7 +13,7 @@ from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader, CacheStats
 from repro.index.inverted import IOStats, POSTING_BYTES, POSTING_DTYPE
 
-from index_lists import func_lists, join_lists
+from index_lists import func_lists, join_lists, split_lists
 
 
 class FakeReader:
@@ -194,16 +194,15 @@ class TestCountersAndStats:
         assert snap.misses == 1
 
     def test_stats_count_lists(self):
-        """ISSUE 3 satellite: stats() reports cached and pinned lists."""
+        """stats() reports the resident lists and their bytes."""
         cache = CachedIndexReader(FakeReader(), capacity_bytes=1 << 20)
         cache.load_list(0, 4)
         cache.load_list(1, 8)
-        cache.pin(2, 4)
+        cache.load_list(np.array([2, 0]), np.array([4, 4]))
         snap = cache.stats()
         assert snap.cached_lists == 3
-        assert snap.pinned_lists == 1
-        assert snap.pinned_bytes == 4 * POSTING_BYTES
         assert snap.cached_bytes == 16 * POSTING_BYTES
+        assert (snap.hits, snap.misses) == (1, 3)
 
     def test_stats_to_dict_is_json_ready(self):
         import json
@@ -214,83 +213,9 @@ class TestCountersAndStats:
         payload = cache.stats().to_dict()
         assert payload["hits"] == 1 and payload["misses"] == 1
         assert payload["hit_rate"] == pytest.approx(0.5)
-        assert payload["cached_lists"] == 1 and payload["pinned_lists"] == 0
+        assert payload["cached_lists"] == 1
+        assert not any(key.startswith("pinned") for key in payload)
         json.dumps(payload)
-
-
-class TestPinning:
-    """ISSUE 1 tentpole support: batch-pinned lists never evict."""
-
-    def test_pinned_list_survives_pressure(self):
-        cache = CachedIndexReader(FakeReader(), capacity_bytes=8 * POSTING_BYTES)
-        assert cache.pin(0, 4) is not None
-        cache.load_list(1, 4)
-        cache.load_list(2, 4)  # pressure: must evict (1, 4), not the pin
-        before = cache.io_stats.bytes_read
-        cache.load_list(0, 4)
-        assert cache.io_stats.bytes_read == before
-        assert cache.pinned_bytes == 4 * POSTING_BYTES
-
-    def test_unpin_restores_lru(self):
-        cache = CachedIndexReader(FakeReader(), capacity_bytes=8 * POSTING_BYTES)
-        cache.pin(0, 4)
-        cache.unpin(0, 4)
-        assert cache.pinned_bytes == 0
-        cache.load_list(1, 4)
-        cache.load_list(2, 8)  # now the old pin may evict
-        assert cache.evictions == 2
-
-    def test_pins_are_counted_per_call(self):
-        cache = CachedIndexReader(FakeReader(), capacity_bytes=8 * POSTING_BYTES)
-        held = cache.pin(np.array([0, 0]), np.array([4, 4]))
-        assert [postings is not None for postings in held] == [True, True]
-        assert cache.pin(0, 4) is not None
-        cache.unpin(np.array([0, 0]), np.array([4, 4]))  # one call's pin
-        cache.load_list(1, 4)
-        cache.load_list(2, 4)  # pressure: the other call's pin still holds
-        assert cache.stats().pinned_lists == 1 and cache.load_list(0, 4).size == 4
-        assert cache.evictions == 1
-        cache.unpin(0, 4)
-        cache.unpin(0, 4)  # holding no pin: ignored
-        assert cache.stats().pinned_lists == 0
-
-    def test_refused_pin_is_not_released_for_others(self):
-        cache = CachedIndexReader(FakeReader(), capacity_bytes=4 * POSTING_BYTES)
-        assert cache.pin(0, 4) is not None
-        # Everything is pinned, so this call pins nothing: releasing
-        # what it pinned must not release the first call's pin.
-        held = cache.pin(np.array([1, 0]), np.array([4, 4]))
-        assert [postings is not None for postings in held] == [False, True]
-        cache.unpin(np.array([0]), np.array([4]))
-        assert cache.stats().pinned_lists == 1
-
-    def test_oversized_pin_refused(self):
-        cache = CachedIndexReader(FakeReader(), capacity_bytes=POSTING_BYTES)
-        assert cache.pin(0, 100) is None
-        assert cache.pinned_bytes == 0
-
-    def test_pin_is_idempotent(self):
-        cache = CachedIndexReader(FakeReader(), capacity_bytes=1 << 20)
-        assert cache.pin(0, 4) is not None
-        misses = cache.misses
-        assert cache.pin(0, 4) is not None
-        assert cache.misses == misses
-
-    def test_all_pinned_blocks_admission_not_reads(self):
-        cache = CachedIndexReader(FakeReader(), capacity_bytes=8 * POSTING_BYTES)
-        cache.pin(0, 4)
-        cache.pin(1, 4)
-        postings = cache.load_list(2, 4)  # nothing evictable: uncached read
-        assert postings.size == 4
-        assert cache.cached_bytes == 8 * POSTING_BYTES
-        snap = cache.stats()
-        assert snap.evictions == 0 and snap.admission_rejections == 1
-
-    def test_clear_drops_pins(self):
-        cache = CachedIndexReader(FakeReader(), capacity_bytes=1 << 20)
-        cache.pin(0, 4)
-        cache.clear()
-        assert cache.pinned_bytes == 0 and cache.cached_bytes == 0
 
 
 class TestThreadSafety:
@@ -305,7 +230,6 @@ class TestThreadSafety:
 
         def worker(seed: int) -> None:
             rng = np.random.default_rng(seed)
-            held: list[tuple[int, int]] = []
             try:
                 barrier.wait()
                 for _ in range(400):
@@ -319,13 +243,17 @@ class TestThreadSafety:
                     elif op < 8:
                         windows = cache.load_texts_windows(func, minhash, [0])
                         assert windows.size == 1
-                    elif op == 8:
-                        if cache.pin(func, minhash) is not None:
-                            held.append((func, minhash))
-                    elif held:
-                        cache.unpin(*held.pop())
-                for key in held:
-                    cache.unpin(*key)
+                    else:
+                        # A batch's vector read: repeated and overlapping
+                        # keys, some larger than the whole budget.
+                        funcs = rng.integers(0, 4, size=4)
+                        minhashes = rng.integers(1, 30, size=4)
+                        funcs[1], minhashes[1] = funcs[0], minhashes[0]
+                        postings, sizes = cache.load_list(funcs, minhashes)
+                        assert sizes.tolist() == minhashes.tolist()
+                        assert postings.size == sizes.sum()
+                        for part, size in zip(split_lists(postings, sizes), sizes):
+                            assert part["text"].tolist() == list(range(size))
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -335,10 +263,9 @@ class TestThreadSafety:
         for thread in threads:
             thread.join(60)
         assert not errors
-        # Every worker released exactly the pins it took.
         snap = cache.stats()
         assert snap.cached_bytes <= snap.capacity_bytes
-        assert snap.pinned_bytes == 0 and snap.pinned_lists == 0
+        assert snap.admission_rejections > 0
         # Internal bookkeeping survived the churn: the byte counter
         # matches the lists actually resident.
         resident = sum(

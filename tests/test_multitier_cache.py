@@ -477,8 +477,9 @@ class TestSingleFlight:
                 barrier.wait()
                 loaded = split_lists(*reader.load_list(funcs, minhashes))
                 assert [int(p["text"][0]) for p in loaded] == minhashes.tolist()
-                pinned = reader.pin(funcs[::-1], minhashes[::-1])
-                assert [postings is not None for postings in pinned] == [True] * 6
+                # The same keys again, reversed: every one is resident.
+                again = split_lists(*reader.load_list(funcs[::-1], minhashes[::-1]))
+                assert [int(p["text"][0]) for p in again] == minhashes[::-1].tolist()
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -499,8 +500,8 @@ class TestSingleFlight:
         assert sorted(inner.loads.values()) == [1] * 12
         stats = reader.stats()
         assert stats.misses == 12
-        assert stats.hits == threads * 6 - 12
-        assert stats.pinned_lists == 12
+        assert stats.hits == 2 * threads * 6 - 12
+        assert stats.cached_lists == 12
 
     def test_failing_vector_load_poisons_no_key(self):
         inner = _SlowCountingReader(delay=0.02, fail_first=True)

@@ -44,7 +44,7 @@ METHOD_DOCS = {
     "ShardedSearcher": ["search"],
     "PreforkServer": ["start", "stop", "wait_ready", "run_forever"],
     "StatsSlots": ["stats", "cluster"],
-    "CachedIndexReader": ["load_list", "pin", "stats"],
+    "CachedIndexReader": ["load_list", "stats"],
     "ResultCache": ["lookup", "store", "stats"],
     "CachingSearcher": ["search"],
 }
