@@ -118,6 +118,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"k={summary.k} t={summary.t}")
     print(f"postings={summary.num_postings} lists={summary.num_lists}")
     print(f"bytes={summary.nbytes}")
+    print(f"directory_bytes={index.directory_nbytes} layout={index.directory_layout}")
     print(
         f"list length: mean={summary.mean_list_length:.1f} "
         f"max={summary.max_list_length}"

@@ -112,11 +112,6 @@ class EncodedLists:
     block_offsets: np.ndarray  #: int64 (nb + 1,) — byte edges of the blocks
     list_blocks: np.ndarray  #: int64 (lists + 1,) — block edges of the lists
 
-    @property
-    def list_offsets(self) -> np.ndarray:
-        """Byte offset of each list within :attr:`data`."""
-        return self.block_offsets[self.list_blocks[:-1]]
-
 
 def block_counts(count: int) -> np.ndarray:
     """Postings per block for a list of ``count`` postings."""

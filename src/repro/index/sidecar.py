@@ -1,12 +1,7 @@
-"""Flat, page-aligned directory sidecar (``index.dir.bin``).
+"""Flat, page-aligned container of the index directory (``index.dir.bin``).
 
-The per-function directory arrays (keys, offsets, counts, zone maps,
-and the v2 block mini-directory) used to live in a zipped ``.npz``
-archive, which every :class:`~repro.index.storage.DiskInvertedIndex`
-open had to decompress; old indexes still hold one, and only the
-reader's legacy branch opens it.  The sidecar, the one container
-written today, stores the same arrays in a flat container designed for
-``mmap``:
+The directory's arrays (:mod:`repro.index.storage` names them) are
+stored in a container designed for ``mmap``:
 
 * a fixed 16-byte header — the magic ``RPDIRSC1`` and the byte length
   of the JSON table of contents;
@@ -17,10 +12,10 @@ written today, stores the same arrays in a flat container designed for
   past the TOC, holding each array's raw little-endian bytes at a
   :data:`SECTION_ALIGN`-aligned relative offset, in TOC order.
 
-Opening is one ``mmap`` plus one ``np.frombuffer`` view per section —
-no decompression, no copies — so N forked server workers share a
-single page-cache copy of the directory, and re-opening the index
-(worker respawn) costs microseconds.
+Reading is one ``mmap`` plus one ``np.frombuffer`` view per section,
+with no decompression, so N forked server workers share a single
+page-cache copy of the directory.  The zipped ``.npz`` archive of old
+indexes is not this container; only the reader's legacy branch opens it.
 """
 
 from __future__ import annotations
@@ -91,11 +86,9 @@ def write_sidecar(path: str | Path, arrays: dict[str, np.ndarray]) -> Path:
         handle.write(b"\x00" * (data_start - _HEADER_BYTES - len(toc)))
         position = 0
         for offset, raw in payloads:
-            if offset > position:
-                handle.write(b"\x00" * (offset - position))
-                position = offset
+            handle.write(b"\x00" * (offset - position))
             handle.write(raw)
-            position += len(raw)
+            position = offset + len(raw)
         handle.flush()
         os.fsync(handle.fileno())
     return path
@@ -156,10 +149,9 @@ def read_sidecar(path: str | Path) -> tuple[dict[str, np.ndarray], mmap.mmap]:
             nbytes = int(section["nbytes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise IndexFormatError(f"{path}: malformed section entry: {exc}") from exc
-        # math.prod, not np.prod: open time is O(sections) pure-Python
-        # work, and the numpy reduction machinery is ~10x the cost of
-        # the C builtin for these tiny shape tuples.
-        count = math.prod(shape) if shape else 1
+        # math.prod, not np.prod: the numpy reduction machinery is ~10x
+        # the cost of the C builtin for these tiny shape tuples.
+        count = math.prod(shape)
         if count * dtype.itemsize != nbytes or offset + nbytes > size:
             raise IndexFormatError(
                 f"{path}: section {name!r} does not fit its declared bounds"

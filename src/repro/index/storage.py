@@ -17,38 +17,34 @@ Layout of an index directory:
   point**: it is written last, via a temp file + ``os.replace``, so a
   directory holding payload/directory files without it is a
   recognisably partial build;
-* the directory — per hash function ``i``: ``keys_i`` (sorted
-  ``uint32`` min-hash values), ``offsets_i`` (``uint64`` start of each
-  list — a *posting index* into the payload for the ``raw`` codec, a
-  *byte offset* for ``packed``) and ``counts_i`` (``uint32`` list
-  lengths); plus, for every long list, its zone-map samples
-  (``zm_keys_i``, ``zm_starts_i``, ``zm_lengths_i``, ``zm_samples_i``).
-  Format v2 adds the per-block mini-directory: ``blk_first_i``
-  (``uint32`` first text id per block), ``blk_widths_i`` (``uint8
-  (nb, 4)`` per-column bit widths) and ``blk_offsets_i`` (``uint64``
-  absolute payload byte offset per block), concatenated in key order;
+* ``index.dir.bin`` — the directory in the flat layout (meta
+  ``"directory": "flat"``; ``docs/FORMATS.md``): the arrays
+  :class:`InvertedIndex` holds, one sidecar section
+  (:mod:`repro.index.sidecar`) each across all ``k`` hash functions.
+  ``list_edges`` bound each function's lists, ``keys`` (``uint32``)
+  and ``counts``; ``starts`` (``raw``) or the block arrays
+  ``blk_first`` / ``blk_widths`` / ``blk_offsets`` (``packed``); the
+  zone maps ``zm_edges`` / ``zm_keys`` / ``zm_starts`` / ``zm_lengths``
+  over ``zm_samples``;
 * ``index.postings.bin`` — the payload.  ``raw`` (format v1) stores
   concatenated 16-byte postings; ``packed`` (format v2) stores the
   bit-packed blocks of :mod:`repro.index.codec`.  Lists are contiguous
   and sorted by text id internally, but the order of lists within the
   file is arbitrary (the out-of-core builder appends them in partition
-  order; the directory carries explicit offsets).
+  order; the directory carries explicit starts).
 
-The directory is written as ``index.dir.bin``, a flat page-aligned
-sidecar (:mod:`repro.index.sidecar`) opened with one ``mmap`` plus one
-``np.frombuffer`` view per array, so opens cost microseconds and N
-forked server processes share a single page-cache copy; the meta file
-records it as ``"directory": "sidecar"``.  Indexes committed before the
-sidecar existed hold the zipped ``index.dir.npz`` archive instead (meta
-``"directory": "npz"``, or no ``"directory"`` key at all); they are
-read, never written, by one legacy branch of :func:`_load_directory`.
-Before the meta rename, :meth:`_IndexWriter.close` fsyncs the payload,
-the sidecar and the meta temp file, and after it the directory, so a
-committed index survives power loss.
+Indexes committed before the flat layout hold every directory array
+once per hash function (``keys_0``, ``keys_1``, ...), in the sidecar
+(meta ``"sidecar"``) or, older still, in the zipped ``index.dir.npz``
+(meta ``"npz"``, or no ``"directory"`` key).  They are read, never
+written: :func:`_legacy_directory` concatenates their sections into the
+flat arrays.  Before the meta rename, :meth:`_IndexWriter.close`
+fsyncs the payload, the sidecar and the meta temp file, and after it
+the directory, so a committed index survives power loss.
 
-Opening concatenates the per-function arrays once into the flat
-directory and memory-maps the payload; reads touch only the slices —
-for v2, only the *blocks* — a query asks for.
+Opening maps the sidecar, widens the keys to ``func << 32 | minhash``
+in one vectorized pass and memory-maps the payload; reads touch only
+the slices — for v2, only the *blocks* — a query asks for.
 """
 
 from __future__ import annotations
@@ -183,7 +179,6 @@ class _IndexWriter:
         if self._codec == "packed":
             encoded = encode_lists(postings, bounds)
             data = encoded.data
-            parts["offsets"].append(self._payload_bytes + encoded.list_offsets)
             parts["blk_first"].append(encoded.first_texts)
             parts["blk_widths"].append(encoded.widths)
             parts["blk_offsets"].append(
@@ -191,7 +186,7 @@ class _IndexWriter:
             )
         else:
             data = postings
-            parts["offsets"].append(self._written + bounds[:-1])
+            parts["starts"].append(self._written + bounds[:-1])
         start = time.perf_counter()
         data.tofile(self._payload)
         self.io_seconds += time.perf_counter() - start
@@ -200,20 +195,17 @@ class _IndexWriter:
         parts["funcs"].append(funcs)
         parts["keys"].append(keys)
         parts["counts"].append(counts)
-        long = np.flatnonzero(counts >= self._zonemap_min_list)
-        if long.size:
-            # Every step-th text of every long list, as one strided gather.
-            step = self._zonemap_step
-            samples = (counts[long] + step - 1) // step
-            local = np.arange(int(samples.sum())) - np.repeat(
-                np.cumsum(samples) - samples, samples
-            )
-            parts["zm_funcs"].append(funcs[long])
-            parts["zm_keys"].append(keys[long])
-            parts["zm_lengths"].append(samples)
-            parts["zm_samples"].append(
-                postings["text"][np.repeat(bounds[long], samples) + local * step]
-            )
+        # Every step-th text of every long list, as one strided gather.
+        step = self._zonemap_step
+        long = counts >= self._zonemap_min_list
+        samples = np.where(long, (counts + step - 1) // step, 0)
+        local = np.arange(int(samples.sum())) - np.repeat(
+            np.cumsum(samples) - samples, samples
+        )
+        parts["zm_lengths"].append(samples)
+        parts["zm_samples"].append(
+            postings["text"][np.repeat(bounds[:-1], samples) + local * step]
+        )
         self._written += int(postings.size)
 
     def close(self) -> None:
@@ -241,9 +233,13 @@ class _IndexWriter:
         }
         # Lists in (func, minhash) order; ties keep write order.
         order = np.lexsort((parts["keys"], parts["funcs"]))
-        func_edges = np.searchsorted(parts["funcs"][order], np.arange(k + 1))
-        lists = {name: parts[name][order] for name in ("keys", "offsets", "counts")}
+        arrays = {
+            "list_edges": np.searchsorted(parts["funcs"][order], np.arange(k + 1)),
+            "keys": parts["keys"][order],
+            "counts": parts["counts"][order],
+        }
         if self._codec == "packed":
+            # Every list's blocks, gathered into directory order.
             per_list = (
                 parts["counts"].astype(np.int64) + BLOCK_POSTINGS - 1
             ) // BLOCK_POSTINGS
@@ -251,40 +247,18 @@ class _IndexWriter:
                 (np.cumsum(per_list) - per_list)[order], per_list[order]
             )
             for name in ("blk_first", "blk_widths", "blk_offsets"):
-                lists[name] = parts[name][blocks]
-            block_edges = np.concatenate(([0], np.cumsum(per_list[order])))[
-                func_edges
-            ]
-        # Zone maps: a function's samples stay in write order, each
-        # long list pointing at its own; the pointers go in key order.
-        zm_funcs = parts["zm_funcs"]
+                arrays[name] = parts[name][blocks]
+        else:
+            arrays["starts"] = parts["starts"][order]
+        # Zone maps: the long lists in directory order, each pointing at
+        # its samples, which stay in write order.
         lengths = parts["zm_lengths"].astype(np.int64)
-        grouped = np.argsort(zm_funcs, kind="stable")
-        samples = parts["zm_samples"][
-            range_indices((np.cumsum(lengths) - lengths)[grouped], lengths[grouped])
-        ]
-        sample_edges = np.concatenate(([0], np.cumsum(lengths[grouped])))
-        zm_edges = np.searchsorted(zm_funcs[grouped], np.arange(k + 1))
-        zm_starts = np.empty(lengths.size, dtype=np.uint64)
-        zm_starts[grouped] = (
-            sample_edges[:-1] - sample_edges[zm_edges[zm_funcs[grouped]]]
-        )
-        zm_order = np.lexsort((parts["zm_keys"], zm_funcs))
-        arrays: dict[str, np.ndarray] = {}
-        for func in range(k):
-            lo, hi = func_edges[func], func_edges[func + 1]
-            for name in ("keys", "offsets", "counts"):
-                arrays[f"{name}_{func}"] = lists[name][lo:hi]
-            if self._codec == "packed":
-                lo, hi = block_edges[func], block_edges[func + 1]
-                for name in ("blk_first", "blk_widths", "blk_offsets"):
-                    arrays[f"{name}_{func}"] = lists[name][lo:hi]
-            lo, hi = zm_edges[func], zm_edges[func + 1]
-            chosen = zm_order[lo:hi]
-            arrays[f"zm_keys_{func}"] = parts["zm_keys"][chosen]
-            arrays[f"zm_starts_{func}"] = zm_starts[chosen]
-            arrays[f"zm_lengths_{func}"] = parts["zm_lengths"][chosen]
-            arrays[f"zm_samples_{func}"] = samples[sample_edges[lo] : sample_edges[hi]]
+        zoned = order[arrays["counts"] >= self._zonemap_min_list]
+        arrays["zm_edges"] = np.searchsorted(parts["funcs"][zoned], np.arange(k + 1))
+        arrays["zm_keys"] = parts["keys"][zoned]
+        arrays["zm_starts"] = (np.cumsum(lengths) - lengths)[zoned]
+        arrays["zm_lengths"] = parts["zm_lengths"][zoned]
+        arrays["zm_samples"] = parts["zm_samples"]
         write_sidecar(self._directory / _DIR_SIDECAR_FILE, arrays)
         meta = {
             "format_version": (
@@ -297,7 +271,7 @@ class _IndexWriter:
             "zonemap_step": self._zonemap_step,
             "zonemap_min_list": self._zonemap_min_list,
             "family": self._family.to_dict(),
-            "directory": "sidecar",
+            "directory": "flat",
         }
         if self._num_texts is not None:
             meta["num_texts"] = self._num_texts
@@ -320,13 +294,11 @@ class _IndexWriter:
 _DIRECTORY_PARTS = {
     "funcs": np.empty(0, dtype=np.int64),
     "keys": np.empty(0, dtype=np.uint32),
-    "offsets": np.empty(0, dtype=np.uint64),
     "counts": np.empty(0, dtype=np.uint32),
+    "starts": np.empty(0, dtype=np.int64),
     "blk_first": np.empty(0, dtype=np.uint32),
     "blk_widths": np.empty((0, 4), dtype=np.uint8),
-    "blk_offsets": np.empty(0, dtype=np.uint64),
-    "zm_funcs": np.empty(0, dtype=np.int64),
-    "zm_keys": np.empty(0, dtype=np.uint32),
+    "blk_offsets": np.empty(0, dtype=np.int64),
     "zm_lengths": np.empty(0, dtype=np.uint32),
     "zm_samples": np.empty(0, dtype=np.uint32),
 }
@@ -755,9 +727,10 @@ class DiskInvertedIndex(InvertedIndex):
     """The index of an on-disk directory, memory-mapped.
 
     Opening checks the metadata, maps the payload — ``raw`` (format v1)
-    as posting records, ``packed`` (format v2) as bytes — and
-    concatenates the container's per-function directory arrays into the
-    flat directory once; the reads are :class:`InvertedIndex`'s.
+    as posting records, ``packed`` (format v2) as bytes — and the flat
+    directory (a legacy per-function one is concatenated into it first);
+    the reads are :class:`InvertedIndex`'s.  ``directory_layout`` names
+    the directory's layout: ``flat``, or the legacy ``sidecar`` / ``npz``.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -778,21 +751,34 @@ class DiskInvertedIndex(InvertedIndex):
                     "index"
                 )
             raise IndexFormatError(f"missing {_META_FILE} in {self._directory}")
-        meta = json.loads(meta_path.read_text())
-        version = meta.get("format_version")
-        if version not in (_FORMAT_VERSION, _FORMAT_VERSION_PACKED):
+        # A torn or hand-edited meta is a format error, never a raw
+        # JSON, key or type error.
+        try:
+            meta = json.loads(meta_path.read_text())
+            family = HashFamily.from_dict(meta["family"])
+            num_postings = int(meta["num_postings"])
+            t, zonemap_step = int(meta["t"]), int(meta["zonemap_step"])
+            if t < 1 or zonemap_step < 1:
+                raise ValueError(f"t={t} and zonemap_step={zonemap_step} must be >= 1")
+            num_texts = meta.get("num_texts")
+            num_texts = None if num_texts is None else int(num_texts)
+            version, codec = meta.get("format_version"), meta.get("codec", "raw")
+            if codec == "packed":
+                payload_bytes, dtype = int(meta["payload_bytes"]), np.dtype(np.uint8)
+            else:
+                payload_bytes, dtype = num_postings * POSTING_BYTES, POSTING_DTYPE
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise IndexFormatError(
-                f"unsupported index format version {version!r}"
-            )
-        codec = meta.get("codec", "raw")
+                f"{meta_path} is torn or mistypes a field: {exc!r}"
+            ) from exc
+        if version not in (_FORMAT_VERSION, _FORMAT_VERSION_PACKED):
+            raise IndexFormatError(f"unsupported index format version {version!r}")
         if codec not in ("raw", "packed") or (
             (codec == "packed") != (version == _FORMAT_VERSION_PACKED)
         ):
             raise IndexFormatError(
                 f"unsupported codec {codec!r} for format version {version}"
             )
-        family = HashFamily.from_dict(meta["family"])
-        num_postings = int(meta["num_postings"])
         # Stat the payload exactly once; a vanished or unreadable file
         # surfaces as a format error, not a raw FileNotFoundError.
         try:
@@ -802,10 +788,6 @@ class DiskInvertedIndex(InvertedIndex):
                 f"payload file {_PAYLOAD_FILE} is missing or unreadable "
                 f"in {self._directory}: {exc}"
             ) from exc
-        if codec == "packed":
-            payload_bytes, dtype = int(meta["payload_bytes"]), np.dtype(np.uint8)
-        else:
-            payload_bytes, dtype = num_postings * POSTING_BYTES, POSTING_DTYPE
         if payload_size != payload_bytes:
             raise IndexFormatError(
                 f"payload has {payload_size} bytes, "
@@ -815,15 +797,20 @@ class DiskInvertedIndex(InvertedIndex):
             payload = np.memmap(payload_path, dtype=dtype, mode="r")
         else:
             payload = np.empty(0, dtype=dtype)
+        if meta.get("directory") == "flat":
+            self.directory_layout = "flat"
+            arrays = read_sidecar(self._directory / _DIR_SIDECAR_FILE)[0]
+        else:
+            self.directory_layout, arrays = _legacy_directory(
+                self._directory, meta.get("directory"), family.k, codec
+            )
         super().__init__(
             family,
-            int(meta["t"]),
+            t,
             payload=payload,
-            zonemap_step=int(meta["zonemap_step"]),
-            num_texts=meta.get("num_texts"),
-            **_flat_directory(
-                _load_directory(self._directory, meta), family.k, codec, num_postings
-            ),
+            zonemap_step=zonemap_step,
+            num_texts=num_texts,
+            **_reader_directory(arrays, family.k, codec, num_postings),
         )
 
     @property
@@ -831,124 +818,142 @@ class DiskInvertedIndex(InvertedIndex):
         """The index directory."""
         return self._directory
 
+    @property
+    def directory_nbytes(self) -> int:
+        """Bytes of the directory file (the sidecar, or a legacy npz)."""
+        name = _NPZ_DIR_FILE if self.directory_layout == "npz" else _DIR_SIDECAR_FILE
+        return (self._directory / name).stat().st_size
 
-#: Arrays the directory stores once per hash function, in groups whose
-#: arrays agree in length: one entry per list, per zone map, per
-#: zone-map sample and (packed only) per block.
-_RAW_DIRECTORY = {
-    "list": ("keys", "offsets", "counts"),
-    "zone-map": ("zm_keys", "zm_starts", "zm_lengths"),
-    "sample": ("zm_samples",),
+
+#: The flat directory's arrays, in groups whose arrays agree in length:
+#: one entry per list, per zone map and (packed only) per block.
+_ZONE_MAPS = ("zm_keys", "zm_starts", "zm_lengths")
+_FLAT_GROUPS = {
+    "raw": {"list": ("keys", "counts", "starts"), "zone-map": _ZONE_MAPS},
+    "packed": {
+        "list": ("keys", "counts"),
+        "zone-map": _ZONE_MAPS,
+        "block": ("blk_first", "blk_widths", "blk_offsets"),
+    },
 }
-_DIRECTORY_GROUPS = {
-    "raw": _RAW_DIRECTORY,
-    "packed": {**_RAW_DIRECTORY, "block": ("blk_first", "blk_widths", "blk_offsets")},
-}
 
 
-def _flat_directory(
+def _reader_directory(
     arrays: dict[str, np.ndarray], k: int, codec: str, num_postings: int
 ) -> dict:
-    """A container's directory as :class:`InvertedIndex` arguments.
-
-    The container holds every array once per hash function (``keys_0``,
-    ``keys_1``, ...).  They are concatenated here: list and zone-map
-    keys become ``func << 32 | minhash``, zone-map starts point into the
-    concatenated samples, and a packed list's start is its first block
-    in the concatenated block arrays.
-    """
-    groups = _DIRECTORY_GROUPS[codec]
-    try:
-        per_func = {
-            name: [arrays[f"{name}_{func}"] for func in range(k)]
-            for names in groups.values()
-            for name in names
-        }
-    except KeyError as exc:
-        raise IndexFormatError(f"index directory is missing array {exc}") from exc
-    if codec == "packed":
-        per_func["blk_widths"] = [w.reshape(-1, 4) for w in per_func["blk_widths"]]
-    for label, names in groups.items():
-        lengths = [[len(array) for array in per_func[name]] for name in names]
-        if lengths.count(lengths[0]) != len(lengths):
-            raise IndexFormatError(f"{label} arrays {names} differ in length")
-    counts = np.concatenate(per_func["counts"]).astype(np.int64)
+    """A flat directory as :class:`InvertedIndex` arguments, checked in a
+    fixed number of vectorized steps, none per hash function: keys widen
+    through their edges (:func:`_widen_keys`), each group's arrays agree
+    in length, the counts sum to the meta's postings, and the block
+    arrays hold the blocks the counts imply (a packed list's first block
+    is the sum of the blocks before it)."""
+    groups = _FLAT_GROUPS[codec]
+    names = ("list_edges", "zm_edges", "zm_samples", *sum(groups.values(), ()))
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise IndexFormatError(f"index directory is missing arrays {missing}")
+    for label, members in groups.items():
+        if len({len(arrays[name]) for name in members}) > 1:
+            raise IndexFormatError(f"{label} arrays {members} differ in length")
+    counts = arrays["counts"].astype(np.int64)
     if int(counts.sum()) != num_postings:
         raise IndexFormatError(
             f"directory accounts for {int(counts.sum())} postings, "
             f"metadata says {num_postings}"
         )
-    samples = [0] + [part.size for part in per_func["zm_samples"][:-1]]
     flat = {
-        "keys": _func_keys(per_func["keys"]),
+        "keys": _widen_keys("list", arrays["list_edges"], arrays["keys"], k),
         "counts": counts,
         "zone_maps": (
-            _func_keys(per_func["zm_keys"]),
-            np.concatenate(per_func["zm_starts"]).astype(np.int64)
-            + np.repeat(np.cumsum(samples), [z.size for z in per_func["zm_keys"]]),
-            np.concatenate(per_func["zm_lengths"]).astype(np.int64),
-            np.concatenate(per_func["zm_samples"]),
+            _widen_keys("zone-map", arrays["zm_edges"], arrays["zm_keys"], k),
+            arrays["zm_starts"].astype(np.int64, copy=False),
+            arrays["zm_lengths"],
+            arrays["zm_samples"],
         ),
     }
     if codec == "raw":
-        flat["starts"] = np.concatenate(per_func["offsets"]).astype(np.int64)
+        flat["starts"] = arrays["starts"].astype(np.int64, copy=False)
         return flat
     per_list = (counts + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
-    implied = np.cumsum(np.append(0, per_list))
-    stored = np.array([first.size for first in per_func["blk_first"]])
-    wanted = np.diff(
-        implied[np.cumsum([0] + [keys.size for keys in per_func["keys"]])]
-    )
-    mismatched = np.flatnonzero(stored != wanted)
-    if mismatched.size:
-        func = int(mismatched[0])
+    blocks = int(per_list.sum())
+    if len(arrays["blk_first"]) != blocks or arrays["blk_widths"].shape[1:] != (4,):
         raise IndexFormatError(
-            f"block directory of function {func} holds {stored[func]} "
-            f"blocks, counts imply {wanted[func]}"
+            f"block directory does not hold the {blocks} blocks counts imply"
         )
-    flat["starts"] = implied[:-1]
+    flat["starts"] = np.cumsum(per_list) - per_list
     flat["blocks"] = (
-        np.concatenate(per_func["blk_first"]),
-        np.concatenate(per_func["blk_widths"]),
-        np.concatenate(per_func["blk_offsets"]).astype(np.int64),
+        arrays["blk_first"],
+        arrays["blk_widths"],
+        arrays["blk_offsets"].astype(np.int64, copy=False),
     )
     return flat
 
 
-def _func_keys(per_func: list[np.ndarray]) -> np.ndarray:
-    """Per-function ``uint32`` keys as one ascending ``func << 32 | key`` array."""
-    sizes = [keys.size for keys in per_func]
-    funcs = np.repeat(np.arange(len(sizes), dtype=np.uint64), sizes)
-    return (funcs << np.uint64(32)) | np.concatenate(per_func).astype(np.uint64)
+def _widen_keys(label: str, edges: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+    """``uint32`` keys, function ``f``'s at ``edges[f] : edges[f + 1]``,
+    as one strictly ascending ``func << 32 | key`` array."""
+    sizes = np.diff(edges)
+    bounded = edges.shape == (k + 1,) and edges[0] == 0 and edges[-1] == keys.size
+    if not bounded or np.any(sizes < 0):
+        raise IndexFormatError(f"{label} edges do not bound its {keys.size} keys")
+    funcs = np.repeat(np.arange(k, dtype=np.uint64), sizes)
+    flat = (funcs << np.uint64(32)) | keys.astype(np.uint64)
+    if (flat[1:] <= flat[:-1]).any():
+        raise IndexFormatError(f"{label} keys do not strictly ascend")
+    return flat
 
 
-def _load_directory(directory: Path, meta: dict) -> dict[str, np.ndarray]:
-    """Every directory array of a committed index, by name.
+#: Arrays a legacy directory stores once per hash function (``keys_0``,
+#: ``keys_1``, ...), besides ``offsets`` (raw) or the block arrays.
+_LEGACY_ARRAYS = ("keys", "counts", *_ZONE_MAPS, "zm_samples")
 
-    The sidecar path is zero-copy: one ``mmap`` shared by every returned
-    view, no decompression.
+
+def _legacy_directory(
+    directory: Path, container: str | None, k: int, codec: str
+) -> tuple[str, dict[str, np.ndarray]]:
+    """A per-function directory (read, never written) as flat arrays.
+
+    Returns its layout — ``sidecar`` (format 1 and 2) or ``npz`` — and
+    each array's sections concatenated: the keys' per-function lengths
+    become the edges and zone-map starts gain their function's sample
+    base.  A packed list's byte ``offsets_f`` is not read.
     """
-    container = meta.get("directory")
     sidecar = directory / _DIR_SIDECAR_FILE
     if container == "sidecar" or (container is None and sidecar.exists()):
+        layout, arrays = "sidecar", read_sidecar(sidecar)[0]
+    elif container in (None, "npz"):
+        layout = "npz"
         try:
-            return read_sidecar(sidecar)[0]
-        except IndexFormatError as exc:
+            with np.load(directory / _NPZ_DIR_FILE) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+        except (OSError, ValueError) as exc:
             raise IndexFormatError(
-                f"directory sidecar {_DIR_SIDECAR_FILE} is missing or corrupt: {exc}"
+                f"directory file {_NPZ_DIR_FILE} is missing or corrupt: {exc}"
             ) from exc
-    # Legacy: an index committed before the sidecar existed.  Its meta
-    # declares "npz" or, older still, no container at all; each array
-    # of the zipped archive decompresses into a private heap copy.
-    if container not in (None, "npz"):
+    else:
         raise IndexFormatError(f"unsupported directory container {container!r}")
+    extra = ("offsets",) if codec == "raw" else _FLAT_GROUPS["packed"]["block"]
     try:
-        with np.load(directory / _NPZ_DIR_FILE) as archive:
-            return {name: archive[name] for name in archive.files}
-    except (OSError, ValueError) as exc:
-        raise IndexFormatError(
-            f"directory file {_NPZ_DIR_FILE} is missing or corrupt: {exc}"
-        ) from exc
+        parts = {
+            name: [arrays[f"{name}_{func}"] for func in range(k)]
+            for name in _LEGACY_ARRAYS + extra
+        }
+        if codec == "packed":
+            parts["blk_widths"] = [w.reshape(-1, 4) for w in parts["blk_widths"]]
+        flat = {name: np.concatenate(sections) for name, sections in parts.items()}
+    except (KeyError, ValueError) as exc:
+        raise IndexFormatError(f"index directory lacks or misshapes {exc}") from exc
+    if codec == "raw":
+        flat["starts"] = flat.pop("offsets")
+    edges = {
+        name: np.cumsum([0] + [len(part) for part in parts[name]])
+        for name in ("keys", "zm_keys", "zm_samples")
+    }
+    flat["list_edges"], flat["zm_edges"] = edges["keys"], edges["zm_keys"]
+    flat["zm_starts"] = flat["zm_starts"].astype(np.int64) + np.repeat(
+        edges["zm_samples"][:-1], np.diff(edges["zm_keys"])
+    )
+    return layout, flat
 
 
 def _rows_of_texts(texts: np.ndarray, text_ids: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ relies on.  Run it after out-of-core builds, merges, or file transfers
 — a silently corrupted index would return silently wrong answers, since
 the searcher trusts the sort orders unconditionally.
 
-Checked invariants:
+Opening a disk index already refuses an out-of-order or misaligned
+directory (``docs/FORMATS.md``).  Checked invariants:
 
 1. directory keys are strictly increasing per hash function;
 2. every inverted list is sorted by text id;
@@ -20,9 +21,9 @@ Checked invariants:
    leading postings, the stored bit widths are exactly the minimal
    widths of the re-derived columns, and block byte offsets tile the
    payload contiguously within each list;
-8. (disk readers) the sidecar's TOC is self-consistent (aligned,
-   in-bounds, non-overlapping sections whose byte sizes match their
-   dtype/shape), and no legacy ``index.dir.npz`` sits beside it;
+8. (disk readers) the sidecar's sections are aligned and do not
+   overlap (opening already refused one that does not fit its dtype,
+   shape or file), and no legacy ``index.dir.npz`` sits beside it;
 9. (live-index roots, :func:`validate_live_index`) the LSM structure is
    sound: the manifest parses and every run it lists exists, is fully
    committed, matches the manifest's hash family / ``t`` / codec, and
@@ -178,13 +179,17 @@ def validate_index(
 
 
 def _validate_sidecar(directory, report: ValidationReport) -> None:
-    """Invariant (8): sidecar TOC soundness, no npz beside the sidecar."""
+    """Invariant (8): sidecar TOC soundness, no npz beside the sidecar.
+
+    Opening already refused a section whose bytes do not match its
+    dtype and shape or that ends past the file (:func:`read_sidecar`).
+    """
     if not (directory / SIDECAR_FILE).exists():
         return  # a legacy npz index: the reader already parsed it
     if (directory / "index.dir.npz").exists():
         report._fail("stray legacy index.dir.npz next to the directory sidecar")
     try:
-        sections, data_start, size = read_toc(directory / SIDECAR_FILE)
+        sections = read_toc(directory / SIDECAR_FILE)[0]
     except Exception as exc:  # noqa: BLE001 - any parse failure is the finding
         report._fail(f"sidecar TOC unreadable: {exc}")
         return
@@ -194,16 +199,6 @@ def _validate_sidecar(directory, report: ValidationReport) -> None:
         offset, nbytes = int(section["offset"]), int(section["nbytes"])
         if offset % SECTION_ALIGN:
             report._fail(f"sidecar section {name}: offset not {SECTION_ALIGN}-aligned")
-        expected = int(np.prod(section["shape"], dtype=np.int64)) * np.dtype(
-            section["dtype"]
-        ).itemsize
-        if nbytes != expected:
-            report._fail(
-                f"sidecar section {name}: nbytes {nbytes} does not match "
-                f"dtype/shape ({expected})"
-            )
-        if data_start + offset + nbytes > size:
-            report._fail(f"sidecar section {name}: extends past end of file")
         spans.append((offset, offset + nbytes, name))
     spans.sort()
     for (_, end, name), (start, _, other) in zip(spans, spans[1:]):

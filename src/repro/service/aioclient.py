@@ -25,8 +25,10 @@ non-200 / ``ok: false`` responses raise the same typed exceptions
 :class:`~repro.service.protocol.ServiceClosedError`,
 :class:`~repro.service.protocol.RemoteError`), so retry and
 partial-result policies never string-match.  A response the server cut
-short, or whose ``Content-Length`` is not a non-negative integer, is a
-``RemoteError`` with status 502: the replica failed, not the request.
+short, or whose head :func:`~repro.service.protocol.read_http_message`
+refuses (a header line without ``:``, a ``Content-Length`` that is not
+a non-negative integer), is a ``RemoteError`` with status 502: the
+replica failed, not the request.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ import asyncio
 import json
 from typing import Any
 
-from repro.service.protocol import RemoteError
-
-_MAX_HEADERS = 64
+from repro.service.protocol import RemoteError, read_http_message
 
 #: Transport failures that can mean "the pooled socket was already
 #: dead" when they strike before any response byte.
@@ -217,31 +217,16 @@ class AsyncServiceClient:
             status = int(parts[1])
         except ValueError:
             raise RemoteError(f"malformed status line {line!r}", 502)
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADERS):
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, separator, value = header.decode("latin-1").partition(":")
-            if separator:
-                headers[name.strip().lower()] = value.strip()
-        else:
-            raise RemoteError(f"more than {_MAX_HEADERS} response headers", 502)
-        keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-        length_text = headers.get("content-length", "0")
         try:
-            length = int(length_text)
-        except ValueError:
-            length = -1
-        if length < 0:
-            raise RemoteError(f"bad Content-Length {length_text!r}", 502)
-        try:
-            raw = await reader.readexactly(length) if length else b""
+            headers, raw = await read_http_message(reader)
+        except ValueError as exc:
+            raise RemoteError(str(exc), 502) from None
         except asyncio.IncompleteReadError as exc:
             raise RemoteError(
-                f"response body cut short: {len(exc.partial)} of {length} bytes",
+                f"response body cut short: {len(exc.partial)} of {exc.expected} bytes",
                 502,
-            )
+            ) from None
+        keep_alive = headers.get("connection", "keep-alive").lower() != "close"
         return status, keep_alive, raw
 
     @staticmethod

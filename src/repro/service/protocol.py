@@ -30,6 +30,7 @@ status on the HTTP line (400 malformed, 404 unknown path, 429 shed,
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 from typing import Any
 
@@ -79,6 +80,45 @@ class RemoteError(ServiceError):
     def __init__(self, message: str, status: int = 500) -> None:
         super().__init__(message)
         self.status = status
+
+
+# ----------------------------------------------------------------------
+# HTTP/1.1 framing
+# ----------------------------------------------------------------------
+#: Header lines one HTTP/1.1 head may carry.
+MAX_HEADERS = 64
+
+
+async def read_http_message(
+    reader: asyncio.StreamReader, max_body: int | None = None
+) -> tuple[dict[str, str], bytes]:
+    """Headers (names lower-cased) and ``Content-Length`` body after an
+    HTTP/1.1 first line, which each end parses itself.
+
+    A header line without ``:`` or past the stream's line limit, more
+    than :data:`MAX_HEADERS` headers, or a ``Content-Length`` that is
+    not a non-negative integer up to ``max_body`` raise ``ValueError``
+    (the server answers 400, the client reports 502); a stream that
+    ends inside the body raises ``asyncio.IncompleteReadError``.
+    """
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS):
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, separator, value = line.decode("latin-1").partition(":")
+        if not separator:
+            raise ValueError(f"malformed header {line!r}")
+        headers[name.strip().lower()] = value.strip()
+    else:
+        raise ValueError(f"more than {MAX_HEADERS} headers")
+    length_text = headers.get("content-length", "0")
+    length = int(length_text) if length_text.isdecimal() else -1
+    if length < 0:
+        raise ValueError(f"bad Content-Length {length_text!r}")
+    if max_body is not None and length > max_body:
+        raise ValueError(f"body of {length} bytes exceeds the {max_body}-byte limit")
+    return headers, (await reader.readexactly(length) if length else b"")
 
 
 # ----------------------------------------------------------------------

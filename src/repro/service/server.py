@@ -38,6 +38,7 @@ from repro.service.protocol import (
     parse_theta,
     parse_timeout,
     parse_tokens,
+    read_http_message,
     result_to_wire,
     stats_to_wire,
 )
@@ -57,7 +58,6 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
-_MAX_HEADERS = 64
 #: Largest request body accepted (a larger ``Content-Length`` is a 400).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
@@ -179,27 +179,10 @@ class HttpServiceBase:
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise ProtocolError(f"malformed request line {line!r}")
         method, path, _version = parts
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADERS):
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, separator, value = header.decode("latin-1").partition(":")
-            if not separator:
-                raise ProtocolError(f"malformed header {header!r}")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise ProtocolError(f"more than {_MAX_HEADERS} headers")
-        length_text = headers.get("content-length", "0")
         try:
-            length = int(length_text)
-        except ValueError:
-            raise ProtocolError(f"bad Content-Length {length_text!r}")
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ProtocolError(
-                f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-            )
-        body = await reader.readexactly(length) if length else b""
+            headers, body = await read_http_message(reader, MAX_BODY_BYTES)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
         return method, path, headers, body
 
     @staticmethod

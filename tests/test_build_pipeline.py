@@ -42,6 +42,7 @@ from repro.index.external import (
     _flush_partition,
     build_external_index,
 )
+from repro.index.codec import BLOCK_POSTINGS
 from repro.index.inverted import POSTING_BYTES, POSTING_DTYPE
 from repro.index.sidecar import SIDECAR_FILE, read_sidecar
 from repro.index.storage import _PAYLOAD_FILE, DiskInvertedIndex, write_index
@@ -76,10 +77,9 @@ def payload_lists(directory) -> dict[tuple[int, int], bytes]:
     """Payload bytes of every inverted list, keyed by ``(func, minhash)``.
 
     Lists are contiguous in the payload, so each one spans from its
-    offset to the next list's offset in file order.
+    start to the next list's start in file order.
     """
     index = DiskInvertedIndex(directory)
-    scale = 1 if index.codec == "packed" else POSTING_BYTES
     payload = (directory / _PAYLOAD_FILE).read_bytes()
     keys = [
         (func, int(key))
@@ -87,9 +87,13 @@ def payload_lists(directory) -> dict[tuple[int, int], bytes]:
         for key in index.list_keys(func)
     ]
     arrays = read_sidecar(directory / SIDECAR_FILE)[0]
-    starts = np.concatenate(
-        [arrays[f"offsets_{func}"] for func in range(index.family.k)]
-    ).astype(np.int64) * scale
+    if index.codec == "packed":
+        # A packed list starts at its first block, the blocks before it
+        # being its predecessors' in directory order.
+        blocks = (arrays["counts"].astype(np.int64) + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS
+        starts = arrays["blk_offsets"][np.cumsum(blocks) - blocks].astype(np.int64)
+    else:
+        starts = arrays["starts"] * POSTING_BYTES
     ends = np.empty_like(starts)
     order = np.argsort(starts)
     ends[order] = np.append(starts[order][1:], len(payload))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -141,6 +143,8 @@ class TestStats:
         out = capsys.readouterr().out
         assert "postings=" in out
         assert "#1:" in out
+        sidecar = Path(index_dir) / "index.dir.bin"
+        assert f"directory_bytes={sidecar.stat().st_size} layout=flat" in out
 
 
 class TestBatchQuery:

@@ -312,7 +312,8 @@ def assert_encodes_like_reference(lists: list[np.ndarray]) -> None:
         np.concatenate([np.empty(0, np.uint32)] + [o.first_texts for o in oracles]),
     )
     sizes = [int(o.data.size) for o in oracles]
-    assert encoded.list_offsets.tolist() == (np.cumsum(sizes) - sizes).tolist()
+    list_offsets = encoded.block_offsets[encoded.list_blocks[:-1]]
+    assert list_offsets.tolist() == (np.cumsum(sizes) - sizes).tolist()
     assert np.diff(encoded.list_blocks).tolist() == [o.num_blocks for o in oracles]
 
 
@@ -404,7 +405,7 @@ class TestEncodeLists:
         encoded = encode_lists(np.empty(0, dtype=POSTING_DTYPE), [0, 0, 0])
         assert encoded.data.size == 0 and encoded.widths.shape == (0, 4)
         assert encoded.list_blocks.tolist() == [0, 0, 0]
-        assert encoded.list_offsets.tolist() == [0, 0]
+        assert encoded.block_offsets[encoded.list_blocks[:-1]].tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -638,15 +639,15 @@ class TestErrorPaths:
         views = read_sidecar(clone / SIDECAR_FILE)[0]
         arrays = {name: np.array(view) for name, view in views.items()}
         del views  # unmap before the rewrite below
-        keys, counts = arrays[f"keys_{func}"], arrays[f"counts_{func}"].astype(np.int64)
-        slot = int(np.searchsorted(keys, minhash))
+        lo, hi = arrays["list_edges"][func : func + 2]
+        counts = arrays["counts"].astype(np.int64)
+        slot = lo + int(np.searchsorted(arrays["keys"][lo:hi], minhash))
         first_block = int(((counts[:slot] + BLOCK_POSTINGS - 1) // BLOCK_POSTINGS).sum())
         last_block = first_block + (postings.size - 1) // BLOCK_POSTINGS
-        widths = arrays[f"blk_widths_{func}"]
-        widths.reshape(-1, 4)[last_block, column] = width
+        arrays["blk_widths"][last_block, column] = width
         write_sidecar(clone / SIDECAR_FILE, arrays)
         disk = DiskInvertedIndex(clone)
-        text = int(arrays[f"blk_first_{func}"][last_block])
+        text = int(arrays["blk_first"][last_block])
         with pytest.raises(InvalidParameterError):
             disk.load_list(func, minhash)
         with pytest.raises(InvalidParameterError):
@@ -658,7 +659,7 @@ class TestErrorPaths:
         views = read_sidecar(clone / SIDECAR_FILE)[0]
         arrays = {name: np.array(view) for name, view in views.items()}
         del views  # unmap before the rewrite below
-        name = "blk_first_0"
+        name = "blk_first"
         if arrays[name].size:
             arrays[name] = arrays[name][:-1]
             write_sidecar(clone / SIDECAR_FILE, arrays)

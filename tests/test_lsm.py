@@ -572,6 +572,17 @@ class TestValidateLive:
         report = validate_live_index(sealed_root)
         assert not report.ok
 
+    def test_reports_run_with_torn_meta(self, sealed_root):
+        manifest = Manifest.load(sealed_root)
+        meta = sealed_root / manifest.runs[0] / "index.meta.json"
+        meta.write_text(meta.read_text()[:30])
+        report = validate_live_index(sealed_root)
+        assert not report.ok
+        assert any(
+            error.startswith(f"run {manifest.runs[0]}:") and "torn" in error
+            for error in report.errors
+        )
+
     def test_detects_missing_manifest(self, tmp_path):
         report = validate_live_index(tmp_path)
         assert not report.ok

@@ -490,6 +490,27 @@ class TestAsyncServiceClient:
 
         assert asyncio.run(exercise()) == 1
 
+    def test_header_without_colon_is_a_502(self, stub_shard):
+        """The client refuses a malformed response head, as the server
+        refuses a malformed request head, instead of skipping the line."""
+        import asyncio
+
+        host, port = stub_shard(
+            b"HTTP/1.1 200 OK\r\nno colon here\r\n"
+            b"Content-Length: 12\r\n\r\n{\"ok\": true}"
+        )
+
+        async def exercise():
+            client = AsyncServiceClient(host, port)
+            try:
+                with pytest.raises(RemoteError, match="malformed header") as excinfo:
+                    await client.health()
+                return excinfo.value.status
+            finally:
+                await client.close()
+
+        assert asyncio.run(exercise()) == 502
+
     def test_timeout_discards_the_connection(self, small_fleet):
         shard = small_fleet["shards"][0]
         shard.call(shard.service.batcher.pause)

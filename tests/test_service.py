@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -245,6 +246,33 @@ class TestEndpoints:
             assert payload["ok"] is False
         finally:
             connection.close()
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST /search HTTP/1.1\r\nno colon here\r\n\r\n",
+            b"POST /search HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"POST /search HTTP/1.1\r\nContent-Length: lots\r\n\r\n",
+            b"GET /health HTTP/1.1\r\nX: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=[
+            "header-without-colon",
+            "negative-length",
+            "non-integer-length",
+            "header-over-line-limit",
+        ],
+    )
+    def test_malformed_head_400(self, runner, head):
+        """A request head the shared framing reader refuses is a 400,
+        answered before the connection closes."""
+        with socket.create_connection((runner.host, runner.port), timeout=5) as sock:
+            sock.sendall(head)
+            with sock.makefile("rb") as stream:
+                reply = stream.read()
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.startswith(b"HTTP/1.1 400")
+        payload = json.loads(rest.split(b"\r\n\r\n", 1)[1])
+        assert payload["ok"] is False and payload["code"] == 400
 
     def test_bad_query_400(self, client):
         with pytest.raises(RemoteError) as excinfo:

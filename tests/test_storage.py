@@ -172,6 +172,77 @@ class TestFormatErrors:
             DiskInvertedIndex(clone)
 
 
+class TestTornMeta:
+    """A torn or mistyped meta is a format error, never a raw one."""
+
+    @pytest.fixture(scope="class")
+    def packed(self, saved, tmp_path_factory):
+        memory, _, _ = saved
+        return write_index(memory, tmp_path_factory.mktemp("packed"), codec="packed")
+
+    @staticmethod
+    def clone_with_meta(source, target, edit):
+        target.mkdir()
+        for path in source.iterdir():
+            (target / path.name).write_bytes(path.read_bytes())
+        meta = target / "index.meta.json"
+        meta.write_text(edit(meta.read_text()))
+        return target
+
+    def test_truncated_meta(self, saved, tmp_path):
+        clone = self.clone_with_meta(saved[2], tmp_path / "torn", lambda text: text[:40])
+        with pytest.raises(IndexFormatError, match="torn"):
+            DiskInvertedIndex(clone)
+
+    @pytest.mark.parametrize(
+        "codec, field",
+        [
+            ("raw", "t"),
+            ("raw", "num_postings"),
+            ("raw", "zonemap_step"),
+            ("raw", "family"),
+            ("packed", "payload_bytes"),
+        ],
+    )
+    def test_missing_field(self, saved, packed, tmp_path, codec, field):
+        source = packed if codec == "packed" else saved[2]
+
+        def drop(text):
+            meta = json.loads(text)
+            del meta[field]
+            return json.dumps(meta)
+
+        clone = self.clone_with_meta(source, tmp_path / "missing", drop)
+        with pytest.raises(IndexFormatError, match=field):
+            DiskInvertedIndex(clone)
+
+    @pytest.mark.parametrize("field", ["t", "zonemap_step"])
+    def test_non_positive_field(self, saved, tmp_path, field):
+        def edit(text):
+            meta = json.loads(text)
+            meta[field] = 0
+            return json.dumps(meta)
+
+        clone = self.clone_with_meta(saved[2], tmp_path / "zero", edit)
+        with pytest.raises(IndexFormatError, match=field):
+            DiskInvertedIndex(clone)
+
+    @pytest.mark.parametrize(
+        "family",
+        [{"k": 6, "a": "x", "b": [1]}, {"k": "six", "a": [], "b": []}, [1, 2]],
+        ids=["bad-arrays", "bad-k", "not-an-object"],
+    )
+    def test_malformed_family(self, saved, tmp_path, family):
+        def edit(text):
+            meta = json.loads(text)
+            meta["family"] = family
+            return json.dumps(meta)
+
+        clone = self.clone_with_meta(saved[2], tmp_path / "family", edit)
+        with pytest.raises(IndexFormatError):
+            DiskInvertedIndex(clone)
+
+
 class TestEmptyIndex:
     def test_write_and_read_empty(self, tmp_path):
         from repro.corpus.corpus import InMemoryCorpus

@@ -8,9 +8,10 @@ directory as Python lists of ints and reorders it list by list at
 close.  Patched in for ``repro.index.storage._IndexWriter`` (see
 :func:`oracle_writer`), it turns any build path into its oracle: the
 same lists in the same order, written by code that shares nothing with
-the vector writer but the sidecar container.  With ``dir_format="npz"``
-it also writes the legacy zipped directory the package no longer
-writes, so tests keep the reader's legacy branch covered.
+the vector writer but the sidecar container.  With ``dir_format``
+``"sidecar"`` or ``"npz"`` it also writes the legacy per-function
+directory the package no longer writes, so tests keep the reader's
+legacy branch covered.
 """
 
 from __future__ import annotations
@@ -133,7 +134,14 @@ def reference_decode_list(encoded: EncodedList) -> np.ndarray:
 # Per-list oracle writer
 # ----------------------------------------------------------------------
 class OracleIndexWriter:
-    """``_IndexWriter`` as a loop over lists, one scalar encode each."""
+    """``_IndexWriter`` as a loop over lists, one scalar encode each.
+
+    ``dir_format="flat"`` (the default) writes the one layout the
+    package writes; ``"sidecar"`` and ``"npz"`` write the legacy
+    per-function directory (``keys_0``, ``offsets_0``, ...) in the
+    sidecar or the zipped archive, which only the reader's legacy branch
+    opens.
+    """
 
     def __init__(
         self,
@@ -143,7 +151,7 @@ class OracleIndexWriter:
         zonemap_step=storage.DEFAULT_STEP,
         zonemap_min_list=storage.DEFAULT_ZONEMAP_MIN_LIST,
         codec="raw",
-        dir_format="sidecar",
+        dir_format="flat",
         num_texts=None,
     ):
         self._directory = Path(directory)
@@ -158,16 +166,8 @@ class OracleIndexWriter:
         self._payload = open(self._directory / storage._PAYLOAD_FILE, "wb")
         self._written = 0
         self._payload_bytes = 0
-        k = family.k
-        self._keys = [[] for _ in range(k)]
-        self._offsets = [[] for _ in range(k)]
-        self._counts = [[] for _ in range(k)]
-        self._zm_keys = [[] for _ in range(k)]
-        self._zm_ptr = [[] for _ in range(k)]
-        self._zm_samples = [[] for _ in range(k)]
-        self._blk_first = [[] for _ in range(k)]
-        self._blk_widths = [[] for _ in range(k)]
-        self._blk_offsets = [[] for _ in range(k)]
+        #: One record per list, in write order.
+        self._lists = []
         self.bytes_written = 0
         self.io_seconds = 0.0
 
@@ -179,70 +179,109 @@ class OracleIndexWriter:
             )
 
     def write_list(self, func, minhash, postings):
+        record = {"func": func, "key": minhash, "count": int(postings.size)}
         if self._codec == "packed":
             encoded = reference_encode_list(postings)
             self._payload.write(encoded.data.tobytes())
             sizes = encoded.block_sizes
-            self._blk_first[func].append(encoded.first_texts)
-            self._blk_widths[func].append(encoded.widths)
-            self._blk_offsets[func].append(
+            record["blk_first"] = encoded.first_texts
+            record["blk_widths"] = encoded.widths
+            record["blk_offsets"] = (
                 self._payload_bytes + np.concatenate(([0], np.cumsum(sizes)))[:-1]
             )
-            self._offsets[func].append(self._payload_bytes)
+            record["offset"] = self._payload_bytes
             self._payload_bytes += int(encoded.data.size)
         else:
             self._payload.write(postings.tobytes())
-            self._offsets[func].append(self._written)
+            record["offset"] = self._written
             self._payload_bytes += int(postings.size) * POSTING_BYTES
         self.bytes_written = self._payload_bytes
-        self._keys[func].append(minhash)
-        self._counts[func].append(int(postings.size))
-        if postings.size >= self._min_list:
-            self._zm_keys[func].append(minhash)
-            self._zm_ptr[func].append(sum(s.size for s in self._zm_samples[func]))
-            self._zm_samples[func].append(postings["text"][:: self._step].astype(np.uint32))
+        record["samples"] = (
+            postings["text"][:: self._step].astype(np.uint32)
+            if postings.size >= self._min_list
+            else None
+        )
+        self._lists.append(record)
         self._written += int(postings.size)
+
+    def _flat_arrays(self):
+        """The flat layout: one section per array across all functions."""
+        k = self._family.k
+        lists = sorted(self._lists, key=lambda r: (r["func"], r["key"]))
+        long = [r for r in self._lists if r["samples"] is not None]
+        sample_starts = {}
+        position = 0
+        for record in long:  # samples stay in write order
+            sample_starts[id(record)] = position
+            position += record["samples"].size
+        zone_mapped = sorted(long, key=lambda r: (r["func"], r["key"]))
+
+        def edges(records):
+            return np.asarray(
+                [sum(1 for r in records if r["func"] < f) for f in range(k + 1)],
+                dtype=np.int64,
+            )
+
+        arrays = {
+            "list_edges": edges(lists),
+            "keys": np.asarray([r["key"] for r in lists], dtype=np.uint32),
+            "counts": np.asarray([r["count"] for r in lists], dtype=np.uint32),
+        }
+        if self._codec == "packed":
+            arrays.update(_blocks(lists, np.int64))
+        else:
+            arrays["starts"] = np.asarray([r["offset"] for r in lists], dtype=np.int64)
+        arrays["zm_edges"] = edges(zone_mapped)
+        arrays["zm_keys"] = np.asarray([r["key"] for r in zone_mapped], dtype=np.uint32)
+        arrays["zm_starts"] = np.asarray(
+            [sample_starts[id(r)] for r in zone_mapped], dtype=np.int64
+        )
+        arrays["zm_lengths"] = np.asarray(
+            [r["samples"].size for r in zone_mapped], dtype=np.uint32
+        )
+        arrays["zm_samples"] = _joined([r["samples"] for r in long], np.uint32)
+        return arrays
+
+    def _legacy_arrays(self):
+        """The per-function layout: every array once per hash function,
+        ``offsets_f`` a posting index (raw) or byte offset (packed)."""
+        arrays = {}
+        for func in range(self._family.k):
+            written = [r for r in self._lists if r["func"] == func]
+            lists = sorted(written, key=lambda r: r["key"])
+            arrays[f"keys_{func}"] = np.asarray([r["key"] for r in lists], dtype=np.uint32)
+            arrays[f"offsets_{func}"] = np.asarray(
+                [r["offset"] for r in lists], dtype=np.uint64
+            )
+            arrays[f"counts_{func}"] = np.asarray(
+                [r["count"] for r in lists], dtype=np.uint32
+            )
+            if self._codec == "packed":
+                for name, array in _blocks(lists, np.uint64).items():
+                    arrays[f"{name}_{func}"] = array
+            long = [r for r in written if r["samples"] is not None]
+            starts = np.cumsum([0] + [r["samples"].size for r in long])[:-1]
+            order = sorted(range(len(long)), key=lambda i: long[i]["key"])
+            arrays[f"zm_keys_{func}"] = np.asarray(
+                [long[i]["key"] for i in order], dtype=np.uint32
+            )
+            arrays[f"zm_starts_{func}"] = np.asarray(
+                [starts[i] for i in order], dtype=np.uint64
+            )
+            arrays[f"zm_lengths_{func}"] = np.asarray(
+                [long[i]["samples"].size for i in order], dtype=np.uint32
+            )
+            arrays[f"zm_samples_{func}"] = _joined([r["samples"] for r in long], np.uint32)
+        return arrays
 
     def close(self):
         self._payload.close()
-        arrays = {}
-        for func in range(self._family.k):
-            keys = np.asarray(self._keys[func], dtype=np.uint32)
-            order = np.argsort(keys, kind="stable")
-            arrays[f"keys_{func}"] = keys[order]
-            arrays[f"offsets_{func}"] = np.asarray(self._offsets[func], dtype=np.uint64)[order]
-            arrays[f"counts_{func}"] = np.asarray(self._counts[func], dtype=np.uint32)[order]
-            if self._codec == "packed":
-                parts = (
-                    ("blk_first", self._blk_first[func], np.empty(0, np.uint32)),
-                    ("blk_widths", self._blk_widths[func], np.empty((0, 4), np.uint8)),
-                    ("blk_offsets", self._blk_offsets[func], np.empty(0, np.uint64)),
-                )
-                for name, fragments, empty in parts:
-                    arrays[f"{name}_{func}"] = (
-                        np.concatenate([fragments[i] for i in order]).astype(empty.dtype)
-                        if fragments
-                        else empty
-                    )
-            zm_keys = np.asarray(self._zm_keys[func], dtype=np.uint32)
-            zm_ptr = np.asarray(self._zm_ptr[func] + [0], dtype=np.uint64)
-            samples = (
-                np.concatenate(self._zm_samples[func])
-                if self._zm_samples[func]
-                else np.empty(0, dtype=np.uint32)
-            )
-            zm_ptr[-1] = samples.size
-            zm_order = np.argsort(zm_keys, kind="stable")
-            arrays[f"zm_keys_{func}"] = zm_keys[zm_order]
-            arrays[f"zm_starts_{func}"] = zm_ptr[:-1][zm_order]
-            arrays[f"zm_lengths_{func}"] = (
-                np.diff(zm_ptr.astype(np.int64))[zm_order].astype(np.uint32)
-            )
-            arrays[f"zm_samples_{func}"] = samples
-        if self._dir_format == "sidecar":
-            write_sidecar(self._directory / storage._DIR_SIDECAR_FILE, arrays)
+        if self._dir_format == "flat":
+            write_sidecar(self._directory / storage._DIR_SIDECAR_FILE, self._flat_arrays())
+        elif self._dir_format == "sidecar":
+            write_sidecar(self._directory / storage._DIR_SIDECAR_FILE, self._legacy_arrays())
         else:
-            np.savez(self._directory / storage._NPZ_DIR_FILE, **arrays)
+            np.savez(self._directory / storage._NPZ_DIR_FILE, **self._legacy_arrays())
         meta = {
             "format_version": 2 if self._codec == "packed" else 1,
             "t": self._t,
@@ -260,6 +299,23 @@ class OracleIndexWriter:
         temp = self._directory / "index.meta.json.tmp"
         temp.write_text(json.dumps(meta))
         os.replace(temp, self._directory / "index.meta.json")
+
+
+def _joined(parts, dtype, shape=()):
+    """``parts`` concatenated in ``dtype``; an empty array of trailing
+    ``shape`` when there are none."""
+    if not parts:
+        return np.empty((0, *shape), dtype=dtype)
+    return np.concatenate(parts).astype(dtype)
+
+
+def _blocks(lists, offset_dtype):
+    """The block arrays of ``lists``' blocks, list after list."""
+    return {
+        "blk_first": _joined([r["blk_first"] for r in lists], np.uint32),
+        "blk_widths": _joined([r["blk_widths"] for r in lists], np.uint8, (4,)),
+        "blk_offsets": _joined([r["blk_offsets"] for r in lists], offset_dtype),
+    }
 
 
 @contextlib.contextmanager
