@@ -20,7 +20,7 @@ endpoint sweeps:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -294,29 +294,24 @@ class FusedRectangles:
     def size(self) -> int:
         return int(self.group.size)
 
-    def filtered(self, mask: np.ndarray) -> "FusedRectangles":
-        """Rows where ``mask`` holds (e.g. the min-length filter)."""
+    def filtered(self, mask) -> "FusedRectangles":
+        """Rows where ``mask`` holds (or that a slice or index array picks)."""
+        return FusedRectangles(*(getattr(self, spec.name)[mask] for spec in fields(self)))
+
+    @staticmethod
+    def concat(parts: list["FusedRectangles"]) -> "FusedRectangles":
+        """The rows of ``parts``, in order (new arrays)."""
         return FusedRectangles(
-            self.group[mask],
-            self.i_lo[mask],
-            self.i_hi[mask],
-            self.j_lo[mask],
-            self.j_hi[mask],
-            self.count[mask],
+            *(
+                np.concatenate([getattr(part, spec.name) for part in parts])
+                for spec in fields(FusedRectangles)
+            )
         )
 
     def rectangles(self) -> list[CollisionRectangle]:
         """Every row as a :class:`CollisionRectangle`, in row order."""
-        return [
-            CollisionRectangle(i_lo=a, i_hi=b, j_lo=c, j_hi=d, count=e)
-            for a, b, c, d, e in zip(
-                self.i_lo.tolist(),
-                self.i_hi.tolist(),
-                self.j_lo.tolist(),
-                self.j_hi.tolist(),
-                self.count.tolist(),
-            )
-        ]
+        columns = (self.i_lo, self.i_hi, self.j_lo, self.j_hi, self.count)
+        return list(map(CollisionRectangle, *(column.tolist() for column in columns)))
 
 
 def fused_collision_count(

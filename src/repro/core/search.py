@@ -49,6 +49,10 @@ group.  It reads the batch's distinct short lists with one
 ``load_list``, each once however many queries share it;
 :meth:`NearDuplicateSearcher.search` is the batch of one, on the same
 path.
+
+The scan answers in columns, one :class:`BatchAnswer`; its
+:meth:`~BatchAnswer.results` is the one place that builds
+:class:`SearchResult` objects, at the plan's threshold or a stricter one.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from repro.core.intervals import (
     fused_collision_count,
 )
 from repro.core.theory import collision_threshold
-from repro.core.verify import Span, merge_overlapping_spans
+from repro.core.verify import Span, distinct_jaccard, merge_overlapping_spans
 from repro.exceptions import InvalidParameterError, QueryError
 from repro.index.inverted import InvertedIndexReader, posting_rows, range_indices
 
@@ -114,14 +118,9 @@ class QueryStats:
         return max(0.0, self.total_seconds - self.io_seconds)
 
     def merge(self, other: "QueryStats") -> None:
-        """Fold ``other`` into this accumulator, field by field.
-
-        Enumerates the dataclass fields so a counter added to
-        ``QueryStats`` later is merged automatically — shard fan-out
-        and batch accumulation both go through here, and a hand-written
-        sum would silently drop new fields (as happened with
-        ``point_reads``).
-        """
+        """Fold ``other`` into this accumulator, field by field, so a
+        counter added later is merged too (a router's shards' stats go
+        through here)."""
         for spec in dataclasses.fields(self):
             setattr(
                 self, spec.name, getattr(self, spec.name) + getattr(other, spec.name)
@@ -280,30 +279,95 @@ class BatchPlan:
         )
 
 
-def derive_theta_result(base: SearchResult, theta: float) -> SearchResult:
-    """Restrict a loose-threshold result to a stricter ``theta``.
+#: :class:`QueryStats`' integer counters, in field order after its two
+#: clock fields: the columns of :attr:`BatchAnswer.counters`.
+COUNTERS = tuple(spec.name for spec in dataclasses.fields(QueryStats))[2:]
+_MATCHED = COUNTERS.index("texts_matched")
 
-    The collision-count rectangles carry *exact* counts, so a result
-    computed at a loose threshold contains every stricter answer: keep
-    the rectangles with ``count >= ceil(k * theta)``.  Used by
-    :meth:`NearDuplicateSearcher.search_thetas` and the batch executor's
-    multi-theta path; the derived result reuses the base query's stats
-    (the index was touched once).
-    """
-    beta = collision_threshold(base.k, theta)
-    matches = []
-    for match in base.matches:
-        kept = tuple(rect for rect in match.rectangles if rect.count >= beta)
-        if kept:
-            matches.append(TextMatch(match.text_id, kept))
-    return SearchResult(
-        matches=matches,
-        stats=QueryStats(**{**vars(base.stats), "texts_matched": len(matches)}),
-        k=base.k,
-        theta=theta,
-        beta=beta,
-        t=base.t,
-    )
+
+@dataclass(eq=False)
+class BatchAnswer:
+    """Steps 3–5 of a plan's unique queries, as columns: the rectangles
+    that pass the length-``t`` filter (narrowed under ``verify``), each
+    tagged with its ``(query, text)`` group, and each query's stats."""
+
+    k: int
+    t: int
+    theta: float
+    beta: int
+    verify: bool
+    #: Each group's unique query (non-decreasing) and text.
+    group_query: np.ndarray
+    group_text: np.ndarray
+    #: The kept rectangles; ``rect.group`` indexes the groups.
+    rect: FusedRectangles
+    #: ``(U, 2)``: each query's share of the batch's clock and I/O seconds.
+    seconds: np.ndarray
+    #: ``(U, len(COUNTERS))`` int64: each query's :data:`COUNTERS`.
+    counters: np.ndarray
+
+    def results(self, theta: float | None = None) -> list[SearchResult]:
+        """One :class:`SearchResult` per unique query, at ``theta``
+        (default: the plan's) or a stricter one: the rows with ``count >=
+        ceil(k * theta)``.  A looser threshold would miss texts the prune
+        dropped and verification ran at the plan's: both are refused."""
+        theta = self.theta if theta is None else theta
+        beta = collision_threshold(self.k, theta)
+        if beta < self.beta or (self.verify and theta != self.theta):
+            raise InvalidParameterError(
+                f"an answer scanned at theta={self.theta} (beta={self.beta}"
+                f"{', verified' if self.verify else ''}) cannot answer theta={theta}"
+            )
+        rect = self.rect if beta == self.beta else self.rect.filtered(self.rect.count >= beta)
+        matches: list[list[TextMatch]] = [[] for _ in self.counters]
+        if rect.size:
+            rectangles = rect.rectangles()
+            firsts = [0, *((rect.group[1:] != rect.group[:-1]).nonzero()[0] + 1).tolist()]
+            heads = rect.group[firsts]
+            for position, text_id, lo, hi in zip(
+                self.group_query[heads].tolist(),
+                self.group_text[heads].tolist(),
+                firsts,
+                [*firsts[1:], rect.size],
+            ):
+                matches[position].append(TextMatch(text_id, tuple(rectangles[lo:hi])))
+        counters = self.counters.copy()
+        counters[:, _MATCHED] = [len(found) for found in matches]
+        return [
+            SearchResult(found, QueryStats(*clock, *row), self.k, theta, beta, self.t)
+            for found, clock, row in zip(matches, self.seconds.tolist(), counters.tolist())
+        ]
+
+    def as_hit(self) -> "BatchAnswer":
+        """This answer as a memo replays it: no clock, I/O or work, only
+        ``texts_matched``."""
+        counters = np.zeros_like(self.counters)
+        counters[:, _MATCHED] = self.counters[:, _MATCHED]
+        return dataclasses.replace(
+            self, seconds=np.zeros_like(self.seconds), counters=counters
+        )
+
+    @staticmethod
+    def gather(picks: list[tuple["BatchAnswer", int]]) -> "BatchAnswer":
+        """Query ``row`` of each ``(answer, row)`` pick (of one scan's
+        parameters) as one answer with its own arrays."""
+        rects, texts, sizes = [], [], []
+        groups = 0  # kept groups of the earlier picks
+        for answer, row in picks:
+            lo, hi = answer.group_query.searchsorted([row, row + 1])
+            rect = answer.rect.filtered(slice(*answer.rect.group.searchsorted([lo, hi])))
+            rects.append(dataclasses.replace(rect, group=rect.group - lo + groups))
+            texts.append(answer.group_text[lo:hi])
+            sizes.append(hi - lo)
+            groups += hi - lo
+        return dataclasses.replace(
+            picks[0][0],
+            group_query=np.arange(len(picks)).repeat(sizes),
+            group_text=np.concatenate(texts),
+            rect=FusedRectangles.concat(rects),
+            seconds=np.array([answer.seconds[row] for answer, row in picks]),
+            counters=np.array([answer.counters[row] for answer, row in picks]),
+        )
 
 
 def _list_runs(texts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,12 +441,8 @@ def _merged(parts: list[FusedRectangles]) -> FusedRectangles:
     parts = [part for part in parts if part.size] or parts[:1]
     if len(parts) == 1:
         return parts[0]
-    columns = [
-        np.concatenate([getattr(part, name) for part in parts])
-        for name in ("group", "i_lo", "i_hi", "j_lo", "j_hi", "count")
-    ]
-    order = np.argsort(columns[0], kind="stable")
-    return FusedRectangles(*(column[order] for column in columns))
+    rect = FusedRectangles.concat(parts)
+    return rect.filtered(np.argsort(rect.group, kind="stable"))
 
 
 class NearDuplicateSearcher:
@@ -464,7 +524,8 @@ class NearDuplicateSearcher:
         The batch of one: its stats' clock starts before planning.
         """
         marks = self._marks()
-        return self._search_batch(self.plan([query], theta, verify=verify), marks=marks)[0]
+        plan = self.plan([query], theta, verify=verify)
+        return self._search_batch(plan, marks=marks).results()[0]
 
     def plan(
         self,
@@ -538,10 +599,10 @@ class NearDuplicateSearcher:
         plan: BatchPlan,
         *,
         marks: tuple[float, int, int, float] | None = None,
-    ) -> list[SearchResult]:
+    ) -> BatchAnswer:
         """Steps 3–5 for every unique query of ``plan``, scanned as one
-        batch at the plan's threshold and ``verify``; one result per
-        unique query, in order.
+        batch at the plan's threshold and ``verify``: one
+        :class:`BatchAnswer` over the unique queries, in order.
 
         The batch's distinct short lists (:attr:`BatchPlan.short_lists`)
         are read with one ``load_list``, each once however many queries
@@ -568,9 +629,6 @@ class NearDuplicateSearcher:
         ):
             plan = self.plan(plan.queries, theta, verify=verify, sketches=plan.sketches)
         size = plan.num_unique
-        if not size:
-            return []
-
         owner, list_keys, slots = plan.short_lists
         counts = np.bincount(owner, minlength=size)
         long_counts = plan.long.sum(axis=1)
@@ -642,7 +700,8 @@ class NearDuplicateSearcher:
         # Refinement (step 4) for the queries with long lists: one point
         # read per query over all its candidates, then one kernel pass
         # at ``beta`` over every refined group.
-        point_io: dict[int, list] = {}  # position -> its point reads' I/O
+        own_io = np.zeros((size, 2), dtype=np.int64)  # point-read bytes, calls
+        own_seconds = np.zeros(size)
         refined = found[long_counts[found_query] > 0]
         if refined.size:
             edges = group_query[refined].searchsorted(np.arange(size + 1)).tolist()
@@ -654,7 +713,9 @@ class NearDuplicateSearcher:
                     plan.sketches[position, long_funcs],
                     group_texts[refined[edges[position] : edges[position + 1]]],
                 )
-                point_io[position] = [b - a for a, b in zip(before, self._marks())][1:]
+                after = self._marks()
+                own_io[position] = after[1] - before[1], after[2] - before[2]
+                own_seconds[position] = after[3] - before[3]
                 long_rows = posting_rows(postings)
                 short_rows.append(long_rows)
                 short_groups.append(
@@ -667,55 +728,38 @@ class NearDuplicateSearcher:
             second = fused_collision_count(*refine.T[1:], refine_groups, beta)
             rect = _merged([first, second])
 
-        # Step 5: the sequences of length >= t, one match per group.
+        # Step 5: the sequences of length >= t, and the groups they keep.
         rect = rect.filtered(rect.j_hi - rect.i_lo + 1 >= self.t)
-        matches: list[list[TextMatch]] = [[] for _ in range(size)]
-        if rect.group.size:
-            rectangles = rect.rectangles()
-            cuts = ((rect.group[1:] != rect.group[:-1]).nonzero()[0] + 1).tolist()
-            for group, lo, hi in zip(
-                rect.group[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(rectangles)]
-            ):
-                position, text_id = int(group_query[group]), int(group_texts[group])
-                kept_rects = rectangles[lo:hi]
-                if verify:
-                    kept_rects = self._verify_rectangles(
-                        plan.queries[position], theta, text_id, kept_rects
-                    )
-                if kept_rects:
-                    matches[position].append(TextMatch(text_id, tuple(kept_rects)))
+        if verify:
+            rect = self._verified(plan, rect, group_query, group_texts)
+        matched = np.ones(rect.size, dtype=bool)  # each group's first row
+        np.not_equal(rect.group[1:], rect.group[:-1], out=matched[1:])
 
-        # Counters per query by bincount, in ``QueryStats`` field order
-        # after the clock and I/O; clock and reads shared out.
+        # Counters per query by bincount, in ``COUNTERS`` order; the
+        # clock and the reads other than a query's own point reads are
+        # shared out evenly (integer shares sum to the batch's).
         elapsed = time.perf_counter() - marks[0]
+        end = self._marks()
         candidates = np.bincount(found_query, minlength=size)
-        counters = np.array(
-            (counts, long_counts, scanned, candidates, [len(m) for m in matches])
-            + ((candidates > 0) * long_counts, rows_scanned, rows_kept),
-            dtype=np.int64,
-        ).T.tolist()
-        shared = [now - then for then, now in zip(marks, self._marks())][1:]
-        for reads in point_io.values():
-            shared = [total - own for total, own in zip(shared, reads)]
+        members = max(size, 1)  # an empty plan has nothing to share
+        shared = np.array([end[1] - marks[1], end[2] - marks[2]]) - own_io.sum(axis=0)
+        shares = shared * np.arange(size + 1)[:, None] // members
+        counters = np.column_stack(
+            (own_io + shares[1:] - shares[:-1], counts, long_counts, scanned)
+            + (candidates, np.bincount(group_query[rect.group[matched]], minlength=size))
+            + ((candidates > 0) * long_counts, rows_scanned, rows_kept)
+        ).astype(np.int64)
+        io_seconds = own_seconds + (end[3] - marks[3] - own_seconds.sum()) / members
         logger.debug(
             "query theta=%.2f beta=%d: batch of %d, %d candidates, %.1fms",
             *(theta, beta, size, found.size, 1e3 * elapsed),
         )
-        results = []
-        for position, row in enumerate(counters):
-            own = point_io.get(position, (0, 0, 0.0))
-            # Even integer shares: the members' reads sum to the batch's.
-            io_bytes, io_calls = (
-                own[at] + total * (position + 1) // size - total * position // size
-                for at, total in enumerate(shared[:2])
-            )
-            stats = QueryStats(
-                elapsed / size, own[2] + shared[2] / size, io_bytes, io_calls, *row
-            )
-            results.append(
-                SearchResult(matches[position], stats, self.family.k, theta, beta, self.t)
-            )
-        return results
+        return BatchAnswer(
+            *(self.family.k, self.t, theta, beta, verify),
+            *(group_query, group_texts, rect),
+            np.column_stack((np.full(size, elapsed / members), io_seconds)),
+            counters,
+        )
 
     # ------------------------------------------------------------------
     def search_thetas(
@@ -723,26 +767,24 @@ class NearDuplicateSearcher:
     ) -> dict[float, SearchResult]:
         """Answer one query at several thresholds with a single index pass.
 
-        The collision-count rectangles carry *exact* counts, so a run
-        at the loosest threshold ``min(thetas)`` already contains every
-        stricter answer: the result for a larger ``theta`` is simply
-        the rectangles with ``count >= ceil(k * theta)``.  Memorization
-        sweeps (Figure 4's theta axis) become one pass instead of one
-        per theta.
+        One scan at ``min(thetas)``; every threshold is cut from its
+        answer (:meth:`BatchAnswer.results`), so Figure 4's theta axis
+        costs one pass, not one per theta.
         """
         if not thetas:
             raise InvalidParameterError("at least one theta is required")
-        base = self.search(query, min(thetas))
-        return {theta: derive_theta_result(base, theta) for theta in thetas}
+        marks = self._marks()
+        answer = self._search_batch(self.plan([query], min(thetas)), marks=marks)
+        return {theta: answer.results(theta)[0] for theta in thetas}
 
     # ------------------------------------------------------------------
-    def _verify_rectangles(
+    def _verified(
         self,
-        query: np.ndarray,
-        theta: float,
-        text_id: int,
-        rectangles: list[CollisionRectangle],
-    ) -> list[CollisionRectangle]:
+        plan: BatchPlan,
+        rect: FusedRectangles,
+        group_query: np.ndarray,
+        group_texts: np.ndarray,
+    ) -> FusedRectangles:
         """Exact-Jaccard filter: shrink each rectangle to the verified pairs.
 
         A rectangle is kept iff at least one of its sequences passes;
@@ -753,30 +795,21 @@ class NearDuplicateSearcher:
         over-approximation — the common deployment merges regions
         anyway).
         """
-        from repro.core.verify import distinct_jaccard
-
-        text = np.asarray(self.corpus[text_id])
-        verified: list[CollisionRectangle] = []
-        for rect in rectangles:
+        bounds = np.stack((rect.i_lo, rect.i_hi, rect.j_lo, rect.j_hi))
+        keep = np.zeros(rect.size, dtype=bool)
+        for row, (group, rectangle) in enumerate(zip(rect.group, rect.rectangles())):
+            query = plan.queries[group_query[group]]
+            text = np.asarray(self.corpus[int(group_texts[group])])
             passing = [
                 (i, j)
-                for (i, j) in rect.iter_spans(self.t)
-                if distinct_jaccard(query, text[i : j + 1]) >= theta
+                for (i, j) in rectangle.iter_spans(self.t)
+                if distinct_jaccard(query, text[i : j + 1]) >= plan.theta
             ]
-            if not passing:
-                continue
-            i_values = [i for i, _ in passing]
-            j_values = [j for _, j in passing]
-            verified.append(
-                CollisionRectangle(
-                    i_lo=min(i_values),
-                    i_hi=max(i_values),
-                    j_lo=min(j_values),
-                    j_hi=max(j_values),
-                    count=rect.count,
-                )
-            )
-        return verified
+            if passing:
+                i_values, j_values = zip(*passing)
+                bounds[:, row] = min(i_values), max(i_values), min(j_values), max(j_values)
+                keep[row] = True
+        return FusedRectangles(rect.group, *bounds, rect.count).filtered(keep)
 
     # ------------------------------------------------------------------
     def search_many(

@@ -16,6 +16,7 @@ local (each shard has its own Zipf head), which is what
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,44 +173,25 @@ class ShardedSearcher:
             for shard in sharded.shards
         ]
 
-    def _merge(self, results: list, theta: float):
-        """Re-number per-shard results to global ids and concatenate.
-
-        ``results`` must be in shard order; per-shard matches are
-        already sorted by local text id and shard ranges ascend, so the
-        final sort is a no-op safety net rather than a real shuffle.
-        """
-        from repro.core.search import QueryStats, SearchResult
-
-        merged_matches = []
-        stats = QueryStats()
-        beta = k = 0
-        for shard, result in zip(self.sharded.shards, results):
-            beta, k = result.beta, result.k
-            for match in result.matches:
-                merged_matches.append(
-                    type(match)(
-                        text_id=match.text_id + shard.first_text,
-                        rectangles=match.rectangles,
-                    )
-                )
-            stats.merge(result.stats)
-        stats.texts_matched = len(merged_matches)
-        merged_matches.sort(key=lambda m: m.text_id)
-        return SearchResult(
-            matches=merged_matches,
-            stats=stats,
-            k=k,
-            theta=theta,
-            beta=beta,
-            t=self.t,
-        )
-
     def search(self, query: np.ndarray, theta: float, *, verify: bool = False):
-        return self._merge(
+        """One result over every shard: global text ids, summed stats.
+
+        The shards' answers gather in shard order, and shard ranges
+        ascend, so the matches come out sorted by text."""
+        from repro.core.search import BatchAnswer
+
+        answer = BatchAnswer.gather(
             [
-                searcher.search(query, theta, verify=verify)
+                (searcher._search_batch(searcher.plan([query], theta, verify=verify)), 0)
                 for searcher in self._searchers
-            ],
-            theta,
+            ]
         )
+        firsts = np.array([shard.first_text for shard in self.sharded.shards])
+        (result,) = dataclasses.replace(
+            answer,
+            group_query=np.zeros_like(answer.group_query),
+            group_text=answer.group_text + firsts[answer.group_query],
+            seconds=answer.seconds.sum(axis=0, keepdims=True),
+            counters=answer.counters.sum(axis=0, keepdims=True),
+        ).results()
+        return result

@@ -13,7 +13,10 @@ One strategy, on the calling thread, with the batch as the unit:
    ``(query, text)`` run counts, one gather of the surviving rows, one
    kernel pass at each query's reduced threshold and one refinement
    pass for the queries with long lists.  A plan a moved live index
-   built against an older generation is planned again.
+   built against an older generation is planned again;
+3. the scan's one :class:`~repro.core.search.BatchAnswer` cuts a result
+   per unique query at each threshold asked for, and its counter
+   columns sum into the batch's stats.
 
 An uncached searcher gets one
 :class:`~repro.index.cache.CachedIndexReader` per executor, kept warm
@@ -30,14 +33,15 @@ pool were measured against this path and deleted (``docs/TUNING.md``,
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 
 import numpy as np
 
 from repro.core.search import (
+    BatchAnswer,
     BatchPlan,
     NearDuplicateSearcher,
     SearchResult,
-    derive_theta_result,
 )
 from repro.exceptions import InvalidParameterError
 from repro.index.cache import CachedIndexReader
@@ -45,6 +49,10 @@ from repro.query.results import BatchResult, BatchStats
 
 #: Capacity of the cache the executor owns for an uncached searcher.
 CACHE_BYTES = 32 * 1024 * 1024
+
+#: The cache counters a batch reports, each as its ``cache_*`` delta.
+CACHE_COUNTERS = ("hits", "misses", "evictions", "admission_rejections")
+CACHE_COUNTERS += ("singleflight_waits",)
 
 
 class BatchQueryExecutor:
@@ -104,16 +112,12 @@ class BatchQueryExecutor:
         verify: bool = False,
     ) -> BatchResult:
         """Answer every query; results come back in input order."""
-        if self.batch_size is not None and len(queries) > self.batch_size:
-            combined = BatchResult()
-            for start in range(0, len(queries), self.batch_size):
-                chunk = self._execute_batch(
-                    queries[start : start + self.batch_size], theta, verify=verify
-                )
-                combined.results.extend(chunk.results)
-                combined.stats.merge(chunk.stats)
-            return combined
-        return self._execute_batch(queries, theta, verify=verify)
+        batch = BatchResult()
+        for plan, answer, stats in self._answers(queries, theta, verify):
+            unique = answer.results()
+            batch.results.extend(unique[row] for row in plan.assignment)
+            batch.stats.merge(stats)
+        return batch
 
     def execute_thetas(
         self,
@@ -122,18 +126,20 @@ class BatchQueryExecutor:
     ) -> tuple[list[dict[float, SearchResult]], BatchStats]:
         """Batch variant of :meth:`NearDuplicateSearcher.search_thetas`.
 
-        One batched pass at the loosest threshold answers every stricter
-        one (rectangles carry exact collision counts); returns one
-        ``{theta: SearchResult}`` dict per query, in input order.
+        One batched pass at the loosest threshold answers every theta;
+        returns one ``{theta: SearchResult}`` dict per query, in order.
         """
         if not thetas:
             raise InvalidParameterError("at least one theta is required")
-        batch = self.execute(queries, min(thetas))
-        per_query = [
-            {theta: derive_theta_result(base, theta) for theta in thetas}
-            for base in batch.results
-        ]
-        return per_query, batch.stats
+        per_query, total = [], BatchStats()
+        for plan, answer, stats in self._answers(queries, min(thetas), False):
+            by_theta = {theta: answer.results(theta) for theta in thetas}
+            per_query.extend(
+                {theta: by_theta[theta][row] for theta in thetas}
+                for row in plan.assignment
+            )
+            total.merge(stats)
+        return per_query, total
 
     def execute_plan(self, plan: BatchPlan) -> BatchResult:
         """Run an already-built :class:`~repro.core.search.BatchPlan` at
@@ -145,16 +151,34 @@ class BatchQueryExecutor:
         :meth:`~repro.core.search.NearDuplicateSearcher.plan` with
         ``sketches=...`` and hand it here, skipping the executor's own
         planning pass.
-
-        One :meth:`~repro.core.search.NearDuplicateSearcher._search_batch`
-        over the unique queries, plus the batch's stats: the per-query
-        stats (the list reads included) and the cache's counter deltas.
         """
+        answer, stats = self._scan(plan)
+        unique = answer.results()
+        return BatchResult([unique[row] for row in plan.assignment], stats)
+
+    # ------------------------------------------------------------------
+    def _answers(
+        self, queries: list[np.ndarray], theta: float, verify: bool
+    ) -> Iterator[tuple[BatchPlan, BatchAnswer, BatchStats]]:
+        """Plan and scan ``queries``, ``batch_size`` at a time."""
+        step = self.batch_size or len(queries) or 1
+        for start in range(0, len(queries) or 1, step):
+            begin = time.perf_counter()
+            plan = self.searcher.plan(queries[start : start + step], theta, verify=verify)
+            answer, stats = self._scan(plan)
+            stats.total_seconds = time.perf_counter() - begin
+            yield plan, answer, stats
+
+    def _scan(self, plan: BatchPlan) -> tuple[BatchAnswer, BatchStats]:
+        """One ``_search_batch`` over the unique queries, and the batch's
+        stats with the cache's counter deltas."""
         begin = time.perf_counter()
         searcher = self._planned_searcher()
         cache_before = searcher.index.stats()
-        unique_results = searcher._search_batch(plan)
-        stats = BatchStats(
+        answer = searcher._search_batch(plan)
+        cache_after = searcher.index.stats()
+        stats = BatchStats.from_answer(
+            answer,
             queries=plan.num_queries,
             unique_queries=plan.num_unique,
             lists_referenced=int(
@@ -162,35 +186,13 @@ class BatchQueryExecutor:
             ),
             distinct_lists=int(plan.short_lists[1].size),
             plan_seconds=plan.plan_seconds,
-        )
-        for result in unique_results:
-            stats.add_query(result.stats)
-        cache_after = searcher.index.stats()
-        stats.cache_hits = cache_after.hits - cache_before.hits
-        stats.cache_misses = cache_after.misses - cache_before.misses
-        stats.cache_evictions = cache_after.evictions - cache_before.evictions
-        stats.cache_admission_rejections = (
-            cache_after.admission_rejections - cache_before.admission_rejections
-        )
-        stats.cache_singleflight_waits = (
-            cache_after.singleflight_waits - cache_before.singleflight_waits
+            **{
+                f"cache_{name}": getattr(cache_after, name) - getattr(cache_before, name)
+                for name in CACHE_COUNTERS
+            },
         )
         stats.execute_seconds = stats.total_seconds = time.perf_counter() - begin
-        results = [unique_results[position] for position in plan.assignment]
-        return BatchResult(results=results, stats=stats)
-
-    # ------------------------------------------------------------------
-    def _execute_batch(
-        self,
-        queries: list[np.ndarray],
-        theta: float,
-        *,
-        verify: bool,
-    ) -> BatchResult:
-        begin = time.perf_counter()
-        batch = self.execute_plan(self.searcher.plan(queries, theta, verify=verify))
-        batch.stats.total_seconds = time.perf_counter() - begin
-        return batch
+        return answer, stats
 
     def _planned_searcher(self) -> NearDuplicateSearcher:
         """A searcher that reads through a list cache, reusing the

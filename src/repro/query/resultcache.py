@@ -2,9 +2,10 @@
 
 The memorization evaluation replays heavily repeated queries (the same
 training prefixes probed again and again); for those, even a warm list
-cache still pays sketching, candidate sweeps, and refinement.  This
-tier memoizes the *entire* :class:`~repro.core.search.SearchResult`
-keyed by ``(query_key, theta, verify)``, where
+cache still pays candidate sweeps and refinement.  This tier memoizes
+a query's *entire* answer, its row of a
+:class:`~repro.core.search.BatchAnswer`, keyed by
+``(query_key, theta, verify)``, where
 :func:`~repro.core.search.query_key` is the one definition of query
 identity, the same key a :class:`~repro.core.search.BatchPlan` dedups
 by.
@@ -28,11 +29,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from collections.abc import Hashable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.core.search import BatchPlan, QueryStats, query_key
+from repro.core.search import BatchAnswer, BatchPlan
 from repro.exceptions import InvalidParameterError
 
 #: Default number of memoized results.
@@ -62,7 +63,7 @@ class ResultCacheStats:
 
 
 class ResultCache:
-    """LRU of ``key -> SearchResult``, invalidated by generation.
+    """LRU of ``key -> answer``, invalidated by generation.
 
     ``generation_fn`` names the backend's commit point (the LSM
     manifest generation plus memtable growth for the live backend, a
@@ -174,46 +175,31 @@ class CachingSearcher:
     ):
         """The inner searcher's ``search``, answered from the memo on a repeat.
 
-        The query is sketched once: the sketch keys the memo, and a miss
-        runs as the inner batch of one planned from it.
-        """
-        query = np.asarray(query, dtype=np.uint32)
-        if query.size == 0:
-            # Error path (QueryError) belongs to the inner searcher.
-            return self.inner.search(query, theta, verify=verify)
-        sketch = self.inner.family.sketch(query)
-        key = (query_key(sketch, query, verify), theta, bool(verify))
-        cached, generation = self.result_cache.lookup(key)
-        if cached is not None:
-            return self._hit(cached)
-        plan = self.inner.plan([query], theta, verify=verify, sketches=sketch[None])
-        (result,) = self.inner._search_batch(plan)
-        self.result_cache.store(key, result, generation)
-        return result
+        The batch of one through :meth:`_search_batch`."""
+        plan = self.inner.plan([query], theta, verify=verify)
+        return self._search_batch(plan).results()[0]
 
-    def _search_batch(self, plan: BatchPlan):
-        """The inner searcher's batch scan, memoized per unique query:
-        hits are answered from the memo, the misses' rows of the plan
-        run as one inner batch."""
+    def _search_batch(self, plan: BatchPlan) -> BatchAnswer:
+        """The inner searcher's batch scan, memoized per unique query: the
+        misses' rows run as one inner batch and each is memoized as its own
+        one-row answer, which a hit replays with no work (``as_hit``)."""
+        if not plan.num_unique:
+            return self.inner._search_batch(plan)
         keys = [(key, plan.theta, plan.verify) for key in plan.query_keys]
         looked = [self.result_cache.lookup(key) for key in keys]
         misses = [row for row, (cached, _) in enumerate(looked) if cached is None]
         if len(misses) < plan.num_unique:
             plan = plan.subset(misses)
-        computed = iter(self.inner._search_batch(plan) if misses else ())
-        results = []
+        fresh = self.inner._search_batch(plan) if misses else None
+        rows = iter(range(len(misses)))
+        picks = []
         for key, (cached, generation) in zip(keys, looked):
             if cached is None:
-                results.append(next(computed))
-                self.result_cache.store(key, results[-1], generation)
+                picks.append((fresh, next(rows)))
+                self.result_cache.store(key, BatchAnswer.gather(picks[-1:]), generation)
             else:
-                results.append(self._hit(cached))
-        return results
-
-    @staticmethod
-    def _hit(cached):
-        """A memoized result as a hit reports it: no work, only its size."""
-        return replace(cached, stats=QueryStats(texts_matched=cached.stats.texts_matched))
+                picks.append((cached.as_hit(), 0))
+        return BatchAnswer.gather(picks)
 
     def __getattr__(self, name: str):
         if name.startswith("__"):

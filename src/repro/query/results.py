@@ -1,8 +1,9 @@
 """Aggregated observability for batch query execution.
 
-One :class:`BatchStats` merges the per-query
-:class:`~repro.core.search.QueryStats` of a whole batch and adds the
-batch-only dimensions: sketch-dedup savings, distinct-list I/O sharing
+One :class:`BatchStats` sums the per-query
+:class:`~repro.core.search.QueryStats` counter columns of a whole
+batch's :class:`~repro.core.search.BatchAnswer` and adds the batch-only
+dimensions: sketch-dedup savings, distinct-list I/O sharing
 and cache counters.  The CLI prints it verbatim.
 """
 
@@ -11,7 +12,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.core.search import QueryStats, SearchResult
+import numpy as np
+
+from repro.core.search import COUNTERS, BatchAnswer, SearchResult
 
 
 @dataclass
@@ -70,23 +73,21 @@ class BatchStats:
         return self.lists_referenced / self.distinct_lists
 
     # ------------------------------------------------------------------
-    def add_query(self, stats: QueryStats) -> None:
-        """Fold one executed query's stats into the batch totals.
-
-        Driven by the :class:`QueryStats` field list, so a counter
-        added there later flows into every same-named ``BatchStats``
-        attribute automatically instead of being silently dropped.
-        ``total_seconds`` is skipped (the batch keeps wall time, not
-        the sum of per-query times); the derived ``cpu_seconds`` is
-        accumulated explicitly.
-        """
-        for spec in dataclasses.fields(stats):
-            if spec.name == "total_seconds" or not hasattr(self, spec.name):
-                continue
-            setattr(
-                self, spec.name, getattr(self, spec.name) + getattr(stats, spec.name)
-            )
-        self.cpu_seconds += stats.cpu_seconds
+    @classmethod
+    def from_answer(cls, answer: BatchAnswer, **batch) -> "BatchStats":
+        """One scanned batch's stats plus the batch-only ``batch`` fields:
+        each counter column of ``answer`` sums into the same-named field
+        (so a new :class:`~repro.core.search.QueryStats` counter flows in
+        by name), its I/O and cpu seconds too; wall time is the caller's."""
+        names = {spec.name for spec in dataclasses.fields(cls)}
+        sums = zip(COUNTERS, answer.counters.sum(axis=0).tolist())
+        total, io = answer.seconds.T
+        return cls(
+            io_seconds=float(io.sum()),
+            cpu_seconds=float(np.maximum(total - io, 0.0).sum()),
+            **{name: value for name, value in sums if name in names},
+            **batch,
+        )
 
     def merge(self, other: "BatchStats") -> None:
         """Fold another chunk's stats in (chunked ``batch_size`` runs).

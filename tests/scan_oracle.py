@@ -2,23 +2,20 @@
 
 One query at a time, one list per ``load_list`` and one text at a time,
 as Algorithms 3–5 read in the paper; nothing in it is shared with the
-vectorized scan in :mod:`repro.core.search` except the exact-Jaccard
-filter.  Its long/short split is :func:`scalar_split`, the rule written
-out for one query.
+vectorized scan in :mod:`repro.core.search`.  Its long/short split is
+:func:`scalar_split`, the rule written out for one query, and its
+exact-Jaccard filter is :func:`verify_rectangles`, one rectangle at a
+time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.intervals import collision_count
-from repro.core.search import (
-    NearDuplicateSearcher,
-    QueryStats,
-    SearchResult,
-    TextMatch,
-)
+from repro.core.intervals import CollisionRectangle, collision_count
+from repro.core.search import QueryStats, SearchResult, TextMatch
 from repro.core.theory import collision_threshold
+from repro.core.verify import distinct_jaccard
 
 
 def scalar_split(lengths: np.ndarray, beta: int, long_list_cutoff) -> list[int]:
@@ -47,6 +44,28 @@ def scalar_split(lengths: np.ndarray, beta: int, long_list_cutoff) -> list[int]:
     return sorted(candidates.tolist())
 
 
+def verify_rectangles(query, theta, text, rectangles, t) -> list[CollisionRectangle]:
+    """Each rectangle narrowed to the bounding box of its sequences of
+    length ``>= t`` whose exact distinct Jaccard with ``query`` reaches
+    ``theta``; a rectangle without one is dropped."""
+    verified = []
+    for rect in rectangles:
+        passing = [
+            (i, j)
+            for (i, j) in rect.iter_spans(t)
+            if distinct_jaccard(query, text[i : j + 1]) >= theta
+        ]
+        if passing:
+            i_values = [i for i, _ in passing]
+            j_values = [j for _, j in passing]
+            verified.append(
+                CollisionRectangle(
+                    min(i_values), max(i_values), min(j_values), max(j_values), rect.count
+                )
+            )
+    return verified
+
+
 class ReferenceSearcher:
     """The scalar search, standalone: the oracle of the batch scan.
 
@@ -66,7 +85,7 @@ class ReferenceSearcher:
         self.t = index.t
         self.family = index.family
         self.long_list_cutoff = long_list_cutoff
-        self.verifier = NearDuplicateSearcher(index, corpus=corpus)
+        self.corpus = corpus
 
     def search(self, query, theta, *, verify=False) -> SearchResult:
         sketch = self.family.sketch(query)
@@ -121,8 +140,8 @@ class ReferenceSearcher:
                     if rect.clip_min_length(self.t) is not None
                 ]
                 if rectangles and verify:
-                    rectangles = self.verifier._verify_rectangles(
-                        query, theta, text_id, rectangles
+                    rectangles = verify_rectangles(
+                        query, theta, np.asarray(self.corpus[text_id]), rectangles, self.t
                     )
                 if rectangles:
                     matches.append(TextMatch(text_id, tuple(rectangles)))

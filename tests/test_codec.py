@@ -21,7 +21,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.hashing import HashFamily
-from repro.core.search import NearDuplicateSearcher, QueryStats
+from repro.core.intervals import FusedRectangles
+from repro.core.search import (
+    COUNTERS,
+    BatchAnswer,
+    NearDuplicateSearcher,
+    QueryStats,
+)
 from repro.corpus.synthetic import synthweb
 from repro.exceptions import IndexFormatError, InvalidParameterError
 from repro.index.builder import build_memory_index
@@ -687,26 +693,32 @@ class TestQueryStatsMerge:
         left.merge(right)
         assert left.point_reads == 2 * right.point_reads
 
-    def test_batch_stats_add_query_keeps_point_reads(self):
-        stats = BatchStats()
-        stats.add_query(
-            QueryStats(
-                total_seconds=9.0,
-                io_seconds=1.0,
-                io_bytes=64,
-                io_calls=2,
-                lists_loaded=3,
-                candidates=5,
-                texts_matched=1,
-                point_reads=7,
-            )
+    def test_batch_stats_from_answer_keeps_point_reads(self):
+        query = QueryStats(
+            total_seconds=9.0,
+            io_seconds=1.0,
+            io_bytes=64,
+            io_calls=2,
+            lists_loaded=3,
+            candidates=5,
+            texts_matched=1,
+            point_reads=7,
         )
+        none = np.zeros(0, dtype=np.int64)
+        answer = BatchAnswer(
+            *(16, 25, 0.8, 13, False, none, none),
+            FusedRectangles(*[none] * 6),
+            np.array([[query.total_seconds, query.io_seconds]]),
+            np.array([[getattr(query, name) for name in COUNTERS]]),
+        )
+        stats = BatchStats.from_answer(answer, queries=1)
         assert stats.point_reads == 7
         assert stats.io_bytes == 64
         assert stats.io_calls == 2
         assert stats.lists_loaded == 3
         assert stats.candidates == 5
         assert stats.texts_matched == 1
+        assert stats.queries == 1
         # Wall time is tracked separately; the per-query total must not
         # leak into it, while the derived cpu share must.
         assert stats.total_seconds == 0.0

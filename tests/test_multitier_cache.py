@@ -5,6 +5,7 @@ configuration must return exactly what the uncached reader returns."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 import tempfile
 import threading
@@ -27,6 +28,7 @@ from repro.index.lsm.live import LiveIndexStats, LiveSearcher
 from repro.index.storage import DiskInvertedIndex, write_index
 from repro.query.executor import BatchQueryExecutor
 from repro.query.resultcache import CachingSearcher, ResultCache, ResultCacheStats
+from repro.service.protocol import result_to_wire
 
 from index_lists import split_lists
 
@@ -231,6 +233,44 @@ class TestResultCache:
         (plan,) = calls
         assert [q.tolist() for q in plan.queries] == [q.tolist() for q in queries[3:]]
         assert plan.sketches.shape[0] == plan.num_unique == 3
+
+    def test_execute_thetas_over_hits_misses_and_a_duplicate(
+        self, planted_data, packed_dir
+    ):
+        """Every theta of a memoized batch is the direct multi-theta
+        answer, byte for byte; a hit reports no work at any theta."""
+        thetas = [0.7, 0.8, 1.0]
+        searcher = CachingSearcher(
+            NearDuplicateSearcher(CachedIndexReader(DiskInvertedIndex(packed_dir)))
+        )
+        hits = [
+            np.asarray(planted_data.corpus[i], dtype=np.uint32)[:48] for i in (0, 7)
+        ]
+        misses = [
+            np.asarray(planted_data.corpus[i], dtype=np.uint32)[:48] for i in (3, 40)
+        ]
+        for query in hits:  # memoized at the loosest theta, as the batch asks
+            searcher.search(query, min(thetas))
+        memo = searcher.result_cache
+        before = (memo.hits, memo.misses)
+        batch = [hits[0], misses[0], hits[1], misses[0], misses[1], hits[0]]
+        with BatchQueryExecutor(searcher) as executor:
+            per_query, stats = executor.execute_thetas(batch, thetas)
+        assert (memo.hits - before[0], memo.misses - before[1]) == (2, 2)
+        assert stats.unique_queries == 4
+        direct = NearDuplicateSearcher(DiskInvertedIndex(packed_dir))
+        for query, by_theta in zip(batch, per_query):
+            expected = direct.search_thetas(query, thetas)
+            for theta in thetas:
+                assert json.dumps(result_to_wire(by_theta[theta])) == json.dumps(
+                    result_to_wire(expected[theta])
+                )
+        for position in (0, 2, 5):
+            for result in per_query[position].values():
+                assert result.stats.io_bytes == result.stats.lists_loaded == 0
+                assert result.stats.total_seconds == result.stats.candidates == 0
+                assert result.stats.texts_matched == result.num_texts
+        assert per_query[1][0.7].stats.lists_loaded > 0
 
     def test_repeated_search_reports_no_work(self, planted_data, packed_dir):
         """A hit did no I/O and loaded no list, and its stats say so."""

@@ -94,3 +94,34 @@ class TestSearchThetas:
         combined = aggressive.search_thetas(query, [0.5, 0.9])
         for theta in (0.5, 0.9):
             assert as_set(combined[theta]) == as_set(aggressive.search(query, theta))
+
+
+class TestAnswerThresholds:
+    """A batch answer is cut at its own threshold or a stricter one."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        data = synthweb(num_texts=60, mean_length=120, vocab_size=512, seed=41)
+        index = build_memory_index(data.corpus, HashFamily(k=16, seed=7), t=20, vocab_size=512)
+        searcher = NearDuplicateSearcher(index, corpus=data.corpus)
+        return searcher, np.asarray(data.corpus[0])[:40]
+
+    def test_looser_theta_is_refused(self, small):
+        """The scan at 0.8 pruned a text a 0.5 answer holds: cutting
+        0.5 from it would report 1 text where a search finds 2."""
+        searcher, query = small
+        assert searcher.search(query, 0.5).num_texts == 2
+        answer = searcher._search_batch(searcher.plan([query], 0.8))
+        with pytest.raises(InvalidParameterError, match="theta=0.5"):
+            answer.results(0.5)
+        assert answer.results(0.9)[0].theta == 0.9
+        assert as_set(answer.results()[0]) == as_set(searcher.search(query, 0.8))
+
+    def test_verified_answer_refuses_any_other_theta(self, small):
+        searcher, query = small
+        answer = searcher._search_batch(searcher.plan([query], 0.8, verify=True))
+        for theta in (0.5, 0.9, 1.0):
+            with pytest.raises(InvalidParameterError, match="verified"):
+                answer.results(theta)
+        (result,) = answer.results(0.8)
+        assert as_set(result) == as_set(searcher.search(query, 0.8, verify=True))
